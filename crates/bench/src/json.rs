@@ -22,59 +22,21 @@
 //!
 //! `time_ns` are per-step virtual times — pure functions of the workload,
 //! identical across engines, worker counts and hosts, so a baseline diff on
-//! them is exact (integer equality). `stats` carries only the *virtual*
-//! operation counters. `contention` is the physical hot-path triple
-//! `[uq_high_water, match_scan_steps, mailbox_locks]`: interleaving-
-//! dependent, so baseline comparison only *warns* on drift (like `wall_s`,
-//! which is compared with a slack factor) — it never fails the gate, and
-//! the CI engine byte-diff filters the line out.
+//! them is exact (integer equality). `stats` carries the *virtual*
+//! counters of the [`RankStats`] table, `contention` its *physical* ones,
+//! both in table order. Contention is interleaving-dependent, so baseline
+//! comparison only *warns* on drift (like `wall_s`, which is compared with a
+//! slack factor) — it never fails the gate, and the CI engine byte-diff
+//! filters the line out.
 
-use netsim::RankStats;
+use netsim::{CounterKind, RankStats};
 
 pub use commscope::json::Json;
 
-/// The deterministic (virtual-quantity) subset of [`RankStats`] that goes
-/// into reports; order is the schema's field order.
-const STAT_FIELDS: [&str; 15] = [
-    "sends",
-    "recvs",
-    "bytes_sent",
-    "waits",
-    "waitalls",
-    "puts",
-    "bytes_put",
-    "gets",
-    "barriers",
-    "quiets",
-    "packed_bytes",
-    "datatype_commits",
-    "race_checks",
-    "conflicts_found",
-    "dtype_cache_hits",
-];
-
-/// Index of `conflicts_found` in [`STAT_FIELDS`] (the hard race gate).
-const CONFLICTS_IDX: usize = 13;
-
-fn stat_values(s: &RankStats) -> [usize; 15] {
-    [
-        s.sends,
-        s.recvs,
-        s.bytes_sent,
-        s.waits,
-        s.waitalls,
-        s.puts,
-        s.bytes_put,
-        s.gets,
-        s.barriers,
-        s.quiets,
-        s.packed_bytes,
-        s.datatype_commits,
-        s.race_checks,
-        s.conflicts_found,
-        s.dtype_cache_hits,
-    ]
-}
+/// Virtual counters present since the first reports. Rows declared after
+/// them read back as zero from a baseline that predates them (the physical
+/// `contention` array likewise).
+const REQUIRED_STATS: usize = 12;
 
 /// One series of a benchmark report.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +44,9 @@ pub struct SeriesReport {
     pub label: String,
     /// Per-x virtual times in ns (exact integers).
     pub time_ns: Vec<u64>,
-    /// Merged deterministic operation counters across the series' runs.
-    pub stats: [usize; 15],
-    /// Physical contention counters `[uq_high_water, match_scan_steps,
-    /// mailbox_locks]` merged across the series' runs. Interleaving-
-    /// dependent: recorded for tuning, soft-gated only.
-    pub contention: [usize; 3],
+    /// Counters merged across the series' runs. The physical ones are
+    /// interleaving-dependent: recorded for tuning, soft-gated only.
+    pub stats: RankStats,
 }
 
 impl SeriesReport {
@@ -95,12 +54,7 @@ impl SeriesReport {
         SeriesReport {
             label: label.into(),
             time_ns,
-            stats: stat_values(stats),
-            contention: [
-                stats.uq_high_water,
-                stats.match_scan_steps,
-                stats.mailbox_locks,
-            ],
+            stats: *stats,
         }
     }
 }
@@ -152,17 +106,19 @@ impl BenchReport {
                                 (
                                     "stats".into(),
                                     Json::Obj(
-                                        STAT_FIELDS
-                                            .iter()
-                                            .zip(s.stats)
-                                            .map(|(k, v)| ((*k).into(), Json::Int(v as i64)))
+                                        s.stats
+                                            .of_kind(CounterKind::Virtual)
+                                            .map(|(c, v)| (c.name.into(), Json::Int(v as i64)))
                                             .collect(),
                                     ),
                                 ),
                                 (
                                     "contention".into(),
                                     Json::Arr(
-                                        s.contention.iter().map(|&c| Json::Int(c as i64)).collect(),
+                                        s.stats
+                                            .of_kind(CounterKind::Physical)
+                                            .map(|(_, v)| Json::Int(v as i64))
+                                            .collect(),
                                     ),
                                 ),
                             ])
@@ -212,30 +168,32 @@ impl BenchReport {
                     .map(|v| v.as_i64().map(|i| i as u64).ok_or("bad time_ns"))
                     .collect::<Result<Vec<_>, _>>()?;
                 let stats_obj = s.get("stats").ok_or("series missing stats")?;
-                let mut stats = [0usize; 15];
-                for (i, (slot, key)) in stats.iter_mut().zip(STAT_FIELDS).enumerate() {
-                    match stats_obj.get(key).and_then(Json::as_i64) {
-                        Some(v) => *slot = v as usize,
-                        // The sanitizer and datatype-cache counters
-                        // postdate the first reports; older baselines read
-                        // back as zeros (like the contention triple below).
-                        None if i >= 12 => *slot = 0,
-                        None => return Err(format!("stats missing '{key}'")),
-                    }
-                }
-                // Reports written before the contention triple existed (and
+                // Reports written before the contention array existed (and
                 // hand-trimmed baselines) read back as zeros.
-                let mut contention = [0usize; 3];
-                if let Some(arr) = s.get("contention").and_then(Json::as_arr) {
-                    for (slot, v) in contention.iter_mut().zip(arr) {
-                        *slot = v.as_i64().ok_or("bad contention value")? as usize;
+                let mut contention = s
+                    .get("contention")
+                    .and_then(Json::as_arr)
+                    .unwrap_or(&[])
+                    .iter();
+                let mut stats = RankStats::default();
+                for (i, (c, slot)) in stats.values_mut().enumerate() {
+                    let value = match c.kind {
+                        CounterKind::Virtual => stats_obj.get(c.name).and_then(Json::as_i64),
+                        CounterKind::Physical => contention
+                            .next()
+                            .map(|v| v.as_i64().ok_or("bad contention value"))
+                            .transpose()?,
+                    };
+                    match value {
+                        Some(v) => *slot = v as usize,
+                        None if i >= REQUIRED_STATS => {}
+                        None => return Err(format!("stats missing '{}'", c.name)),
                     }
                 }
                 Ok::<SeriesReport, String>(SeriesReport {
                     label,
                     time_ns,
                     stats,
-                    contention,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -316,10 +274,10 @@ pub fn compare_with_baseline(report: &BenchReport, baseline_text: &str) -> Basel
     // shadow-state sanitizer attributed any conflicting access pair must
     // never pass, even if someone blesses a racy baseline.
     for rs in &report.series {
-        if rs.stats[CONFLICTS_IDX] != 0 {
+        if rs.stats.conflicts_found != 0 {
             diff.errors.push(format!(
                 "series '{}': sanitizer found {} one-sided race conflict(s) (must be 0)",
-                rs.label, rs.stats[CONFLICTS_IDX]
+                rs.label, rs.stats.conflicts_found
             ));
         }
     }
@@ -340,26 +298,31 @@ pub fn compare_with_baseline(report: &BenchReport, baseline_text: &str) -> Basel
                 ));
             }
         }
-        if bs.stats != rs.stats {
-            diff.errors.push(format!(
-                "series '{}' op counters changed: {:?} -> {:?}",
-                bs.label, bs.stats, rs.stats
-            ));
-        }
-        // Physical counters: soft gate. Warn only on substantial growth,
-        // and only when the baseline actually recorded them (non-zero).
-        for (name, bc, rc) in [
-            ("uq_high_water", bs.contention[0], rs.contention[0]),
-            ("match_scan_steps", bs.contention[1], rs.contention[1]),
-            ("mailbox_locks", bs.contention[2], rs.contention[2]),
-        ] {
-            if bc > 0 && rc as f64 > bc as f64 * CONTENTION_SLACK {
-                diff.warnings.push(format!(
-                    "series '{}' contention counter {name} grew {bc} -> {rc} \
-                     (>{CONTENTION_SLACK}x; physical, interleaving-dependent)",
-                    bs.label
-                ));
+        let mut changed = Vec::new();
+        for ((c, bc), (_, rc)) in bs.stats.values().zip(rs.stats.values()) {
+            match c.kind {
+                CounterKind::Virtual if bc != rc => {
+                    changed.push(format!("{} {bc} -> {rc}", c.name))
+                }
+                // Physical counters: soft gate. Warn only on substantial
+                // growth, and only when the baseline recorded them
+                // (non-zero).
+                CounterKind::Physical if bc > 0 && rc as f64 > bc as f64 * CONTENTION_SLACK => {
+                    diff.warnings.push(format!(
+                        "series '{}' contention counter {} grew {bc} -> {rc} \
+                         (>{CONTENTION_SLACK}x; physical, interleaving-dependent)",
+                        bs.label, c.name
+                    ))
+                }
+                _ => {}
             }
+        }
+        if !changed.is_empty() {
+            diff.errors.push(format!(
+                "series '{}' op counters changed: {}",
+                bs.label,
+                changed.join(", ")
+            ));
         }
     }
     if base.series.len() != report.series.len() {
@@ -382,6 +345,22 @@ pub fn compare_with_baseline(report: &BenchReport, baseline_text: &str) -> Basel
 mod tests {
     use super::*;
 
+    /// Stats with `values` assigned to the counter table in order.
+    fn stats_of(values: &[usize]) -> RankStats {
+        let mut stats = RankStats::default();
+        for ((_, slot), &v) in stats.values_mut().zip(values) {
+            *slot = v;
+        }
+        stats
+    }
+
+    fn field_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+        match j {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            _ => panic!("not an object"),
+        }
+    }
+
     fn sample_report() -> BenchReport {
         BenchReport {
             bench: "fig4".into(),
@@ -390,8 +369,9 @@ mod tests {
             series: vec![SeriesReport {
                 label: "Original Communication".into(),
                 time_ns: vec![1_234_567_890_123, 42],
-                stats: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 14],
-                contention: [3, 120, 240],
+                stats: stats_of(&[
+                    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 14, 3, 120, 240,
+                ]),
             }],
             wall_s: 1.5,
         }
@@ -415,7 +395,10 @@ mod tests {
         let legacy = text.replace(",\n      \"contention\": [3, 120, 240]", "");
         let back = BenchReport::from_json(&Json::parse(&legacy).unwrap());
         match back {
-            Ok(b) => assert_eq!(b.series[0].contention, [0, 0, 0]),
+            Ok(b) => assert!(b.series[0]
+                .stats
+                .of_kind(CounterKind::Physical)
+                .all(|(_, v)| v == 0)),
             Err(e) => panic!("legacy report rejected: {e}"),
         }
     }
@@ -451,14 +434,16 @@ mod tests {
         let r = sample_report();
         let baseline = Json::Obj(vec![("benches".into(), Json::Arr(vec![r.to_json()]))]).render();
         let mut noisy = r.clone();
-        noisy.series[0].contention = [3, 500, 240]; // >2x scan steps
+        noisy.series[0].stats.match_scan_steps = 500; // >2x scan steps
         let diff = compare_with_baseline(&noisy, &baseline);
         assert!(diff.errors.is_empty(), "{:?}", diff.errors);
         assert_eq!(diff.warnings.len(), 1);
         assert!(diff.warnings[0].contains("match_scan_steps"));
         // Small jitter stays silent.
         let mut jitter = r.clone();
-        jitter.series[0].contention = [4, 150, 300];
+        jitter.series[0].stats.uq_high_water = 4;
+        jitter.series[0].stats.match_scan_steps = 150;
+        jitter.series[0].stats.mailbox_locks = 300;
         let diff = compare_with_baseline(&jitter, &baseline);
         assert!(diff.warnings.is_empty(), "{:?}", diff.warnings);
     }
@@ -476,14 +461,14 @@ mod tests {
             .replace(",\n        \"conflicts_found\": 0", "");
         assert!(!legacy.contains("race_checks"), "replace missed: {legacy}");
         let back = BenchReport::from_json(&Json::parse(&legacy).unwrap()).unwrap();
-        assert_eq!(back.series[0].stats[12], 0);
-        assert_eq!(back.series[0].stats[13], 0);
+        assert_eq!(back.series[0].stats.race_checks, 0);
+        assert_eq!(back.series[0].stats.conflicts_found, 0);
     }
 
     #[test]
     fn nonzero_conflicts_fail_the_gate_even_with_matching_baseline() {
         let mut r = sample_report();
-        r.series[0].stats[13] = 2;
+        r.series[0].stats.conflicts_found = 2;
         // Baseline blessed with the same racy counters: the gate must still
         // refuse — conflicts_found is an absolute invariant, not a diff.
         let baseline = Json::Obj(vec![("benches".into(), Json::Arr(vec![r.to_json()]))]).render();
@@ -494,6 +479,70 @@ mod tests {
             "{:?}",
             diff.errors
         );
+    }
+
+    #[test]
+    fn every_counter_round_trips_through_its_table_slot() {
+        let n = RankStats::COUNTERS.len();
+        let mut r = sample_report();
+        r.series[0].stats = stats_of(&(1..=n).map(|i| 100 + i).collect::<Vec<_>>());
+        let text = r.to_json().render();
+        let parsed = Json::parse(&text).unwrap();
+        let back = BenchReport::from_json(&parsed).unwrap();
+        assert_eq!(back.series[0].stats, r.series[0].stats);
+
+        // Virtual counters appear only under "stats", in table order;
+        // physical ones only in the one-line "contention" array.
+        let series = &parsed.get("series").unwrap().as_arr().unwrap()[0];
+        let Some(Json::Obj(fields)) = series.get("stats") else {
+            panic!("stats is not an object: {text}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let virtuals: Vec<&str> = r.series[0]
+            .stats
+            .of_kind(CounterKind::Virtual)
+            .map(|(c, _)| c.name)
+            .collect();
+        assert_eq!(keys, virtuals);
+        let physical: Vec<String> = r.series[0]
+            .stats
+            .of_kind(CounterKind::Physical)
+            .map(|(c, v)| {
+                assert!(!text.contains(c.name), "{} leaked into {text}", c.name);
+                v.to_string()
+            })
+            .collect();
+        assert!(text.contains(&format!("\"contention\": [{}]", physical.join(", "))));
+
+        // `--stats` prints every table name exactly once.
+        let line = crate::render_stats("x", &r.series[0].stats);
+        for c in RankStats::COUNTERS {
+            assert_eq!(line.matches(&format!(" {}=", c.name)).count(), 1, "{line}");
+        }
+
+        // Dropping a counter from a baseline: the first reports' counters
+        // are required, later rows read back as zero.
+        for (i, (c, _)) in r.series[0].stats.of_kind(CounterKind::Virtual).enumerate() {
+            let mut trimmed = parsed.clone();
+            let Json::Arr(series) = field_mut(&mut trimmed, "series") else {
+                unreachable!()
+            };
+            let Json::Obj(stats) = field_mut(&mut series[0], "stats") else {
+                unreachable!()
+            };
+            stats.retain(|(k, _)| k != c.name);
+            match BenchReport::from_json(&trimmed) {
+                Ok(b) if i >= REQUIRED_STATS => {
+                    let pairs = b.series[0].stats.values().zip(r.series[0].stats.values());
+                    for ((d, got), (_, want)) in pairs {
+                        assert_eq!(got, if d == c { 0 } else { want }, "{}", d.name);
+                    }
+                }
+                Ok(_) => panic!("baseline without '{}' accepted", c.name),
+                Err(e) if i < REQUIRED_STATS => assert!(e.contains(c.name), "{e}"),
+                Err(e) => panic!("baseline without '{}' rejected: {e}", c.name),
+            }
+        }
     }
 
     #[test]

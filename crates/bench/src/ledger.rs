@@ -12,6 +12,8 @@
 use std::io::Write as _;
 use std::path::Path;
 
+use netsim::CounterKind;
+
 use crate::json::{BenchReport, Json};
 
 /// Schema version of one ledger line (`commscope::LEDGER_SCHEMA` mirrors
@@ -83,7 +85,12 @@ pub fn entry_json(report: &BenchReport, engine: &str, git_rev: &str) -> Json {
                             ),
                             (
                                 "stats".into(),
-                                Json::Arr(s.stats.iter().map(|&v| Json::Int(v as i64)).collect()),
+                                Json::Arr(
+                                    s.stats
+                                        .of_kind(CounterKind::Virtual)
+                                        .map(|(_, v)| Json::Int(v as i64))
+                                        .collect(),
+                                ),
                             ),
                         ])
                     })

@@ -6,6 +6,7 @@ pub mod ledger;
 pub use json::{compare_with_baseline, BaselineDiff, BenchReport, Json, SeriesReport};
 
 use netsim::{RankStats, Time};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -135,33 +136,14 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Render merged [`RankStats`] (including the mailbox hot-path counters)
-/// as `# `-prefixed comment lines for the figure binaries' `--stats` flag.
+/// Render merged [`RankStats`] as one `# `-prefixed comment line for the
+/// figure binaries' `--stats` flag: every counter, in table order.
 pub fn render_stats(label: &str, stats: &RankStats) -> String {
-    format!(
-        "# stats[{label}] sends={} recvs={} bytes_sent={} waits={} waitalls={} \
-         puts={} bytes_put={} gets={} barriers={} quiets={} packed_bytes={} \
-         datatype_commits={} dtype_cache_hits={} race_checks={} conflicts_found={} \
-         uq_high_water={} match_scan_steps={} mailbox_locks={}",
-        stats.sends,
-        stats.recvs,
-        stats.bytes_sent,
-        stats.waits,
-        stats.waitalls,
-        stats.puts,
-        stats.bytes_put,
-        stats.gets,
-        stats.barriers,
-        stats.quiets,
-        stats.packed_bytes,
-        stats.datatype_commits,
-        stats.dtype_cache_hits,
-        stats.race_checks,
-        stats.conflicts_found,
-        stats.uq_high_water,
-        stats.match_scan_steps,
-        stats.mailbox_locks,
-    )
+    let mut line = format!("# stats[{label}]");
+    for (c, v) in stats.values() {
+        let _ = write!(line, " {}={v}", c.name);
+    }
+    line
 }
 
 /// Render one figure series as an aligned table.

@@ -278,4 +278,20 @@ mod tests {
         let stats = parse_request(b"{ \"v\": 1, \"op\": \"stats\" }").unwrap();
         assert_eq!(stats.op, "stats");
     }
+
+    #[test]
+    fn hostile_frames_get_error_responses() {
+        let engine = Engine::new(Default::default(), Default::default(), None);
+        let deep = "[".repeat(100_000);
+        let overflow = "#pragma comm_p2p sender(rank+99999999999999999999) receiver(rank)";
+        let non_ascii = "#pragma comm_p2p sender(rank\u{2014}1) receiver(rank)";
+        for frame in [
+            deep,
+            request_json("analyze", 1, "a.comm", overflow),
+            request_json("analyze", 2, "b.comm", non_ascii),
+        ] {
+            let resp = handle(&engine, frame.as_bytes());
+            assert!(resp.contains("\"ok\": false"), "{resp}");
+        }
+    }
 }

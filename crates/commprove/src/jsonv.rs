@@ -91,9 +91,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Shipped documents nest
+/// at most 7 deep; the cap keeps hostile input (a request frame of `[`s)
+/// from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -143,11 +149,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", JValue::Bool(true)),
             Some(b'f') => self.eat_lit("false", JValue::Bool(false)),
             Some(b'"') => self.string().map(JValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.int(),
             _ => self.err("expected a value"),
         }
+    }
+
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JValue, JsonError>,
+    ) -> Result<JValue, JsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn int(&mut self) -> Result<JValue, JsonError> {
@@ -286,6 +305,7 @@ pub fn parse(src: &str) -> Result<JValue, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -318,6 +338,15 @@ mod tests {
         assert!(parse("{\"a\": 1} x").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_position() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

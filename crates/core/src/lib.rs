@@ -68,7 +68,6 @@ pub mod overlay;
 pub mod patterns;
 pub mod race;
 pub mod scope;
-pub mod traceview;
 
 pub use buffer::{Prim, PrimMut, PrimStrided, PrimStridedMut, RecvBuf, SendBuf, Struc, StrucMut};
 pub use clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Severity, Target};

@@ -15,7 +15,7 @@ use crate::msg::{
     TagSel, WireCosts,
 };
 use crate::time::Time;
-use crate::trace::MailboxHotStats;
+use crate::trace::RankStats;
 
 // ---------------------------------------------------------------------------
 // Mailboxes / tag matching
@@ -53,7 +53,10 @@ struct MailboxInner {
     posted_exact: Vec<VecDeque<PostedRecv>>,
     posted_any: VecDeque<PostedRecv>,
     posted_total: usize,
-    stats: MailboxHotStats,
+    /// Only the physical (contention) counters are bumped here, under the
+    /// lock the matching engine already holds; the runtime merges them
+    /// into the owning rank's stats after the run.
+    stats: RankStats,
 }
 
 /// One rank's incoming-message matching engine.
@@ -116,7 +119,7 @@ impl Mailbox {
                 posted_exact: (0..nranks).map(|_| VecDeque::new()).collect(),
                 posted_any: VecDeque::new(),
                 posted_total: 0,
-                stats: MailboxHotStats::default(),
+                stats: RankStats::default(),
             }),
             post_seq: AtomicU64::new(0),
         }
@@ -126,7 +129,7 @@ impl Mailbox {
     /// or park it in the per-source unexpected lane.
     fn deliver(&self, env: Envelope) {
         let mut g = self.inner.lock();
-        g.stats.lock_acquisitions += 1;
+        g.stats.mailbox_locks += 1;
         // Earliest-posted matching receive: the front-most tag match in the
         // sender's exact lane vs. the front-most match in the wildcard
         // lane, whichever was posted first. Each lane is in posting order,
@@ -186,7 +189,7 @@ impl Mailbox {
     fn post(&self, src: SrcSel, tag: TagSel, post_time: Time, slot: Arc<RecvSlot>) {
         let seq = self.post_seq.fetch_add(1, Ordering::Relaxed);
         let mut g = self.inner.lock();
-        g.stats.lock_acquisitions += 1;
+        g.stats.mailbox_locks += 1;
         // MPI non-overtaking: per source, messages match in send order, so
         // only each source's *oldest* parked candidate is eligible — the
         // front-most tag match in its lane. Among eligible candidates from
@@ -245,7 +248,7 @@ impl Mailbox {
     }
 
     /// Snapshot of the hot-path contention counters.
-    pub fn hot_stats(&self) -> MailboxHotStats {
+    pub fn stats(&self) -> RankStats {
         self.inner.lock().stats
     }
 }

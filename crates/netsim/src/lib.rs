@@ -65,4 +65,4 @@ pub use runtime::{run, ExecPolicy, RankCtx, SimConfig, SimResult};
 pub use sanitize::{Conflict, SanitizeReport, Sanitizer};
 pub use sched::Scheduler;
 pub use time::Time;
-pub use trace::{EventKind, MailboxHotStats, RankStats, SiteId, TraceEvent, TraceSink};
+pub use trace::{Counter, CounterKind, EventKind, RankStats, SiteId, TraceEvent, TraceSink};

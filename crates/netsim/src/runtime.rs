@@ -365,7 +365,7 @@ where
         let (out, t, mut s, m) = slot.expect("every rank produced output");
         // The matching engine's hot-path counters live in the rank's
         // mailbox; fold them in now that all threads are quiescent.
-        s.absorb_mailbox(&fabric.mailbox(rank).hot_stats());
+        s.merge(&fabric.mailbox(rank).stats());
         if let Some(san) = &sanitizer {
             let (checks, conflicts) = san.rank_counters(rank);
             s.race_checks = checks as usize;

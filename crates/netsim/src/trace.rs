@@ -109,91 +109,133 @@ impl TraceSink {
     }
 }
 
-/// Hot-path counters maintained inside one rank's mailbox, under the same
-/// lock the matching engine already holds (increments are free of extra
-/// synchronization). Folded into that rank's [`RankStats`] after the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MailboxHotStats {
-    /// High-water mark of the unexpected (parked) message queue.
-    pub uq_high_water: usize,
-    /// Envelopes/posted-receives examined by the matching engine.
-    pub match_scan_steps: usize,
-    /// Times the mailbox lock was taken (deliveries + posts).
-    pub lock_acquisitions: usize,
+/// Whether a counter is a pure function of the simulated program or of the
+/// host's thread interleaving.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CounterKind {
+    /// Identical under every engine and worker count: reports carry it
+    /// under `stats` and baselines gate it exactly.
+    Virtual,
+    /// Interleaving-dependent hot-path contention: reports carry it in the
+    /// one-line `contention` array and baselines only warn on drift.
+    Physical,
 }
 
-/// Per-rank running statistics, kept unconditionally (cheap counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RankStats {
+/// How per-rank values combine into a whole-job total.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    Sum,
+    /// High-water marks: the job-wide value is the worst single rank.
+    Max,
+}
+
+/// One row of the counter table ([`RankStats::COUNTERS`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter {
+    pub name: &'static str,
+    pub kind: CounterKind,
+    pub merge: Merge,
+}
+
+/// Declares [`RankStats`] from the counter table below: the struct (one
+/// plain `usize` field per row, so hot-path increments stay field adds),
+/// the ordered row metadata, and by-value and by-reference iteration in
+/// table order. Everything else — merging, reports, the ledger, `--stats`
+/// and the engine-equivalence tests — iterates the table.
+macro_rules! rank_stats {
+    ($($(#[doc = $doc:literal])+ $name:ident: $kind:ident, $merge:ident;)+) => {
+        /// Per-rank running statistics, kept unconditionally (cheap counters).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct RankStats {
+            $($(#[doc = $doc])+ pub $name: usize,)+
+        }
+
+        impl RankStats {
+            /// The counter table, in declaration order (the `--json`
+            /// schema order).
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: stringify!($name),
+                kind: CounterKind::$kind,
+                merge: Merge::$merge,
+            },)+];
+
+            /// Every counter with its value, in table order.
+            pub fn values(&self) -> impl Iterator<Item = (&'static Counter, usize)> {
+                Self::COUNTERS.iter().zip([$(self.$name),+])
+            }
+
+            /// Every counter with a mutable reference to its value, in
+            /// table order.
+            pub fn values_mut(&mut self) -> impl Iterator<Item = (&'static Counter, &mut usize)> {
+                Self::COUNTERS.iter().zip([$(&mut self.$name),+])
+            }
+        }
+    };
+}
+
+// The counter table. Adding a counter is one row here plus its increment
+// site. Rows are in report-schema order: append new rows, never reorder.
+rank_stats! {
     /// Two-sided messages initiated.
-    pub sends: usize,
+    sends: Virtual, Sum;
     /// Receives posted.
-    pub recvs: usize,
+    recvs: Virtual, Sum;
     /// Bytes moved by two-sided sends.
-    pub bytes_sent: usize,
+    bytes_sent: Virtual, Sum;
     /// Single-request wait calls.
-    pub waits: usize,
+    waits: Virtual, Sum;
     /// Consolidated waitall calls.
-    pub waitalls: usize,
+    waitalls: Virtual, Sum;
     /// One-sided puts initiated.
-    pub puts: usize,
+    puts: Virtual, Sum;
     /// Bytes moved by puts.
-    pub bytes_put: usize,
+    bytes_put: Virtual, Sum;
     /// One-sided gets.
-    pub gets: usize,
+    gets: Virtual, Sum;
     /// Barriers crossed.
-    pub barriers: usize,
+    barriers: Virtual, Sum;
     /// Quiet/flush calls.
-    pub quiets: usize,
+    quiets: Virtual, Sum;
     /// Explicit pack/unpack bytes copied.
-    pub packed_bytes: usize,
+    packed_bytes: Virtual, Sum;
     /// Derived datatypes committed.
-    pub datatype_commits: usize,
-    /// Datatype-cache lookups that found an already-committed layout (the
-    /// commit cost was elided on these region executions).
-    pub dtype_cache_hits: usize,
-    /// High-water mark of this rank's unexpected-message queue.
-    pub uq_high_water: usize,
-    /// Matching-engine scan steps in this rank's mailbox.
-    pub match_scan_steps: usize,
-    /// Mailbox lock acquisitions (deliveries into + posts on this rank).
-    pub mailbox_locks: usize,
+    datatype_commits: Virtual, Sum;
     /// Accesses checked by the race sanitizer on this rank (0 when off).
-    pub race_checks: usize,
+    race_checks: Virtual, Sum;
     /// Conflicting unordered access pairs the sanitizer attributed to this
     /// rank (the second access of each pair). Zero on a clean run.
-    pub conflicts_found: usize,
+    conflicts_found: Virtual, Sum;
+    /// Datatype-cache lookups that found an already-committed layout (the
+    /// commit cost was elided on these region executions).
+    dtype_cache_hits: Virtual, Sum;
+    /// High-water mark of this rank's unexpected-message queue.
+    uq_high_water: Physical, Max;
+    /// Matching-engine scan steps in this rank's mailbox.
+    match_scan_steps: Physical, Sum;
+    /// Mailbox lock acquisitions (deliveries into + posts on this rank).
+    mailbox_locks: Physical, Sum;
+}
+
+impl Merge {
+    fn apply(self, a: usize, b: usize) -> usize {
+        match self {
+            Merge::Sum => a + b,
+            Merge::Max => a.max(b),
+        }
+    }
 }
 
 impl RankStats {
     /// Merge another rank's counters into this one (for whole-job totals).
     pub fn merge(&mut self, other: &RankStats) {
-        self.sends += other.sends;
-        self.recvs += other.recvs;
-        self.bytes_sent += other.bytes_sent;
-        self.waits += other.waits;
-        self.waitalls += other.waitalls;
-        self.puts += other.puts;
-        self.bytes_put += other.bytes_put;
-        self.gets += other.gets;
-        self.barriers += other.barriers;
-        self.quiets += other.quiets;
-        self.packed_bytes += other.packed_bytes;
-        self.datatype_commits += other.datatype_commits;
-        self.dtype_cache_hits += other.dtype_cache_hits;
-        // A job-wide high-water mark is the worst single mailbox, not a sum.
-        self.uq_high_water = self.uq_high_water.max(other.uq_high_water);
-        self.match_scan_steps += other.match_scan_steps;
-        self.mailbox_locks += other.mailbox_locks;
-        self.race_checks += other.race_checks;
-        self.conflicts_found += other.conflicts_found;
+        for ((c, slot), (_, v)) in self.values_mut().zip(other.values()) {
+            *slot = c.merge.apply(*slot, v);
+        }
     }
 
-    /// Fold one mailbox's hot-path counters into this rank's stats.
-    pub fn absorb_mailbox(&mut self, hot: &MailboxHotStats) {
-        self.uq_high_water = self.uq_high_water.max(hot.uq_high_water);
-        self.match_scan_steps += hot.match_scan_steps;
-        self.mailbox_locks += hot.lock_acquisitions;
+    /// The counters of one kind with their values, in table order.
+    pub fn of_kind(&self, kind: CounterKind) -> impl Iterator<Item = (&'static Counter, usize)> {
+        self.values().filter(move |(c, _)| c.kind == kind)
     }
 }
 
@@ -238,6 +280,7 @@ mod tests {
             sends: 1,
             bytes_sent: 100,
             waits: 2,
+            uq_high_water: 7,
             ..RankStats::default()
         };
         let b = RankStats {
@@ -245,6 +288,7 @@ mod tests {
             bytes_sent: 50,
             waitalls: 1,
             barriers: 2,
+            uq_high_water: 4,
             ..RankStats::default()
         };
         a.merge(&b);
@@ -253,5 +297,7 @@ mod tests {
         assert_eq!(a.waits, 2);
         assert_eq!(a.waitalls, 1);
         assert_eq!(a.barriers, 2);
+        // A job-wide high-water mark is the worst single mailbox, not a sum.
+        assert_eq!(a.uq_high_water, 7);
     }
 }

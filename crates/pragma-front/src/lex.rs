@@ -121,15 +121,19 @@ pub struct Token {
 /// A lexical error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LexError {
-    /// Offending character.
-    pub ch: char,
+    /// Offending character; `None` for an integer literal that overflows
+    /// `i64`.
+    pub ch: Option<char>,
     /// Where.
     pub span: Span,
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unexpected character `{}` at {}", self.ch, self.span)
+        match self.ch {
+            Some(ch) => write!(f, "unexpected character `{ch}` at {}", self.span),
+            None => write!(f, "integer literal out of range at {}", self.span),
+        }
     }
 }
 
@@ -206,7 +210,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 bump!(7);
                 continue;
             }
-            return Err(LexError { ch: c, span: sp });
+            return Err(LexError {
+                ch: Some(c),
+                span: sp,
+            });
         }
         // Identifiers / keywords.
         if c.is_ascii_alphabetic() || c == '_' {
@@ -228,26 +235,25 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
             while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
                 bump!(1);
             }
-            let v: i64 = input[start..i].parse().expect("digits parse");
+            let Ok(v) = input[start..i].parse::<i64>() else {
+                return Err(LexError { ch: None, span: sp });
+            };
             out.push(Token {
                 tok: Tok::Int(v),
                 span: sp,
             });
             continue;
         }
-        // Multi-char operators.
-        let two = if i + 1 < bytes.len() {
-            &input[i..i + 2]
-        } else {
-            ""
-        };
-        let (tok, len) = match two {
-            "==" => (Tok::EqEq, 2),
-            "!=" => (Tok::NotEq, 2),
-            "<=" => (Tok::Le, 2),
-            ">=" => (Tok::Ge, 2),
-            "&&" => (Tok::AndAnd, 2),
-            "||" => (Tok::OrOr, 2),
+        // Multi-char operators, looked up on bytes: a multi-byte character
+        // here must reach the unexpected-character error, not split a
+        // string slice.
+        let (tok, len) = match bytes.get(i..i + 2) {
+            Some(b"==") => (Tok::EqEq, 2),
+            Some(b"!=") => (Tok::NotEq, 2),
+            Some(b"<=") => (Tok::Le, 2),
+            Some(b">=") => (Tok::Ge, 2),
+            Some(b"&&") => (Tok::AndAnd, 2),
+            Some(b"||") => (Tok::OrOr, 2),
             _ => match c {
                 '(' => (Tok::LParen, 1),
                 ')' => (Tok::RParen, 1),
@@ -268,7 +274,12 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 '.' => (Tok::Dot, 1),
                 ';' => (Tok::Semi, 1),
                 '=' => (Tok::Assign, 1),
-                _ => return Err(LexError { ch: c, span: sp }),
+                _ => {
+                    return Err(LexError {
+                        ch: input[i..].chars().next(),
+                        span: sp,
+                    })
+                }
             },
         };
         out.push(Token { tok, span: sp });
@@ -342,7 +353,13 @@ mod tests {
     #[test]
     fn bad_character_reports_position() {
         let err = lex("sender(@)").unwrap_err();
-        assert_eq!(err.ch, '@');
+        assert_eq!(err.ch, Some('@'));
         assert_eq!(err.span.col, 8);
+        // An overflowing literal and a multi-byte character are errors at
+        // their position, not panics.
+        let err = lex("sender(rank+99999999999999999999)").unwrap_err();
+        assert_eq!((err.ch, err.span.col), (None, 13));
+        let err = lex("sender(rank\u{2014}1)").unwrap_err();
+        assert_eq!((err.ch, err.span.col), (Some('\u{2014}'), 12));
     }
 }

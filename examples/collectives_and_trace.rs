@@ -1,12 +1,12 @@
 //! The collective-directive extension (the paper's §V future work) plus the
 //! trace tooling: broadcast parameters to a group, reduce results back, and
-//! render the reconstructed timeline/communication matrix.
+//! break the traced run down with `commscope` — per-rank wait states and
+//! flamegraph folded stacks of virtual time.
 //!
 //! Run with: `cargo run -p bench --example collectives_and_trace`
 
 use commint::coll::{CollKind, ReduceOp};
 use commint::prelude::*;
-use commint::traceview::TraceView;
 use mpisim::Comm;
 use netsim::{run, SimConfig, Time};
 
@@ -51,11 +51,23 @@ fn main() {
 
     println!("reduced result on rank 0: {:.2}\n", res.per_rank[0]);
 
-    let view = TraceView::build(res.trace.as_deref().unwrap_or(&[]));
-    println!("== timeline (\"#\" compute, \"*\" communication) ==");
-    print!("{}", view.gantt(64));
-    println!("\n== communication matrix (bytes) ==");
-    print!("{}", view.matrix_table());
+    let trace = res.trace.as_deref().unwrap_or(&[]);
+    let analysis = commscope::analyze(trace, nranks, &res.final_times);
+    println!("== wait states (virtual ns) ==");
+    for p in &analysis.ranks {
+        println!(
+            "rank {}: {} = late_sender {} + late_receiver {} + barrier {} + quiet {} + overhead {}",
+            p.rank,
+            p.total_wait_ns,
+            p.late_sender_ns,
+            p.late_receiver_ns,
+            p.barrier_ns,
+            p.quiet_ns,
+            p.overhead_ns
+        );
+    }
+    println!("\n== folded stacks (rank;op;site virtual ns) ==");
+    print!("{}", commscope::folded_stacks(trace));
 }
 
 fn ctx_compute(session: &mut CommSession<'_>, me: usize) {

@@ -4,37 +4,24 @@
 //! differ; completion times are computed from virtual clocks alone, so the
 //! execution engine is unobservable in the results.
 
-use netsim::ExecPolicy;
+use netsim::{CounterKind, ExecPolicy};
 use wl_lsms::{
     fig3_single_atom_exec, fig4_spin_exec, fig5_overlap_exec, AtomCommVariant, AtomSizes,
     CoreStateParams, Measurement, SpinVariant, Topology,
 };
 
-/// The deterministic face of a measurement: virtual time plus the
-/// engine-independent operation counters. Physical counters (unexpected
-/// -queue depth, matcher scan steps, lock counts) legitimately vary with
-/// wall-clock interleaving and are excluded.
-fn det(m: &Measurement) -> (u64, bool, [usize; 14]) {
-    let s = &m.stats;
+/// The deterministic face of a measurement: virtual time plus every virtual
+/// row of the counter table. Physical counters (unexpected-queue depth,
+/// matcher scan steps, lock counts) legitimately vary with wall-clock
+/// interleaving and are excluded.
+fn det(m: &Measurement) -> (u64, bool, Vec<(&'static str, usize)>) {
     (
         m.time.as_nanos(),
         m.correct,
-        [
-            s.sends,
-            s.recvs,
-            s.bytes_sent,
-            s.waits,
-            s.waitalls,
-            s.puts,
-            s.bytes_put,
-            s.gets,
-            s.barriers,
-            s.quiets,
-            s.packed_bytes,
-            s.datatype_commits,
-            s.race_checks,
-            s.conflicts_found,
-        ],
+        m.stats
+            .of_kind(CounterKind::Virtual)
+            .map(|(c, v)| (c.name, v))
+            .collect(),
     )
 }
 

@@ -4,7 +4,7 @@
 //! This is the bounded engine's core contract: scheduling order may change
 //! wall-clock execution, never the simulation.
 
-use netsim::{run, ExecPolicy, RankStats, SimConfig, SrcSel, TagSel};
+use netsim::{run, CounterKind, ExecPolicy, RankStats, SimConfig, SrcSel, TagSel};
 use proptest::prelude::*;
 
 /// One communication round every rank executes (rounds are matched by
@@ -30,31 +30,19 @@ fn round_strategy() -> impl Strategy<Value = Round> {
     ]
 }
 
-/// Engine-independent per-rank counters (physical counters excluded).
-fn det(s: &RankStats) -> [usize; 12] {
-    [
-        s.sends,
-        s.recvs,
-        s.bytes_sent,
-        s.waits,
-        s.waitalls,
-        s.puts,
-        s.bytes_put,
-        s.gets,
-        s.barriers,
-        s.quiets,
-        s.packed_bytes,
-        s.datatype_commits,
-    ]
+/// Engine-independent per-rank counters: every virtual row of the counter
+/// table by name (the physical ones vary with interleaving).
+type Det = Vec<(&'static str, usize)>;
+
+fn det(s: &RankStats) -> Det {
+    s.of_kind(CounterKind::Virtual)
+        .map(|(c, v)| (c.name, v))
+        .collect()
 }
 
 /// Run the script under `exec`; return every virtual observable — final
 /// clocks, per-rank payload checksums, per-rank deterministic counters.
-fn run_script(
-    nranks: usize,
-    rounds: &[Round],
-    exec: ExecPolicy,
-) -> (Vec<u64>, Vec<u64>, Vec<[usize; 12]>) {
+fn run_script(nranks: usize, rounds: &[Round], exec: ExecPolicy) -> (Vec<u64>, Vec<u64>, Vec<Det>) {
     let rounds = rounds.to_vec();
     let res = run(SimConfig::new(nranks).with_exec(exec), move |ctx| {
         let model = ctx.machine().mpi;
