@@ -1,7 +1,8 @@
 //! Microbenchmarks of the framework itself: clause-expression evaluation,
-//! pragma parsing, lowering/codegen, derived-datatype gather/scatter, and
-//! the tag-matching engine. These bound the overhead the directive
-//! abstraction adds over raw library calls.
+//! pragma parsing, lowering/codegen, derived-datatype gather/scatter, the
+//! tag-matching engine, and the directive engine's cost per `comm_p2p`
+//! instance. These bound the overhead the directive abstraction adds over
+//! raw library calls.
 
 use commint::analysis::{classify, resolve_graph};
 use commint::buffer::{gather_described, scatter_described};
@@ -110,11 +111,113 @@ fn micro_matching(c: &mut Criterion) {
     });
 }
 
+/// CPU time consumed by the calling thread, in nanoseconds
+/// (`CLOCK_THREAD_CPUTIME_ID`): a rank's own cost, whatever the other
+/// ranks and the machine's other tenants do meanwhile.
+fn thread_cpu_ns() -> u64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec for the duration of the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID)");
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// Host CPU nanoseconds per `comm_p2p` instance of a 2-rank region
+/// running `n` instances of one Prim→PrimMut site, measured on rank 1's
+/// thread around the region. A one-instance region first validates the
+/// site and joins its staging allocation, so neither is timed. With
+/// `participate` off neither rank's `sendwhen`/`receivewhen` holds, so
+/// every instance is the non-participant path; with it on, rank 0 sends 3
+/// doubles to rank 1 on every instance.
+fn directive_ns_per_instance(target: Target, participate: bool, n: usize) -> f64 {
+    use commint::{CommParams, CommSession, DirectiveError, Prim, PrimMut};
+    use netsim::{run, SimConfig};
+    let (s, r) = if participate { (0, 1) } else { (2, 2) };
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::lit(1))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(s)))
+        .receivewhen(RankExpr::rank().eq(RankExpr::lit(r)))
+        .count(3)
+        .max_comm_iter(n as i64)
+        .target(target);
+    let res = run(SimConfig::new(2).with_workers(2), |ctx| {
+        let comm = mpisim::Comm::world(ctx);
+        let mut session = CommSession::new(ctx, comm).without_ir();
+        let src = [1.0f64; 3];
+        let mut dst = [0.0f64; 3];
+        let mut region = |session: &mut CommSession<'_>, instances: usize| {
+            session
+                .region(&params, |reg| {
+                    for _ in 0..instances {
+                        reg.p2p()
+                            .site(1)
+                            .sbuf(Prim::new("src", &src))
+                            .rbuf(PrimMut::new("dst", &mut dst))
+                            .run()?;
+                    }
+                    Ok::<(), DirectiveError>(())
+                })
+                .unwrap()
+                .unwrap();
+        };
+        region(&mut session, 1);
+        let start = thread_cpu_ns();
+        region(&mut session, n);
+        (thread_cpu_ns() - start) as f64 / n as f64
+    });
+    res.per_rank[1]
+}
+
+fn micro_directive(c: &mut Criterion) {
+    let cases = [
+        (
+            "directive_nonparticipant_mpi2",
+            Target::Mpi2Side,
+            false,
+            100_000,
+        ),
+        (
+            "directive_nonparticipant_shmem",
+            Target::Shmem,
+            false,
+            100_000,
+        ),
+        ("directive_participant_mpi2", Target::Mpi2Side, true, 20_000),
+    ];
+    for (name, target, participate, n) in cases {
+        let mut per_instance = Vec::new();
+        c.bench_function(name, |b| {
+            b.iter(|| per_instance.push(directive_ns_per_instance(target, participate, n)))
+        });
+        per_instance.sort_by(f64::total_cmp);
+        println!(
+            "{:<60} ns/instance median {:.1} min {:.1}",
+            name,
+            per_instance[per_instance.len() / 2],
+            per_instance[0]
+        );
+    }
+}
+
 criterion_group!(
     benches,
     micro_expr,
     micro_parse,
     micro_datatype,
-    micro_matching
+    micro_matching,
+    micro_directive
 );
 criterion_main!(benches);

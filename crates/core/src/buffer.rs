@@ -521,6 +521,14 @@ pub trait SendBuf {
     }
     /// Append `count` elements' packed bytes to `out`.
     fn gather(&self, count: usize, out: &mut Vec<u8>);
+    /// The form a `comm_p2p` builder stores this buffer in. The default
+    /// boxes it; primitive buffers override this to stay off the heap.
+    fn into_send_slot<'d>(self) -> SendSlot<'d>
+    where
+        Self: Sized + 'd,
+    {
+        SendSlot::Boxed(Box::new(self))
+    }
 }
 
 /// A receive-side buffer: write access plus metadata.
@@ -537,25 +545,142 @@ pub trait RecvBuf {
     }
     /// Fill `count` elements from packed bytes.
     fn scatter(&mut self, count: usize, packed: &[u8]);
+    /// The form a `comm_p2p` builder stores this buffer in (see
+    /// [`SendBuf::into_send_slot`]).
+    fn into_recv_slot<'d>(self) -> RecvSlot<'d>
+    where
+        Self: Sized + 'd,
+    {
+        RecvSlot::Boxed(Box::new(self))
+    }
 }
 
-fn prim_meta<T: PrimElem>(name: &str, slice: &[T]) -> BufMeta {
-    let lo = slice.as_ptr() as usize;
+/// A send buffer as a `comm_p2p` builder holds it. Every rank builds every
+/// directive instance, participant or not, so the common primitive case is
+/// kept inline as an element-typed byte view instead of a heap box.
+pub enum SendSlot<'d> {
+    /// A primitive slice, viewed as bytes.
+    Prim {
+        /// Display name.
+        name: &'d str,
+        /// Element type.
+        ty: BasicType,
+        /// The elements' bytes.
+        bytes: &'d [u8],
+    },
+    /// Any other buffer.
+    Boxed(Box<dyn SendBuf + 'd>),
+}
+
+/// A receive buffer as a `comm_p2p` builder holds it (see [`SendSlot`]).
+pub enum RecvSlot<'d> {
+    /// A primitive slice, viewed as bytes.
+    Prim {
+        /// Display name.
+        name: &'d str,
+        /// Element type.
+        ty: BasicType,
+        /// The elements' bytes.
+        bytes: &'d mut [u8],
+    },
+    /// Any other buffer.
+    Boxed(Box<dyn RecvBuf + 'd>),
+}
+
+impl SendBuf for SendSlot<'_> {
+    fn meta(&self) -> BufMeta {
+        match self {
+            SendSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            SendSlot::Boxed(b) => b.meta(),
+        }
+    }
+
+    fn desc(&self) -> BufDesc {
+        match self {
+            SendSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            SendSlot::Boxed(b) => b.desc(),
+        }
+    }
+
+    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
+        match self {
+            SendSlot::Prim { .. } => None,
+            SendSlot::Boxed(b) => b.sub_ranges(),
+        }
+    }
+
+    fn gather(&self, count: usize, out: &mut Vec<u8>) {
+        match self {
+            SendSlot::Prim { ty, bytes, .. } => prim_gather(*ty, bytes, count, out),
+            SendSlot::Boxed(b) => b.gather(count, out),
+        }
+    }
+}
+
+impl RecvBuf for RecvSlot<'_> {
+    fn meta(&self) -> BufMeta {
+        match self {
+            RecvSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            RecvSlot::Boxed(b) => b.meta(),
+        }
+    }
+
+    fn desc(&self) -> BufDesc {
+        match self {
+            RecvSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            RecvSlot::Boxed(b) => b.desc(),
+        }
+    }
+
+    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
+        match self {
+            RecvSlot::Prim { .. } => None,
+            RecvSlot::Boxed(b) => b.sub_ranges(),
+        }
+    }
+
+    fn scatter(&mut self, count: usize, packed: &[u8]) {
+        match self {
+            RecvSlot::Prim { ty, bytes, .. } => prim_scatter(*ty, bytes, count, packed),
+            RecvSlot::Boxed(b) => b.scatter(count, packed),
+        }
+    }
+}
+
+fn prim_meta(name: &str, ty: BasicType, bytes: &[u8]) -> BufMeta {
+    let BufDesc { elem, len, addr } = prim_desc(ty, bytes);
     BufMeta {
         name: name.to_string(),
-        elem: ElemKind::Prim(T::BASIC),
-        len: slice.len(),
-        addr: (lo, lo + std::mem::size_of_val(slice)),
+        elem,
+        len,
+        addr,
     }
 }
 
-fn prim_desc<T: PrimElem>(slice: &[T]) -> BufDesc {
-    let lo = slice.as_ptr() as usize;
+fn prim_desc(ty: BasicType, bytes: &[u8]) -> BufDesc {
+    let lo = bytes.as_ptr() as usize;
     BufDesc {
-        elem: ElemKind::Prim(T::BASIC),
-        len: slice.len(),
-        addr: (lo, lo + std::mem::size_of_val(slice)),
+        elem: ElemKind::Prim(ty),
+        len: bytes.len() / ty.size(),
+        addr: (lo, lo + bytes.len()),
     }
+}
+
+fn prim_gather(ty: BasicType, bytes: &[u8], count: usize, out: &mut Vec<u8>) {
+    assert!(
+        count <= bytes.len() / ty.size(),
+        "gather count exceeds buffer length"
+    );
+    out.extend_from_slice(&bytes[..count * ty.size()]);
+}
+
+fn prim_scatter(ty: BasicType, bytes: &mut [u8], count: usize, packed: &[u8]) {
+    assert!(
+        count <= bytes.len() / ty.size(),
+        "scatter count exceeds buffer length"
+    );
+    let n = count * ty.size();
+    bytes[..n].copy_from_slice(&packed[..n]);
 }
 
 /// A named primitive send buffer.
@@ -573,19 +698,26 @@ impl<'a, T: PrimElem> Prim<'a, T> {
 
 impl<T: PrimElem> SendBuf for Prim<'_, T> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, self.data)
+        prim_meta(self.name, T::BASIC, as_bytes(self.data))
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(self.data)
+        prim_desc(T::BASIC, as_bytes(self.data))
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        assert!(
-            count <= self.data.len(),
-            "gather count exceeds buffer length"
-        );
-        out.extend_from_slice(as_bytes(&self.data[..count]));
+        prim_gather(T::BASIC, as_bytes(self.data), count, out);
+    }
+
+    fn into_send_slot<'d>(self) -> SendSlot<'d>
+    where
+        Self: 'd,
+    {
+        SendSlot::Prim {
+            name: self.name,
+            ty: T::BASIC,
+            bytes: as_bytes(self.data),
+        }
     }
 }
 
@@ -604,19 +736,26 @@ impl<'a, T: PrimElem> PrimMut<'a, T> {
 
 impl<T: PrimElem> RecvBuf for PrimMut<'_, T> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, self.data)
+        prim_meta(self.name, T::BASIC, as_bytes(self.data))
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(self.data)
+        prim_desc(T::BASIC, as_bytes(self.data))
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        assert!(
-            count <= self.data.len(),
-            "scatter count exceeds buffer length"
-        );
-        copy_exact(&mut self.data[..count], packed);
+        prim_scatter(T::BASIC, as_bytes_mut(self.data), count, packed);
+    }
+
+    fn into_recv_slot<'d>(self) -> RecvSlot<'d>
+    where
+        Self: 'd,
+    {
+        RecvSlot::Prim {
+            name: self.name,
+            ty: T::BASIC,
+            bytes: as_bytes_mut(self.data),
+        }
     }
 }
 

@@ -21,7 +21,7 @@ use mpisim::dtype::DtypeCache;
 use mpisim::Comm;
 use netsim::{RankCtx, SegId, SendRequest, Time};
 
-use crate::buffer::{BufMeta, ElemKind, RecvBuf, SendBuf};
+use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::{CondExpr, EvalEnv, ExprError, RankExpr};
@@ -424,13 +424,6 @@ impl<'a> CommSession<'a> {
         &self.env
     }
 
-    fn staging_mut(&mut self, site: u32) -> Option<&mut StagingSite> {
-        self.staging
-            .iter_mut()
-            .find(|(s, _)| *s == site)
-            .map(|(_, st)| st)
-    }
-
     /// Execute a `comm_parameters` region: validates the clause list,
     /// applies any synchronization deferred to the region's beginning, runs
     /// `body`, then places this region's synchronization per `place_sync`.
@@ -530,12 +523,10 @@ impl<'a> CommSession<'a> {
 
     /// Execute a standalone `comm_p2p` (outside any region): synchronizes
     /// immediately after the instance (plus any overlap body).
+    #[inline(always)]
     pub fn p2p<'r, 'data>(&'r mut self) -> P2pCall<'r, 'r, 'a, 'data> {
         P2pCall {
-            region: RegionRef::Standalone {
-                session: self,
-                pending: PendingSync::default(),
-            },
+            region: RegionRef::Standalone(self),
             clauses: None,
             site: 0,
             sbufs: BufList::new(),
@@ -601,8 +592,7 @@ impl<'a> CommSession<'a> {
                 },
             );
             self.ctx.note_sync_span(t0, self.ctx.now());
-            let group = self.comm.sorted_globals();
-            self.ctx.barrier_group(&group, &mpi);
+            self.ctx.barrier_group(self.comm.sorted_globals(), &mpi);
         }
 
         // SHMEM: quiet (sender-side put completion) plus point-wise
@@ -662,6 +652,7 @@ pub struct Region<'s, 'a> {
 
 impl<'s, 'a> Region<'s, 'a> {
     /// Start a `comm_p2p` instance in this region.
+    #[inline(always)]
     pub fn p2p<'r, 'data>(&'r mut self) -> P2pCall<'r, 's, 'a, 'data> {
         P2pCall {
             region: RegionRef::InRegion(self),
@@ -689,12 +680,11 @@ impl<'s, 'a> Region<'s, 'a> {
     }
 }
 
+/// Where a `comm_p2p` executes. Two references, so the builder stays
+/// small: it is moved through every chained call on every rank.
 enum RegionRef<'r, 's, 'a> {
     InRegion(&'r mut Region<'s, 'a>),
-    Standalone {
-        session: &'r mut CommSession<'a>,
-        pending: PendingSync,
-    },
+    Standalone(&'r mut CommSession<'a>),
 }
 
 /// A buffer list with two inline slots, heap beyond that. A `comm_p2p`
@@ -743,14 +733,19 @@ impl<T> BufList<T> {
 
 /// A `comm_p2p` call under construction. Finish with [`P2pCall::run`] or
 /// [`P2pCall::overlap`].
+///
+/// Every rank builds every instance, so the common chain (`p2p`, `site`,
+/// `sbuf`, `rbuf`, `run`) is `#[inline(always)]`: left to the caller
+/// crate's inlining heuristics, each call can copy the whole builder in
+/// and out.
 pub struct P2pCall<'r, 's, 'a, 'data> {
     region: RegionRef<'r, 's, 'a>,
     /// Per-call clause overrides; boxed lazily because the hot path (clauses
     /// inherited wholesale from the region) never overrides any.
     clauses: Option<Box<ClauseSet>>,
     site: u32,
-    sbufs: BufList<Box<dyn SendBuf + 'data>>,
-    rbufs: BufList<Box<dyn RecvBuf + 'data>>,
+    sbufs: BufList<SendSlot<'data>>,
+    rbufs: BufList<RecvSlot<'data>>,
 }
 
 impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
@@ -760,6 +755,7 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
 
     /// Distinguish lexical `comm_p2p` sites sharing a region (the macro
     /// passes `line!()`; manual callers pass any stable id).
+    #[inline(always)]
     pub fn site(mut self, site: u32) -> Self {
         self.site = site;
         self
@@ -802,18 +798,21 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
     }
 
     /// Add a send buffer (`sbuf` list element).
+    #[inline(always)]
     pub fn sbuf(mut self, b: impl SendBuf + 'data) -> Self {
-        self.sbufs.push(Box::new(b));
+        self.sbufs.push(b.into_send_slot());
         self
     }
 
     /// Add a receive buffer (`rbuf` list element).
+    #[inline(always)]
     pub fn rbuf(mut self, b: impl RecvBuf + 'data) -> Self {
-        self.rbufs.push(Box::new(b));
+        self.rbufs.push(b.into_recv_slot());
         self
     }
 
     /// Execute with an empty body.
+    #[inline(always)]
     pub fn run(self) -> Result<(), DirectiveError> {
         self.execute(|_| {})
     }
@@ -824,9 +823,7 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
     }
 
     fn execute(mut self, body: impl FnOnce(&mut RankCtx)) -> Result<(), DirectiveError> {
-        let mut standalone_spec = ParamsSpec::default();
-        let no_overrides = ClauseSet::default();
-        let own_clauses: &ClauseSet = self.clauses.as_deref().unwrap_or(&no_overrides);
+        let own_clauses = self.clauses.as_deref();
         let result = match &mut self.region {
             RegionRef::InRegion(r) => {
                 // Borrow the region's fields individually so the enclosing
@@ -858,14 +855,8 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
                     body,
                 )
             }
-            RegionRef::Standalone { session, pending } => execute_p2p(
+            RegionRef::Standalone(session) => execute_standalone(
                 session,
-                pending,
-                None,
-                None,
-                None,
-                Some(&mut standalone_spec),
-                None,
                 own_clauses,
                 self.site,
                 &self.sbufs,
@@ -873,36 +864,112 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
                 body,
             ),
         };
-        match result {
-            Ok(()) => {
-                // Standalone p2p: synchronize immediately and record IR.
-                if let RegionRef::Standalone { session, pending } = self.region {
-                    let p = pending;
-                    session.apply_sync(p);
-                    if session.record_ir {
-                        session.program.push(standalone_spec);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if let RegionRef::InRegion(r) = &mut self.region {
-                    if r.error.is_none() {
-                        r.error = Some(DirectiveError::Invalid(vec![Diagnostic::error(format!(
-                            "{e}"
-                        ))]));
-                    }
-                }
-                Err(e)
+        if let (Err(e), RegionRef::InRegion(r)) = (&result, &mut self.region) {
+            if r.error.is_none() {
+                r.error = Some(region_error(e));
             }
         }
+        result
     }
+}
+
+/// A standalone p2p: executed, then synchronized immediately, its IR
+/// recorded. Kept out of line (as are the other cold paths below) so the
+/// in-region hot path carries none of its state on the stack of every
+/// rank thread.
+#[inline(never)]
+fn execute_standalone(
+    session: &mut CommSession<'_>,
+    own: Option<&ClauseSet>,
+    site: u32,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
+    body: impl FnOnce(&mut RankCtx),
+) -> Result<(), DirectiveError> {
+    let mut pending = PendingSync::default();
+    let mut spec = ParamsSpec::default();
+    execute_p2p(
+        session,
+        &mut pending,
+        None,
+        None,
+        None,
+        Some(&mut spec),
+        None,
+        own,
+        site,
+        sbufs,
+        rbufs,
+        body,
+    )?;
+    session.apply_sync(pending);
+    if session.record_ir {
+        session.program.push(spec);
+    }
+    Ok(())
+}
+
+/// The error a failed instance leaves on its region (which aborts).
+#[cold]
+fn region_error(e: &DirectiveError) -> DirectiveError {
+    DirectiveError::Invalid(vec![Diagnostic::error(format!("{e}"))])
 }
 
 /// Buffer-dependence tracking borrowed from the enclosing region: the
 /// `(lo, hi, written)` address ranges touched by pending directives plus
 /// the split-sync counter.
 type UsedBufs<'a> = (&'a mut Vec<(usize, usize, bool)>, &'a mut usize);
+
+/// The p2p's own assertion of a clause when it makes one, else the
+/// enclosing region's. Resolved by reference: this runs for every rank on
+/// every loop iteration.
+fn inherited<'c, T>(
+    own: Option<&'c ClauseSet>,
+    outer: Option<&'c ClauseSet>,
+    field: impl Fn(&'c ClauseSet) -> Option<&'c T>,
+) -> Option<&'c T> {
+    own.and_then(&field).or_else(|| outer.and_then(&field))
+}
+
+/// Evaluate a `sender`/`receiver` clause to a communicator-local rank.
+fn eval_rank(
+    e: &RankExpr,
+    clause: &'static str,
+    env: &EvalEnv,
+    size: usize,
+) -> Result<usize, DirectiveError> {
+    let v = e.eval(env)?;
+    if v < 0 || v >= size as i64 {
+        return Err(DirectiveError::RankOutOfRange {
+            clause,
+            value: v,
+            size,
+        });
+    }
+    Ok(v as usize)
+}
+
+/// Append the non-empty address ranges one buffer touches: its exact
+/// constituent ranges where it has them (struct-of-arrays), else its
+/// summary range. The summary hull spans whatever the allocator placed
+/// between the member arrays, and a guard decision based on it would be
+/// allocator-dependent.
+fn push_touched(
+    used: &mut Vec<(usize, usize, bool)>,
+    sub: Option<&[(usize, usize)]>,
+    addr: impl FnOnce() -> (usize, usize),
+    written: bool,
+) {
+    let mut push = |(lo, hi): (usize, usize)| {
+        if lo < hi {
+            used.push((lo, hi, written));
+        }
+    };
+    match sub {
+        Some(rs) => rs.iter().copied().for_each(push),
+        None => push(addr()),
+    }
+}
 
 #[allow(clippy::too_many_arguments)]
 fn execute_p2p(
@@ -913,10 +980,10 @@ fn execute_p2p(
     iter_counts: Option<&mut Vec<(u32, u64)>>,
     spec: Option<&mut ParamsSpec>,
     used_bufs: Option<UsedBufs<'_>>,
-    clauses: &ClauseSet,
+    own: Option<&ClauseSet>,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     body: impl FnOnce(&mut RankCtx),
 ) -> Result<(), DirectiveError> {
     // Count this execution of the site (and enforce `max_comm_iter`).
@@ -949,63 +1016,28 @@ fn execute_p2p(
     // validation runs on the first execution only; later iterations of the
     // directive loop would merely re-confirm the first result.
     if first_execution_of_site {
-        let clause_diags = clauses.validate(DirectiveKind::CommP2p, outer);
-        let bufs_ok = !sbufs.is_empty()
-            && !rbufs.is_empty()
-            && sbufs.len() == rbufs.len()
-            && sbufs
-                .iter()
-                .zip(rbufs.iter())
-                .all(|(s, r)| s.desc().elem.compatible(&r.desc().elem));
-        if ClauseSet::has_errors(&clause_diags) || !bufs_ok {
-            let sb_meta: Vec<BufMeta> = sbufs.iter().map(|b| b.meta()).collect();
-            let rb_meta: Vec<BufMeta> = rbufs.iter().map(|b| b.meta()).collect();
-            return Err(DirectiveError::Invalid(
-                crate::dir::validate_p2p_call(clauses, outer, &sb_meta, &rb_meta)
-                    .into_iter()
-                    .filter(|d| d.severity == crate::clause::Severity::Error)
-                    .collect(),
-            ));
-        }
-        // Record the region IR from this first instance.
-        if let Some(spec) = spec {
-            spec.body.push(P2pSpec {
-                clauses: clauses.clone(),
-                sbuf: sbufs.iter().map(|b| b.meta()).collect(),
-                rbuf: rbufs.iter().map(|b| b.meta()).collect(),
-                has_overlap_body: true, // unknown statically; body may be empty
-                site,
-                spans: Default::default(),
-            });
-        }
+        validate_and_record(own, outer, spec, site, sbufs, rbufs)?;
     }
 
-    // -- clause resolution -----------------------------------------------------
-    // The p2p's own assertions win; missing ones are inherited from the
-    // enclosing region. Resolved by reference — this path runs for every
-    // rank on every loop iteration, participant or not.
+    // -- participation ---------------------------------------------------------
+    // Decided before any per-rank work. A rank that neither sends nor
+    // receives does only what other ranks or the caller can observe (see
+    // DESIGN.md, "Directive engine hot path"): the iteration count and
+    // first-execution work above, the count check, the collective
+    // obligations and the overlap body below.
     let env = session.env();
-    let is_sender = match clauses
-        .sendwhen
-        .as_ref()
-        .or_else(|| outer.and_then(|o| o.sendwhen.as_ref()))
-    {
+    let is_sender = match inherited(own, outer, |c| c.sendwhen.as_ref()) {
         Some(c) => c.eval(env)?,
         None => true,
     };
-    let is_receiver = match clauses
-        .receivewhen
-        .as_ref()
-        .or_else(|| outer.and_then(|o| o.receivewhen.as_ref()))
-    {
+    let is_receiver = match inherited(own, outer, |c| c.receivewhen.as_ref()) {
         Some(c) => c.eval(env)?,
         None => true,
     };
-    let count = match clauses
-        .count
-        .as_ref()
-        .or_else(|| outer.and_then(|o| o.count.as_ref()))
-    {
+    let participant = is_sender || is_receiver;
+    // Evaluated on every rank, so a negative count fails everywhere; the
+    // inferred count (smallest buffer) is computed only where it is used.
+    let count_clause = match inherited(own, outer, |c| c.count.as_ref()) {
         Some(e) => {
             let v = e.eval(env)?;
             if v < 0 {
@@ -1015,13 +1047,12 @@ fn execute_p2p(
                     size: usize::MAX,
                 });
             }
-            v as usize
+            Some(v as usize)
         }
-        None => p2p_specless_inferred_count(sbufs, rbufs),
+        None => None,
     };
-    let mut target = clauses
-        .target
-        .or_else(|| outer.and_then(|o| o.target))
+    let mut target = inherited(own, outer, |c| c.target.as_ref())
+        .copied()
         .unwrap_or_default();
 
     // -- overlay application -----------------------------------------------------
@@ -1042,117 +1073,95 @@ fn execute_p2p(
             }
         }
     }
-    let size = session.comm.size();
 
-    let dest = if is_sender {
-        let e = clauses
-            .receiver
-            .as_ref()
-            .or_else(|| outer.and_then(|o| o.receiver.as_ref()))
-            .expect("validated");
-        let v = e.eval(env)?;
-        if v < 0 || v >= size as i64 {
-            return Err(DirectiveError::RankOutOfRange {
-                clause: "receiver",
-                value: v,
-                size,
-            });
-        }
-        Some(v as usize)
-    } else {
-        None
-    };
-    let src = if is_receiver {
-        let e = clauses
-            .sender
-            .as_ref()
-            .or_else(|| outer.and_then(|o| o.sender.as_ref()))
-            .expect("validated");
-        let v = e.eval(env)?;
-        if v < 0 || v >= size as i64 {
-            return Err(DirectiveError::RankOutOfRange {
-                clause: "sender",
-                value: v,
-                size,
-            });
-        }
-        Some(v as usize)
-    } else {
-        None
-    };
-
-    // -- buffer-independence guard -----------------------------------------------
-    // Consolidation is legal only across independent buffers (paper
-    // §III-A). A directive that writes memory an unsynced directive touched
-    // (or reads memory one wrote) forces the generated code to synchronize
-    // first; the engine models exactly that split.
-    if let Some((used, splits)) = used_bufs {
-        let mut current: Vec<(usize, usize, bool)> = Vec::new();
-        // Exact constituent ranges where the buffer has them (struct-of-
-        // arrays): the summary hull spans whatever the allocator placed
-        // between the member arrays, and a guard decision based on it
-        // would be allocator-dependent.
+    let mut dest = None;
+    let mut src = None;
+    if participant {
+        let size = session.comm.size();
         if is_sender {
-            for b in sbufs.iter() {
-                match b.sub_ranges() {
-                    Some(rs) => current.extend(rs.iter().map(|&(lo, hi)| (lo, hi, false))),
-                    None => {
-                        let a = b.desc().addr;
-                        current.push((a.0, a.1, false));
-                    }
-                }
-            }
+            let e = inherited(own, outer, |c| c.receiver.as_ref()).expect("validated");
+            dest = Some(eval_rank(e, "receiver", env, size)?);
         }
         if is_receiver {
-            for b in rbufs.iter() {
-                match b.sub_ranges() {
-                    Some(rs) => current.extend(rs.iter().map(|&(lo, hi)| (lo, hi, true))),
-                    None => {
-                        let a = b.desc().addr;
-                        current.push((a.0, a.1, true));
-                    }
+            let e = inherited(own, outer, |c| c.sender.as_ref()).expect("validated");
+            src = Some(eval_rank(e, "sender", env, size)?);
+        }
+
+        // -- buffer-independence guard -------------------------------------------
+        // Consolidation is legal only across independent buffers (paper
+        // §III-A). A directive that writes memory an unsynced directive
+        // touched (or reads memory one wrote) forces the generated code to
+        // synchronize first; the engine models exactly that split. This
+        // instance's ranges are appended after the pending ones, then
+        // checked against them.
+        if let Some((used, splits)) = used_bufs {
+            let prior = used.len();
+            if is_sender {
+                for b in sbufs.iter() {
+                    push_touched(used, b.sub_ranges(), || b.desc().addr, false);
                 }
             }
-        }
-        let conflict = current.iter().any(|&(lo, hi, w)| {
-            lo < hi
-                && used
+            if is_receiver {
+                for b in rbufs.iter() {
+                    push_touched(used, b.sub_ranges(), || b.desc().addr, true);
+                }
+            }
+            let (pending_ranges, current) = used.split_at(prior);
+            let conflict = current.iter().any(|&(lo, hi, w)| {
+                pending_ranges
                     .iter()
                     .any(|&(ulo, uhi, uw)| ulo < hi && lo < uhi && (w || uw))
-        });
-        if conflict {
-            let mut p = std::mem::take(pending);
-            // A forced split is a flush point: in-flight coalesced batches
-            // belong to the synchronization that the dependence demands.
-            flush_coalesced(session, &mut p, None);
-            session.apply_sync(p);
-            used.clear();
-            *splits += 1;
+            });
+            if conflict {
+                let mut p = std::mem::take(pending);
+                // A forced split is a flush point: in-flight coalesced batches
+                // belong to the synchronization that the dependence demands.
+                flush_coalesced(session, &mut p, None);
+                session.apply_sync(p);
+                used.drain(..prior);
+                *splits += 1;
+            }
         }
-        used.extend(current.into_iter().filter(|&(lo, hi, _)| lo < hi));
     }
 
-    // -- dispatch ---------------------------------------------------------------
     // Attribute every runtime operation issued below (including by the
     // overlap body) to this directive's call site, so fabric-level trace
     // events and metrics join back to the `comm_p2p` clause that caused
     // them. The previous attribution is restored even on error.
     let prev_site = session.ctx.set_site(Some(site));
-    let dispatched = match (target, coalesce) {
-        (Target::Mpi2Side, Some(batch)) => exec_mpi2_coalesced(
-            session, pending, site, sbufs, rbufs, count, dest, src, batch,
-        ),
-        (Target::Shmem, Some(batch)) => exec_shmem_coalesced(
-            session, pending, site, sbufs, rbufs, count, dest, src, batch, max_iter,
-        ),
-        (Target::Mpi2Side, None) => {
-            exec_mpi2(session, pending, site, sbufs, rbufs, count, dest, src)
+    join_collectives(
+        session,
+        pending,
+        site,
+        target,
+        coalesce,
+        sbufs,
+        rbufs,
+        count_clause,
+        max_iter,
+    );
+
+    // -- dispatch ---------------------------------------------------------------
+    let dispatched = if participant {
+        let count = count_clause.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
+        match (target, coalesce) {
+            (Target::Mpi2Side, Some(batch)) => exec_mpi2_coalesced(
+                session, pending, site, sbufs, rbufs, count, dest, src, batch,
+            ),
+            (Target::Shmem, Some(batch)) => exec_shmem_coalesced(
+                session, pending, site, sbufs, rbufs, count, dest, src, batch,
+            ),
+            (Target::Mpi2Side, None) => {
+                exec_mpi2(session, pending, site, sbufs, rbufs, count, dest, src)
+            }
+            // MPI one-sided flushes through a collective fence; batching puts
+            // under it would change nothing, so Coalesce degrades to Keep.
+            (Target::Mpi1Side | Target::Shmem, _) => exec_onesided(
+                session, pending, site, sbufs, rbufs, count, dest, src, target,
+            ),
         }
-        // MPI one-sided flushes through a collective fence; batching puts
-        // under it would change nothing, so Coalesce degrades to Keep.
-        (Target::Mpi1Side | Target::Shmem, _) => exec_onesided(
-            session, pending, site, sbufs, rbufs, count, dest, src, target, max_iter,
-        ),
+    } else {
+        Ok(())
     };
 
     // -- overlapped computation --------------------------------------------------
@@ -1163,10 +1172,168 @@ fn execute_p2p(
     dispatched
 }
 
-fn p2p_specless_inferred_count(
-    sb: &BufList<Box<dyn SendBuf + '_>>,
-    rb: &BufList<Box<dyn RecvBuf + '_>>,
-) -> usize {
+/// First execution of a site in a region: validate the clauses and the
+/// buffer list, and record the site's IR. Cold and out of line (see
+/// `execute_standalone`).
+#[cold]
+#[inline(never)]
+fn validate_and_record(
+    own: Option<&ClauseSet>,
+    outer: Option<&ClauseSet>,
+    spec: Option<&mut ParamsSpec>,
+    site: u32,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &BufList<RecvSlot<'_>>,
+) -> Result<(), DirectiveError> {
+    let no_overrides = ClauseSet::default();
+    let clauses = own.unwrap_or(&no_overrides);
+    let clause_diags = clauses.validate(DirectiveKind::CommP2p, outer);
+    let bufs_ok = !sbufs.is_empty()
+        && !rbufs.is_empty()
+        && sbufs.len() == rbufs.len()
+        && sbufs
+            .iter()
+            .zip(rbufs.iter())
+            .all(|(s, r)| s.desc().elem.compatible(&r.desc().elem));
+    if ClauseSet::has_errors(&clause_diags) || !bufs_ok {
+        let sb_meta: Vec<BufMeta> = sbufs.iter().map(|b| b.meta()).collect();
+        let rb_meta: Vec<BufMeta> = rbufs.iter().map(|b| b.meta()).collect();
+        return Err(DirectiveError::Invalid(
+            crate::dir::validate_p2p_call(clauses, outer, &sb_meta, &rb_meta)
+                .into_iter()
+                .filter(|d| d.severity == crate::clause::Severity::Error)
+                .collect(),
+        ));
+    }
+    // Record the region IR from this first instance.
+    if let Some(spec) = spec {
+        spec.body.push(P2pSpec {
+            clauses: clauses.clone(),
+            sbuf: sbufs.iter().map(|b| b.meta()).collect(),
+            rbuf: rbufs.iter().map(|b| b.meta()).collect(),
+            has_overlap_body: true, // unknown statically; body may be empty
+            site,
+            spans: Default::default(),
+        });
+    }
+    Ok(())
+}
+
+/// The collective side of a directive instance, owed by every rank of the
+/// communicator whether or not it moves data: the fence flag of the
+/// resolved one-sided target (the region-end MPI-1 fence is a barrier over
+/// the communicator; the SHMEM quiet is charged on every rank whose region
+/// used SHMEM), and the site's symmetric staging allocation the first time
+/// the session executes the site (a rendezvous of the whole communicator).
+/// Skipping either on a non-participant would stall the participants or
+/// change its own virtual time.
+#[allow(clippy::too_many_arguments)]
+fn join_collectives(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    site: u32,
+    target: Target,
+    coalesce: Option<usize>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &BufList<RecvSlot<'_>>,
+    count: Option<usize>,
+    max_iter: Option<i64>,
+) {
+    // Sized by the SPMD-uniform count, NOT the local buffer length:
+    // non-participating ranks may pass empty placeholder buffers, but the
+    // collective symmetric allocation must agree everywhere.
+    let count = || count.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
+    let slots = max_iter.map(|m| m.max(1) as usize).unwrap_or(1);
+    match (target, coalesce) {
+        (Target::Mpi2Side, _) => {}
+        (Target::Shmem, Some(batch)) => {
+            pending.used_shmem = true;
+            let ov = session
+                .overlay
+                .as_deref()
+                .expect("coalescing implies an installed overlay");
+            if ov.shmem_staging.iter().any(|(s, _)| *s == site) {
+                return;
+            }
+            // One slot holds one packed flush; `max_comm_iter` bounds
+            // flushes per region, so slots never wrap within a region.
+            let count = count();
+            let per_instance: usize = sbufs
+                .iter()
+                .map(|b| 4 + count * b.desc().elem.packed_size())
+                .sum();
+            let slot_bytes = (4 + batch * per_instance).max(8);
+            let model = session.ctx.machine().shmem;
+            let seg = session.ctx.sym_alloc_windowed(
+                session.comm.sorted_globals(),
+                slot_bytes * slots,
+                slots as u64,
+                &model,
+            );
+            session
+                .overlay
+                .as_deref_mut()
+                .expect("checked above")
+                .shmem_staging
+                .push((
+                    site,
+                    CoalStaging {
+                        seg,
+                        slot_bytes,
+                        slots,
+                        send_flushes: HashMap::new(),
+                        recv_flushes: 0,
+                    },
+                ));
+        }
+        (Target::Mpi1Side | Target::Shmem, _) => {
+            let model = if target == Target::Mpi1Side {
+                pending.used_mpi1 = true;
+                &session.ctx.machine().mpi
+            } else {
+                pending.used_shmem = true;
+                &session.ctx.machine().shmem
+            };
+            if session.staging.iter().any(|(s, _)| *s == site) {
+                return;
+            }
+            let model = *model;
+            let count = count();
+            let mut buf_offsets = Vec::with_capacity(sbufs.len());
+            let mut off = 0usize;
+            for b in sbufs.iter() {
+                buf_offsets.push(off);
+                off += count * b.desc().elem.packed_size();
+            }
+            let slot_bytes = off.max(1);
+            // Windowed staging: a sender physically blocks (no virtual
+            // charge) rather than overwrite a slot the receiver has not
+            // drained — `max_comm_iter` sizes the in-flight window, as the
+            // paper intends ("facilitate code generation for
+            // synchronizations").
+            let window = (slots * sbufs.len().max(1)) as u64;
+            let seg = session.ctx.sym_alloc_windowed(
+                session.comm.sorted_globals(),
+                slot_bytes * slots,
+                window,
+                &model,
+            );
+            session.staging.push((
+                site,
+                StagingSite {
+                    seg,
+                    buf_offsets,
+                    slot_bytes,
+                    slots,
+                    send_counts: HashMap::new(),
+                    recv_count: 0,
+                },
+            ));
+        }
+    }
+}
+
+fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot<'_>>) -> usize {
     sb.iter()
         .map(|b| b.desc().len)
         .chain(rb.iter().map(|b| b.desc().len))
@@ -1181,8 +1348,8 @@ fn exec_mpi2(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1191,7 +1358,7 @@ fn exec_mpi2(
     if let Some(dest) = dest {
         let mpi = session.ctx.machine().mpi;
         for sb in sbufs.iter() {
-            let meta = sb.meta();
+            let meta = sb.desc();
             let n = count.min(meta.len);
             // Causality under deferred sync: reading a buffer that was
             // filled by an unsynced receive fences the departure to the
@@ -1241,7 +1408,7 @@ fn exec_mpi2(
     if let Some(src) = src {
         let mpi = session.ctx.machine().mpi;
         for rb in rbufs.iter_mut() {
-            let meta = rb.meta();
+            let meta = rb.desc();
             let n = count.min(meta.len);
             let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
             // Physically complete now (data lands in the user buffer); the
@@ -1431,8 +1598,8 @@ fn exec_mpi2_coalesced(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
@@ -1443,7 +1610,7 @@ fn exec_mpi2_coalesced(
         let mut framed = Vec::new();
         let mut horizon = Time::ZERO;
         for sb in sbufs.iter() {
-            let meta = sb.meta();
+            let meta = sb.desc();
             let n = count.min(meta.len);
             if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
                 horizon = horizon.max(h);
@@ -1477,7 +1644,7 @@ fn exec_mpi2_coalesced(
     if let Some(src) = src {
         let mpi = session.ctx.machine().mpi;
         for rb in rbufs.iter_mut() {
-            let meta = rb.meta();
+            let meta = rb.desc();
             let n = count.min(meta.len);
             let ov = session.overlay.as_deref_mut().expect("overlay installed");
             let piece = match coalesce_next_piece(ov, site, src) {
@@ -1527,59 +1694,20 @@ fn exec_shmem_coalesced(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
     batch: usize,
-    max_iter: Option<i64>,
 ) -> Result<(), DirectiveError> {
     let model = session.ctx.machine().shmem;
-    pending.used_shmem = true;
-
-    // Lazily create the per-site coalesce staging (collective: every rank
-    // of the communicator executes the directive, participant or not). One
-    // slot holds one packed flush; `max_comm_iter` bounds flushes per
-    // region, so slots never wrap within a region.
-    let have_staging = session
-        .overlay
-        .as_deref()
-        .map(|ov| ov.shmem_staging.iter().any(|(s, _)| *s == site))
-        .unwrap_or(false);
-    if !have_staging {
-        let per_instance: usize = sbufs
-            .iter()
-            .map(|b| 4 + count * b.meta().elem.packed_size())
-            .sum();
-        let slot_bytes = (4 + batch * per_instance).max(8);
-        let slots = max_iter.map(|m| m.max(1) as usize).unwrap_or(1);
-        let group = session.comm.sorted_globals();
-        let seg = session
-            .ctx
-            .sym_alloc_windowed(&group, slot_bytes * slots, slots as u64, &model);
-        session
-            .overlay
-            .as_deref_mut()
-            .expect("coalescing implies an installed overlay")
-            .shmem_staging
-            .push((
-                site,
-                CoalStaging {
-                    seg,
-                    slot_bytes,
-                    slots,
-                    send_flushes: HashMap::new(),
-                    recv_flushes: 0,
-                },
-            ));
-    }
-
+    // The staging was created by `join_collectives`.
     if let Some(dest) = dest {
         let mut framed = Vec::new();
         let mut horizon = Time::ZERO;
         for sb in sbufs.iter() {
-            let meta = sb.meta();
+            let meta = sb.desc();
             let n = count.min(meta.len);
             if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
                 horizon = horizon.max(h);
@@ -1606,7 +1734,7 @@ fn exec_shmem_coalesced(
                 .iter()
                 .find(|(s, _)| *s == site)
                 .map(|(_, st)| st.slot_bytes)
-                .expect("staging created above");
+                .expect("staging joined before dispatch");
             let acc = coalesce_out(&mut ov.out, site, dest, Target::Shmem, batch);
             let need = 4 + acc.buf.len() + framed.len();
             if need > slot_bytes {
@@ -1628,7 +1756,7 @@ fn exec_shmem_coalesced(
 
     if let Some(src) = src {
         for rb in rbufs.iter_mut() {
-            let meta = rb.meta();
+            let meta = rb.desc();
             let n = count.min(meta.len);
             let ov = session.overlay.as_deref_mut().expect("overlay installed");
             let piece = match coalesce_next_piece(ov, site, src) {
@@ -1643,7 +1771,7 @@ fn exec_shmem_coalesced(
                             .iter_mut()
                             .find(|(s, _)| *s == site)
                             .map(|(_, st)| st)
-                            .expect("staging created above");
+                            .expect("staging joined before dispatch");
                         let slot = (st.recv_flushes % st.slots as u64) as usize;
                         st.recv_flushes += 1;
                         (st.seg, slot * st.slot_bytes, st.recv_flushes)
@@ -1681,80 +1809,39 @@ fn exec_onesided(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
-    sbufs: &BufList<Box<dyn SendBuf + '_>>,
-    rbufs: &mut BufList<Box<dyn RecvBuf + '_>>,
+    sbufs: &BufList<SendSlot<'_>>,
+    rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
     target: Target,
-    max_iter: Option<i64>,
 ) -> Result<(), DirectiveError> {
     let model = match target {
         Target::Mpi1Side => session.ctx.machine().mpi,
         _ => session.ctx.machine().shmem,
     };
-    match target {
-        Target::Mpi1Side => pending.used_mpi1 = true,
-        Target::Shmem => pending.used_shmem = true,
-        Target::Mpi2Side => unreachable!(),
-    }
-
-    // Lazily create the per-site staging segment (collective: every rank of
-    // the communicator executes the directive, participant or not).
-    if session.staging_mut(site).is_none() {
-        let metas: Vec<BufMeta> = sbufs.iter().map(|b| b.meta()).collect();
-        let mut buf_offsets = Vec::with_capacity(metas.len());
-        let mut off = 0usize;
-        for m in &metas {
-            buf_offsets.push(off);
-            // Sized by the SPMD-uniform count, NOT the local buffer length:
-            // non-participating ranks may pass empty placeholder buffers,
-            // but the collective symmetric allocation must agree everywhere.
-            off += count * m.elem.packed_size();
-        }
-        let slot_bytes = off.max(1);
-        let slots = max_iter.map(|m| m.max(1) as usize).unwrap_or(1);
-        let group = session.comm.sorted_globals();
-        // Windowed staging: a sender physically blocks (no virtual charge)
-        // rather than overwrite a slot the receiver has not drained —
-        // `max_comm_iter` sizes the in-flight window, as the paper intends
-        // ("facilitate code generation for synchronizations").
-        let window = (slots * sbufs.len().max(1)) as u64;
-        let seg = session
-            .ctx
-            .sym_alloc_windowed(&group, slot_bytes * slots, window, &model);
-        session.staging.push((
-            site,
-            StagingSite {
-                seg,
-                buf_offsets,
-                slot_bytes,
-                slots,
-                send_counts: HashMap::new(),
-                recv_count: 0,
-            },
-        ));
-    }
+    // The staging (joined before dispatch) stays put while this instance
+    // runs, so its index is stable.
+    let st_idx = session
+        .staging
+        .iter()
+        .position(|(s, _)| *s == site)
+        .expect("staging joined before dispatch");
 
     // Sender: put each buffer's packed payload into the destination's slot.
     if let Some(dest) = dest {
         let global_dest = session.comm.global(dest);
-        let (seg, slot_base, offsets, slot_bytes) = {
-            let st = session.staging_mut(site).expect("staging created");
+        let (seg, slot_base, slot_bytes) = {
+            let st = &mut session.staging[st_idx].1;
             let k = st.send_counts.entry(dest).or_insert(0);
             let slot = (*k % st.slots as u64) as usize;
             *k += 1;
-            (
-                st.seg,
-                slot * st.slot_bytes,
-                st.buf_offsets.clone(),
-                st.slot_bytes,
-            )
+            (st.seg, slot * st.slot_bytes, st.slot_bytes)
         };
         let mut payload = Vec::new();
         let mut used = 0usize;
         for (i, sb) in sbufs.iter().enumerate() {
-            let meta = sb.meta();
+            let meta = sb.desc();
             let n = count.min(meta.len);
             // Data-dependency fence (see the two-sided path).
             if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
@@ -1793,14 +1880,11 @@ fn exec_onesided(
                 // pays here.
                 Lowering::Pack => session.ctx.charge_pack(payload.len(), &model),
             }
-            let arrival = session.ctx.put(
-                seg,
-                global_dest,
-                slot_base + offsets[i],
-                &payload,
-                &model,
-                true,
-            );
+            let offset = session.staging[st_idx].1.buf_offsets[i];
+            let arrival =
+                session
+                    .ctx
+                    .put(seg, global_dest, slot_base + offset, &payload, &model, true);
             match target {
                 Target::Mpi1Side => pending.put_arrivals_mpi.push(arrival),
                 _ => pending.put_arrivals_shmem.push(arrival),
@@ -1814,32 +1898,27 @@ fn exec_onesided(
     // Receiver: wait (physically) for this execution's deliveries, copy the
     // staged bytes into the user buffers, record the arrival horizon.
     if src.is_some() {
-        let (seg, slot_base, offsets, expect_base) = {
-            let st = session.staging_mut(site).expect("staging created");
+        let (seg, slot_base, expect_base) = {
+            let st = &mut session.staging[st_idx].1;
             let slot = (st.recv_count % st.slots as u64) as usize;
             let expect_base = st.recv_count * sbufs.len() as u64;
             st.recv_count += 1;
-            (
-                st.seg,
-                slot * st.slot_bytes,
-                st.buf_offsets.clone(),
-                expect_base,
-            )
+            (st.seg, slot * st.slot_bytes, expect_base)
         };
-        let nbufs = rbufs.len();
+        let mut staged = Vec::new();
         for (i, rb) in rbufs.iter_mut().enumerate() {
-            let meta = rb.meta();
+            let meta = rb.desc();
             let n = count.min(meta.len);
             let bytes = n * meta.elem.packed_size();
             let arrival = session
                 .ctx
                 .wait_signals_raw(seg, (expect_base + i as u64 + 1) as usize);
-            let mut staged = vec![0u8; bytes];
-            session.ctx.read_local(
-                seg,
-                slot_base + offsets.get(i).copied().unwrap_or(0),
-                &mut staged,
-            );
+            let offset = session.staging[st_idx].1.buf_offsets.get(i).copied();
+            staged.clear();
+            staged.resize(bytes, 0);
+            session
+                .ctx
+                .read_local(seg, slot_base + offset.unwrap_or(0), &mut staged);
             rb.scatter(n, &staged);
             // Bounce copy out of the symmetric staging buffer; the slot is
             // now reusable by flow-controlled senders.
@@ -1850,7 +1929,6 @@ fn exec_onesided(
                 Target::Mpi1Side => pending.recv_arrivals_mpi.push(arrival),
                 _ => pending.recv_arrivals_shmem.push(arrival),
             }
-            let _ = nbufs;
         }
     }
     Ok(())

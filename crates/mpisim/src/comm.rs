@@ -24,7 +24,10 @@ pub const MAX_USER_TAG: i32 = 1 << TAG_BITS;
 pub struct Comm {
     /// `ranks[local] = global`; ascending is not required, but ranks must be
     /// distinct.
-    ranks: Arc<Vec<usize>>,
+    ranks: Arc<[usize]>,
+    /// The same ranks, ascending: the group key of barriers and symmetric
+    /// segments, built once rather than on every collective.
+    sorted: Arc<[usize]>,
     /// Namespace id folded into wire tags. World is 0.
     id: i32,
 }
@@ -32,8 +35,10 @@ pub struct Comm {
 impl Comm {
     /// The world communicator over all ranks of the machine.
     pub fn world(ctx: &RankCtx) -> Comm {
+        let ranks: Arc<[usize]> = (0..ctx.nranks()).collect();
         Comm {
-            ranks: Arc::new((0..ctx.nranks()).collect()),
+            sorted: Arc::clone(&ranks),
+            ranks,
             id: 0,
         }
     }
@@ -51,7 +56,8 @@ impl Comm {
         dedup.dedup();
         assert_eq!(dedup.len(), globals.len(), "duplicate ranks in subset");
         Comm {
-            ranks: Arc::new(globals),
+            ranks: globals.into(),
+            sorted: dedup.into(),
             id,
         }
     }
@@ -78,10 +84,8 @@ impl Comm {
     }
 
     /// The member global ranks, ascending (for barriers/segments).
-    pub fn sorted_globals(&self) -> Vec<usize> {
-        let mut g = self.ranks.as_ref().clone();
-        g.sort_unstable();
-        g
+    pub fn sorted_globals(&self) -> &[usize] {
+        &self.sorted
     }
 
     /// Whether the calling context is a member.
@@ -244,7 +248,7 @@ impl Comm {
     /// Barrier over this communicator (`MPI_Barrier`), reconciling clocks.
     pub fn barrier(&self, ctx: &mut RankCtx) {
         let m = self.model(ctx);
-        ctx.barrier_group(&self.sorted_globals(), &m);
+        ctx.barrier_group(&self.sorted, &m);
     }
 
     /// `MPI_Sendrecv`: a combined send/receive with one consolidated

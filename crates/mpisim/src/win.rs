@@ -23,10 +23,10 @@ impl Win {
     pub fn create(ctx: &mut RankCtx, comm: &Comm, bytes: usize) -> Win {
         let m = ctx.machine().mpi;
         let group = comm.sorted_globals();
-        let seg = ctx.sym_alloc(&group, bytes, &m);
+        let seg = ctx.sym_alloc(group, bytes, &m);
         Win {
             seg,
-            group: Arc::new(group),
+            group: Arc::new(group.to_vec()),
             bytes,
         }
     }

@@ -376,9 +376,17 @@ impl<V: Clone> ShardedMap<V> {
         (h as usize) & (MAP_SHARDS - 1)
     }
 
+    /// The value under `key`, inserting `make()` first if absent. Every
+    /// barrier and collective allocation looks its group up here, so the
+    /// key is copied only on the first insert.
     fn get_or_insert_with(&self, key: &[usize], make: impl FnOnce() -> V) -> V {
         let mut g = self.shards[Self::shard_of(key)].lock();
-        g.entry(key.to_vec()).or_insert_with(make).clone()
+        if let Some(v) = g.get(key) {
+            return v.clone();
+        }
+        let v = make();
+        g.insert(key.to_vec(), v.clone());
+        v
     }
 }
 
@@ -681,6 +689,8 @@ impl SegmentStore {
 /// The shared interconnect + memory fabric of one simulated machine.
 pub struct Fabric {
     nranks: usize,
+    /// Every rank, ascending: the group of a full barrier.
+    world: Box<[usize]>,
     mailboxes: Vec<Mailbox>,
     barriers: ShardedMap<Arc<GroupBarrier>>,
     segments: SegmentStore,
@@ -690,6 +700,7 @@ impl Fabric {
     pub fn new(nranks: usize) -> Arc<Self> {
         Arc::new(Fabric {
             nranks,
+            world: (0..nranks).collect(),
             mailboxes: (0..nranks).map(|_| Mailbox::new(nranks)).collect(),
             barriers: ShardedMap::default(),
             segments: SegmentStore::default(),
@@ -699,6 +710,11 @@ impl Fabric {
     /// Total number of ranks on the machine.
     pub fn nranks(&self) -> usize {
         self.nranks
+    }
+
+    /// Every rank of the machine, ascending.
+    pub(crate) fn world(&self) -> &[usize] {
+        &self.world
     }
 
     /// The one-sided segment store.

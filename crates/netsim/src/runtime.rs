@@ -1014,8 +1014,8 @@ impl RankCtx {
 
     /// Barrier over all ranks.
     pub fn barrier(&mut self, model: &CostModel) {
-        let group: Vec<usize> = (0..self.nranks).collect();
-        self.barrier_group(&group, model);
+        let fabric = Arc::clone(&self.fabric);
+        self.barrier_group(fabric.world(), model);
     }
 
     /// Barrier over an arbitrary ascending group containing this rank.

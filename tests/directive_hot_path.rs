@@ -1,0 +1,341 @@
+//! The directive engine's non-participant path: a rank whose `sendwhen`
+//! and `receivewhen` are both false makes no heap allocation per
+//! `comm_p2p` instance, yet still does everything another rank or the
+//! caller can observe — the `max_comm_iter` count, the overlap body under
+//! the site's attribution, the collective staging allocation and the
+//! one-sided fence of the resolved (overlay-retargeted) target.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use commint::prelude::*;
+use mpisim::Comm;
+use netsim::{run, EventKind, SimConfig, Time};
+
+/// Counts heap allocations made by the current thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: allocations during thread teardown land after the
+    // counter is gone and are not ours to count.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Run `f` on its own thread and fail if it does not finish within a
+/// minute: a rank that skips a collective leaves the others blocked in it,
+/// and the test should report that rather than hang.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(v) => {
+            worker.join().expect("worker exits after sending");
+            v
+        }
+        // `f` panicked: surface its panic, not a timeout.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("no result means a panic"))
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("simulation deadlocked: some rank skipped a collective")
+        }
+    }
+}
+
+/// Clauses under which rank `from` sends to rank `to` and every other
+/// rank of the communicator is a non-participant.
+fn pair(from: i64, to: i64, target: Target, iters: usize) -> CommParams {
+    CommParams::new()
+        .sender(RankExpr::lit(from))
+        .receiver(RankExpr::lit(to))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(from)))
+        .receivewhen(RankExpr::rank().eq(RankExpr::lit(to)))
+        .count(3)
+        .max_comm_iter(iters as i64)
+        .target(target)
+}
+
+#[test]
+fn non_participant_instances_do_not_allocate() {
+    const N: usize = 1000;
+    for target in [Target::Mpi2Side, Target::Shmem, Target::Mpi1Side] {
+        // Ranks 0 and 1 of 2; the pair (5 -> 6) names neither, so both are
+        // non-participants on every instance.
+        let params = pair(5, 6, target, N + 1);
+        let res = run(SimConfig::new(2), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm);
+            let src = [1.0f64; 3];
+            let mut dst = [0.0f64; 3];
+            s.region(&params, |reg| {
+                // Warm-up: the first execution validates, records the IR
+                // and joins the staging allocation.
+                reg.p2p()
+                    .site(1)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .run()
+                    .unwrap();
+                let before = thread_allocs();
+                for _ in 0..N {
+                    reg.p2p()
+                        .site(1)
+                        .sbuf(Prim::new("src", &src))
+                        .rbuf(PrimMut::new("dst", &mut dst))
+                        .run()
+                        .unwrap();
+                }
+                thread_allocs() - before
+            })
+            .unwrap()
+        });
+        for (rank, allocs) in res.per_rank.iter().enumerate() {
+            assert_eq!(
+                *allocs, 0,
+                "{target}: rank {rank} allocated {allocs} times over {N} non-participant instances"
+            );
+        }
+    }
+}
+
+#[test]
+fn non_participant_still_counts_toward_max_comm_iter() {
+    // Rank 2 of 3 never takes part; the pair 0 -> 1 does. All three ranks
+    // must reject the third execution of a two-iteration site.
+    let params = pair(0, 1, Target::Mpi2Side, 2);
+    let res = run(SimConfig::new(3), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let src = [1.0f64; 3];
+        let mut dst = [0.0f64; 3];
+        let mut last = Ok(());
+        // The region itself fails too, with the error folded into a
+        // diagnostic; the instance reports the precise cause.
+        let region = s.region(&params, |reg| {
+            for _ in 0..3 {
+                last = reg
+                    .p2p()
+                    .site(4)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .run();
+            }
+        });
+        assert!(region.is_err());
+        s.flush();
+        last.unwrap_err()
+    });
+    for (rank, err) in res.per_rank.iter().enumerate() {
+        assert!(
+            matches!(err, DirectiveError::MaxIterExceeded { site: 4, bound: 2 }),
+            "rank {rank}: expected MaxIterExceeded, got {err}"
+        );
+    }
+}
+
+#[test]
+fn non_participant_runs_overlap_body_under_the_site() {
+    let params = pair(0, 1, Target::Mpi2Side, 1);
+    let res = run(SimConfig::new(3).with_trace(), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let src = [1.0f64; 3];
+        let mut dst = [0.0f64; 3];
+        let mut ran = false;
+        s.region(&params, |reg| {
+            reg.p2p()
+                .site(77)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", &mut dst))
+                .overlap(|ctx| {
+                    ran = true;
+                    ctx.compute(Time::from_nanos(500));
+                })
+                .unwrap();
+        })
+        .unwrap();
+        s.flush();
+        ran
+    });
+    assert_eq!(res.per_rank, vec![true; 3], "every rank runs the body");
+    let trace = res.trace.expect("trace enabled");
+    let computes: Vec<_> = trace
+        .iter()
+        .filter(|e| e.rank == 2 && matches!(e.kind, EventKind::Compute { ns: 500 }))
+        .collect();
+    assert_eq!(computes.len(), 1, "the non-participant's body ran once");
+    assert_eq!(
+        computes[0].site,
+        Some(77),
+        "the body's compute is attributed to the directive site"
+    );
+    assert!(res.final_times[2] >= Time::from_nanos(500));
+}
+
+/// Six ranks, only 1 -> 4 moves data; the others join the site's staging
+/// allocation and the region's fence. Per-rank compute skews the clocks so
+/// the collectives have something to reconcile. Returns (final times,
+/// barriers, quiets, rank 4's buffer).
+fn two_of_six(target: Target, cfg: SimConfig) -> (Vec<Time>, Vec<usize>, Vec<usize>, [f64; 3]) {
+    const ITERS: usize = 3;
+    let params = pair(1, 4, target, ITERS);
+    let res = within_a_minute(move || {
+        run(cfg, move |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm);
+            let me = s.rank();
+            let mut dst = [0.0f64; 3];
+            for i in 0..ITERS {
+                let src = [i as f64, me as f64, 7.0];
+                s.ctx().compute(Time::from_nanos(100 * (me as u64 + 1)));
+                s.region(&params, |reg| {
+                    reg.p2p()
+                        .site(3)
+                        .sbuf(Prim::new("src", &src))
+                        .rbuf(PrimMut::new("dst", &mut dst))
+                        .run()
+                        .unwrap();
+                })
+                .unwrap();
+            }
+            s.flush();
+            (s.ctx().stats.barriers, s.ctx().stats.quiets, dst)
+        })
+    });
+    let barriers = res.per_rank.iter().map(|r| r.0).collect();
+    let quiets = res.per_rank.iter().map(|r| r.1).collect();
+    (res.final_times, barriers, quiets, res.per_rank[4].2)
+}
+
+#[test]
+fn non_participants_join_staging_and_fence_identically_across_engines() {
+    for target in [Target::Mpi1Side, Target::Shmem] {
+        let threads = two_of_six(target, SimConfig::new(6));
+        let bounded = two_of_six(target, SimConfig::new(6).with_workers(1));
+        assert_eq!(
+            threads.0, bounded.0,
+            "{target}: final times differ across engines"
+        );
+        assert_eq!(threads.1, bounded.1);
+        assert_eq!(threads.2, bounded.2);
+        assert_eq!(
+            threads.3,
+            [2.0, 1.0, 7.0],
+            "{target}: payload of the last instance"
+        );
+        let (_, barriers, quiets, _) = threads;
+        // The staging allocation is a barrier over all six ranks; the
+        // MPI-1 fence adds one per region.
+        let want = if target == Target::Mpi1Side { 4 } else { 1 };
+        assert_eq!(barriers, vec![want; 6], "{target}: barriers per rank");
+        if target == Target::Shmem {
+            assert_eq!(quiets, vec![3; 6], "shmem: one quiet per region per rank");
+        }
+    }
+}
+
+/// Per rank: (barriers, quiets, sends, `dst`, `got`).
+type OverlayRun = (usize, usize, usize, [f64; 3], [[f64; 3]; 2]);
+
+/// Rank 0 sends to rank 1 of 3 through two sites under an overlay: site 5
+/// is written for MPI two-sided but retargeted to MPI one-sided, site 6
+/// runs on SHMEM, coalesced in batches of two.
+fn overlay_run(cfg: SimConfig) -> netsim::SimResult<OverlayRun> {
+    let mut ov = Overlay::default();
+    ov.set(SiteDecision::new(5, Decision::Retarget(Target::Mpi1Side)));
+    ov.set(SiteDecision::new(6, Decision::Coalesce { batch: 2 }));
+    let params = pair(0, 1, Target::Shmem, 4);
+    within_a_minute(move || {
+        run(cfg, move |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm).with_overlay(ov.clone());
+            let src = [3.0f64; 3];
+            let mut dst = [0.0f64; 3];
+            // Independent buffers per instance: a write-write dependence
+            // would split the region's synchronization on the receiver.
+            let mut got = [[0.0f64; 3]; 2];
+            s.region(&params, |reg| {
+                reg.p2p()
+                    .site(5)
+                    .target(Target::Mpi2Side)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .run()
+                    .unwrap();
+                for g in &mut got {
+                    reg.p2p()
+                        .site(6)
+                        .sbuf(Prim::new("src", &src))
+                        .rbuf(PrimMut::new("got", g))
+                        .run()
+                        .unwrap();
+                }
+            })
+            .unwrap();
+            s.flush();
+            let st = &s.ctx().stats;
+            (st.barriers, st.quiets, st.sends, dst, got)
+        })
+    })
+}
+
+#[test]
+fn non_participant_fences_follow_the_overlay() {
+    // A non-participant must join the MPI-1 fence of the retargeted site
+    // and quiet for the coalesced one exactly like the pair.
+    let res = overlay_run(SimConfig::new(3));
+    let (barriers, quiets, _, dst, got) = res.per_rank[1];
+    assert_eq!((dst, got), ([3.0; 3], [[3.0; 3]; 2]), "the pair delivered");
+    assert_eq!(
+        res.per_rank[0].2, 0,
+        "retargeted site must not use two-sided sends"
+    );
+    // Two staging allocations (one per site) plus the MPI-1 fence.
+    assert_eq!(barriers, 3);
+    assert_eq!(quiets, 1);
+    let bystander = res.per_rank[2];
+    assert_eq!(
+        (bystander.0, bystander.1),
+        (barriers, quiets),
+        "the non-participant joins the same fence and quiet"
+    );
+    let bounded = overlay_run(SimConfig::new(3).with_workers(1));
+    assert_eq!(res.final_times, bounded.final_times);
+}
