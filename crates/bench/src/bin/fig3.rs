@@ -3,7 +3,7 @@
 //!
 //! Usage: `fig3 [--stride K] [--jobs J] [--workers W] [--eager-threshold B]
 //!              [--stats] [--json] [--baseline FILE] [--ledger FILE]
-//!              [--trace-out FILE] [--profile FILE]`
+//!              [--trace-out FILE] [--profile FILE] [--folded FILE]`
 //! (`--eager-threshold` overrides the cost model's eager/rendezvous
 //! protocol switch, in bytes; `--ledger` appends the `--json` report to the
 //! run-history ledger read by `commscope trend`).
@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use bench::{
     arg_str, arg_usize, default_jobs, emit_json_report, emit_observability, paper_ms, render_stats,
-    sweep, BenchReport, SeriesReport, SeriesTable,
+    sweep, BenchReport, Exports, SeriesReport, SeriesTable,
 };
 use netsim::{ExecPolicy, RankStats};
 use wl_lsms::{
@@ -26,8 +26,7 @@ fn main() {
     let stats = args.iter().any(|a| a == "--stats");
     let json = args.iter().any(|a| a == "--json");
     let baseline = arg_str(&args, "--baseline");
-    let trace_out = arg_str(&args, "--trace-out");
-    let profile = arg_str(&args, "--profile");
+    let exports = Exports::from_args(&args);
     let workers = arg_usize(&args, "--workers");
     let eager = arg_usize(&args, "--eager-threshold");
     let mut exec = match workers {
@@ -63,7 +62,7 @@ fn main() {
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
-    if trace_out.is_some() || profile.is_some() {
+    if exports.any() {
         // Observability re-run: directive-MPI at the largest sweep point.
         let m = *ms.last().expect("non-empty sweep");
         let obs = fig3_single_atom_observed(
@@ -72,14 +71,7 @@ fn main() {
             AtomSizes::default(),
             exec,
         );
-        emit_observability(
-            "fig3",
-            &[("m".into(), m as i64)],
-            &obs,
-            trace_out,
-            profile,
-            None,
-        );
+        emit_observability("fig3", &[("m".into(), m as i64)], &obs, &exports, None);
     }
 
     let mut stat_lines = Vec::new();

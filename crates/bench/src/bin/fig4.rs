@@ -6,7 +6,7 @@
 //!              [--eager-threshold B] [--sanitize] [--overlay FILE] [--ab]
 //!              [--min-factor F] [--stats] [--watch SECS] [--json]
 //!              [--baseline FILE] [--ledger FILE] [--diff-out FILE]
-//!              [--trace-out FILE] [--profile FILE]`
+//!              [--trace-out FILE] [--profile FILE] [--folded FILE]`
 //! (stride thins the process sweep; jobs bounds the sweep worker pool;
 //! `--workers` selects the bounded in-run engine, 0 = auto;
 //! `--eager-threshold` overrides the cost model's eager/rendezvous protocol
@@ -16,9 +16,10 @@
 //! stats appends merged per-variant operation counters;
 //! `--json` emits the machine-readable report instead of the table;
 //! `--baseline` gates virtual times against a committed report;
-//! `--trace-out`/`--profile` re-run the largest sweep point with the
-//! directive-MPI variant under full observability and write a Chrome trace
-//! / commscope profile).
+//! `--trace-out`/`--profile`/`--folded` re-run the largest sweep point with
+//! the directive-MPI variant under full observability and write a Chrome
+//! trace / commscope profile / folded stacks, validated on the way out and
+//! summarized on stderr).
 //!
 //! The tuning loop: the coalesced series applies a commtune overlay to the
 //! directive-MPI variant. `--overlay FILE` loads the overlay from a file
@@ -42,7 +43,7 @@ use std::time::Instant;
 
 use bench::{
     arg_str, arg_usize, default_jobs, emit_json_report, emit_observability, paper_ms, render_stats,
-    sweep, BenchReport, SeriesReport, SeriesTable,
+    sweep, BenchReport, Exports, SeriesReport, SeriesTable,
 };
 use commtune::{overlay_from_json, overlay_provenance, tune, TuneOptions};
 use netsim::{ExecPolicy, RankStats, WatchCfg};
@@ -70,8 +71,7 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let ab = args.iter().any(|a| a == "--ab");
     let baseline = arg_str(&args, "--baseline");
-    let trace_out = arg_str(&args, "--trace-out");
-    let profile = arg_str(&args, "--profile");
+    let exports = Exports::from_args(&args);
     let overlay_path = arg_str(&args, "--overlay");
     let min_factor = arg_f64(&args, "--min-factor").unwrap_or(1.3);
     let workers = arg_usize(&args, "--workers");
@@ -115,7 +115,7 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            let doc = match commscope::Json::parse(&text) {
+            let doc = match netsim::json::parse(&text) {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("[overlay] cannot parse {path}: {e}");
@@ -191,7 +191,7 @@ fn main() {
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
-    if trace_out.is_some() || profile.is_some() {
+    if exports.any() {
         // Observability re-run at the largest sweep point. With an explicit
         // overlay the tuned run is observed and the profile records the
         // overlay's provenance; otherwise this stays the plain directive-MPI
@@ -211,10 +211,10 @@ fn main() {
                 Some(&overlay),
             );
             let prov = overlay_provenance(&overlay);
-            emit_observability("fig4", &fig_args, &obs, trace_out, profile, Some(&prov));
+            emit_observability("fig4", &fig_args, &obs, &exports, Some(&prov));
         } else {
             let obs = fig4_spin_observed(&topo, SpinVariant::DirectiveMpi2, steps, exec);
-            emit_observability("fig4", &fig_args, &obs, trace_out, profile, None);
+            emit_observability("fig4", &fig_args, &obs, &exports, None);
         }
     }
 

@@ -4,7 +4,8 @@
 //!
 //! Usage: `fig5 [--stride K] [--steps N] [--jobs J] [--workers W]
 //!              [--eager-threshold B] [--stats] [--json] [--baseline FILE]
-//!              [--ledger FILE] [--trace-out FILE] [--profile FILE]`
+//!              [--ledger FILE] [--trace-out FILE] [--profile FILE]
+//!              [--folded FILE]`
 //! (`--eager-threshold` overrides the cost model's eager/rendezvous
 //! protocol switch, in bytes; `--ledger` appends the `--json` report to the
 //! run-history ledger read by `commscope trend`).
@@ -13,7 +14,7 @@ use std::time::Instant;
 
 use bench::{
     arg_str, arg_usize, default_jobs, emit_json_report, emit_observability, paper_ms, render_stats,
-    sweep, BenchReport, SeriesReport, SeriesTable,
+    sweep, BenchReport, Exports, SeriesReport, SeriesTable,
 };
 use netsim::{ExecPolicy, RankStats};
 use wl_lsms::{fig5_overlap_exec, fig5_overlap_observed, AtomSizes, CoreStateParams, Topology};
@@ -26,8 +27,7 @@ fn main() {
     let stats = args.iter().any(|a| a == "--stats");
     let json = args.iter().any(|a| a == "--json");
     let baseline = arg_str(&args, "--baseline");
-    let trace_out = arg_str(&args, "--trace-out");
-    let profile = arg_str(&args, "--profile");
+    let exports = Exports::from_args(&args);
     let workers = arg_usize(&args, "--workers");
     let eager = arg_usize(&args, "--eager-threshold");
     let mut exec = match workers {
@@ -61,7 +61,7 @@ fn main() {
     });
     let wall_s = t0.elapsed().as_secs_f64();
 
-    if trace_out.is_some() || profile.is_some() {
+    if exports.any() {
         // Observability re-run: the overlapped directive path at the
         // largest sweep point.
         let m = *ms.last().expect("non-empty sweep");
@@ -70,8 +70,7 @@ fn main() {
             "fig5",
             &[("m".into(), m as i64), ("steps".into(), steps as i64)],
             &obs,
-            trace_out,
-            profile,
+            &exports,
             None,
         );
     }

@@ -345,7 +345,7 @@ fn profile_observed(
     nranks: usize,
     iters: usize,
     exec: ExecPolicy,
-) -> commscope::Json {
+) -> netsim::json::Json {
     let res = run(
         SimConfig::new(nranks)
             .with_exec(exec)

@@ -54,8 +54,8 @@ use commintd::server::serve_unix;
 use commintd::Engine;
 use commlint::json::render_json;
 use commlint::{lint_source, LintOptions};
-use commprove::jsonv::{self, JValue};
 use commprove::prove_source;
+use netsim::json::{self, Json};
 use netsim::RankStats;
 use pragma_front::SymbolTable;
 
@@ -192,7 +192,7 @@ impl Client {
     }
 }
 
-fn field<'a>(v: &'a JValue, name: &str) -> &'a str {
+fn field<'a>(v: &'a Json, name: &str) -> &'a str {
     v.get(name).and_then(|f| f.as_str()).unwrap_or("")
 }
 
@@ -214,9 +214,9 @@ fn roundtrip(
     let (a_text, p_text) = client.exchange2(&a_req, &p_req)?;
     let dt = t0.elapsed();
     let bad = |what: &str| format!("{file}: {what} differs from batch");
-    let a = jsonv::parse(&a_text)
+    let a = json::parse(&a_text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))?;
-    let p = jsonv::parse(&p_text)
+    let p = json::parse(&p_text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))?;
     if field(&a, "report") != want.lint {
         mismatches.push(bad("analyze report"));

@@ -1,7 +1,6 @@
 //! Machine-readable benchmark reports: the `--json` report schema shared by
 //! the figure binaries and baseline comparison for the CI perf-smoke gate.
-//! The JSON value type itself lives in [`commscope::json`] (shared with the
-//! profiler's exporters) and is re-exported here.
+//! The JSON value type is the workspace's one, [`netsim::json::Json`].
 //!
 //! Schema (stable; bump `schema` on breaking changes):
 //!
@@ -29,9 +28,8 @@
 //! slack factor) — it never fails the gate, and the CI engine byte-diff
 //! filters the line out.
 
+use netsim::json::{self, Json};
 use netsim::{CounterKind, RankStats};
-
-pub use commscope::json::Json;
 
 /// Virtual counters present since the first reports. Rows declared after
 /// them read back as zero from a baseline that predates them (the physical
@@ -236,7 +234,7 @@ pub fn compare_with_baseline(report: &BenchReport, baseline_text: &str) -> Basel
         errors: Vec::new(),
         warnings: Vec::new(),
     };
-    let parsed = match Json::parse(baseline_text) {
+    let parsed = match json::parse(baseline_text) {
         Ok(p) => p,
         Err(e) => {
             diff.errors.push(format!("baseline unparsable: {e}"));
@@ -381,7 +379,7 @@ mod tests {
     fn report_roundtrip_is_exact() {
         let r = sample_report();
         let text = r.to_json().render();
-        let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let back = BenchReport::from_json(&json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
     }
 
@@ -393,7 +391,7 @@ mod tests {
         assert!(text.contains("\"contention\": [3, 120, 240]"));
         // Pre-contention reports parse with zeros.
         let legacy = text.replace(",\n      \"contention\": [3, 120, 240]", "");
-        let back = BenchReport::from_json(&Json::parse(&legacy).unwrap());
+        let back = BenchReport::from_json(&json::parse(&legacy).unwrap());
         match back {
             Ok(b) => assert!(b.series[0]
                 .stats
@@ -460,7 +458,7 @@ mod tests {
             .replace(",\n        \"race_checks\": 13", "")
             .replace(",\n        \"conflicts_found\": 0", "");
         assert!(!legacy.contains("race_checks"), "replace missed: {legacy}");
-        let back = BenchReport::from_json(&Json::parse(&legacy).unwrap()).unwrap();
+        let back = BenchReport::from_json(&json::parse(&legacy).unwrap()).unwrap();
         assert_eq!(back.series[0].stats.race_checks, 0);
         assert_eq!(back.series[0].stats.conflicts_found, 0);
     }
@@ -487,7 +485,7 @@ mod tests {
         let mut r = sample_report();
         r.series[0].stats = stats_of(&(1..=n).map(|i| 100 + i).collect::<Vec<_>>());
         let text = r.to_json().render();
-        let parsed = Json::parse(&text).unwrap();
+        let parsed = json::parse(&text).unwrap();
         let back = BenchReport::from_json(&parsed).unwrap();
         assert_eq!(back.series[0].stats, r.series[0].stats);
 

@@ -14,7 +14,8 @@ use std::path::Path;
 
 use netsim::CounterKind;
 
-use crate::json::{BenchReport, Json};
+use crate::json::BenchReport;
+use netsim::json::Json;
 
 /// Schema version of one ledger line (`commscope::LEDGER_SCHEMA` mirrors
 /// this on the reader side).

@@ -3,8 +3,9 @@
 pub mod json;
 pub mod ledger;
 
-pub use json::{compare_with_baseline, BaselineDiff, BenchReport, Json, SeriesReport};
+pub use json::{compare_with_baseline, BaselineDiff, BenchReport, SeriesReport};
 
+use netsim::json::Json;
 use netsim::{RankStats, Time};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,36 +56,87 @@ pub fn emit_json_report(report: &BenchReport, baseline_path: Option<&str>) -> i3
     }
 }
 
-/// Write observability exports for one observed run: a Perfetto-loadable
-/// Chrome trace (`--trace-out`) and/or a stable profile JSON (`--profile`).
-/// Shared by the figure binaries; both outputs are pure functions of
-/// virtual time and byte-identical across engines and `--jobs` widths.
-/// `tuning` is the overlay provenance document when the observed run was
-/// executed under a tuning overlay (recorded in the profile), `None` for
-/// untuned runs.
+/// Where a figure binary writes the observability exports of its
+/// observed run: `--trace-out` (Perfetto-loadable Chrome trace),
+/// `--profile` (commscope profile JSON) and `--folded` (flamegraph folded
+/// stacks).
+pub struct Exports<'a> {
+    pub trace_out: Option<&'a str>,
+    pub profile: Option<&'a str>,
+    pub folded: Option<&'a str>,
+}
+
+impl<'a> Exports<'a> {
+    /// Read the three export flags.
+    pub fn from_args(args: &'a [String]) -> Self {
+        Exports {
+            trace_out: arg_str(args, "--trace-out"),
+            profile: arg_str(args, "--profile"),
+            folded: arg_str(args, "--folded"),
+        }
+    }
+
+    /// Whether any export was asked for (the observed run is only worth
+    /// running then).
+    pub fn any(&self) -> bool {
+        self.trace_out.is_some() || self.profile.is_some() || self.folded.is_some()
+    }
+}
+
+/// Write the requested observability exports for one observed run and
+/// print its wait-state summary to stderr (stdout stays the figure's
+/// table). Every export is a pure function of virtual time, byte-identical
+/// across engines and `--jobs` widths. The trace is re-parsed and the
+/// profile schema-validated (including blame summing to wait); a problem
+/// is reported on stderr and exits the process with code 3 once every
+/// file is written. `tuning` is the overlay provenance document when the
+/// observed run was executed under a tuning overlay (recorded in the
+/// profile), `None` for untuned runs.
 pub fn emit_observability(
     workload: &str,
     args: &[(String, i64)],
     obs: &wl_lsms::Observed,
-    trace_out: Option<&str>,
-    profile: Option<&str>,
-    tuning: Option<&commscope::Json>,
+    out: &Exports,
+    tuning: Option<&Json>,
 ) {
-    if trace_out.is_none() && profile.is_none() {
-        return;
-    }
     let nranks = obs.final_times.len();
-    if let Some(path) = trace_out {
+    let analysis = commscope::analyze(&obs.trace, nranks, &obs.final_times);
+    for line in analysis.summary().lines() {
+        eprintln!("  [scope] {line}");
+    }
+    let mut problems = Vec::new();
+    if let Some(path) = out.trace_out {
         let text = commscope::chrome_trace(&obs.trace, nranks);
+        match netsim::json::parse(&text) {
+            Ok(doc) if doc.get("traceEvents").and_then(Json::as_arr).is_some() => {}
+            Ok(_) => problems.push("trace: no traceEvents array".to_string()),
+            Err(e) => problems.push(format!("trace: {e}")),
+        }
         std::fs::write(path, &text).expect("write --trace-out file");
         eprintln!("  [trace] wrote {path} ({} bytes)", text.len());
     }
-    if let Some(path) = profile {
-        let analysis = commscope::analyze(&obs.trace, nranks, &obs.final_times);
+    if let Some(path) = out.profile {
         let doc = commscope::profile_json_tuned(workload, args, &analysis, &obs.metrics, tuning);
+        problems.extend(
+            commscope::validate_profile(&doc)
+                .into_iter()
+                .map(|p| format!("profile: {p}")),
+        );
         let text = doc.render();
         std::fs::write(path, &text).expect("write --profile file");
         eprintln!("  [profile] wrote {path} ({} bytes)", text.len());
+    }
+    if let Some(path) = out.folded {
+        let text = commscope::folded_stacks(&obs.trace);
+        std::fs::write(path, &text).expect("write --folded file");
+        eprintln!("  [folded] wrote {path} ({} stacks)", text.lines().count());
+    }
+    if !problems.is_empty() {
+        for p in &problems {
+            eprintln!("  [check] {p}");
+        }
+        eprintln!("  [check] {} problem(s)", problems.len());
+        std::process::exit(3);
     }
 }
 

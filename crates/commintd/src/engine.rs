@@ -58,7 +58,7 @@ use commint::diag::{lint_region_at, Diag, LintCode, SrcSpan};
 use commint::dir::ParamsSpec;
 use commint::expr::VarTable;
 use commlint::hash::{env_hash, split_regions_tokens, structural_hash_tokens, RegionChunk};
-use commlint::json::{escape, render_json};
+use commlint::json::render_json;
 use commlint::{
     apply_decls, assemble_lint_report, lint_parsed, parse_diags, region_view, scan_annotations,
     LintOptions, LintReport, RankRange,
@@ -66,6 +66,7 @@ use commlint::{
 use commprove::cert::{Certificate, RegionCert, CERT_SCHEMA};
 use commprove::check::check_cert_bytes;
 use commprove::{prove_parsed, prove_region_with, region_forms};
+use netsim::json::Escaped;
 use pragma_front::lex::{Tok, Token};
 use pragma_front::{parse, Parsed, SymbolTable};
 
@@ -910,7 +911,7 @@ impl Engine {
                 chunk.sites,
                 forms.eligible,
                 match &forms.reason {
-                    Some(r) => format!("\"{}\"", escape(r)),
+                    Some(r) => format!("\"{}\"", Escaped(r)),
                     None => "null".to_string(),
                 },
                 forms.lcm,
@@ -921,7 +922,7 @@ impl Engine {
                     .map(|(site, fs)| format!(
                         "{{ \"site\": {site}, \"forms\": [{}] }}",
                         fs.iter()
-                            .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", escape(kw), escape(nf)))
+                            .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", Escaped(kw), Escaped(nf)))
                             .collect::<Vec<_>>()
                             .join(", ")
                     ))

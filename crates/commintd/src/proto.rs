@@ -22,8 +22,7 @@
 
 use std::io::{self, Read, Write};
 
-use commlint::json::escape;
-use commprove::jsonv::{self, JValue};
+use netsim::json::{self, Escaped, Json};
 
 use crate::engine::Engine;
 
@@ -85,12 +84,12 @@ pub struct Request {
 /// Parse a request frame.
 pub fn parse_request(bytes: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(bytes).map_err(|_| "request is not UTF-8".to_string())?;
-    let v = jsonv::parse(text).map_err(|e| format!("bad request JSON: {e}"))?;
+    let v = json::parse(text).map_err(|e| format!("bad request JSON: {e}"))?;
     let version = match v.get("v") {
-        Some(JValue::Int(n)) => *n as u64,
+        Some(Json::Int(n)) => *n,
         _ => return Err("missing protocol version `v`".to_string()),
     };
-    if version != PROTO_VERSION {
+    if u64::try_from(version) != Ok(PROTO_VERSION) {
         return Err(format!(
             "protocol version {version} unsupported (want {PROTO_VERSION})"
         ));
@@ -101,8 +100,8 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, String> {
         .ok_or_else(|| "missing `op`".to_string())?
         .to_string();
     let id = match v.get("id") {
-        Some(JValue::Int(n)) => Some(*n),
-        Some(JValue::Null) | None => None,
+        Some(Json::Int(n)) => Some(*n),
+        Some(Json::Null) | None => None,
         Some(_) => return Err("`id` must be an integer".to_string()),
     };
     let needs_src = op != "stats";
@@ -141,7 +140,7 @@ pub fn error_response(id: Option<i64>, msg: &str) -> String {
     format!(
         "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": false, \"error\": \"{}\" }}",
         id_json(id),
-        escape(msg)
+        Escaped(msg)
     )
 }
 
@@ -160,13 +159,13 @@ pub fn handle(engine: &Engine, frame: &[u8]) -> String {
                  \"file\": \"{}\", \"gate_fails\": {}, \"regions\": {}, \"dirty\": [{}], \
                  \"reused\": {}, \"evicted\": {}, \"report\": \"{}\" }}",
                 id_json(req.id),
-                escape(&req.file),
+                Escaped(&req.file),
                 a.gate_fails,
                 a.regions,
                 dirty_json(&a.dirty),
                 a.reused,
                 a.evicted,
-                escape(&a.report_json),
+                Escaped(&a.report_json),
             ),
             Err(e) => error_response(req.id, &e),
         },
@@ -177,15 +176,15 @@ pub fn handle(engine: &Engine, frame: &[u8]) -> String {
                  \"reused\": {}, \"evicted\": {}, \"disk_cert\": \"{}\", \
                  \"report\": \"{}\", \"cert\": \"{}\" }}",
                 id_json(req.id),
-                escape(&req.file),
+                Escaped(&req.file),
                 p.gate_fails,
                 p.regions,
                 dirty_json(&p.dirty),
                 p.reused,
                 p.evicted,
                 p.disk_cert,
-                escape(&p.report_json),
-                escape(&p.cert_json),
+                Escaped(&p.report_json),
+                Escaped(&p.cert_json),
             ),
             Err(e) => error_response(req.id, &e),
         },
@@ -194,7 +193,7 @@ pub fn handle(engine: &Engine, frame: &[u8]) -> String {
                 "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": true, \"op\": \"diag\", \
                  \"file\": \"{}\", \"regions\": {body} }}",
                 id_json(req.id),
-                escape(&req.file),
+                Escaped(&req.file),
             ),
             Err(e) => error_response(req.id, &e),
         },
@@ -234,9 +233,9 @@ pub fn request_json(op: &str, id: i64, file: &str, src: &str) -> String {
         format!(
             "{{ \"v\": {PROTO_VERSION}, \"op\": \"{}\", \"id\": {id}, \"file\": \"{}\", \
              \"src\": \"{}\" }}",
-            escape(op),
-            escape(file),
-            escape(src)
+            Escaped(op),
+            Escaped(file),
+            Escaped(src)
         )
     }
 }
@@ -273,6 +272,8 @@ mod tests {
         assert_eq!(req.src, "x\ny");
         assert!(parse_request(b"{ \"op\": \"analyze\" }").is_err());
         assert!(parse_request(b"{ \"v\": 2, \"op\": \"analyze\" }").is_err());
+        let err = parse_request(b"{ \"v\": -1, \"op\": \"stats\" }").unwrap_err();
+        assert_eq!(err, "protocol version -1 unsupported (want 1)");
         assert!(parse_request(b"{ \"v\": 1, \"op\": \"analyze\" }").is_err());
         assert!(parse_request(b"not json").is_err());
         let stats = parse_request(b"{ \"v\": 1, \"op\": \"stats\" }").unwrap();

@@ -37,28 +37,12 @@
 
 use commint::clause::Severity;
 use commint::diag::Verification;
+use netsim::json::Escaped;
 
 use crate::LintReport;
 
 /// Schema version of the JSON document.
 pub const SCHEMA: u32 = 2;
-
-/// Minimal JSON string escaping (control chars, quote, backslash).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render a [`Verification`] as a one-line JSON object (`null` if absent).
 /// Shared with `commprove`, which emits the same per-diagnostic shape.
@@ -122,7 +106,7 @@ fn diag_json(d: &commint::diag::Diag, indent: &str) -> String {
         d.code.code(),
         d.code.name(),
         d.severity.keyword(),
-        escape(&d.message),
+        Escaped(&d.message),
         d.region,
     )
 }
@@ -144,7 +128,7 @@ fn file_json(path: &str, report: &LintReport, indent: &str) -> String {
          {indent}  \"ranks\": {{ \"min\": {}, \"max\": {} }},\n\
          {indent}  \"diagnostics\": {diags}\n\
          {indent}}}",
-        escape(path),
+        Escaped(path),
         report.ranks.min,
         report.ranks.max,
     )
@@ -177,12 +161,6 @@ mod tests {
     use super::*;
     use crate::{lint_source, LintOptions, RankRange};
     use pragma_front::SymbolTable;
-
-    #[test]
-    fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn json_document_shape() {

@@ -16,8 +16,8 @@ use std::fmt;
 
 use commint::clause::Severity;
 use commint::diag::{LintCode, SrcSpan};
-use commlint::json::escape;
 use commlint::RankRange;
+use netsim::json::Escaped;
 
 /// Certificate schema version (kept in lockstep with the commlint JSON
 /// report schema).
@@ -239,7 +239,7 @@ pub struct Certificate {
 
 fn opt_str(s: &Option<String>) -> String {
     match s {
-        Some(s) => format!("\"{}\"", escape(s)),
+        Some(s) => format!("\"{}\"", Escaped(s)),
         None => "null".to_string(),
     }
 }
@@ -264,7 +264,7 @@ fn finding_json(f: &Finding) -> String {
         f.code.code(),
         f.severity.keyword(),
         site_json(&f.site),
-        escape(&f.key)
+        Escaped(&f.key)
     )
 }
 
@@ -300,7 +300,7 @@ fn claim_json(c: &Claim, indent: &str) -> String {
          \"verdict\": {} }}",
         c.code.code(),
         site_json(&c.site),
-        escape(&c.key),
+        Escaped(&c.key),
         verdict_json(&c.verdict)
     )
 }
@@ -323,7 +323,7 @@ fn region_json(r: &RegionCert, indent: &str) -> String {
                 let forms: Vec<String> = s
                     .forms
                     .iter()
-                    .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", escape(kw), escape(nf)))
+                    .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", Escaped(kw), Escaped(nf)))
                     .collect();
                 format!(
                     "{subsub}{{ \"site\": {}, \"span\": {}, \"forms\": [{}] }}",
@@ -392,7 +392,7 @@ impl Certificate {
         format!(
             "{{\n  \"schema\": {},\n  \"file\": \"{}\",\n  \"ranks\": {{ \"min\": {}, \"max\": {} }},\n  \"regions\": {regions}\n}}\n",
             self.schema,
-            escape(&self.file),
+            Escaped(&self.file),
             self.ranks.min,
             self.ranks.max,
         )

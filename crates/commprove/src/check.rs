@@ -15,47 +15,47 @@ use commint::diag::{lint_region_at, LintCode};
 use commint::dir::ParamsSpec;
 use commint::expr::VarTable;
 use commlint::{region_view, scan_annotations, LintOptions};
+use netsim::json::{self, Json};
 use pragma_front::{parse, SymbolTable};
 
 use crate::cert::{
     code_from_str, severity_from_keyword, Certificate, Claim, Finding, Outcome, RegionCert,
     SiteCert, Verdict, CERT_SCHEMA,
 };
-use crate::jsonv::{parse as parse_json, JValue};
 use crate::{finding_of, region_forms, PERIODS};
 
 // ---------------------------------------------------------------------------
 // Certificate parsing (JSON -> data model)
 // ---------------------------------------------------------------------------
 
-fn want<'a>(v: &'a JValue, key: &str, what: &str) -> Result<&'a JValue, String> {
+fn want<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
     v.get(key).ok_or_else(|| format!("{what}: missing `{key}`"))
 }
 
-fn want_usize(v: &JValue, key: &str, what: &str) -> Result<usize, String> {
+fn want_usize(v: &Json, key: &str, what: &str) -> Result<usize, String> {
     want(v, key, what)?
         .as_usize()
         .ok_or_else(|| format!("{what}: `{key}` is not a non-negative integer"))
 }
 
-fn want_str<'a>(v: &'a JValue, key: &str, what: &str) -> Result<&'a str, String> {
+fn want_str<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a str, String> {
     want(v, key, what)?
         .as_str()
         .ok_or_else(|| format!("{what}: `{key}` is not a string"))
 }
 
-fn want_arr<'a>(v: &'a JValue, key: &str, what: &str) -> Result<&'a [JValue], String> {
+fn want_arr<'a>(v: &'a Json, key: &str, what: &str) -> Result<&'a [Json], String> {
     want(v, key, what)?
         .as_arr()
         .ok_or_else(|| format!("{what}: `{key}` is not an array"))
 }
 
-fn parse_code(v: &JValue, key: &str, what: &str) -> Result<LintCode, String> {
+fn parse_code(v: &Json, key: &str, what: &str) -> Result<LintCode, String> {
     let s = want_str(v, key, what)?;
     code_from_str(s).ok_or_else(|| format!("{what}: unknown lint code `{s}`"))
 }
 
-fn parse_site(v: &JValue, what: &str) -> Result<Option<u32>, String> {
+fn parse_site(v: &Json, what: &str) -> Result<Option<u32>, String> {
     let site = want(v, "site", what)?;
     if site.is_null() {
         return Ok(None);
@@ -65,7 +65,7 @@ fn parse_site(v: &JValue, what: &str) -> Result<Option<u32>, String> {
         .ok_or_else(|| format!("{what}: `site` is neither null nor an integer"))
 }
 
-fn parse_finding(v: &JValue, what: &str) -> Result<Finding, String> {
+fn parse_finding(v: &Json, what: &str) -> Result<Finding, String> {
     let sev = want_str(v, "severity", what)?;
     Ok(Finding {
         code: parse_code(v, "code", what)?,
@@ -76,7 +76,7 @@ fn parse_finding(v: &JValue, what: &str) -> Result<Finding, String> {
     })
 }
 
-fn parse_verdict(v: &JValue, what: &str) -> Result<Verdict, String> {
+fn parse_verdict(v: &Json, what: &str) -> Result<Verdict, String> {
     match want_str(v, "kind", what)? {
         "absent" => Ok(Verdict::Absent {
             from: want_usize(v, "from", what)?,
@@ -100,13 +100,13 @@ fn parse_verdict(v: &JValue, what: &str) -> Result<Verdict, String> {
     }
 }
 
-fn parse_region(v: &JValue, idx: usize) -> Result<RegionCert, String> {
+fn parse_region(v: &Json, idx: usize) -> Result<RegionCert, String> {
     let what = format!("region[{idx}]");
     let sites = want_arr(v, "sites", &what)?
         .iter()
         .map(|s| {
             let span = match want(s, "span", &what)? {
-                JValue::Null => None,
+                Json::Null => None,
                 sp => Some(commint::diag::SrcSpan {
                     offset: 0,
                     line: want_usize(sp, "line", &what)?,
@@ -148,7 +148,7 @@ fn parse_region(v: &JValue, idx: usize) -> Result<RegionCert, String> {
         .iter()
         .map(|c| {
             let severity = match want(c, "severity", &what)? {
-                JValue::Null => None,
+                Json::Null => None,
                 sev => {
                     let sev = sev
                         .as_str()
@@ -174,7 +174,7 @@ fn parse_region(v: &JValue, idx: usize) -> Result<RegionCert, String> {
             .as_bool()
             .ok_or_else(|| format!("{what}: `eligible` is not a bool"))?,
         reason: match want(v, "reason", &what)? {
-            JValue::Null => None,
+            Json::Null => None,
             r => Some(
                 r.as_str()
                     .ok_or_else(|| format!("{what}: bad `reason`"))?
@@ -194,7 +194,7 @@ fn parse_region(v: &JValue, idx: usize) -> Result<RegionCert, String> {
 
 /// Parse a certificate document produced by [`Certificate::to_json`].
 pub fn parse_certificate(doc: &str) -> Result<Certificate, String> {
-    let v = parse_json(doc).map_err(|e| e.to_string())?;
+    let v = json::parse(doc).map_err(|e| e.to_string())?;
     let ranks = want(&v, "ranks", "certificate")?;
     Ok(Certificate {
         schema: want_usize(&v, "schema", "certificate")? as u32,
@@ -648,6 +648,13 @@ mod tests {
         // Not UTF-8 / not JSON.
         assert!(check_cert_bytes(RING, &SymbolTable::new(), &opts, &[0xff, 0xfe]).is_err());
         assert!(check_cert_bytes(RING, &SymbolTable::new(), &opts, b"{}").is_err());
+        // Floats are not part of the schema: `"lcm": N.0` names the field.
+        let at = doc.find("\"lcm\": ").expect("lcm field") + "\"lcm\": ".len();
+        let digits = doc[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let float = format!("{}.0{}", &doc[..at + digits], &doc[at + digits..]);
+        let err = check_cert_bytes(RING, &SymbolTable::new(), &opts, float.as_bytes())
+            .expect_err("float lcm rejected");
+        assert!(err.iter().any(|e| e.contains("`lcm`")), "{err:?}");
         // Valid document, wrong source: the replay disagrees.
         let other = RING.replace("count(16)", "count(8)");
         assert!(check_cert_bytes(&other, &SymbolTable::new(), &opts, doc.as_bytes()).is_err());

@@ -32,7 +32,40 @@
 
 pub mod cert;
 pub mod check;
-pub mod jsonv;
+/// [`netsim::json`] under its former name, for the repository benchmark
+/// (`commbench/`), which imports the certificate reader by this path. The
+/// tests pin the certificate shapes and the nesting cap this path promises.
+pub mod jsonv {
+    pub use netsim::json::{parse, Json as JValue};
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use netsim::json::MAX_DEPTH;
+
+        #[test]
+        fn parses_certificate_shapes() {
+            let v = parse("{ \"a\": [1, -2, null], \"b\": { \"c\": \"x\\n\\\"y\" }, \"t\": true }")
+                .unwrap();
+            assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
+            assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_usize(), Some(1));
+            assert_eq!(
+                v.get("b").unwrap().get("c").unwrap().as_str(),
+                Some("x\n\"y")
+            );
+            assert_eq!(v.get("t").unwrap().as_bool(), Some(true));
+        }
+
+        #[test]
+        fn nesting_is_capped_with_a_position() {
+            let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+            assert!(parse(&ok).is_ok());
+            let err = parse(&"[".repeat(100_000)).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH);
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+    }
+}
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 

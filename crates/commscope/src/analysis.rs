@@ -24,7 +24,8 @@
 //! the k-th receive completed on channel `(src, dst, tag)` matches the k-th
 //! send posted on it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 use netsim::trace::{EventKind, SiteId, TraceEvent};
 use netsim::Time;
@@ -463,6 +464,57 @@ fn extract_critical_path(
     segments
 }
 
+impl Analysis {
+    /// Human-readable wait-state summary: the makespan, the job-wide wait
+    /// decomposition, the five most-blamed ranks and the critical path's
+    /// composition by event kind. One line per item, newline-terminated.
+    pub fn summary(&self) -> String {
+        let sum = |f: fn(&RankWaitProfile) -> u64| self.ranks.iter().map(f).sum::<u64>();
+        let mut out = format!(
+            "makespan: {} ({} ranks)\n\
+             wait-state: total {}ns = late_sender {} + late_receiver {} + barrier {} \
+             + quiet {} + overhead {}\n",
+            self.makespan,
+            self.nranks,
+            sum(|p| p.total_wait_ns),
+            sum(|p| p.late_sender_ns),
+            sum(|p| p.late_receiver_ns),
+            sum(|p| p.barrier_ns),
+            sum(|p| p.quiet_ns),
+            sum(|p| p.overhead_ns),
+        );
+
+        let mut blamed = vec![0u64; self.nranks];
+        for p in &self.ranks {
+            for (r, ns) in p.blame.iter().enumerate() {
+                blamed[r] += ns;
+            }
+        }
+        let mut order: Vec<usize> = (0..self.nranks).collect();
+        order.sort_by_key(|&r| std::cmp::Reverse(blamed[r]));
+        out.push_str("most blamed:");
+        for &r in order.iter().take(5).filter(|&&r| blamed[r] > 0) {
+            let _ = write!(out, " rank {r} ({}ns)", blamed[r]);
+        }
+
+        let mut on_path: BTreeMap<&str, u64> = BTreeMap::new();
+        for s in &self.critical_path {
+            *on_path.entry(s.label).or_insert(0) += s.end.saturating_sub(s.start).as_nanos();
+        }
+        let _ = write!(
+            out,
+            "\ncritical path: {} segments, ends on rank {};",
+            self.critical_path.len(),
+            self.critical_path.last().map_or(0, |s| s.rank)
+        );
+        for (label, ns) in &on_path {
+            let _ = write!(out, " {label}={ns}ns");
+        }
+        out.push('\n');
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +588,14 @@ mod tests {
         assert_eq!(a.ranks[1].overhead_ns, 10);
         assert_eq!(a.ranks[1].blame[0], 140);
         assert_eq!(a.ranks[1].blame[1], 10);
+        let summary = a.summary();
+        assert!(
+            summary.contains(
+                "wait-state: total 150ns = late_sender 140 + late_receiver 0 + barrier 0 \
+                 + quiet 0 + overhead 10\nmost blamed: rank 0 (140ns) rank 1 (10ns)\n"
+            ),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -13,11 +13,11 @@
 
 use std::fmt::Write as _;
 
+use netsim::json::Escaped;
 use netsim::trace::{EventKind, TraceEvent};
 use netsim::Time;
 
 use crate::analysis::{kind_label, pair_messages};
-use crate::json::write_escaped;
 
 /// Render virtual nanoseconds as an exact microsecond literal.
 fn us(t: Time) -> String {
@@ -158,8 +158,7 @@ pub fn chrome_trace(events: &[TraceEvent], nranks: usize) -> String {
             EventKind::Marker(text) => {
                 let mut line = String::new();
                 push_common(&mut line, "i", ev.rank, ev.time);
-                line.push_str(", \"s\": \"t\", \"name\": ");
-                write_escaped(&mut line, text);
+                let _ = write!(line, ", \"s\": \"t\", \"name\": \"{}\"", Escaped(text));
                 push_args(&mut line, &args);
                 line.push('}');
                 line
@@ -213,7 +212,7 @@ pub fn chrome_trace(events: &[TraceEvent], nranks: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
+    use netsim::json;
     use netsim::trace::TraceEvent;
 
     #[test]
@@ -260,7 +259,7 @@ mod tests {
         ];
         evs.sort_by_key(|e| (e.time, e.rank));
         let text = chrome_trace(&evs, 2);
-        let doc = Json::parse(&text).expect("valid JSON");
+        let doc = json::parse(&text).expect("valid JSON");
         let tev = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // 1 process_name + 2 thread_name + 3 events + 2 flow halves
         assert_eq!(tev.len(), 8);

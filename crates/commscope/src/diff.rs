@@ -19,8 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
 use crate::profile::UNATTRIBUTED_SITE;
+use netsim::json::Json;
 
 /// Schema version of the diff document.
 pub const DIFF_SCHEMA: i64 = 1;
@@ -588,6 +588,7 @@ mod tests {
     use super::*;
     use crate::analysis::analyze;
     use crate::profile::profile_json;
+    use netsim::json;
     use netsim::trace::{EventKind, TraceEvent};
     use netsim::Time;
 
@@ -649,7 +650,7 @@ mod tests {
     #[test]
     fn schema1_profiles_fold_onto_unattributed() {
         // A hand-written schema-1 document (no wait.per_site).
-        let old = Json::parse(
+        let old = json::parse(
             r#"{"schema": 1, "workload": "legacy", "args": {}, "ranks": 1,
                 "makespan_ns": 100,
                 "wait": {"per_rank": [{"rank": 0, "total_wait_ns": 40,

@@ -18,22 +18,22 @@
 //!   namespace and emit per-site deltas with exact accounting.
 //! * [`trend`] — run-history trajectory over the bench ledger
 //!   (`results/LEDGER.jsonl`) with regression detection.
-//! * [`json`] — the workspace's serde-free JSON value type (re-exported by
-//!   `bench`).
+//!
+//! Profiles, diffs and ledger entries are [`netsim::json::Json`] values;
+//! the crate depends on `netsim` alone and runs no workload.
 //!
 //! Everything here is a pure function of virtual quantities, so every
 //! export is byte-identical across `ExecPolicy::threads()`,
 //! `ExecPolicy::bounded(w)`, and sweep-pool widths.
 //!
-//! The `commscope` binary (see `src/main.rs`) runs a figure workload from
-//! `wl-lsms` with tracing and metrics enabled and writes the report,
-//! trace, profile, and folded outputs.
+//! The figure binaries in `bench` run the workloads and write these
+//! exports (`--trace-out`, `--profile`, `--folded`); the `commscope` binary
+//! (see `src/main.rs`) diffs two profiles and reads the run-history ledger.
 
 pub mod analysis;
 pub mod chrome;
 pub mod diff;
 pub mod folded;
-pub mod json;
 pub mod profile;
 pub mod trend;
 
@@ -44,7 +44,6 @@ pub use analysis::{
 pub use chrome::chrome_trace;
 pub use diff::{diff_is_zero, diff_profiles, render_diff_text, validate_diff, DIFF_SCHEMA};
 pub use folded::folded_stacks;
-pub use json::Json;
 pub use profile::{
     profile_json, profile_json_tuned, validate_profile, PROFILE_SCHEMA, UNATTRIBUTED_SITE,
 };

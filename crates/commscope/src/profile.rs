@@ -1,13 +1,13 @@
 //! The stable profile JSON: per-rank and per-site metrics, the wait-state
 //! decomposition with blame attribution, and the critical path, rendered
-//! through [`crate::json::Json`] with exact integers only. Every value is a
+//! through [`netsim::json::Json`] with exact integers only. Every value is a
 //! pure function of virtual time, so profiles are byte-identical across
 //! execution engines and sweep widths — CI diffs them directly.
 
 use netsim::{Hist, RankMetrics};
 
 use crate::analysis::{Analysis, WaitKind};
-use crate::json::Json;
+use netsim::json::Json;
 
 /// Schema version of the profile document.
 ///
@@ -364,6 +364,7 @@ pub fn validate_profile(doc: &Json) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::analysis::analyze;
+    use netsim::json;
     use netsim::trace::{EventKind, TraceEvent};
     use netsim::Time;
 
@@ -385,7 +386,7 @@ mod tests {
         m.on_sync(Time(10), Time(50));
         let doc = profile_json("demo", &[("m".into(), 4)], &a, &[m]);
         let text = doc.render();
-        let back = Json::parse(&text).unwrap();
+        let back = json::parse(&text).unwrap();
         assert_eq!(back, doc);
         assert!(
             validate_profile(&back).is_empty(),
@@ -427,7 +428,7 @@ mod tests {
 
     #[test]
     fn validator_flags_blame_mismatch() {
-        let doc = Json::parse(
+        let doc = json::parse(
             r#"{"schema": 1, "workload": "x", "args": {}, "ranks": 1,
                 "makespan_ns": 10,
                 "wait": {"per_rank": [{"rank": 0, "total_wait_ns": 5, "blame": [4]}]},

@@ -7,7 +7,7 @@
 //! sharing a struct — and tolerates unknown fields, mirroring the lenient
 //! old-version parse used everywhere else.
 
-use crate::json::Json;
+use netsim::json::{self, Json};
 
 /// Schema version of one ledger entry (written by `bench::ledger`).
 pub const LEDGER_SCHEMA: i64 = 1;
@@ -21,7 +21,7 @@ pub fn parse_ledger(text: &str) -> Result<Vec<Json>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let entry = Json::parse(line).map_err(|e| format!("ledger line {}: {e}", i + 1))?;
+        let entry = json::parse(line).map_err(|e| format!("ledger line {}: {e}", i + 1))?;
         entries.push(entry);
     }
     Ok(entries)

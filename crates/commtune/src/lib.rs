@@ -26,7 +26,7 @@
 
 use commint::clause::{PlaceSync, Target};
 use commint::overlay::{Decision, Overlay, SiteDecision, OVERLAY_SCHEMA};
-use commscope::Json;
+use netsim::json::{self, Json};
 use netsim::CostModel;
 
 /// Tuning knobs (all have sensible defaults).
@@ -456,7 +456,7 @@ pub fn cli_main(args: &[String]) -> i32 {
                 return 2;
             }
         };
-        let doc = match Json::parse(&text) {
+        let doc = match json::parse(&text) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("commtune: {path} is not valid JSON: {e}");
@@ -494,7 +494,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let profile = match Json::parse(&text) {
+    let profile = match json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("commtune: {profile_path} is not valid JSON: {e}");
@@ -578,7 +578,7 @@ mod tests {
     /// A minimal schema-1 profile: 2 ranks, a chatty small-message site
     /// (11) and a per-step site (12).
     fn demo_profile() -> Json {
-        Json::parse(
+        json::parse(
             r#"{
   "schema": 1,
   "workload": "fig4_spin",
@@ -648,7 +648,7 @@ mod tests {
         let back = overlay_from_json(&doc).unwrap();
         assert_eq!(back, ov);
         // And through text.
-        let reparsed = Json::parse(&doc.render()).unwrap();
+        let reparsed = json::parse(&doc.render()).unwrap();
         assert_eq!(overlay_from_json(&reparsed).unwrap(), ov);
     }
 

@@ -44,6 +44,7 @@
 //! ```
 
 pub mod fabric;
+pub mod json;
 pub mod metrics;
 pub mod model;
 pub mod msg;

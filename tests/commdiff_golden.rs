@@ -11,8 +11,9 @@ use std::path::PathBuf;
 
 use commscope::{
     analyze, diff_is_zero, diff_profiles, profile_json, render_diff_text, validate_diff,
-    validate_profile, Json,
+    validate_profile,
 };
+use netsim::json::Json;
 use netsim::{EventKind, RankMetrics, Time, TraceEvent};
 
 fn golden_dir() -> PathBuf {

@@ -9,7 +9,8 @@
 
 use std::path::PathBuf;
 
-use commscope::{analyze, chrome_trace, profile_json, validate_profile, Json};
+use commscope::{analyze, chrome_trace, profile_json, validate_profile};
+use netsim::json::{self, Json};
 use netsim::ExecPolicy;
 use wl_lsms::{
     fig3_single_atom_observed, fig4_spin_observed, fig5_overlap_observed, AtomCommVariant,
@@ -85,7 +86,7 @@ fn check_figure(fig: &str) {
     let (trace, profile) = exports(fig, ExecPolicy::threads());
 
     // The Chrome trace is well-formed JSON with a traceEvents array.
-    let doc = Json::parse(&trace).unwrap_or_else(|e| panic!("{fig}: trace unparsable: {e}"));
+    let doc = json::parse(&trace).unwrap_or_else(|e| panic!("{fig}: trace unparsable: {e}"));
     assert!(
         doc.get("traceEvents").and_then(Json::as_arr).is_some(),
         "{fig}: no traceEvents array"

@@ -9,8 +9,9 @@
 
 use std::path::PathBuf;
 
-use commscope::{analyze, profile_json, validate_profile, Json};
+use commscope::{analyze, profile_json, validate_profile};
 use commtune::{overlay_from_json, overlay_to_json, tune, TuneOptions};
+use netsim::json::{self, Json};
 use netsim::ExecPolicy;
 use wl_lsms::{fig4_spin_observed, fig4_spin_tuned, SpinVariant, Topology};
 
@@ -79,7 +80,7 @@ fn fig4_profile_to_overlay_matches_golden() {
     check_golden("fig4.overlay.json", &rendered);
 
     // The committed fixture round-trips through the schema gate.
-    let back = overlay_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+    let back = overlay_from_json(&json::parse(&rendered).unwrap()).unwrap();
     assert_eq!(back, overlay);
 
     // Profiles (and therefore overlays) are engine-invariant.

@@ -4,7 +4,8 @@
 //! delta for every tracked field), and diffs are engine-invariant because
 //! the profiles they join are.
 
-use commscope::{diff_is_zero, diff_profiles, profile_json, render_diff_text, validate_diff, Json};
+use commscope::{diff_is_zero, diff_profiles, profile_json, render_diff_text, validate_diff};
+use netsim::json::Json;
 use netsim::{run, ExecPolicy, SimConfig, SrcSel, TagSel, Time};
 use proptest::prelude::*;
 
