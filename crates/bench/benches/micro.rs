@@ -34,6 +34,46 @@ fn micro_expr(c: &mut Criterion) {
     c.bench_function("cond_eval_even_odd", |b| {
         b.iter(|| cond.eval(std::hint::black_box(&env)).unwrap())
     });
+
+    // The same two clauses compiled to slot-resolved programs, as the
+    // directive engine runs a region's inherited clauses. One call is
+    // close to the timer's resolution, so each sample times a batch and
+    // the line below reports nanoseconds per pair of evaluations, tree
+    // walk next to compiled.
+    const BATCH: u32 = 100_000;
+    let mut env = env;
+    let next_c = next.compile(&mut env.vars);
+    let cond_c = cond.compile(&mut env.vars);
+    let mut scratch = vec![0; next_c.depth().max(cond_c.depth())];
+    let batch_ns = |f: &mut dyn FnMut() -> (i64, bool)| {
+        let start = std::time::Instant::now();
+        for _ in 0..BATCH {
+            std::hint::black_box(f());
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(BATCH)
+    };
+    let (mut tree, mut compiled) = (Vec::new(), Vec::new());
+    c.bench_function("expr_eval_compiled", |b| {
+        b.iter(|| {
+            tree.push(batch_ns(&mut || {
+                let env = std::hint::black_box(&env);
+                (next.eval(env).unwrap(), cond.eval(env).unwrap())
+            }));
+            compiled.push(batch_ns(&mut || {
+                let env = std::hint::black_box(&env);
+                let v = next_c.eval(env, &mut scratch).unwrap();
+                (v, cond_c.eval(env, &mut scratch).unwrap())
+            }));
+        })
+    });
+    tree.sort_by(f64::total_cmp);
+    compiled.sort_by(f64::total_cmp);
+    println!(
+        "{:<60} ns/eval pair median tree walk {:.1} compiled {:.1}",
+        "expr_eval_compiled",
+        tree[tree.len() / 2],
+        compiled[compiled.len() / 2]
+    );
 }
 
 fn micro_parse(c: &mut Criterion) {
@@ -134,6 +174,16 @@ fn thread_cpu_ns() -> u64 {
     ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
+/// The clause shape of a measured directive site.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Literal clauses: `sendwhen(rank == 2)`, `sender(0)`, ...
+    Literal,
+    /// Fig. 4 spin's second region: every clause names a variable, and the
+    /// loop rebinds `sp_dst` before each instance.
+    Vars,
+}
+
 /// Host CPU nanoseconds per `comm_p2p` instance of a 2-rank region
 /// running `n` instances of one Prim→PrimMut site, measured on rank 1's
 /// thread around the region. A one-instance region first validates the
@@ -141,18 +191,25 @@ fn thread_cpu_ns() -> u64 {
 /// `participate` off neither rank's `sendwhen`/`receivewhen` holds, so
 /// every instance is the non-participant path; with it on, rank 0 sends 3
 /// doubles to rank 1 on every instance.
-fn directive_ns_per_instance(target: Target, participate: bool, n: usize) -> f64 {
+fn directive_ns_per_instance(target: Target, shape: Shape, participate: bool, n: usize) -> f64 {
     use commint::{CommParams, CommSession, DirectiveError, Prim, PrimMut};
     use netsim::{run, SimConfig};
     let (s, r) = if participate { (0, 1) } else { (2, 2) };
-    let params = CommParams::new()
-        .sender(RankExpr::lit(0))
-        .receiver(RankExpr::lit(1))
-        .sendwhen(RankExpr::rank().eq(RankExpr::lit(s)))
-        .receivewhen(RankExpr::rank().eq(RankExpr::lit(r)))
-        .count(3)
-        .max_comm_iter(n as i64)
-        .target(target);
+    let params = match shape {
+        Shape::Literal => CommParams::new()
+            .sender(RankExpr::lit(0))
+            .receiver(RankExpr::lit(1))
+            .sendwhen(RankExpr::rank().eq(RankExpr::lit(s)))
+            .receivewhen(RankExpr::rank().eq(RankExpr::lit(r))),
+        Shape::Vars => CommParams::new()
+            .sender(RankExpr::var("sp_src"))
+            .receiver(RankExpr::var("sp_dst"))
+            .sendwhen(RankExpr::rank().eq(RankExpr::var("sp_src")))
+            .receivewhen(RankExpr::rank().eq(RankExpr::var("sp_dst"))),
+    }
+    .count(3)
+    .max_comm_iter(n as i64)
+    .target(target);
     let res = run(SimConfig::new(2).with_workers(2), |ctx| {
         let comm = mpisim::Comm::world(ctx);
         let mut session = CommSession::new(ctx, comm).without_ir();
@@ -161,7 +218,14 @@ fn directive_ns_per_instance(target: Target, participate: bool, n: usize) -> f64
         let mut region = |session: &mut CommSession<'_>, instances: usize| {
             session
                 .region(&params, |reg| {
+                    let vars = matches!(shape, Shape::Vars);
+                    if vars {
+                        reg.set_var("sp_src", s);
+                    }
                     for _ in 0..instances {
+                        if vars {
+                            reg.set_var("sp_dst", std::hint::black_box(r));
+                        }
                         reg.p2p()
                             .site(1)
                             .sbuf(Prim::new("src", &src))
@@ -186,21 +250,36 @@ fn micro_directive(c: &mut Criterion) {
         (
             "directive_nonparticipant_mpi2",
             Target::Mpi2Side,
+            Shape::Literal,
             false,
             100_000,
         ),
         (
             "directive_nonparticipant_shmem",
             Target::Shmem,
+            Shape::Literal,
             false,
             100_000,
         ),
-        ("directive_participant_mpi2", Target::Mpi2Side, true, 20_000),
+        (
+            "directive_nonparticipant_vars",
+            Target::Mpi2Side,
+            Shape::Vars,
+            false,
+            100_000,
+        ),
+        (
+            "directive_participant_mpi2",
+            Target::Mpi2Side,
+            Shape::Literal,
+            true,
+            20_000,
+        ),
     ];
-    for (name, target, participate, n) in cases {
+    for (name, target, shape, participate, n) in cases {
         let mut per_instance = Vec::new();
         c.bench_function(name, |b| {
-            b.iter(|| per_instance.push(directive_ns_per_instance(target, participate, n)))
+            b.iter(|| per_instance.push(directive_ns_per_instance(target, shape, participate, n)))
         });
         per_instance.sort_by(f64::total_cmp);
         println!(

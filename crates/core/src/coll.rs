@@ -21,7 +21,7 @@
 
 use crate::buffer::{Prim, PrimElem, PrimMut};
 use crate::clause::{Diagnostic, Target};
-use crate::expr::{CondExpr, EvalEnv, RankExpr};
+use crate::expr::{CondExpr, RankExpr};
 use crate::scope::{CommParams, CommSession, DirectiveError};
 
 /// The collective pattern kinds (paper §V's taxonomy).
@@ -160,37 +160,21 @@ impl<'s, 'a> CollCall<'s, 'a> {
     }
 
     /// Resolve the participant group (communicator-local ranks, ascending)
-    /// and this rank's position in it.
+    /// and this rank's position in it. `groupwhen` sees the session's
+    /// variables, with each candidate rank in place of this one.
     fn resolve_group(&mut self) -> Result<(Vec<usize>, Option<usize>), DirectiveError> {
-        let size = self.session.size();
-        let mut group = Vec::new();
-        for r in 0..size {
-            let env = EvalEnv {
-                rank: r as i64,
-                nranks: size as i64,
-                vars: Default::default(),
-            };
-            let participates = match &self.groupwhen {
-                Some(c) => c.eval(&env)?,
-                None => true,
-            };
-            if participates {
-                group.push(r);
-            }
-        }
+        let group = match &self.groupwhen {
+            Some(c) => self.session.ranks_where(c)?,
+            None => (0..self.session.size()).collect(),
+        };
         let me = self.session.rank();
         let pos = group.iter().position(|&g| g == me);
         Ok((group, pos))
     }
 
     fn resolve_root(&mut self, group: &[usize]) -> Result<usize, DirectiveError> {
-        let me_env = EvalEnv {
-            rank: self.session.rank() as i64,
-            nranks: self.session.size() as i64,
-            vars: Default::default(),
-        };
         let root = match &self.root {
-            Some(e) => e.eval(&me_env)?,
+            Some(e) => e.eval(self.session.env())?,
             None => {
                 return Err(DirectiveError::Invalid(vec![Diagnostic::error(format!(
                     "comm_coll {}: required clause `root` missing",
@@ -572,6 +556,59 @@ mod tests {
                     "target {target}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn clauses_see_session_variables() {
+        // `root(var)` / `groupwhen(rank < var)` resolve against the
+        // session's variables like `comm_p2p` clauses do, and scatter
+        // exactly what the literal form scatters.
+        let scatter = |by_name: bool| {
+            with_session(5, move |s| {
+                let send: Vec<i64> = if s.rank() == 1 {
+                    (0..8).collect()
+                } else {
+                    Vec::new()
+                };
+                let mut recv = [-1i64; 2];
+                let call = if by_name {
+                    s.set_var("scatter_root", 1);
+                    s.set_var("group_end", 4);
+                    s.coll(CollKind::Scatter)
+                        .root(RankExpr::var("scatter_root"))
+                        .groupwhen(RankExpr::rank().lt(RankExpr::var("group_end")))
+                } else {
+                    s.coll(CollKind::Scatter)
+                        .root(1)
+                        .groupwhen(RankExpr::rank().lt(RankExpr::lit(4)))
+                };
+                call.count(2).scatter(&send, &mut recv).unwrap();
+                recv
+            })
+        };
+        let literal = scatter(false);
+        assert_eq!(literal[3], [6, 7]);
+        assert_eq!(literal[4], [-1, -1], "rank 4 is outside the group");
+        assert_eq!(scatter(true), literal);
+    }
+
+    #[test]
+    fn unbound_clause_variable_is_reported() {
+        let got = with_session(2, |s| {
+            let mut buf = [0i64];
+            match s
+                .coll(CollKind::Bcast)
+                .root(0)
+                .groupwhen(RankExpr::rank().lt(RankExpr::var("never_set")))
+                .bcast(&mut buf)
+            {
+                Err(e) => e.to_string(),
+                Ok(()) => String::new(),
+            }
+        });
+        for e in got {
+            assert_eq!(e, "clause expression error: unknown variable `never_set`");
         }
     }
 

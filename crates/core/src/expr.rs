@@ -9,6 +9,24 @@
 //! matching. An [`RankExpr::Opaque`] escape hatch carries arbitrary Rust
 //! closures for things no small AST covers; analyses degrade gracefully on
 //! it (the program still runs, classification reports `Irregular`).
+//!
+//! ## Two evaluators, one semantics
+//!
+//! [`RankExpr::eval`] and [`CondExpr::eval`] walk the tree and look
+//! variables up by name. They are the reference semantics: the analyses,
+//! per-call clause overrides and the tests' oracle use them.
+//!
+//! [`RankExpr::compile`] and [`CondExpr::compile`] flatten a tree once into
+//! a [`CompiledExpr`] / [`CompiledCond`]: a short stack program that reads
+//! variables by slot (an index into the [`VarTable`] it was compiled
+//! against) and needs no allocation to run. The directive engine compiles a
+//! region's inherited clauses when the region opens and evaluates the
+//! programs on every instance. A compiled program returns exactly what the
+//! tree walk returns — the same `wrapping_*` arithmetic, the same operand
+//! order (a divisor before its dividend, so the first error is the same
+//! error), `DivByZero` and `UnknownVar(name)`, short-circuit `&&`/`||`,
+//! and opaque closures called with the live [`EvalEnv`] —
+//! which `tests/prop_exprs.rs` checks on random trees and environments.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,53 +38,113 @@ use std::sync::Arc;
 /// directive instance of every rank — a short scan with early-exit string
 /// compares beats hashing at that size, and rebinding an existing name
 /// (what directive loops do once per iteration) touches no allocator.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct VarTable(Vec<(String, i64)>);
+///
+/// Every name also has a slot, its position in the table, which compiled
+/// clause programs read without comparing names. Compiling can reserve a
+/// slot for a name that is not bound yet (a region's clauses may name a
+/// variable its body binds later). A reserved, unbound slot is invisible:
+/// `get`, `iter`, `len` and `==` see only bound names, in the order they
+/// were first bound, exactly as if it had never been reserved.
+#[derive(Clone, Default)]
+pub struct VarTable {
+    /// Every name bound or reserved so far, indexed by slot; `None` while
+    /// unbound.
+    slots: Vec<(String, Option<i64>)>,
+    /// The bound slots, in binding order.
+    bound: Vec<u32>,
+}
+
+/// The position of a name in a [`VarTable`]. Valid only for the table that
+/// issued it; slots are never removed, so it stays valid for that table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Slot(u32);
 
 impl VarTable {
     /// The bound value of `name`, if any.
     pub fn get(&self, name: &str) -> Option<i64> {
-        self.0.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.slots
+            .iter()
+            .find(|(n, _)| n == name)
+            .and_then(|&(_, v)| v)
     }
 
     /// Bind `name`, updating in place if already bound.
     pub fn set(&mut self, name: &str, value: i64) {
-        match self.0.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v = value,
-            None => self.0.push((name.to_string(), value)),
+        let Slot(i) = self.slot(name);
+        let v = &mut self.slots[i as usize].1;
+        if v.is_none() {
+            self.bound.push(i);
         }
+        *v = Some(value);
+    }
+
+    /// The slot of `name`, reserving an unbound one if the name is new.
+    fn slot(&mut self, name: &str) -> Slot {
+        let i = match self.slots.iter().position(|(n, _)| n == name) {
+            Some(i) => i,
+            None => {
+                self.slots.push((name.to_string(), None));
+                self.slots.len() - 1
+            }
+        };
+        Slot(i as u32)
+    }
+
+    /// The value bound in `slot`, if it is bound.
+    #[inline(always)]
+    fn value(&self, slot: Slot) -> Option<i64> {
+        self.slots[slot.0 as usize].1
+    }
+
+    /// The name that owns `slot`.
+    fn name(&self, slot: Slot) -> &str {
+        &self.slots[slot.0 as usize].0
     }
 
     /// Iterate over `(name, value)` bindings in binding order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.0.iter().map(|(n, v)| (n.as_str(), *v))
+        self.bound.iter().map(|&i| {
+            let (n, v) = &self.slots[i as usize];
+            (n.as_str(), v.expect("listed slots are bound"))
+        })
     }
 
     /// Number of bound names.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.bound.len()
     }
 
     /// Whether no names are bound.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bound.is_empty()
+    }
+}
+
+impl PartialEq for VarTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for VarTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let bound: Vec<(&str, i64)> = self.iter().collect();
+        f.debug_tuple("VarTable").field(&bound).finish()
     }
 }
 
 impl From<&HashMap<String, i64>> for VarTable {
     fn from(m: &HashMap<String, i64>) -> Self {
-        let mut t = VarTable(m.iter().map(|(n, v)| (n.clone(), *v)).collect());
         // HashMap iteration order is arbitrary; keep the table deterministic.
-        t.0.sort();
-        t
+        let mut sorted: Vec<(&String, &i64)> = m.iter().collect();
+        sorted.sort();
+        sorted.into_iter().map(|(n, v)| (n.clone(), *v)).collect()
     }
 }
 
 impl From<HashMap<String, i64>> for VarTable {
     fn from(m: HashMap<String, i64>) -> Self {
-        let mut t = VarTable(m.into_iter().collect());
-        t.0.sort();
-        t
+        VarTable::from(&m)
     }
 }
 
@@ -541,6 +619,394 @@ impl fmt::Display for CondExpr {
     }
 }
 
+// -- compiled clause programs ---------------------------------------------------
+
+/// A leaf read by a compiled program.
+#[derive(Clone, Copy)]
+enum Operand {
+    Rank,
+    NRanks,
+    Const(i64),
+    Var(Slot),
+}
+
+impl Operand {
+    /// The leaf form of `e`, reserving a slot for a variable; `None` for a
+    /// compound or opaque expression.
+    fn of(e: &RankExpr, vars: &mut VarTable) -> Option<Operand> {
+        Some(match e {
+            RankExpr::Rank => Operand::Rank,
+            RankExpr::NRanks => Operand::NRanks,
+            RankExpr::Const(v) => Operand::Const(*v),
+            RankExpr::Var(name) => Operand::Var(vars.slot(name)),
+            _ => return None,
+        })
+    }
+
+    fn is_leaf(e: &RankExpr) -> bool {
+        matches!(
+            e,
+            RankExpr::Rank | RankExpr::NRanks | RankExpr::Const(_) | RankExpr::Var(_)
+        )
+    }
+
+    #[inline(always)]
+    fn read(self, env: &EvalEnv) -> Result<i64, ExprError> {
+        match self {
+            Operand::Rank => Ok(env.rank),
+            Operand::NRanks => Ok(env.nranks),
+            Operand::Const(v) => Ok(v),
+            Operand::Var(s) => match env.vars.value(s) {
+                Some(v) => Ok(v),
+                None => Err(unknown_var(&env.vars, s)),
+            },
+        }
+    }
+}
+
+#[cold]
+fn unknown_var(vars: &VarTable, slot: Slot) -> ExprError {
+    ExprError::UnknownVar(vars.name(slot).to_string())
+}
+
+/// A binary operator of either expression kind; comparisons yield 0 or 1.
+#[derive(Clone, Copy)]
+enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl BinOp {
+    /// `a op b`; for `Div`/`Rem` the caller has already rejected `b == 0`.
+    #[inline(always)]
+    fn apply(self, a: i64, b: i64) -> i64 {
+        match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div => a.wrapping_div(b),
+            BinOp::Rem => a.wrapping_rem(b),
+            BinOp::Eq => i64::from(a == b),
+            BinOp::Ne => i64::from(a != b),
+            BinOp::Lt => i64::from(a < b),
+            BinOp::Le => i64::from(a <= b),
+            BinOp::Gt => i64::from(a > b),
+            BinOp::Ge => i64::from(a >= b),
+        }
+    }
+
+    /// Whether the tree walk evaluates the right operand first and
+    /// rejects zero before it evaluates the left one.
+    fn divides(self) -> bool {
+        matches!(self, BinOp::Div | BinOp::Rem)
+    }
+}
+
+/// One step of a compiled program, over a stack of `i64` operands
+/// (conditions are 0 or 1).
+#[derive(Clone)]
+enum Op {
+    /// Push a leaf.
+    Push(Operand),
+    /// Push `a op b` of two leaves — `rank == var`, `rank + 1` — in one
+    /// step, reading them in the tree walk's order.
+    Leaves(BinOp, Operand, Operand),
+    /// Pop two operands and push their combination. The right operand is on
+    /// top, except for `Div`/`Rem`, whose divisor was pushed (and checked
+    /// by `NonZero`) before the dividend.
+    Apply(BinOp),
+    /// Fail with `DivByZero` if the top operand, a divisor, is zero.
+    NonZero,
+    Neg,
+    Not,
+    /// Short-circuit `&&`: if the top is false, jump to the target keeping
+    /// it as the result; otherwise pop it and go on to the right operand.
+    JumpIfFalse(u32),
+    /// Short-circuit `||`, symmetrically.
+    JumpIfTrue(u32),
+    Int(Arc<dyn Fn(&EvalEnv) -> i64 + Send + Sync>),
+    Bool(Arc<dyn Fn(&EvalEnv) -> bool + Send + Sync>),
+}
+
+/// A flattened expression. The commonest clauses are a single leaf or a
+/// single operation on two leaves; those run without the operand stack.
+#[derive(Clone)]
+enum Program {
+    Leaf(Operand),
+    Leaves(BinOp, Operand, Operand),
+    Code { code: Box<[Op]>, depth: usize },
+}
+
+/// Builds a [`Program`], tracking the stack height as it emits.
+struct Compiler<'v> {
+    vars: &'v mut VarTable,
+    code: Vec<Op>,
+    height: usize,
+    depth: usize,
+}
+
+impl<'v> Compiler<'v> {
+    fn new(vars: &'v mut VarTable) -> Self {
+        Compiler {
+            vars,
+            code: Vec::new(),
+            height: 0,
+            depth: 0,
+        }
+    }
+
+    fn emit(&mut self, op: Op) {
+        match op {
+            Op::Push(_) | Op::Leaves(..) | Op::Int(_) | Op::Bool(_) => {
+                self.height += 1;
+                self.depth = self.depth.max(self.height);
+            }
+            Op::Apply(_) => self.height -= 1,
+            // A jump's fall-through pops; the right operand pushes back.
+            Op::JumpIfFalse(_) | Op::JumpIfTrue(_) => self.height -= 1,
+            Op::NonZero | Op::Neg | Op::Not => {}
+        }
+        self.code.push(op);
+    }
+
+    fn finish(self) -> Program {
+        debug_assert_eq!(self.height, 1, "a program leaves one result");
+        match self.code[..] {
+            [Op::Push(x)] => Program::Leaf(x),
+            [Op::Leaves(op, a, b)] => Program::Leaves(op, a, b),
+            _ => Program::Code {
+                code: self.code.into_boxed_slice(),
+                depth: self.depth,
+            },
+        }
+    }
+
+    fn binary(&mut self, op: BinOp, a: &RankExpr, b: &RankExpr) {
+        if Operand::is_leaf(a) && Operand::is_leaf(b) {
+            let x = Operand::of(a, self.vars).expect("leaf");
+            let y = Operand::of(b, self.vars).expect("leaf");
+            self.emit(Op::Leaves(op, x, y));
+        } else if op.divides() {
+            self.expr(b);
+            self.emit(Op::NonZero);
+            self.expr(a);
+            self.emit(Op::Apply(op));
+        } else {
+            self.expr(a);
+            self.expr(b);
+            self.emit(Op::Apply(op));
+        }
+    }
+
+    fn expr(&mut self, e: &RankExpr) {
+        if let Some(leaf) = Operand::of(e, self.vars) {
+            return self.emit(Op::Push(leaf));
+        }
+        match e {
+            RankExpr::Add(a, b) => self.binary(BinOp::Add, a, b),
+            RankExpr::Sub(a, b) => self.binary(BinOp::Sub, a, b),
+            RankExpr::Mul(a, b) => self.binary(BinOp::Mul, a, b),
+            RankExpr::Div(a, b) => self.binary(BinOp::Div, a, b),
+            RankExpr::Mod(a, b) => self.binary(BinOp::Rem, a, b),
+            RankExpr::Neg(a) => {
+                self.expr(a);
+                self.emit(Op::Neg);
+            }
+            RankExpr::Opaque(f, _) => self.emit(Op::Int(f.clone())),
+            RankExpr::Rank | RankExpr::NRanks | RankExpr::Const(_) | RankExpr::Var(_) => {
+                unreachable!("leaves are handled above")
+            }
+        }
+    }
+
+    fn cond(&mut self, c: &CondExpr) {
+        match c {
+            CondExpr::True => self.emit(Op::Push(Operand::Const(1))),
+            CondExpr::False => self.emit(Op::Push(Operand::Const(0))),
+            CondExpr::Eq(a, b) => self.binary(BinOp::Eq, a, b),
+            CondExpr::Ne(a, b) => self.binary(BinOp::Ne, a, b),
+            CondExpr::Lt(a, b) => self.binary(BinOp::Lt, a, b),
+            CondExpr::Le(a, b) => self.binary(BinOp::Le, a, b),
+            CondExpr::Gt(a, b) => self.binary(BinOp::Gt, a, b),
+            CondExpr::Ge(a, b) => self.binary(BinOp::Ge, a, b),
+            CondExpr::And(a, b) => self.short_circuit(a, b, Op::JumpIfFalse),
+            CondExpr::Or(a, b) => self.short_circuit(a, b, Op::JumpIfTrue),
+            CondExpr::Not(a) => {
+                self.cond(a);
+                self.emit(Op::Not);
+            }
+            CondExpr::Opaque(f, _) => self.emit(Op::Bool(f.clone())),
+        }
+    }
+
+    fn short_circuit(&mut self, a: &CondExpr, b: &CondExpr, jump: fn(u32) -> Op) {
+        self.cond(a);
+        let at = self.code.len();
+        self.emit(jump(0));
+        self.cond(b);
+        let end = self.code.len() as u32;
+        self.code[at] = jump(end);
+    }
+}
+
+/// `a op b` of two leaves, read in the tree walk's order.
+#[inline(always)]
+fn leaves(op: BinOp, a: Operand, b: Operand, env: &EvalEnv) -> Result<i64, ExprError> {
+    if op.divides() {
+        let d = b.read(env)?;
+        if d == 0 {
+            return Err(ExprError::DivByZero);
+        }
+        Ok(op.apply(a.read(env)?, d))
+    } else {
+        let x = a.read(env)?;
+        Ok(op.apply(x, b.read(env)?))
+    }
+}
+
+impl Program {
+    /// Operand stack depth `run` needs.
+    fn depth(&self) -> usize {
+        match self {
+            Program::Leaf(_) | Program::Leaves(..) => 0,
+            Program::Code { depth, .. } => *depth,
+        }
+    }
+
+    /// Run over `stack`, which must hold at least `depth` operands.
+    #[inline(always)]
+    fn run(&self, env: &EvalEnv, stack: &mut [i64]) -> Result<i64, ExprError> {
+        match self {
+            Program::Leaf(x) => x.read(env),
+            Program::Leaves(op, a, b) => leaves(*op, *a, *b, env),
+            Program::Code { code, .. } => run_code(code, env, stack),
+        }
+    }
+}
+
+/// Run a multi-step program over `stack`.
+fn run_code(code: &[Op], env: &EvalEnv, stack: &mut [i64]) -> Result<i64, ExprError> {
+    let mut sp = 0;
+    let mut pc = 0;
+    while let Some(op) = code.get(pc) {
+        pc += 1;
+        match op {
+            Op::Push(x) => {
+                stack[sp] = x.read(env)?;
+                sp += 1;
+            }
+            Op::Leaves(op, a, b) => {
+                stack[sp] = leaves(*op, *a, *b, env)?;
+                sp += 1;
+            }
+            Op::Apply(op) => {
+                sp -= 1;
+                let (top, below) = (stack[sp], stack[sp - 1]);
+                stack[sp - 1] = if op.divides() {
+                    op.apply(top, below)
+                } else {
+                    op.apply(below, top)
+                };
+            }
+            Op::NonZero => {
+                if stack[sp - 1] == 0 {
+                    return Err(ExprError::DivByZero);
+                }
+            }
+            Op::Neg => stack[sp - 1] = stack[sp - 1].wrapping_neg(),
+            Op::Not => stack[sp - 1] = i64::from(stack[sp - 1] == 0),
+            Op::JumpIfFalse(to) => {
+                if stack[sp - 1] == 0 {
+                    pc = *to as usize;
+                } else {
+                    sp -= 1;
+                }
+            }
+            Op::JumpIfTrue(to) => {
+                if stack[sp - 1] != 0 {
+                    pc = *to as usize;
+                } else {
+                    sp -= 1;
+                }
+            }
+            Op::Int(f) => {
+                stack[sp] = f(env);
+                sp += 1;
+            }
+            Op::Bool(f) => {
+                stack[sp] = i64::from(f(env));
+                sp += 1;
+            }
+        }
+    }
+    Ok(stack[0])
+}
+
+/// A [`RankExpr`] compiled by [`RankExpr::compile`]: evaluates exactly
+/// like the tree walk, reading variables by slot, with no allocation.
+#[derive(Clone)]
+pub struct CompiledExpr(Program);
+
+impl CompiledExpr {
+    /// Operand stack depth [`CompiledExpr::eval`] needs.
+    pub fn depth(&self) -> usize {
+        self.0.depth()
+    }
+
+    /// Evaluate under `env`, whose variables must be the table this was
+    /// compiled against (or a clone of it, later bindings allowed).
+    /// `scratch` must hold at least [`CompiledExpr::depth`] operands.
+    #[inline]
+    pub fn eval(&self, env: &EvalEnv, scratch: &mut [i64]) -> Result<i64, ExprError> {
+        self.0.run(env, scratch)
+    }
+}
+
+/// A [`CondExpr`] compiled by [`CondExpr::compile`]; see [`CompiledExpr`].
+#[derive(Clone)]
+pub struct CompiledCond(Program);
+
+impl CompiledCond {
+    /// Operand stack depth [`CompiledCond::eval`] needs.
+    pub fn depth(&self) -> usize {
+        self.0.depth()
+    }
+
+    /// Evaluate under `env`; the contract of [`CompiledExpr::eval`].
+    #[inline]
+    pub fn eval(&self, env: &EvalEnv, scratch: &mut [i64]) -> Result<bool, ExprError> {
+        self.0.run(env, scratch).map(|v| v != 0)
+    }
+}
+
+impl RankExpr {
+    /// Compile against `vars`, reserving an unbound slot for every name
+    /// not bound yet.
+    pub fn compile(&self, vars: &mut VarTable) -> CompiledExpr {
+        let mut c = Compiler::new(vars);
+        c.expr(self);
+        CompiledExpr(c.finish())
+    }
+}
+
+impl CondExpr {
+    /// Compile against `vars`; see [`RankExpr::compile`].
+    pub fn compile(&self, vars: &mut VarTable) -> CompiledCond {
+        let mut c = Compiler::new(vars);
+        c.cond(self);
+        CompiledCond(c.finish())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,5 +1111,65 @@ mod tests {
         let either = a.or(b);
         assert!(either.eval(&env(5, 8)).unwrap());
         assert!(!CondExpr::True.not().eval(&env(0, 1)).unwrap());
+    }
+
+    #[test]
+    fn reserved_slots_are_invisible_until_bound() {
+        let mut t = VarTable::default();
+        t.set("a", 1);
+        let late = t.slot("late");
+        assert_eq!(t.value(late), None);
+        assert_eq!(t.get("late"), None);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t, [("a".to_string(), 1)].into_iter().collect());
+        assert_eq!(format!("{t:?}"), r#"VarTable([("a", 1)])"#);
+        // Bound after `b`, so it is listed after `b` although its slot is
+        // older.
+        t.set("b", 2);
+        t.set("late", 3);
+        assert_eq!(t.value(late), Some(3));
+        assert_eq!(t.slot("late"), late);
+        let listed: Vec<_> = t.iter().collect();
+        assert_eq!(listed, vec![("a", 1), ("b", 2), ("late", 3)]);
+    }
+
+    #[test]
+    fn compiled_matches_tree_walk() {
+        let exprs = [
+            (RankExpr::rank() + RankExpr::lit(1)) % RankExpr::nranks(),
+            RankExpr::var("x") / RankExpr::var("y"),
+            RankExpr::var("unbound") / RankExpr::lit(0),
+            RankExpr::lit(i64::MIN) / -RankExpr::lit(1),
+            RankExpr::lit(i64::MIN) % (RankExpr::var("x") - RankExpr::lit(6)),
+            -(RankExpr::var("x") * RankExpr::var("unbound")),
+            RankExpr::opaque("x_plus_rank", |env| {
+                env.vars.get("x").unwrap_or(0) + env.rank
+            }),
+        ];
+        let conds = [
+            RankExpr::rank().eq(RankExpr::var("x")),
+            RankExpr::rank()
+                .lt(RankExpr::lit(3))
+                .and(RankExpr::var("unbound").eq(RankExpr::lit(0))),
+            RankExpr::rank()
+                .ge(RankExpr::lit(3))
+                .or((RankExpr::rank() % RankExpr::lit(0)).eq(RankExpr::lit(0)))
+                .not(),
+            CondExpr::opaque("x_set", |env| env.vars.get("x").is_some()),
+        ];
+        for rank in 0..6 {
+            let mut env = EvalEnv::new(rank, 6).with("x", 5).with("y", 0);
+            let mut vars = env.vars.clone();
+            let compiled: Vec<_> = exprs.iter().map(|e| e.compile(&mut vars)).collect();
+            let ccompiled: Vec<_> = conds.iter().map(|c| c.compile(&mut vars)).collect();
+            env.vars = vars;
+            let mut scratch = [0i64; 8];
+            for (e, p) in exprs.iter().zip(&compiled) {
+                assert_eq!(p.eval(&env, &mut scratch), e.eval(&env), "{e}");
+            }
+            for (c, p) in conds.iter().zip(&ccompiled) {
+                assert_eq!(p.eval(&env, &mut scratch), c.eval(&env), "{c}");
+            }
+        }
     }
 }

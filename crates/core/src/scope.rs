@@ -24,7 +24,7 @@ use netsim::{RankCtx, SegId, SendRequest, Time};
 use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
-use crate::expr::{CondExpr, EvalEnv, ExprError, RankExpr};
+use crate::expr::{CompiledCond, CompiledExpr, CondExpr, EvalEnv, ExprError, RankExpr, VarTable};
 use crate::lower::{Lowering, LoweringPolicy};
 use crate::overlay::{Decision, Overlay};
 
@@ -420,8 +420,29 @@ impl<'a> CommSession<'a> {
         &self.program
     }
 
-    fn env(&self) -> &EvalEnv {
+    /// This rank's clause-evaluation environment: its identity and the
+    /// session's variables.
+    pub(crate) fn env(&self) -> &EvalEnv {
         &self.env
+    }
+
+    /// The communicator ranks, ascending, for which `c` holds against the
+    /// session's variables with that rank in place of this one. `c` is
+    /// compiled once and run once per rank.
+    pub(crate) fn ranks_where(&mut self, c: &CondExpr) -> Result<Vec<usize>, ExprError> {
+        let program = c.compile(&mut self.env.vars);
+        let mut scratch = vec![0; program.depth()];
+        let me = self.env.rank;
+        let mut ranks = Vec::new();
+        let result = (0..self.size()).try_for_each(|r| {
+            self.env.rank = r as i64;
+            if program.eval(&self.env, &mut scratch)? {
+                ranks.push(r);
+            }
+            Ok(())
+        });
+        self.env.rank = me;
+        result.map(|()| ranks)
     }
 
     /// Execute a `comm_parameters` region: validates the clause list,
@@ -457,16 +478,19 @@ impl<'a> CommSession<'a> {
             None => None,
         };
 
+        let programs = RegionPrograms::compile(&params.clauses, &mut self.env.vars);
+        let scratch = vec![0; programs.depth()];
         let mut region = Region {
             session: self,
-            clauses: params.clauses.clone(),
+            programs,
+            scratch,
             pending: PendingSync::default(),
             spec: ParamsSpec {
                 clauses: params.clauses.clone(),
                 body: Vec::new(),
                 spans: Default::default(),
             },
-            iter_counts: Vec::new(),
+            sites: Vec::new(),
             max_iter,
             error: None,
             used_bufs: Vec::new(),
@@ -629,15 +653,61 @@ impl<'a> CommSession<'a> {
     }
 }
 
+/// A region's inherited `sendwhen`, `receivewhen`, `count`, `sender` and
+/// `receiver`, compiled once when the region opens against the session's
+/// variables. A name the region's body binds later gets an unbound slot
+/// now and is read through it once bound.
+struct RegionPrograms {
+    sendwhen: Option<CompiledCond>,
+    receivewhen: Option<CompiledCond>,
+    count: Option<CompiledExpr>,
+    sender: Option<CompiledExpr>,
+    receiver: Option<CompiledExpr>,
+}
+
+impl RegionPrograms {
+    fn compile(c: &ClauseSet, vars: &mut VarTable) -> Box<Self> {
+        Box::new(RegionPrograms {
+            sendwhen: c.sendwhen.as_ref().map(|e| e.compile(vars)),
+            receivewhen: c.receivewhen.as_ref().map(|e| e.compile(vars)),
+            count: c.count.as_ref().map(|e| e.compile(vars)),
+            sender: c.sender.as_ref().map(|e| e.compile(vars)),
+            receiver: c.receiver.as_ref().map(|e| e.compile(vars)),
+        })
+    }
+
+    /// Operand stack depth the deepest program needs.
+    fn depth(&self) -> usize {
+        let conds = [&self.sendwhen, &self.receivewhen];
+        let exprs = [&self.count, &self.sender, &self.receiver];
+        let cond_depths = conds.into_iter().flatten().map(CompiledCond::depth);
+        let expr_depths = exprs.into_iter().flatten().map(CompiledExpr::depth);
+        cond_depths.chain(expr_depths).max().unwrap_or(0)
+    }
+}
+
+/// What a region knows about one of its `comm_p2p` sites, found by a linear
+/// scan on every instance (a region has a few lexical sites).
+struct SiteRecord {
+    site: u32,
+    /// Executions seen, for `max_comm_iter`.
+    executions: u64,
+    /// The installed overlay's decision for the site, resolved on its first
+    /// execution in the region.
+    decision: Option<Decision>,
+}
+
 /// An open `comm_parameters` region.
 pub struct Region<'s, 'a> {
     session: &'s mut CommSession<'a>,
-    clauses: ClauseSet,
+    programs: Box<RegionPrograms>,
+    /// Operand stack shared by `programs`, sized when they are compiled and
+    /// kept here rather than in the frames of every rank thread.
+    scratch: Vec<i64>,
     pending: PendingSync,
+    /// The region's IR; its clauses are the ones the region's p2ps inherit.
     spec: ParamsSpec,
-    /// Executions seen per `comm_p2p` site, linear-scanned by site id (a
-    /// region has a few lexical sites; this is read on every instance).
-    iter_counts: Vec<(u32, u64)>,
+    sites: Vec<SiteRecord>,
     max_iter: Option<i64>,
     error: Option<DirectiveError>,
     /// Address ranges touched by pending (unsynced) directives in this
@@ -831,23 +901,30 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
                 // directive instance — no clones on the hot path).
                 let Region {
                     session,
-                    clauses,
+                    programs,
+                    scratch,
                     pending,
                     spec,
-                    iter_counts,
+                    sites,
                     max_iter,
                     error: _,
                     used_bufs,
                     split_syncs,
                 } = &mut **r;
+                let region = InRegion {
+                    clauses: &spec.clauses,
+                    programs,
+                    scratch,
+                    max_iter: *max_iter,
+                    sites,
+                    used_bufs,
+                    split_syncs,
+                };
                 execute_p2p(
                     session,
                     pending,
-                    Some(&*clauses),
-                    *max_iter,
-                    Some(iter_counts),
-                    Some(spec),
-                    Some((used_bufs, split_syncs)),
+                    Some(region),
+                    Some(&mut spec.body),
                     own_clauses,
                     self.site,
                     &self.sbufs,
@@ -892,10 +969,7 @@ fn execute_standalone(
         session,
         &mut pending,
         None,
-        None,
-        None,
-        Some(&mut spec),
-        None,
+        Some(&mut spec.body),
         own,
         site,
         sbufs,
@@ -909,16 +983,30 @@ fn execute_standalone(
     Ok(())
 }
 
+/// The installed overlay's decision for `site`, if any.
+fn overlay_decision(session: &CommSession<'_>, site: u32) -> Option<Decision> {
+    let ov = session.overlay.as_deref()?;
+    ov.overlay.decision_for(site).map(|d| d.decision)
+}
+
 /// The error a failed instance leaves on its region (which aborts).
 #[cold]
 fn region_error(e: &DirectiveError) -> DirectiveError {
     DirectiveError::Invalid(vec![Diagnostic::error(format!("{e}"))])
 }
 
-/// Buffer-dependence tracking borrowed from the enclosing region: the
-/// `(lo, hi, written)` address ranges touched by pending directives plus
-/// the split-sync counter.
-type UsedBufs<'a> = (&'a mut Vec<(usize, usize, bool)>, &'a mut usize);
+/// The enclosing region's state an instance reads and updates.
+struct InRegion<'r> {
+    clauses: &'r ClauseSet,
+    programs: &'r RegionPrograms,
+    scratch: &'r mut [i64],
+    max_iter: Option<i64>,
+    sites: &'r mut Vec<SiteRecord>,
+    /// Buffer-dependence tracking: the `(lo, hi, written)` address ranges
+    /// touched by pending directives, and the split-sync counter.
+    used_bufs: &'r mut Vec<(usize, usize, bool)>,
+    split_syncs: &'r mut usize,
+}
 
 /// The p2p's own assertion of a clause when it makes one, else the
 /// enclosing region's. Resolved by reference: this runs for every rank on
@@ -931,14 +1019,41 @@ fn inherited<'c, T>(
     own.and_then(&field).or_else(|| outer.and_then(&field))
 }
 
-/// Evaluate a `sender`/`receiver` clause to a communicator-local rank.
-fn eval_rank(
-    e: &RankExpr,
-    clause: &'static str,
+/// Evaluate a condition clause: the p2p's own assertion by the tree walk
+/// (the reference semantics), else the region's compiled program. Forced
+/// inline: three of these run on every instance of every rank, and as
+/// calls each returned its `Result` through memory (≈4 ns per instance).
+#[inline(always)]
+fn eval_cond(
+    own: Option<&CondExpr>,
+    compiled: Option<&CompiledCond>,
     env: &EvalEnv,
-    size: usize,
-) -> Result<usize, DirectiveError> {
-    let v = e.eval(env)?;
+    scratch: &mut [i64],
+) -> Result<Option<bool>, ExprError> {
+    match (own, compiled) {
+        (Some(c), _) => c.eval(env).map(Some),
+        (None, Some(p)) => p.eval(env, scratch).map(Some),
+        (None, None) => Ok(None),
+    }
+}
+
+/// Evaluate an integer clause like [`eval_cond`].
+#[inline(always)]
+fn eval_int(
+    own: Option<&RankExpr>,
+    compiled: Option<&CompiledExpr>,
+    env: &EvalEnv,
+    scratch: &mut [i64],
+) -> Result<Option<i64>, ExprError> {
+    match (own, compiled) {
+        (Some(e), _) => e.eval(env).map(Some),
+        (None, Some(p)) => p.eval(env, scratch).map(Some),
+        (None, None) => Ok(None),
+    }
+}
+
+/// Check an evaluated `sender`/`receiver` against the communicator.
+fn check_rank(v: i64, clause: &'static str, size: usize) -> Result<usize, DirectiveError> {
     if v < 0 || v >= size as i64 {
         return Err(DirectiveError::RankOutOfRange {
             clause,
@@ -975,38 +1090,59 @@ fn push_touched(
 fn execute_p2p(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
-    outer: Option<&ClauseSet>,
-    max_iter: Option<i64>,
-    iter_counts: Option<&mut Vec<(u32, u64)>>,
-    spec: Option<&mut ParamsSpec>,
-    used_bufs: Option<UsedBufs<'_>>,
+    region: Option<InRegion<'_>>,
+    ir: Option<&mut Vec<P2pSpec>>,
     own: Option<&ClauseSet>,
     site: u32,
     sbufs: &BufList<SendSlot<'_>>,
     rbufs: &mut BufList<RecvSlot<'_>>,
     body: impl FnOnce(&mut RankCtx),
 ) -> Result<(), DirectiveError> {
-    // Count this execution of the site (and enforce `max_comm_iter`).
-    let in_region = iter_counts.is_some();
+    // Count this execution of the site (and enforce `max_comm_iter`). The
+    // site's record also carries its overlay decision, resolved once.
+    let in_region = region.is_some();
     let mut first_execution_of_site = true;
-    if let Some(counts) = iter_counts {
-        let c = match counts.iter_mut().find(|(s, _)| *s == site) {
-            Some((_, c)) => {
-                first_execution_of_site = false;
-                c
+    let (outer, programs, scratch, max_iter, used_bufs, decision) = match region {
+        Some(r) => {
+            let rec = match r.sites.iter_mut().position(|s| s.site == site) {
+                Some(i) => {
+                    first_execution_of_site = false;
+                    &mut r.sites[i]
+                }
+                None => {
+                    r.sites.push(SiteRecord {
+                        site,
+                        executions: 0,
+                        decision: overlay_decision(session, site),
+                    });
+                    r.sites.last_mut().expect("just pushed")
+                }
+            };
+            rec.executions += 1;
+            if let Some(bound) = r.max_iter {
+                if rec.executions as i64 > bound {
+                    return Err(DirectiveError::MaxIterExceeded { site, bound });
+                }
             }
-            None => {
-                counts.push((site, 0));
-                &mut counts.last_mut().expect("just pushed").1
-            }
-        };
-        *c += 1;
-        if let Some(bound) = max_iter {
-            if *c as i64 > bound {
-                return Err(DirectiveError::MaxIterExceeded { site, bound });
-            }
+            let decision = rec.decision;
+            (
+                Some(r.clauses),
+                Some(r.programs),
+                r.scratch,
+                r.max_iter,
+                Some((r.used_bufs, r.split_syncs)),
+                decision,
+            )
         }
-    }
+        None => (
+            None,
+            None,
+            &mut [][..],
+            None,
+            None,
+            overlay_decision(session, site),
+        ),
+    };
 
     // -- validation ----------------------------------------------------------
     // Checked over name-free descriptors built on the fly; full diagnostics
@@ -1016,7 +1152,7 @@ fn execute_p2p(
     // validation runs on the first execution only; later iterations of the
     // directive loop would merely re-confirm the first result.
     if first_execution_of_site {
-        validate_and_record(own, outer, spec, site, sbufs, rbufs)?;
+        validate_and_record(own, outer, ir, site, sbufs, rbufs)?;
     }
 
     // -- participation ---------------------------------------------------------
@@ -1024,32 +1160,40 @@ fn execute_p2p(
     // receives does only what other ranks or the caller can observe (see
     // DESIGN.md, "Directive engine hot path"): the iteration count and
     // first-execution work above, the count check, the collective
-    // obligations and the overlap body below.
+    // obligations and the overlap body below. A clause the p2p does not
+    // override runs as the region's compiled program.
     let env = session.env();
-    let is_sender = match inherited(own, outer, |c| c.sendwhen.as_ref()) {
-        Some(c) => c.eval(env)?,
-        None => true,
-    };
-    let is_receiver = match inherited(own, outer, |c| c.receivewhen.as_ref()) {
-        Some(c) => c.eval(env)?,
-        None => true,
-    };
+    let is_sender = eval_cond(
+        own.and_then(|c| c.sendwhen.as_ref()),
+        programs.and_then(|p| p.sendwhen.as_ref()),
+        env,
+        scratch,
+    )?
+    .unwrap_or(true);
+    let is_receiver = eval_cond(
+        own.and_then(|c| c.receivewhen.as_ref()),
+        programs.and_then(|p| p.receivewhen.as_ref()),
+        env,
+        scratch,
+    )?
+    .unwrap_or(true);
     let participant = is_sender || is_receiver;
     // Evaluated on every rank, so a negative count fails everywhere; the
     // inferred count (smallest buffer) is computed only where it is used.
-    let count_clause = match inherited(own, outer, |c| c.count.as_ref()) {
-        Some(e) => {
-            let v = e.eval(env)?;
-            if v < 0 {
-                return Err(DirectiveError::RankOutOfRange {
-                    clause: "count",
-                    value: v,
-                    size: usize::MAX,
-                });
-            }
-            Some(v as usize)
+    let count_clause = match eval_int(
+        own.and_then(|c| c.count.as_ref()),
+        programs.and_then(|p| p.count.as_ref()),
+        env,
+        scratch,
+    )? {
+        Some(v) if v < 0 => {
+            return Err(DirectiveError::RankOutOfRange {
+                clause: "count",
+                value: v,
+                size: usize::MAX,
+            });
         }
-        None => None,
+        v => v.map(|v| v as usize),
     };
     let mut target = inherited(own, outer, |c| c.target.as_ref())
         .copied()
@@ -1057,21 +1201,16 @@ fn execute_p2p(
 
     // -- overlay application -----------------------------------------------------
     // Profile-guided decisions resolve here, after the written clauses: the
-    // source states intent, the overlay refines mechanism. A single branch
-    // when no overlay is installed (the untuned hot path). Coalescing only
+    // source states intent, the overlay refines mechanism. Coalescing only
     // applies inside regions — a standalone p2p synchronizes immediately,
     // so batching it could never elide anything.
     let mut coalesce = None;
-    if let Some(ov) = session.overlay.as_deref() {
-        if let Some(d) = ov.overlay.decision_for(site) {
-            match d.decision {
-                Decision::Retarget(t) => target = t,
-                Decision::Coalesce { batch } if batch >= 2 && in_region => {
-                    coalesce = Some(batch);
-                }
-                _ => {}
-            }
+    match decision {
+        Some(Decision::Retarget(t)) => target = t,
+        Some(Decision::Coalesce { batch }) if batch >= 2 && in_region => {
+            coalesce = Some(batch);
         }
+        _ => {}
     }
 
     let mut dest = None;
@@ -1079,12 +1218,24 @@ fn execute_p2p(
     if participant {
         let size = session.comm.size();
         if is_sender {
-            let e = inherited(own, outer, |c| c.receiver.as_ref()).expect("validated");
-            dest = Some(eval_rank(e, "receiver", env, size)?);
+            let v = eval_int(
+                own.and_then(|c| c.receiver.as_ref()),
+                programs.and_then(|p| p.receiver.as_ref()),
+                env,
+                scratch,
+            )?
+            .expect("validated");
+            dest = Some(check_rank(v, "receiver", size)?);
         }
         if is_receiver {
-            let e = inherited(own, outer, |c| c.sender.as_ref()).expect("validated");
-            src = Some(eval_rank(e, "sender", env, size)?);
+            let v = eval_int(
+                own.and_then(|c| c.sender.as_ref()),
+                programs.and_then(|p| p.sender.as_ref()),
+                env,
+                scratch,
+            )?
+            .expect("validated");
+            src = Some(check_rank(v, "sender", size)?);
         }
 
         // -- buffer-independence guard -------------------------------------------
@@ -1180,7 +1331,7 @@ fn execute_p2p(
 fn validate_and_record(
     own: Option<&ClauseSet>,
     outer: Option<&ClauseSet>,
-    spec: Option<&mut ParamsSpec>,
+    ir: Option<&mut Vec<P2pSpec>>,
     site: u32,
     sbufs: &BufList<SendSlot<'_>>,
     rbufs: &BufList<RecvSlot<'_>>,
@@ -1206,8 +1357,8 @@ fn validate_and_record(
         ));
     }
     // Record the region IR from this first instance.
-    if let Some(spec) = spec {
-        spec.body.push(P2pSpec {
+    if let Some(ir) = ir {
+        ir.push(P2pSpec {
             clauses: clauses.clone(),
             sbuf: sbufs.iter().map(|b| b.meta()).collect(),
             rbuf: rbufs.iter().map(|b| b.meta()).collect(),

@@ -3,7 +3,9 @@
 //! `comm_p2p` instance, yet still does everything another rank or the
 //! caller can observe — the `max_comm_iter` count, the overlap body under
 //! the site's attribution, the collective staging allocation and the
-//! one-sided fence of the resolved (overlay-retargeted) target.
+//! one-sided fence of the resolved (overlay-retargeted) target. A region's
+//! clauses are compiled when it opens, so the tests also cover variables
+//! bound only after that, and ones never bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,6 +134,132 @@ fn non_participant_instances_do_not_allocate() {
                 "{target}: rank {rank} allocated {allocs} times over {N} non-participant instances"
             );
         }
+    }
+}
+
+#[test]
+fn non_participant_var_clause_instances_do_not_allocate() {
+    // Fig. 4 spin's second region: every clause names a variable, and the
+    // loop rebinds one before each instance.
+    const N: usize = 1000;
+    for target in [Target::Mpi2Side, Target::Shmem, Target::Mpi1Side] {
+        let params = CommParams::new()
+            .sender(RankExpr::var("sp_src"))
+            .receiver(RankExpr::var("sp_dst"))
+            .sendwhen(RankExpr::rank().eq(RankExpr::var("sp_src")))
+            .receivewhen(RankExpr::rank().eq(RankExpr::var("sp_dst")))
+            .count(3)
+            .max_comm_iter(N as i64 + 1)
+            .target(target);
+        let res = run(SimConfig::new(2), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm);
+            let src = [1.0f64; 3];
+            let mut dst = [0.0f64; 3];
+            s.region(&params, |reg| {
+                // Ranks 5 and 6 are outside the communicator: both ranks
+                // are non-participants on every instance.
+                reg.set_var("sp_src", 5);
+                reg.set_var("sp_dst", 6);
+                reg.p2p()
+                    .site(12)
+                    .sbuf(Prim::new("staged[w]", &src))
+                    .rbuf(PrimMut::new("atom.evec", &mut dst))
+                    .run()
+                    .unwrap();
+                let before = thread_allocs();
+                for i in 0..N {
+                    reg.set_var("sp_dst", 6 + (i % 3) as i64);
+                    reg.p2p()
+                        .site(12)
+                        .sbuf(Prim::new("staged[w]", &src))
+                        .rbuf(PrimMut::new("atom.evec", &mut dst))
+                        .run()
+                        .unwrap();
+                }
+                thread_allocs() - before
+            })
+            .unwrap()
+        });
+        for (rank, allocs) in res.per_rank.iter().enumerate() {
+            assert_eq!(
+                *allocs, 0,
+                "{target}: rank {rank} allocated {allocs} times over {N} var-clause instances"
+            );
+        }
+    }
+}
+
+#[test]
+fn variable_first_bound_inside_the_region_is_resolved() {
+    // `late` is unbound when the region opens (and its clauses are
+    // compiled); the body binds it before each instance.
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::var("late"))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(0)))
+        .receivewhen(RankExpr::rank().eq(RankExpr::var("late")))
+        .count(1)
+        .max_comm_iter(2);
+    let res = run(SimConfig::new(3), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let mut got = [[0i64; 1]; 2];
+        s.region(&params, |reg| {
+            for (dest, g) in [1i64, 2].into_iter().zip(&mut got) {
+                reg.set_var("late", dest);
+                reg.p2p()
+                    .site(2)
+                    .sbuf(Prim::new("src", &[10 + dest]))
+                    .rbuf(PrimMut::new("got", g))
+                    .run()
+                    .unwrap();
+            }
+        })
+        .unwrap();
+        s.flush();
+        got
+    });
+    assert_eq!(res.per_rank[1], [[11], [0]]);
+    assert_eq!(res.per_rank[2], [[0], [12]]);
+}
+
+#[test]
+fn never_bound_variable_reports_unknown_variable() {
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::lit(1))
+        .sendwhen(RankExpr::rank().eq(RankExpr::var("never_set")))
+        .receivewhen(RankExpr::rank().eq(RankExpr::lit(1)));
+    let res = run(SimConfig::new(2), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let src = [1.0f64; 3];
+        let mut dst = [0.0f64; 3];
+        let mut instance = Ok(());
+        let region = s.region(&params, |reg| {
+            instance = reg
+                .p2p()
+                .site(3)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", &mut dst))
+                .run();
+        });
+        (
+            instance.unwrap_err().to_string(),
+            region.unwrap_err().to_string(),
+        )
+    });
+    for (instance, region) in &res.per_rank {
+        assert_eq!(
+            instance,
+            "clause expression error: unknown variable `never_set`"
+        );
+        assert_eq!(
+            region,
+            "directive validation failed:\n  \
+             error: clause expression error: unknown variable `never_set`\n"
+        );
     }
 }
 

@@ -1,9 +1,15 @@
 //! Property tests: clause expressions — the C-like rendering produced by
 //! `Display` parses back through the pragma front-end to a semantically
 //! identical expression (render→parse→eval == eval), for random expression
-//! trees.
+//! trees; and a compiled, slot-resolved program returns exactly what the
+//! tree walk returns (the same value or the same error), including on
+//! zero divisors, never-bound names, wrapping overflow, opaque closures
+//! and short-circuited errors.
+//!
+//! The differential tests run `PROPTEST_CASES` cases when it is set
+//! (CI runs this file with 4096), else 256.
 
-use commint::expr::{CondExpr, EvalEnv, RankExpr};
+use commint::expr::{CondExpr, EvalEnv, RankExpr, VarTable};
 use mpisim::dtype::BasicType;
 use pragma_front::{parse, Item, SymbolTable};
 use proptest::prelude::*;
@@ -46,6 +52,119 @@ fn cond_strategy() -> impl Strategy<Value = CondExpr> {
             inner.prop_map(|a| a.not()),
         ]
     })
+}
+
+/// Random expression trees over the whole evaluator surface: any operand
+/// may divide (zero included), names may never be bound (`ghost`), the
+/// literals include `i64::MIN` and `-1`, and an opaque closure reads a
+/// variable through the live environment.
+fn wide_expr_strategy() -> impl Strategy<Value = RankExpr> {
+    let leaf = prop_oneof![
+        Just(RankExpr::Rank),
+        Just(RankExpr::NRanks),
+        (-3i64..8).prop_map(RankExpr::Const),
+        Just(RankExpr::lit(i64::MIN)),
+        Just(RankExpr::lit(i64::MAX)),
+        Just(RankExpr::var("n")),
+        Just(RankExpr::var("root")),
+        Just(RankExpr::var("ghost")),
+        Just(RankExpr::opaque("n_or_rank", |env| {
+            env.vars.get("n").unwrap_or(env.rank)
+        })),
+    ];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a / b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a % b),
+            // `i64::MIN / -1` and `i64::MIN % -1` wrap rather than trap.
+            (inner.clone(), any::<bool>()).prop_map(|(a, div)| {
+                let min = RankExpr::lit(i64::MIN) + a * RankExpr::lit(0);
+                if div {
+                    min / RankExpr::lit(-1)
+                } else {
+                    min % RankExpr::lit(-1)
+                }
+            }),
+            inner.prop_map(|a| -a),
+        ]
+    })
+}
+
+/// Random conditions over [`wide_expr_strategy`], with `&&`/`||` whose
+/// right operand fails (so only short-circuiting keeps it unevaluated)
+/// and an opaque predicate reading a variable.
+fn wide_cond_strategy() -> impl Strategy<Value = CondExpr> {
+    let rel =
+        (wide_expr_strategy(), wide_expr_strategy(), 0u8..6).prop_map(|(a, b, op)| match op {
+            0 => a.eq(b),
+            1 => a.ne(b),
+            2 => a.lt(b),
+            3 => a.le(b),
+            4 => a.gt(b),
+            _ => a.ge(b),
+        });
+    let leaf = prop_oneof![
+        rel,
+        Just(CondExpr::True),
+        Just(CondExpr::False),
+        Just(CondExpr::opaque("root_bound", |env| {
+            env.vars.get("root").is_some()
+        })),
+    ];
+    let failing = prop_oneof![
+        Just(RankExpr::var("ghost").eq(RankExpr::lit(0))),
+        Just((RankExpr::rank() / RankExpr::lit(0)).eq(RankExpr::lit(0))),
+    ];
+    leaf.prop_recursive(2, 12, 2, move |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            (inner.clone(), failing.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), failing.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(|a| a.not()),
+        ]
+    })
+}
+
+/// Environments for the differential tests: every combination of bound
+/// names (`ghost` is never bound), several ranks and sizes.
+fn wide_envs() -> Vec<EvalEnv> {
+    let mut out = Vec::new();
+    for nranks in [1i64, 5, 16] {
+        for rank in [0, nranks / 2, nranks - 1] {
+            for bound in 0..4 {
+                let mut env = EvalEnv::new(rank as usize, nranks as usize);
+                if bound & 1 != 0 {
+                    env.set("n", 7);
+                }
+                if bound & 2 != 0 {
+                    env.set("root", -2);
+                }
+                out.push(env);
+            }
+        }
+    }
+    out
+}
+
+fn differential_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+/// The environment a compiled program runs in: `env`'s identity over a
+/// copy of its variables, on which compilation has reserved slots.
+fn compiled_env(env: &EvalEnv, vars: VarTable) -> EvalEnv {
+    EvalEnv {
+        rank: env.rank,
+        nranks: env.nranks,
+        vars,
+    }
 }
 
 fn roundtrip_rank_expr(e: &RankExpr) -> RankExpr {
@@ -130,6 +249,62 @@ proptest! {
         e.free_vars(&mut vars);
         for v in vars {
             prop_assert!(v == "n" || v == "root", "unexpected free var {v}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(differential_cases()))]
+
+    #[test]
+    fn compiled_rank_expr_matches_tree_walk(e in wide_expr_strategy()) {
+        for env in wide_envs() {
+            let want = e.eval(&env);
+            // Compiled against the bound table.
+            let mut vars = env.vars.clone();
+            let program = e.compile(&mut vars);
+            let cenv = compiled_env(&env, vars);
+            let mut scratch = vec![0; program.depth()];
+            prop_assert_eq!(
+                program.eval(&cenv, &mut scratch), want.clone(),
+                "`{}` at rank {}/{} vars {:?}", &e, env.rank, env.nranks, &env.vars
+            );
+            // Reserved slots are invisible to the tree walk.
+            prop_assert_eq!(e.eval(&cenv), want.clone());
+            prop_assert_eq!(&cenv.vars, &env.vars);
+            prop_assert_eq!(cenv.vars.len(), env.vars.len());
+            // Compiled before any name is bound, bound afterwards (a
+            // region opened before its body sets the variables).
+            let mut late = VarTable::default();
+            let program = e.compile(&mut late);
+            for (name, value) in env.vars.iter() {
+                late.set(name, value);
+            }
+            let lenv = compiled_env(&env, late);
+            prop_assert_eq!(program.eval(&lenv, &mut scratch), want);
+        }
+    }
+
+    #[test]
+    fn compiled_cond_expr_matches_tree_walk(c in wide_cond_strategy()) {
+        for env in wide_envs() {
+            let want = c.eval(&env);
+            let mut vars = env.vars.clone();
+            let program = c.compile(&mut vars);
+            let cenv = compiled_env(&env, vars);
+            let mut scratch = vec![0; program.depth()];
+            prop_assert_eq!(
+                program.eval(&cenv, &mut scratch), want.clone(),
+                "`{}` at rank {}/{} vars {:?}", &c, env.rank, env.nranks, &env.vars
+            );
+            prop_assert_eq!(c.eval(&cenv), want.clone());
+            let mut late = VarTable::default();
+            let program = c.compile(&mut late);
+            for (name, value) in env.vars.iter() {
+                late.set(name, value);
+            }
+            let lenv = compiled_env(&env, late);
+            prop_assert_eq!(program.eval(&lenv, &mut scratch), want);
         }
     }
 }
