@@ -193,7 +193,7 @@ enum Shape {
 /// doubles to rank 1 on every instance.
 fn directive_ns_per_instance(target: Target, shape: Shape, participate: bool, n: usize) -> f64 {
     use commint::{CommParams, CommSession, DirectiveError, Prim, PrimMut};
-    use netsim::{run, SimConfig};
+    use netsim::{run, ExecPolicy, SimConfig};
     let (s, r) = if participate { (0, 1) } else { (2, 2) };
     let params = match shape {
         Shape::Literal => CommParams::new()
@@ -210,7 +210,7 @@ fn directive_ns_per_instance(target: Target, shape: Shape, participate: bool, n:
     .count(3)
     .max_comm_iter(n as i64)
     .target(target);
-    let res = run(SimConfig::new(2).with_workers(2), |ctx| {
+    let res = run(SimConfig::new(2).with_exec(ExecPolicy::bounded(2)), |ctx| {
         let comm = mpisim::Comm::world(ctx);
         let mut session = CommSession::new(ctx, comm).without_ir();
         let src = [1.0f64; 3];

@@ -40,7 +40,7 @@ use commint::prelude::*;
 
 use mpisim::dtype::BasicType;
 use mpisim::Comm;
-use netsim::{run, ExecPolicy, RankStats, SimConfig, Time};
+use netsim::{run, ExecPolicy, RankMetrics, RankStats, SimConfig, Time};
 
 /// Element counts swept per series; the largest crosses the ~5.8 KB
 /// struct-of-arrays split-vs-pack crossover on the Gemini MPI model.
@@ -347,10 +347,7 @@ fn profile_observed(
     exec: ExecPolicy,
 ) -> netsim::json::Json {
     let res = run(
-        SimConfig::new(nranks)
-            .with_exec(exec)
-            .with_trace()
-            .with_metrics(),
+        SimConfig::new(nranks).with_exec(exec).with_trace(),
         move |ctx| {
             let comm = Comm::world(ctx);
             let mut session = CommSession::new(ctx, comm).with_lowering(policy);
@@ -363,7 +360,7 @@ fn profile_observed(
         },
     );
     let trace = res.trace.as_deref().expect("trace enabled");
-    let metrics = res.metrics.as_deref().expect("metrics enabled");
+    let metrics = RankMetrics::from_trace(trace, nranks);
     let analysis = commscope::analyze(trace, nranks, &res.final_times);
     commscope::profile_json(
         "fig_ddt",
@@ -373,7 +370,7 @@ fn profile_observed(
             ("count".to_string(), count as i64),
         ],
         &analysis,
-        metrics,
+        &metrics,
     )
 }
 

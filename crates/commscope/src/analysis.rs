@@ -565,6 +565,7 @@ mod tests {
                     tag: 7,
                     bytes: 64,
                     unexpected: false,
+                    posted: Time(10),
                     completion: Time(150),
                 },
             ),

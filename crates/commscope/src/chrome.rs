@@ -100,12 +100,15 @@ pub fn chrome_trace(events: &[TraceEvent], nranks: usize) -> String {
                     args.push(("tag", *t as i64));
                 }
             }
+            // `posted` feeds the metrics fold and is not rendered, so the
+            // trace args keep their schema.
             EventKind::RecvDone {
                 src,
                 tag,
                 bytes,
                 unexpected,
                 completion,
+                ..
             } => {
                 args.push(("src", *src as i64));
                 args.push(("tag", *tag as i64));
@@ -246,6 +249,7 @@ mod tests {
                     tag: 7,
                     bytes: 64,
                     unexpected: false,
+                    posted: Time(10),
                     completion: Time(150),
                 },
             },

@@ -3,8 +3,9 @@
 //! The runtime's event trace records every communication operation with its
 //! virtual-time span, completion horizon, and (when issued from a
 //! directive) the [`netsim::trace::SiteId`] of the `comm_p2p` instance that
-//! caused it. This crate turns those traces — plus the runtime's metrics
-//! registry ([`netsim::RankMetrics`]) — into actionable observability:
+//! caused it. This crate turns those traces — plus the per-rank metrics
+//! folded from them ([`netsim::RankMetrics::from_trace`]) — into
+//! actionable observability:
 //!
 //! * [`analysis`] — wait-state classification (late sender / late receiver
 //!   / barrier / quiet), per-rank blame attribution that sums exactly to

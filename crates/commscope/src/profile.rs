@@ -138,7 +138,8 @@ fn wait_per_site_json(analysis: &Analysis) -> Json {
 /// Build the profile document for one observed run.
 ///
 /// `args` are echoed verbatim (workload parameters); `metrics` is
-/// `SimResult::metrics` and may be empty when metrics were not enabled.
+/// [`RankMetrics::from_trace`] of the run's trace, or empty to omit
+/// per-rank metrics.
 pub fn profile_json(
     workload: &str,
     args: &[(String, i64)],
@@ -381,10 +382,16 @@ mod tests {
             },
         }];
         let a = analyze(&evs, 1, &[Time(50)]);
-        let mut m = RankMetrics::default();
-        m.on_put(32, Some(1));
-        m.on_sync(Time(10), Time(50));
-        let doc = profile_json("demo", &[("m".into(), 4)], &a, &[m]);
+        let put = TraceEvent {
+            rank: 0,
+            time: Time(10),
+            start: Time(10),
+            site: Some(1),
+            kind: EventKind::Put { dst: 0, bytes: 32 },
+        };
+        let m = RankMetrics::from_trace(&[put, evs[0].clone()], 1);
+        assert_eq!(m[0].wait_ns, 40);
+        let doc = profile_json("demo", &[("m".into(), 4)], &a, &m);
         let text = doc.render();
         let back = json::parse(&text).unwrap();
         assert_eq!(back, doc);

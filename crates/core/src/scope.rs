@@ -615,7 +615,6 @@ impl<'a> CommSession<'a> {
                     horizon,
                 },
             );
-            self.ctx.note_sync_span(t0, self.ctx.now());
             self.ctx.barrier_group(self.comm.sorted_globals(), &mpi);
         }
 
@@ -644,7 +643,6 @@ impl<'a> CommSession<'a> {
                     horizon,
                 },
             );
-            self.ctx.note_sync_span(t0, self.ctx.now());
         }
 
         // Horizons covered by the charges above are no longer needed.

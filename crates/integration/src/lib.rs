@@ -26,13 +26,14 @@ pub fn with_ranks<T: Send>(nranks: usize, f: impl Fn(&mut RankCtx) -> T + Sync) 
     run(SimConfig::new(nranks), f)
 }
 
-/// Like [`with_world_session`], but with the event trace and the metrics
-/// registry enabled, for observability tests.
+/// Like [`with_world_session`], but with the event trace enabled, for
+/// observability tests (fold it with [`netsim::RankMetrics::from_trace`]
+/// for per-site metrics).
 pub fn with_world_session_observed<T: Send>(
     nranks: usize,
     f: impl Fn(&mut CommSession<'_>) -> T + Sync,
 ) -> SimResult<T> {
-    run(SimConfig::new(nranks).with_trace().with_metrics(), |ctx| {
+    run(SimConfig::new(nranks).with_trace(), |ctx| {
         let comm = Comm::world(ctx);
         let mut session = CommSession::new(ctx, comm);
         let out = f(&mut session);

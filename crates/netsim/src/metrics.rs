@@ -1,24 +1,22 @@
-//! The metrics registry: per-rank and per-site counters and histograms,
-//! collected inside the rank runtime when enabled via
-//! [`crate::SimConfig::with_metrics`].
+//! Per-rank and per-site communication metrics: counters and histograms
+//! folded from the event trace by [`RankMetrics::from_trace`].
 //!
-//! Two design rules, both load-bearing:
+//! The trace carries every send, put, completed receive and
+//! synchronization span, so a run that wants metrics enables the trace
+//! ([`crate::SimConfig::with_trace`]) and folds it; the rank runtime keeps
+//! no metrics of its own.
 //!
-//! * **Near-zero overhead when disabled.** Each rank context holds an
-//!   `Option<Box<RankMetrics>>`; every hook is a single branch on `None`.
-//!   No locks, no allocation, no atomic traffic on the hot path.
-//! * **Deterministic when enabled.** Every recorded quantity is a pure
-//!   function of *virtual* time and workload structure (post/completion
-//!   clocks, message sizes, waitall widths), never of thread interleaving —
-//!   so a metrics dump is bit-identical across `ExecPolicy::threads()`,
-//!   `ExecPolicy::bounded(w)` for any `w`, and any sweep-pool width. The
-//!   interleaving-dependent *physical* counters (unexpected-queue high
-//!   water, matcher scan steps, mailbox locks, scheduler slot occupancy)
-//!   live in [`crate::RankStats`] / [`SchedStats`] instead and are never
-//!   folded into metric dumps that promise byte equality.
+//! Every folded quantity is a pure function of *virtual* time and workload
+//! structure (post/completion clocks, message sizes, waitall widths),
+//! never of thread interleaving — so a metrics dump is bit-identical
+//! across `ExecPolicy::threads()`, `ExecPolicy::bounded(w)` for any `w`,
+//! and any sweep-pool width. The interleaving-dependent *physical*
+//! counters (unexpected-queue high water, matcher scan steps, mailbox
+//! locks, scheduler slot occupancy) live in [`crate::RankStats`] /
+//! [`SchedStats`] instead and are never folded into metric dumps that
+//! promise byte equality.
 
-use crate::time::Time;
-use crate::trace::SiteId;
+use crate::trace::{EventKind, SiteId, TraceEvent};
 
 /// Number of power-of-two buckets in a [`Hist`]. Bucket `i` counts values
 /// `v` with `2^(i-1) < v <= 2^i` (bucket 0 counts zero).
@@ -119,8 +117,8 @@ pub struct SiteMetrics {
     pub dwell_ns: u64,
 }
 
-/// Per-rank metrics, owned by the rank thread (no synchronization) and
-/// collected into [`crate::SimResult::metrics`] after the run.
+/// Per-rank metrics, built by [`RankMetrics::from_trace`] (or by merging
+/// other ranks' metrics).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankMetrics {
     /// Two-sided messages initiated.
@@ -147,9 +145,76 @@ pub struct RankMetrics {
 }
 
 impl RankMetrics {
+    /// Fold a trace into per-rank metrics, indexed by rank (`nranks`
+    /// entries; every event's rank must be below it).
+    ///
+    /// `SendPost`, `Put` and `RecvDone` feed the traffic counters and the
+    /// per-site rows; only they create site rows, so a row's position is
+    /// the rank's first traffic at that site. The spans of `Wait`,
+    /// `Waitall`, `Quiet` and `Barrier` feed `wait_ns`, and `Waitall { n }`
+    /// feeds `waitall_width`. Site order relies on each rank's events
+    /// being in program order, which [`crate::TraceSink::take`] keeps: a
+    /// rank's clock never goes backwards and the sort is stable.
+    pub fn from_trace(events: &[TraceEvent], nranks: usize) -> Vec<RankMetrics> {
+        let mut out = vec![RankMetrics::default(); nranks];
+        for ev in events {
+            out[ev.rank].record(ev);
+        }
+        out
+    }
+
+    fn record(&mut self, ev: &TraceEvent) {
+        match ev.kind {
+            EventKind::SendPost { bytes, .. } => {
+                self.msgs_sent += 1;
+                self.bytes_sent += bytes as u64;
+                self.record_site_send(ev.site, bytes);
+            }
+            EventKind::Put { bytes, .. } => {
+                self.puts += 1;
+                self.bytes_put += bytes as u64;
+                self.record_site_send(ev.site, bytes);
+            }
+            EventKind::RecvDone {
+                bytes,
+                posted,
+                completion,
+                ..
+            } => {
+                self.msgs_recvd += 1;
+                self.bytes_recvd += bytes as u64;
+                let dwell = completion.saturating_sub(posted).as_nanos();
+                self.recv_dwell.record(dwell);
+                if let Some(s) = ev.site {
+                    let sm = self.site_mut(s);
+                    sm.msgs_recvd += 1;
+                    sm.bytes_recvd += bytes as u64;
+                    sm.dwell_ns += dwell;
+                }
+            }
+            EventKind::Waitall { n, .. } => {
+                self.waitall_width.record(n as u64);
+                self.wait_ns += ev.time.saturating_sub(ev.start).as_nanos();
+            }
+            EventKind::Wait { .. } | EventKind::Quiet { .. } | EventKind::Barrier { .. } => {
+                self.wait_ns += ev.time.saturating_sub(ev.start).as_nanos();
+            }
+            _ => {}
+        }
+    }
+
+    /// A send or put of `bytes` at `site` (if any): both count as traffic
+    /// initiated at the site.
+    fn record_site_send(&mut self, site: Option<SiteId>, bytes: usize) {
+        if let Some(s) = site {
+            let sm = self.site_mut(s);
+            sm.msgs_sent += 1;
+            sm.bytes_sent += bytes as u64;
+        }
+    }
+
     /// The per-site slot for `site`, created on first touch.
-    #[inline]
-    pub fn site_mut(&mut self, site: SiteId) -> &mut SiteMetrics {
+    fn site_mut(&mut self, site: SiteId) -> &mut SiteMetrics {
         // Linear scan: directive programs have a handful of sites, and the
         // vec stays cache-resident (same shape as the engine's site tables).
         let idx = match self.sites.iter().position(|s| s.site == site) {
@@ -163,64 +228,6 @@ impl RankMetrics {
             }
         };
         &mut self.sites[idx]
-    }
-
-    /// Record a send of `bytes` attributed to `site` (if any).
-    #[inline]
-    pub fn on_send(&mut self, bytes: usize, site: Option<SiteId>) {
-        self.msgs_sent += 1;
-        self.bytes_sent += bytes as u64;
-        if let Some(s) = site {
-            let sm = self.site_mut(s);
-            sm.msgs_sent += 1;
-            sm.bytes_sent += bytes as u64;
-        }
-    }
-
-    /// Record a put of `bytes` attributed to `site` (if any).
-    #[inline]
-    pub fn on_put(&mut self, bytes: usize, site: Option<SiteId>) {
-        self.puts += 1;
-        self.bytes_put += bytes as u64;
-        if let Some(s) = site {
-            let sm = self.site_mut(s);
-            sm.msgs_sent += 1;
-            sm.bytes_sent += bytes as u64;
-        }
-    }
-
-    /// Record a completed receive: `bytes` delivered, posted at `posted`,
-    /// complete at `completion` (both virtual).
-    #[inline]
-    pub fn on_recv_complete(
-        &mut self,
-        bytes: usize,
-        posted: Time,
-        completion: Time,
-        site: Option<SiteId>,
-    ) {
-        self.msgs_recvd += 1;
-        self.bytes_recvd += bytes as u64;
-        let dwell = completion.saturating_sub(posted).as_nanos();
-        self.recv_dwell.record(dwell);
-        if let Some(s) = site {
-            let sm = self.site_mut(s);
-            sm.msgs_recvd += 1;
-            sm.bytes_recvd += bytes as u64;
-            sm.dwell_ns += dwell;
-        }
-    }
-
-    /// Record a synchronization span `start..end` (virtual).
-    #[inline]
-    pub fn on_sync(&mut self, start: Time, end: Time) {
-        self.wait_ns += end.saturating_sub(start).as_nanos();
-    }
-
-    /// Record a consolidated completion over `n` requests.
-    #[inline]
-    pub fn on_waitall(&mut self, n: usize) {
-        self.waitall_width.record(n as u64);
     }
 
     /// Merge another rank's metrics (for whole-job aggregates). Per-site
@@ -265,6 +272,7 @@ pub struct SchedStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Time;
 
     #[test]
     fn hist_buckets_and_moments() {
@@ -283,12 +291,64 @@ mod tests {
         assert!((h.mean() - 1027.0 / 4.0).abs() < 1e-12);
     }
 
+    fn ev(rank: usize, start: u64, time: u64, site: Option<SiteId>, kind: EventKind) -> TraceEvent {
+        TraceEvent {
+            rank,
+            time: Time(time),
+            start: Time(start),
+            site,
+            kind,
+        }
+    }
+
+    fn send(rank: usize, site: Option<SiteId>, bytes: usize) -> TraceEvent {
+        ev(
+            rank,
+            0,
+            0,
+            site,
+            EventKind::SendPost {
+                dst: 0,
+                tag: 0,
+                bytes,
+            },
+        )
+    }
+
     #[test]
     fn site_attribution_first_touch_order() {
-        let mut m = RankMetrics::default();
-        m.on_send(10, Some(7));
-        m.on_send(20, Some(3));
-        m.on_recv_complete(5, Time(100), Time(400), Some(7));
+        let evs = [
+            // A waitall at site 5 opens no site row: only traffic does.
+            ev(
+                0,
+                0,
+                20,
+                Some(5),
+                EventKind::Waitall {
+                    n: 4,
+                    horizon: Time(15),
+                },
+            ),
+            send(0, Some(7), 10),
+            send(0, Some(3), 20),
+            ev(
+                0,
+                400,
+                400,
+                Some(7),
+                EventKind::RecvDone {
+                    src: 1,
+                    tag: 0,
+                    bytes: 5,
+                    unexpected: false,
+                    posted: Time(100),
+                    completion: Time(400),
+                },
+            ),
+            send(1, Some(3), 8),
+        ];
+        let ms = RankMetrics::from_trace(&evs, 2);
+        let m = &ms[0];
         assert_eq!(m.sites.len(), 2);
         assert_eq!(m.sites[0].site, 7);
         assert_eq!(m.sites[1].site, 3);
@@ -296,19 +356,26 @@ mod tests {
         assert_eq!(m.sites[0].dwell_ns, 300);
         assert_eq!(m.msgs_sent, 2);
         assert_eq!(m.bytes_recvd, 5);
+        assert_eq!(m.recv_dwell.sum, 300);
+        assert_eq!(m.wait_ns, 20);
+        assert_eq!((m.waitall_width.count, m.waitall_width.max), (1, 4));
+        assert_eq!(ms[1].msgs_sent, 1);
+        assert_eq!(ms[1].sites[0].site, 3);
     }
 
     #[test]
     fn merge_folds_sites_by_id() {
-        let mut a = RankMetrics::default();
-        a.on_send(10, Some(1));
-        a.on_sync(Time(0), Time(50));
-        let mut b = RankMetrics::default();
-        b.on_send(30, Some(1));
-        b.on_put(4, Some(9));
+        let evs = [
+            send(0, Some(1), 10),
+            ev(0, 0, 50, None, EventKind::Wait { horizon: Time(40) }),
+            send(1, Some(1), 30),
+            ev(1, 0, 0, Some(9), EventKind::Put { dst: 0, bytes: 4 }),
+        ];
+        let [mut a, b] = <[RankMetrics; 2]>::try_from(RankMetrics::from_trace(&evs, 2)).unwrap();
         a.merge(&b);
         assert_eq!(a.sites.len(), 2);
         assert_eq!(a.sites[0].bytes_sent, 40);
+        assert_eq!(a.sites[1].site, 9);
         assert_eq!(a.wait_ns, 50);
         assert_eq!(a.puts, 1);
     }

@@ -2,7 +2,7 @@
 //! simulation, driving the `--watch` stall watchdog on long bounded-engine
 //! runs.
 //!
-//! Design rules, mirroring the metrics registry:
+//! Design rules:
 //!
 //! * **Single branch when disabled.** Each rank context holds an
 //!   `Option<Arc<ProgressBoard>>`; every hook is one branch plus (when

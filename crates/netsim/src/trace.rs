@@ -29,13 +29,15 @@ pub enum EventKind {
         src: Option<usize>,
         tag: Option<i32>,
     },
-    /// A receive completed. `completion` is the virtual time the data was
-    /// available (independent of when the waiting clock charge lands).
+    /// A receive completed. `posted` is the virtual time the receive was
+    /// posted; `completion` is the virtual time the data was available
+    /// (independent of when the waiting clock charge lands).
     RecvDone {
         src: usize,
         tag: i32,
         bytes: usize,
         unexpected: bool,
+        posted: Time,
         completion: Time,
     },
     /// A single-request wait call (clock charged `o_wait`). `horizon` is
@@ -101,11 +103,6 @@ impl TraceSink {
         let mut evs = std::mem::take(&mut *self.events.lock());
         evs.sort_by_key(|e| (e.time, e.rank));
         evs
-    }
-
-    /// Count events on `rank` matching a predicate, without draining.
-    pub fn count_where(&self, mut pred: impl FnMut(&TraceEvent) -> bool) -> usize {
-        self.events.lock().iter().filter(|e| pred(e)).count()
     }
 }
 
@@ -263,10 +260,6 @@ mod tests {
                 horizon: Time(9),
             },
         });
-        assert_eq!(
-            sink.count_where(|e| matches!(e.kind, EventKind::Wait { .. })),
-            1
-        );
         let evs = sink.take();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].time, Time(10));

@@ -20,7 +20,7 @@
 
 use commint::{CommSession, Overlay, Target};
 use netsim::trace::TraceEvent;
-use netsim::{run, ExecPolicy, RankMetrics, RankStats, SimConfig, Time};
+use netsim::{run, ExecPolicy, RankMetrics, RankStats, SimConfig, SimResult, Time};
 
 use crate::atom::{AtomData, AtomSizes};
 use crate::atom_comm::{transfer_atom_directive, transfer_atom_original};
@@ -68,22 +68,37 @@ pub struct Measurement {
 }
 
 /// Full observability capture of one experiment run: the event trace, the
-/// metrics registry, and the final per-rank clocks — everything `commscope`
-/// needs for wait-state analysis and export. All values are pure functions
-/// of virtual time, so an `Observed` is bit-identical across execution
-/// engines. For the per-step figures the trace covers the *whole* run
-/// (including warmup), while `Measurement::time` remains the steady-state
-/// per-step number.
+/// per-rank metrics folded from it, and the final per-rank clocks —
+/// everything `commscope` needs for wait-state analysis and export. All
+/// values are pure functions of virtual time, so an `Observed` is
+/// bit-identical across execution engines. For the per-step figures the
+/// trace covers the *whole* run (including warmup), while
+/// `Measurement::time` remains the steady-state per-step number.
 #[derive(Clone, Debug)]
 pub struct Observed {
     /// The measurement, identical to the unobserved run's.
     pub measurement: Measurement,
     /// Time-sorted event trace from all ranks.
     pub trace: Vec<TraceEvent>,
-    /// Per-rank metrics registry dumps, indexed by rank.
+    /// Per-rank metrics ([`RankMetrics::from_trace`] of `trace`), indexed
+    /// by rank.
     pub metrics: Vec<RankMetrics>,
     /// Final virtual clock of each rank.
     pub final_times: Vec<Time>,
+}
+
+impl Observed {
+    /// The capture of a traced run `res` that measured `measurement`.
+    fn new<T>(measurement: Measurement, res: SimResult<T>) -> Self {
+        let trace = res.trace.expect("observed run enables the trace");
+        let metrics = RankMetrics::from_trace(&trace, res.final_times.len());
+        Observed {
+            measurement,
+            trace,
+            metrics,
+            final_times: res.final_times,
+        }
+    }
 }
 
 /// Fig. 3: time to distribute every atom's single-atom data.
@@ -106,8 +121,8 @@ pub fn fig3_single_atom_exec(
     fig3_single_atom_run(topo, variant, sizes, exec, false).0
 }
 
-/// [`fig3_single_atom_exec`] with tracing and metrics enabled; the
-/// measurement is unchanged by observation.
+/// [`fig3_single_atom_exec`] traced, with metrics folded from the trace;
+/// the measurement is unchanged by observation.
 pub fn fig3_single_atom_observed(
     topo: &Topology,
     variant: AtomCommVariant,
@@ -130,7 +145,7 @@ fn fig3_single_atom_run(
     let t = topo.clone();
     let mut cfg = SimConfig::new(t.total_ranks()).with_exec(exec);
     if observe {
-        cfg = cfg.with_trace().with_metrics();
+        cfg = cfg.with_trace();
     }
     let res = run(cfg, move |ctx| {
         let comms = t.build_comms(ctx);
@@ -213,12 +228,7 @@ fn fig3_single_atom_run(
         correct: res.per_rank.iter().all(|&(_, ok)| ok),
         stats: res.total_stats(),
     };
-    let observed = observe.then(|| Observed {
-        measurement,
-        trace: res.trace.unwrap_or_default(),
-        metrics: res.metrics.unwrap_or_default(),
-        final_times: res.final_times,
-    });
+    let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
 }
 
@@ -239,8 +249,8 @@ pub fn fig4_spin_exec(
     fig4_spin_run(topo, variant, steps, exec, false, None).0
 }
 
-/// [`fig4_spin_exec`] with tracing and metrics enabled; the measurement is
-/// unchanged by observation.
+/// [`fig4_spin_exec`] traced, with metrics folded from the trace; the
+/// measurement is unchanged by observation.
 pub fn fig4_spin_observed(
     topo: &Topology,
     variant: SpinVariant,
@@ -265,7 +275,7 @@ pub fn fig4_spin_tuned(
     fig4_spin_run(topo, variant, steps, exec, false, overlay.cloned()).0
 }
 
-/// [`fig4_spin_tuned`] with tracing and metrics enabled.
+/// [`fig4_spin_tuned`] traced, with metrics folded from the trace.
 pub fn fig4_spin_tuned_observed(
     topo: &Topology,
     variant: SpinVariant,
@@ -289,7 +299,7 @@ fn fig4_spin_run(
     let t = topo.clone();
     let mut cfg = SimConfig::new(t.total_ranks()).with_exec(exec);
     if observe {
-        cfg = cfg.with_trace().with_metrics();
+        cfg = cfg.with_trace();
     }
     let res = run(cfg, move |ctx| {
         let comms = t.build_comms(ctx);
@@ -365,12 +375,7 @@ fn fig4_spin_run(
         correct: res.per_rank.iter().all(|&(_, ok)| ok),
         stats: res.total_stats(),
     };
-    let observed = observe.then(|| Observed {
-        measurement,
-        trace: res.trace.unwrap_or_default(),
-        metrics: res.metrics.unwrap_or_default(),
-        final_times: res.final_times,
-    });
+    let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
 }
 
@@ -419,8 +424,8 @@ pub fn fig5_overlap_exec(
     fig5_overlap_run(topo, directive, cparams, sizes, steps, exec, false).0
 }
 
-/// [`fig5_overlap_exec`] with tracing and metrics enabled; the measurement
-/// is unchanged by observation.
+/// [`fig5_overlap_exec`] traced, with metrics folded from the trace; the
+/// measurement is unchanged by observation.
 pub fn fig5_overlap_observed(
     topo: &Topology,
     directive: bool,
@@ -447,7 +452,7 @@ fn fig5_overlap_run(
     let t = topo.clone();
     let mut cfg = SimConfig::new(t.total_ranks()).with_exec(exec);
     if observe {
-        cfg = cfg.with_trace().with_metrics();
+        cfg = cfg.with_trace();
     }
     let res = run(cfg, move |ctx| {
         let comms = t.build_comms(ctx);
@@ -489,12 +494,7 @@ fn fig5_overlap_run(
         correct: true,
         stats: res.total_stats(),
     };
-    let observed = observe.then(|| Observed {
-        measurement,
-        trace: res.trace.unwrap_or_default(),
-        metrics: res.metrics.unwrap_or_default(),
-        final_times: res.final_times,
-    });
+    let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
 }
 

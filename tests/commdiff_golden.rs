@@ -48,17 +48,30 @@ fn quiet(rank: usize, site: Option<u32>, start: u64, end: u64) -> TraceEvent {
     }
 }
 
-fn metrics(sends: &[(u32, u64, usize)]) -> Vec<RankMetrics> {
-    let mut m = RankMetrics::default();
-    for &(site, n, bytes) in sends {
-        for _ in 0..n {
-            m.on_send(bytes, Some(site));
-        }
+fn send(site: Option<u32>, bytes: usize) -> TraceEvent {
+    TraceEvent {
+        rank: 0,
+        time: Time(0),
+        start: Time(0),
+        site,
+        kind: EventKind::SendPost {
+            dst: 0,
+            tag: 0,
+            bytes,
+        },
     }
+}
+
+/// Rank 0's metrics, folded from `n` sends of `bytes` at each `site`.
+fn metrics(sends: &[(u32, u64, usize)]) -> Vec<RankMetrics> {
+    let mut evs: Vec<TraceEvent> = sends
+        .iter()
+        .flat_map(|&(site, n, bytes)| (0..n).map(move |_| send(Some(site), bytes)))
+        .collect();
     // One send outside any directive site: lands on the diff's
     // unattributed pseudo-site via the traffic remainder.
-    m.on_send(8, None);
-    vec![m]
+    evs.push(send(None, 8));
+    RankMetrics::from_trace(&evs, 1)
 }
 
 /// Baseline: wait on sites 1 and 2 plus an unattributed tail.

@@ -87,7 +87,7 @@ fn lint_sites_join_runtime_trace_sites() {
     );
 
     // The flagged directive produced site-attributed metrics rows too.
-    let metrics = res.metrics.expect("metrics enabled");
+    let metrics = netsim::RankMetrics::from_trace(&trace, res.per_rank.len());
     assert!(
         metrics
             .iter()

@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use commint::prelude::*;
 use mpisim::Comm;
-use netsim::{run, EventKind, SimConfig, Time};
+use netsim::{run, EventKind, ExecPolicy, SimConfig, Time};
 
 /// Counts heap allocations made by the current thread.
 struct CountingAlloc;
@@ -376,7 +376,7 @@ fn two_of_six(target: Target, cfg: SimConfig) -> (Vec<Time>, Vec<usize>, Vec<usi
 fn non_participants_join_staging_and_fence_identically_across_engines() {
     for target in [Target::Mpi1Side, Target::Shmem] {
         let threads = two_of_six(target, SimConfig::new(6));
-        let bounded = two_of_six(target, SimConfig::new(6).with_workers(1));
+        let bounded = two_of_six(target, SimConfig::new(6).with_exec(ExecPolicy::bounded(1)));
         assert_eq!(
             threads.0, bounded.0,
             "{target}: final times differ across engines"
@@ -464,6 +464,6 @@ fn non_participant_fences_follow_the_overlay() {
         (barriers, quiets),
         "the non-participant joins the same fence and quiet"
     );
-    let bounded = overlay_run(SimConfig::new(3).with_workers(1));
+    let bounded = overlay_run(SimConfig::new(3).with_exec(ExecPolicy::bounded(1)));
     assert_eq!(res.final_times, bounded.final_times);
 }

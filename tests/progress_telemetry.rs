@@ -7,7 +7,7 @@
 use bench::{BenchReport, SeriesReport};
 use commscope::{analyze, chrome_trace, profile_json};
 use netsim::progress::STATE_DONE;
-use netsim::{run, ExecPolicy, SimConfig, SimResult, SrcSel, TagSel, Time, WatchCfg};
+use netsim::{run, ExecPolicy, RankMetrics, SimConfig, SimResult, SrcSel, TagSel, Time, WatchCfg};
 
 const NRANKS: usize = 4;
 
@@ -85,14 +85,9 @@ fn progress_off_by_default() {
 #[test]
 fn artifacts_bit_identical_with_watch_on() {
     let observe = |exec: ExecPolicy| {
-        let res = run_with(
-            SimConfig::new(NRANKS)
-                .with_exec(exec)
-                .with_trace()
-                .with_metrics(),
-        );
+        let res = run_with(SimConfig::new(NRANKS).with_exec(exec).with_trace());
         let trace = res.trace.expect("trace enabled");
-        let metrics = res.metrics.expect("metrics enabled");
+        let metrics = RankMetrics::from_trace(&trace, NRANKS);
         let analysis = analyze(&trace, NRANKS, &res.final_times);
         (
             chrome_trace(&trace, NRANKS),

@@ -6,7 +6,7 @@
 
 use commscope::{diff_is_zero, diff_profiles, profile_json, render_diff_text, validate_diff};
 use netsim::json::Json;
-use netsim::{run, ExecPolicy, SimConfig, SrcSel, TagSel, Time};
+use netsim::{run, ExecPolicy, RankMetrics, SimConfig, SrcSel, TagSel, Time};
 use proptest::prelude::*;
 
 /// One communication round every rank executes (rounds are matched by
@@ -34,10 +34,7 @@ fn round_strategy() -> impl Strategy<Value = Round> {
 fn profile_of(nranks: usize, rounds: &[Round], exec: ExecPolicy, label: &str) -> Json {
     let rounds = rounds.to_vec();
     let res = run(
-        SimConfig::new(nranks)
-            .with_exec(exec)
-            .with_trace()
-            .with_metrics(),
+        SimConfig::new(nranks).with_exec(exec).with_trace(),
         move |ctx| {
             let model = ctx.machine().mpi;
             let me = ctx.rank();
@@ -72,7 +69,7 @@ fn profile_of(nranks: usize, rounds: &[Round], exec: ExecPolicy, label: &str) ->
         },
     );
     let trace = res.trace.expect("trace enabled");
-    let metrics = res.metrics.expect("metrics enabled");
+    let metrics = RankMetrics::from_trace(&trace, nranks);
     let analysis = commscope::analyze(&trace, nranks, &res.final_times);
     profile_json(label, &[], &analysis, &metrics)
 }

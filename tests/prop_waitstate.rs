@@ -1,11 +1,17 @@
 //! Property tests for the commscope wait-state analysis: on randomized
 //! mixed workloads, the per-rank blame attribution sums exactly to each
 //! rank's measured wait, the wait-kind buckets partition it, the critical
-//! path is well-formed, and the serialized profile is identical under every
-//! execution engine.
+//! path is well-formed, the metrics folded from the trace agree with the
+//! runtime's counters and the analysis, and the serialized profile is
+//! identical under every execution engine.
+//!
+//! Runs `PROPTEST_CASES` cases when it is set (CI also runs this file with
+//! 256), else 16.
 
 use commscope::{analyze, profile_json, validate_profile, Analysis};
-use netsim::{run, ExecPolicy, RankMetrics, SimConfig, SrcSel, TagSel, Time, TraceEvent};
+use netsim::{
+    run, ExecPolicy, RankMetrics, RankStats, SimConfig, SrcSel, TagSel, Time, TraceEvent,
+};
 use proptest::prelude::*;
 
 /// One communication round every rank executes (rounds are matched by
@@ -34,17 +40,19 @@ fn round_strategy() -> impl Strategy<Value = Round> {
     ]
 }
 
-fn run_observed(
-    nranks: usize,
-    rounds: &[Round],
-    exec: ExecPolicy,
-) -> (Vec<TraceEvent>, Vec<RankMetrics>, Vec<Time>) {
+/// A traced run: its trace, the metrics folded from it, the final clocks
+/// and the runtime's per-rank counters.
+struct Observed {
+    trace: Vec<TraceEvent>,
+    metrics: Vec<RankMetrics>,
+    finals: Vec<Time>,
+    stats: Vec<RankStats>,
+}
+
+fn run_observed(nranks: usize, rounds: &[Round], exec: ExecPolicy) -> Observed {
     let rounds = rounds.to_vec();
     let res = run(
-        SimConfig::new(nranks)
-            .with_exec(exec)
-            .with_trace()
-            .with_metrics(),
+        SimConfig::new(nranks).with_exec(exec).with_trace(),
         move |ctx| {
             let model = ctx.machine().mpi;
             let me = ctx.rank();
@@ -78,11 +86,45 @@ fn run_observed(
             }
         },
     );
-    (
-        res.trace.expect("trace enabled"),
-        res.metrics.expect("metrics enabled"),
-        res.final_times,
-    )
+    let trace = res.trace.expect("trace enabled");
+    Observed {
+        metrics: RankMetrics::from_trace(&trace, nranks),
+        trace,
+        finals: res.final_times,
+        stats: res.stats,
+    }
+}
+
+/// The metrics fold agrees with the runtime's own counters and with the
+/// analysis' measured wait, and the trace it folds is in time order.
+fn check_fold(obs: &Observed, a: &Analysis) -> Result<(), TestCaseError> {
+    prop_assert_eq!(obs.metrics.len(), obs.stats.len());
+    for (r, (m, s)) in obs.metrics.iter().zip(&obs.stats).enumerate() {
+        prop_assert_eq!(m.msgs_sent, s.sends as u64, "rank {}: sends", r);
+        prop_assert_eq!(m.bytes_sent, s.bytes_sent as u64, "rank {}: bytes sent", r);
+        prop_assert_eq!(m.puts, s.puts as u64, "rank {}: puts", r);
+        prop_assert_eq!(m.bytes_put, s.bytes_put as u64, "rank {}: bytes put", r);
+        prop_assert_eq!(
+            m.waitall_width.count,
+            s.waitalls as u64,
+            "rank {}: waitalls",
+            r
+        );
+        prop_assert_eq!(m.wait_ns, a.ranks[r].total_wait_ns, "rank {}: wait", r);
+    }
+    // Site rows are in first-touch order only if each rank's events keep
+    // program order, which the stable time sort preserves.
+    for w in obs.trace.windows(2) {
+        prop_assert!(w[0].time <= w[1].time, "trace not in time order");
+    }
+    Ok(())
+}
+
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16)
 }
 
 /// The analysis invariants that must hold on any trace.
@@ -137,22 +179,23 @@ fn check_invariants(a: &Analysis, nranks: usize) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn blame_partitions_wait_and_profiles_agree_across_engines(
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
-        let (trace, metrics, finals) = run_observed(nranks, &rounds, ExecPolicy::threads());
-        let analysis = analyze(&trace, nranks, &finals);
+        let obs = run_observed(nranks, &rounds, ExecPolicy::threads());
+        let analysis = analyze(&obs.trace, nranks, &obs.finals);
         check_invariants(&analysis, nranks)?;
+        check_fold(&obs, &analysis)?;
         // The backward walk consumes each event at most once.
-        prop_assert!(analysis.critical_path.len() <= trace.len() + nranks + 1);
+        prop_assert!(analysis.critical_path.len() <= obs.trace.len() + nranks + 1);
 
         // The serialized profile passes its own validator (which re-derives
         // the blame invariant from the document).
-        let doc = profile_json("prop", &[], &analysis, &metrics);
+        let doc = profile_json("prop", &[], &analysis, &obs.metrics);
         let problems = validate_profile(&doc);
         prop_assert!(problems.is_empty(), "profile invalid: {:?}", problems);
         let rendered = doc.render();
@@ -161,9 +204,9 @@ proptest! {
         // function of virtual time, so the rendered profile is identical
         // under the bounded scheduler at any width.
         for workers in [1usize, 3] {
-            let (t2, m2, f2) = run_observed(nranks, &rounds, ExecPolicy::bounded(workers));
-            let a2 = analyze(&t2, nranks, &f2);
-            let r2 = profile_json("prop", &[], &a2, &m2).render();
+            let o2 = run_observed(nranks, &rounds, ExecPolicy::bounded(workers));
+            let a2 = analyze(&o2.trace, nranks, &o2.finals);
+            let r2 = profile_json("prop", &[], &a2, &o2.metrics).render();
             prop_assert_eq!(&rendered, &r2, "profile differs under bounded({})", workers);
         }
     }
