@@ -48,6 +48,17 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
+    /// The virtual counters as a named object in table order: the series'
+    /// `stats` in both the `--json` report and the ledger.
+    pub fn stats_json(&self) -> Json {
+        Json::Obj(
+            self.stats
+                .of_kind(CounterKind::Virtual)
+                .map(|(c, v)| (c.name.into(), Json::Int(v as i64)))
+                .collect(),
+        )
+    }
+
     pub fn new(label: impl Into<String>, time_ns: Vec<u64>, stats: &RankStats) -> Self {
         SeriesReport {
             label: label.into(),
@@ -73,13 +84,13 @@ impl BenchReport {
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::Int(1)),
-            ("bench".into(), Json::Str(self.bench.clone())),
+            ("bench".into(), self.bench.clone().into()),
             (
                 "args".into(),
                 Json::Obj(
                     self.args
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::Int(*v)))
+                        .map(|(k, v)| (k.clone().into(), Json::Int(*v)))
                         .collect(),
                 ),
             ),
@@ -94,22 +105,14 @@ impl BenchReport {
                         .iter()
                         .map(|s| {
                             Json::Obj(vec![
-                                ("label".into(), Json::Str(s.label.clone())),
+                                ("label".into(), s.label.clone().into()),
                                 (
                                     "time_ns".into(),
                                     Json::Arr(
                                         s.time_ns.iter().map(|&t| Json::Int(t as i64)).collect(),
                                     ),
                                 ),
-                                (
-                                    "stats".into(),
-                                    Json::Obj(
-                                        s.stats
-                                            .of_kind(CounterKind::Virtual)
-                                            .map(|(c, v)| (c.name.into(), Json::Int(v as i64)))
-                                            .collect(),
-                                    ),
-                                ),
+                                ("stats".into(), s.stats_json()),
                                 (
                                     "contention".into(),
                                     Json::Arr(
@@ -138,7 +141,11 @@ impl BenchReport {
         let args = match need("args")? {
             Json::Obj(fields) => fields
                 .iter()
-                .map(|(k, v)| v.as_i64().map(|v| (k.clone(), v)).ok_or("bad arg value"))
+                .map(|(k, v)| {
+                    v.as_i64()
+                        .map(|v| (k.to_string(), v))
+                        .ok_or("bad arg value")
+                })
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("args not an object".into()),
         };
@@ -495,7 +502,7 @@ mod tests {
         let Some(Json::Obj(fields)) = series.get("stats") else {
             panic!("stats is not an object: {text}");
         };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| &**k).collect();
         let virtuals: Vec<&str> = r.series[0]
             .stats
             .of_kind(CounterKind::Virtual)

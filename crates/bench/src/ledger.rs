@@ -4,22 +4,19 @@
 //!
 //! One entry records the identity of the run (bench name, args, git
 //! revision, execution engine) plus the measured series (virtual `time_ns`
-//! and the deterministic counters) and the physical wall time. Everything
-//! except `git_rev`, `engine`, and `wall_s` is a pure function of virtual
-//! time — two entries for the same workload under different engines differ
-//! only in those three fields, which the determinism suite checks.
+//! and the deterministic counters, named as in the `--json` report's
+//! `stats`) and the physical wall time. Everything except `git_rev`,
+//! `engine`, and `wall_s` is a pure function of virtual time — two entries
+//! for the same workload under different engines differ only in those
+//! three fields, which the determinism suite checks.
 
 use std::io::Write as _;
 use std::path::Path;
 
-use netsim::CounterKind;
-
-use crate::json::BenchReport;
+use commscope::LEDGER_SCHEMA;
 use netsim::json::Json;
 
-/// Schema version of one ledger line (`commscope::LEDGER_SCHEMA` mirrors
-/// this on the reader side).
-pub const LEDGER_SCHEMA: i64 = 1;
+use crate::json::BenchReport;
 
 /// Short git revision of the working tree, `"unknown"` outside a checkout.
 pub fn git_rev() -> String {
@@ -48,16 +45,16 @@ pub fn engine_label(workers: Option<usize>) -> String {
 pub fn entry_json(report: &BenchReport, engine: &str, git_rev: &str) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::Int(LEDGER_SCHEMA)),
-        ("bench".into(), Json::Str(report.bench.clone())),
-        ("git_rev".into(), Json::Str(git_rev.into())),
-        ("engine".into(), Json::Str(engine.into())),
+        ("bench".into(), report.bench.clone().into()),
+        ("git_rev".into(), git_rev.to_string().into()),
+        ("engine".into(), engine.to_string().into()),
         (
             "args".into(),
             Json::Obj(
                 report
                     .args
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v)))
+                    .map(|(k, v)| (k.clone().into(), Json::Int(*v)))
                     .collect(),
             ),
         ),
@@ -73,7 +70,7 @@ pub fn entry_json(report: &BenchReport, engine: &str, git_rev: &str) -> Json {
                     .iter()
                     .map(|s| {
                         Json::Obj(vec![
-                            ("label".into(), Json::Str(s.label.clone())),
+                            ("label".into(), s.label.clone().into()),
                             (
                                 "time_ns".into(),
                                 Json::Arr(s.time_ns.iter().map(|&t| Json::Int(t as i64)).collect()),
@@ -84,15 +81,7 @@ pub fn entry_json(report: &BenchReport, engine: &str, git_rev: &str) -> Json {
                                 "total_ns".into(),
                                 Json::Int(s.time_ns.iter().map(|&t| t as i64).sum()),
                             ),
-                            (
-                                "stats".into(),
-                                Json::Arr(
-                                    s.stats
-                                        .of_kind(CounterKind::Virtual)
-                                        .map(|(_, v)| Json::Int(v as i64))
-                                        .collect(),
-                                ),
-                            ),
+                            ("stats".into(), s.stats_json()),
                         ])
                     })
                     .collect(),
@@ -155,6 +144,8 @@ mod tests {
         let entry = entry_json(&report(), "threads", "abc1234");
         let line = entry.render_compact();
         assert!(!line.contains('\n'));
+        assert!(line.starts_with("{\"schema\":2,"), "{line}");
+        assert!(line.contains("\"stats\":{\"sends\":3,"), "{line}");
         let entries = commscope::parse_ledger(&line).unwrap();
         assert_eq!(entries.len(), 1);
         let trends = commscope::trend(&entries, 3, 5.0);

@@ -63,10 +63,10 @@ use commlint::{
     apply_decls, assemble_lint_report, lint_parsed, parse_diags, region_view, scan_annotations,
     LintOptions, LintReport, RankRange,
 };
-use commprove::cert::{Certificate, RegionCert, CERT_SCHEMA};
+use commprove::cert::{forms_json, Certificate, RegionCert, CERT_SCHEMA};
 use commprove::check::check_cert_bytes;
 use commprove::{prove_parsed, prove_region_with, region_forms};
-use netsim::json::Escaped;
+use netsim::json::Json;
 use pragma_front::lex::{Tok, Token};
 use pragma_front::{parse, Parsed, SymbolTable};
 
@@ -885,59 +885,44 @@ impl Engine {
     }
 
     /// Serve the `diag` verb: per-region cache keys, class parameters,
-    /// clause normal forms and race summaries, as a JSON array body.
-    pub fn diag(&self, file: &str, src: &str) -> Result<String, String> {
+    /// clause normal forms and race summaries, as a JSON array.
+    pub fn diag(&self, file: &str, src: &str) -> Result<Json, String> {
         let src_fnv = fnv1a64(src.as_bytes());
         let ctx = match self.prepare(src).map_err(|e| e.to_string())? {
             Prep::Cached(ctx) => ctx,
-            Prep::Direct { .. } => return Ok("[]".to_string()),
+            Prep::Direct { .. } => return Ok(Json::Arr(Vec::new())),
         };
         let hashes: Vec<u64> = ctx.chunks.iter().map(|(_, h, _)| *h).collect();
         self.delta(file, &hashes, src_fnv);
-        let mut out = String::from("[");
+        let mut out = Vec::with_capacity(ctx.chunks.len());
         let mut site_base = 1u32;
         for (i, (chunk, h, toks)) in ctx.chunks.iter().enumerate() {
             self.ensure_anchor(*h);
             let anchor = Anchor::of_tokens(toks);
             let forms = self.forms(*h, &ctx.regions[i], &ctx.vars);
             let races = self.race_summary(*h, i, &ctx.regions[i], ctx.ranks, &ctx.vars, &anchor);
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{ \"region\": {i}, \"hash\": \"{h:016x}\", \"site_base\": {site_base}, \
-                 \"sites\": {}, \"eligible\": {}, \"reason\": {}, \"lcm\": {}, \
-                 \"boundary\": {}, \"forms\": [{}], \"races\": [{}] }}",
-                chunk.sites,
-                forms.eligible,
-                match &forms.reason {
-                    Some(r) => format!("\"{}\"", Escaped(r)),
-                    None => "null".to_string(),
-                },
-                forms.lcm,
-                forms.boundary,
-                forms
-                    .sites
-                    .iter()
-                    .map(|(site, fs)| format!(
-                        "{{ \"site\": {site}, \"forms\": [{}] }}",
-                        fs.iter()
-                            .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", Escaped(kw), Escaped(nf)))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                races
-                    .iter()
-                    .map(|(code, n)| format!("[\"{code}\", {n}]"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ));
+            let sites = forms
+                .sites
+                .iter()
+                .map(|(site, fs)| Json::obj([("site", (*site).into()), ("forms", forms_json(fs))]));
+            let races = races
+                .iter()
+                .map(|(code, n)| Json::Arr(vec![(*code).into(), (*n).into()]));
+            out.push(Json::obj([
+                ("region", i.into()),
+                ("hash", format!("{h:016x}").into()),
+                ("site_base", site_base.into()),
+                ("sites", chunk.sites.into()),
+                ("eligible", forms.eligible.into()),
+                ("reason", forms.reason.clone().into()),
+                ("lcm", forms.lcm.into()),
+                ("boundary", forms.boundary.into()),
+                ("forms", sites.collect()),
+                ("races", races.collect()),
+            ]));
             site_base += chunk.sites as u32;
         }
-        out.push(']');
-        Ok(out)
+        Ok(Json::Arr(out))
     }
 }
 

@@ -18,11 +18,15 @@
 //! indexes re-analyzed), `reused`, and `evicted` (cache entries removed
 //! by this update's invalidations); `prove` adds `disk_cert`.
 //!
+//! Every frame, request or response, is a [`Json`] value written by
+//! `netsim::json` in its spaced one-line form ([`Json::render_line`]).
+//! `stats` reports `hit_rate` rounded to four decimals.
+//!
 //! The golden fixtures under `tests/intd_golden/` pin this surface.
 
 use std::io::{self, Read, Write};
 
-use netsim::json::{self, Escaped, Json};
+use netsim::json::{self, Json};
 
 use crate::engine::Engine;
 
@@ -120,28 +124,15 @@ pub fn parse_request(bytes: &[u8]) -> Result<Request, String> {
     })
 }
 
-fn id_json(id: Option<i64>) -> String {
-    match id {
-        Some(i) => i.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn dirty_json(dirty: &[usize]) -> String {
-    dirty
-        .iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// Render an error response.
-pub fn error_response(id: Option<i64>, msg: &str) -> String {
-    format!(
-        "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": false, \"error\": \"{}\" }}",
-        id_json(id),
-        Escaped(msg)
-    )
+pub fn error_response(id: Option<i64>, msg: String) -> String {
+    Json::obj([
+        ("v", PROTO_VERSION.into()),
+        ("id", id.into()),
+        ("ok", false.into()),
+        ("error", msg.into()),
+    ])
+    .render_line()
 }
 
 /// Dispatch one request frame against the engine and render the response
@@ -150,94 +141,85 @@ pub fn error_response(id: Option<i64>, msg: &str) -> String {
 pub fn handle(engine: &Engine, frame: &[u8]) -> String {
     let req = match parse_request(frame) {
         Ok(r) => r,
-        Err(e) => return error_response(None, &e),
+        Err(e) => return error_response(None, e),
     };
-    match req.op.as_str() {
-        "analyze" => match engine.analyze(&req.file, &req.src) {
-            Ok(a) => format!(
-                "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": true, \"op\": \"analyze\", \
-                 \"file\": \"{}\", \"gate_fails\": {}, \"regions\": {}, \"dirty\": [{}], \
-                 \"reused\": {}, \"evicted\": {}, \"report\": \"{}\" }}",
-                id_json(req.id),
-                Escaped(&req.file),
-                a.gate_fails,
-                a.regions,
-                dirty_json(&a.dirty),
-                a.reused,
-                a.evicted,
-                Escaped(&a.report_json),
-            ),
-            Err(e) => error_response(req.id, &e),
-        },
-        "prove" => match engine.prove(&req.file, &req.src) {
-            Ok(p) => format!(
-                "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": true, \"op\": \"prove\", \
-                 \"file\": \"{}\", \"gate_fails\": {}, \"regions\": {}, \"dirty\": [{}], \
-                 \"reused\": {}, \"evicted\": {}, \"disk_cert\": \"{}\", \
-                 \"report\": \"{}\", \"cert\": \"{}\" }}",
-                id_json(req.id),
-                Escaped(&req.file),
-                p.gate_fails,
-                p.regions,
-                dirty_json(&p.dirty),
-                p.reused,
-                p.evicted,
-                p.disk_cert,
-                Escaped(&p.report_json),
-                Escaped(&p.cert_json),
-            ),
-            Err(e) => error_response(req.id, &e),
-        },
-        "diag" => match engine.diag(&req.file, &req.src) {
-            Ok(body) => format!(
-                "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": true, \"op\": \"diag\", \
-                 \"file\": \"{}\", \"regions\": {body} }}",
-                id_json(req.id),
-                Escaped(&req.file),
-            ),
-            Err(e) => error_response(req.id, &e),
-        },
+    let file = || ("file", Json::from(req.file.clone()));
+    let body = match req.op.as_str() {
+        "analyze" => engine.analyze(&req.file, &req.src).map(|a| {
+            vec![
+                file(),
+                ("gate_fails", a.gate_fails.into()),
+                ("regions", a.regions.into()),
+                ("dirty", a.dirty.iter().map(|&i| i.into()).collect()),
+                ("reused", a.reused.into()),
+                ("evicted", a.evicted.into()),
+                ("report", a.report_json.into()),
+            ]
+        }),
+        "prove" => engine.prove(&req.file, &req.src).map(|p| {
+            vec![
+                file(),
+                ("gate_fails", p.gate_fails.into()),
+                ("regions", p.regions.into()),
+                ("dirty", p.dirty.iter().map(|&i| i.into()).collect()),
+                ("reused", p.reused.into()),
+                ("evicted", p.evicted.into()),
+                ("disk_cert", p.disk_cert.into()),
+                ("report", p.report_json.into()),
+                ("cert", p.cert_json.into()),
+            ]
+        }),
+        "diag" => engine
+            .diag(&req.file, &req.src)
+            .map(|regions| vec![file(), ("regions", regions)]),
         "stats" => {
             let s = engine.stats();
-            let kinds = engine
-                .population()
-                .iter()
-                .map(|(k, n)| format!("\"{}\": {n}", k.label()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "{{ \"v\": {PROTO_VERSION}, \"id\": {}, \"ok\": true, \"op\": \"stats\", \
-                 \"entries\": {}, \"hits\": {}, \"misses\": {}, \"waits\": {}, \
-                 \"invalidations\": {}, \"hit_rate\": {:.4}, \"kinds\": {{ {kinds} }}, \
-                 \"files\": {} }}",
-                id_json(req.id),
-                s.entries,
-                s.hits,
-                s.misses,
-                s.waits,
-                s.invalidations,
-                s.hit_rate(),
-                engine.files_seen(),
-            )
+            let kinds = engine.population().into_iter();
+            Ok(vec![
+                ("entries", s.entries.into()),
+                ("hits", s.hits.into()),
+                ("misses", s.misses.into()),
+                ("waits", s.waits.into()),
+                ("invalidations", s.invalidations.into()),
+                ("hit_rate", Json::Num((s.hit_rate() * 1e4).round() / 1e4)),
+                (
+                    "kinds",
+                    Json::obj(kinds.map(|(k, n)| (k.label(), n.into()))),
+                ),
+                ("files", engine.files_seen().into()),
+            ])
         }
-        other => error_response(req.id, &format!("unknown op `{other}`")),
+        other => Err(format!("unknown op `{other}`")),
+    };
+    match body {
+        Ok(body) => {
+            let head = [
+                ("v", PROTO_VERSION.into()),
+                ("id", req.id.into()),
+                ("ok", true.into()),
+                ("op", req.op.into()),
+            ];
+            Json::obj(head.into_iter().chain(body)).render_line()
+        }
+        Err(e) => error_response(req.id, e),
     }
 }
 
 /// Render a request document (the client side of the protocol; tests and
 /// the `fig_serve` bench use this).
 pub fn request_json(op: &str, id: i64, file: &str, src: &str) -> String {
-    if op == "stats" {
-        format!("{{ \"v\": {PROTO_VERSION}, \"op\": \"stats\", \"id\": {id} }}")
-    } else {
-        format!(
-            "{{ \"v\": {PROTO_VERSION}, \"op\": \"{}\", \"id\": {id}, \"file\": \"{}\", \
-             \"src\": \"{}\" }}",
-            Escaped(op),
-            Escaped(file),
-            Escaped(src)
-        )
+    let mut fields = vec![
+        ("v", PROTO_VERSION.into()),
+        ("op", op.to_string().into()),
+        ("id", id.into()),
+    ];
+    if op != "stats" {
+        fields.extend([
+            ("file", file.to_string().into()),
+            ("src", src.to_string().into()),
+        ]);
     }
+    Json::obj(fields).render_line()
 }
 
 #[cfg(test)]

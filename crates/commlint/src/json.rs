@@ -1,4 +1,4 @@
-//! Hand-rolled JSON rendering for `commlint --format json`.
+//! The JSON report of `commlint --format json`.
 //!
 //! The schema is stable — CI consumers and the golden-file tests depend on
 //! it. Schema 2 adds the top-level `"schema"` marker and a per-diagnostic
@@ -32,128 +32,111 @@
 //! }
 //! ```
 //!
-//! Output is pretty-printed with two-space indent and a trailing newline so
-//! golden files diff cleanly.
+//! The report is a [`Json`] value, rendered by `netsim::json` under
+//! [`LAYOUT`] with a trailing newline so golden files diff cleanly.
 
 use commint::clause::Severity;
-use commint::diag::Verification;
-use netsim::json::Escaped;
+use commint::diag::{Diag, SrcSpan, Verification};
+use netsim::json::{Json, Layout};
 
-use crate::LintReport;
+use crate::{LintReport, RankRange};
 
 /// Schema version of the JSON document.
 pub const SCHEMA: u32 = 2;
 
-/// Render a [`Verification`] as a one-line JSON object (`null` if absent).
-/// Shared with `commprove`, which emits the same per-diagnostic shape.
-pub fn verification_json(v: Option<&Verification>) -> String {
-    match v {
-        None => "null".to_string(),
-        Some(Verification::Proved { from }) => {
-            format!("{{ \"kind\": \"proved\", \"from\": {from} }}")
-        }
-        Some(Verification::ProvedCongruent {
-            from,
-            modulus,
-            residues,
-        }) => {
-            let rs: Vec<String> = residues.iter().map(|r| r.to_string()).collect();
-            format!(
-                "{{ \"kind\": \"proved-congruent\", \"from\": {from}, \"modulus\": {modulus}, \
-                 \"residues\": [{}] }}",
-                rs.join(", ")
-            )
-        }
-        Some(Verification::Swept { min, max }) => {
-            format!("{{ \"kind\": \"swept\", \"min\": {min}, \"max\": {max} }}")
-        }
+/// The report's one-line nodes: every other container spans lines.
+pub const LAYOUT: Layout = Layout {
+    line_values: &["ranks", "span", "witness", "verification", "summary"],
+    line_items: &[],
+};
+
+impl From<RankRange> for Json {
+    fn from(r: RankRange) -> Json {
+        Json::obj([("min", r.min.into()), ("max", r.max.into())])
     }
 }
 
-fn diag_json(d: &commint::diag::Diag, indent: &str) -> String {
-    let span = match d.span {
-        Some(sp) => format!("{{ \"line\": {}, \"col\": {} }}", sp.line, sp.col),
-        None => "null".to_string(),
-    };
-    let site = match d.site {
-        Some(s) => s.to_string(),
-        None => "null".to_string(),
-    };
-    let witness = match &d.witness {
-        Some(w) => {
-            let ranks: Vec<String> = w.ranks.iter().map(|r| r.to_string()).collect();
-            format!(
-                "{{ \"nranks\": {}, \"ranks\": [{}] }}",
-                w.nranks,
-                ranks.join(", ")
-            )
-        }
-        None => "null".to_string(),
-    };
-    let verification = verification_json(d.verification.as_ref());
-    format!(
-        "{indent}{{\n\
-         {indent}  \"code\": \"{}\",\n\
-         {indent}  \"name\": \"{}\",\n\
-         {indent}  \"severity\": \"{}\",\n\
-         {indent}  \"message\": \"{}\",\n\
-         {indent}  \"span\": {span},\n\
-         {indent}  \"region\": {},\n\
-         {indent}  \"site\": {site},\n\
-         {indent}  \"witness\": {witness},\n\
-         {indent}  \"verification\": {verification}\n\
-         {indent}}}",
-        d.code.code(),
-        d.code.name(),
-        d.severity.keyword(),
-        Escaped(&d.message),
-        d.region,
-    )
+/// A source position as `{ "line", "col" }` (the certificate uses it too).
+pub fn span(sp: &SrcSpan) -> Json {
+    Json::obj([("line", sp.line.into()), ("col", sp.col.into())])
 }
 
-fn file_json(path: &str, report: &LintReport, indent: &str) -> String {
-    let diags: Vec<String> = report
-        .diags
-        .iter()
-        .map(|d| diag_json(d, &format!("{indent}    ")))
-        .collect();
-    let diags = if diags.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n{indent}  ]", diags.join(",\n"))
-    };
-    format!(
-        "{indent}{{\n\
-         {indent}  \"path\": \"{}\",\n\
-         {indent}  \"ranks\": {{ \"min\": {}, \"max\": {} }},\n\
-         {indent}  \"diagnostics\": {diags}\n\
-         {indent}}}",
-        Escaped(path),
-        report.ranks.min,
-        report.ranks.max,
-    )
+fn verification(v: &Verification) -> Json {
+    match v {
+        Verification::Proved { from } => {
+            Json::obj([("kind", "proved".into()), ("from", (*from).into())])
+        }
+        Verification::ProvedCongruent {
+            from,
+            modulus,
+            residues,
+        } => Json::obj([
+            ("kind", "proved-congruent".into()),
+            ("from", (*from).into()),
+            ("modulus", (*modulus).into()),
+            ("residues", residues.iter().map(|&r| r.into()).collect()),
+        ]),
+        Verification::Swept { min, max } => Json::obj([
+            ("kind", "swept".into()),
+            ("min", (*min).into()),
+            ("max", (*max).into()),
+        ]),
+    }
+}
+
+fn diagnostic(d: &Diag) -> Json {
+    let witness = d.witness.as_ref().map(|w| {
+        Json::obj([
+            ("nranks", w.nranks.into()),
+            ("ranks", w.ranks.iter().map(|&r| r.into()).collect()),
+        ])
+    });
+    Json::obj([
+        ("code", d.code.code().into()),
+        ("name", d.code.name().into()),
+        ("severity", d.severity.keyword().into()),
+        ("message", d.message.clone().into()),
+        ("span", d.span.as_ref().map(span).into()),
+        ("region", d.region.into()),
+        ("site", d.site.into()),
+        ("witness", witness.into()),
+        (
+            "verification",
+            d.verification.as_ref().map(verification).into(),
+        ),
+    ])
 }
 
 /// Render reports for a set of files as one JSON document.
 pub fn render_json(files: &[(String, LintReport)]) -> String {
-    let (mut errors, mut warnings, mut notes) = (0usize, 0usize, 0usize);
-    for (_, r) in files {
-        errors += r.count(Severity::Error);
-        warnings += r.count(Severity::Warning);
-        notes += r.count(Severity::Note);
-    }
-    let entries: Vec<String> = files
-        .iter()
-        .map(|(path, r)| file_json(path, r, "    "))
-        .collect();
-    let files_json = if entries.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n  ]", entries.join(",\n"))
-    };
-    format!(
-        "{{\n  \"schema\": {SCHEMA},\n  \"files\": {files_json},\n  \"summary\": {{ \"errors\": {errors}, \"warnings\": {warnings}, \"notes\": {notes} }}\n}}\n"
-    )
+    let count = |sev| files.iter().map(|(_, r)| r.count(sev)).sum::<usize>();
+    let doc = Json::obj([
+        ("schema", SCHEMA.into()),
+        (
+            "files",
+            files
+                .iter()
+                .map(|(path, r)| {
+                    Json::obj([
+                        ("path", path.clone().into()),
+                        ("ranks", r.ranks.into()),
+                        ("diagnostics", r.diags.iter().map(diagnostic).collect()),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "summary",
+            Json::obj([
+                ("errors", count(Severity::Error).into()),
+                ("warnings", count(Severity::Warning).into()),
+                ("notes", count(Severity::Note).into()),
+            ]),
+        ),
+    ]);
+    let mut out = doc.render_with(&LAYOUT);
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]

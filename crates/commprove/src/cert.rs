@@ -17,7 +17,7 @@ use std::fmt;
 use commint::clause::Severity;
 use commint::diag::{LintCode, SrcSpan};
 use commlint::RankRange;
-use netsim::json::Escaped;
+use netsim::json::{Json, Layout};
 
 /// Certificate schema version (kept in lockstep with the commlint JSON
 /// report schema).
@@ -234,168 +234,117 @@ pub struct Certificate {
 }
 
 // ---------------------------------------------------------------------------
-// JSON rendering (hand-rolled, stable, golden-diffable)
+// JSON document
 // ---------------------------------------------------------------------------
 
-fn opt_str(s: &Option<String>) -> String {
-    match s {
-        Some(s) => format!("\"{}\"", Escaped(s)),
-        None => "null".to_string(),
+/// The certificate's one-line nodes: the sweep range, and each site,
+/// outcome and claim on a line of its own.
+pub const CERT_LAYOUT: Layout = Layout {
+    line_values: &["ranks"],
+    line_items: &["sites", "outcomes", "claims"],
+};
+
+impl From<&Finding> for Json {
+    fn from(f: &Finding) -> Json {
+        Json::obj([
+            ("code", f.code.code().into()),
+            ("severity", f.severity.keyword().into()),
+            ("site", f.site.into()),
+            ("key", f.key.clone().into()),
+        ])
     }
 }
 
-fn site_json(s: &Option<u32>) -> String {
-    match s {
-        Some(s) => s.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn span_json(s: &Option<SrcSpan>) -> String {
-    match s {
-        Some(sp) => format!("{{ \"line\": {}, \"col\": {} }}", sp.line, sp.col),
-        None => "null".to_string(),
-    }
-}
-
-fn finding_json(f: &Finding) -> String {
-    format!(
-        "{{ \"code\": \"{}\", \"severity\": \"{}\", \"site\": {}, \"key\": \"{}\" }}",
-        f.code.code(),
-        f.severity.keyword(),
-        site_json(&f.site),
-        Escaped(&f.key)
-    )
-}
-
-fn verdict_json(v: &Verdict) -> String {
-    match v {
-        Verdict::Absent { from } => format!("{{ \"kind\": \"absent\", \"from\": {from} }}"),
-        Verdict::Present { from } => format!("{{ \"kind\": \"present\", \"from\": {from} }}"),
-        Verdict::PresentCongruent {
-            from,
-            modulus,
-            residues,
-        } => {
-            let rs: Vec<String> = residues.iter().map(|r| r.to_string()).collect();
-            format!(
-                "{{ \"kind\": \"present-congruent\", \"from\": {from}, \"modulus\": {modulus}, \
-                 \"residues\": [{}] }}",
-                rs.join(", ")
-            )
-        }
-        Verdict::Swept { min, max } => {
-            format!("{{ \"kind\": \"swept\", \"min\": {min}, \"max\": {max} }}")
+impl From<&Verdict> for Json {
+    fn from(v: &Verdict) -> Json {
+        match v {
+            Verdict::Absent { from } => {
+                Json::obj([("kind", "absent".into()), ("from", (*from).into())])
+            }
+            Verdict::Present { from } => {
+                Json::obj([("kind", "present".into()), ("from", (*from).into())])
+            }
+            Verdict::PresentCongruent {
+                from,
+                modulus,
+                residues,
+            } => Json::obj([
+                ("kind", "present-congruent".into()),
+                ("from", (*from).into()),
+                ("modulus", (*modulus).into()),
+                ("residues", residues.iter().map(|&r| r.into()).collect()),
+            ]),
+            Verdict::Swept { min, max } => Json::obj([
+                ("kind", "swept".into()),
+                ("min", (*min).into()),
+                ("max", (*max).into()),
+            ]),
         }
     }
 }
 
-fn claim_json(c: &Claim, indent: &str) -> String {
-    let severity = match c.severity {
-        Some(s) => format!("\"{}\"", s.keyword()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{indent}{{ \"code\": \"{}\", \"site\": {}, \"key\": \"{}\", \"severity\": {severity}, \
-         \"verdict\": {} }}",
-        c.code.code(),
-        site_json(&c.site),
-        Escaped(&c.key),
-        verdict_json(&c.verdict)
-    )
+/// Clause `(keyword, normal form)` pairs as two-string arrays.
+pub fn forms_json(forms: &[(String, String)]) -> Json {
+    forms
+        .iter()
+        .map(|(kw, nf)| Json::Arr(vec![kw.clone().into(), nf.clone().into()]))
+        .collect()
 }
 
-fn list_json(entries: Vec<String>, indent: &str) -> String {
-    if entries.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{}\n{indent}]", entries.join(",\n"))
+impl From<&RegionCert> for Json {
+    fn from(r: &RegionCert) -> Json {
+        let sites = r.sites.iter().map(|s| {
+            Json::obj([
+                ("site", s.site.into()),
+                ("span", s.span.as_ref().map(commlint::json::span).into()),
+                ("forms", forms_json(&s.forms)),
+            ])
+        });
+        let outcomes = r.outcomes.iter().map(|o| {
+            Json::obj([
+                ("nranks", o.nranks.into()),
+                ("fired", o.fired.iter().map(Json::from).collect()),
+            ])
+        });
+        let claims = r.claims.iter().map(|c| {
+            Json::obj([
+                ("code", c.code.code().into()),
+                ("site", c.site.into()),
+                ("key", c.key.clone().into()),
+                ("severity", c.severity.map(|s| s.keyword()).into()),
+                ("verdict", (&c.verdict).into()),
+            ])
+        });
+        Json::obj([
+            ("region", r.region.into()),
+            ("eligible", r.eligible.into()),
+            ("reason", r.reason.clone().into()),
+            ("lcm", r.lcm.into()),
+            ("boundary", r.boundary.into()),
+            ("threshold", r.threshold.into()),
+            ("base_min", r.base_min.into()),
+            ("checked_max", r.checked_max.into()),
+            ("sites", sites.collect()),
+            ("outcomes", outcomes.collect()),
+            ("claims", claims.collect()),
+        ])
     }
-}
-
-fn region_json(r: &RegionCert, indent: &str) -> String {
-    let sub = format!("{indent}  ");
-    let subsub = format!("{indent}    ");
-    let sites = list_json(
-        r.sites
-            .iter()
-            .map(|s| {
-                let forms: Vec<String> = s
-                    .forms
-                    .iter()
-                    .map(|(kw, nf)| format!("[\"{}\", \"{}\"]", Escaped(kw), Escaped(nf)))
-                    .collect();
-                format!(
-                    "{subsub}{{ \"site\": {}, \"span\": {}, \"forms\": [{}] }}",
-                    s.site,
-                    span_json(&s.span),
-                    forms.join(", ")
-                )
-            })
-            .collect(),
-        &sub,
-    );
-    let outcomes = list_json(
-        r.outcomes
-            .iter()
-            .map(|o| {
-                let fired: Vec<String> = o.fired.iter().map(finding_json).collect();
-                format!(
-                    "{subsub}{{ \"nranks\": {}, \"fired\": [{}] }}",
-                    o.nranks,
-                    fired.join(", ")
-                )
-            })
-            .collect(),
-        &sub,
-    );
-    let claims = list_json(
-        r.claims.iter().map(|c| claim_json(c, &subsub)).collect(),
-        &sub,
-    );
-    format!(
-        "{indent}{{\n\
-         {sub}\"region\": {},\n\
-         {sub}\"eligible\": {},\n\
-         {sub}\"reason\": {},\n\
-         {sub}\"lcm\": {},\n\
-         {sub}\"boundary\": {},\n\
-         {sub}\"threshold\": {},\n\
-         {sub}\"base_min\": {},\n\
-         {sub}\"checked_max\": {},\n\
-         {sub}\"sites\": {sites},\n\
-         {sub}\"outcomes\": {outcomes},\n\
-         {sub}\"claims\": {claims}\n\
-         {indent}}}",
-        r.region,
-        r.eligible,
-        opt_str(&r.reason),
-        r.lcm,
-        r.boundary,
-        r.threshold,
-        r.base_min,
-        r.checked_max,
-    )
 }
 
 impl Certificate {
     /// Render as a stable, pretty-printed JSON document (trailing newline,
-    /// two-space indent) suitable for golden-file byte diffs.
+    /// two-space indent, [`CERT_LAYOUT`]) suitable for golden-file byte
+    /// diffs.
     pub fn to_json(&self) -> String {
-        let regions = list_json(
-            self.regions
-                .iter()
-                .map(|r| region_json(r, "    "))
-                .collect(),
-            "  ",
-        );
-        format!(
-            "{{\n  \"schema\": {},\n  \"file\": \"{}\",\n  \"ranks\": {{ \"min\": {}, \"max\": {} }},\n  \"regions\": {regions}\n}}\n",
-            self.schema,
-            Escaped(&self.file),
-            self.ranks.min,
-            self.ranks.max,
-        )
+        let doc = Json::obj([
+            ("schema", self.schema.into()),
+            ("file", self.file.clone().into()),
+            ("ranks", self.ranks.into()),
+            ("regions", self.regions.iter().map(Json::from).collect()),
+        ]);
+        let mut out = doc.render_with(&CERT_LAYOUT);
+        out.push('\n');
+        out
     }
 }
 

@@ -197,7 +197,7 @@ fn side_json(s: &ProfSummary) -> Json {
         .map(|r| r.vals[field_index("total_wait_ns")])
         .sum();
     Json::Obj(vec![
-        ("workload".into(), Json::Str(s.workload.clone())),
+        ("workload".into(), s.workload.clone().into()),
         ("ranks".into(), Json::Int(s.ranks)),
         ("makespan_ns".into(), Json::Int(s.makespan_ns)),
         ("total_wait_ns".into(), Json::Int(total_wait)),
@@ -241,7 +241,7 @@ pub fn diff_profiles(baseline: &Json, candidate: &Json) -> Result<Json, String> 
         for (i, name) in FIELDS.iter().enumerate() {
             let d = c.vals[i] - b.vals[i];
             totals[i] += d;
-            fields.push((name.to_string(), Json::Int(d)));
+            fields.push(((*name).into(), Json::Int(d)));
         }
         fields.push((
             "baseline_wait_ns".into(),
@@ -295,7 +295,7 @@ pub fn diff_profiles(baseline: &Json, candidate: &Json) -> Result<Json, String> 
         Json::Int(cand.makespan_ns - base.makespan_ns),
     )];
     for (i, name) in FIELDS.iter().enumerate() {
-        delta_fields.push((name.to_string(), Json::Int(totals[i])));
+        delta_fields.push(((*name).into(), Json::Int(totals[i])));
     }
 
     Ok(Json::Obj(vec![

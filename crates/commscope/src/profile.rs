@@ -197,7 +197,7 @@ pub fn profile_json_tuned(
                 ("rank".into(), Json::Int(s.rank as i64)),
                 ("start_ns".into(), Json::Int(s.start.as_nanos() as i64)),
                 ("end_ns".into(), Json::Int(s.end.as_nanos() as i64)),
-                ("label".into(), Json::Str(s.label.to_string())),
+                ("label".into(), s.label.to_string().into()),
                 (
                     "site".into(),
                     s.site.map_or(Json::Null, |x| Json::Int(x as i64)),
@@ -208,12 +208,12 @@ pub fn profile_json_tuned(
 
     let mut fields = vec![
         ("schema".into(), Json::Int(PROFILE_SCHEMA)),
-        ("workload".into(), Json::Str(workload.to_string())),
+        ("workload".into(), workload.to_string().into()),
         (
             "args".into(),
             Json::Obj(
                 args.iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v)))
+                    .map(|(k, v)| (k.clone().into(), Json::Int(*v)))
                     .collect(),
             ),
         ),

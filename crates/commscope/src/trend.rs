@@ -9,8 +9,12 @@
 
 use netsim::json::{self, Json};
 
-/// Schema version of one ledger entry (written by `bench::ledger`).
-pub const LEDGER_SCHEMA: i64 = 1;
+/// Schema version of one ledger entry, written by `bench::ledger`.
+/// Schema 2 names each series' virtual counters (`stats` is an object in
+/// `RankStats` table order; schema 1 had a bare positional array). The
+/// trend reads only `label`, `total_ns` and `time_ns`, so both versions
+/// trend.
+pub const LEDGER_SCHEMA: i64 = 2;
 
 /// Parse a JSONL ledger: one entry per non-empty line. Malformed lines are
 /// an error (the ledger is append-only machine output; a bad line means
@@ -171,15 +175,15 @@ mod tests {
             .iter()
             .map(|(l, t)| {
                 Json::Obj(vec![
-                    ("label".into(), Json::Str(l.to_string())),
+                    ("label".into(), l.to_string().into()),
                     ("time_ns".into(), Json::Int(*t)),
                 ])
             })
             .collect();
         Json::Obj(vec![
             ("schema".into(), Json::Int(LEDGER_SCHEMA)),
-            ("bench".into(), Json::Str(bench.into())),
-            ("git_rev".into(), Json::Str(rev.into())),
+            ("bench".into(), bench.to_string().into()),
+            ("git_rev".into(), rev.to_string().into()),
             ("series".into(), Json::Arr(series)),
         ])
         .render_compact()

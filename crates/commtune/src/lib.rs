@@ -269,9 +269,9 @@ pub fn overlay_to_json(overlay: &Overlay) -> Json {
         .iter()
         .map(|d| {
             let mut fields = vec![
-                ("site".to_string(), Json::Int(d.site as i64)),
+                ("site".into(), Json::Int(d.site as i64)),
                 (
-                    "decision".to_string(),
+                    "decision".into(),
                     Json::Str(decision_kind(&d.decision).into()),
                 ),
             ];
@@ -287,7 +287,7 @@ pub fn overlay_to_json(overlay: &Overlay) -> Json {
                 }
                 Decision::Keep => {}
             }
-            fields.push(("rationale".into(), Json::Str(d.rationale.clone())));
+            fields.push(("rationale".into(), d.rationale.clone().into()));
             fields.push((
                 "predicted_saving_ns".into(),
                 Json::Int(d.predicted_saving_ns),
@@ -412,9 +412,9 @@ pub fn overlay_provenance(overlay: &Overlay) -> Json {
                     .iter()
                     .map(|d| {
                         let mut fields = vec![
-                            ("site".to_string(), Json::Int(d.site as i64)),
+                            ("site".into(), Json::Int(d.site as i64)),
                             (
-                                "decision".to_string(),
+                                "decision".into(),
                                 Json::Str(decision_kind(&d.decision).into()),
                             ),
                         ];

@@ -79,7 +79,7 @@ impl SiteDecision {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Overlay {
     /// Job-wide eager-vs-rendezvous threshold override (bytes), applied
-    /// through `SimConfig::eager_threshold` by the experiment driver.
+    /// through `ExecPolicy::eager_threshold` by the experiment driver.
     pub eager_threshold: Option<usize>,
     /// Per-site decisions. At most one per site; first match wins.
     pub decisions: Vec<SiteDecision>,

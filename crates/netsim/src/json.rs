@@ -1,15 +1,28 @@
 //! The workspace's one JSON implementation (there is no serde): a value
 //! type with exact integers and stable insertion-order rendering, a strict
-//! parser with positioned errors, and the string escaper.
+//! parser with positioned errors, and the one writer.
 //!
 //! It lives in the bottom crate so every reader and writer shares it: the
 //! commscope profiles, traces and diffs, the bench `--json` reports and
-//! ledger, commtune overlays, the commprove certificate checker, and the
-//! commintd protocol. Documents with a hand-laid-out shape (lint reports,
-//! certificates, daemon frames) are formatted by their owners but escape
-//! strings through [`Escaped`].
+//! ledger, commtune overlays, the commlint report, the commprove
+//! certificate and its checker, and the commintd protocol. Owners build a
+//! [`Json`] value; this module alone lays it out:
+//!
+//! - [`Json::render`]: two-space pretty-printing, arrays of scalars on
+//!   one line;
+//! - [`Json::render_with`]: the same, with a document's [`Layout`]
+//!   naming the nodes that go on one line (the commlint report puts its
+//!   `"span"`s there, the certificate each of its `"claims"`);
+//! - [`Json::render_line`]: the spaced one-line form, `{ "k": v }` and
+//!   `[a, b]`, nested as `[{ … }, { … }]` (daemon frames);
+//! - [`Json::render_compact`]: no whitespace at all (ledger lines).
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+
+/// The text of a string value or an object key: a literal the program
+/// names is borrowed, never copied; parsed text is owned.
+pub type Text = Cow<'static, str>;
 
 /// A JSON value. Integers are kept exact (`Int`) — virtual times must
 /// round-trip bit-exactly through baseline and golden files.
@@ -19,13 +32,18 @@ pub enum Json {
     Bool(bool),
     Int(i64),
     Num(f64),
-    Str(String),
+    Str(Text),
     Arr(Vec<Json>),
     /// Object, in source (or insertion) order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Text, Json)>),
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -83,10 +101,25 @@ impl Json {
     }
 
     /// Serialize with two-space indentation and stable (insertion) key
-    /// order, so committed baselines diff cleanly.
+    /// order, so committed baselines diff cleanly. The no-hint case of
+    /// [`Json::render_with`].
     pub fn render(&self) -> String {
+        self.render_with(&Layout::default())
+    }
+
+    /// Serialize pretty-printed like [`Json::render`], writing the nodes
+    /// `layout` names in the one-line form.
+    pub fn render_with(&self, layout: &Layout) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, 0, layout, false);
+        out
+    }
+
+    /// Serialize in the spaced one-line form, `{ "k": v }` and `[a, b]`:
+    /// a daemon frame, or a node a [`Layout`] puts on one line.
+    pub fn render_line(&self) -> String {
+        let mut out = String::new();
+        self.write_line(&mut out, SPACED);
         out
     }
 
@@ -94,101 +127,181 @@ impl Json {
     /// by the run-history ledger, where one record must stay one line.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_line(&mut out, COMPACT);
         out
     }
 
-    /// Scalars render the same in both layouts.
-    fn write_scalar(&self, out: &mut String) {
-        let _ = match self {
-            Json::Null => write!(out, "null"),
-            Json::Bool(b) => write!(out, "{b}"),
-            Json::Int(i) => write!(out, "{i}"),
+    fn write_line(&self, out: &mut String, seps: Seps) {
+        let [comma, colon, open, close] = seps;
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => {
+                if *i < 0 {
+                    out.push('-');
+                }
+                push_uint(out, i.unsigned_abs());
+            }
             // Always include a decimal point so ints/floats round-trip
             // into the same variant they were written from.
-            Json::Num(n) if n.fract() == 0.0 && n.is_finite() => write!(out, "{n:.1}"),
-            Json::Num(n) => write!(out, "{n}"),
-            Json::Str(s) => write!(out, "\"{}\"", Escaped(s)),
-            Json::Arr(_) | Json::Obj(_) => unreachable!("containers are not scalars"),
-        };
-    }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
+            Json::Num(n) if n.fract() == 0.0 && n.is_finite() => {
+                let _ = write!(out, "{n:.1}");
+            }
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => push_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    item.write_compact(out);
+                    item.write_line(out, seps);
                 }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":", Escaped(k));
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-            scalar => scalar.write_scalar(out),
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            // Scalar-only arrays stay on one line.
-            Json::Arr(items)
-                if items
-                    .iter()
-                    .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_))) =>
-            {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.write_scalar(out);
-                }
-                out.push(']');
-            }
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
                 out.push(']');
             }
             Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
             Json::Obj(fields) => {
+                out.push_str(open);
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(comma);
+                    }
+                    push_str(out, k);
+                    out.push_str(colon);
+                    v.write_line(out, seps);
+                }
+                out.push_str(close);
+            }
+        }
+    }
+
+    /// Pretty-print at `indent`; `line_items` writes each element of this
+    /// array in the one-line form.
+    fn write(&self, out: &mut String, indent: usize, layout: &Layout, line_items: bool) {
+        match self {
+            Json::Arr(items)
+                if !items.is_empty()
+                    && (line_items
+                        || items
+                            .iter()
+                            .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_)))) =>
+            {
+                out.push_str("[\n");
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(",\n");
+                    }
+                    pad(out, indent + 1);
+                    if line_items {
+                        item.write_line(out, SPACED);
+                    } else {
+                        item.write(out, indent + 1, layout, false);
+                    }
+                }
+                out.push('\n');
+                pad(out, indent);
+                out.push(']');
+            }
+            Json::Obj(fields) if !fields.is_empty() => {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    pad(out, indent + 1);
-                    let _ = write!(out, "\"{}\": ", Escaped(k));
-                    v.write(out, indent + 1);
-                    if i + 1 < fields.len() {
-                        out.push(',');
+                    if i > 0 {
+                        out.push_str(",\n");
                     }
-                    out.push('\n');
+                    pad(out, indent + 1);
+                    push_str(out, k);
+                    out.push_str(": ");
+                    let key: &str = k;
+                    if layout.line_values.contains(&key) {
+                        v.write_line(out, SPACED);
+                    } else {
+                        let items = layout.line_items.contains(&key);
+                        v.write(out, indent + 1, layout, items);
+                    }
                 }
+                out.push('\n');
                 pad(out, indent);
                 out.push('}');
             }
-            scalar => scalar.write_scalar(out),
+            // Scalars, empty containers and scalar-only arrays read the
+            // same on one line.
+            _ => self.write_line(out, SPACED),
         }
     }
+}
+
+/// Scalars convert into their variant.
+macro_rules! from_scalar {
+    ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from($v: $t) -> Json {
+                $e
+            }
+        })*
+    };
+}
+
+from_scalar! {
+    bool => |b| Json::Bool(b),
+    i64 => |i| Json::Int(i),
+    u32 => |i| Json::Int(i.into()),
+    u64 => |i| Json::Int(i as i64),
+    usize => |i| Json::Int(i as i64),
+    &'static str => |s| Json::Str(Cow::Borrowed(s)),
+    String => |s| Json::Str(Cow::Owned(s)),
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// Which nodes of a pretty-printed document go on one line. Each
+/// hand-shaped document (the commlint report, the commprove certificate)
+/// declares its layout once, as a constant next to its schema.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Layout {
+    /// Object keys whose value is written in the one-line form, wherever
+    /// the key occurs.
+    pub line_values: &'static [&'static str],
+    /// Object keys of arrays whose elements each go on one line of their
+    /// own.
+    pub line_items: &'static [&'static str],
+}
+
+/// One-line punctuation: comma, colon, and a non-empty object's braces.
+type Seps = [&'static str; 4];
+const SPACED: Seps = [", ", ": ", "{ ", " }"];
+const COMPACT: Seps = [",", ":", "{", "}"];
+
+/// Digits without `fmt`: documents are mostly small integers.
+fn push_uint(out: &mut String, n: u64) {
+    if n >= 10 {
+        push_uint(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// A quoted, escaped string; escape-free text (the common case) is
+/// copied whole.
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let _ = escape_to(out, s);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
 }
 
 fn pad(out: &mut String, indent: usize) {
@@ -198,36 +311,41 @@ fn pad(out: &mut String, indent: usize) {
 }
 
 /// Displays a string with JSON escapes applied (quote, backslash, control
-/// characters), without the surrounding quotes, so hand-laid-out documents
-/// can escape inside `format!` without an intermediate allocation.
+/// characters), without the surrounding quotes: the writer's slow path,
+/// and the escaper of `commscope::chrome`'s streamed trace lines.
 pub struct Escaped<'a>(pub &'a str);
 
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Every byte that needs escaping is ASCII and never part of a
-        // multi-byte UTF-8 sequence, so slicing at it keeps runs valid.
-        let s = self.0;
-        let mut run = 0;
-        for (i, b) in s.bytes().enumerate() {
-            let esc = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0x00..=0x1f => "",
-                _ => continue,
-            };
-            f.write_str(&s[run..i])?;
-            if esc.is_empty() {
-                write!(f, "\\u{b:04x}")?;
-            } else {
-                f.write_str(esc)?;
-            }
-            run = i + 1;
-        }
-        f.write_str(&s[run..])
+        escape_to(f, self.0)
     }
+}
+
+/// Write `s` with JSON escapes applied. Generic so the writer's `String`
+/// sink copies runs without going through a `Formatter`.
+fn escape_to(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    // Every byte that needs escaping is ASCII and never part of a
+    // multi-byte UTF-8 sequence, so slicing at it keeps runs valid.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(esc)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])
 }
 
 /// A parse error with the byte position it was detected at.
@@ -318,7 +436,7 @@ impl Parser<'_> {
             Some(b'n') => self.eat_lit("null", Json::Null),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(|s| Json::Str(s.into())),
             Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
                 self.err(&format!("nesting deeper than {MAX_DEPTH}"))
             }
@@ -474,7 +592,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             let value = self.value()?;
-            out.push((key, value));
+            out.push((key.into(), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -606,5 +724,40 @@ mod tests {
         );
         assert_eq!(j.render_compact(), "{\"z\":1,\"a\":[1,2],\"f\":2.0}");
         assert_eq!(parse(&j.render()).unwrap(), j);
+    }
+
+    #[test]
+    fn layouts_put_named_nodes_on_one_line() {
+        let span = Json::obj([("line", 3i64.into()), ("col", 1i64.into())]);
+        let j = Json::obj([
+            ("span", span.clone()),
+            ("spans", Json::Arr(vec![span.clone(), Json::obj([])])),
+            (
+                "deep",
+                Json::obj([("span", Json::Null), ("x", "a\"b".into())]),
+            ),
+            ("none", Json::Arr(vec![])),
+        ]);
+        const LAYOUT: Layout = Layout {
+            line_values: &["span"],
+            line_items: &["spans"],
+        };
+        assert_eq!(
+            j.render_with(&LAYOUT),
+            "{\n  \"span\": { \"line\": 3, \"col\": 1 },\n  \"spans\": [\n    \
+             { \"line\": 3, \"col\": 1 },\n    {}\n  ],\n  \"deep\": {\n    \"span\": null,\n    \
+             \"x\": \"a\\\"b\"\n  },\n  \"none\": []\n}"
+        );
+        assert_eq!(
+            j.render_line(),
+            "{ \"span\": { \"line\": 3, \"col\": 1 }, \"spans\": [{ \"line\": 3, \"col\": 1 }, {}], \
+             \"deep\": { \"span\": null, \"x\": \"a\\\"b\" }, \"none\": [] }"
+        );
+        for text in [j.render_with(&LAYOUT), j.render_line()] {
+            assert_eq!(parse(&text).unwrap(), j);
+        }
+        for i in [0, -7, 42, i64::MAX, i64::MIN] {
+            assert_eq!(Json::Int(i).render(), i.to_string());
+        }
     }
 }

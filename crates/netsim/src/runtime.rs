@@ -33,33 +33,12 @@ pub struct SimConfig {
     /// Record a full event trace (tests/examples; off for benches). Fold
     /// it with [`crate::RankMetrics::from_trace`] for per-site metrics.
     pub trace: bool,
-    /// Stack size per rank thread in bytes.
-    pub stack_size: usize,
-    /// Execution engine: `None` runs thread-per-rank (every rank OS-runnable
-    /// at once); `Some(n)` runs the bounded cooperative scheduler with `n`
-    /// worker slots (`0` = auto: `min(nranks, available_parallelism)`).
-    /// Results are bit-identical either way — virtual time, not execution
-    /// order, defines the output (see [`crate::sched`]).
-    pub workers: Option<usize>,
-    /// Eager-vs-rendezvous protocol threshold override in bytes for the
-    /// MPI cost model (`None` keeps the machine model's constant). A
-    /// first-class tuning knob: messages at or below the threshold ship
-    /// eagerly; larger ones pay the rendezvous handshake. SHMEM puts never
-    /// rendezvous, so the SHMEM model is left untouched.
-    pub eager_threshold: Option<usize>,
-    /// Run the one-sided race sanitizer ([`crate::sanitize`]): shadow-tag
-    /// every symmetric-segment access and report conflicting unordered
-    /// pairs. Off by default: every hook is a single branch when disabled.
-    pub sanitize: bool,
     /// Collect live progress telemetry ([`crate::progress`]) and attach the
     /// deterministic post-run snapshot to [`SimResult::progress`]. Off by
     /// default: every hook is a single branch when disabled.
     pub progress: bool,
-    /// Run the `--watch` stall watchdog: a reader thread that periodically
-    /// snapshots the progress board and prints progress / stall lines to
-    /// stderr. Implies `progress`. Snapshots only read state, so all
-    /// deterministic outputs are bit-identical with the watchdog on.
-    pub watch: Option<WatchCfg>,
+    /// Engine, stack size and protocol knobs.
+    pub exec: ExecPolicy,
 }
 
 impl SimConfig {
@@ -69,12 +48,8 @@ impl SimConfig {
             nranks,
             machine: MachineModel::default(),
             trace: false,
-            stack_size: 1 << 20,
-            workers: None,
-            eager_threshold: None,
-            sanitize: false,
             progress: false,
-            watch: None,
+            exec: ExecPolicy::threads(),
         }
     }
 
@@ -97,22 +72,9 @@ impl SimConfig {
         self
     }
 
-    /// Apply an [`ExecPolicy`] (engine + stack size + protocol knobs) to
-    /// this configuration.
+    /// Run under `exec` (engine + stack size + protocol knobs).
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.workers = exec.workers;
-        if let Some(bytes) = exec.stack_size {
-            self.stack_size = bytes;
-        }
-        if exec.eager_threshold.is_some() {
-            self.eager_threshold = exec.eager_threshold;
-        }
-        if exec.sanitize {
-            self.sanitize = true;
-        }
-        if exec.watch.is_some() {
-            self.watch = exec.watch;
-        }
+        self.exec = exec;
         self
     }
 }
@@ -121,19 +83,36 @@ impl SimConfig {
 /// drivers, bench binaries) without rebuilding a [`SimConfig`] by hand.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// See [`SimConfig::workers`].
+    /// Execution engine: `None` runs thread-per-rank (every rank OS-runnable
+    /// at once); `Some(n)` runs the bounded cooperative scheduler with `n`
+    /// worker slots (`0` = auto: `min(nranks, available_parallelism)`).
+    /// Results are bit-identical either way — virtual time, not execution
+    /// order, defines the output (see [`crate::sched`]).
     pub workers: Option<usize>,
-    /// Per-rank stack size override in bytes.
+    /// Stack size per rank thread in bytes (`None`:
+    /// [`ExecPolicy::DEFAULT_STACK_SIZE`]).
     pub stack_size: Option<usize>,
-    /// See [`SimConfig::eager_threshold`].
+    /// Eager-vs-rendezvous protocol threshold override in bytes for the
+    /// MPI cost model (`None` keeps the machine model's constant). A
+    /// first-class tuning knob: messages at or below the threshold ship
+    /// eagerly; larger ones pay the rendezvous handshake. SHMEM puts never
+    /// rendezvous, so the SHMEM model is left untouched.
     pub eager_threshold: Option<usize>,
-    /// See [`SimConfig::sanitize`].
+    /// Run the one-sided race sanitizer ([`crate::sanitize`]): shadow-tag
+    /// every symmetric-segment access and report conflicting unordered
+    /// pairs. Off by default: every hook is a single branch when disabled.
     pub sanitize: bool,
-    /// See [`SimConfig::watch`].
+    /// Run the `--watch` stall watchdog: a reader thread that periodically
+    /// snapshots the progress board and prints progress / stall lines to
+    /// stderr. Implies [`SimConfig::progress`]. Snapshots only read state,
+    /// so all deterministic outputs are bit-identical with the watchdog on.
     pub watch: Option<WatchCfg>,
 }
 
 impl ExecPolicy {
+    /// Rank stack size when [`ExecPolicy::stack_size`] is unset: 1 MiB.
+    pub const DEFAULT_STACK_SIZE: usize = 1 << 20;
+
     /// The thread-per-rank engine (the default).
     pub fn threads() -> Self {
         ExecPolicy::default()
@@ -222,7 +201,8 @@ where
 {
     assert!(cfg.nranks > 0, "need at least one rank");
     let mut cfg = cfg;
-    if let Some(bytes) = cfg.eager_threshold {
+    let exec = cfg.exec;
+    if let Some(bytes) = exec.eager_threshold {
         cfg.machine.mpi.eager_threshold = bytes;
     }
     let cfg = cfg;
@@ -232,8 +212,8 @@ where
     } else {
         None
     };
-    let sanitizer = cfg.sanitize.then(|| Arc::new(Sanitizer::new(cfg.nranks)));
-    let sched = cfg.workers.map(|w| {
+    let sanitizer = exec.sanitize.then(|| Arc::new(Sanitizer::new(cfg.nranks)));
+    let sched = exec.workers.map(|w| {
         let auto = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
@@ -241,9 +221,9 @@ where
         Scheduler::new(cfg.nranks, w.min(cfg.nranks))
     });
     let board =
-        (cfg.progress || cfg.watch.is_some()).then(|| Arc::new(ProgressBoard::new(cfg.nranks)));
+        (cfg.progress || exec.watch.is_some()).then(|| Arc::new(ProgressBoard::new(cfg.nranks)));
     let watch_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let watcher = cfg.watch.map(|wcfg| {
+    let watcher = exec.watch.map(|wcfg| {
         crate::progress::spawn_watcher(
             Arc::clone(board.as_ref().expect("watch implies board")),
             sched.clone(),
@@ -268,7 +248,7 @@ where
             let board = board.clone();
             let builder = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
-                .stack_size(cfg.stack_size);
+                .stack_size(exec.stack_size.unwrap_or(ExecPolicy::DEFAULT_STACK_SIZE));
             let handle = builder
                 .spawn_scoped(scope, move || {
                     // Under the bounded engine, acquire an execution slot

@@ -1,17 +1,21 @@
 //! Every committed JSON artifact reads back through the workspace's one
-//! JSON implementation, `netsim::json`.
+//! JSON implementation, `netsim::json`, and re-renders byte-identically,
+//! so reading and rewriting one never churns a committed file:
 //!
-//! Hand-laid-out documents (lint reports, certificates, daemon frames and
-//! the reports and certificates embedded in those frames) must parse.
-//! Documents written by `Json::render` (profiles, diffs, overlays, the
-//! bench baseline) and `Json::render_compact` (ledger lines) must also
-//! re-render byte-identically, so reading and rewriting one never churns
-//! a committed file.
+//! - profiles, diffs, overlays and the bench baseline under
+//!   `Json::render`;
+//! - ledger lines under `Json::render_compact`;
+//! - lint reports and certificates under their document's layout
+//!   constant (`commlint::json::LAYOUT`, `commprove::cert::CERT_LAYOUT`),
+//!   also where a daemon frame embeds them;
+//! - daemon frames under `Json::render_line`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use netsim::json::{self, Json};
+use commlint::json::LAYOUT;
+use commprove::cert::CERT_LAYOUT;
+use netsim::json::{self, Json, Layout};
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -46,6 +50,7 @@ fn every_committed_json_artifact_parses() {
         "tests/scope_golden",
         "tests/diff_golden",
         "tests/tune_golden",
+        "tests/intd_golden/golden",
     ];
     for path in dirs.iter().flat_map(|d| json_files(d)) {
         parse(&path, &read(&path));
@@ -56,19 +61,6 @@ fn every_committed_json_artifact_parses() {
     for line in read(&ledger).lines() {
         parse(&ledger, line);
     }
-
-    // Daemon frames embed the batch CLIs' documents as strings.
-    let mut embedded = 0;
-    for path in json_files("tests/intd_golden/golden") {
-        let frame = parse(&path, &read(&path));
-        for key in ["report", "cert"] {
-            if let Some(doc) = frame.get(key).and_then(Json::as_str) {
-                parse(&path, doc);
-                embedded += 1;
-            }
-        }
-    }
-    assert!(embedded >= 3, "only {embedded} embedded documents found");
 }
 
 #[test]
@@ -92,6 +84,46 @@ fn rendered_artifacts_re_render_byte_identically() {
             "{rel}: re-render differs from the committed bytes"
         );
     }
+    // A laid-out document ends in a newline; a frame does not.
+    let re_renders = |path: &Path, text: &str, layout: &Layout| {
+        let body = text
+            .strip_suffix('\n')
+            .unwrap_or_else(|| panic!("{}: document without a trailing newline", path.display()));
+        assert!(
+            parse(path, text).render_with(layout) == body,
+            "{}: re-render under its layout differs from the committed bytes",
+            path.display()
+        );
+    };
+    for path in json_files("tests/lint_fixtures/golden") {
+        re_renders(&path, &read(&path), &LAYOUT);
+    }
+    re_renders(
+        Path::new("empty report"),
+        &commlint::json::render_json(&[]),
+        &LAYOUT,
+    );
+    for path in json_files("tests/prove_fixtures/golden") {
+        re_renders(&path, &read(&path), &CERT_LAYOUT);
+    }
+    let mut embedded = 0;
+    for path in json_files("tests/intd_golden/golden") {
+        let text = read(&path);
+        let frame = parse(&path, &text);
+        assert!(
+            frame.render_line() == text,
+            "{}: frame re-render differs from the committed bytes",
+            path.display()
+        );
+        for (key, layout) in [("report", &LAYOUT), ("cert", &CERT_LAYOUT)] {
+            if let Some(doc) = frame.get(key).and_then(Json::as_str) {
+                re_renders(&path, doc, layout);
+                embedded += 1;
+            }
+        }
+    }
+    assert!(embedded >= 3, "only {embedded} embedded documents found");
+
     let ledger = root().join("results/LEDGER.jsonl");
     let text = read(&ledger);
     assert!(text.lines().count() > 0, "empty ledger");
