@@ -1,8 +1,8 @@
 //! Microbenchmarks of the framework itself: clause-expression evaluation,
 //! pragma parsing, lowering/codegen, derived-datatype gather/scatter, the
 //! tag-matching engine, and the directive engine's cost per `comm_p2p`
-//! instance. These bound the overhead the directive abstraction adds over
-//! raw library calls.
+//! instance and per loop-form region. These bound the overhead the
+//! directive abstraction adds over raw library calls.
 
 use commint::analysis::{classify, resolve_graph};
 use commint::buffer::{gather_described, scatter_described};
@@ -291,12 +291,115 @@ fn micro_directive(c: &mut Criterion) {
     }
 }
 
+/// Host CPU nanoseconds per region for the WL rank, a privileged rank and
+/// a worker, in Fig. 4 spin's second region (privileged → workers) at the
+/// paper's largest shape: 337 ranks, 21 instances of 16. The region runs
+/// as a loop form (`loop_form`) or as Listing 7's per-instance loop; each
+/// rank's thread is timed around eight regions after a warm-up one.
+fn spin_region_ns(loop_form: bool) -> [f64; 3] {
+    use commint::{CommLoop, CommParams, CommSession, DirectiveError, Prim, PrimMut};
+    use netsim::{run, ExecPolicy, SimConfig};
+    const REGIONS: usize = 8;
+    let (m_cnt, n) = (21i64, 16i64);
+    let params = CommParams::new()
+        .sender(RankExpr::var("sp_src"))
+        .receiver(RankExpr::var("sp_dst"))
+        .sendwhen(RankExpr::rank().eq(RankExpr::var("sp_src")))
+        .receivewhen(RankExpr::rank().eq(RankExpr::var("sp_dst")))
+        .count(3)
+        .max_comm_iter(m_cnt * (n - 1));
+    let space = CommLoop::new(0..m_cnt)
+        .inner(1..n)
+        .bind("sp_src", 1, &[n])
+        .bind("sp_dst", 1, &[n, 1]);
+    let nranks = (1 + m_cnt * n) as usize;
+    let res = run(
+        SimConfig::new(nranks).with_exec(ExecPolicy::bounded(2)),
+        |ctx| {
+            let comm = mpisim::Comm::world(ctx);
+            let mut session = CommSession::new(ctx, comm).without_ir();
+            let me = session.rank() as i64;
+            let staged = [[1.0f64; 3]; 16];
+            let mut spin = [0.0f64; 3];
+            let mut region = |session: &mut CommSession<'_>| {
+                if loop_form {
+                    session
+                        .region_loop(&params, &space, |ix, it| {
+                            let (src, w) = (1 + n * ix[0], ix[1]);
+                            let sb: &[f64] = if src == me { &staged[w as usize] } else { &[] };
+                            let rb: &mut [f64] = if src + w == me { &mut spin } else { &mut [] };
+                            it.p2p()
+                                .site(12)
+                                .sbuf(Prim::new("staged[w]", sb))
+                                .rbuf(PrimMut::new("atom.evec", rb))
+                                .run()
+                        })
+                        .unwrap();
+                    return;
+                }
+                session
+                    .region(&params, |reg| {
+                        for m in 0..m_cnt {
+                            let src = 1 + n * m;
+                            reg.set_var("sp_src", src);
+                            for w in 1..n {
+                                reg.set_var("sp_dst", src + w);
+                                let sb: &[f64] = if src == me { &staged[w as usize] } else { &[] };
+                                let rb: &mut [f64] =
+                                    if src + w == me { &mut spin } else { &mut [] };
+                                reg.p2p()
+                                    .site(12)
+                                    .sbuf(Prim::new("staged[w]", sb))
+                                    .rbuf(PrimMut::new("atom.evec", rb))
+                                    .run()?;
+                            }
+                        }
+                        Ok::<(), DirectiveError>(())
+                    })
+                    .unwrap()
+                    .unwrap();
+            };
+            region(&mut session);
+            let start = thread_cpu_ns();
+            for _ in 0..REGIONS {
+                region(&mut session);
+            }
+            (thread_cpu_ns() - start) as f64 / REGIONS as f64
+        },
+    );
+    // The WL rank, instance 0's privileged rank, and one of its workers.
+    [res.per_rank[0], res.per_rank[1], res.per_rank[2]]
+}
+
+fn micro_region(c: &mut Criterion) {
+    for (name, loop_form) in [
+        ("directive_region_spin_loop", true),
+        ("directive_region_spin_instances", false),
+    ] {
+        let mut per_region = Vec::new();
+        c.bench_function(name, |b| {
+            b.iter(|| per_region.push(spin_region_ns(loop_form)))
+        });
+        for (i, role) in ["wl", "privileged", "worker"].into_iter().enumerate() {
+            let mut ns: Vec<f64> = per_region.iter().map(|r| r[i]).collect();
+            ns.sort_by(f64::total_cmp);
+            println!(
+                "{:<60} ns/region median {:.0} min {:.0}",
+                format!("{name} ({role})"),
+                ns[ns.len() / 2],
+                ns[0]
+            );
+        }
+    }
+}
+
 criterion_group!(
     benches,
     micro_expr,
     micro_parse,
     micro_datatype,
     micro_matching,
-    micro_directive
+    micro_directive,
+    micro_region
 );
 criterion_main!(benches);

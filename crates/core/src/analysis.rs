@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::clause::ClauseSet;
 use crate::dir::{P2pSpec, ParamsSpec};
-use crate::expr::{EvalEnv, ExprError};
+use crate::expr::EvalEnv;
 
 /// One directed communication edge resolved for a concrete rank count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -146,10 +146,9 @@ pub fn resolve_graph(
                     src: r,
                     dst: d as usize,
                 }),
-                Some(Ok(_)) | None => resolved = false,
-                Some(Err(ExprError::UnknownVar(_))) | Some(Err(ExprError::DivByZero)) => {
-                    resolved = false
-                }
+                // An unknown variable, a zero divisor or an overflow
+                // leaves the rank unresolved: CI008.
+                Some(Ok(_)) | None | Some(Err(_)) => resolved = false,
             },
             Ok(false) => {}
             Err(_) => resolved = false,

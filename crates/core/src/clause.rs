@@ -253,13 +253,7 @@ impl ClauseSet {
                 "{kind}: required clause `receiver` missing (and not inherited)"
             )));
         }
-        let sw = has(|c| c.sendwhen.is_some());
-        let rw = has(|c| c.receivewhen.is_some());
-        if sw != rw {
-            out.push(Diagnostic::error(format!(
-                "{kind}: `sendwhen` and `receivewhen` must both be present or both be omitted"
-            )));
-        }
+        out.extend(self.unpaired_when(kind, inherited));
         if kind == DirectiveKind::CommP2p {
             if self.place_sync.is_some() {
                 out.push(Diagnostic::error(
@@ -273,6 +267,23 @@ impl ClauseSet {
             }
         }
         out
+    }
+
+    /// The pairing rule alone: `sendwhen` and `receivewhen` "must both be
+    /// present or both be omitted", counting those `inherited` from the
+    /// enclosing region. The error [`ClauseSet::validate`] reports for it.
+    pub(crate) fn unpaired_when(
+        &self,
+        kind: DirectiveKind,
+        inherited: Option<&ClauseSet>,
+    ) -> Option<Diagnostic> {
+        let has =
+            |f: fn(&ClauseSet) -> bool| -> bool { f(self) || inherited.map(f).unwrap_or(false) };
+        (has(|c| c.sendwhen.is_some()) != has(|c| c.receivewhen.is_some())).then(|| {
+            Diagnostic::error(format!(
+                "{kind}: `sendwhen` and `receivewhen` must both be present or both be omitted"
+            ))
+        })
     }
 
     /// Merge an enclosing `comm_parameters` clause set with this `comm_p2p`

@@ -968,6 +968,35 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_clause_is_unresolved_ci008() {
+        // `rank + MAX + MAX + 2` would wrap back to `rank` (a valid
+        // self-send); C calls the overflow undefined, so every rank is
+        // unresolved instead.
+        let max = || RankExpr::lit(i64::MAX);
+        let spec = ParamsSpec {
+            clauses: ClauseSet {
+                sender: Some(RankExpr::rank()),
+                receiver: Some(RankExpr::rank() + max() + max() + RankExpr::lit(2)),
+                ..ClauseSet::default()
+            },
+            body: vec![p2p(
+                ClauseSet::default(),
+                vec![meta("s", 0, 8)],
+                vec![meta("r", 100, 8)],
+            )],
+            spans: DirSpans::default(),
+        };
+        let diags = lint_region_at(0, &spec, 3, &HashMap::new());
+        let unresolved: Vec<&Diag> = diags
+            .iter()
+            .filter(|d| d.code == LintCode::UnresolvedClause)
+            .collect();
+        assert_eq!(unresolved.len(), 1, "{diags:?}");
+        let witness = unresolved[0].witness.as_ref().expect("witness");
+        assert_eq!(witness.ranks, vec![0, 1, 2]);
+    }
+
+    #[test]
     fn aliasing_detected_only_for_self_transfer_ranks() {
         // Ring: every rank both sends and receives; same buffer on both
         // sides -> CI003.

@@ -128,19 +128,15 @@ impl ParamsSpec {
         // A region alone does not need sender/receiver if every p2p
         // supplies them; validate each p2p against the merged view and only
         // report region-level problems for clauses the region itself sets.
-        let sw = self.clauses.sendwhen.is_some();
-        let rw = self.clauses.receivewhen.is_some();
-        if sw != rw
-            && !self
-                .body
-                .iter()
-                .any(|p| p.clauses.sendwhen.is_some() || p.clauses.receivewhen.is_some())
+        if !self
+            .body
+            .iter()
+            .any(|p| p.clauses.sendwhen.is_some() || p.clauses.receivewhen.is_some())
         {
-            diags.push(
-                Diagnostic::error(
-                    "comm_parameters: `sendwhen` and `receivewhen` must both be present or both be omitted",
-                )
-                .or_at(self.spans.when()),
+            diags.extend(
+                self.clauses
+                    .unpaired_when(DirectiveKind::CommParameters, None)
+                    .map(|d| d.or_at(self.spans.when())),
             );
         }
         for (i, p2p) in self.body.iter().enumerate() {

@@ -22,10 +22,11 @@
 //! against) and needs no allocation to run. The directive engine compiles a
 //! region's inherited clauses when the region opens and evaluates the
 //! programs on every instance. A compiled program returns exactly what the
-//! tree walk returns — the same `wrapping_*` arithmetic, the same operand
-//! order (a divisor before its dividend, so the first error is the same
-//! error), `DivByZero` and `UnknownVar(name)`, short-circuit `&&`/`||`,
-//! and opaque closures called with the live [`EvalEnv`] —
+//! tree walk returns — the same checked C arithmetic (a result C leaves
+//! undefined is [`ExprError::Overflow`], never a wrapped value), the same
+//! operand order (a divisor before its dividend, so the first error is the
+//! same error), `DivByZero` and `UnknownVar(name)`, short-circuit
+//! `&&`/`||`, and opaque closures called with the live [`EvalEnv`] —
 //! which `tests/prop_exprs.rs` checks on random trees and environments.
 
 use std::collections::HashMap;
@@ -57,7 +58,7 @@ pub struct VarTable {
 /// The position of a name in a [`VarTable`]. Valid only for the table that
 /// issued it; slots are never removed, so it stays valid for that table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Slot(u32);
+pub(crate) struct Slot(u32);
 
 impl VarTable {
     /// The bound value of `name`, if any.
@@ -70,7 +71,12 @@ impl VarTable {
 
     /// Bind `name`, updating in place if already bound.
     pub fn set(&mut self, name: &str, value: i64) {
-        let Slot(i) = self.slot(name);
+        let slot = self.slot(name);
+        self.set_slot(slot, value);
+    }
+
+    /// Bind the name that owns `slot`, as [`VarTable::set`] binds it.
+    pub(crate) fn set_slot(&mut self, Slot(i): Slot, value: i64) {
         let v = &mut self.slots[i as usize].1;
         if v.is_none() {
             self.bound.push(i);
@@ -79,7 +85,7 @@ impl VarTable {
     }
 
     /// The slot of `name`, reserving an unbound one if the name is new.
-    fn slot(&mut self, name: &str) -> Slot {
+    pub(crate) fn slot(&mut self, name: &str) -> Slot {
         let i = match self.slots.iter().position(|(n, _)| n == name) {
             Some(i) => i,
             None => {
@@ -199,6 +205,9 @@ pub enum ExprError {
     UnknownVar(String),
     /// Division or modulo by zero.
     DivByZero,
+    /// A result C leaves undefined: outside `i64`, or `i64::MIN` divided
+    /// by (or taken modulo) `-1`.
+    Overflow,
 }
 
 impl fmt::Display for ExprError {
@@ -206,6 +215,7 @@ impl fmt::Display for ExprError {
         match self {
             ExprError::UnknownVar(v) => write!(f, "unknown variable `{v}`"),
             ExprError::DivByZero => write!(f, "division by zero"),
+            ExprError::Overflow => write!(f, "integer overflow"),
         }
     }
 }
@@ -281,24 +291,24 @@ impl RankExpr {
                 .vars
                 .get(name)
                 .ok_or_else(|| ExprError::UnknownVar(name.clone()))?,
-            RankExpr::Add(a, b) => a.eval(env)?.wrapping_add(b.eval(env)?),
-            RankExpr::Sub(a, b) => a.eval(env)?.wrapping_sub(b.eval(env)?),
-            RankExpr::Mul(a, b) => a.eval(env)?.wrapping_mul(b.eval(env)?),
+            RankExpr::Add(a, b) => BinOp::Add.apply(a.eval(env)?, b.eval(env)?)?,
+            RankExpr::Sub(a, b) => BinOp::Sub.apply(a.eval(env)?, b.eval(env)?)?,
+            RankExpr::Mul(a, b) => BinOp::Mul.apply(a.eval(env)?, b.eval(env)?)?,
             RankExpr::Div(a, b) => {
                 let d = b.eval(env)?;
                 if d == 0 {
                     return Err(ExprError::DivByZero);
                 }
-                a.eval(env)?.wrapping_div(d)
+                BinOp::Div.apply(a.eval(env)?, d)?
             }
             RankExpr::Mod(a, b) => {
                 let d = b.eval(env)?;
                 if d == 0 {
                     return Err(ExprError::DivByZero);
                 }
-                a.eval(env)?.wrapping_rem(d)
+                BinOp::Rem.apply(a.eval(env)?, d)?
             }
-            RankExpr::Neg(a) => a.eval(env)?.wrapping_neg(),
+            RankExpr::Neg(a) => neg(a.eval(env)?)?,
             RankExpr::Opaque(f, _) => f(env),
         })
     }
@@ -669,9 +679,15 @@ fn unknown_var(vars: &VarTable, slot: Slot) -> ExprError {
     ExprError::UnknownVar(vars.name(slot).to_string())
 }
 
+/// `-a` in C arithmetic: `-i64::MIN` is [`ExprError::Overflow`].
+#[inline(always)]
+pub(crate) fn neg(a: i64) -> Result<i64, ExprError> {
+    a.checked_neg().ok_or(ExprError::Overflow)
+}
+
 /// A binary operator of either expression kind; comparisons yield 0 or 1.
 #[derive(Clone, Copy)]
-enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -686,22 +702,27 @@ enum BinOp {
 }
 
 impl BinOp {
-    /// `a op b`; for `Div`/`Rem` the caller has already rejected `b == 0`.
+    /// `a op b` in C arithmetic, with the behaviour C leaves undefined
+    /// (a result outside `i64`, `i64::MIN / -1`, `i64::MIN % -1`)
+    /// reported as [`ExprError::Overflow`]; for `Div`/`Rem` the caller has
+    /// already rejected `b == 0`. Both evaluators, and the loop solver's
+    /// affine forms, do their arithmetic here.
     #[inline(always)]
-    fn apply(self, a: i64, b: i64) -> i64 {
-        match self {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Div => a.wrapping_div(b),
-            BinOp::Rem => a.wrapping_rem(b),
-            BinOp::Eq => i64::from(a == b),
-            BinOp::Ne => i64::from(a != b),
-            BinOp::Lt => i64::from(a < b),
-            BinOp::Le => i64::from(a <= b),
-            BinOp::Gt => i64::from(a > b),
-            BinOp::Ge => i64::from(a >= b),
-        }
+    pub(crate) fn apply(self, a: i64, b: i64) -> Result<i64, ExprError> {
+        let v = match self {
+            BinOp::Add => a.checked_add(b),
+            BinOp::Sub => a.checked_sub(b),
+            BinOp::Mul => a.checked_mul(b),
+            BinOp::Div => a.checked_div(b),
+            BinOp::Rem => a.checked_rem(b),
+            BinOp::Eq => Some(i64::from(a == b)),
+            BinOp::Ne => Some(i64::from(a != b)),
+            BinOp::Lt => Some(i64::from(a < b)),
+            BinOp::Le => Some(i64::from(a <= b)),
+            BinOp::Gt => Some(i64::from(a > b)),
+            BinOp::Ge => Some(i64::from(a >= b)),
+        };
+        v.ok_or(ExprError::Overflow)
     }
 
     /// Whether the tree walk evaluates the right operand first and
@@ -866,10 +887,10 @@ fn leaves(op: BinOp, a: Operand, b: Operand, env: &EvalEnv) -> Result<i64, ExprE
         if d == 0 {
             return Err(ExprError::DivByZero);
         }
-        Ok(op.apply(a.read(env)?, d))
+        op.apply(a.read(env)?, d)
     } else {
         let x = a.read(env)?;
-        Ok(op.apply(x, b.read(env)?))
+        op.apply(x, b.read(env)?)
     }
 }
 
@@ -912,9 +933,9 @@ fn run_code(code: &[Op], env: &EvalEnv, stack: &mut [i64]) -> Result<i64, ExprEr
                 sp -= 1;
                 let (top, below) = (stack[sp], stack[sp - 1]);
                 stack[sp - 1] = if op.divides() {
-                    op.apply(top, below)
+                    op.apply(top, below)?
                 } else {
-                    op.apply(below, top)
+                    op.apply(below, top)?
                 };
             }
             Op::NonZero => {
@@ -922,7 +943,7 @@ fn run_code(code: &[Op], env: &EvalEnv, stack: &mut [i64]) -> Result<i64, ExprEr
                     return Err(ExprError::DivByZero);
                 }
             }
-            Op::Neg => stack[sp - 1] = stack[sp - 1].wrapping_neg(),
+            Op::Neg => stack[sp - 1] = neg(stack[sp - 1])?,
             Op::Not => stack[sp - 1] = i64::from(stack[sp - 1] == 0),
             Op::JumpIfFalse(to) => {
                 if stack[sp - 1] == 0 {
@@ -1058,6 +1079,34 @@ mod tests {
         assert_eq!(div.eval(&env(1, 2)).unwrap_err(), ExprError::DivByZero);
         let md = RankExpr::rank() % RankExpr::lit(0);
         assert_eq!(md.eval(&env(1, 2)).unwrap_err(), ExprError::DivByZero);
+    }
+
+    #[test]
+    fn overflow_is_reported_not_wrapped() {
+        let e = env(1, 2);
+        let max = || RankExpr::lit(i64::MAX);
+        let min = || RankExpr::lit(i64::MIN);
+        for overflowing in [
+            max() + RankExpr::rank(),
+            min() - RankExpr::rank(),
+            max() * RankExpr::nranks(),
+            min() / -RankExpr::rank(),
+            min() % -RankExpr::rank(),
+            -min(),
+        ] {
+            assert_eq!(
+                overflowing.eval(&e),
+                Err(ExprError::Overflow),
+                "{overflowing}"
+            );
+            let mut vars = VarTable::default();
+            let program = overflowing.compile(&mut vars);
+            let mut scratch = vec![0; program.depth()];
+            assert_eq!(program.eval(&e, &mut scratch), Err(ExprError::Overflow));
+        }
+        // In range, the checked operations are the ordinary ones.
+        assert_eq!((max() - RankExpr::rank()).eval(&e), Ok(i64::MAX - 1));
+        assert_eq!((min() % RankExpr::nranks()).eval(&e), Ok(0));
     }
 
     #[test]

@@ -79,7 +79,9 @@ pub use interval::{Access, AccessKind, ByteSpan};
 pub use nf::{ClassParams, LinForm, ModForm, NormCond, NormErr, NormExpr};
 pub use overlay::{Decision, Overlay, SiteDecision, OVERLAY_SCHEMA};
 pub use race::{analyze_ops, RaceFinding, RaceOp, RaceProgram};
-pub use scope::{CommParams, CommSession, DirectiveError, P2pCall, Region};
+pub use scope::{
+    CommLoop, CommParams, CommSession, DirectiveError, LoopIter, LoopP2p, P2pCall, Region,
+};
 
 /// Convenient glob-import surface.
 pub mod prelude {
@@ -90,6 +92,6 @@ pub mod prelude {
     pub use crate::expr::{CondExpr, EvalEnv, RankExpr};
     pub use crate::lower::{choose_lowering, Lowering, LoweringPolicy};
     pub use crate::overlay::{Decision, Overlay, SiteDecision};
-    pub use crate::scope::{CommParams, CommSession, DirectiveError};
+    pub use crate::scope::{CommLoop, CommParams, CommSession, DirectiveError};
     pub use crate::{comm_coll, comm_p2p, comm_parameters};
 }

@@ -83,13 +83,13 @@ impl LinForm {
         self.scale(k).ok()
     }
 
-    /// Evaluate at a concrete `(rank, nprocs)`; wrapping like
-    /// [`RankExpr::eval`].
-    pub fn eval(&self, rank: i64, nranks: i64) -> i64 {
+    /// Evaluate at a concrete `(rank, nprocs)` in checked arithmetic, like
+    /// [`RankExpr::eval`]; `None` if a term or the sum leaves `i64`.
+    pub fn eval(&self, rank: i64, nranks: i64) -> Option<i64> {
         self.a
-            .wrapping_mul(rank)
-            .wrapping_add(self.n.wrapping_mul(nranks))
-            .wrapping_add(self.c)
+            .checked_mul(rank)?
+            .checked_add(self.n.checked_mul(nranks)?)?
+            .checked_add(self.c)
     }
 }
 
@@ -168,19 +168,21 @@ pub enum NormExpr {
 }
 
 impl NormExpr {
-    /// Evaluate at a concrete `(rank, nprocs)`. `None` when the modulus or
-    /// divisor evaluates to zero (matching [`crate::expr::ExprError::DivByZero`]).
+    /// Evaluate at a concrete `(rank, nprocs)` in checked arithmetic.
+    /// `None` when the modulus or divisor evaluates to zero (matching
+    /// [`crate::expr::ExprError::DivByZero`]) or a value leaves `i64`
+    /// ([`crate::expr::ExprError::Overflow`]).
     pub fn eval(&self, rank: i64, nranks: i64) -> Option<i64> {
         match self {
-            NormExpr::Lin(l) => Some(l.eval(rank, nranks)),
+            NormExpr::Lin(l) => l.eval(rank, nranks),
             NormExpr::Mod(l, m) => {
                 let m = match m {
                     ModForm::Const(k) => *k,
-                    ModForm::NProcs(k) => nranks.wrapping_add(*k),
+                    ModForm::NProcs(k) => nranks.checked_add(*k)?,
                 };
-                (m != 0).then(|| l.eval(rank, nranks).wrapping_rem(m))
+                l.eval(rank, nranks)?.checked_rem(m)
             }
-            NormExpr::Div(l, k) => Some(l.eval(rank, nranks).wrapping_div(*k)),
+            NormExpr::Div(l, k) => l.eval(rank, nranks)?.checked_div(*k),
         }
     }
 
@@ -266,7 +268,8 @@ pub enum NormCond {
 }
 
 impl NormCond {
-    /// Evaluate at a concrete `(rank, nprocs)`; `None` on division by zero.
+    /// Evaluate at a concrete `(rank, nprocs)`; `None` on division by zero
+    /// or overflow.
     pub fn eval(&self, rank: i64, nranks: i64) -> Option<bool> {
         match self {
             NormCond::Bool(b) => Some(*b),

@@ -28,6 +28,9 @@ use crate::expr::{CompiledCond, CompiledExpr, CondExpr, EvalEnv, ExprError, Rank
 use crate::lower::{Lowering, LoweringPolicy};
 use crate::overlay::{Decision, Overlay};
 
+mod loop_form;
+pub use loop_form::{CommLoop, LoopIter, LoopP2p};
+
 /// Base user tag reserved for directive-generated messages.
 const DIR_TAG_BASE: i32 = 1 << 18;
 
@@ -37,7 +40,7 @@ const DIR_TAG_BASE: i32 = 1 << 18;
 const COAL_TAG_BASE: i32 = DIR_TAG_BASE + (1 << 17);
 
 /// Errors from directive execution.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum DirectiveError {
     /// Clause/buffer validation failed.
     Invalid(Vec<Diagnostic>),
@@ -453,20 +456,14 @@ impl<'a> CommSession<'a> {
         params: &CommParams,
         body: impl FnOnce(&mut Region<'_, 'a>) -> R,
     ) -> Result<R, DirectiveError> {
-        let diags = params.clauses.validate(DirectiveKind::CommParameters, None);
-        let errors: Vec<Diagnostic> = diags
-            .iter()
-            .filter(|d| d.severity == crate::clause::Severity::Error)
-            .cloned()
-            .collect();
-        // A region's sender/receiver may be supplied by its p2ps; only the
-        // pairing rule and params-only placement apply here.
-        let hard: Vec<Diagnostic> = errors
-            .into_iter()
-            .filter(|d| d.message.contains("both"))
-            .collect();
-        if !hard.is_empty() {
-            return Err(DirectiveError::Invalid(hard));
+        // A region's sender/receiver may be supplied by its p2ps, and the
+        // placement rules bind only `comm_p2p`: the pairing rule is the one
+        // clause check a region makes when it opens.
+        if let Some(d) = params
+            .clauses
+            .unpaired_when(DirectiveKind::CommParameters, None)
+        {
+            return Err(DirectiveError::Invalid(vec![d]));
         }
 
         // BEGIN_NEXT_PARAM_REGION syncs land here.
@@ -2243,6 +2240,28 @@ mod tests {
             ctx.stats.waitalls
         });
         assert_eq!(res.per_rank, vec![1, 1], "one consolidated sync per rank");
+    }
+
+    #[test]
+    fn region_rejects_unpaired_when_clauses() {
+        run(SimConfig::new(2), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut session = CommSession::new(ctx, comm);
+            let params = ring_params(2).sendwhen(CondExpr::True);
+            let mut ran = false;
+            let err = session.region(&params, |_| ran = true).unwrap_err();
+            assert!(!ran, "the body of a rejected region must not run");
+            let DirectiveError::Invalid(diags) = err else {
+                panic!("expected a validation error, got {err}");
+            };
+            assert_eq!(
+                diags,
+                vec![Diagnostic::error(
+                    "comm_parameters: `sendwhen` and `receivewhen` must both be present or \
+                     both be omitted"
+                )]
+            );
+        });
     }
 
     #[test]

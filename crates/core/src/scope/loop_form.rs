@@ -1,0 +1,658 @@
+//! The loop form of a `comm_parameters` region
+//! ([`CommSession::region_loop`]).
+//!
+//! Listing 7 runs every `comm_p2p` instance of its loop on every rank, so
+//! host work is ranks × instances although only the pairs move data. The
+//! loop form hands the engine the loop itself: a rectangular iteration
+//! space and clause variables bound to affine functions of its indices.
+//! When the region opens, each rank reduces `sendwhen`/`receivewhen` to
+//! atoms `rank == e` with `e` affine in the indices, solves them for its
+//! own iterations, and runs only those. The first iteration runs on every
+//! rank and stands in for the skipped ones (DESIGN.md §9b, "Loop form").
+//! Every executed iteration goes through the same `execute_p2p` as a
+//! per-instance `comm_p2p`; a clause the solver cannot reduce makes the
+//! loop run every iteration instead.
+
+use std::ops::Range;
+
+use super::{CommParams, CommSession, DirectiveError, P2pCall, Region, SiteRecord};
+use crate::buffer::{RecvBuf, SendBuf};
+use crate::clause::Diagnostic;
+use crate::expr::{neg, BinOp, CondExpr, EvalEnv, ExprError, RankExpr, Slot};
+
+/// Most indices a loop form nests.
+const MAX_DIMS: usize = 3;
+
+/// `c + Σ k[d]·i_d` over the loop indices.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Affine {
+    c: i64,
+    k: [i64; MAX_DIMS],
+}
+
+impl Affine {
+    fn konst(c: i64) -> Affine {
+        Affine {
+            c,
+            k: [0; MAX_DIMS],
+        }
+    }
+
+    fn is_const(&self) -> bool {
+        self.k == [0; MAX_DIMS]
+    }
+
+    /// Term-wise `self op o` (`Add` or `Sub`).
+    fn zip(self, o: Affine, op: BinOp) -> Result<Affine, ExprError> {
+        let mut k = [0; MAX_DIMS];
+        for (d, k) in k.iter_mut().enumerate() {
+            *k = op.apply(self.k[d], o.k[d])?;
+        }
+        Ok(Affine {
+            c: op.apply(self.c, o.c)?,
+            k,
+        })
+    }
+
+    fn scale(self, s: i64) -> Result<Affine, ExprError> {
+        let mut k = self.k;
+        for k in &mut k {
+            *k = BinOp::Mul.apply(*k, s)?;
+        }
+        Ok(Affine {
+            c: BinOp::Mul.apply(self.c, s)?,
+            k,
+        })
+    }
+
+    fn neg(self) -> Result<Affine, ExprError> {
+        let mut k = self.k;
+        for k in &mut k {
+            *k = neg(*k)?;
+        }
+        Ok(Affine { c: neg(self.c)?, k })
+    }
+
+    /// The value at index tuple `ix`, summed left to right.
+    fn at(&self, ix: &[i64]) -> Result<i64, ExprError> {
+        self.k.iter().zip(ix).try_fold(self.c, |v, (&k, &i)| {
+            BinOp::Add.apply(v, BinOp::Mul.apply(k, i)?)
+        })
+    }
+
+    /// Whether [`Affine::at`] succeeds everywhere in the non-empty `space`.
+    /// Each term is monotone in its index, so at every point each partial
+    /// sum of `at` lies between the partial sums of the smallest and of
+    /// the largest terms; if those two sums never overflow, no point's does.
+    fn bounded(&self, space: &CommLoop) -> bool {
+        let extreme = |largest: bool| -> Result<i64, ExprError> {
+            (0..space.dims).try_fold(self.c, |v, d| {
+                let lo = BinOp::Mul.apply(self.k[d], space.start[d])?;
+                let hi = BinOp::Mul.apply(self.k[d], space.last(d))?;
+                BinOp::Add.apply(v, if largest { lo.max(hi) } else { lo.min(hi) })
+            })
+        };
+        extreme(false).is_ok() && extreme(true).is_ok()
+    }
+}
+
+/// The iteration space and clause-variable bindings of a loop-form region
+/// ([`CommSession::region_loop`]): one to three nested indices, each over
+/// a half-open range, and variables that each iteration binds to
+/// `base + Σ strides[d]·i_d` before its `comm_p2p` (`i_0` outermost).
+///
+/// Iterations are numbered in row-major order (the last index fastest),
+/// which is the order they run in.
+#[derive(Clone, Debug)]
+pub struct CommLoop {
+    dims: usize,
+    start: [i64; MAX_DIMS],
+    extent: [u64; MAX_DIMS],
+    total: u64,
+    binds: Vec<(String, Affine)>,
+}
+
+impl CommLoop {
+    /// The loop over `range`, with no inner indices or bindings yet.
+    pub fn new(range: Range<i64>) -> CommLoop {
+        CommLoop {
+            dims: 0,
+            start: [0; MAX_DIMS],
+            extent: [0; MAX_DIMS],
+            total: 1,
+            binds: Vec::new(),
+        }
+        .inner(range)
+    }
+
+    /// Nest an index over `range` inside the existing ones.
+    ///
+    /// # Panics
+    ///
+    /// If the loop would nest more than three indices, or its iteration
+    /// count would not fit in a `u64`.
+    pub fn inner(mut self, range: Range<i64>) -> CommLoop {
+        assert!(self.dims < MAX_DIMS, "a loop form nests at most 3 indices");
+        let extent = (i128::from(range.end) - i128::from(range.start)).max(0) as u64;
+        self.start[self.dims] = range.start;
+        self.extent[self.dims] = extent;
+        self.total = self
+            .total
+            .checked_mul(extent)
+            .expect("the iteration count fits in a u64");
+        self.dims += 1;
+        self
+    }
+
+    /// Bind `name` to `base + Σ strides[d]·i_d` in every iteration (a
+    /// missing stride is 0), replacing an earlier binding of `name`.
+    ///
+    /// # Panics
+    ///
+    /// If there are more strides than indices.
+    pub fn bind(mut self, name: &str, base: i64, strides: &[i64]) -> CommLoop {
+        assert!(
+            strides.len() <= self.dims,
+            "`{name}` has {} strides for {} indices",
+            strides.len(),
+            self.dims
+        );
+        let mut a = Affine::konst(base);
+        a.k[..strides.len()].copy_from_slice(strides);
+        self.binds.retain(|(n, _)| n != name);
+        self.binds.push((name.to_string(), a));
+        self
+    }
+
+    /// The last value of index `d` (its range is non-empty).
+    fn last(&self, d: usize) -> i64 {
+        (i128::from(self.start[d]) + i128::from(self.extent[d]) - 1) as i64
+    }
+
+    fn binding(&self, name: &str) -> Option<Affine> {
+        self.binds.iter().find(|(n, _)| n == name).map(|&(_, a)| a)
+    }
+
+    /// The index tuple of iteration `k < total`.
+    fn index(&self, mut k: u64) -> [i64; MAX_DIMS] {
+        let mut ix = [0; MAX_DIMS];
+        for d in (0..self.dims).rev() {
+            ix[d] = (i128::from(self.start[d]) + i128::from(k % self.extent[d])) as i64;
+            k /= self.extent[d];
+        }
+        ix
+    }
+
+    /// The number of the iteration at index tuple `ix` (inside the space).
+    fn number(&self, ix: &[i64; MAX_DIMS]) -> u64 {
+        (0..self.dims).fold(0, |k, d| {
+            k * self.extent[d] + (i128::from(ix[d]) - i128::from(self.start[d])) as u64
+        })
+    }
+}
+
+/// The iterations of a loop a rank takes part in.
+enum Iters {
+    All,
+    /// Iteration numbers, ascending, without duplicates.
+    Only(Vec<u64>),
+}
+
+impl Iters {
+    fn or(self, other: Iters) -> Iters {
+        match (self, other) {
+            (Iters::Only(mut a), Iters::Only(b)) => {
+                a.extend(b);
+                a.sort_unstable();
+                a.dedup();
+                Iters::Only(a)
+            }
+            _ => Iters::All,
+        }
+    }
+
+    fn and(self, other: Iters) -> Iters {
+        match (self, other) {
+            (Iters::Only(mut a), Iters::Only(b)) => {
+                a.retain(|k| b.binary_search(k).is_ok());
+                Iters::Only(a)
+            }
+            (Iters::All, x) | (x, Iters::All) => x,
+        }
+    }
+}
+
+/// Reduces a region's clauses over a loop for one rank. `None` from any
+/// method means the clause is outside what it solves.
+struct Solver<'c> {
+    space: &'c CommLoop,
+    /// This rank and the session's variables when the region opens.
+    env: &'c EvalEnv,
+}
+
+impl Solver<'_> {
+    /// Whether `e` can change between iterations: it reads a bound name,
+    /// or runs an opaque closure, which might.
+    fn varies(&self, e: &RankExpr) -> bool {
+        let mut names = Vec::new();
+        e.free_vars(&mut names);
+        e.has_opaque() || names.iter().any(|n| self.space.binding(n).is_some())
+    }
+
+    /// [`Solver::varies`] for a condition.
+    fn cond_varies(&self, c: &CondExpr) -> bool {
+        let mut names = Vec::new();
+        c.free_vars(&mut names);
+        c.has_opaque() || names.iter().any(|n| self.space.binding(n).is_some())
+    }
+
+    /// `e` as an affine form whose value, at every point of the space, is
+    /// what evaluating `e` there returns, without error. A part that does
+    /// not vary is evaluated once; a part that does must stay affine, and
+    /// every value it takes must fit in `i64`.
+    fn affine(&self, e: &RankExpr) -> Option<Affine> {
+        if !self.varies(e) {
+            return e.eval(self.env).ok().map(Affine::konst);
+        }
+        let a = match e {
+            RankExpr::Var(name) => self.space.binding(name)?,
+            RankExpr::Add(a, b) => self.affine(a)?.zip(self.affine(b)?, BinOp::Add).ok()?,
+            RankExpr::Sub(a, b) => self.affine(a)?.zip(self.affine(b)?, BinOp::Sub).ok()?,
+            RankExpr::Neg(a) => self.affine(a)?.neg().ok()?,
+            RankExpr::Mul(a, b) => {
+                let (x, y) = (self.affine(a)?, self.affine(b)?);
+                match (x.is_const(), y.is_const()) {
+                    (true, _) => y.scale(x.c).ok()?,
+                    (_, true) => x.scale(y.c).ok()?,
+                    _ => return None,
+                }
+            }
+            _ => return None,
+        };
+        a.bounded(self.space).then_some(a)
+    }
+
+    /// The iterations in which `c` holds for this rank.
+    fn iters(&self, c: &CondExpr) -> Option<Iters> {
+        if !self.cond_varies(c) {
+            let holds = c.eval(self.env).ok()?;
+            return Some(if holds {
+                Iters::All
+            } else {
+                Iters::Only(Vec::new())
+            });
+        }
+        match c {
+            CondExpr::And(a, b) => Some(self.iters(a)?.and(self.iters(b)?)),
+            CondExpr::Or(a, b) => Some(self.iters(a)?.or(self.iters(b)?)),
+            CondExpr::Eq(RankExpr::Rank, e) | CondExpr::Eq(e, RankExpr::Rank) => {
+                self.solve(self.affine(e)?)
+            }
+            _ => None,
+        }
+    }
+
+    /// The iterations where `rank == e`. With `j` the innermost index of
+    /// nonzero stride, every other index is enumerated and `i_j` solved by
+    /// exact division plus a range check.
+    fn solve(&self, e: Affine) -> Option<Iters> {
+        let space = self.space;
+        let rank = i128::from(self.env.rank);
+        let Some(j) = (0..space.dims).rev().find(|&d| e.k[d] != 0) else {
+            return Some(if i128::from(e.c) == rank {
+                Iters::All
+            } else {
+                Iters::Only(Vec::new())
+            });
+        };
+        let (lo, hi) = (i128::from(space.start[j]), i128::from(space.last(j)));
+        let mut ix = space.start;
+        let mut own = Vec::new();
+        loop {
+            ix[j] = 0;
+            // `e` without its `i_j` term: a partial sum of `at`, bounded.
+            let rest = i128::from(e.at(&ix[..space.dims]).ok()?);
+            let (q, r) = (
+                (rank - rest) / i128::from(e.k[j]),
+                (rank - rest) % i128::from(e.k[j]),
+            );
+            if r == 0 && (lo..=hi).contains(&q) {
+                ix[j] = q as i64;
+                own.push(space.number(&ix));
+            }
+            // Next tuple of the other indices, the last fastest.
+            let Some(d) = (0..space.dims)
+                .rev()
+                .find(|&d| d != j && ix[d] < space.last(d))
+            else {
+                break;
+            };
+            ix[d] += 1;
+            ix[d + 1..space.dims].copy_from_slice(&space.start[d + 1..space.dims]);
+        }
+        // `i_j` is fixed by the indices before it, and those after it have
+        // zero stride, so the enumeration order is iteration order.
+        debug_assert!(own.windows(2).all(|w| w[0] < w[1]));
+        Some(Iters::Only(own))
+    }
+}
+
+/// One iteration of a loop-form region: it runs the iteration's single
+/// `comm_p2p`, which inherits every clause from the region.
+pub struct LoopIter<'r, 's, 'a> {
+    region: &'r mut Region<'s, 'a>,
+}
+
+impl<'r, 's, 'a> LoopIter<'r, 's, 'a> {
+    /// Start the iteration's `comm_p2p`.
+    #[inline(always)]
+    pub fn p2p<'data>(self) -> LoopP2p<'r, 's, 'a, 'data> {
+        LoopP2p(self.region.p2p())
+    }
+}
+
+/// The `comm_p2p` of a loop-form iteration: buffers and a site only. A
+/// clause override or an overlap body would have to run on iterations
+/// this rank skips, so the handle has neither.
+pub struct LoopP2p<'r, 's, 'a, 'data>(P2pCall<'r, 's, 'a, 'data>);
+
+impl<'data> LoopP2p<'_, '_, '_, 'data> {
+    /// See [`P2pCall::site`]; every iteration must name the same site.
+    #[inline(always)]
+    pub fn site(self, site: u32) -> Self {
+        LoopP2p(self.0.site(site))
+    }
+
+    /// See [`P2pCall::sbuf`].
+    #[inline(always)]
+    pub fn sbuf(self, b: impl SendBuf + 'data) -> Self {
+        LoopP2p(self.0.sbuf(b))
+    }
+
+    /// See [`P2pCall::rbuf`].
+    #[inline(always)]
+    pub fn rbuf(self, b: impl RecvBuf + 'data) -> Self {
+        LoopP2p(self.0.rbuf(b))
+    }
+
+    /// Execute; see [`P2pCall::run`].
+    #[inline(always)]
+    pub fn run(self) -> Result<(), DirectiveError> {
+        self.0.run()
+    }
+}
+
+impl<'a> CommSession<'a> {
+    /// Execute a `comm_parameters` region whose body is a loop over
+    /// `space`: before each iteration the space's variables are bound, then
+    /// `body` gets the iteration's indices and runs its one `comm_p2p`.
+    /// Region-level behaviour is [`CommSession::region`]'s.
+    ///
+    /// When the region opens, this rank solves `sendwhen`/`receivewhen`
+    /// for the iterations it takes part in, and `body` runs for those and
+    /// for the first iteration only. That needs each clause to be built
+    /// from atoms `rank == e` (`e` affine in the bound variables and
+    /// literals) under `&&`/`||`, or to not vary across the loop, and
+    /// `count` to not vary. Otherwise `body` runs for every iteration, as
+    /// in the per-instance loop. Either way every rank sees the same
+    /// `max_comm_iter` failure at the same iteration, and afterwards the
+    /// variables hold their last iteration's values.
+    ///
+    /// `body` must run exactly one `comm_p2p` at one site and do nothing
+    /// else another rank could observe; an iteration that runs none fails
+    /// the region. A binding that overflows `i64` anywhere in the space
+    /// fails with [`ExprError::Overflow`] before the region opens.
+    pub fn region_loop<B>(
+        &mut self,
+        params: &CommParams,
+        space: &CommLoop,
+        mut body: B,
+    ) -> Result<(), DirectiveError>
+    where
+        B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
+    {
+        if space.total > 0 && !space.binds.iter().all(|(_, b)| b.bounded(space)) {
+            return Err(DirectiveError::Expr(ExprError::Overflow));
+        }
+        self.region(params, |reg| reg.run_loop(space, &mut body))?
+    }
+}
+
+impl<'a> Region<'_, 'a> {
+    fn run_loop<B>(&mut self, space: &CommLoop, body: &mut B) -> Result<(), DirectiveError>
+    where
+        B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
+    {
+        let total = space.total;
+        if total == 0 {
+            return Ok(());
+        }
+        let slots: Vec<Slot> = space
+            .binds
+            .iter()
+            .map(|(name, _)| self.session.env.vars.slot(name))
+            .collect();
+        match self.own_iterations(space) {
+            None => {
+                for k in 0..total {
+                    self.iteration(space, &slots, k, body)?;
+                }
+            }
+            Some(own) => {
+                // Iteration `cap` is where every rank exceeds
+                // `max_comm_iter`; it runs (and fails) on every rank.
+                let cap = self.max_iter.map_or(u64::MAX, |b| b.max(0) as u64);
+                self.iteration(space, &slots, 0, body)?;
+                for &k in own.iter().filter(|&&k| k > 0).take_while(|&&k| k < cap) {
+                    self.iteration(space, &slots, k, body)?;
+                }
+                if total > cap {
+                    self.iteration(space, &slots, cap, body)?;
+                }
+            }
+        }
+        if let Some(rec) = self.sites.first_mut() {
+            rec.executions = total;
+        }
+        self.bind(space, &slots, &space.index(total - 1));
+        Ok(())
+    }
+
+    /// This rank's iterations, if the clauses reduce; `None` runs them all.
+    fn own_iterations(&self, space: &CommLoop) -> Option<Vec<u64>> {
+        let solver = Solver {
+            space,
+            env: &self.session.env,
+        };
+        let clauses = &self.spec.clauses;
+        if clauses.count.as_ref().is_some_and(|c| solver.varies(c)) {
+            return None;
+        }
+        let when = |c: &Option<CondExpr>| c.as_ref().map_or(Some(Iters::All), |c| solver.iters(c));
+        match when(&clauses.sendwhen)?.or(when(&clauses.receivewhen)?) {
+            Iters::All => None,
+            Iters::Only(own) => Some(own),
+        }
+    }
+
+    fn bind(&mut self, space: &CommLoop, slots: &[Slot], ix: &[i64; MAX_DIMS]) {
+        for ((_, b), &slot) in space.binds.iter().zip(slots) {
+            let v = b.at(&ix[..space.dims]).expect("bindings are bounded");
+            self.session.env.vars.set_slot(slot, v);
+        }
+    }
+
+    /// Run iteration `k` as the per-instance loop would, with its site's
+    /// count as if every earlier iteration had run here too.
+    fn iteration<B>(
+        &mut self,
+        space: &CommLoop,
+        slots: &[Slot],
+        k: u64,
+        body: &mut B,
+    ) -> Result<(), DirectiveError>
+    where
+        B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
+    {
+        let ix = space.index(k);
+        self.bind(space, slots, &ix);
+        if let Some(rec) = self.sites.first_mut() {
+            rec.executions = k;
+        }
+        let out = body(&ix[..space.dims], LoopIter { region: self });
+        // A failed `comm_p2p` ends the loop even if `body` swallowed it.
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        out?;
+        match self.sites[..] {
+            [SiteRecord { executions, .. }] if executions == k + 1 => Ok(()),
+            _ => Err(self.broken_contract()),
+        }
+    }
+
+    #[cold]
+    fn broken_contract(&mut self) -> DirectiveError {
+        let e = DirectiveError::Invalid(vec![Diagnostic::error(
+            "comm_parameters loop: every iteration must run exactly one comm_p2p, at one site",
+        )]);
+        self.error.get_or_insert_with(|| e.clone());
+        e
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::buffer::{Prim, PrimMut};
+    use mpisim::Comm;
+    use netsim::{run, SimConfig};
+
+    /// The iterations `when` selects for `rank`, if the solver reduces it.
+    fn solve(space: &CommLoop, when: &CondExpr, rank: usize) -> Option<Vec<u64>> {
+        let env = EvalEnv::new(rank, 8).with("x", 3);
+        let iters = Solver { space, env: &env }.iters(when)?;
+        Some(match iters {
+            Iters::All => (0..space.total).collect(),
+            Iters::Only(own) => own,
+        })
+    }
+
+    /// The same by testing every iteration, as the per-instance loop does.
+    fn brute(space: &CommLoop, when: &CondExpr, rank: usize) -> Vec<u64> {
+        let mut env = EvalEnv::new(rank, 8).with("x", 3);
+        (0..space.total)
+            .filter(|&k| {
+                let ix = space.index(k);
+                for (name, b) in &space.binds {
+                    env.set(name, b.at(&ix[..space.dims]).unwrap());
+                }
+                when.eval(&env).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn solver_matches_testing_every_iteration() {
+        let space = CommLoop::new(0..4)
+            .inner(-2..3)
+            .inner(1..3)
+            .bind("a", 1, &[2])
+            .bind("b", 0, &[1, 1, 0])
+            .bind("c", -9, &[0, 3, 5]);
+        let (rank, lit, var) = (RankExpr::rank, RankExpr::lit, RankExpr::var);
+        let whens = [
+            rank().eq(var("a")),
+            var("b").eq(rank()),
+            rank().eq(var("c")),
+            rank().eq(lit(2) * var("a") - var("b") + var("x")),
+            rank().eq(var("a")).or(rank().eq(var("b"))),
+            rank().eq(var("a")).and(rank().eq(var("b"))),
+            rank().eq(var("a")).and(RankExpr::nranks().gt(lit(2))),
+            rank().eq(lit(3)),
+            CondExpr::True,
+        ];
+        for when in &whens {
+            for r in 0..8 {
+                assert_eq!(
+                    solve(&space, when, r),
+                    Some(brute(&space, when, r)),
+                    "{when} at rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn solver_declines_what_it_cannot_reduce() {
+        let space = CommLoop::new(0..4).bind("a", 0, &[1]);
+        let (rank, lit, var) = (RankExpr::rank, RankExpr::lit, RankExpr::var);
+        for when in [
+            (rank() % lit(2)).eq(var("a")),
+            rank().eq(var("a") * var("a")),
+            rank().eq(var("a") / lit(2)),
+            rank().ne(var("a")),
+            var("a").lt(lit(2)),
+            rank().eq(var("a")).not(),
+            rank().eq(var("a") + var("unbound_but_invariant")),
+            CondExpr::opaque("any", |_| true),
+            // Every value fits, but `a * MAX` does not at a = 2 and 3.
+            rank().eq(var("a") * lit(i64::MAX) - var("a") * lit(i64::MAX)),
+        ] {
+            assert!(solve(&space, &when, 1).is_none(), "{when} was reduced");
+        }
+    }
+
+    #[test]
+    fn overflowing_binding_fails_before_the_region_opens() {
+        let res = run(SimConfig::new(2), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm);
+            let space = CommLoop::new(0..3).bind("v", i64::MAX - 1, &[1]);
+            let params = CommParams::new().sender(0i64).receiver(1i64);
+            let out = s.region_loop(&params, &space, |_, _| unreachable!());
+            (format!("{out:?}"), s.program().len())
+        });
+        for (out, regions) in res.per_rank {
+            assert_eq!(out, "Err(Expr(Overflow))");
+            assert_eq!(regions, 0);
+        }
+    }
+
+    #[test]
+    fn variables_keep_the_last_iteration_and_a_silent_body_fails() {
+        let res = run(SimConfig::new(3), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm);
+            let params = CommParams::new()
+                .sender(RankExpr::lit(0))
+                .receiver(RankExpr::var("to"))
+                .sendwhen(RankExpr::rank().eq(RankExpr::lit(0)))
+                .receivewhen(RankExpr::rank().eq(RankExpr::var("to")));
+            let space = CommLoop::new(0..2)
+                .inner(0..2)
+                .bind("to", 1, &[1])
+                .bind("j", 0, &[0, 1]);
+            let src = [1.0f64];
+            let mut dst = [[0.0f64]; 2];
+            s.region_loop(&params, &space, |ix, it| {
+                it.p2p()
+                    .site(3)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst[ix[1] as usize]))
+                    .run()
+            })
+            .unwrap();
+            let vars = (s.env().vars.get("to"), s.env().vars.get("j"));
+            let silent = s.region_loop(&params, &space, |_, _| Ok(()));
+            (vars, dst, silent.unwrap_err().to_string())
+        });
+        for (rank, (vars, dst, silent)) in res.per_rank.into_iter().enumerate() {
+            assert_eq!(vars, (Some(2), Some(1)), "rank {rank}");
+            if rank > 0 {
+                assert_eq!(dst, [[1.0], [1.0]], "rank {rank}");
+            }
+            assert!(silent.contains("exactly one comm_p2p"), "{silent}");
+        }
+    }
+}

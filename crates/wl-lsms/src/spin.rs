@@ -19,7 +19,7 @@
 //!   optionally overlapping `calculateCoreStates` (Figure 5).
 
 use commint::buffer::{Prim, PrimMut};
-use commint::{CommParams, CommSession, DirectiveError, RankExpr, Target};
+use commint::{CommLoop, CommParams, CommSession, DirectiveError, RankExpr, Target};
 use netsim::RankCtx;
 
 use crate::atom::AtomData;
@@ -169,7 +169,9 @@ pub fn set_evec_original(
 /// Listing 7 path: two directive regions over the world session (WL →
 /// privileged, privileged → worker), consolidated synchronization, optional
 /// overlapped `calculateCoreStates` (Figure 5's configuration). Returns the
-/// overlapped core-energy result when computed.
+/// overlapped core-energy result when computed. Both regions are written
+/// as loop-form regions ([`CommSession::region_loop`]), except the
+/// overlapped one, which stays Listing 7's per-instance loop.
 #[allow(clippy::needless_range_loop)] // worker loops index rank-shaped arrays
 pub fn set_evec_directive(
     session: &mut CommSession<'_>,
@@ -191,6 +193,10 @@ pub fn set_evec_directive(
     } = state;
 
     // ---- Region 1: WL -> privileged (16*M messages of 3 doubles) ----------
+    // The loop `for m, for p` binds `sp_dest = privileged_rank(m)`; the
+    // engine solves `rank == sp_dest` for each rank's 16 iterations.
+    let first = topo.privileged_rank(0) as i64;
+    let stride = n as i64;
     let params1 = CommParams::new()
         .sender(RankExpr::lit(topo.wl_rank() as i64))
         .receiver(RankExpr::var("sp_dest"))
@@ -206,27 +212,23 @@ pub fn set_evec_directive(
         // staged data arrives.
         .place_sync(commint::PlaceSync::EndAdjParamRegions)
         .target(target);
-    session.region(&params1, |reg| {
-        let empty: [f64; 0] = [];
-        for m in 0..m_cnt {
-            let dest = topo.privileged_rank(m);
-            reg.set_var("sp_dest", dest as i64);
-            for p in 0..n {
-                let src: &[f64] = if is_wl { &ev[m * n + p] } else { &empty };
-                let dst: &mut [f64] = if is_priv && dest == me {
-                    &mut staged[p]
-                } else {
-                    &mut []
-                };
-                reg.p2p()
-                    .site(11)
-                    .sbuf(Prim::new("ev[3*p]", src))
-                    .rbuf(PrimMut::new("staged[p]", dst))
-                    .run()?;
-            }
-        }
-        Ok::<(), DirectiveError>(())
-    })??;
+    let loop1 = CommLoop::new(0..m_cnt as i64)
+        .inner(0..n as i64)
+        .bind("sp_dest", first, &[stride]);
+    session.region_loop(&params1, &loop1, |ix, it| {
+        let (m, p) = (ix[0] as usize, ix[1] as usize);
+        let src: &[f64] = if is_wl { &ev[m * n + p] } else { &[] };
+        let dst: &mut [f64] = if is_priv && topo.privileged_rank(m) == me {
+            &mut staged[p]
+        } else {
+            &mut []
+        };
+        it.p2p()
+            .site(11)
+            .sbuf(Prim::new("ev[3*p]", src))
+            .rbuf(PrimMut::new("staged[p]", dst))
+            .run()
+    })?;
 
     if is_priv {
         *my_spin = staged[0];
@@ -241,6 +243,36 @@ pub fn set_evec_directive(
         .count(3)
         .max_comm_iter((m_cnt * (n - 1)) as i64)
         .target(target);
+    let Some((atom, cparams)) = overlap else {
+        // `for m, for w in 1..n`: `sp_src = privileged_rank(m)`,
+        // `sp_dst = sp_src + w`.
+        let loop2 = CommLoop::new(0..m_cnt as i64)
+            .inner(1..n as i64)
+            .bind("sp_src", first, &[stride])
+            .bind("sp_dst", first, &[stride, 1]);
+        session.region_loop(&params2, &loop2, |ix, it| {
+            let (src_rank, w) = (topo.privileged_rank(ix[0] as usize), ix[1] as usize);
+            let sb: &[f64] = if is_priv && src_rank == me {
+                &staged[w]
+            } else {
+                &[]
+            };
+            let rb: &mut [f64] = if src_rank + w == me {
+                &mut my_spin[..]
+            } else {
+                &mut []
+            };
+            it.p2p()
+                .site(12)
+                .sbuf(Prim::new("staged[w]", sb))
+                .rbuf(PrimMut::new("atom.evec", rb))
+                .run()
+        })?;
+        return Ok(None);
+    };
+    // Figure 5 keeps Listing 7's per-instance loop: the overlap body runs
+    // on every LSMS rank's first iteration, which for most ranks is one
+    // they take no part in, so no iteration can be skipped.
     let mut core_energy: Option<f64> = None;
     session.region(&params2, |reg| {
         let empty: [f64; 0] = [];
@@ -266,19 +298,18 @@ pub fn set_evec_directive(
                     .site(12)
                     .sbuf(Prim::new("staged[w]", sb))
                     .rbuf(PrimMut::new("atom.evec", rb));
-                match &overlap {
-                    Some((atom, cparams)) if !core_done && !is_wl => {
-                        // Listing 7: the first core-state slice does not
-                        // depend on the incoming spins and overlaps the
-                        // communication.
-                        core_done = true;
-                        let mut e = 0.0;
-                        call.overlap(|ctx| {
-                            e = calculate_core_states(ctx, atom, cparams);
-                        })?;
-                        core_energy = Some(e);
-                    }
-                    _ => call.run()?,
+                if !core_done && !is_wl {
+                    // Listing 7: the first core-state slice does not
+                    // depend on the incoming spins and overlaps the
+                    // communication.
+                    core_done = true;
+                    let mut e = 0.0;
+                    call.overlap(|ctx| {
+                        e = calculate_core_states(ctx, atom, cparams);
+                    })?;
+                    core_energy = Some(e);
+                } else {
+                    call.run()?;
                 }
             }
         }

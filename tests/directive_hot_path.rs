@@ -467,3 +467,148 @@ fn non_participant_fences_follow_the_overlay() {
     let bounded = overlay_run(SimConfig::new(3).with_exec(ExecPolicy::bounded(1)));
     assert_eq!(res.final_times, bounded.final_times);
 }
+
+// -- the loop form ------------------------------------------------------------
+
+/// A `10 × 3` loop on 5 ranks: rank 0 sends in every iteration, to rank
+/// `1 + j`, so ranks 1–3 each receive in 10 iterations (rank 1 in the
+/// first) and rank 4 in none. `when` picks the receiver's clause.
+fn fan_out_loop(when: CondExpr, bound: i64) -> (CommParams, CommLoop) {
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::var("dst"))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(0)))
+        .receivewhen(when)
+        .count(3)
+        .max_comm_iter(bound);
+    (
+        params,
+        CommLoop::new(0..10).inner(0..3).bind("dst", 1, &[0, 1]),
+    )
+}
+
+/// Per rank: the iterations whose body ran, and the last `comm_p2p`
+/// result.
+type FanOut = (Vec<[i64; 2]>, Result<(), DirectiveError>);
+
+fn run_fan_out(params: &CommParams, space: &CommLoop) -> Vec<FanOut> {
+    run(SimConfig::new(5), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let src = [1.0f64; 3];
+        let mut dst = [[0.0f64; 3]; 30];
+        let mut seen = Vec::new();
+        let mut last = Ok(());
+        let _ = s.region_loop(params, space, |ix, it| {
+            seen.push([ix[0], ix[1]]);
+            let k = (ix[0] * 3 + ix[1]) as usize;
+            last = it
+                .p2p()
+                .site(5)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", &mut dst[k]))
+                .run();
+            last.clone()
+        });
+        s.flush();
+        (seen, last)
+    })
+    .per_rank
+}
+
+#[test]
+fn loop_form_runs_a_rank_s_own_iterations_plus_the_first() {
+    let (params, space) = fan_out_loop(RankExpr::rank().eq(RankExpr::var("dst")), 30);
+    let res = run_fan_out(&params, &space);
+    assert_eq!(res[0].0.len(), 30, "the sender takes part everywhere");
+    for (rank, (seen, last)) in res.iter().enumerate().skip(1) {
+        assert!(last.is_ok(), "rank {rank}: {last:?}");
+        let own: Vec<[i64; 2]> = (0..10)
+            .map(|i| [i, rank as i64 - 1])
+            .filter(|&ix| rank == 1 || ix != [0, 0])
+            .collect();
+        let want: Vec<[i64; 2]> = match rank {
+            1 => own,
+            2 | 3 => std::iter::once([0, 0]).chain(own).collect(),
+            _ => vec![[0, 0]],
+        };
+        assert_eq!(seen, &want, "rank {rank}: the first iteration plus its own");
+    }
+}
+
+#[test]
+fn loop_form_falls_back_to_every_iteration() {
+    // `rank % 4 == dst % 4` is the same predicate but not a `rank == e`
+    // atom, so no rank can skip an iteration.
+    let rem = |e: RankExpr| e % RankExpr::lit(4);
+    let (params, space) = fan_out_loop(rem(RankExpr::rank()).eq(rem(RankExpr::var("dst"))), 30);
+    for (rank, (seen, last)) in run_fan_out(&params, &space).iter().enumerate() {
+        assert!(last.is_ok(), "rank {rank}: {last:?}");
+        assert_eq!(seen.len(), 30, "rank {rank} ran every iteration");
+    }
+}
+
+#[test]
+fn loop_form_fails_max_comm_iter_at_the_same_iteration_everywhere() {
+    // Iteration 7 is `(2, 1)`; rank 2's next own iteration after it is
+    // `(3, 1)`, rank 3's `(2, 2)`, and rank 4 has none.
+    let (params, space) = fan_out_loop(RankExpr::rank().eq(RankExpr::var("dst")), 7);
+    for (rank, (seen, last)) in run_fan_out(&params, &space).iter().enumerate() {
+        assert_eq!(seen.last(), Some(&[2, 1]), "rank {rank} failed elsewhere");
+        assert!(
+            matches!(
+                last,
+                Err(DirectiveError::MaxIterExceeded { site: 5, bound: 7 })
+            ),
+            "rank {rank}: {last:?}"
+        );
+    }
+}
+
+#[test]
+fn skipped_loop_iterations_do_not_allocate() {
+    // The pair (5 -> 6) names neither of the 2 ranks, so each runs the
+    // first iteration and skips the rest: what a region allocates must not
+    // grow with the iterations it skips.
+    for target in [Target::Mpi2Side, Target::Shmem, Target::Mpi1Side] {
+        // No `max_comm_iter`: one-sided staging would hold a slot per
+        // iteration.
+        let params = CommParams::new()
+            .sender(RankExpr::lit(5))
+            .receiver(RankExpr::lit(6))
+            .sendwhen(RankExpr::rank().eq(RankExpr::lit(5)))
+            .receivewhen(RankExpr::rank().eq(RankExpr::lit(6)))
+            .count(3)
+            .target(target);
+        let allocs = |iterations: i64| {
+            let space = CommLoop::new(0..iterations);
+            run(SimConfig::new(2), |ctx| {
+                let comm = Comm::world(ctx);
+                let mut s = CommSession::new(ctx, comm);
+                let src = [1.0f64; 3];
+                let mut dst = [0.0f64; 3];
+                let mut run_loop = || {
+                    s.region_loop(&params, &space, |_, it| {
+                        it.p2p()
+                            .site(1)
+                            .sbuf(Prim::new("src", &src))
+                            .rbuf(PrimMut::new("dst", &mut dst))
+                            .run()
+                    })
+                    .unwrap();
+                };
+                // Warm-up: the first region joins the site's staging.
+                run_loop();
+                let before = thread_allocs();
+                run_loop();
+                thread_allocs() - before
+            })
+            .per_rank
+        };
+        assert_eq!(
+            allocs(10),
+            allocs(1 << 30),
+            "{target}: allocations per rank over 10 vs 2^30 skipped iterations"
+        );
+    }
+}

@@ -3,13 +3,14 @@
 //! identical expression (render→parse→eval == eval), for random expression
 //! trees; and a compiled, slot-resolved program returns exactly what the
 //! tree walk returns (the same value or the same error), including on
-//! zero divisors, never-bound names, wrapping overflow, opaque closures
-//! and short-circuited errors.
+//! zero divisors, never-bound names, overflow, opaque closures and
+//! short-circuited errors. Arithmetic follows C: a value outside `i64` is
+//! `ExprError::Overflow`, as an exact `i128` evaluation confirms.
 //!
 //! The differential tests run `PROPTEST_CASES` cases when it is set
 //! (CI runs this file with 4096), else 256.
 
-use commint::expr::{CondExpr, EvalEnv, RankExpr, VarTable};
+use commint::expr::{CondExpr, EvalEnv, ExprError, RankExpr, VarTable};
 use mpisim::dtype::BasicType;
 use pragma_front::{parse, Item, SymbolTable};
 use proptest::prelude::*;
@@ -79,7 +80,7 @@ fn wide_expr_strategy() -> impl Strategy<Value = RankExpr> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a / b),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| a % b),
-            // `i64::MIN / -1` and `i64::MIN % -1` wrap rather than trap.
+            // `i64::MIN / -1` and `i64::MIN % -1` overflow.
             (inner.clone(), any::<bool>()).prop_map(|(a, div)| {
                 let min = RankExpr::lit(i64::MIN) + a * RankExpr::lit(0);
                 if div {
@@ -127,6 +128,62 @@ fn wide_cond_strategy() -> impl Strategy<Value = CondExpr> {
             inner.prop_map(|a| a.not()),
         ]
     })
+}
+
+/// Random trees whose values sit near the ends of `i64`, so that most
+/// of them overflow somewhere and some do not.
+fn edge_expr_strategy() -> impl Strategy<Value = RankExpr> {
+    let leaf = prop_oneof![
+        Just(RankExpr::Rank),
+        Just(RankExpr::NRanks),
+        (-3i64..4).prop_map(RankExpr::Const),
+        (0i64..3).prop_map(|k| RankExpr::lit(i64::MAX - k)),
+        (0i64..3).prop_map(|k| RankExpr::lit(i64::MIN + k)),
+        (0i64..3).prop_map(|k| RankExpr::lit(1 << (31 + k))),
+        Just(RankExpr::var("n")),
+    ];
+    leaf.prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a * b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a / b),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a % b),
+            inner.prop_map(|a| -a),
+        ]
+    })
+}
+
+/// An independent oracle for the checked arithmetic: the tree walk's
+/// operand order and errors, with every operation done exactly in `i128`
+/// and [`ExprError::Overflow`] wherever the exact value leaves `i64`.
+fn exact_eval(e: &RankExpr, env: &EvalEnv) -> Result<i64, ExprError> {
+    let fit = |v: i128| i64::try_from(v).map_err(|_| ExprError::Overflow);
+    let both = |a: &RankExpr, b: &RankExpr| -> Result<(i128, i128), ExprError> {
+        Ok((exact_eval(a, env)?.into(), exact_eval(b, env)?.into()))
+    };
+    let divisor_first = |a: &RankExpr, b: &RankExpr| -> Result<(i128, i128), ExprError> {
+        let d = exact_eval(b, env)?;
+        if d == 0 {
+            return Err(ExprError::DivByZero);
+        }
+        Ok((exact_eval(a, env)?.into(), d.into()))
+    };
+    match e {
+        RankExpr::Add(a, b) => both(a, b).and_then(|(x, y)| fit(x + y)),
+        RankExpr::Sub(a, b) => both(a, b).and_then(|(x, y)| fit(x - y)),
+        RankExpr::Mul(a, b) => both(a, b).and_then(|(x, y)| fit(x * y)),
+        // `i128` division truncates toward zero and its remainder takes
+        // the dividend's sign, as C's do.
+        RankExpr::Div(a, b) => divisor_first(a, b).and_then(|(x, d)| fit(x / d)),
+        RankExpr::Mod(a, b) => divisor_first(a, b).and_then(|(x, d)| {
+            // C leaves `i64::MIN % -1` undefined along with the quotient.
+            fit(x / d)?;
+            fit(x % d)
+        }),
+        RankExpr::Neg(a) => fit(-i128::from(exact_eval(a, env)?)),
+        leaf => leaf.eval(env),
+    }
 }
 
 /// Environments for the differential tests: every combination of bound
@@ -305,6 +362,21 @@ proptest! {
             }
             let lenv = compiled_env(&env, late);
             prop_assert_eq!(program.eval(&lenv, &mut scratch), want);
+        }
+    }
+
+    #[test]
+    fn checked_arithmetic_matches_exact_evaluation(e in edge_expr_strategy()) {
+        for env in wide_envs() {
+            let want = exact_eval(&e, &env);
+            prop_assert_eq!(
+                e.eval(&env), want.clone(),
+                "`{}` at rank {}/{} vars {:?}", &e, env.rank, env.nranks, &env.vars
+            );
+            let mut vars = env.vars.clone();
+            let program = e.compile(&mut vars);
+            let mut scratch = vec![0; program.depth()];
+            prop_assert_eq!(program.eval(&compiled_env(&env, vars), &mut scratch), want);
         }
     }
 }
