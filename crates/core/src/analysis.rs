@@ -9,8 +9,6 @@
 //! * resolve the per-rank communication graph ([`resolve_graph`]),
 //! * classify the pattern ([`classify`]: cyclic/linear shifts, ring,
 //!   nearest-neighbour pairs, fan-in/fan-out, exchanges),
-//! * check send/receive **matching completeness** ([`check_matching`]) —
-//!   the static guarantee hand-written MPI cannot give,
 //! * verify **buffer independence** across adjacent `comm_p2p` instances,
 //!   the precondition for synchronization consolidation
 //!   ([`buffer_independence`]),
@@ -265,46 +263,6 @@ pub fn classify(graph: &CommGraph, nranks: usize) -> Pattern {
     Pattern::Irregular
 }
 
-/// A matching-completeness diagnosis for one `comm_p2p`.
-#[derive(Clone, Debug, Default)]
-pub struct MatchReport {
-    /// Sends no receiver declares (will hang a blocking receiver / leak a
-    /// message).
-    pub unmatched_sends: Vec<Edge>,
-    /// Receives no sender declares (will block forever).
-    pub unmatched_recvs: Vec<Edge>,
-    /// Ranks that could not be resolved.
-    pub unresolved: Vec<usize>,
-}
-
-impl MatchReport {
-    /// Whether the instance is statically safe.
-    pub fn is_clean(&self) -> bool {
-        self.unmatched_sends.is_empty()
-            && self.unmatched_recvs.is_empty()
-            && self.unresolved.is_empty()
-    }
-}
-
-/// Check matching completeness for every `comm_p2p` in a region.
-pub fn check_matching(
-    spec: &ParamsSpec,
-    nranks: usize,
-    vars: &HashMap<String, i64>,
-) -> Vec<MatchReport> {
-    spec.body
-        .iter()
-        .map(|p| {
-            let g = resolve_graph(p, Some(&spec.clauses), nranks, vars);
-            MatchReport {
-                unmatched_sends: g.unmatched_sends(),
-                unmatched_recvs: g.unmatched_recvs(),
-                unresolved: g.unresolved.clone(),
-            }
-        })
-        .collect()
-}
-
 /// Buffer-independence verdict across the `comm_p2p` instances of a region:
 /// the precondition for consolidating their synchronization into one call.
 #[derive(Clone, Debug, Default)]
@@ -404,71 +362,6 @@ pub fn sync_report(spec: &ParamsSpec, nranks: usize, vars: &HashMap<String, i64>
         requests_covered: busiest,
         legal,
     }
-}
-
-/// Per-rank communication volume statically derived from a region: what a
-/// compiler reports to guide data-layout and placement decisions ("provide
-/// a way to understand how communication patterns affect the program's
-/// data and the communication requirements of an application", §V).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VolumeReport {
-    /// Bytes sent per rank.
-    pub sent: Vec<usize>,
-    /// Bytes received per rank.
-    pub received: Vec<usize>,
-}
-
-impl VolumeReport {
-    /// Total bytes moved.
-    pub fn total(&self) -> usize {
-        self.sent.iter().sum()
-    }
-
-    /// The busiest sender (rank, bytes).
-    pub fn hotspot(&self) -> Option<(usize, usize)> {
-        self.sent
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by_key(|&(_, b)| b)
-            .filter(|&(_, b)| b > 0)
-    }
-}
-
-/// Compute per-rank send/receive volumes for one region execution.
-pub fn volume_report(
-    spec: &ParamsSpec,
-    nranks: usize,
-    vars: &HashMap<String, i64>,
-) -> VolumeReport {
-    let mut report = VolumeReport {
-        sent: vec![0; nranks],
-        received: vec![0; nranks],
-    };
-    for p in &spec.body {
-        let merged = p.clauses.merged_with(&spec.clauses);
-        let g = resolve_graph(p, Some(&spec.clauses), nranks, vars);
-        for e in g.matched() {
-            let count = merged
-                .count
-                .as_ref()
-                .and_then(|c| {
-                    c.eval(&EvalEnv {
-                        rank: e.src as i64,
-                        nranks: nranks as i64,
-                        vars: vars.into(),
-                    })
-                    .ok()
-                })
-                .map(|v| v.max(0) as usize)
-                .or_else(|| p.inferred_count())
-                .unwrap_or(0);
-            let bytes: usize = p.sbuf.iter().map(|b| count * b.elem.packed_size()).sum();
-            report.sent[e.src] += bytes;
-            report.received[e.dst] += bytes;
-        }
-    }
-    report
 }
 
 /// Structural deadlock check: the directive translation only emits
@@ -851,50 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn volume_report_ring_and_hotspot() {
-        // Ring of 6: every rank sends 8 bytes.
-        let spec = ParamsSpec {
-            clauses: ring_clauses(),
-            spans: Default::default(),
-            body: vec![p2p(ClauseSet::default())],
-        };
-        let v = volume_report(&spec, 6, &HashMap::new());
-        assert_eq!(v.sent, vec![8; 6]);
-        assert_eq!(v.received, vec![8; 6]);
-        assert_eq!(v.total(), 48);
-        // Uniform ring: any rank may be the "hotspot" but all tie at 8.
-        assert_eq!(v.hotspot().map(|(_, b)| b), Some(8));
-
-        // Fan-out: the root is the hotspot.
-        let fan = ParamsSpec {
-            spans: Default::default(),
-            clauses: ClauseSet {
-                sender: Some(RankExpr::lit(0)),
-                receiver: Some(RankExpr::var("d")),
-                sendwhen: Some(RankExpr::rank().eq(RankExpr::lit(0))),
-                receivewhen: Some(RankExpr::rank().eq(RankExpr::var("d"))),
-                count: Some(RankExpr::lit(4)),
-                ..ClauseSet::default()
-            },
-            body: vec![p2p(ClauseSet::default())],
-        };
-        let mut total = VolumeReport {
-            sent: vec![0; 5],
-            received: vec![0; 5],
-        };
-        for d in 1..5i64 {
-            let vars: HashMap<String, i64> = [("d".to_string(), d)].into();
-            let v = volume_report(&fan, 5, &vars);
-            for r in 0..5 {
-                total.sent[r] += v.sent[r];
-                total.received[r] += v.received[r];
-            }
-        }
-        assert_eq!(total.hotspot(), Some((0, 16)));
-        assert_eq!(total.received[1], 4);
-    }
-
-    #[test]
     fn deadlock_reporting() {
         let ring = resolve_graph(&p2p(ring_clauses()), None, 4, &HashMap::new());
         let rep = deadlock_report(&ring);
@@ -941,17 +790,5 @@ mod tests {
         // Tail 0->1->2 leading into the cycle 2->3->4->2.
         let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)].map(|(src, dst)| Edge { src, dst });
         assert_eq!(find_cycle(&edges), Some(vec![2, 3, 4]));
-    }
-
-    #[test]
-    fn check_matching_over_region() {
-        let spec = ParamsSpec {
-            clauses: ring_clauses(),
-            spans: Default::default(),
-            body: vec![p2p(ClauseSet::default()), p2p(ClauseSet::default())],
-        };
-        let reports = check_matching(&spec, 6, &HashMap::new());
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|r| r.is_clean()));
     }
 }

@@ -83,17 +83,6 @@ impl CollKind {
         }
     }
 
-    /// The native MPI call the code generator emits.
-    pub fn mpi_call(self) -> &'static str {
-        match self {
-            CollKind::Bcast => "MPI_Bcast",
-            CollKind::Gather => "MPI_Gather",
-            CollKind::Scatter => "MPI_Scatter",
-            CollKind::AllToAll => "MPI_Alltoall",
-            CollKind::Reduce(_) => "MPI_Reduce",
-        }
-    }
-
     /// Whether the kind has a distinguished root.
     pub fn rooted(self) -> bool {
         !matches!(self, CollKind::AllToAll)

@@ -119,169 +119,120 @@ impl DirSpans {
     }
 }
 
-/// The lint catalog. Codes are stable; `commlint --format json` emits them
-/// verbatim and CI gates on them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum LintCode {
+/// Declares [`LintCode`] from the catalog table below: the enum (one
+/// variant per row) with its code string, kebab-case name, one-line summary,
+/// provability and the ordered list of every code. Adding a code is one row
+/// here plus the analysis that emits it.
+macro_rules! lint_codes {
+    ($($(#[doc = $doc:literal])+
+       $variant:ident: $code:literal, $name:literal, provable = $provable:literal,
+       $summary:literal;)+) => {
+        /// The lint catalog. Codes are stable; `commlint --format json` emits
+        /// them verbatim and CI gates on them.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum LintCode {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl LintCode {
+            /// The stable `CIxxx` code string.
+            pub fn code(self) -> &'static str {
+                match self {
+                    $(LintCode::$variant => $code,)+
+                }
+            }
+
+            /// The short kebab-case lint name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(LintCode::$variant => $name,)+
+                }
+            }
+
+            /// One-line catalog summary (`commlint --list-codes`).
+            pub fn summary(self) -> &'static str {
+                match self {
+                    $(LintCode::$variant => $summary,)+
+                }
+            }
+
+            /// Whether `commprove` can upgrade findings (or their absence)
+            /// for this code to a ∀N verdict with a machine-checkable
+            /// certificate. The remaining codes are swept over finite rank
+            /// ranges only.
+            pub fn provable(self) -> bool {
+                match self {
+                    $(LintCode::$variant => $provable,)+
+                }
+            }
+
+            /// Every catalogued code, in code order.
+            pub const ALL: [LintCode; [$($code),+].len()] = [$(LintCode::$variant),+];
+        }
+    };
+}
+
+// The catalog, in code order: append new rows, never reorder or renumber.
+lint_codes! {
     /// `CI000` — a directive admissibility rule was violated (clause
     /// requiredness, admissibility per directive kind, buffer list shape).
-    DirectiveRule,
+    DirectiveRule: "CI000", "directive-rule", provable = false,
+        "a directive admissibility rule is violated (clause requiredness, buffer shape)";
     /// `CI001` — a declared send has no matching declared receive, or vice
     /// versa: the matching-completeness guarantee hand-written MPI cannot
     /// give.
-    UnmatchedSend,
+    UnmatchedSend: "CI001", "unmatched-send", provable = true,
+        "a declared send has no matching declared receive, or vice versa";
     /// `CI002` — the matched graph has a wait-for cycle: a blocking-send
     /// translation (or a consolidated region of them) would deadlock.
-    BlockingDeadlockCycle,
+    BlockingDeadlockCycle: "CI002", "blocking-deadlock-cycle", provable = true,
+        "the matched graph has a wait-for cycle; a blocking translation deadlocks";
     /// `CI003` — a rank that both sends and receives uses overlapping
     /// `sbuf`/`rbuf` memory: undefined behaviour under an MPI one-sided
     /// translation (`MPI_Put` into memory concurrently read as the origin).
-    SbufRbufAliasing,
+    SbufRbufAliasing: "CI003", "sbuf-rbuf-aliasing", provable = false,
+        "a rank that both sends and receives uses overlapping sbuf/rbuf memory";
     /// `CI004` — sender and receiver disagree on the transfer size of a
     /// paired `sbuf`/`rbuf`, or the transfer overflows the receive buffer.
-    SizeMismatch,
+    SizeMismatch: "CI004", "size-mismatch", provable = true,
+        "sender and receiver disagree on transfer size, or the transfer's layout \
+         byte extent overflows rbuf memory";
     /// `CI005` — `sendwhen` without `receivewhen` (or vice versa), or the
     /// two predicates select inconsistent participant sets.
-    SendwhenPairing,
+    SendwhenPairing: "CI005", "sendwhen-pairing", provable = true,
+        "sendwhen/receivewhen are unpaired or select inconsistent participants";
     /// `CI006` — buffers of adjacent `comm_p2p` instances overlap, so the
     /// synchronization consolidation the region promises is unsafe.
-    ConsolidationUnsafeOverlap,
+    ConsolidationUnsafeOverlap: "CI006", "consolidation-unsafe-overlap", provable = true,
+        "buffers of adjacent comm_p2p instances overlap; consolidation is unsafe";
     /// `CI007` — a clause combination the requested target cannot lower
     /// (e.g. deferred sync on a one-sided target without a
     /// `max_comm_iter` bound to size the symmetric staging window).
-    TargetInfeasible,
+    TargetInfeasible: "CI007", "target-infeasible", provable = false,
+        "a clause combination the requested lowering target cannot implement";
     /// `CI008` — a clause expression could not be resolved statically
     /// (unknown variables, out-of-range rank values).
-    UnresolvedClause,
+    UnresolvedClause: "CI008", "unresolved-clause", provable = false,
+        "a clause expression could not be resolved statically";
     /// `CI009` — two or more origins put into the same target window in
     /// one epoch under a one-sided target: the overlapping writes have no
     /// ordering edge between them.
-    OverlappingPuts,
+    OverlappingPuts: "CI009", "overlapping-puts", provable = true,
+        "overlapping concurrent puts into the same target window in one epoch";
     /// `CI010` — a put delivery and a get (or get-lowered source read) of
     /// overlapping memory race within one epoch.
-    GetPutConflict,
+    GetPutConflict: "CI010", "get-put-conflict", provable = true,
+        "a get and a put touch overlapping remote memory in the same epoch";
     /// `CI011` — a put's local source buffer is rewritten before the quiet
     /// that completes the put (write-before-quiet), possible when
     /// `place_sync` defers the quiet past an iterating region.
-    SourceReuseBeforeQuiet,
+    SourceReuseBeforeQuiet: "CI011", "source-reuse-before-quiet", provable = true,
+        "a put's local source buffer is rewritten before the completing quiet";
     /// `CI012` — a rank reads a signalled region before reaching the
     /// corresponding signal wait; a faster origin's delivery lands
     /// mid-read.
-    ReadBeforeSignalWait,
-}
-
-impl LintCode {
-    /// The stable `CIxxx` code string.
-    pub fn code(self) -> &'static str {
-        match self {
-            LintCode::DirectiveRule => "CI000",
-            LintCode::UnmatchedSend => "CI001",
-            LintCode::BlockingDeadlockCycle => "CI002",
-            LintCode::SbufRbufAliasing => "CI003",
-            LintCode::SizeMismatch => "CI004",
-            LintCode::SendwhenPairing => "CI005",
-            LintCode::ConsolidationUnsafeOverlap => "CI006",
-            LintCode::TargetInfeasible => "CI007",
-            LintCode::UnresolvedClause => "CI008",
-            LintCode::OverlappingPuts => "CI009",
-            LintCode::GetPutConflict => "CI010",
-            LintCode::SourceReuseBeforeQuiet => "CI011",
-            LintCode::ReadBeforeSignalWait => "CI012",
-        }
-    }
-
-    /// The short kebab-case lint name.
-    pub fn name(self) -> &'static str {
-        match self {
-            LintCode::DirectiveRule => "directive-rule",
-            LintCode::UnmatchedSend => "unmatched-send",
-            LintCode::BlockingDeadlockCycle => "blocking-deadlock-cycle",
-            LintCode::SbufRbufAliasing => "sbuf-rbuf-aliasing",
-            LintCode::SizeMismatch => "size-mismatch",
-            LintCode::SendwhenPairing => "sendwhen-pairing",
-            LintCode::ConsolidationUnsafeOverlap => "consolidation-unsafe-overlap",
-            LintCode::TargetInfeasible => "target-infeasible",
-            LintCode::UnresolvedClause => "unresolved-clause",
-            LintCode::OverlappingPuts => "overlapping-puts",
-            LintCode::GetPutConflict => "get-put-conflict",
-            LintCode::SourceReuseBeforeQuiet => "source-reuse-before-quiet",
-            LintCode::ReadBeforeSignalWait => "read-before-signal-wait",
-        }
-    }
-
-    /// One-line catalog summary (`commlint --list-codes`).
-    pub fn summary(self) -> &'static str {
-        match self {
-            LintCode::DirectiveRule => {
-                "a directive admissibility rule is violated (clause requiredness, buffer shape)"
-            }
-            LintCode::UnmatchedSend => {
-                "a declared send has no matching declared receive, or vice versa"
-            }
-            LintCode::BlockingDeadlockCycle => {
-                "the matched graph has a wait-for cycle; a blocking translation deadlocks"
-            }
-            LintCode::SbufRbufAliasing => {
-                "a rank that both sends and receives uses overlapping sbuf/rbuf memory"
-            }
-            LintCode::SizeMismatch => {
-                "sender and receiver disagree on transfer size, or the transfer's layout \
-                 byte extent overflows rbuf memory"
-            }
-            LintCode::SendwhenPairing => {
-                "sendwhen/receivewhen are unpaired or select inconsistent participants"
-            }
-            LintCode::ConsolidationUnsafeOverlap => {
-                "buffers of adjacent comm_p2p instances overlap; consolidation is unsafe"
-            }
-            LintCode::TargetInfeasible => {
-                "a clause combination the requested lowering target cannot implement"
-            }
-            LintCode::UnresolvedClause => "a clause expression could not be resolved statically",
-            LintCode::OverlappingPuts => {
-                "overlapping concurrent puts into the same target window in one epoch"
-            }
-            LintCode::GetPutConflict => {
-                "a get and a put touch overlapping remote memory in the same epoch"
-            }
-            LintCode::SourceReuseBeforeQuiet => {
-                "a put's local source buffer is rewritten before the completing quiet"
-            }
-            LintCode::ReadBeforeSignalWait => {
-                "a signalled region is read before the corresponding signal wait"
-            }
-        }
-    }
-
-    /// Whether `commprove` can upgrade findings (or their absence) for this
-    /// code to a ∀N verdict with a machine-checkable certificate. The
-    /// remaining codes are swept over finite rank ranges only.
-    pub fn provable(self) -> bool {
-        !matches!(
-            self,
-            LintCode::DirectiveRule
-                | LintCode::SbufRbufAliasing
-                | LintCode::TargetInfeasible
-                | LintCode::UnresolvedClause
-        )
-    }
-
-    /// Every catalogued code, in code order.
-    pub const ALL: [LintCode; 13] = [
-        LintCode::DirectiveRule,
-        LintCode::UnmatchedSend,
-        LintCode::BlockingDeadlockCycle,
-        LintCode::SbufRbufAliasing,
-        LintCode::SizeMismatch,
-        LintCode::SendwhenPairing,
-        LintCode::ConsolidationUnsafeOverlap,
-        LintCode::TargetInfeasible,
-        LintCode::UnresolvedClause,
-        LintCode::OverlappingPuts,
-        LintCode::GetPutConflict,
-        LintCode::SourceReuseBeforeQuiet,
-        LintCode::ReadBeforeSignalWait,
-    ];
+    ReadBeforeSignalWait: "CI012", "read-before-signal-wait", provable = true,
+        "a signalled region is read before the corresponding signal wait";
 }
 
 impl fmt::Display for LintCode {

@@ -14,7 +14,6 @@ use crate::buffer::ElemKind;
 use crate::clause::{PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::EvalEnv;
-use crate::overlay::Overlay;
 use mpisim::dtype::BasicType;
 use netsim::{CostModel, MachineModel};
 
@@ -694,196 +693,6 @@ pub fn lower_with_model(
     code
 }
 
-/// Lower a region with a tuning [`Overlay`] applied: per-site retargets,
-/// sync-placement overrides, and the coalesced (small-message aggregation)
-/// translation — `MPI_Pack` each instance into a per-site batch buffer,
-/// one `MPI_PACKED` Isend per `batch` instances (plus a region-end
-/// remainder flush), `MPI_Unpack` on the receiver. SHMEM coalescing packs
-/// the same frames and ships them with one `shmem_putmem` per flush.
-/// Without an overlay decision a site lowers exactly as [`lower`] does.
-pub fn lower_tuned(spec: &ParamsSpec, target: Target, overlay: &Overlay) -> GeneratedCode {
-    let mut placed = spec.clone();
-    for p2p in &spec.body {
-        if let Some(p) = overlay.place_sync_for(p2p.site) {
-            placed.clauses.place_sync = Some(p);
-        }
-    }
-    // Untouched sites keep the plain translation; splice tuned sites in.
-    let base = lower(&placed, target);
-    let mut code = GeneratedCode {
-        prologue: base.prologue,
-        body: Vec::new(),
-        sync: Vec::new(),
-    };
-    let mut req_count = 0usize;
-    let mut flush_reqs: Vec<String> = Vec::new();
-
-    for (i, p2p) in placed.body.iter().enumerate() {
-        let site = p2p.site;
-        let site_target = overlay.retarget_for(site).unwrap_or(target);
-        // Coalescing applies to 2-sided and SHMEM; one-sided puts have no
-        // per-message software overhead worth eliding.
-        let batch = match site_target {
-            Target::Mpi2Side | Target::Shmem => overlay.coalesce_batch_for(site),
-            Target::Mpi1Side => None,
-        };
-
-        let merged = p2p.clauses.merged_with(&placed.clauses);
-        let cnt = count_expr(p2p, &placed);
-        let sendwhen = merged
-            .sendwhen
-            .as_ref()
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "1".to_string());
-        let recvwhen = merged
-            .receivewhen
-            .as_ref()
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "1".to_string());
-        let receiver = merged
-            .receiver
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "/*receiver*/".to_string());
-        let sender = merged
-            .sender
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_else(|| "/*sender*/".to_string());
-
-        let Some(batch) = batch else {
-            // Keep / retarget-only: reuse the plain per-site lowering.
-            let sub = ParamsSpec {
-                clauses: placed.clauses.clone(),
-                body: vec![p2p.clone()],
-                spans: Default::default(),
-            };
-            let one = lower(&sub, site_target);
-            if site_target != target {
-                code.body.push(format!(
-                    "/* tuned: site {site} retargeted to {site_target} */"
-                ));
-            }
-            for line in one.body {
-                code.body
-                    .push(line.replace("comm_p2p #0", &format!("comm_p2p #{i}")));
-            }
-            if site_target == Target::Mpi2Side {
-                // Renumber this site's request slots into the region array.
-                let n: usize = p2p.sbuf.len() + p2p.rbuf.len();
-                for line in code.body.iter_mut().rev().take(n + 4) {
-                    for k in (0..n).rev() {
-                        *line = line
-                            .replace(&format!("&req[{k}]"), &format!("&req[{}]", req_count + k));
-                    }
-                }
-                req_count += n;
-            }
-            continue;
-        };
-
-        let buf = format!("coal_buf_s{site}");
-        let pos = format!("coal_pos_s{site}");
-        let n_acc = format!("coal_n_s{site}");
-        code.prologue.push(format!(
-            "char {buf}[COAL_SLOT_BYTES]; int {pos} = 0, {n_acc} = 0; /* site {site}: batch {batch} */"
-        ));
-        code.body.push(format!(
-            "/* comm_p2p #{i} (site {site}) — tuned: coalesce batch={batch} */"
-        ));
-        match site_target {
-            Target::Mpi2Side => {
-                let tag = format!("COMM_COAL_TAG+{site}");
-                code.body.push(format!("if ({sendwhen}) {{"));
-                for b in &p2p.sbuf {
-                    let ty = mpi_type_expr(&b.elem, &b.name);
-                    code.body.push(format!(
-                        "  MPI_Pack({buf_name}, {cnt}, {ty}, {buf}, COAL_SLOT_BYTES, &{pos}, comm);",
-                        buf_name = b.name,
-                    ));
-                }
-                code.body.push(format!(
-                    "  if (++{n_acc} == {batch}) {{ MPI_Isend({buf}, {pos}, MPI_PACKED, {receiver}, {tag}, comm, &req[{req_count}]); {pos} = 0; {n_acc} = 0; }}"
-                ));
-                code.body.push("}".to_string());
-                flush_reqs.push(format!(
-                    "if ({pos}) MPI_Isend({buf}, {pos}, MPI_PACKED, {receiver}, {tag}, comm, &req[{r}]);",
-                    r = req_count + 1
-                ));
-                code.body.push(format!("if ({recvwhen}) {{"));
-                code.body.push(format!(
-                    "  if (coal_avail_s{site} == 0) {{ MPI_Recv(coal_rbuf_s{site}, COAL_SLOT_BYTES, MPI_PACKED, {sender}, {tag}, comm, &status); coal_rpos_s{site} = 0; }}"
-                ));
-                for b in &p2p.rbuf {
-                    let ty = mpi_type_expr(&b.elem, &b.name);
-                    code.body.push(format!(
-                        "  MPI_Unpack(coal_rbuf_s{site}, COAL_SLOT_BYTES, &coal_rpos_s{site}, {buf_name}, {cnt}, {ty}, comm);",
-                        buf_name = b.name,
-                    ));
-                }
-                code.body.push("}".to_string());
-                req_count += 2;
-            }
-            Target::Shmem => {
-                code.body.push(format!("if ({sendwhen}) {{"));
-                for b in &p2p.sbuf {
-                    code.body.push(format!(
-                        "  coal_frame({buf}, &{pos}, {buf_name}, ({cnt})*sizeof({sz}));",
-                        buf_name = b.name,
-                        sz = elem_c_size_hint(&b.elem),
-                    ));
-                }
-                code.body.push(format!(
-                    "  if (++{n_acc} == {batch}) {{ shmem_putmem(coal_sym_s{site} + coal_slot_s{site}*COAL_SLOT_BYTES, {buf}, {pos}, {receiver}); {pos} = 0; {n_acc} = 0; }}"
-                ));
-                code.body.push("}".to_string());
-                flush_reqs.push(format!(
-                    "if ({pos}) shmem_putmem(coal_sym_s{site} + coal_slot_s{site}*COAL_SLOT_BYTES, {buf}, {pos}, {receiver});"
-                ));
-                code.body.push(format!("if ({recvwhen}) {{"));
-                code.body.push(format!(
-                    "  if (coal_avail_s{site} == 0) shmem_wait_until(&coal_signal_s{site}, SHMEM_CMP_GT, coal_seen_s{site}++);"
-                ));
-                for b in &p2p.rbuf {
-                    code.body.push(format!(
-                        "  coal_peel(coal_sym_s{site}, &coal_rpos_s{site}, {buf_name}, ({cnt})*sizeof({sz}));",
-                        buf_name = b.name,
-                        sz = elem_c_size_hint(&b.elem),
-                    ));
-                }
-                code.body.push("}".to_string());
-            }
-            Target::Mpi1Side => unreachable!("coalescing never targets MPI one-sided"),
-        }
-    }
-
-    // Region-end remainder flushes precede the consolidated sync.
-    code.sync
-        .push("/* tuned: flush partial coalesce batches at region end */".to_string());
-    code.sync.extend(flush_reqs);
-    let placement = match placed.place_sync() {
-        PlaceSync::EndParamRegion => "end of this comm_parameters region",
-        PlaceSync::BeginNextParamRegion => "beginning of next comm_parameters region",
-        PlaceSync::EndAdjParamRegions => "end of last adjacent comm_parameters region",
-    };
-    code.sync.push(format!("/* sync placed at: {placement} */"));
-    match target {
-        Target::Mpi2Side => {
-            code.sync.push(format!(
-                "MPI_Waitall({req_count}, req, MPI_STATUSES_IGNORE);"
-            ));
-        }
-        Target::Mpi1Side => {
-            code.sync.push("MPI_Win_fence(0, win);".to_string());
-        }
-        Target::Shmem => {
-            code.sync.push("shmem_quiet();".to_string());
-            code.sync.push("shmem_barrier_all();".to_string());
-        }
-    }
-    code
-}
-
 fn elem_c_size_hint(elem: &ElemKind) -> String {
     match elem {
         ElemKind::Prim(b) | ElemKind::Strided { ty: b, .. } => c_type(*b).to_string(),
@@ -1301,72 +1110,6 @@ mod tests {
         spec.clauses.place_sync = Some(PlaceSync::EndAdjParamRegions);
         let text = lower(&spec, Target::Mpi2Side).render();
         assert!(text.contains("end of last adjacent"));
-    }
-
-    #[test]
-    fn tuned_lowering_without_decisions_matches_plain() {
-        let spec = ring_spec();
-        let plain = lower(&spec, Target::Mpi2Side).render();
-        let tuned = lower_tuned(&spec, Target::Mpi2Side, &Overlay::default()).render();
-        // Same calls; the tuned variant only adds the (empty) flush note.
-        for line in plain.lines().filter(|l| !l.starts_with("/*")) {
-            assert!(tuned.contains(line), "missing {line:?} in tuned output");
-        }
-    }
-
-    #[test]
-    fn tuned_coalesced_mpi2_shape() {
-        use crate::overlay::{Decision, SiteDecision};
-        let mut spec = ring_spec();
-        spec.body[0].site = 9;
-        let mut ov = Overlay::default();
-        ov.set(SiteDecision::new(9, Decision::Coalesce { batch: 16 }));
-        let text = lower_tuned(&spec, Target::Mpi2Side, &ov).render();
-        assert!(text.contains("MPI_Pack(buf1, 16, MPI_DOUBLE"), "{text}");
-        assert!(text.contains("== 16) { MPI_Isend(coal_buf_s9"), "{text}");
-        assert!(text.contains("MPI_PACKED"), "{text}");
-        assert!(text.contains("MPI_Unpack(coal_rbuf_s9"), "{text}");
-        assert!(
-            text.contains("if (coal_pos_s9) MPI_Isend"),
-            "region-end remainder flush: {text}"
-        );
-        assert!(text.contains("MPI_Waitall"), "{text}");
-        // The per-instance Isend of the plain translation is gone.
-        assert!(!text.contains("MPI_Isend(buf1"), "{text}");
-    }
-
-    #[test]
-    fn tuned_coalesced_shmem_shape() {
-        use crate::overlay::{Decision, SiteDecision};
-        let mut spec = ring_spec();
-        spec.body[0].site = 9;
-        let mut ov = Overlay::default();
-        ov.set(SiteDecision::new(9, Decision::Coalesce { batch: 4 }));
-        let text = lower_tuned(&spec, Target::Shmem, &ov).render();
-        assert!(text.contains("shmem_putmem(coal_sym_s9"), "{text}");
-        assert!(text.contains("coal_frame(coal_buf_s9"), "{text}");
-        assert!(text.contains("shmem_quiet();"), "{text}");
-        assert!(!text.contains("shmem_put64(buf1_sym"), "{text}");
-    }
-
-    #[test]
-    fn tuned_retarget_and_place_sync() {
-        use crate::overlay::{Decision, SiteDecision};
-        let mut spec = ring_spec();
-        spec.body[0].site = 9;
-        let mut ov = Overlay::default();
-        ov.set(SiteDecision::new(9, Decision::Retarget(Target::Shmem)));
-        let text = lower_tuned(&spec, Target::Mpi2Side, &ov).render();
-        assert!(text.contains("retargeted to"), "{text}");
-        assert!(text.contains("shmem_put64(buf1_sym"), "{text}");
-
-        let mut ov2 = Overlay::default();
-        ov2.set(SiteDecision::new(
-            9,
-            Decision::PlaceSync(PlaceSync::BeginNextParamRegion),
-        ));
-        let text2 = lower_tuned(&spec, Target::Mpi2Side, &ov2).render();
-        assert!(text2.contains("beginning of next"), "{text2}");
     }
 
     #[test]

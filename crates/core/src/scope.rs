@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use mpisim::dtype::DtypeCache;
 use mpisim::Comm;
-use netsim::{RankCtx, SegId, SendRequest, Time};
+use netsim::{CostModel, RankCtx, SegId, SendRequest, Time};
 
 use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
@@ -167,12 +167,10 @@ struct PendingSync {
     send_reqs: Vec<SendRequest>,
     /// Completion times of already-delivered receives (MPI two-sided).
     recv_completions: Vec<Time>,
-    /// Put arrival times by library, sender side.
-    put_arrivals_mpi: Vec<Time>,
-    put_arrivals_shmem: Vec<Time>,
-    /// Incoming put arrival times, receiver side.
-    recv_arrivals_mpi: Vec<Time>,
-    recv_arrivals_shmem: Vec<Time>,
+    /// Latest put arrival per one-sided target, sender and receiver side
+    /// alike: the time its region-end quiet waits for.
+    mpi1_horizon: Time,
+    shmem_horizon: Time,
     /// Whether any directive in scope used each one-sided target (uniform
     /// across ranks, so the collective fence/barrier is safe).
     used_mpi1: bool,
@@ -190,38 +188,97 @@ impl PendingSync {
     fn absorb(&mut self, mut other: PendingSync) {
         self.send_reqs.append(&mut other.send_reqs);
         self.recv_completions.append(&mut other.recv_completions);
-        self.put_arrivals_mpi.append(&mut other.put_arrivals_mpi);
-        self.put_arrivals_shmem
-            .append(&mut other.put_arrivals_shmem);
-        self.recv_arrivals_mpi.append(&mut other.recv_arrivals_mpi);
-        self.recv_arrivals_shmem
-            .append(&mut other.recv_arrivals_shmem);
+        self.mpi1_horizon = self.mpi1_horizon.max(other.mpi1_horizon);
+        self.shmem_horizon = self.shmem_horizon.max(other.shmem_horizon);
         self.used_mpi1 |= other.used_mpi1;
         self.used_shmem |= other.used_shmem;
     }
+
+    /// Fold a put's arrival into the horizon of its one-sided `target`.
+    fn note_arrival(&mut self, target: Target, arrival: Time) {
+        let horizon = match target {
+            Target::Mpi1Side => &mut self.mpi1_horizon,
+            _ => &mut self.shmem_horizon,
+        };
+        *horizon = (*horizon).max(arrival);
+    }
 }
 
-/// A per-site symmetric staging allocation for one-sided targets.
-struct StagingSite {
+/// Where one transfer lands in a [`Staging`]: its segment, the byte base of
+/// its slot, and the number of signals the segment had taken before it.
+#[derive(Clone, Copy)]
+struct Slot {
     seg: SegId,
-    /// Byte offset of each buffer within one slot.
-    buf_offsets: Vec<usize>,
-    /// Bytes per slot (one directive execution).
+    base: usize,
+    signals_before: usize,
+}
+
+/// A site's symmetric staging for one-sided targets: `slots` slots of
+/// `slot_bytes`, each holding one transfer of one or more pieces. A
+/// per-instance transfer has one piece per buffer; a coalesced flush is one
+/// piece (`[u32 total][framed pieces...]`). Each piece is one signalled put,
+/// so the segment's in-flight window is `slots × pieces`. Which slot and
+/// which signals a transfer uses is decided here and nowhere else.
+struct Staging {
+    site: u32,
+    coalesced: bool,
+    seg: SegId,
+    /// Byte offset of each piece within a slot.
+    piece_offsets: Vec<usize>,
     slot_bytes: usize,
-    /// Number of slots (`max_comm_iter` at first execution, else 1).
+    /// `max_comm_iter` at the site's first execution, else 1.
     slots: usize,
-    /// Per-destination send counts (slot selection on the sender).
+    /// Transfers sent to each destination.
     send_counts: HashMap<usize, u64>,
-    /// Receive count (slot selection + signal indexing on the receiver).
+    /// Transfers received.
     recv_count: u64,
 }
 
+impl Staging {
+    fn signals_per_slot(&self) -> usize {
+        self.piece_offsets.len()
+    }
+
+    fn slot(&self, k: u64) -> Slot {
+        Slot {
+            seg: self.seg,
+            base: (k % self.slots as u64) as usize * self.slot_bytes,
+            signals_before: k as usize * self.signals_per_slot(),
+        }
+    }
+
+    /// The slot of the next transfer this rank sends to `dest`.
+    fn send_slot(&mut self, dest: usize) -> Slot {
+        let sent = *self
+            .send_counts
+            .entry(dest)
+            .and_modify(|n| *n += 1)
+            .or_insert(1);
+        self.slot(sent - 1)
+    }
+
+    /// The slot of the next transfer this rank receives.
+    fn recv_slot(&mut self) -> Slot {
+        self.recv_count += 1;
+        self.slot(self.recv_count - 1)
+    }
+
+    /// Byte offset of piece `i` of `slot`, and the signal count that marks
+    /// its arrival.
+    fn piece(&self, slot: Slot, i: usize) -> (usize, usize) {
+        (
+            slot.base + self.piece_offsets[i],
+            slot.signals_before + i + 1,
+        )
+    }
+}
+
 /// Sender-side accumulator for one (site, destination) coalescing stream.
+#[derive(Default)]
 struct CoalesceOut {
     site: u32,
     dest: usize,
     target: Target,
-    batch: usize,
     /// Directive instances accumulated since the last flush.
     instances: usize,
     /// Length-framed pieces awaiting one packed send.
@@ -241,25 +298,12 @@ struct CoalesceIn {
     completion: Time,
 }
 
-/// Per-site symmetric staging for SHMEM-coalesced flushes: one slot holds
-/// one packed flush (`[u32 total][framed pieces...]`).
-struct CoalStaging {
-    seg: SegId,
-    slot_bytes: usize,
-    slots: usize,
-    /// Per-destination flush counts (slot selection on the sender).
-    send_flushes: HashMap<usize, u64>,
-    /// Flushes consumed (slot selection + signal indexing on the receiver).
-    recv_flushes: u64,
-}
-
 /// Runtime state of an installed tuning overlay: the decisions plus the
 /// coalescing accumulators they drive.
 struct OverlayState {
     overlay: Overlay,
     out: Vec<CoalesceOut>,
     inbox: Vec<CoalesceIn>,
-    shmem_staging: Vec<(u32, CoalStaging)>,
 }
 
 /// A directive session: binds a rank context to a communicator and holds
@@ -276,10 +320,10 @@ pub struct CommSession<'a> {
     dtype_cache: DtypeCache,
     carried_next: PendingSync,
     carried_adj: PendingSync,
-    /// Per-site staging allocations, linear-scanned by site id: a session
-    /// has a handful of one-sided sites but the lookup runs on every
+    /// Per-site staging allocations, linear-scanned by (site, coalesced): a
+    /// session has a handful of one-sided sites but the lookup runs on every
     /// directive instance, where a short scan beats hashing.
-    staging: Vec<(u32, StagingSite)>,
+    staging: Vec<Staging>,
     /// Arrival horizons of physically-received-but-unsynced buffers, keyed
     /// by address range. A later send reading such a buffer is forced to
     /// depart no earlier than the data's virtual arrival (causality under
@@ -333,7 +377,6 @@ impl<'a> CommSession<'a> {
             overlay,
             out: Vec::new(),
             inbox: Vec::new(),
-            shmem_staging: Vec::new(),
         }));
         self
     }
@@ -385,6 +428,14 @@ impl<'a> CommSession<'a> {
             }
             None => self.recv_horizons.push((addr, t)),
         }
+    }
+
+    /// Index of the site's staging for per-instance (`coalesced == false`)
+    /// or coalesced transfers, once `join_collectives` has created it.
+    fn staging_index(&self, site: u32, coalesced: bool) -> Option<usize> {
+        self.staging
+            .iter()
+            .position(|st| st.site == site && st.coalesced == coalesced)
     }
 
     /// Disable IR recording (hot loops in benches).
@@ -594,12 +645,7 @@ impl<'a> CommSession<'a> {
 
         // MPI one-sided: fence = quiet + barrier over the communicator.
         if pending.used_mpi1 {
-            let horizon = pending
-                .put_arrivals_mpi
-                .iter()
-                .chain(&pending.recv_arrivals_mpi)
-                .copied()
-                .fold(Time::ZERO, Time::max);
+            let horizon = pending.mpi1_horizon;
             let t0 = self.ctx.now();
             let outstanding = self.ctx.take_outstanding_puts().len();
             self.ctx.advance_to(horizon);
@@ -621,12 +667,7 @@ impl<'a> CommSession<'a> {
         // is precisely why it scales on small frequent transfers (paper
         // §IV-B and refs [13][14]).
         if pending.used_shmem {
-            let horizon = pending
-                .put_arrivals_shmem
-                .iter()
-                .chain(&pending.recv_arrivals_shmem)
-                .copied()
-                .fold(Time::ZERO, Time::max);
+            let horizon = pending.shmem_horizon;
             let t0 = self.ctx.now();
             let outstanding = self.ctx.take_outstanding_puts().len();
             self.ctx.advance_to(horizon);
@@ -1047,16 +1088,26 @@ fn eval_int(
     }
 }
 
-/// Check an evaluated `sender`/`receiver` against the communicator.
-fn check_rank(v: i64, clause: &'static str, size: usize) -> Result<usize, DirectiveError> {
-    if v < 0 || v >= size as i64 {
+/// Evaluate a `sender`/`receiver` clause and check it against the
+/// communicator.
+#[inline(always)]
+fn peer_rank(
+    own: Option<&RankExpr>,
+    compiled: Option<&CompiledExpr>,
+    clause: &'static str,
+    env: &EvalEnv,
+    scratch: &mut [i64],
+) -> Result<usize, DirectiveError> {
+    let value = eval_int(own, compiled, env, scratch)?.expect("validated");
+    if value < 0 || value >= env.nranks {
+        let size = env.nranks as usize;
         return Err(DirectiveError::RankOutOfRange {
             clause,
-            value: v,
+            value,
             size,
         });
     }
-    Ok(v as usize)
+    Ok(value as usize)
 }
 
 /// Append the non-empty address ranges one buffer touches: its exact
@@ -1198,41 +1249,38 @@ fn execute_p2p(
     // Profile-guided decisions resolve here, after the written clauses: the
     // source states intent, the overlay refines mechanism. Coalescing only
     // applies inside regions — a standalone p2p synchronizes immediately,
-    // so batching it could never elide anything.
+    // so batching it could never elide anything. MPI one-sided flushes
+    // through a collective fence; batching puts under it would change
+    // nothing, so there Coalesce degrades to Keep.
     let mut coalesce = None;
     match decision {
         Some(Decision::Retarget(t)) => target = t,
-        Some(Decision::Coalesce { batch }) if batch >= 2 && in_region => {
+        Some(Decision::Coalesce { batch })
+            if batch >= 2 && in_region && target != Target::Mpi1Side =>
+        {
             coalesce = Some(batch);
         }
         _ => {}
     }
 
-    let mut dest = None;
-    let mut src = None;
-    if participant {
-        let size = session.comm.size();
-        if is_sender {
-            let v = eval_int(
-                own.and_then(|c| c.receiver.as_ref()),
-                programs.and_then(|p| p.receiver.as_ref()),
-                env,
-                scratch,
-            )?
-            .expect("validated");
-            dest = Some(check_rank(v, "receiver", size)?);
-        }
-        if is_receiver {
-            let v = eval_int(
-                own.and_then(|c| c.sender.as_ref()),
-                programs.and_then(|p| p.sender.as_ref()),
-                env,
-                scratch,
-            )?
-            .expect("validated");
-            src = Some(check_rank(v, "sender", size)?);
-        }
-
+    // A `sender`/`receiver` that fails to evaluate or falls outside the
+    // communicator is reported only after `join_collectives`: the rank still
+    // owes the site's staging rendezvous, and leaving it would stall every
+    // other rank of the communicator.
+    let ends = (|| {
+        let receiver = (
+            own.and_then(|c| c.receiver.as_ref()),
+            programs.and_then(|p| p.receiver.as_ref()),
+        );
+        let sender = (
+            own.and_then(|c| c.sender.as_ref()),
+            programs.and_then(|p| p.sender.as_ref()),
+        );
+        let dest = is_sender.then(|| peer_rank(receiver.0, receiver.1, "receiver", env, scratch));
+        let src = is_receiver.then(|| peer_rank(sender.0, sender.1, "sender", env, scratch));
+        Ok((dest.transpose()?, src.transpose()?))
+    })();
+    if participant && ends.is_ok() {
         // -- buffer-independence guard -------------------------------------------
         // Consolidation is legal only across independent buffers (paper
         // §III-A). A directive that writes memory an unsynced directive
@@ -1288,26 +1336,22 @@ fn execute_p2p(
     );
 
     // -- dispatch ---------------------------------------------------------------
-    let dispatched = if participant {
-        let count = count_clause.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
-        match (target, coalesce) {
-            (Target::Mpi2Side, Some(batch)) => exec_mpi2_coalesced(
-                session, pending, site, sbufs, rbufs, count, dest, src, batch,
-            ),
-            (Target::Shmem, Some(batch)) => exec_shmem_coalesced(
-                session, pending, site, sbufs, rbufs, count, dest, src, batch,
-            ),
-            (Target::Mpi2Side, None) => {
-                exec_mpi2(session, pending, site, sbufs, rbufs, count, dest, src)
+    let dispatched = match ends {
+        Ok((dest, src)) if participant => {
+            let count = count_clause.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
+            match (target, coalesce) {
+                (_, Some(batch)) => exec_coalesced(
+                    session, pending, site, sbufs, rbufs, count, dest, src, target, batch,
+                ),
+                (Target::Mpi2Side, None) => {
+                    exec_mpi2(session, pending, site, sbufs, rbufs, count, dest, src)
+                }
+                (Target::Mpi1Side | Target::Shmem, None) => exec_onesided(
+                    session, pending, site, sbufs, rbufs, count, dest, src, target,
+                ),
             }
-            // MPI one-sided flushes through a collective fence; batching puts
-            // under it would change nothing, so Coalesce degrades to Keep.
-            (Target::Mpi1Side | Target::Shmem, _) => exec_onesided(
-                session, pending, site, sbufs, rbufs, count, dest, src, target,
-            ),
         }
-    } else {
-        Ok(())
+        ends => ends.map(|_| ()),
     };
 
     // -- overlapped computation --------------------------------------------------
@@ -1385,98 +1429,68 @@ fn join_collectives(
     count: Option<usize>,
     max_iter: Option<i64>,
 ) {
+    let model = match target {
+        Target::Mpi2Side => return,
+        Target::Mpi1Side => {
+            pending.used_mpi1 = true;
+            &session.ctx.machine().mpi
+        }
+        Target::Shmem => {
+            pending.used_shmem = true;
+            &session.ctx.machine().shmem
+        }
+    };
+    let coalesced = coalesce.is_some();
+    if session.staging_index(site, coalesced).is_some() {
+        return;
+    }
+    let model = *model;
     // Sized by the SPMD-uniform count, NOT the local buffer length:
     // non-participating ranks may pass empty placeholder buffers, but the
     // collective symmetric allocation must agree everywhere.
-    let count = || count.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
-    let slots = max_iter.map(|m| m.max(1) as usize).unwrap_or(1);
-    match (target, coalesce) {
-        (Target::Mpi2Side, _) => {}
-        (Target::Shmem, Some(batch)) => {
-            pending.used_shmem = true;
-            let ov = session
-                .overlay
-                .as_deref()
-                .expect("coalescing implies an installed overlay");
-            if ov.shmem_staging.iter().any(|(s, _)| *s == site) {
-                return;
-            }
-            // One slot holds one packed flush; `max_comm_iter` bounds
-            // flushes per region, so slots never wrap within a region.
-            let count = count();
+    let count = count.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
+    let (piece_offsets, slot_bytes) = match coalesce {
+        // One slot holds one packed flush; `max_comm_iter` bounds flushes
+        // per region, so slots never wrap within a region.
+        Some(batch) => {
             let per_instance: usize = sbufs
                 .iter()
                 .map(|b| 4 + count * b.desc().elem.packed_size())
                 .sum();
-            let slot_bytes = (4 + batch * per_instance).max(8);
-            let model = session.ctx.machine().shmem;
-            let seg = session.ctx.sym_alloc_windowed(
-                session.comm.sorted_globals(),
-                slot_bytes * slots,
-                slots as u64,
-                &model,
-            );
-            session
-                .overlay
-                .as_deref_mut()
-                .expect("checked above")
-                .shmem_staging
-                .push((
-                    site,
-                    CoalStaging {
-                        seg,
-                        slot_bytes,
-                        slots,
-                        send_flushes: HashMap::new(),
-                        recv_flushes: 0,
-                    },
-                ));
+            (vec![0], (4 + batch * per_instance).max(8))
         }
-        (Target::Mpi1Side | Target::Shmem, _) => {
-            let model = if target == Target::Mpi1Side {
-                pending.used_mpi1 = true;
-                &session.ctx.machine().mpi
-            } else {
-                pending.used_shmem = true;
-                &session.ctx.machine().shmem
-            };
-            if session.staging.iter().any(|(s, _)| *s == site) {
-                return;
-            }
-            let model = *model;
-            let count = count();
-            let mut buf_offsets = Vec::with_capacity(sbufs.len());
+        None => {
+            let mut offsets = Vec::with_capacity(sbufs.len());
             let mut off = 0usize;
             for b in sbufs.iter() {
-                buf_offsets.push(off);
+                offsets.push(off);
                 off += count * b.desc().elem.packed_size();
             }
-            let slot_bytes = off.max(1);
-            // Windowed staging: a sender physically blocks (no virtual
-            // charge) rather than overwrite a slot the receiver has not
-            // drained — `max_comm_iter` sizes the in-flight window, as the
-            // paper intends ("facilitate code generation for
-            // synchronizations").
-            let window = (slots * sbufs.len().max(1)) as u64;
-            let seg = session.ctx.sym_alloc_windowed(
-                session.comm.sorted_globals(),
-                slot_bytes * slots,
-                window,
-                &model,
-            );
-            session.staging.push((
-                site,
-                StagingSite {
-                    seg,
-                    buf_offsets,
-                    slot_bytes,
-                    slots,
-                    send_counts: HashMap::new(),
-                    recv_count: 0,
-                },
-            ));
+            (offsets, off.max(1))
         }
-    }
+    };
+    let slots = max_iter.map(|m| m.max(1) as usize).unwrap_or(1);
+    // Windowed staging: a sender physically blocks (no virtual charge)
+    // rather than overwrite a slot the receiver has not drained —
+    // `max_comm_iter` sizes the in-flight window, as the paper intends
+    // ("facilitate code generation for synchronizations").
+    let window = (slots * piece_offsets.len()) as u64;
+    let seg = session.ctx.sym_alloc_windowed(
+        session.comm.sorted_globals(),
+        slot_bytes * slots,
+        window,
+        &model,
+    );
+    session.staging.push(Staging {
+        site,
+        coalesced,
+        seg,
+        piece_offsets,
+        slot_bytes,
+        slots,
+        send_counts: HashMap::new(),
+        recv_count: 0,
+    });
 }
 
 fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot<'_>>) -> usize {
@@ -1485,6 +1499,17 @@ fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot
         .chain(rb.iter().map(|b| b.desc().len))
         .min()
         .unwrap_or(0)
+}
+
+/// The derived-datatype path for `bytes` of `elem`: a one-time commit per
+/// layout, then a cheap per-byte gather or scatter (instead of an explicit
+/// `MPI_Pack` copy).
+fn charge_datatype(session: &mut CommSession<'_>, elem: &ElemKind, bytes: usize, mpi: &CostModel) {
+    let dt = elem.to_datatype();
+    session.dtype_cache.ensure_committed(session.ctx, &dt, mpi);
+    session
+        .ctx
+        .charge(mpi.byte_cost(mpi.datatype_per_byte, bytes));
 }
 
 /// MPI two-sided lowering: non-blocking Isend/Irecv through automatic
@@ -1532,16 +1557,8 @@ fn exec_mpi2(
                         parts.saturating_sub(1) as u64 * mpi.o_send,
                     ));
                 }
-                // Derived-datatype path (struct or vector): one-time commit
-                // per layout, cheap per-byte gather (instead of an explicit
-                // MPI_Pack copy).
-                Lowering::Datatype => {
-                    let dt = meta.elem.to_datatype();
-                    session.dtype_cache.ensure_committed(session.ctx, &dt, &mpi);
-                    session
-                        .ctx
-                        .charge(mpi.byte_cost(mpi.datatype_per_byte, payload.len()));
-                }
+                // Derived-datatype path (struct or vector).
+                Lowering::Datatype => charge_datatype(session, &meta.elem, payload.len(), &mpi),
                 // Listing-4 shape: an explicit pack copy of every byte.
                 Lowering::Pack => session.ctx.charge_pack(payload.len(), &mpi),
             }
@@ -1573,11 +1590,7 @@ fn exec_mpi2(
                     ));
                 }
                 Lowering::Datatype => {
-                    let dt = meta.elem.to_datatype();
-                    session.dtype_cache.ensure_committed(session.ctx, &dt, &mpi);
-                    session
-                        .ctx
-                        .charge(mpi.byte_cost(mpi.datatype_per_byte, done.payload.len()));
+                    charge_datatype(session, &meta.elem, done.payload.len(), &mpi)
                 }
                 // The receiver of a packed message pays the unpack copy.
                 Lowering::Pack => session.ctx.charge_pack(done.payload.len(), &mpi),
@@ -1594,29 +1607,6 @@ fn exec_mpi2(
     Ok(())
 }
 
-/// Find or create the (site, dest) coalescing accumulator.
-fn coalesce_out(
-    out: &mut Vec<CoalesceOut>,
-    site: u32,
-    dest: usize,
-    target: Target,
-    batch: usize,
-) -> &mut CoalesceOut {
-    if let Some(i) = out.iter().position(|a| a.site == site && a.dest == dest) {
-        return &mut out[i];
-    }
-    out.push(CoalesceOut {
-        site,
-        dest,
-        target,
-        batch,
-        instances: 0,
-        buf: Vec::new(),
-        horizon: Time::ZERO,
-    });
-    out.last_mut().expect("just pushed")
-}
-
 /// Peel the next piece for (site, src) out of the receive-side buffer.
 /// `None` means the buffered packed message (if any) is exhausted and a new
 /// one must be received.
@@ -1629,27 +1619,6 @@ fn coalesce_next_piece(ov: &mut OverlayState, site: u32, src: usize) -> Option<(
     let piece = mpisim::pack::peel_piece(&entry.payload, &mut pos)?.to_vec();
     entry.pos = pos;
     Some((piece, entry.completion))
-}
-
-/// Replace (or create) the receive-side buffer for (site, src).
-fn coalesce_store_inbox(
-    ov: &mut OverlayState,
-    site: u32,
-    src: usize,
-    payload: bytes::Bytes,
-    completion: Time,
-) {
-    let fresh = CoalesceIn {
-        site,
-        src,
-        payload,
-        pos: 0,
-        completion,
-    };
-    match ov.inbox.iter_mut().find(|e| e.site == site && e.src == src) {
-        Some(e) => *e = fresh,
-        None => ov.inbox.push(fresh),
-    }
 }
 
 /// Flush coalesced accumulators into `pending` as packed sends. `which` of
@@ -1667,26 +1636,15 @@ fn flush_coalesced(
     let Some(ov) = session.overlay.as_deref_mut() else {
         return;
     };
-    let mut work: Vec<(u32, usize, Target, Vec<u8>, Time)> = Vec::new();
-    for acc in ov.out.iter_mut() {
-        if acc.buf.is_empty() {
-            continue;
+    let mut work = Vec::new();
+    for a in ov.out.iter_mut() {
+        if !a.buf.is_empty() && which.is_none_or(|w| w == (a.site, a.dest)) {
+            a.instances = 0;
+            let batch = (std::mem::take(&mut a.buf), std::mem::take(&mut a.horizon));
+            work.push((a.site, a.dest, a.target, batch));
         }
-        if let Some((s, d)) = which {
-            if acc.site != s || acc.dest != d {
-                continue;
-            }
-        }
-        acc.instances = 0;
-        work.push((
-            acc.site,
-            acc.dest,
-            acc.target,
-            std::mem::take(&mut acc.buf),
-            std::mem::replace(&mut acc.horizon, Time::ZERO),
-        ));
     }
-    for (site, dest, target, payload, horizon) in work {
+    for (site, dest, target, (payload, horizon)) in work {
         // The packed message departs no earlier than its newest piece's
         // data (the same causality fence the per-instance path applies).
         session.ctx.advance_to(horizon);
@@ -1701,19 +1659,12 @@ fn flush_coalesced(
             }
             Target::Shmem => {
                 let model = session.ctx.machine().shmem;
-                let (seg, slot_base) = {
-                    let ov = session.overlay.as_deref_mut().expect("checked above");
-                    let st = ov
-                        .shmem_staging
-                        .iter_mut()
-                        .find(|(s, _)| *s == site)
-                        .map(|(_, st)| st)
-                        .expect("staging created at first coalesced execution");
-                    let k = st.send_flushes.entry(dest).or_insert(0);
-                    let slot = (*k % st.slots as u64) as usize;
-                    *k += 1;
-                    (st.seg, slot * st.slot_bytes)
-                };
+                let st_idx = session
+                    .staging_index(site, true)
+                    .expect("staging created at first coalesced execution");
+                let st = &mut session.staging[st_idx];
+                let slot = st.send_slot(dest);
+                let (offset, _) = st.piece(slot, 0);
                 let mut wire = Vec::with_capacity(4 + payload.len());
                 wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 wire.extend_from_slice(&payload);
@@ -1724,8 +1675,8 @@ fn flush_coalesced(
                 session.ctx.charge_pack(wire.len(), &model);
                 let arrival = session
                     .ctx
-                    .put(seg, global_dest, slot_base, &wire, &model, true);
-                pending.put_arrivals_shmem.push(arrival);
+                    .put(slot.seg, global_dest, offset, &wire, &model, true);
+                pending.note_arrival(target, arrival);
                 pending.used_shmem = true;
                 session.ctx.take_outstanding_puts();
             }
@@ -1734,13 +1685,61 @@ fn flush_coalesced(
     }
 }
 
-/// Coalesced two-sided lowering: each instance's payload is gathered and
-/// length-framed into a per-(site, destination) batch; one packed Isend
-/// per flush replaces `batch` per-piece sends, and the receiver peels
-/// pieces back out of one packed Irecv — fewer software overheads on both
-/// sides and a smaller consolidated Waitall.
+/// Receive the next packed message for (site, src) — one packed Irecv, or
+/// the next flush out of the site's coalesced staging — and defer its
+/// completion to the region sync. Mirrors the send side of
+/// [`flush_coalesced`].
+fn receive_packed(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    site: u32,
+    src: usize,
+    target: Target,
+) -> (bytes::Bytes, Time) {
+    match target {
+        Target::Mpi2Side => {
+            let tag = COAL_TAG_BASE + site as i32;
+            let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
+            let done = req.wait_raw();
+            session.ctx.note_recv_completion(&req, &done);
+            // One deferred completion per packed message — the receiver's
+            // share of the Waitall shrinks with the batch factor.
+            pending.recv_completions.push(done.completion);
+            (done.payload, done.completion)
+        }
+        Target::Shmem => {
+            let model = session.ctx.machine().shmem;
+            let st_idx = session
+                .staging_index(site, true)
+                .expect("staging joined before dispatch");
+            let st = &mut session.staging[st_idx];
+            let slot = st.recv_slot();
+            let (offset, signals) = st.piece(slot, 0);
+            let arrival = session.ctx.wait_signals_raw(slot.seg, signals);
+            let mut hdr = [0u8; 4];
+            session.ctx.read_local(slot.seg, offset, &mut hdr);
+            let total = u32::from_le_bytes(hdr) as usize;
+            let mut payload = vec![0u8; total];
+            session.ctx.read_local(slot.seg, offset + 4, &mut payload);
+            // Bounce the whole flush out of the symmetric slot at memcpy
+            // rate and free it for flow-controlled senders.
+            session.ctx.charge_memcpy(total, &model);
+            session.ctx.mark_consumed(slot.seg, 1);
+            pending.note_arrival(target, arrival);
+            (bytes::Bytes::from(payload), arrival)
+        }
+        Target::Mpi1Side => unreachable!("coalescing never targets MPI one-sided"),
+    }
+}
+
+/// Coalesced lowering: each instance's payload is gathered and
+/// length-framed into a per-(site, destination) batch, and one packed
+/// transfer per flush replaces `batch` per-piece ones — a packed Isend, or
+/// one signalled `shmem_putmem` into the site's coalesced staging slot. The
+/// receiver takes one packed message per flush and peels pieces back out:
+/// fewer software overheads on both sides and a smaller consolidated sync.
 #[allow(clippy::too_many_arguments)]
-fn exec_mpi2_coalesced(
+fn exec_coalesced(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
@@ -1749,10 +1748,12 @@ fn exec_mpi2_coalesced(
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
+    target: Target,
     batch: usize,
 ) -> Result<(), DirectiveError> {
+    let mpi = session.ctx.machine().mpi;
+    let shmem = session.ctx.machine().shmem;
     if let Some(dest) = dest {
-        let mpi = session.ctx.machine().mpi;
         let mut framed = Vec::new();
         let mut horizon = Time::ZERO;
         for sb in sbufs.iter() {
@@ -1764,36 +1765,55 @@ fn exec_mpi2_coalesced(
             let mut piece = Vec::with_capacity(n * meta.elem.packed_size());
             sb.gather(n, &mut piece);
             if !matches!(meta.elem, ElemKind::Prim(_)) {
-                let dt = meta.elem.to_datatype();
-                session.dtype_cache.ensure_committed(session.ctx, &dt, &mpi);
-                session
-                    .ctx
-                    .charge(mpi.byte_cost(mpi.datatype_per_byte, piece.len()));
+                if target == Target::Mpi2Side {
+                    charge_datatype(session, &meta.elem, piece.len(), &mpi);
+                } else {
+                    // SHMEM has no datatype engine: generated code packs
+                    // composites.
+                    session
+                        .ctx
+                        .charge(shmem.byte_cost(shmem.pack_per_byte, piece.len()));
+                }
             }
             mpisim::pack::frame_piece(&mut framed, &piece);
         }
-        let full = {
-            let ov = session
-                .overlay
-                .as_deref_mut()
-                .expect("coalescing implies an installed overlay");
-            let acc = coalesce_out(&mut ov.out, site, dest, Target::Mpi2Side, batch);
-            acc.buf.append(&mut framed);
-            acc.horizon = acc.horizon.max(horizon);
-            acc.instances += 1;
-            acc.instances >= acc.batch
+        // A flush must fit the staging slot where the target has one.
+        let capacity = session
+            .staging_index(site, true)
+            .map(|i| session.staging[i].slot_bytes);
+        let ov = session
+            .overlay
+            .as_deref_mut()
+            .expect("coalescing implies an installed overlay");
+        let acc = match ov.out.iter().position(|a| a.site == site && a.dest == dest) {
+            Some(i) => &mut ov.out[i],
+            None => {
+                ov.out.push(CoalesceOut {
+                    site,
+                    dest,
+                    target,
+                    ..Default::default()
+                });
+                ov.out.last_mut().expect("just pushed")
+            }
         };
-        if full {
+        let need = 4 + acc.buf.len() + framed.len();
+        if let Some(have) = capacity.filter(|&have| need > have) {
+            return Err(DirectiveError::StagingOverflow { site, need, have });
+        }
+        acc.buf.append(&mut framed);
+        acc.horizon = acc.horizon.max(horizon);
+        acc.instances += 1;
+        if acc.instances >= batch {
             flush_coalesced(session, pending, Some((site, dest)));
         }
     }
     if let Some(src) = src {
-        let mpi = session.ctx.machine().mpi;
         for rb in rbufs.iter_mut() {
             let meta = rb.desc();
             let n = count.min(meta.len);
             let ov = session.overlay.as_deref_mut().expect("overlay installed");
-            let piece = match coalesce_next_piece(ov, site, src) {
+            let (piece, completion) = match coalesce_next_piece(ov, site, src) {
                 Some(p) => p,
                 None => {
                     // About to physically block for the next packed
@@ -1801,145 +1821,29 @@ fn exec_mpi2_coalesced(
                     // never waits on a peer while holding pieces that
                     // peer (or a cycle through it) needs.
                     flush_coalesced(session, pending, None);
-                    let tag = COAL_TAG_BASE + site as i32;
-                    let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
-                    let done = req.wait_raw();
-                    session.ctx.note_recv_completion(&req, &done);
-                    // One deferred completion per packed message — the
-                    // receiver's share of the Waitall shrinks with the
-                    // batch factor.
-                    pending.recv_completions.push(done.completion);
+                    let (payload, completion) = receive_packed(session, pending, site, src, target);
                     let ov = session.overlay.as_deref_mut().expect("overlay installed");
-                    coalesce_store_inbox(ov, site, src, done.payload, done.completion);
+                    ov.inbox.retain(|e| e.site != site || e.src != src);
+                    let pos = 0;
+                    ov.inbox.push(CoalesceIn {
+                        site,
+                        src,
+                        payload,
+                        pos,
+                        completion,
+                    });
                     coalesce_next_piece(ov, site, src)
                         .expect("freshly received packed message has a piece")
                 }
             };
-            let (piece, completion) = piece;
-            if !matches!(meta.elem, ElemKind::Prim(_)) {
-                let dt = meta.elem.to_datatype();
-                session.dtype_cache.ensure_committed(session.ctx, &dt, &mpi);
-                session
-                    .ctx
-                    .charge(mpi.byte_cost(mpi.datatype_per_byte, piece.len()));
-            }
-            // MPI_Unpack out of the packed wire buffer into the user buffer.
-            session.ctx.charge_pack(piece.len(), &mpi);
-            rb.scatter(n, &piece);
-            session.push_recv_horizon(rb.sub_ranges(), meta.addr, completion);
-        }
-    }
-    Ok(())
-}
-
-/// Coalesced SHMEM lowering: framed batches land in a dedicated symmetric
-/// staging slot via one signalled `shmem_putmem` per flush; the receiver
-/// waits one signal per flush and peels pieces locally.
-#[allow(clippy::too_many_arguments)]
-fn exec_shmem_coalesced(
-    session: &mut CommSession<'_>,
-    pending: &mut PendingSync,
-    site: u32,
-    sbufs: &BufList<SendSlot<'_>>,
-    rbufs: &mut BufList<RecvSlot<'_>>,
-    count: usize,
-    dest: Option<usize>,
-    src: Option<usize>,
-    batch: usize,
-) -> Result<(), DirectiveError> {
-    let model = session.ctx.machine().shmem;
-    // The staging was created by `join_collectives`.
-    if let Some(dest) = dest {
-        let mut framed = Vec::new();
-        let mut horizon = Time::ZERO;
-        for sb in sbufs.iter() {
-            let meta = sb.desc();
-            let n = count.min(meta.len);
-            if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
-                horizon = horizon.max(h);
-            }
-            let mut piece = Vec::with_capacity(n * meta.elem.packed_size());
-            sb.gather(n, &mut piece);
-            if !matches!(meta.elem, ElemKind::Prim(_)) {
-                // SHMEM has no datatype engine: composites are packed by
-                // generated code (the frame copy below is charged at pack
-                // rate already, so only note nothing extra here).
-                session
-                    .ctx
-                    .charge(model.byte_cost(model.pack_per_byte, piece.len()));
-            }
-            mpisim::pack::frame_piece(&mut framed, &piece);
-        }
-        let (full, overflow) = {
-            let ov = session
-                .overlay
-                .as_deref_mut()
-                .expect("coalescing implies an installed overlay");
-            let slot_bytes = ov
-                .shmem_staging
-                .iter()
-                .find(|(s, _)| *s == site)
-                .map(|(_, st)| st.slot_bytes)
-                .expect("staging joined before dispatch");
-            let acc = coalesce_out(&mut ov.out, site, dest, Target::Shmem, batch);
-            let need = 4 + acc.buf.len() + framed.len();
-            if need > slot_bytes {
-                (false, Some((need, slot_bytes)))
-            } else {
-                acc.buf.append(&mut framed);
-                acc.horizon = acc.horizon.max(horizon);
-                acc.instances += 1;
-                (acc.instances >= acc.batch, None)
-            }
-        };
-        if let Some((need, have)) = overflow {
-            return Err(DirectiveError::StagingOverflow { site, need, have });
-        }
-        if full {
-            flush_coalesced(session, pending, Some((site, dest)));
-        }
-    }
-
-    if let Some(src) = src {
-        for rb in rbufs.iter_mut() {
-            let meta = rb.desc();
-            let n = count.min(meta.len);
-            let ov = session.overlay.as_deref_mut().expect("overlay installed");
-            let piece = match coalesce_next_piece(ov, site, src) {
-                Some(p) => p,
-                None => {
-                    // Flush-before-wait (see the two-sided path).
-                    flush_coalesced(session, pending, None);
-                    let (seg, slot_base, expect) = {
-                        let ov = session.overlay.as_deref_mut().expect("overlay installed");
-                        let st = ov
-                            .shmem_staging
-                            .iter_mut()
-                            .find(|(s, _)| *s == site)
-                            .map(|(_, st)| st)
-                            .expect("staging joined before dispatch");
-                        let slot = (st.recv_flushes % st.slots as u64) as usize;
-                        st.recv_flushes += 1;
-                        (st.seg, slot * st.slot_bytes, st.recv_flushes)
-                    };
-                    let arrival = session.ctx.wait_signals_raw(seg, expect as usize);
-                    let mut hdr = [0u8; 4];
-                    session.ctx.read_local(seg, slot_base, &mut hdr);
-                    let total = u32::from_le_bytes(hdr) as usize;
-                    let mut payload = vec![0u8; total];
-                    session.ctx.read_local(seg, slot_base + 4, &mut payload);
-                    // Bounce the whole flush out of the symmetric slot at
-                    // memcpy rate and free it for flow-controlled senders.
-                    session.ctx.charge_memcpy(total, &model);
-                    session.ctx.mark_consumed(seg, 1);
-                    pending.recv_arrivals_shmem.push(arrival);
-                    let ov = session.overlay.as_deref_mut().expect("overlay installed");
-                    coalesce_store_inbox(ov, site, src, bytes::Bytes::from(payload), arrival);
-                    coalesce_next_piece(ov, site, src)
-                        .expect("freshly received packed flush has a piece")
+            if target == Target::Mpi2Side {
+                if !matches!(meta.elem, ElemKind::Prim(_)) {
+                    charge_datatype(session, &meta.elem, piece.len(), &mpi);
                 }
-            };
-            let (piece, completion) = piece;
+                // MPI_Unpack out of the packed wire buffer into the user
+                // buffer.
+                session.ctx.charge_pack(piece.len(), &mpi);
+            }
             rb.scatter(n, &piece);
             session.push_recv_horizon(rb.sub_ranges(), meta.addr, completion);
         }
@@ -1969,21 +1873,24 @@ fn exec_onesided(
     // The staging (joined before dispatch) stays put while this instance
     // runs, so its index is stable.
     let st_idx = session
-        .staging
-        .iter()
-        .position(|(s, _)| *s == site)
+        .staging_index(site, false)
         .expect("staging joined before dispatch");
+    // The slot layout is fixed by the site's first execution. A later call
+    // reusing the site id with another buffer list has the same shape on
+    // every rank, so both ends refuse it rather than miscount signals.
+    let pieces = session.staging[st_idx].signals_per_slot();
+    if sbufs.len() != pieces {
+        return Err(DirectiveError::Invalid(vec![Diagnostic::error(format!(
+            "comm_p2p site {site}: {} buffers, but its staging holds {pieces} per slot",
+            sbufs.len()
+        ))]));
+    }
 
     // Sender: put each buffer's packed payload into the destination's slot.
     if let Some(dest) = dest {
         let global_dest = session.comm.global(dest);
-        let (seg, slot_base, slot_bytes) = {
-            let st = &mut session.staging[st_idx].1;
-            let k = st.send_counts.entry(dest).or_insert(0);
-            let slot = (*k % st.slots as u64) as usize;
-            *k += 1;
-            (st.seg, slot * st.slot_bytes, st.slot_bytes)
-        };
+        let slot = session.staging[st_idx].send_slot(dest);
+        let slot_bytes = session.staging[st_idx].slot_bytes;
         let mut payload = Vec::new();
         let mut used = 0usize;
         for (i, sb) in sbufs.iter().enumerate() {
@@ -2026,15 +1933,11 @@ fn exec_onesided(
                 // pays here.
                 Lowering::Pack => session.ctx.charge_pack(payload.len(), &model),
             }
-            let offset = session.staging[st_idx].1.buf_offsets[i];
-            let arrival =
-                session
-                    .ctx
-                    .put(seg, global_dest, slot_base + offset, &payload, &model, true);
-            match target {
-                Target::Mpi1Side => pending.put_arrivals_mpi.push(arrival),
-                _ => pending.put_arrivals_shmem.push(arrival),
-            }
+            let (offset, _) = session.staging[st_idx].piece(slot, i);
+            let arrival = session
+                .ctx
+                .put(slot.seg, global_dest, offset, &payload, &model, true);
+            pending.note_arrival(target, arrival);
         }
         // The engine tracks arrivals itself; drain the ctx list so a later
         // unrelated `quiet` doesn't double-count.
@@ -2044,37 +1947,24 @@ fn exec_onesided(
     // Receiver: wait (physically) for this execution's deliveries, copy the
     // staged bytes into the user buffers, record the arrival horizon.
     if src.is_some() {
-        let (seg, slot_base, expect_base) = {
-            let st = &mut session.staging[st_idx].1;
-            let slot = (st.recv_count % st.slots as u64) as usize;
-            let expect_base = st.recv_count * sbufs.len() as u64;
-            st.recv_count += 1;
-            (st.seg, slot * st.slot_bytes, expect_base)
-        };
+        let slot = session.staging[st_idx].recv_slot();
         let mut staged = Vec::new();
         for (i, rb) in rbufs.iter_mut().enumerate() {
             let meta = rb.desc();
             let n = count.min(meta.len);
             let bytes = n * meta.elem.packed_size();
-            let arrival = session
-                .ctx
-                .wait_signals_raw(seg, (expect_base + i as u64 + 1) as usize);
-            let offset = session.staging[st_idx].1.buf_offsets.get(i).copied();
+            let (offset, signals) = session.staging[st_idx].piece(slot, i);
+            let arrival = session.ctx.wait_signals_raw(slot.seg, signals);
             staged.clear();
             staged.resize(bytes, 0);
-            session
-                .ctx
-                .read_local(seg, slot_base + offset.unwrap_or(0), &mut staged);
+            session.ctx.read_local(slot.seg, offset, &mut staged);
             rb.scatter(n, &staged);
             // Bounce copy out of the symmetric staging buffer; the slot is
             // now reusable by flow-controlled senders.
             session.ctx.charge_memcpy(bytes, &model);
-            session.ctx.mark_consumed(seg, 1);
+            session.ctx.mark_consumed(slot.seg, 1);
             session.push_recv_horizon(rb.sub_ranges(), meta.addr, arrival);
-            match target {
-                Target::Mpi1Side => pending.recv_arrivals_mpi.push(arrival),
-                _ => pending.recv_arrivals_shmem.push(arrival),
-            }
+            pending.note_arrival(target, arrival);
         }
     }
     Ok(())
@@ -2085,7 +1975,7 @@ mod tests {
     use super::*;
     use crate::buffer::{Prim, PrimMut};
     use crate::overlay::SiteDecision;
-    use netsim::{run, SimConfig};
+    use netsim::{run, ExecPolicy, SimConfig};
 
     fn ring_params(n: usize) -> CommParams {
         let _ = n;
@@ -2618,6 +2508,72 @@ mod tests {
             ctx.stats.puts
         });
         assert_eq!(res.per_rank[0], 2, "one signalled put per full batch");
+    }
+
+    #[test]
+    fn out_of_range_sender_still_joins_the_staging_rendezvous() {
+        // Rank 0 sends to rank 1. Rank 3 also receives, from `2*rank - 2`,
+        // which is nranks for it: it must still join the site's staging
+        // allocation, or every other rank waits for it there forever.
+        for overlay in [None, Some(coalesce_overlay(2))] {
+            for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+                let overlay = &overlay;
+                let res = run(SimConfig::new(4).with_exec(exec), move |ctx| {
+                    let comm = Comm::world(ctx);
+                    let mut session = CommSession::new(ctx, comm);
+                    if let Some(ov) = &overlay {
+                        session = session.with_overlay(ov.clone());
+                    }
+                    let is = |r: i64| RankExpr::rank().eq(RankExpr::lit(r));
+                    let params = CommParams::new()
+                        .sender(RankExpr::lit(2) * RankExpr::rank() - RankExpr::lit(2))
+                        .receiver(RankExpr::rank() + RankExpr::lit(1))
+                        .sendwhen(is(0))
+                        .receivewhen(is(1).or(is(3)))
+                        .target(Target::Shmem)
+                        .place_sync(PlaceSync::EndParamRegion)
+                        .max_comm_iter(2);
+                    let mut runs = Vec::new();
+                    let mut got = Vec::new();
+                    let region = session.region(&params, |reg| {
+                        for i in 0..2i64 {
+                            let src = [10 + i];
+                            let mut dst = [0i64];
+                            runs.push(
+                                reg.p2p()
+                                    .site(9)
+                                    .sbuf(Prim::new("src", &src))
+                                    .rbuf(PrimMut::new("dst", &mut dst))
+                                    .run(),
+                            );
+                            got.push(dst[0]);
+                        }
+                    });
+                    session.flush();
+                    (region.is_ok(), runs, got)
+                });
+                for (rank, (region_ok, runs, got)) in res.per_rank.into_iter().enumerate() {
+                    if rank == 3 {
+                        assert!(!region_ok);
+                        for r in runs {
+                            assert!(matches!(
+                                r,
+                                Err(DirectiveError::RankOutOfRange {
+                                    clause: "sender",
+                                    value: 4,
+                                    size: 4
+                                })
+                            ));
+                        }
+                    } else {
+                        assert!(region_ok, "rank {rank}");
+                        assert!(runs.iter().all(Result::is_ok), "rank {rank}");
+                        let want = if rank == 1 { vec![10, 11] } else { vec![0, 0] };
+                        assert_eq!(got, want, "rank {rank}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl PackBuf {
         &self.buf[..self.pos]
     }
 
-    /// Full backing buffer (for sending `size` bytes like the original
-    /// code's `MPI_Send(buf, s, MPI_PACKED, ...)`).
-    pub fn as_full_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// `MPI_Pack`: append `count` elements from `src`, charging the copy.
     pub fn pack<T: Pod>(&mut self, ctx: &mut RankCtx, src: &[T], model: &CostModel) {
         let bytes = as_bytes(src);

@@ -446,12 +446,6 @@ impl RankCtx {
         std::mem::replace(&mut self.cur_site, site)
     }
 
-    /// The current site attribution, if any.
-    #[inline]
-    pub fn current_site(&self) -> Option<SiteId> {
-        self.cur_site
-    }
-
     /// Record a trace event on behalf of a higher layer spanning
     /// `start..end` in virtual time, without touching the clock. Substrate
     /// engines that implement their own charging policies use this to keep
@@ -853,12 +847,6 @@ impl RankCtx {
                 horizon: max_arrival,
             },
         );
-    }
-
-    /// Completion time of the latest outstanding put without charging
-    /// (used by the directive engine for deferred syncs).
-    pub fn outstanding_put_horizon(&self) -> Option<Time> {
-        self.outstanding_puts.iter().copied().max()
     }
 
     /// Drain the outstanding-put list, returning the arrival times.
