@@ -557,15 +557,32 @@ impl<'a> CommSession<'a> {
             if let Some(ov) = self.overlay.as_deref_mut() {
                 ov.out.clear();
             }
+            // Every other rank's region takes the MPI one-sided fence, a
+            // barrier over the communicator, so this rank still joins it
+            // where they do. The rest of its sync is rank-local and dropped.
+            let fence = PendingSync {
+                used_mpi1: pending.used_mpi1,
+                mpi1_horizon: pending.mpi1_horizon,
+                ..PendingSync::default()
+            };
+            self.place_sync(&spec, fence);
             return Err(e);
         }
 
         // Region-end flush: coalesced batches never outlive their region,
         // keeping the flush rule a pure function of the instance schedule.
         flush_coalesced(self, &mut pending, None);
+        self.place_sync(&spec, pending);
+        if self.record_ir {
+            self.program.push(spec);
+        }
+        Ok(out)
+    }
 
-        // Overlay `place_sync` decisions override the written placement for
-        // any region executing that site.
+    /// Apply or carry a region's `pending` sync where its placement says:
+    /// the written `place_sync`, overridden by the overlay's decision for
+    /// any site the region executed.
+    fn place_sync(&mut self, spec: &ParamsSpec, pending: PendingSync) {
         let mut placement = spec.place_sync();
         if let Some(ov) = self.overlay.as_deref() {
             for p in &spec.body {
@@ -587,10 +604,6 @@ impl<'a> CommSession<'a> {
                 self.carried_adj.absorb(pending);
             }
         }
-        if self.record_ir {
-            self.program.push(spec);
-        }
-        Ok(out)
     }
 
     /// Execute a standalone `comm_p2p` (outside any region): synchronizes
@@ -2514,8 +2527,14 @@ mod tests {
     fn out_of_range_sender_still_joins_the_staging_rendezvous() {
         // Rank 0 sends to rank 1. Rank 3 also receives, from `2*rank - 2`,
         // which is nranks for it: it must still join the site's staging
-        // allocation, or every other rank waits for it there forever.
-        for overlay in [None, Some(coalesce_overlay(2))] {
+        // allocation, or every other rank waits for it there forever, and on
+        // MPI one-sided the region-end fence, a communicator barrier.
+        let cases = [
+            (Target::Shmem, None),
+            (Target::Shmem, Some(coalesce_overlay(2))),
+            (Target::Mpi1Side, None),
+        ];
+        for (target, overlay) in cases {
             for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
                 let overlay = &overlay;
                 let res = run(SimConfig::new(4).with_exec(exec), move |ctx| {
@@ -2530,27 +2549,27 @@ mod tests {
                         .receiver(RankExpr::rank() + RankExpr::lit(1))
                         .sendwhen(is(0))
                         .receivewhen(is(1).or(is(3)))
-                        .target(Target::Shmem)
+                        .target(target)
                         .place_sync(PlaceSync::EndParamRegion)
                         .max_comm_iter(2);
                     let mut runs = Vec::new();
-                    let mut got = Vec::new();
+                    // One receive buffer per instance: reusing one would
+                    // split the region on the receiver (see DESIGN §12).
+                    let mut dst = [[0i64]; 2];
                     let region = session.region(&params, |reg| {
-                        for i in 0..2i64 {
+                        for (i, dst) in (0..2i64).zip(&mut dst) {
                             let src = [10 + i];
-                            let mut dst = [0i64];
                             runs.push(
                                 reg.p2p()
                                     .site(9)
                                     .sbuf(Prim::new("src", &src))
-                                    .rbuf(PrimMut::new("dst", &mut dst))
+                                    .rbuf(PrimMut::new("dst", dst))
                                     .run(),
                             );
-                            got.push(dst[0]);
                         }
                     });
                     session.flush();
-                    (region.is_ok(), runs, got)
+                    (region.is_ok(), runs, dst.map(|d| d[0]).to_vec())
                 });
                 for (rank, (region_ok, runs, got)) in res.per_rank.into_iter().enumerate() {
                     if rank == 3 {

@@ -46,17 +46,42 @@ struct PostedRecv {
 /// `active_srcs` keeps the set of non-empty unexpected lanes sorted so
 /// wildcard scans are deterministic and skip idle sources.
 struct MailboxInner {
-    unexpected: Vec<VecDeque<Envelope>>,
+    unexpected: Lanes<Envelope>,
     /// Sources with a non-empty `unexpected` lane, ascending.
     active_srcs: Vec<usize>,
     unexpected_total: usize,
-    posted_exact: Vec<VecDeque<PostedRecv>>,
+    posted_exact: Lanes<PostedRecv>,
     posted_any: VecDeque<PostedRecv>,
     posted_total: usize,
     /// Only the physical (contention) counters are bumped here, under the
     /// lock the matching engine already holds; the runtime merges them
     /// into the owning rank's stats after the run.
     stats: RankStats,
+}
+
+/// One mailbox's per-source queues, sorted by source and each created on
+/// its source's first use. A rank hears from few sources; a lane per rank
+/// would cost every run of `n` ranks `n²` lanes before its first message.
+struct Lanes<T>(Vec<(usize, VecDeque<T>)>);
+
+impl<T> Lanes<T> {
+    /// The entries of `src`'s lane, front first (none if it was never used).
+    fn iter(&self, src: usize) -> impl Iterator<Item = &T> {
+        let i = self.0.binary_search_by_key(&src, |(s, _)| *s).ok();
+        i.into_iter().flat_map(|i| &self.0[i].1)
+    }
+
+    /// `src`'s lane, created empty on first use.
+    fn lane(&mut self, src: usize) -> &mut VecDeque<T> {
+        let i = match self.0.binary_search_by_key(&src, |(s, _)| *s) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.insert(i, (src, VecDeque::new()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
 }
 
 /// One rank's incoming-message matching engine.
@@ -70,7 +95,7 @@ pub struct Mailbox {
 
 impl MailboxInner {
     fn note_parked(&mut self, src: usize) {
-        if self.unexpected[src].len() == 1 {
+        if self.unexpected.lane(src).len() == 1 {
             // Lane just became non-empty.
             let pos = self.active_srcs.partition_point(|&s| s < src);
             self.active_srcs.insert(pos, src);
@@ -82,8 +107,9 @@ impl MailboxInner {
     }
 
     fn take_unexpected(&mut self, src: usize, idx: usize) -> Envelope {
-        let env = self.unexpected[src].remove(idx).expect("index valid");
-        if self.unexpected[src].is_empty() {
+        let lane = self.unexpected.lane(src);
+        let env = lane.remove(idx).expect("index valid");
+        if lane.is_empty() {
             if let Ok(pos) = self.active_srcs.binary_search(&src) {
                 self.active_srcs.remove(pos);
             }
@@ -97,7 +123,7 @@ impl MailboxInner {
     fn oldest_match(&mut self, src: usize, tag: TagSel) -> Option<usize> {
         let mut steps = 0;
         let mut hit = None;
-        for (i, e) in self.unexpected[src].iter().enumerate() {
+        for (i, e) in self.unexpected.iter(src).enumerate() {
             steps += 1;
             if tag.matches(e.tag) {
                 hit = Some(i);
@@ -110,13 +136,13 @@ impl MailboxInner {
 }
 
 impl Mailbox {
-    fn new(nranks: usize) -> Self {
+    fn new() -> Self {
         Mailbox {
             inner: Mutex::new(MailboxInner {
-                unexpected: (0..nranks).map(|_| VecDeque::new()).collect(),
+                unexpected: Lanes(Vec::new()),
                 active_srcs: Vec::new(),
                 unexpected_total: 0,
-                posted_exact: (0..nranks).map(|_| VecDeque::new()).collect(),
+                posted_exact: Lanes(Vec::new()),
                 posted_any: VecDeque::new(),
                 posted_total: 0,
                 stats: RankStats::default(),
@@ -136,7 +162,7 @@ impl Mailbox {
         // so the two lane-firsts bracket every candidate.
         let mut steps = 0;
         let mut exact_hit: Option<(usize, u64)> = None;
-        for (i, p) in g.posted_exact[env.src].iter().enumerate() {
+        for (i, p) in g.posted_exact.iter(env.src).enumerate() {
             steps += 1;
             if p.tag.matches(env.tag) {
                 exact_hit = Some((i, p.post_seq));
@@ -162,7 +188,10 @@ impl Mailbox {
         match winner {
             Some((in_exact, idx)) => {
                 let posted = if in_exact {
-                    g.posted_exact[env.src].remove(idx).expect("index valid")
+                    g.posted_exact
+                        .lane(env.src)
+                        .remove(idx)
+                        .expect("index valid")
                 } else {
                     g.posted_any.remove(idx).expect("index valid")
                 };
@@ -177,7 +206,7 @@ impl Mailbox {
                     env.send_done.set(env.depart);
                 }
                 let src = env.src;
-                g.unexpected[src].push_back(env);
+                g.unexpected.lane(src).push_back(env);
                 g.note_parked(src);
             }
         }
@@ -204,7 +233,7 @@ impl Mailbox {
                 let mut best: Option<(usize, usize, (Time, usize))> = None;
                 for &s in &active {
                     if let Some(i) = g.oldest_match(s, tag) {
-                        let e = &g.unexpected[s][i];
+                        let e = &g.unexpected.lane(s)[i];
                         let key = (e.costs.eager_arrival(e.depart, e.payload.len()), s);
                         if best.map(|(_, _, k)| key < k).unwrap_or(true) {
                             best = Some((s, i, key));
@@ -229,7 +258,7 @@ impl Mailbox {
                     slot,
                 };
                 match src {
-                    SrcSel::Exact(s) => g.posted_exact[s].push_back(posted),
+                    SrcSel::Exact(s) => g.posted_exact.lane(s).push_back(posted),
                     SrcSel::Any => g.posted_any.push_back(posted),
                 }
                 g.posted_total += 1;
@@ -316,9 +345,9 @@ impl GroupBarrier {
             let waiters = std::mem::take(&mut g.waiters);
             self.cv.notify_all();
             drop(g);
-            // Wake parked ranks through the scheduler: each is queued at the
-            // reconciled exit clock and granted a slot LVT-first (no
-            // condvar broadcast storm).
+            // Wake parked ranks through the scheduler: each is queued on its
+            // carrier at the reconciled exit clock (no condvar broadcast
+            // storm).
             for w in waiters {
                 w.wake(exit);
             }
@@ -408,6 +437,9 @@ struct SlotInner {
     /// `.0`-th (1-based) signal lands; the delivering put wakes it through
     /// the scheduler.
     waiting: Option<(usize, crate::sched::Waiter)>,
+    /// Bounded-engine senders parked on flow control; `mark_consumed` wakes
+    /// them all, and each re-checks the window.
+    blocked_senders: Vec<crate::sched::Waiter>,
 }
 
 struct Slot {
@@ -453,7 +485,13 @@ struct AllocRendezvous {
     arrived: usize,
     bytes: usize,
     window: u64,
+    /// The last completed generation's segment. Written only by a last
+    /// arriver, so it stays valid until every waiter of that generation has
+    /// read it (the next generation cannot complete without them).
     result: Option<SegId>,
+    /// Bounded-engine single-wake registrations of this generation's
+    /// earlier arrivers, woken by the last arriver.
+    waiters: Vec<crate::sched::Waiter>,
 }
 
 struct AllocState {
@@ -491,7 +529,6 @@ impl SegmentStore {
         if g.arrived == 0 {
             g.bytes = bytes;
             g.window = window;
-            g.result = None;
         } else {
             assert_eq!(
                 g.bytes, bytes,
@@ -516,6 +553,7 @@ impl SegmentStore {
                             signals: Vec::new(),
                             consumed: 0,
                             waiting: None,
+                            blocked_senders: Vec::new(),
                         }),
                         cv: Condvar::new(),
                     })
@@ -529,22 +567,26 @@ impl SegmentStore {
             g.result = Some(id);
             g.arrived = 0;
             g.generation += 1;
-            self.cv_notify(&state);
+            let waiters = std::mem::take(&mut g.waiters);
+            state.cv.notify_all();
+            drop(g);
+            // Allocation is untimed: the wake clock is only a queue order.
+            for w in waiters {
+                w.wake(Time::ZERO);
+            }
             id
+        } else if let Some(w) = crate::sched::yield_slot() {
+            g.waiters.push(w);
+            drop(g);
+            crate::sched::park_self();
+            // Woken ⇒ our generation completed.
+            state.inner.lock().result.expect("set by the last arriver")
         } else {
-            crate::sched::pre_block();
             while g.generation == gen {
                 state.cv.wait(&mut g);
             }
-            let id = g.result.expect("alloc result set by last arriver");
-            drop(g);
-            crate::sched::post_block();
-            id
+            g.result.expect("set by the last arriver")
         }
-    }
-
-    fn cv_notify(&self, state: &AllocState) {
-        state.cv.notify_all();
     }
 
     fn seg(&self, id: SegId) -> Arc<Segment> {
@@ -573,17 +615,19 @@ impl SegmentStore {
         let seg = self.seg(id);
         let slot = seg.slot_of(target);
         let mut g = slot.inner.lock();
-        let mut yielded = false;
         if signal_arrival.is_some() {
             // Flow control: do not overwrite a staging slot the owner has
             // not consumed yet. Purely physical (no virtual-time charge):
             // models adequately-sized staging on the critical path.
             while (g.signals.len() as u64).saturating_sub(g.consumed) >= seg.window {
-                if !yielded {
-                    crate::sched::pre_block();
-                    yielded = true;
+                if let Some(w) = crate::sched::yield_slot() {
+                    g.blocked_senders.push(w);
+                    drop(g);
+                    crate::sched::park_self();
+                    g = slot.inner.lock();
+                } else {
+                    slot.cv.wait(&mut g);
                 }
-                slot.cv.wait(&mut g);
             }
         }
         assert!(
@@ -613,12 +657,6 @@ impl SegmentStore {
             // virtual arrival time of the signal it was waiting for.
             w.wake(t);
         }
-        if yielded {
-            // The write above ran slot-less (bounded, lock-holding work);
-            // reacquire only after the slot mutex is released so the owner's
-            // `mark_consumed` can never be blocked by a parked sender.
-            crate::sched::post_block();
-        }
         ordinal
     }
 
@@ -630,6 +668,17 @@ impl SegmentStore {
         let mut g = slot.inner.lock();
         g.consumed += count;
         slot.cv.notify_all();
+        let senders = std::mem::take(&mut g.blocked_senders);
+        // Flow control is untimed; the latest consumed signal's arrival
+        // orders the woken senders among other ready ranks.
+        let t = (g.consumed as usize)
+            .checked_sub(1)
+            .and_then(|i| g.signals.get(i).copied())
+            .unwrap_or(Time::ZERO);
+        drop(g);
+        for w in senders {
+            w.wake(t);
+        }
     }
 
     /// Read `out.len()` bytes from `target`'s copy at `offset`.
@@ -701,7 +750,7 @@ impl Fabric {
         Arc::new(Fabric {
             nranks,
             world: (0..nranks).collect(),
-            mailboxes: (0..nranks).map(|_| Mailbox::new(nranks)).collect(),
+            mailboxes: (0..nranks).map(|_| Mailbox::new()).collect(),
             barriers: ShardedMap::default(),
             segments: SegmentStore::default(),
         })
@@ -757,6 +806,9 @@ impl Fabric {
     /// Post a non-blocking receive on `rank`'s mailbox. `post_time` is the
     /// receiver's clock after charging `o_recv`.
     pub fn recv(&self, rank: usize, src: SrcSel, tag: TagSel, post_time: Time) -> RecvRequest {
+        if let SrcSel::Exact(s) = src {
+            assert!(s < self.nranks, "receive from nonexistent rank {s}");
+        }
         let slot = RecvSlot::new();
         self.mailboxes[rank].post(src, tag, post_time, Arc::clone(&slot));
         RecvRequest {

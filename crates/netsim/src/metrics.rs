@@ -259,13 +259,13 @@ impl RankMetrics {
 /// deterministic profile output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Configured worker slots.
+    /// Carrier threads (the engine's execution slots).
     pub slots: usize,
-    /// Peak number of simultaneously held slots.
+    /// Peak number of carriers running a rank at once.
     pub max_occupied: usize,
-    /// Total slot grants (initial acquisitions + wakeups with handoff).
+    /// Resumptions of a rank by its carrier (first runs + wakeups).
     pub grants: u64,
-    /// Times a rank parked waiting for a slot.
+    /// Times a rank was queued behind its busy carrier.
     pub parks: u64,
 }
 

@@ -181,7 +181,7 @@ pub struct Completion {
 struct CompletionState {
     done: Option<Time>,
     /// Bounded-engine single-wake registration: the rank parked on this
-    /// cell, woken through the scheduler with a slot already granted.
+    /// cell, queued on its carrier by the completer.
     waiter: Option<crate::sched::Waiter>,
 }
 
@@ -208,9 +208,9 @@ impl Completion {
     }
 
     /// Physically block until complete; returns the virtual completion time.
-    /// Under a bounded scheduler the caller's execution slot is yielded
-    /// while parked and handed back with the wake (single-wake protocol,
-    /// see [`crate::sched`]).
+    /// Under the bounded engine the caller parks, switching back to its
+    /// carrier, until the completer wakes it (single-wake protocol, see
+    /// [`crate::sched`]).
     pub fn wait(&self) -> Time {
         let mut g = self.state.lock();
         if let Some(t) = g.done {
@@ -289,9 +289,9 @@ impl RecvSlot {
     }
 
     /// Physically block until the matching message has been delivered.
-    /// Under a bounded scheduler the caller's execution slot is yielded
-    /// while parked and handed back with the wake (single-wake protocol,
-    /// see [`crate::sched`]).
+    /// Under the bounded engine the caller parks, switching back to its
+    /// carrier, until the completer wakes it (single-wake protocol, see
+    /// [`crate::sched`]).
     pub fn wait(&self) -> RecvDone {
         let mut g = self.state.lock();
         if let Some(done) = g.done.clone() {

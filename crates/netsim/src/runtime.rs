@@ -1,5 +1,7 @@
-//! The SPMD rank runtime: spawns one OS thread per simulated rank, each
-//! owning a virtual clock and a handle to the shared [`Fabric`].
+//! The SPMD rank runtime: runs one body per simulated rank, each owning a
+//! virtual clock and a handle to the shared [`Fabric`]. The default engine
+//! gives every rank an OS thread; the bounded engine ([`crate::sched`]) runs
+//! ranks as coroutines on a few carrier threads.
 //!
 //! Clock-charging policy lives here. Crucially, the *physical* completion of
 //! an operation (data delivered) is decoupled from the *virtual* cost of
@@ -19,7 +21,7 @@ use crate::model::{CostModel, MachineModel};
 use crate::msg::{RecvDone, RecvRequest, SendRequest, SrcSel, TagSel, WireCosts};
 use crate::progress::{ProgressBoard, Snapshot, WatchCfg};
 use crate::sanitize::{SanitizeReport, Sanitizer};
-use crate::sched::Scheduler;
+use crate::sched::{panic_report, Scheduler};
 use crate::time::Time;
 use crate::trace::{EventKind, RankStats, SiteId, TraceEvent, TraceSink};
 
@@ -89,7 +91,7 @@ pub struct ExecPolicy {
     /// Results are bit-identical either way — virtual time, not execution
     /// order, defines the output (see [`crate::sched`]).
     pub workers: Option<usize>,
-    /// Stack size per rank thread in bytes (`None`:
+    /// Stack size per rank in bytes, for a rank thread or coroutine (`None`:
     /// [`ExecPolicy::DEFAULT_STACK_SIZE`]).
     pub stack_size: Option<usize>,
     /// Eager-vs-rendezvous protocol threshold override in bytes for the
@@ -193,7 +195,9 @@ impl<T> SimResult<T> {
 /// Run an SPMD program: `body` is executed once per rank, in parallel.
 ///
 /// Panics in any rank are propagated (with the rank id) after all other
-/// ranks have been joined or also panicked.
+/// ranks have been joined or also panicked. Under the bounded engine a run
+/// whose unfinished ranks are all parked with none runnable panics with a
+/// `deadlock: ranks [..]` report instead of hanging.
 pub fn run<T, F>(cfg: SimConfig, body: F) -> SimResult<T>
 where
     T: Send,
@@ -231,72 +235,43 @@ where
             Arc::clone(&watch_stop),
         )
     });
-    let body = &body;
-
-    type RankOut<T> = (T, Time, RankStats);
-    let mut outputs: Vec<Option<RankOut<T>>> = (0..cfg.nranks).map(|_| None).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.nranks);
-        for rank in 0..cfg.nranks {
-            let fabric = Arc::clone(&fabric);
-            let sink = sink.clone();
-            let sched = sched.clone();
-            let machine = cfg.machine;
-            let nranks = cfg.nranks;
-            let san = sanitizer.clone();
-            let board = board.clone();
-            let builder = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(exec.stack_size.unwrap_or(ExecPolicy::DEFAULT_STACK_SIZE));
-            let handle = builder
-                .spawn_scoped(scope, move || {
-                    // Under the bounded engine, acquire an execution slot
-                    // before running the body and release it on drop (even
-                    // on unwind, so a panicking rank can't strand the pool).
-                    let _slot = sched.map(|s| crate::sched::RankSlot::enter(s, rank));
-                    let mut ctx = RankCtx {
-                        rank,
-                        nranks,
-                        clock: Time::ZERO,
-                        fabric,
-                        machine,
-                        outstanding_puts: Vec::new(),
-                        stats: RankStats::default(),
-                        sink,
-                        cur_site: None,
-                        san,
-                        progress: board,
-                    };
-                    let out = body(&mut ctx);
-                    if let Some(p) = &ctx.progress {
-                        p.on_finish(rank, ctx.clock.as_nanos());
-                    }
-                    (out, ctx.clock, ctx.stats)
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
+    let rank_main = |rank: usize| {
+        let mut ctx = RankCtx {
+            rank,
+            nranks: cfg.nranks,
+            clock: Time::ZERO,
+            fabric: Arc::clone(&fabric),
+            machine: cfg.machine,
+            outstanding_puts: Vec::new(),
+            stats: RankStats::default(),
+            sink: sink.clone(),
+            cur_site: None,
+            san: sanitizer.clone(),
+            progress: board.clone(),
+        };
+        let out = body(&mut ctx);
+        if let Some(p) = &ctx.progress {
+            p.on_finish(rank, ctx.clock.as_nanos());
         }
-        for (rank, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(triple) => outputs[rank] = Some(triple),
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("rank {rank} panicked: {msg}");
-                }
-            }
-        }
-    });
+        (out, ctx.clock, ctx.stats)
+    };
+    let stack_size = exec.stack_size.unwrap_or(ExecPolicy::DEFAULT_STACK_SIZE);
+    let outputs = match &sched {
+        Some(s) => s.run(stack_size, &rank_main),
+        None => run_threads(cfg.nranks, stack_size, &rank_main),
+    };
+    // All ranks have quiesced: stop the watchdog, then take the final
+    // (deterministic) snapshot.
+    watch_stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    if let Some(h) = watcher {
+        let _ = h.join();
+    }
+    let outputs = outputs.unwrap_or_else(|report| panic!("{report}"));
 
     let mut per_rank = Vec::with_capacity(cfg.nranks);
     let mut final_times = Vec::with_capacity(cfg.nranks);
     let mut stats = Vec::with_capacity(cfg.nranks);
-    for (rank, slot) in outputs.into_iter().enumerate() {
-        let (out, t, mut s) = slot.expect("every rank produced output");
+    for (rank, (out, t, mut s)) in outputs.into_iter().enumerate() {
         // The matching engine's hot-path counters live in the rank's
         // mailbox; fold them in now that all threads are quiescent.
         s.merge(&fabric.mailbox(rank).stats());
@@ -308,12 +283,6 @@ where
         per_rank.push(out);
         final_times.push(t);
         stats.push(s);
-    }
-    // All ranks have quiesced: stop the watchdog, then take the final
-    // (deterministic) snapshot.
-    watch_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    if let Some(h) = watcher {
-        let _ = h.join();
     }
     let sched_stats = sched.map(|s| s.stats());
     let progress = board.map(|b| b.snapshot(sched_stats));
@@ -331,6 +300,33 @@ where
         }),
         progress,
     }
+}
+
+/// The thread-per-rank engine: `body(rank)` on one OS thread per rank, with
+/// `stack_size`-byte stacks. `Err` is the lowest panicking rank's report.
+fn run_threads<R: Send>(
+    nranks: usize,
+    stack_size: usize,
+    body: &(dyn Fn(usize) -> R + Sync),
+) -> Result<Vec<R>, String> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..nranks)
+            .map(|rank| {
+                std::thread::Builder::new()
+                    .name(format!("rank-{rank}"))
+                    .stack_size(stack_size)
+                    .spawn_scoped(scope, move || body(rank))
+                    .expect("failed to spawn rank thread")
+            })
+            .collect();
+        // Join every thread before reporting, so no rank outlives the run.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| r.map_err(|p| panic_report(rank, &*p)))
+            .collect()
+    })
 }
 
 /// Deterministic per-message jitter source (splitmix64 over the message
@@ -405,11 +401,10 @@ impl RankCtx {
         &self.fabric
     }
 
-    /// Report the current clock to the bounded scheduler (slot-queue
-    /// priority hint) ahead of an operation that may physically park.
+    /// Report the current clock to the progress board ahead of an
+    /// operation that may physically park.
     #[inline]
     fn note_block(&self) {
-        crate::sched::note_clock(self.clock);
         if let Some(p) = &self.progress {
             p.on_block(
                 self.rank,
@@ -1265,6 +1260,156 @@ mod tests {
             }
             ctx.barrier_group(&[0, 2, 3], &m);
         });
+    }
+
+    #[test]
+    fn bounded_engine_parks_flow_controlled_senders() {
+        // A one-slot window: rank 0's second signalled put must wait for
+        // rank 1 to consume the first. Under one carrier that wait has to
+        // park the sender, or rank 1 never runs.
+        let body = |ctx: &mut RankCtx| {
+            let m = ctx.machine().shmem;
+            let seg = ctx.sym_alloc_windowed(&[0, 1], 8, 1, &m);
+            let mut got = Vec::new();
+            for k in 0..4u8 {
+                if ctx.rank() == 0 {
+                    ctx.put(seg, 1, 0, &[k; 8], &m, true);
+                } else {
+                    let arrival = ctx.wait_signals_raw(seg, k as usize + 1);
+                    ctx.advance_to(arrival);
+                    let mut out = [0u8; 8];
+                    ctx.read_local(seg, 0, &mut out);
+                    got.push(out[0]);
+                    ctx.mark_consumed(seg, 1);
+                }
+            }
+            ctx.quiet(&m);
+            (got, ctx.now())
+        };
+        let reference = run(uniform_cfg(2), body);
+        assert_eq!(reference.per_rank[1].0, vec![0, 1, 2, 3]);
+        for workers in [1, 2] {
+            let res = run(uniform_cfg(2).with_exec(ExecPolicy::bounded(workers)), body);
+            assert_eq!(res.per_rank, reference.per_rank, "workers={workers}");
+        }
+    }
+
+    /// The report a failed run panicked with.
+    fn run_failure(cfg: SimConfig, body: impl Fn(&mut RankCtx) + Sync) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(cfg, body)))
+            .expect_err("the run must fail");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn bounded_engine_reports_a_deadlock() {
+        // Each rank only receives from the other: no rank can ever run again.
+        for workers in [1, 2] {
+            let report = run_failure(
+                uniform_cfg(2).with_exec(ExecPolicy::bounded(workers)),
+                |ctx| {
+                    let m = ctx.machine().mpi;
+                    let other = 1 - ctx.rank();
+                    ctx.recv(SrcSel::Exact(other), TagSel::Exact(0), &m);
+                },
+            );
+            assert_eq!(
+                report, "deadlock: ranks [0, 1] parked with none runnable",
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_engine_reports_the_panic_that_strands_a_barrier() {
+        // Rank 1 never reaches the barrier the others wait in: the run is
+        // deadlocked, but the panic that caused it is the report.
+        for workers in [1, 2] {
+            let report = run_failure(
+                uniform_cfg(4).with_exec(ExecPolicy::bounded(workers)),
+                |ctx| {
+                    let m = ctx.machine().mpi;
+                    if ctx.rank() == 1 {
+                        panic!("boom");
+                    }
+                    ctx.barrier(&m);
+                },
+            );
+            assert_eq!(report, "rank 1 panicked: boom", "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn bounded_ranks_resume_on_the_thread_they_parked_on() {
+        // 64 ranks on 2 carriers; every ring wait and barrier below parks
+        // (all but the last arriver), and each must resume on its carrier.
+        let res = run(uniform_cfg(64).with_exec(ExecPolicy::bounded(2)), |ctx| {
+            let m = ctx.machine().mpi;
+            let n = ctx.nranks();
+            let (right, left) = ((ctx.rank() + 1) % n, (ctx.rank() + n - 1) % n);
+            let mut seen = Vec::new();
+            for round in 0..8 {
+                let before = std::thread::current().id();
+                let s = ctx.isend(right, round, &[0u8; 8], &m);
+                let r = ctx.irecv(SrcSel::Exact(left), TagSel::Exact(round), &m);
+                ctx.waitall(&[s], &[r], &m);
+                seen.push((before, std::thread::current().id()));
+                let before = std::thread::current().id();
+                ctx.barrier(&m);
+                seen.push((before, std::thread::current().id()));
+            }
+            seen
+        });
+        for (rank, seen) in res.per_rank.iter().enumerate() {
+            for (before, after) in seen {
+                assert_eq!(before, after, "rank {rank} migrated across a park");
+            }
+        }
+        // Both carriers ran ranks (on targets without the user-space
+        // switch, each rank has a thread of its own).
+        let threads: std::collections::HashSet<_> =
+            res.per_rank.iter().map(|seen| seen[0].0).collect();
+        assert!(threads.len() >= 2);
+        assert!(res.sched.expect("bounded").grants > 64 * 8);
+    }
+
+    /// Recurse `depth` frames of about 1 KiB each.
+    fn deep(depth: usize) -> usize {
+        let frame = std::hint::black_box([depth as u8; 1024]);
+        if depth == 0 {
+            return frame[0] as usize;
+        }
+        deep(depth - 1) + std::hint::black_box(frame)[1] as usize
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn rank_stack_overflow_hits_the_guard_page() {
+        // Run in a child process (this test binary, filtered to this test):
+        // a rank overflowing its 64 KiB stack must kill the child by signal
+        // or abort rather than run on into other memory.
+        use std::os::unix::process::ExitStatusExt;
+        const CHILD: &str = "NETSIM_STACK_OVERFLOW_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            let exec = ExecPolicy::bounded(1).with_stack_size(64 << 10);
+            run(SimConfig::new(1).with_exec(exec), |_| deep(1024));
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "runtime::tests::rank_stack_overflow_hits_the_guard_page",
+                "--test-threads=1",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.signal().is_some(),
+            "child must die by a signal, got {:?}; stdout: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 
     #[test]

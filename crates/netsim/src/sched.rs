@@ -1,116 +1,120 @@
-//! Bounded cooperative scheduling: an admission gate that multiplexes rank
-//! bodies over a fixed pool of execution slots.
+//! The bounded engine: rank bodies run as stackful coroutines
+//! (`coro`) on `w` carrier threads, and switch in user space.
 //!
 //! The thread-per-rank engine makes every rank OS-runnable at once; past a
-//! few hundred ranks the kernel scheduler round-robins threads that mostly
-//! just contend fabric locks and park again. The bounded engine keeps one OS
-//! thread per rank (each rank body needs its own stack — it may block
-//! anywhere inside user code), but gates *execution*: at most `workers` ranks
-//! hold a slot at any instant. Every physically-blocking primitive in the
-//! fabric brackets its sleep with [`pre_block`]/[`post_block`], so a rank
-//! that is about to park on a condvar first yields its slot, and on wake
-//! re-queues for one. Slots are granted least-virtual-time-first, the
-//! conservative-PDES order: the rank whose clock is furthest behind is the
-//! one most likely to unblock others.
+//! few hundred ranks the kernel round-robins threads that mostly contend
+//! fabric locks and park again, and every handoff is a futex round trip.
+//! Here rank `r` lives on carrier `r % w` for its whole life: each carrier
+//! keeps a ready queue and resumes the ready rank with the lowest
+//! `(virtual clock, rank)` — the conservative-PDES order, since the rank
+//! whose clock is furthest behind is the one most likely to unblock others.
+//! A rank never migrates, so thread-locals it touches (its own, and std's
+//! panic count and `thread::current`) always see one thread.
 //!
-//! Hot-path waits use the stronger *single-wake* protocol: the waiter
-//! yields its slot ([`yield_slot`]), registers the returned [`Waiter`]
-//! handle in the fabric object it is waiting on, and parks once
-//! ([`park_self`]). The completing rank hands the handle back to the
-//! scheduler ([`Waiter::wake`]) with the completion's virtual time, which
-//! marks the rank runnable LVT-first. The parked thread wakes exactly once,
-//! already holding an execution slot — instead of waking on the fabric
-//! condvar only to park again on the admission gate (two kernel round-trips
-//! and a transient extra runnable thread per blocking op).
+//! Every blocking point uses the *single-wake* protocol: the waiter takes
+//! its [`Waiter`] handle ([`yield_slot`]), registers it in the fabric
+//! object it waits on under the same lock hold that saw the wait predicate
+//! false, drops its locks, and parks ([`park_self`]), which switches back to
+//! its carrier. The completing rank hands the handle back ([`Waiter::wake`])
+//! with the completion's virtual time; that queues the rank on its carrier,
+//! and unparks the carrier only if it was idle. A coroutine never blocks its
+//! carrier: no rank sleeps on a condvar under this engine.
 //!
-//! Two invariants make this safe and deterministic:
-//!
-//! * **Runnable-set invariant**: `free > 0` implies the ready-queue is
-//!   empty. A releasing rank hands its slot directly to the lowest-clock
-//!   waiter (no thundering herd); the free count only grows when nobody is
-//!   waiting. Both transitions happen under one lock, so a rank can never
-//!   park while a slot sits idle.
-//! * **Lock discipline**: [`pre_block`]/[`yield_slot`] (slot release —
-//!   never blocks) may be called while holding a fabric lock, but
-//!   [`post_block`]/[`park_self`] (slot acquire — may park) must only be
-//!   called with no fabric lock held. Condvar waits release their mutex
-//!   while parked, and plain mutex holders never park, so a slot-holder can
-//!   always make progress: no cycle between the admission gate and fabric
-//!   locks is possible.
+//! Every wake comes from a running rank. So once no rank is running or
+//! queued, none ever will be again: if ranks are still unfinished they are
+//! deadlocked, and the run fails with `deadlock: ranks [..] parked with none
+//! runnable` (or with the panic of a rank that panicked before). The parked
+//! ranks are unwound first, so their stacks and borrows are released.
 //!
 //! Determinism is *not* a property of the schedule: completion times are
 //! computed from virtual quantities only (see `msg::match_timing`), so any
-//! interleaving — thread-per-rank, one worker, or many — produces
+//! interleaving — thread-per-rank, one carrier, or many — produces
 //! bit-identical results. LVT-first is purely a wall-clock optimization.
 
-use std::cell::{Cell, RefCell};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::coro::{self, Coroutine};
 use crate::metrics::SchedStats;
 use crate::time::Time;
 
 struct SchedInner {
-    /// Unheld execution slots. Invariant: `free > 0` ⇒ `ready` is empty.
-    free: usize,
-    /// Ranks waiting for a slot, ordered by (virtual clock, rank).
-    ready: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Peak simultaneous slot holders (physical; for tuning reports only).
+    /// Per carrier: its ready ranks, ordered by (virtual clock, rank).
+    ready: Vec<BinaryHeap<Reverse<(Time, usize)>>>,
+    /// Per carrier: waiting on its condvar for a rank to become ready.
+    idle: Vec<bool>,
+    /// Ranks running on a carrier or queued on one. Only a running rank
+    /// wakes another, so once this reaches zero it stays there.
+    runnable: usize,
+    /// Ranks running right now.
+    running: usize,
+    /// Peak `running` (physical; for tuning reports only).
     max_occupied: usize,
-    /// Total slot grants (fast-path acquisitions + handoffs + wakeups).
+    /// Resumptions of a rank by its carrier.
     grants: u64,
-    /// Times a rank queued for a slot.
+    /// Times a rank was queued behind its busy carrier.
     parks: u64,
 }
 
-impl SchedInner {
-    /// Account one slot assignment out of the free pool (caller already
-    /// decremented `free`). Must run under the inner lock.
-    #[inline]
-    fn on_grant_from_free(&mut self, workers: usize) {
-        self.grants += 1;
-        self.max_occupied = self.max_occupied.max(workers - self.free);
-    }
-}
-
-/// Per-rank wakeup cell: a dedicated condvar per rank avoids waking the
-/// whole pool to grant one slot.
-#[derive(Default)]
-struct Parker {
-    granted: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// The admission gate: `workers` execution slots over `nranks` rank threads.
+/// The bounded engine's carriers and ready queues.
 pub struct Scheduler {
     inner: Mutex<SchedInner>,
-    parkers: Vec<Parker>,
-    workers: usize,
+    /// Per carrier: where it waits while idle.
+    wakeup: Vec<Condvar>,
+    carriers: usize,
+    nranks: usize,
+    /// `runnable` reached zero: every carrier drains and exits, and a rank
+    /// resumed after this is being unwound out of a deadlock.
+    stopped: AtomicBool,
 }
 
+/// What a finished rank left behind.
+enum Outcome<R> {
+    Done(R),
+    Panicked(Box<dyn Any + Send>),
+    /// Unwound out of a deadlock.
+    Cancelled,
+}
+
+/// Payload of the unwind that clears a deadlocked rank off its stack.
+struct Deadlocked;
+
 impl Scheduler {
-    /// A gate with `workers` slots (clamped to `1..=nranks`).
+    /// `workers` carriers (clamped to `1..=nranks`) over `nranks` ranks, each
+    /// queued at virtual time zero.
     pub fn new(nranks: usize, workers: usize) -> Arc<Self> {
-        let workers = workers.clamp(1, nranks.max(1));
+        let carriers = workers.clamp(1, nranks.max(1));
+        let mut ready: Vec<_> = (0..carriers).map(|_| BinaryHeap::new()).collect();
+        for rank in 0..nranks {
+            ready[rank % carriers].push(Reverse((Time::ZERO, rank)));
+        }
         Arc::new(Scheduler {
             inner: Mutex::new(SchedInner {
-                free: workers,
-                ready: BinaryHeap::new(),
+                ready,
+                idle: vec![false; carriers],
+                runnable: nranks,
+                running: 0,
                 max_occupied: 0,
                 grants: 0,
-                parks: 0,
+                // Every rank beyond its carrier's first waits for a turn.
+                parks: nranks.saturating_sub(carriers) as u64,
             }),
-            parkers: (0..nranks).map(|_| Parker::default()).collect(),
-            workers,
+            wakeup: (0..carriers).map(|_| Condvar::new()).collect(),
+            carriers,
+            nranks,
+            stopped: AtomicBool::new(false),
         })
     }
 
-    /// Number of execution slots.
+    /// Number of carrier threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.carriers
     }
 
     /// Snapshot of the occupancy counters. Physical (wall-clock
@@ -119,97 +123,169 @@ impl Scheduler {
     pub fn stats(&self) -> SchedStats {
         let g = self.inner.lock();
         SchedStats {
-            slots: self.workers,
+            slots: self.carriers,
             max_occupied: g.max_occupied,
             grants: g.grants,
             parks: g.parks,
         }
     }
 
-    /// Acquire an execution slot for `rank`, parking LVT-first if the pool
-    /// is saturated. Must not be called while holding any fabric lock.
-    pub fn acquire(&self, rank: usize, clock: Time) {
-        {
-            let mut g = self.inner.lock();
-            if g.free > 0 {
-                g.free -= 1;
-                g.on_grant_from_free(self.workers);
-                return;
-            }
-            g.parks += 1;
-            g.ready.push(Reverse((clock, rank)));
-        }
-        self.park(rank);
-    }
-
-    /// Release the caller's slot, handing it directly to the waiting rank
-    /// with the lowest virtual clock (if any). Never blocks.
-    pub fn release(&self) {
-        let next = {
-            let mut g = self.inner.lock();
-            match g.ready.pop() {
-                Some(Reverse((_, rank))) => {
-                    // Direct handoff: occupancy unchanged, one more grant.
-                    g.grants += 1;
-                    Some(rank)
-                }
-                None => {
-                    g.free += 1;
-                    None
+    /// Run `body(rank)` for every rank on the carriers, each rank on a
+    /// stack of `stack_size` bytes, and return the results in rank order.
+    /// `Err` carries the run's failure report: the lowest panicking rank's
+    /// `rank N panicked: msg`, else the deadlock.
+    pub(crate) fn run<R: Send>(
+        self: &Arc<Self>,
+        stack_size: usize,
+        body: &(dyn Fn(usize) -> R + Sync),
+    ) -> Result<Vec<R>, String> {
+        let mut outcomes: Vec<Option<Outcome<R>>> = (0..self.nranks).map(|_| None).collect();
+        thread::scope(|scope| {
+            let carriers: Vec<_> = (0..self.carriers)
+                .map(|c| {
+                    thread::Builder::new()
+                        .name(format!("carrier-{c}"))
+                        .spawn_scoped(scope, move || self.carry(c, stack_size, body))
+                        .expect("failed to spawn carrier thread")
+                })
+                .collect();
+            for h in carriers {
+                let outs = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (rank, out) in outs {
+                    outcomes[rank] = Some(out);
                 }
             }
-        };
-        if let Some(rank) = next {
-            self.grant(rank);
+        });
+        let mut done = Vec::with_capacity(self.nranks);
+        let mut parked = Vec::new();
+        for (rank, out) in outcomes.into_iter().enumerate() {
+            match out.expect("every rank ran on its carrier") {
+                Outcome::Done(r) => done.push(r),
+                Outcome::Panicked(p) => return Err(panic_report(rank, &*p)),
+                Outcome::Cancelled => parked.push(rank),
+            }
+        }
+        if parked.is_empty() {
+            return Ok(done);
+        }
+        const SHOWN: usize = 16;
+        let mut list = parked
+            .iter()
+            .take(SHOWN)
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(", ");
+        if parked.len() > SHOWN {
+            list += &format!(", ... ({} more)", parked.len() - SHOWN);
+        }
+        Err(format!(
+            "deadlock: ranks [{list}] parked with none runnable"
+        ))
+    }
+
+    /// Carrier `c`'s loop: make its coroutines, resume ready ones until the
+    /// run stops, then unwind any left parked.
+    fn carry<'a, R: Send>(
+        self: &Arc<Self>,
+        c: usize,
+        stack_size: usize,
+        body: &'a (dyn Fn(usize) -> R + Sync),
+    ) -> Vec<(usize, Outcome<R>)> {
+        let mut coros: Vec<Option<Coroutine<'a, R>>> = (c..self.nranks)
+            .step_by(self.carriers)
+            .map(|rank| {
+                let local = Current {
+                    sched: Arc::clone(self),
+                    rank,
+                };
+                Some(Coroutine::new(stack_size, local, move || body(rank)))
+            })
+            .collect();
+        let mut outcomes = Vec::with_capacity(coros.len());
+        let mut switched_out = false;
+        while let Some(rank) = self.next(c, switched_out) {
+            let slot = &mut coros[rank / self.carriers];
+            let co = slot.as_mut().expect("a finished rank is never queued");
+            if let Some(res) = co.resume() {
+                *slot = None;
+                outcomes.push((rank, res.map_or_else(Outcome::Panicked, Outcome::Done)));
+            }
+            switched_out = true;
+        }
+        // Stopped with ranks unfinished: resuming one makes its `park_self`
+        // unwind with `Deadlocked`.
+        for (i, slot) in coros.iter_mut().enumerate() {
+            if let Some(mut co) = slot.take() {
+                let res = co.resume();
+                debug_assert!(
+                    matches!(&res, Some(Err(p)) if p.is::<Deadlocked>()),
+                    "a deadlocked rank unwinds in one resumption"
+                );
+                outcomes.push((c + i * self.carriers, Outcome::Cancelled));
+            }
+        }
+        outcomes
+    }
+
+    /// Carrier `c`'s next rank to resume, waiting while none is ready;
+    /// `None` once the run stopped. `switched_out` accounts the rank the
+    /// carrier just got back (parked or finished) under the same lock hold.
+    fn next(&self, c: usize, switched_out: bool) -> Option<usize> {
+        let mut g = self.inner.lock();
+        if switched_out {
+            g.running -= 1;
+            g.runnable -= 1;
+            if g.runnable == 0 {
+                self.stopped.store(true, Ordering::Relaxed);
+                for cv in &self.wakeup {
+                    cv.notify_one();
+                }
+            }
+        }
+        loop {
+            if let Some(Reverse((_, rank))) = g.ready[c].pop() {
+                g.grants += 1;
+                g.running += 1;
+                g.max_occupied = g.max_occupied.max(g.running);
+                return Some(rank);
+            }
+            if g.runnable == 0 {
+                return None;
+            }
+            g.idle[c] = true;
+            self.wakeup[c].wait(&mut g);
+            g.idle[c] = false;
         }
     }
 
-    /// Mark `rank` runnable at virtual time `clock` after it yielded its
-    /// slot and parked: grant a free slot directly, else queue LVT-first.
-    /// Called from the *completing* thread; never blocks, and safe to call
-    /// with fabric locks held.
+    /// Queue parked `rank` on its carrier at virtual time `clock`, and
+    /// unpark the carrier if it is idle. Called by the completing rank;
+    /// never blocks beyond the queue lock, and safe with fabric locks held.
     fn make_ready(&self, rank: usize, clock: Time) {
-        let grant = {
-            let mut g = self.inner.lock();
-            if g.free > 0 {
-                debug_assert!(g.ready.is_empty(), "free slot with queued ranks");
-                g.free -= 1;
-                g.on_grant_from_free(self.workers);
-                true
-            } else {
-                g.parks += 1;
-                g.ready.push(Reverse((clock, rank)));
-                false
-            }
-        };
-        if grant {
-            self.grant(rank);
+        let c = rank % self.carriers;
+        let mut g = self.inner.lock();
+        g.runnable += 1;
+        g.ready[c].push(Reverse((clock, rank)));
+        if g.idle[c] {
+            self.wakeup[c].notify_one();
+        } else {
+            g.parks += 1;
         }
-    }
-
-    /// Wake `rank`'s parker with a slot grant.
-    fn grant(&self, rank: usize) {
-        let p = &self.parkers[rank];
-        let mut granted = p.granted.lock();
-        *granted = true;
-        p.cv.notify_one();
-    }
-
-    /// Park the calling rank thread until a slot grant arrives (a grant may
-    /// already be pending, in which case this returns immediately).
-    fn park(&self, rank: usize) {
-        let p = &self.parkers[rank];
-        let mut granted = p.granted.lock();
-        while !*granted {
-            p.cv.wait(&mut granted);
-        }
-        *granted = false;
     }
 }
 
-/// Identity of a gated rank that yielded its slot to wait for a completion.
-/// The completing thread hands it back to the scheduler via [`Waiter::wake`]
-/// so the parked rank wakes exactly once — already holding a slot.
+/// The failure report of a rank that panicked with payload `p`.
+pub(crate) fn panic_report(rank: usize, p: &(dyn Any + Send)) -> String {
+    let msg = p
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| p.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>");
+    format!("rank {rank} panicked: {msg}")
+}
+
+/// Identity of a parked rank. The completing rank hands it back via
+/// [`Waiter::wake`], so the parked rank wakes exactly once.
 pub(crate) struct Waiter {
     sched: Arc<Scheduler>,
     rank: usize,
@@ -217,7 +293,7 @@ pub(crate) struct Waiter {
 
 impl Waiter {
     /// Completer side: mark the parked rank runnable at virtual time
-    /// `clock` (its slot-queue priority). Never blocks.
+    /// `clock` (its ready-queue priority). Never blocks.
     pub(crate) fn wake(self, clock: Time) {
         self.sched.make_ready(self.rank, clock);
     }
@@ -229,88 +305,17 @@ impl std::fmt::Debug for Waiter {
     }
 }
 
-/// Thread-local identity of the rank driving this OS thread, when it runs
-/// under a bounded scheduler. Blocking primitives anywhere in the crate
-/// consult this to yield/reacquire their slot — including raw request waits
-/// issued by layers above `RankCtx`.
-struct Current {
+/// The record every coroutine carries: which scheduler runs it, as which
+/// rank. [`coro::with_local`] reaches the running one's.
+pub(crate) struct Current {
     sched: Arc<Scheduler>,
     rank: usize,
-    /// Latest virtual clock reported by the rank (slot-queue priority hint;
-    /// staleness affects only wall-clock order, never results).
-    clock: Cell<Time>,
 }
 
-thread_local! {
-    static CURRENT: RefCell<Option<Current>> = const { RefCell::new(None) };
-}
-
-/// RAII registration of a rank thread with its scheduler: acquires the
-/// initial slot, installs the thread-local gate, and on drop (including
-/// unwinds) releases the slot so a panicking rank never strands the pool.
-pub(crate) struct RankSlot;
-
-impl RankSlot {
-    pub(crate) fn enter(sched: Arc<Scheduler>, rank: usize) -> RankSlot {
-        sched.acquire(rank, Time::ZERO);
-        CURRENT.with(|c| {
-            *c.borrow_mut() = Some(Current {
-                sched,
-                rank,
-                clock: Cell::new(Time::ZERO),
-            })
-        });
-        RankSlot
-    }
-}
-
-impl Drop for RankSlot {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            if let Some(cur) = c.borrow_mut().take() {
-                cur.sched.release();
-            }
-        });
-    }
-}
-
-/// Record the rank's current virtual clock for slot-queue priority.
-#[inline]
-pub(crate) fn note_clock(t: Time) {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.clock.set(t);
-        }
-    });
-}
-
-/// About to park on a condvar: yield the execution slot. No-op outside a
-/// bounded-scheduler rank thread. Safe to call with fabric locks held.
-#[inline]
-pub(crate) fn pre_block() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.release();
-        }
-    });
-}
-
-/// Woke from a condvar park: reacquire an execution slot. No-op outside a
-/// bounded-scheduler rank thread. Must be called with **no** fabric lock
-/// held (it may park on the admission gate).
-#[inline]
-pub(crate) fn post_block() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.acquire(cur.rank, cur.clock.get());
-        }
-    });
-}
-
-/// Begin a single-wake wait: yield the caller's slot and return the handle
-/// a completer must later [`Waiter::wake`]. Safe to call with fabric locks
-/// held (never blocks). Returns `None` outside a bounded-scheduler rank
-/// thread — callers fall back to a plain condvar wait.
+/// Begin a single-wake wait: return the handle a completer must later
+/// [`Waiter::wake`]. Safe to call with fabric locks held (never blocks).
+/// Returns `None` outside a bounded-engine rank — callers fall back to a
+/// plain condvar wait.
 ///
 /// The caller must register the handle (under the same lock hold that
 /// established the wait predicate is false), drop its locks, and then
@@ -318,84 +323,81 @@ pub(crate) fn post_block() {
 /// the protocol race-free: the completer cannot observe-and-miss the waiter.
 #[inline]
 pub(crate) fn yield_slot() -> Option<Waiter> {
-    CURRENT.with(|c| {
-        c.borrow().as_ref().map(|cur| {
-            cur.sched.release();
-            Waiter {
-                sched: Arc::clone(&cur.sched),
-                rank: cur.rank,
-            }
-        })
+    coro::with_local(|cur| Waiter {
+        sched: Arc::clone(&cur.sched),
+        rank: cur.rank,
     })
 }
 
-/// Complete a single-wake wait: park until a completer wakes this rank via
-/// [`Waiter::wake`]. On return the rank holds an execution slot and the
-/// awaited predicate is true. Must be called with **no** fabric lock held.
+/// Complete a single-wake wait: switch back to the carrier until a
+/// completer wakes this rank via [`Waiter::wake`]. On return the awaited
+/// predicate is true. Must be called with **no** fabric lock held. If the
+/// run deadlocked instead, this unwinds the rank (no `Drop` of a rank's
+/// data may wait on another rank).
 #[inline]
 pub(crate) fn park_self() {
-    CURRENT.with(|c| {
-        if let Some(cur) = &*c.borrow() {
-            cur.sched.park(cur.rank);
-        }
-    });
+    coro::suspend();
+    if coro::with_local(|cur| cur.sched.stopped.load(Ordering::Relaxed)) == Some(true) {
+        std::panic::resume_unwind(Box::new(Deadlocked));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::thread;
-
-    #[test]
-    fn slots_bound_concurrency() {
-        let sched = Scheduler::new(8, 2);
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        thread::scope(|s| {
-            for rank in 0..8 {
-                let sched = Arc::clone(&sched);
-                let running = Arc::clone(&running);
-                let peak = Arc::clone(&peak);
-                s.spawn(move || {
-                    sched.acquire(rank, Time(rank as u64));
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    thread::sleep(std::time::Duration::from_millis(2));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    sched.release();
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2);
-    }
-
-    #[test]
-    fn release_hands_off_to_lowest_clock() {
-        let sched = Scheduler::new(3, 1);
-        sched.acquire(0, Time(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        thread::scope(|s| {
-            for (rank, clock) in [(1usize, Time(500)), (2usize, Time(100))] {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    sched.acquire(rank, clock);
-                    order.lock().push(rank);
-                    sched.release();
-                });
-            }
-            // Let both waiters queue before releasing the only slot.
-            thread::sleep(std::time::Duration::from_millis(20));
-            sched.release();
-        });
-        // Rank 2 (clock 100) must be granted before rank 1 (clock 500).
-        assert_eq!(*order.lock(), vec![2, 1]);
-    }
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn workers_clamped() {
         assert_eq!(Scheduler::new(4, 0).workers(), 1);
         assert_eq!(Scheduler::new(4, 99).workers(), 4);
+    }
+
+    #[test]
+    fn slots_bound_concurrency() {
+        // Eight ranks on two carriers: at most two bodies ever run at once,
+        // even while each holds its carrier through a wall-clock sleep.
+        let sched = Scheduler::new(8, 2);
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        sched
+            .run(1 << 16, &|_| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                thread::sleep(std::time::Duration::from_millis(2));
+                running.fetch_sub(1, Ordering::SeqCst);
+            })
+            .unwrap();
+        assert!(peak.load(Ordering::SeqCst) <= 2);
+        assert!(sched.stats().max_occupied <= 2);
+    }
+
+    #[test]
+    fn release_hands_off_to_lowest_clock() {
+        // One carrier, four ranks, all runnable at clock zero so they start
+        // in rank order: ranks 0..3 park, and rank 3 wakes them at
+        // decreasing clocks, so they must resume in reverse rank order.
+        let sched = Scheduler::new(4, 1);
+        let order = Mutex::new(Vec::new());
+        let waiters = Mutex::new(Vec::<Waiter>::new());
+        let out = sched
+            .run(1 << 16, &|rank| {
+                if rank == 3 {
+                    for w in std::mem::take(&mut *waiters.lock()) {
+                        let clock = Time(100 - w.rank as u64);
+                        w.wake(clock);
+                    }
+                } else {
+                    waiters.lock().push(yield_slot().expect("a bounded rank"));
+                    park_self();
+                    order.lock().push(rank);
+                }
+                rank
+            })
+            .unwrap();
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(*order.lock(), vec![2, 1, 0]);
+        let stats = sched.stats();
+        assert_eq!((stats.grants, stats.parks), (7, 6));
     }
 }
