@@ -291,15 +291,15 @@ fn micro_directive(c: &mut Criterion) {
     }
 }
 
-/// Host CPU nanoseconds per region for the WL rank, a privileged rank and
-/// a worker, in Fig. 4 spin's second region (privileged → workers) at the
-/// paper's largest shape: 337 ranks, 21 instances of 16. The region runs
-/// as a loop form (`loop_form`) or as Listing 7's per-instance loop; each
-/// rank's thread is timed around eight regions after a warm-up one.
-fn spin_region_ns(loop_form: bool) -> [f64; 3] {
+/// Fig. 4 spin's second region (privileged → workers) at the paper's
+/// largest shape: 337 ranks, 21 instances of 16, nine times on every rank.
+/// The region runs as a loop form (`loop_form`) or as Listing 7's
+/// per-instance loop. Only the whole run is timed: ranks share carriers,
+/// so a thread's CPU time would include the other ranks it ran.
+fn spin_regions(loop_form: bool) {
     use commint::{CommLoop, CommParams, CommSession, DirectiveError, Prim, PrimMut};
     use netsim::{run, ExecPolicy, SimConfig};
-    const REGIONS: usize = 8;
+    const REGIONS: usize = 9;
     let (m_cnt, n) = (21i64, 16i64);
     let params = CommParams::new()
         .sender(RankExpr::var("sp_src"))
@@ -313,7 +313,7 @@ fn spin_region_ns(loop_form: bool) -> [f64; 3] {
         .bind("sp_src", 1, &[n])
         .bind("sp_dst", 1, &[n, 1]);
     let nranks = (1 + m_cnt * n) as usize;
-    let res = run(
+    run(
         SimConfig::new(nranks).with_exec(ExecPolicy::bounded(2)),
         |ctx| {
             let comm = mpisim::Comm::world(ctx);
@@ -359,16 +359,11 @@ fn spin_region_ns(loop_form: bool) -> [f64; 3] {
                     .unwrap()
                     .unwrap();
             };
-            region(&mut session);
-            let start = thread_cpu_ns();
             for _ in 0..REGIONS {
                 region(&mut session);
             }
-            (thread_cpu_ns() - start) as f64 / REGIONS as f64
         },
     );
-    // The WL rank, instance 0's privileged rank, and one of its workers.
-    [res.per_rank[0], res.per_rank[1], res.per_rank[2]]
 }
 
 fn micro_region(c: &mut Criterion) {
@@ -376,20 +371,7 @@ fn micro_region(c: &mut Criterion) {
         ("directive_region_spin_loop", true),
         ("directive_region_spin_instances", false),
     ] {
-        let mut per_region = Vec::new();
-        c.bench_function(name, |b| {
-            b.iter(|| per_region.push(spin_region_ns(loop_form)))
-        });
-        for (i, role) in ["wl", "privileged", "worker"].into_iter().enumerate() {
-            let mut ns: Vec<f64> = per_region.iter().map(|r| r[i]).collect();
-            ns.sort_by(f64::total_cmp);
-            println!(
-                "{:<60} ns/region median {:.0} min {:.0}",
-                format!("{name} ({role})"),
-                ns[ns.len() / 2],
-                ns[0]
-            );
-        }
+        c.bench_function(name, |b| b.iter(|| spin_regions(loop_form)));
     }
 }
 

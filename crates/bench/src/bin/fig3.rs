@@ -4,7 +4,8 @@
 //! Usage: `fig3 [--stride K] [--jobs J] [--workers W] [--eager-threshold B]
 //!              [--stats] [--json] [--baseline FILE] [--ledger FILE]
 //!              [--trace-out FILE] [--profile FILE] [--folded FILE]`
-//! (`--eager-threshold` overrides the cost model's eager/rendezvous
+//! (`--workers` sets the engine's carrier threads, 0 = auto (the default);
+//! `--eager-threshold` overrides the cost model's eager/rendezvous
 //! protocol switch, in bytes; `--ledger` appends the `--json` report to the
 //! run-history ledger read by `commscope trend`).
 
@@ -27,12 +28,9 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let baseline = arg_str(&args, "--baseline");
     let exports = Exports::from_args(&args);
-    let workers = arg_usize(&args, "--workers");
+    let workers = arg_usize(&args, "--workers").unwrap_or(0);
     let eager = arg_usize(&args, "--eager-threshold");
-    let mut exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
-    };
+    let mut exec = ExecPolicy::bounded(workers);
     if let Some(b) = eager {
         exec = exec.with_eager_threshold(b);
     }
@@ -99,7 +97,7 @@ fn main() {
             bench: "fig3".into(),
             args: vec![
                 ("stride".into(), stride as i64),
-                ("workers".into(), workers.map_or(-1, |w| w as i64)),
+                ("workers".into(), workers as i64),
                 ("eager_threshold".into(), eager.map_or(-1, |b| b as i64)),
             ],
             ranks: xs,

@@ -8,7 +8,7 @@
 //!              [--baseline FILE] [--ledger FILE] [--diff-out FILE]
 //!              [--trace-out FILE] [--profile FILE] [--folded FILE]`
 //! (stride thins the process sweep; jobs bounds the sweep worker pool;
-//! `--workers` selects the bounded in-run engine, 0 = auto;
+//! `--workers` sets the engine's carrier threads, 0 = auto (the default);
 //! `--eager-threshold` overrides the cost model's eager/rendezvous protocol
 //! switch, in bytes; `--sanitize` runs every point under the one-sided race
 //! sanitizer, filling the `race_checks`/`conflicts_found` counters the JSON
@@ -74,13 +74,10 @@ fn main() {
     let exports = Exports::from_args(&args);
     let overlay_path = arg_str(&args, "--overlay");
     let min_factor = arg_f64(&args, "--min-factor").unwrap_or(1.3);
-    let workers = arg_usize(&args, "--workers");
+    let workers = arg_usize(&args, "--workers").unwrap_or(0);
     let eager = arg_usize(&args, "--eager-threshold");
     let sanitize = args.iter().any(|a| a == "--sanitize");
-    let mut exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
-    };
+    let mut exec = ExecPolicy::bounded(workers);
     if let Some(b) = eager {
         exec = exec.with_eager_threshold(b);
     }
@@ -344,7 +341,7 @@ fn main() {
             args: vec![
                 ("stride".into(), stride as i64),
                 ("steps".into(), steps as i64),
-                ("workers".into(), workers.map_or(-1, |w| w as i64)),
+                ("workers".into(), workers as i64),
                 ("eager_threshold".into(), eager.map_or(-1, |b| b as i64)),
             ],
             ranks: xs,

@@ -6,7 +6,8 @@
 //!              [--eager-threshold B] [--stats] [--json] [--baseline FILE]
 //!              [--ledger FILE] [--trace-out FILE] [--profile FILE]
 //!              [--folded FILE]`
-//! (`--eager-threshold` overrides the cost model's eager/rendezvous
+//! (`--workers` sets the engine's carrier threads, 0 = auto (the default);
+//! `--eager-threshold` overrides the cost model's eager/rendezvous
 //! protocol switch, in bytes; `--ledger` appends the `--json` report to the
 //! run-history ledger read by `commscope trend`).
 
@@ -28,12 +29,9 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let baseline = arg_str(&args, "--baseline");
     let exports = Exports::from_args(&args);
-    let workers = arg_usize(&args, "--workers");
+    let workers = arg_usize(&args, "--workers").unwrap_or(0);
     let eager = arg_usize(&args, "--eager-threshold");
-    let mut exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
-    };
+    let mut exec = ExecPolicy::bounded(workers);
     if let Some(b) = eager {
         exec = exec.with_eager_threshold(b);
     }
@@ -106,7 +104,7 @@ fn main() {
             args: vec![
                 ("stride".into(), stride as i64),
                 ("steps".into(), steps as i64),
-                ("workers".into(), workers.map_or(-1, |w| w as i64)),
+                ("workers".into(), workers as i64),
                 ("eager_threshold".into(), eager.map_or(-1, |b| b as i64)),
             ],
             ranks: xs,

@@ -4,6 +4,7 @@
 //! Usage: `fig_ddt [--ranks N] [--iters I] [--jobs J] [--workers W]
 //!                 [--ab] [--min-factor F] [--diff-out FILE] [--stats]
 //!                 [--json] [--baseline FILE] [--ledger FILE]`
+//! (`--workers` sets the engine's carrier threads, 0 = auto, the default.)
 //!
 //! Each point runs a ring exchange of one shaped payload — contiguous,
 //! strided, struct, struct-of-arrays, or one-level-nested composite —
@@ -391,11 +392,8 @@ fn main() {
     let ab = args.iter().any(|a| a == "--ab");
     let baseline = arg_str(&args, "--baseline");
     let min_factor = arg_f64(&args, "--min-factor").unwrap_or(1.3);
-    let workers = arg_usize(&args, "--workers");
-    let exec = match workers {
-        Some(w) => ExecPolicy::bounded(w),
-        None => ExecPolicy::threads(),
-    };
+    let workers = arg_usize(&args, "--workers").unwrap_or(0);
+    let exec = ExecPolicy::bounded(workers);
 
     let backends = [Target::Mpi2Side, Target::Shmem];
     let policies = [
@@ -528,7 +526,7 @@ fn main() {
             args: vec![
                 ("ranks".into(), nranks as i64),
                 ("iters".into(), iters as i64),
-                ("workers".into(), workers.map_or(-1, |w| w as i64)),
+                ("workers".into(), workers as i64),
             ],
             ranks: COUNTS.to_vec(),
             series,

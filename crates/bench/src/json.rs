@@ -8,7 +8,7 @@
 //! {
 //!   "schema": 1,
 //!   "bench": "fig4",
-//!   "args": {"stride": 4, "steps": 4, "workers": -1},
+//!   "args": {"stride": 4, "steps": 4, "workers": 0},
 //!   "ranks": [33, 97],
 //!   "series": [
 //!     {"label": "...", "time_ns": [123, 456],
@@ -73,7 +73,8 @@ impl SeriesReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     pub bench: String,
-    /// Flat integer arguments (`workers` is `-1` for thread-per-rank).
+    /// Flat integer arguments (`workers` is the carrier count, `0` = auto;
+    /// ledger entries written before the one engine carry `-1`).
     pub args: Vec<(String, i64)>,
     pub ranks: Vec<usize>,
     pub series: Vec<SeriesReport>,

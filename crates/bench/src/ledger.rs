@@ -31,12 +31,11 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Human label for the execution engine a run used.
-pub fn engine_label(workers: Option<usize>) -> String {
+/// Human label for the carrier count (`--workers`) a run used.
+pub fn engine_label(workers: usize) -> String {
     match workers {
-        None => "threads".into(),
-        Some(0) => "bounded(auto)".into(),
-        Some(w) => format!("bounded({w})"),
+        0 => "bounded(auto)".into(),
+        w => format!("bounded({w})"),
     }
 }
 

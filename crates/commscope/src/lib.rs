@@ -24,8 +24,8 @@
 //! the crate depends on `netsim` alone and runs no workload.
 //!
 //! Everything here is a pure function of virtual quantities, so every
-//! export is byte-identical across `ExecPolicy::threads()`,
-//! `ExecPolicy::bounded(w)`, and sweep-pool widths.
+//! export is byte-identical across `ExecPolicy::bounded(w)` for any `w`
+//! and across sweep-pool widths.
 //!
 //! The figure binaries in `bench` run the workloads and write these
 //! exports (`--trace-out`, `--profile`, `--folded`); the `commscope` binary

@@ -751,7 +751,7 @@ pub struct Region<'s, 'a> {
     session: &'s mut CommSession<'a>,
     programs: Box<RegionPrograms>,
     /// Operand stack shared by `programs`, sized when they are compiled and
-    /// kept here rather than in the frames of every rank thread.
+    /// kept here rather than in the frames of every rank's stack.
     scratch: Vec<i64>,
     pending: PendingSync,
     /// The region's IR; its clauses are the ones the region's p2ps inherit.
@@ -1002,7 +1002,7 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
 /// A standalone p2p: executed, then synchronized immediately, its IR
 /// recorded. Kept out of line (as are the other cold paths below) so the
 /// in-region hot path carries none of its state on the stack of every
-/// rank thread.
+/// rank.
 #[inline(never)]
 fn execute_standalone(
     session: &mut CommSession<'_>,
@@ -2535,7 +2535,8 @@ mod tests {
             (Target::Mpi1Side, None),
         ];
         for (target, overlay) in cases {
-            for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+            // One carrier per rank, one for all, and two.
+            for exec in [4, 1, 2].map(ExecPolicy::bounded) {
                 let overlay = &overlay;
                 let res = run(SimConfig::new(4).with_exec(exec), move |ctx| {
                     let comm = Comm::world(ctx);

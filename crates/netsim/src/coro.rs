@@ -1,12 +1,14 @@
-//! Stackful coroutines for the bounded engine: each rank body runs on its
-//! own stack and is switched in and out by its carrier thread
-//! ([`crate::sched`]). This module holds every `unsafe` block of the crate.
+//! Stackful coroutines for the engine: each rank body runs on its own stack
+//! and is switched in and out by its carrier thread ([`crate::sched`]).
+//! This module holds every `unsafe` block of the crate.
 //!
 //! On x86_64 Linux a coroutine is an `mmap`ed stack plus a saved stack
 //! pointer, and `switch` is one naked function that saves the
 //! callee-saved registers and `rsp` and loads the other side's. Elsewhere a
 //! coroutine is an OS thread that takes turns with its carrier through a
 //! baton; the carrier and ready-queue logic above is the same either way.
+//! Building with `--cfg netsim_baton` selects the baton on x86_64 Linux too,
+//! so the fallback can be tested there.
 //!
 //! Three rules make the switch sound:
 //!
@@ -34,7 +36,7 @@ fn run_caught<R>(f: impl FnOnce() -> R) -> thread::Result<R> {
     catch_unwind(AssertUnwindSafe(f))
 }
 
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[cfg(all(target_arch = "x86_64", target_os = "linux", not(netsim_baton)))]
 mod imp {
     use std::cell::Cell;
     use std::marker::PhantomData;
@@ -331,7 +333,7 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(netsim_baton))))]
 mod imp {
     use std::cell::RefCell;
     use std::marker::PhantomData;

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::msg::{
     match_timing, Completion, Envelope, RecvDone, RecvRequest, RecvSlot, SendRequest, SrcSel,
@@ -301,12 +301,11 @@ fn complete_match(env: Envelope, post_time: Time, slot: &RecvSlot) {
 
 #[derive(Default)]
 struct BarrierInner {
-    generation: u64,
     arrived: usize,
     max_entry: Time,
     exit_time: Time,
-    /// Bounded-engine single-wake registrations: ranks parked in this
-    /// generation, woken through the scheduler by the last arriver.
+    /// Single-wake registrations: ranks parked in this generation, woken
+    /// through the scheduler by the last arriver.
     waiters: Vec<crate::sched::Waiter>,
 }
 
@@ -315,7 +314,6 @@ struct BarrierInner {
 pub struct GroupBarrier {
     size: usize,
     inner: Mutex<BarrierInner>,
-    cv: Condvar,
 }
 
 impl GroupBarrier {
@@ -323,7 +321,6 @@ impl GroupBarrier {
         GroupBarrier {
             size,
             inner: Mutex::new(BarrierInner::default()),
-            cv: Condvar::new(),
         }
     }
 
@@ -333,38 +330,28 @@ impl GroupBarrier {
     /// practice since they use the same library for the barrier).
     pub fn enter(&self, entry: Time, cost: Time) -> Time {
         let mut g = self.inner.lock();
-        let gen = g.generation;
         g.max_entry = g.max_entry.max(entry);
         g.arrived += 1;
-        if g.arrived == self.size {
-            let exit = g.max_entry + cost;
-            g.exit_time = exit;
-            g.arrived = 0;
-            g.max_entry = Time::ZERO;
-            g.generation += 1;
-            let waiters = std::mem::take(&mut g.waiters);
-            self.cv.notify_all();
-            drop(g);
-            // Wake parked ranks through the scheduler: each is queued on its
-            // carrier at the reconciled exit clock (no condvar broadcast
-            // storm).
-            for w in waiters {
-                w.wake(exit);
-            }
-            exit
-        } else if let Some(w) = crate::sched::yield_slot() {
-            g.waiters.push(w);
+        if g.arrived < self.size {
+            g.waiters.push(crate::sched::yield_slot());
             drop(g);
             crate::sched::park_self();
             // Woken ⇒ our generation completed. The next generation cannot
             // finish (and overwrite `exit_time`) before we re-enter.
-            self.inner.lock().exit_time
-        } else {
-            while g.generation == gen {
-                self.cv.wait(&mut g);
-            }
-            g.exit_time
+            return self.inner.lock().exit_time;
         }
+        let exit = g.max_entry + cost;
+        g.exit_time = exit;
+        g.arrived = 0;
+        g.max_entry = Time::ZERO;
+        let waiters = std::mem::take(&mut g.waiters);
+        drop(g);
+        // Wake parked ranks through the scheduler: each is queued on its
+        // carrier at the reconciled exit clock.
+        for w in waiters {
+            w.wake(exit);
+        }
+        exit
     }
 }
 
@@ -377,7 +364,7 @@ const MAP_SHARDS: usize = 16;
 
 /// A group-keyed registry (`group: Vec<usize>` → shared state) split over
 /// fixed shards, so concurrent lookups for unrelated groups — e.g. disjoint
-/// subcommunicator barriers entered from many rank threads at once — do not
+/// subcommunicator barriers entered from many carriers at once — do not
 /// serialize on one global mutex. Entries are never removed: groups are
 /// stable for a simulation's lifetime.
 struct ShardedMap<V> {
@@ -427,24 +414,20 @@ impl<V: Clone> ShardedMap<V> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SegId(pub usize);
 
-struct SlotInner {
+/// One rank's copy of a segment.
+struct Slot {
     data: Vec<u8>,
     /// Virtual arrival times of signalled deliveries, in delivery order.
     signals: Vec<Time>,
     /// Number of signalled deliveries the owner has consumed (flow control).
     consumed: u64,
-    /// Bounded-engine single-wake registration: the owner parked until the
-    /// `.0`-th (1-based) signal lands; the delivering put wakes it through
-    /// the scheduler.
+    /// Single-wake registration: the owner parked until the `.0`-th
+    /// (1-based) signal lands; the delivering put wakes it through the
+    /// scheduler.
     waiting: Option<(usize, crate::sched::Waiter)>,
-    /// Bounded-engine senders parked on flow control; `mark_consumed` wakes
-    /// them all, and each re-checks the window.
+    /// Senders parked on flow control; `mark_consumed` wakes them all, and
+    /// each re-checks the window.
     blocked_senders: Vec<crate::sched::Waiter>,
-}
-
-struct Slot {
-    inner: Mutex<SlotInner>,
-    cv: Condvar,
 }
 
 /// A symmetric allocation: `bytes` of memory on each rank of `group`.
@@ -453,14 +436,14 @@ pub struct Segment {
     /// Participating global ranks, ascending.
     group: Vec<usize>,
     /// One slot per participating rank, indexed by position in `group`.
-    slots: Vec<Slot>,
+    slots: Vec<Mutex<Slot>>,
     /// Flow-control window: a signalled put physically blocks while
     /// `signals - consumed >= window` (staging-slot reuse safety).
     window: u64,
 }
 
 impl Segment {
-    fn slot_of(&self, rank: usize) -> &Slot {
+    fn slot_of(&self, rank: usize) -> &Mutex<Slot> {
         let idx = self
             .group
             .binary_search(&rank)
@@ -481,7 +464,6 @@ impl Segment {
 
 #[derive(Default)]
 struct AllocRendezvous {
-    generation: u64,
     arrived: usize,
     bytes: usize,
     window: u64,
@@ -489,14 +471,9 @@ struct AllocRendezvous {
     /// arriver, so it stays valid until every waiter of that generation has
     /// read it (the next generation cannot complete without them).
     result: Option<SegId>,
-    /// Bounded-engine single-wake registrations of this generation's
-    /// earlier arrivers, woken by the last arriver.
+    /// Single-wake registrations of this generation's earlier arrivers,
+    /// woken by the last arriver.
     waiters: Vec<crate::sched::Waiter>,
-}
-
-struct AllocState {
-    inner: Mutex<AllocRendezvous>,
-    cv: Condvar,
 }
 
 /// The one-sided memory store: symmetric segments plus the collective
@@ -504,7 +481,7 @@ struct AllocState {
 #[derive(Default)]
 pub struct SegmentStore {
     segments: RwLock<Vec<Arc<Segment>>>,
-    allocs: ShardedMap<Arc<AllocState>>,
+    allocs: ShardedMap<Arc<Mutex<AllocRendezvous>>>,
 }
 
 impl SegmentStore {
@@ -518,14 +495,8 @@ impl SegmentStore {
             group.windows(2).all(|w| w[0] < w[1]),
             "group must be sorted"
         );
-        let state = self.allocs.get_or_insert_with(group, || {
-            Arc::new(AllocState {
-                inner: Mutex::new(AllocRendezvous::default()),
-                cv: Condvar::new(),
-            })
-        });
-        let mut g = state.inner.lock();
-        let gen = g.generation;
+        let state = self.allocs.get_or_insert_with(group, Default::default);
+        let mut g = state.lock();
         if g.arrived == 0 {
             g.bytes = bytes;
             g.window = window;
@@ -540,53 +511,44 @@ impl SegmentStore {
             );
         }
         g.arrived += 1;
-        if g.arrived == group.len() {
-            let seg = Arc::new(Segment {
-                bytes,
-                group: group.to_vec(),
-                window,
-                slots: group
-                    .iter()
-                    .map(|_| Slot {
-                        inner: Mutex::new(SlotInner {
-                            data: vec![0u8; bytes],
-                            signals: Vec::new(),
-                            consumed: 0,
-                            waiting: None,
-                            blocked_senders: Vec::new(),
-                        }),
-                        cv: Condvar::new(),
-                    })
-                    .collect(),
-            });
-            let id = {
-                let mut segs = self.segments.write();
-                segs.push(seg);
-                SegId(segs.len() - 1)
-            };
-            g.result = Some(id);
-            g.arrived = 0;
-            g.generation += 1;
-            let waiters = std::mem::take(&mut g.waiters);
-            state.cv.notify_all();
-            drop(g);
-            // Allocation is untimed: the wake clock is only a queue order.
-            for w in waiters {
-                w.wake(Time::ZERO);
-            }
-            id
-        } else if let Some(w) = crate::sched::yield_slot() {
-            g.waiters.push(w);
+        if g.arrived < group.len() {
+            g.waiters.push(crate::sched::yield_slot());
             drop(g);
             crate::sched::park_self();
             // Woken ⇒ our generation completed.
-            state.inner.lock().result.expect("set by the last arriver")
-        } else {
-            while g.generation == gen {
-                state.cv.wait(&mut g);
-            }
-            g.result.expect("set by the last arriver")
+            return state.lock().result.expect("set by the last arriver");
         }
+        let seg = Arc::new(Segment {
+            bytes,
+            group: group.to_vec(),
+            window,
+            slots: group
+                .iter()
+                .map(|_| {
+                    Mutex::new(Slot {
+                        data: vec![0u8; bytes],
+                        signals: Vec::new(),
+                        consumed: 0,
+                        waiting: None,
+                        blocked_senders: Vec::new(),
+                    })
+                })
+                .collect(),
+        });
+        let id = {
+            let mut segs = self.segments.write();
+            segs.push(seg);
+            SegId(segs.len() - 1)
+        };
+        g.result = Some(id);
+        g.arrived = 0;
+        let waiters = std::mem::take(&mut g.waiters);
+        drop(g);
+        // Allocation is untimed: the wake clock is only a queue order.
+        for w in waiters {
+            w.wake(Time::ZERO);
+        }
+        id
     }
 
     fn seg(&self, id: SegId) -> Arc<Segment> {
@@ -614,20 +576,16 @@ impl SegmentStore {
     ) -> Option<u64> {
         let seg = self.seg(id);
         let slot = seg.slot_of(target);
-        let mut g = slot.inner.lock();
+        let mut g = slot.lock();
         if signal_arrival.is_some() {
             // Flow control: do not overwrite a staging slot the owner has
             // not consumed yet. Purely physical (no virtual-time charge):
             // models adequately-sized staging on the critical path.
             while (g.signals.len() as u64).saturating_sub(g.consumed) >= seg.window {
-                if let Some(w) = crate::sched::yield_slot() {
-                    g.blocked_senders.push(w);
-                    drop(g);
-                    crate::sched::park_self();
-                    g = slot.inner.lock();
-                } else {
-                    slot.cv.wait(&mut g);
-                }
+                g.blocked_senders.push(crate::sched::yield_slot());
+                drop(g);
+                crate::sched::park_self();
+                g = slot.lock();
             }
         }
         assert!(
@@ -649,7 +607,6 @@ impl SegmentStore {
                     waker = Some((w, g.signals[need - 1]));
                 }
             }
-            slot.cv.notify_all();
         }
         drop(g);
         if let Some((w, t)) = waker {
@@ -664,10 +621,8 @@ impl SegmentStore {
     /// (releases flow-controlled senders).
     pub fn mark_consumed(&self, id: SegId, rank: usize, count: u64) {
         let seg = self.seg(id);
-        let slot = seg.slot_of(rank);
-        let mut g = slot.inner.lock();
+        let mut g = seg.slot_of(rank).lock();
         g.consumed += count;
-        slot.cv.notify_all();
         let senders = std::mem::take(&mut g.blocked_senders);
         // Flow control is untimed; the latest consumed signal's arrival
         // orders the woken senders among other ready ranks.
@@ -684,8 +639,7 @@ impl SegmentStore {
     /// Read `out.len()` bytes from `target`'s copy at `offset`.
     pub fn read(&self, id: SegId, target: usize, offset: usize, out: &mut [u8]) {
         let seg = self.seg(id);
-        let slot = seg.slot_of(target);
-        let g = slot.inner.lock();
+        let g = seg.slot_of(target).lock();
         assert!(
             offset + out.len() <= g.data.len(),
             "read out of bounds: {}+{} > {}",
@@ -703,30 +657,22 @@ impl SegmentStore {
         assert!(count >= 1, "must wait for at least one signal");
         let seg = self.seg(id);
         let slot = seg.slot_of(rank);
-        let mut g = slot.inner.lock();
-        if g.signals.len() >= count {
-            return g.signals[count - 1];
-        }
-        if let Some(w) = crate::sched::yield_slot() {
+        let mut g = slot.lock();
+        if g.signals.len() < count {
             debug_assert!(g.waiting.is_none(), "two waiters on one slot");
-            g.waiting = Some((count, w));
+            g.waiting = Some((count, crate::sched::yield_slot()));
             drop(g);
             crate::sched::park_self();
             // Woken ⇒ the count-th signal landed (signals only grow).
-            slot.inner.lock().signals[count - 1]
-        } else {
-            while g.signals.len() < count {
-                slot.cv.wait(&mut g);
-            }
-            g.signals[count - 1]
+            g = slot.lock();
         }
+        g.signals[count - 1]
     }
 
     /// Number of signalled deliveries so far on `rank`'s copy.
     pub fn signal_count(&self, id: SegId, rank: usize) -> usize {
         let seg = self.seg(id);
-        let slot = seg.slot_of(rank);
-        let n = slot.inner.lock().signals.len();
+        let n = seg.slot_of(rank).lock().signals.len();
         n
     }
 }
@@ -833,7 +779,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use crate::{ExecPolicy, SimConfig};
 
     fn eager_costs() -> WireCosts {
         WireCosts {
@@ -963,103 +909,122 @@ mod tests {
         assert_eq!(s.wait_raw(), d.completion);
     }
 
+    /// Run `body(rank, fabric)` on `nranks` rank bodies under one carrier
+    /// (every blocking wait parks its rank) and under two, and return the
+    /// per-rank results and the scheduler's counters of each run.
+    fn on_ranks<T: Send>(
+        nranks: usize,
+        body: impl Fn(usize, &Fabric) -> T + Sync,
+    ) -> Vec<(usize, Vec<T>, crate::SchedStats)> {
+        [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let cfg = SimConfig::new(nranks).with_exec(ExecPolicy::bounded(workers));
+                let res = crate::run(cfg, |ctx| body(ctx.rank(), ctx.fabric()));
+                (workers, res.per_rank, res.sched.expect("every run reports"))
+            })
+            .collect()
+    }
+
     #[test]
     fn cross_thread_blocking_wait() {
-        let f = Fabric::new(2);
-        let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || {
-            let r = f2.recv(1, SrcSel::Exact(0), TagSel::Exact(0), Time(0));
-            r.wait_raw().payload.to_vec()
-        });
-        thread::sleep(std::time::Duration::from_millis(20));
-        f.send(0, 1, 0, Bytes::from_static(b"ping"), Time(5), eager_costs());
-        assert_eq!(h.join().unwrap(), b"ping");
+        for (workers, got, sched) in on_ranks(2, |rank, f| {
+            if rank == 0 {
+                let r = f.recv(0, SrcSel::Exact(1), TagSel::Exact(0), Time(0));
+                r.wait_raw().payload.to_vec()
+            } else {
+                f.send(1, 0, 0, Bytes::from_static(b"ping"), Time(5), eager_costs());
+                Vec::new()
+            }
+        }) {
+            assert_eq!(got[0], b"ping", "workers={workers}");
+            if workers == 1 {
+                // Rank 0 runs first, parks in the wait and is resumed once
+                // more after rank 1's send.
+                assert_eq!(sched.grants, 3);
+            }
+        }
     }
 
     #[test]
     fn barrier_reconciles_clocks() {
-        let f = Fabric::new(4);
-        let group = [0usize, 1, 2, 3];
-        let mut handles = Vec::new();
-        for r in 0..4usize {
-            let f = Arc::clone(&f);
-            handles.push(thread::spawn(move || {
-                f.barrier(&group[..], Time(100 * (r as u64 + 1)), Time(50))
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Time(450)); // max entry 400 + 50
+        for (workers, exits, _) in on_ranks(4, |rank, f| {
+            f.barrier(&[0, 1, 2, 3], Time(100 * (rank as u64 + 1)), Time(50))
+        }) {
+            // max entry 400 + 50
+            assert_eq!(exits, vec![Time(450); 4], "workers={workers}");
         }
     }
 
     #[test]
     fn barrier_reusable_across_generations() {
-        let f = Fabric::new(2);
-        let group = [0usize, 1];
-        for round in 0..3u64 {
-            let f0 = Arc::clone(&f);
-            let g = group;
-            let h = thread::spawn(move || f0.barrier(&g[..], Time(round * 10), Time(1)));
-            let me = f.barrier(&group[..], Time(round * 10 + 5), Time(1));
-            assert_eq!(me, Time(round * 10 + 6));
-            assert_eq!(h.join().unwrap(), me);
+        for (workers, exits, _) in on_ranks(2, |rank, f| {
+            (0..3u64)
+                .map(|round| f.barrier(&[0, 1], Time(round * 10 + 5 * rank as u64), Time(1)))
+                .collect::<Vec<_>>()
+        }) {
+            let want: Vec<_> = (0..3).map(|round| Time(round * 10 + 6)).collect();
+            assert_eq!(exits, vec![want; 2], "workers={workers}");
         }
     }
 
     #[test]
     fn subgroup_barriers_are_independent() {
-        let f = Fabric::new(4);
-        let a = [0usize, 1];
-        let b = [2usize, 3];
-        let fa = Arc::clone(&f);
-        let ha = thread::spawn(move || fa.barrier(&a[..], Time(10), Time(1)));
-        let fb = Arc::clone(&f);
-        let hb = thread::spawn(move || fb.barrier(&b[..], Time(100), Time(1)));
-        assert_eq!(f.barrier(&a[..], Time(20), Time(1)), Time(21));
-        assert_eq!(f.barrier(&b[..], Time(200), Time(1)), Time(201));
-        ha.join().unwrap();
-        hb.join().unwrap();
+        for (workers, exits, _) in on_ranks(4, |rank, f| {
+            let group = if rank < 2 { [0, 1] } else { [2, 3] };
+            let base = if rank < 2 { 10 } else { 100 };
+            f.barrier(&group, Time(base * (rank as u64 % 2 + 1)), Time(1))
+        }) {
+            assert_eq!(
+                exits,
+                vec![Time(21), Time(21), Time(201), Time(201)],
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
     fn symmetric_alloc_and_put_get() {
-        let f = Fabric::new(2);
-        let group = [0usize, 1];
-        let f2 = Arc::clone(&f);
-        let h = thread::spawn(move || f2.segments().alloc(&[0, 1], 64, u64::MAX));
-        let id = f.segments().alloc(&group[..], 64, u64::MAX);
-        assert_eq!(h.join().unwrap(), id);
-
-        f.segments().put(id, 1, 8, b"hello", None);
-        let mut out = [0u8; 5];
-        f.segments().read(id, 1, 8, &mut out);
-        assert_eq!(&out, b"hello");
-        // Rank 0's copy untouched.
-        f.segments().read(id, 0, 8, &mut out);
-        assert_eq!(&out, &[0u8; 5]);
+        for (workers, ids, _) in on_ranks(2, |rank, f| {
+            let id = f.segments().alloc(&[0, 1], 64, u64::MAX);
+            if rank == 0 {
+                f.segments().put(id, 1, 8, b"hello", None);
+                let mut out = [0u8; 5];
+                f.segments().read(id, 1, 8, &mut out);
+                assert_eq!(&out, b"hello");
+                // Rank 0's copy untouched.
+                f.segments().read(id, 0, 8, &mut out);
+                assert_eq!(&out, &[0u8; 5]);
+            }
+            id
+        }) {
+            assert_eq!(ids[0], ids[1], "workers={workers}");
+        }
     }
 
     #[test]
     fn signalled_puts_wake_waiters_in_order() {
-        let f = Fabric::new(2);
-        let f2 = Arc::clone(&f);
-        let ha = thread::spawn(move || f2.segments().alloc(&[0, 1], 16, u64::MAX));
-        let id = f.segments().alloc(&[0, 1], 16, u64::MAX);
-        ha.join().unwrap();
-
-        let f3 = Arc::clone(&f);
-        let waiter = thread::spawn(move || {
-            let t1 = f3.segments().wait_signals(id, 1, 1);
-            let t2 = f3.segments().wait_signals(id, 1, 2);
-            (t1, t2)
-        });
-        thread::sleep(std::time::Duration::from_millis(10));
-        f.segments().put(id, 1, 0, &[1u8; 4], Some(Time(111)));
-        f.segments().put(id, 1, 4, &[2u8; 4], Some(Time(222)));
-        let (t1, t2) = waiter.join().unwrap();
-        assert_eq!((t1, t2), (Time(111), Time(222)));
-        assert_eq!(f.segments().signal_count(id, 1), 2);
-        assert_eq!(f.segments().signal_count(id, 0), 0);
+        for (workers, got, _) in on_ranks(2, |rank, f| {
+            let id = f.segments().alloc(&[0, 1], 16, u64::MAX);
+            if rank == 0 {
+                f.segments().put(id, 1, 0, &[1u8; 4], Some(Time(111)));
+                f.segments().put(id, 1, 4, &[2u8; 4], Some(Time(222)));
+                return None;
+            }
+            let t1 = f.segments().wait_signals(id, 1, 1);
+            let t2 = f.segments().wait_signals(id, 1, 2);
+            let counts = (
+                f.segments().signal_count(id, 1),
+                f.segments().signal_count(id, 0),
+            );
+            Some((t1, t2, counts))
+        }) {
+            assert_eq!(
+                got[1],
+                Some((Time(111), Time(222), (2, 0))),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]
@@ -1072,32 +1037,42 @@ mod tests {
 
     #[test]
     fn flow_control_blocks_until_consumed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let f = Fabric::new(2);
-        let fa = Arc::clone(&f);
-        let h = thread::spawn(move || fa.segments().alloc(&[0, 1], 8, 2));
-        let id = f.segments().alloc(&[0, 1], 8, 2);
-        h.join().unwrap();
-
-        let done = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&f);
-        let d2 = Arc::clone(&done);
-        let sender = thread::spawn(move || {
-            for k in 0..4u8 {
-                f2.segments().put(id, 1, 0, &[k], Some(Time(k as u64)));
-                d2.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        // Window = 2: the third put must block until a consumption.
-        thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(done.load(Ordering::SeqCst), 2, "third put blocked");
-        f.segments().mark_consumed(id, 1, 1);
-        thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(done.load(Ordering::SeqCst), 3, "one slot freed one put");
-        f.segments().mark_consumed(id, 1, 3);
-        sender.join().unwrap();
-        assert_eq!(done.load(Ordering::SeqCst), 4);
-        assert_eq!(f.segments().signal_count(id, 1), 4);
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Window = 2. Rank 1 publishes how many deliveries it has consumed
+        // before each `mark_consumed`, and rank 0 reads that after each of
+        // its puts: the third put must wait for one consumption, the fourth
+        // for the rest.
+        for workers in [1, 2] {
+            let freed = AtomicU64::new(0);
+            let cfg = SimConfig::new(2).with_exec(ExecPolicy::bounded(workers));
+            let res = crate::run(cfg, |ctx| {
+                let f = ctx.fabric();
+                let id = f.segments().alloc(&[0, 1], 8, 2);
+                if ctx.rank() == 0 {
+                    return (0..4u8)
+                        .map(|k| {
+                            f.segments().put(id, 1, 0, &[k], Some(Time(k as u64)));
+                            freed.load(Ordering::SeqCst)
+                        })
+                        .collect();
+                }
+                f.segments().wait_signals(id, 1, 2);
+                freed.store(1, Ordering::SeqCst);
+                f.segments().mark_consumed(id, 1, 1);
+                f.segments().wait_signals(id, 1, 3);
+                freed.store(4, Ordering::SeqCst);
+                f.segments().mark_consumed(id, 1, 3);
+                f.segments().wait_signals(id, 1, 4);
+                assert_eq!(f.segments().signal_count(id, 1), 4);
+                Vec::new()
+            });
+            let seen = &res.per_rank[0];
+            assert!(
+                seen[2] >= 1,
+                "third put blocked (workers={workers}): {seen:?}"
+            );
+            assert_eq!(seen[3], 4, "one slot freed one put (workers={workers})");
+        }
     }
 
     #[test]

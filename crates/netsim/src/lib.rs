@@ -11,9 +11,9 @@
 //! SHMEM one-sided small-message paths, pack copies vs. derived datatypes).
 //! This crate reproduces those quantities with:
 //!
-//! * one body per simulated rank (an OS thread each, or a coroutine on a few
-//!   carrier threads under the bounded engine) and real shared-memory data
-//!   movement, so programs are *functionally* executed, not just modeled;
+//! * one body per simulated rank (a coroutine on one of a few carrier
+//!   threads, [`sched`]) and real shared-memory data movement, so programs
+//!   are *functionally* executed, not just modeled;
 //! * a per-rank **virtual clock** advanced by a parametric [`model::CostModel`]
 //!   (Hockney/LogGP superset with library software overheads, eager/rendezvous
 //!   protocols and unexpected-message costs), so *timing* is deterministic,

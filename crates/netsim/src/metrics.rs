@@ -9,8 +9,7 @@
 //! Every folded quantity is a pure function of *virtual* time and workload
 //! structure (post/completion clocks, message sizes, waitall widths),
 //! never of thread interleaving — so a metrics dump is bit-identical
-//! across `ExecPolicy::threads()`, `ExecPolicy::bounded(w)` for any `w`,
-//! and any sweep-pool width. The interleaving-dependent *physical*
+//! across `ExecPolicy::bounded(w)` for any `w` and any sweep-pool width. The interleaving-dependent *physical*
 //! counters (unexpected-queue high water, matcher scan steps, mailbox
 //! locks, scheduler slot occupancy) live in [`crate::RankStats`] /
 //! [`SchedStats`] instead and are never folded into metric dumps that
@@ -254,7 +253,7 @@ impl RankMetrics {
     }
 }
 
-/// Physical occupancy counters from the bounded scheduler. These depend on
+/// Physical occupancy counters from the scheduler. These depend on
 /// wall-clock interleaving and are reported for tuning only — never part of
 /// deterministic profile output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -5,13 +5,13 @@
 //! program order. Completion *times* are computed purely from virtual
 //! quantities (sender departure clock, receiver posting clock, payload size
 //! and the wire cost parameters riding in the envelope), so the measured
-//! timings are deterministic even though the simulator's threads interleave
+//! timings are deterministic even though the simulator's ranks interleave
 //! nondeterministically in wall-clock time.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::model::CostModel;
 use crate::time::Time;
@@ -174,14 +174,13 @@ pub struct Envelope {
 #[derive(Debug, Default)]
 pub struct Completion {
     state: Mutex<CompletionState>,
-    cv: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct CompletionState {
     done: Option<Time>,
-    /// Bounded-engine single-wake registration: the rank parked on this
-    /// cell, queued on its carrier by the completer.
+    /// Single-wake registration: the rank parked on this cell, queued on
+    /// its carrier by the completer.
     waiter: Option<crate::sched::Waiter>,
 }
 
@@ -198,9 +197,6 @@ impl Completion {
         }
         g.done = Some(t);
         let waiter = g.waiter.take();
-        if waiter.is_none() {
-            self.cv.notify_all();
-        }
         drop(g);
         if let Some(w) = waiter {
             w.wake(t);
@@ -208,29 +204,19 @@ impl Completion {
     }
 
     /// Physically block until complete; returns the virtual completion time.
-    /// Under the bounded engine the caller parks, switching back to its
-    /// carrier, until the completer wakes it (single-wake protocol, see
-    /// [`crate::sched`]).
+    /// The caller parks, switching back to its carrier, until the completer
+    /// wakes it (single-wake protocol, see [`crate::sched`]); only a rank
+    /// body may wait on a cell that is not complete yet.
     pub fn wait(&self) -> Time {
         let mut g = self.state.lock();
-        if let Some(t) = g.done {
-            return t;
-        }
-        if let Some(w) = crate::sched::yield_slot() {
+        if g.done.is_none() {
             debug_assert!(g.waiter.is_none(), "two ranks waiting one completion");
-            g.waiter = Some(w);
+            g.waiter = Some(crate::sched::yield_slot());
             drop(g);
             crate::sched::park_self();
-            self.state
-                .lock()
-                .done
-                .expect("rank woken before completion")
-        } else {
-            while g.done.is_none() {
-                self.cv.wait(&mut g);
-            }
-            g.done.unwrap()
+            g = self.state.lock();
         }
+        g.done.expect("rank woken before completion")
     }
 
     /// Non-blocking poll.
@@ -258,13 +244,12 @@ pub struct RecvDone {
 #[derive(Debug, Default)]
 pub struct RecvSlot {
     state: Mutex<RecvState>,
-    cv: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct RecvState {
     done: Option<RecvDone>,
-    /// Bounded-engine single-wake registration (see [`Completion`]).
+    /// Single-wake registration (see [`Completion`]).
     waiter: Option<crate::sched::Waiter>,
 }
 
@@ -279,40 +264,24 @@ impl RecvSlot {
         let t = done.completion;
         g.done = Some(done);
         let waiter = g.waiter.take();
-        if waiter.is_none() {
-            self.cv.notify_all();
-        }
         drop(g);
         if let Some(w) = waiter {
             w.wake(t);
         }
     }
 
-    /// Physically block until the matching message has been delivered.
-    /// Under the bounded engine the caller parks, switching back to its
-    /// carrier, until the completer wakes it (single-wake protocol, see
-    /// [`crate::sched`]).
+    /// Physically block until the matching message has been delivered,
+    /// parking the calling rank as [`Completion::wait`] does.
     pub fn wait(&self) -> RecvDone {
         let mut g = self.state.lock();
-        if let Some(done) = g.done.clone() {
-            return done;
-        }
-        if let Some(w) = crate::sched::yield_slot() {
+        if g.done.is_none() {
             debug_assert!(g.waiter.is_none(), "two ranks waiting one receive");
-            g.waiter = Some(w);
+            g.waiter = Some(crate::sched::yield_slot());
             drop(g);
             crate::sched::park_self();
-            self.state
-                .lock()
-                .done
-                .clone()
-                .expect("rank woken before delivery")
-        } else {
-            while g.done.is_none() {
-                self.cv.wait(&mut g);
-            }
-            g.done.clone().unwrap()
+            g = self.state.lock();
         }
+        g.done.clone().expect("rank woken before delivery")
     }
 
     pub fn poll(&self) -> Option<RecvDone> {
@@ -448,6 +417,13 @@ mod tests {
         assert_eq!(&d.payload[..], b"hi");
         assert_eq!(d.completion, Time(7));
         assert_eq!((d.src, d.tag), (3, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a simulated rank")]
+    fn recv_slot_wait_outside_a_rank_panics() {
+        // Nothing will ever set this slot, and a plain thread cannot park.
+        RecvSlot::new().wait();
     }
 
     #[test]

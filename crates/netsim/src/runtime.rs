@@ -1,11 +1,10 @@
 //! The SPMD rank runtime: runs one body per simulated rank, each owning a
-//! virtual clock and a handle to the shared [`Fabric`]. The default engine
-//! gives every rank an OS thread; the bounded engine ([`crate::sched`]) runs
-//! ranks as coroutines on a few carrier threads.
+//! virtual clock and a handle to the shared [`Fabric`]. The engine
+//! ([`crate::sched`]) runs ranks as coroutines on a few carrier threads.
 //!
 //! Clock-charging policy lives here. Crucially, the *physical* completion of
 //! an operation (data delivered) is decoupled from the *virtual* cost of
-//! waiting for it: `wait_raw` on a request blocks the thread but does not
+//! waiting for it: `wait_raw` on a request parks the rank but does not
 //! touch the clock, and the `charge_*` family implements the different
 //! synchronization-cost policies (`MPI_Wait` loop vs. `MPI_Waitall` vs. the
 //! directive layer's consolidated region sync) whose comparison is the
@@ -21,7 +20,7 @@ use crate::model::{CostModel, MachineModel};
 use crate::msg::{RecvDone, RecvRequest, SendRequest, SrcSel, TagSel, WireCosts};
 use crate::progress::{ProgressBoard, Snapshot, WatchCfg};
 use crate::sanitize::{SanitizeReport, Sanitizer};
-use crate::sched::{panic_report, Scheduler};
+use crate::sched::Scheduler;
 use crate::time::Time;
 use crate::trace::{EventKind, RankStats, SiteId, TraceEvent, TraceSink};
 
@@ -51,7 +50,7 @@ impl SimConfig {
             machine: MachineModel::default(),
             trace: false,
             progress: false,
-            exec: ExecPolicy::threads(),
+            exec: ExecPolicy::default(),
         }
     }
 
@@ -85,13 +84,13 @@ impl SimConfig {
 /// drivers, bench binaries) without rebuilding a [`SimConfig`] by hand.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
-    /// Execution engine: `None` runs thread-per-rank (every rank OS-runnable
-    /// at once); `Some(n)` runs the bounded cooperative scheduler with `n`
-    /// worker slots (`0` = auto: `min(nranks, available_parallelism)`).
-    /// Results are bit-identical either way — virtual time, not execution
-    /// order, defines the output (see [`crate::sched`]).
-    pub workers: Option<usize>,
-    /// Stack size per rank in bytes, for a rank thread or coroutine (`None`:
+    /// Carrier threads the ranks run on, clamped to `nranks` (`0` = auto:
+    /// `min(nranks, available_parallelism)`). `nranks` carriers give every
+    /// rank one of its own, all OS-runnable at once. Results are
+    /// bit-identical at any count — virtual time, not execution order,
+    /// defines the output (see [`crate::sched`]).
+    pub workers: usize,
+    /// Stack size per rank coroutine in bytes (`None`:
     /// [`ExecPolicy::DEFAULT_STACK_SIZE`]).
     pub stack_size: Option<usize>,
     /// Eager-vs-rendezvous protocol threshold override in bytes for the
@@ -115,15 +114,10 @@ impl ExecPolicy {
     /// Rank stack size when [`ExecPolicy::stack_size`] is unset: 1 MiB.
     pub const DEFAULT_STACK_SIZE: usize = 1 << 20;
 
-    /// The thread-per-rank engine (the default).
-    pub fn threads() -> Self {
-        ExecPolicy::default()
-    }
-
-    /// The bounded cooperative scheduler with `n` worker slots (`0` = auto).
+    /// The engine on `workers` carrier threads (`0` = auto, the default).
     pub fn bounded(workers: usize) -> Self {
         ExecPolicy {
-            workers: Some(workers),
+            workers,
             ..ExecPolicy::default()
         }
     }
@@ -163,8 +157,9 @@ pub struct SimResult<T> {
     pub final_times: Vec<Time>,
     /// Per-rank operation counters.
     pub stats: Vec<RankStats>,
-    /// Bounded-scheduler slot-occupancy counters (physical,
-    /// interleaving-dependent); present only when the bounded engine ran.
+    /// Scheduler slot-occupancy counters (physical, interleaving-dependent).
+    /// Always `Some`, since every run goes through the one engine; the
+    /// field stays an `Option` so existing readers keep compiling.
     pub sched: Option<SchedStats>,
     /// The event trace, if enabled.
     pub trace: Option<Vec<TraceEvent>>,
@@ -195,9 +190,9 @@ impl<T> SimResult<T> {
 /// Run an SPMD program: `body` is executed once per rank, in parallel.
 ///
 /// Panics in any rank are propagated (with the rank id) after all other
-/// ranks have been joined or also panicked. Under the bounded engine a run
-/// whose unfinished ranks are all parked with none runnable panics with a
-/// `deadlock: ranks [..]` report instead of hanging.
+/// ranks have finished or also panicked. A run whose unfinished ranks are
+/// all parked with none runnable panics with a `deadlock: ranks [..]`
+/// report instead of hanging.
 pub fn run<T, F>(cfg: SimConfig, body: F) -> SimResult<T>
 where
     T: Send,
@@ -217,20 +212,18 @@ where
         None
     };
     let sanitizer = exec.sanitize.then(|| Arc::new(Sanitizer::new(cfg.nranks)));
-    let sched = exec.workers.map(|w| {
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let w = if w == 0 { auto } else { w };
-        Scheduler::new(cfg.nranks, w.min(cfg.nranks))
-    });
+    let workers = match exec.workers {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        w => w,
+    };
+    let sched = Scheduler::new(cfg.nranks, workers);
     let board =
         (cfg.progress || exec.watch.is_some()).then(|| Arc::new(ProgressBoard::new(cfg.nranks)));
     let watch_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let watcher = exec.watch.map(|wcfg| {
         crate::progress::spawn_watcher(
             Arc::clone(board.as_ref().expect("watch implies board")),
-            sched.clone(),
+            Arc::clone(&sched),
             wcfg,
             Arc::clone(&watch_stop),
         )
@@ -256,10 +249,7 @@ where
         (out, ctx.clock, ctx.stats)
     };
     let stack_size = exec.stack_size.unwrap_or(ExecPolicy::DEFAULT_STACK_SIZE);
-    let outputs = match &sched {
-        Some(s) => s.run(stack_size, &rank_main),
-        None => run_threads(cfg.nranks, stack_size, &rank_main),
-    };
+    let outputs = sched.run(stack_size, &rank_main);
     // All ranks have quiesced: stop the watchdog, then take the final
     // (deterministic) snapshot.
     watch_stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -273,7 +263,7 @@ where
     let mut stats = Vec::with_capacity(cfg.nranks);
     for (rank, (out, t, mut s)) in outputs.into_iter().enumerate() {
         // The matching engine's hot-path counters live in the rank's
-        // mailbox; fold them in now that all threads are quiescent.
+        // mailbox; fold them in now that all ranks are quiescent.
         s.merge(&fabric.mailbox(rank).stats());
         if let Some(san) = &sanitizer {
             let (checks, conflicts) = san.rank_counters(rank);
@@ -284,49 +274,22 @@ where
         final_times.push(t);
         stats.push(s);
     }
-    let sched_stats = sched.map(|s| s.stats());
+    let sched_stats = sched.stats();
     let progress = board.map(|b| b.snapshot(sched_stats));
 
     SimResult {
         per_rank,
         final_times,
         stats,
-        sched: sched_stats,
+        sched: Some(sched_stats),
         trace: sink.map(|s| s.take()),
         sanitize: sanitizer.map(|s| {
             Arc::into_inner(s)
-                .expect("all rank threads joined")
+                .expect("all ranks finished")
                 .into_report()
         }),
         progress,
     }
-}
-
-/// The thread-per-rank engine: `body(rank)` on one OS thread per rank, with
-/// `stack_size`-byte stacks. `Err` is the lowest panicking rank's report.
-fn run_threads<R: Send>(
-    nranks: usize,
-    stack_size: usize,
-    body: &(dyn Fn(usize) -> R + Sync),
-) -> Result<Vec<R>, String> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nranks)
-            .map(|rank| {
-                std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(stack_size)
-                    .spawn_scoped(scope, move || body(rank))
-                    .expect("failed to spawn rank thread")
-            })
-            .collect();
-        // Join every thread before reporting, so no rank outlives the run.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .enumerate()
-            .map(|(rank, r)| r.map_err(|p| panic_report(rank, &*p)))
-            .collect()
-    })
 }
 
 /// Deterministic per-message jitter source (splitmix64 over the message
@@ -1030,7 +993,7 @@ mod tests {
     #[test]
     fn sanitizer_clean_on_signalled_put_wait_read() {
         let res = run(
-            uniform_cfg(2).with_exec(ExecPolicy::threads().with_sanitize()),
+            uniform_cfg(2).with_exec(ExecPolicy::bounded(2).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
                 let seg = ctx.sym_alloc(&[0, 1], 64, &m);
@@ -1056,7 +1019,7 @@ mod tests {
     #[test]
     fn sanitizer_flags_overlapping_unordered_puts() {
         let res = run(
-            uniform_cfg(3).with_exec(ExecPolicy::threads().with_sanitize()),
+            uniform_cfg(3).with_exec(ExecPolicy::bounded(3).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
                 let seg = ctx.sym_alloc(&[0, 1, 2], 64, &m);
@@ -1086,7 +1049,7 @@ mod tests {
         // Rank 0 rewrites its staged source before quiet (CI011); rank 1
         // reads the landing zone without waiting for the signal (CI012).
         let res = run(
-            uniform_cfg(2).with_exec(ExecPolicy::threads().with_sanitize()),
+            uniform_cfg(2).with_exec(ExecPolicy::bounded(2).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
                 let seg = ctx.sym_alloc(&[0, 1], 64, &m);
@@ -1167,9 +1130,10 @@ mod tests {
     }
 
     #[test]
-    fn bounded_engine_matches_thread_per_rank() {
+    fn engines_match_one_carrier_per_rank() {
         // A mixed workload (p2p, barrier, one-sided put/signal) must produce
-        // bit-identical results under every engine and worker count.
+        // bit-identical results at every carrier count: one carrier per
+        // rank (the reference), one, two, five, and auto.
         let body = |ctx: &mut RankCtx| {
             let m = ctx.machine().mpi;
             let shm = ctx.machine().shmem;
@@ -1189,8 +1153,8 @@ mod tests {
             ctx.barrier(&m);
             ctx.now()
         };
-        let reference = run(uniform_cfg(6), body);
-        for workers in [1usize, 2, 5, 64] {
+        let reference = run(uniform_cfg(6).with_exec(ExecPolicy::bounded(6)), body);
+        for workers in [1usize, 2, 5, 0] {
             let res = run(uniform_cfg(6).with_exec(ExecPolicy::bounded(workers)), body);
             assert_eq!(res.final_times, reference.final_times, "workers={workers}");
             assert_eq!(res.per_rank, reference.per_rank, "workers={workers}");
@@ -1240,7 +1204,7 @@ mod tests {
         let eager = elapsed(SimConfig::new(2));
         // ExecPolicy carries the knob through with_exec.
         let via_exec =
-            elapsed(SimConfig::new(2).with_exec(ExecPolicy::threads().with_eager_threshold(1024)));
+            elapsed(SimConfig::new(2).with_exec(ExecPolicy::default().with_eager_threshold(1024)));
         assert!(
             via_exec > eager,
             "rendezvous {via_exec:?} must cost more than {eager:?}"
@@ -1286,7 +1250,7 @@ mod tests {
             ctx.quiet(&m);
             (got, ctx.now())
         };
-        let reference = run(uniform_cfg(2), body);
+        let reference = run(uniform_cfg(2).with_exec(ExecPolicy::bounded(2)), body);
         assert_eq!(reference.per_rank[1].0, vec![0, 1, 2, 3]);
         for workers in [1, 2] {
             let res = run(uniform_cfg(2).with_exec(ExecPolicy::bounded(workers)), body);
@@ -1318,6 +1282,19 @@ mod tests {
                 "workers={workers}"
             );
         }
+    }
+
+    #[test]
+    fn default_engine_reports_a_skipped_collective() {
+        // Rank 1 skips the barrier rank 0 waits in: the default engine
+        // fails the run with a report rather than hanging.
+        let report = run_failure(SimConfig::new(2), |ctx| {
+            let m = ctx.machine().mpi;
+            if ctx.rank() == 0 {
+                ctx.barrier(&m);
+            }
+        });
+        assert_eq!(report, "deadlock: ranks [0] parked with none runnable");
     }
 
     #[test]
@@ -1365,12 +1342,12 @@ mod tests {
                 assert_eq!(before, after, "rank {rank} migrated across a park");
             }
         }
-        // Both carriers ran ranks (on targets without the user-space
-        // switch, each rank has a thread of its own).
+        // Both carriers ran ranks (under the baton fallback, each rank has
+        // a thread of its own).
         let threads: std::collections::HashSet<_> =
             res.per_rank.iter().map(|seen| seen[0].0).collect();
         assert!(threads.len() >= 2);
-        assert!(res.sched.expect("bounded").grants > 64 * 8);
+        assert!(res.sched.expect("every run reports").grants > 64 * 8);
     }
 
     /// Recurse `depth` frames of about 1 KiB each.
@@ -1414,8 +1391,8 @@ mod tests {
 
     #[test]
     fn many_ranks_scale() {
-        // Smoke test that the thread-per-rank runtime handles Fig-3-scale
-        // rank counts.
+        // Smoke test that the default engine handles Fig-3-scale rank
+        // counts.
         let res = run(SimConfig::new(97), |ctx| {
             let m = ctx.machine().mpi;
             ctx.barrier(&m);

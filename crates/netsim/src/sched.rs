@@ -1,15 +1,14 @@
-//! The bounded engine: rank bodies run as stackful coroutines
-//! (`coro`) on `w` carrier threads, and switch in user space.
+//! The execution engine: rank bodies run as stackful coroutines (`coro`)
+//! on `w` carrier threads, and switch in user space.
 //!
-//! The thread-per-rank engine makes every rank OS-runnable at once; past a
-//! few hundred ranks the kernel round-robins threads that mostly contend
-//! fabric locks and park again, and every handoff is a futex round trip.
-//! Here rank `r` lives on carrier `r % w` for its whole life: each carrier
+//! Rank `r` lives on carrier `r % w` for its whole life: each carrier
 //! keeps a ready queue and resumes the ready rank with the lowest
 //! `(virtual clock, rank)` — the conservative-PDES order, since the rank
 //! whose clock is furthest behind is the one most likely to unblock others.
 //! A rank never migrates, so thread-locals it touches (its own, and std's
-//! panic count and `thread::current`) always see one thread.
+//! panic count and `thread::current`) always see one thread. With
+//! `w = nranks` every rank has a carrier of its own and the OS schedules
+//! them all at once: the engine differentials use that as their reference.
 //!
 //! Every blocking point uses the *single-wake* protocol: the waiter takes
 //! its [`Waiter`] handle ([`yield_slot`]), registers it in the fabric
@@ -18,7 +17,7 @@
 //! its carrier. The completing rank hands the handle back ([`Waiter::wake`])
 //! with the completion's virtual time; that queues the rank on its carrier,
 //! and unparks the carrier only if it was idle. A coroutine never blocks its
-//! carrier: no rank sleeps on a condvar under this engine.
+//! carrier, and no rank ever sleeps on a condvar.
 //!
 //! Every wake comes from a running rank. So once no rank is running or
 //! queued, none ever will be again: if ranks are still unfinished they are
@@ -28,7 +27,7 @@
 //!
 //! Determinism is *not* a property of the schedule: completion times are
 //! computed from virtual quantities only (see `msg::match_timing`), so any
-//! interleaving — thread-per-rank, one carrier, or many — produces
+//! interleaving — one carrier, a few, or one per rank — produces
 //! bit-identical results. LVT-first is purely a wall-clock optimization.
 
 use std::any::Any;
@@ -62,7 +61,7 @@ struct SchedInner {
     parks: u64,
 }
 
-/// The bounded engine's carriers and ready queues.
+/// The engine's carriers and ready queues.
 pub struct Scheduler {
     inner: Mutex<SchedInner>,
     /// Per carrier: where it waits while idle.
@@ -275,7 +274,7 @@ impl Scheduler {
 }
 
 /// The failure report of a rank that panicked with payload `p`.
-pub(crate) fn panic_report(rank: usize, p: &(dyn Any + Send)) -> String {
+fn panic_report(rank: usize, p: &(dyn Any + Send)) -> String {
     let msg = p
         .downcast_ref::<String>()
         .map(String::as_str)
@@ -314,19 +313,19 @@ pub(crate) struct Current {
 
 /// Begin a single-wake wait: return the handle a completer must later
 /// [`Waiter::wake`]. Safe to call with fabric locks held (never blocks).
-/// Returns `None` outside a bounded-engine rank — callers fall back to a
-/// plain condvar wait.
+/// Panics outside a simulated rank: only a rank body can park.
 ///
 /// The caller must register the handle (under the same lock hold that
 /// established the wait predicate is false), drop its locks, and then
 /// [`park_self`]. Registering under one continuous lock hold is what makes
 /// the protocol race-free: the completer cannot observe-and-miss the waiter.
 #[inline]
-pub(crate) fn yield_slot() -> Option<Waiter> {
+pub(crate) fn yield_slot() -> Waiter {
     coro::with_local(|cur| Waiter {
         sched: Arc::clone(&cur.sched),
         rank: cur.rank,
     })
+    .expect("blocking wait outside a simulated rank")
 }
 
 /// Complete a single-wake wait: switch back to the carrier until a
@@ -388,7 +387,7 @@ mod tests {
                         w.wake(clock);
                     }
                 } else {
-                    waiters.lock().push(yield_slot().expect("a bounded rank"));
+                    waiters.lock().push(yield_slot());
                     park_self();
                     order.lock().push(rank);
                 }

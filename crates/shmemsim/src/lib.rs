@@ -374,7 +374,7 @@ mod tests {
         // programs with no extra plumbing. A properly synchronized
         // put/barrier/read workload must come out clean.
         let res = run(
-            SimConfig::new(3).with_exec(netsim::ExecPolicy::threads().with_sanitize()),
+            SimConfig::new(3).with_exec(netsim::ExecPolicy::bounded(3).with_sanitize()),
             |ctx| {
                 let sym = SymSlice::<f64>::new(ctx, 4);
                 if my_pe(ctx) == 0 {
@@ -401,7 +401,7 @@ mod tests {
         // landing zone without waiting for the signalled delivery is the
         // CI012 shape, and the sanitizer attributes it to the reader.
         let res = run(
-            SimConfig::new(2).with_exec(netsim::ExecPolicy::threads().with_sanitize()),
+            SimConfig::new(2).with_exec(netsim::ExecPolicy::bounded(2).with_sanitize()),
             |ctx| {
                 let sym = SymSlice::<f64>::new(ctx, 3);
                 if my_pe(ctx) == 0 {

@@ -42,6 +42,11 @@ fn check_golden(name: &str, text: &str) {
     );
 }
 
+/// The differential reference: one carrier per rank.
+fn per_rank() -> ExecPolicy {
+    ExecPolicy::bounded(topo().total_ranks())
+}
+
 fn fig4_profile(exec: ExecPolicy) -> Json {
     let obs = fig4_spin_observed(&topo(), SpinVariant::DirectiveMpi2, STEPS, exec);
     let nranks = obs.final_times.len();
@@ -58,7 +63,7 @@ fn fig4_profile(exec: ExecPolicy) -> Json {
 
 #[test]
 fn fig4_profile_to_overlay_matches_golden() {
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(per_rank());
     let overlay = tune(&profile, &TuneOptions::default()).expect("tune fig4 profile");
 
     // The WL→privileged scatter (site 11, 4 pieces of 24B per receiver per
@@ -84,10 +89,7 @@ fn fig4_profile_to_overlay_matches_golden() {
     assert_eq!(back, overlay);
 
     // Profiles (and therefore overlays) are engine-invariant.
-    let ncpu = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    for workers in [1usize, ncpu] {
+    for workers in [1usize, 0] {
         let p = fig4_profile(ExecPolicy::bounded(workers));
         let ov = tune(&p, &TuneOptions::default()).unwrap();
         assert_eq!(ov, overlay, "overlay differs under bounded({workers})");
@@ -100,7 +102,7 @@ fn stale_overlay_rejected_with_exit_3() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // A current-schema overlay validates cleanly (exit 0).
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(per_rank());
     let overlay = tune(&profile, &TuneOptions::default()).unwrap();
     let good = dir.join("good.overlay.json");
     std::fs::write(&good, overlay_to_json(&overlay).render()).unwrap();
@@ -139,21 +141,15 @@ fn stale_overlay_rejected_with_exit_3() {
 
 #[test]
 fn tuned_fig4_beats_untuned_with_identical_physics() {
-    let profile = fig4_profile(ExecPolicy::threads());
+    let profile = fig4_profile(per_rank());
     let overlay = tune(&profile, &TuneOptions::default()).unwrap();
 
-    let base = fig4_spin_tuned(
-        &topo(),
-        SpinVariant::DirectiveMpi2,
-        STEPS,
-        ExecPolicy::threads(),
-        None,
-    );
+    let base = fig4_spin_tuned(&topo(), SpinVariant::DirectiveMpi2, STEPS, per_rank(), None);
     let tuned = fig4_spin_tuned(
         &topo(),
         SpinVariant::DirectiveMpi2,
         STEPS,
-        ExecPolicy::threads(),
+        per_rank(),
         Some(&overlay),
     );
     assert!(base.correct, "baseline payloads verified");
@@ -179,10 +175,7 @@ fn tuned_fig4_beats_untuned_with_identical_physics() {
     );
 
     // Engine invariance of the tuned run itself.
-    let ncpu = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
-    for workers in [1usize, ncpu] {
+    for workers in [1usize, 0] {
         let t = fig4_spin_tuned(
             &topo(),
             SpinVariant::DirectiveMpi2,

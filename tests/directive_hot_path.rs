@@ -57,28 +57,11 @@ fn thread_allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-/// Run `f` on its own thread and fail if it does not finish within a
-/// minute: a rank that skips a collective leaves the others blocked in it,
-/// and the test should report that rather than hang.
-fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    use std::sync::mpsc::{channel, RecvTimeoutError};
-    let (tx, rx) = channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(v) => {
-            worker.join().expect("worker exits after sending");
-            v
-        }
-        // `f` panicked: surface its panic, not a timeout.
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().expect_err("no result means a panic"))
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            panic!("simulation deadlocked: some rank skipped a collective")
-        }
-    }
+/// Two ranks, each on a carrier of its own: the allocation counter is
+/// per thread, and ranks sharing a carrier would count each other's
+/// allocations.
+fn two_carriers() -> SimConfig {
+    SimConfig::new(2).with_exec(ExecPolicy::bounded(2))
 }
 
 /// Clauses under which rank `from` sends to rank `to` and every other
@@ -101,7 +84,7 @@ fn non_participant_instances_do_not_allocate() {
         // Ranks 0 and 1 of 2; the pair (5 -> 6) names neither, so both are
         // non-participants on every instance.
         let params = pair(5, 6, target, N + 1);
-        let res = run(SimConfig::new(2), |ctx| {
+        let res = run(two_carriers(), |ctx| {
             let comm = Comm::world(ctx);
             let mut s = CommSession::new(ctx, comm);
             let src = [1.0f64; 3];
@@ -151,7 +134,7 @@ fn non_participant_var_clause_instances_do_not_allocate() {
             .count(3)
             .max_comm_iter(N as i64 + 1)
             .target(target);
-        let res = run(SimConfig::new(2), |ctx| {
+        let res = run(two_carriers(), |ctx| {
             let comm = Comm::world(ctx);
             let mut s = CommSession::new(ctx, comm);
             let src = [1.0f64; 3];
@@ -344,28 +327,26 @@ fn non_participant_runs_overlap_body_under_the_site() {
 fn two_of_six(target: Target, cfg: SimConfig) -> (Vec<Time>, Vec<usize>, Vec<usize>, [f64; 3]) {
     const ITERS: usize = 3;
     let params = pair(1, 4, target, ITERS);
-    let res = within_a_minute(move || {
-        run(cfg, move |ctx| {
-            let comm = Comm::world(ctx);
-            let mut s = CommSession::new(ctx, comm);
-            let me = s.rank();
-            let mut dst = [0.0f64; 3];
-            for i in 0..ITERS {
-                let src = [i as f64, me as f64, 7.0];
-                s.ctx().compute(Time::from_nanos(100 * (me as u64 + 1)));
-                s.region(&params, |reg| {
-                    reg.p2p()
-                        .site(3)
-                        .sbuf(Prim::new("src", &src))
-                        .rbuf(PrimMut::new("dst", &mut dst))
-                        .run()
-                        .unwrap();
-                })
-                .unwrap();
-            }
-            s.flush();
-            (s.ctx().stats.barriers, s.ctx().stats.quiets, dst)
-        })
+    let res = run(cfg, |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        let me = s.rank();
+        let mut dst = [0.0f64; 3];
+        for i in 0..ITERS {
+            let src = [i as f64, me as f64, 7.0];
+            s.ctx().compute(Time::from_nanos(100 * (me as u64 + 1)));
+            s.region(&params, |reg| {
+                reg.p2p()
+                    .site(3)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .run()
+                    .unwrap();
+            })
+            .unwrap();
+        }
+        s.flush();
+        (s.ctx().stats.barriers, s.ctx().stats.quiets, dst)
     });
     let barriers = res.per_rank.iter().map(|r| r.0).collect();
     let quiets = res.per_rank.iter().map(|r| r.1).collect();
@@ -375,20 +356,20 @@ fn two_of_six(target: Target, cfg: SimConfig) -> (Vec<Time>, Vec<usize>, Vec<usi
 #[test]
 fn non_participants_join_staging_and_fence_identically_across_engines() {
     for target in [Target::Mpi1Side, Target::Shmem] {
-        let threads = two_of_six(target, SimConfig::new(6));
+        let per_rank = two_of_six(target, SimConfig::new(6).with_exec(ExecPolicy::bounded(6)));
         let bounded = two_of_six(target, SimConfig::new(6).with_exec(ExecPolicy::bounded(1)));
         assert_eq!(
-            threads.0, bounded.0,
+            per_rank.0, bounded.0,
             "{target}: final times differ across engines"
         );
-        assert_eq!(threads.1, bounded.1);
-        assert_eq!(threads.2, bounded.2);
+        assert_eq!(per_rank.1, bounded.1);
+        assert_eq!(per_rank.2, bounded.2);
         assert_eq!(
-            threads.3,
+            per_rank.3,
             [2.0, 1.0, 7.0],
             "{target}: payload of the last instance"
         );
-        let (_, barriers, quiets, _) = threads;
+        let (_, barriers, quiets, _) = per_rank;
         // The staging allocation is a barrier over all six ranks; the
         // MPI-1 fence adds one per region.
         let want = if target == Target::Mpi1Side { 4 } else { 1 };
@@ -410,37 +391,35 @@ fn overlay_run(cfg: SimConfig) -> netsim::SimResult<OverlayRun> {
     ov.set(SiteDecision::new(5, Decision::Retarget(Target::Mpi1Side)));
     ov.set(SiteDecision::new(6, Decision::Coalesce { batch: 2 }));
     let params = pair(0, 1, Target::Shmem, 4);
-    within_a_minute(move || {
-        run(cfg, move |ctx| {
-            let comm = Comm::world(ctx);
-            let mut s = CommSession::new(ctx, comm).with_overlay(ov.clone());
-            let src = [3.0f64; 3];
-            let mut dst = [0.0f64; 3];
-            // Independent buffers per instance: a write-write dependence
-            // would split the region's synchronization on the receiver.
-            let mut got = [[0.0f64; 3]; 2];
-            s.region(&params, |reg| {
+    run(cfg, |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm).with_overlay(ov.clone());
+        let src = [3.0f64; 3];
+        let mut dst = [0.0f64; 3];
+        // Independent buffers per instance: a write-write dependence
+        // would split the region's synchronization on the receiver.
+        let mut got = [[0.0f64; 3]; 2];
+        s.region(&params, |reg| {
+            reg.p2p()
+                .site(5)
+                .target(Target::Mpi2Side)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", &mut dst))
+                .run()
+                .unwrap();
+            for g in &mut got {
                 reg.p2p()
-                    .site(5)
-                    .target(Target::Mpi2Side)
+                    .site(6)
                     .sbuf(Prim::new("src", &src))
-                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .rbuf(PrimMut::new("got", g))
                     .run()
                     .unwrap();
-                for g in &mut got {
-                    reg.p2p()
-                        .site(6)
-                        .sbuf(Prim::new("src", &src))
-                        .rbuf(PrimMut::new("got", g))
-                        .run()
-                        .unwrap();
-                }
-            })
-            .unwrap();
-            s.flush();
-            let st = &s.ctx().stats;
-            (st.barriers, st.quiets, st.sends, dst, got)
+            }
         })
+        .unwrap();
+        s.flush();
+        let st = &s.ctx().stats;
+        (st.barriers, st.quiets, st.sends, dst, got)
     })
 }
 
@@ -448,7 +427,7 @@ fn overlay_run(cfg: SimConfig) -> netsim::SimResult<OverlayRun> {
 fn non_participant_fences_follow_the_overlay() {
     // A non-participant must join the MPI-1 fence of the retargeted site
     // and quiet for the coalesced one exactly like the pair.
-    let res = overlay_run(SimConfig::new(3));
+    let res = overlay_run(SimConfig::new(3).with_exec(ExecPolicy::bounded(3)));
     let (barriers, quiets, _, dst, got) = res.per_rank[1];
     assert_eq!((dst, got), ([3.0; 3], [[3.0; 3]; 2]), "the pair delivered");
     assert_eq!(
@@ -582,7 +561,7 @@ fn skipped_loop_iterations_do_not_allocate() {
             .target(target);
         let allocs = |iterations: i64| {
             let space = CommLoop::new(0..iterations);
-            run(SimConfig::new(2), |ctx| {
+            run(two_carriers(), |ctx| {
                 let comm = Comm::world(ctx);
                 let mut s = CommSession::new(ctx, comm);
                 let src = [1.0f64; 3];

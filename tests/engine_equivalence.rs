@@ -1,8 +1,9 @@
 //! Engine equivalence: every virtual quantity — makespans, per-step times,
-//! operation counters — must be bit-identical between the thread-per-rank
-//! engine and the bounded scheduler at any worker count. Only wall time may
-//! differ; completion times are computed from virtual clocks alone, so the
-//! execution engine is unobservable in the results.
+//! operation counters — must be bit-identical at any carrier count. The
+//! reference runs one carrier per rank (`bounded(nranks)`, every rank
+//! OS-runnable at once); one carrier, two and auto must match it. Only wall
+//! time may differ; completion times are computed from virtual clocks
+//! alone, so the schedule is unobservable in the results.
 
 use netsim::{CounterKind, ExecPolicy};
 use wl_lsms::{
@@ -25,9 +26,9 @@ fn det(m: &Measurement) -> (u64, bool, Vec<(&'static str, usize)>) {
     )
 }
 
+/// The carrier counts compared against the one-carrier-per-rank reference.
 fn engines() -> Vec<(&'static str, ExecPolicy)> {
     vec![
-        ("threads", ExecPolicy::threads()),
         ("bounded(1)", ExecPolicy::bounded(1)),
         ("bounded(2)", ExecPolicy::bounded(2)),
         ("bounded(auto)", ExecPolicy::bounded(0)),
@@ -44,7 +45,8 @@ fn fig4_identical_across_engines_at_paper_counts() {
             SpinVariant::DirectiveMpi2,
             SpinVariant::DirectiveShmem,
         ] {
-            let reference = det(&fig4_spin_exec(&topo, variant, 2, ExecPolicy::threads()));
+            let per_rank = ExecPolicy::bounded(topo.total_ranks());
+            let reference = det(&fig4_spin_exec(&topo, variant, 2, per_rank));
             assert!(reference.1, "{variant:?} failed validation at m={m}");
             for (name, exec) in engines() {
                 let got = det(&fig4_spin_exec(&topo, variant, 2, exec));
@@ -69,7 +71,7 @@ fn fig3_identical_across_engines() {
             &topo,
             variant,
             AtomSizes::default(),
-            ExecPolicy::threads(),
+            ExecPolicy::bounded(topo.total_ranks()),
         ));
         assert!(reference.1, "{variant:?} failed validation");
         for (name, exec) in engines() {
@@ -95,7 +97,7 @@ fn fig5_identical_across_engines() {
             cparams,
             AtomSizes::default(),
             2,
-            ExecPolicy::threads(),
+            ExecPolicy::bounded(topo.total_ranks()),
         ));
         for (name, exec) in engines() {
             let got = det(&fig5_overlap_exec(
@@ -117,7 +119,7 @@ fn fig5_identical_across_engines() {
 #[test]
 fn bounded_engine_runs_2048_ranks() {
     // The scale-out smoke: a paper-shaped 2049-rank topology must complete
-    // under the bounded engine with small stacks — the configuration the
+    // on the default carrier count with small stacks — the configuration the
     // fig_scale sweep uses past the paper's 337-process ceiling.
     let topo = Topology::paper(128);
     assert_eq!(topo.total_ranks(), 2049);

@@ -16,8 +16,8 @@
 //!
 //! Per rank, the loop form must reproduce the per-instance run exactly:
 //! final virtual time, every virtual `RankStats` counter, the recorded IR,
-//! the error value and the received data, under the thread-per-rank engine
-//! and under `bounded(2)`. A spin-shaped case also holds
+//! the error value and the received data, with one carrier per rank (the
+//! per-instance reference's engine) and with two (`bounded(2)`). A spin-shaped case also holds
 //! `wl_lsms::spin::set_evec_directive`, which writes both regions as
 //! loops, to Listing 7's per-instance loop, kept here as the reference.
 //!
@@ -367,73 +367,50 @@ fn outcome(
     }
 }
 
-/// Run `f` on its own thread and fail if it does not finish within a
-/// minute, so a case that deadlocks reports rather than hangs.
-fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    use std::sync::mpsc::{channel, RecvTimeoutError};
-    let (tx, rx) = channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Ok(v) => {
-            worker.join().expect("worker exits after sending");
-            v
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().expect_err("no result means a panic"))
-        }
-        Err(RecvTimeoutError::Timeout) => panic!("simulation deadlocked"),
-    }
-}
-
 fn run_case(case: &Case, loop_form: bool, exec: ExecPolicy) -> Vec<Outcome> {
-    let case = case.clone();
-    within_a_minute(move || {
-        run(SimConfig::new(case.nranks).with_exec(exec), |ctx| {
-            let comm = Comm::world(ctx);
-            let mut s = CommSession::new(ctx, comm);
-            if let Some(batch) = case.coalesce {
-                let mut ov = Overlay::default();
-                ov.set(SiteDecision::new(SITE, Decision::Coalesce { batch }));
-                s = s.with_overlay(ov);
-            }
-            let me = s.rank() as f64;
-            let total = case.total();
-            let send: Vec<[f64; 2]> = (0..total).map(|k| [me, k as f64]).collect();
-            let mut recv = vec![[-1.0; 2]; if case.shared_rbuf { 1 } else { total }];
-            let slot = |k: usize| if case.shared_rbuf { 0 } else { k };
-            let params = case.params();
-            let result = if loop_form {
-                s.region_loop(&params, &case.space(), |ix, it| {
-                    let k = case.number(ix);
-                    it.p2p()
+    run(SimConfig::new(case.nranks).with_exec(exec), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        if let Some(batch) = case.coalesce {
+            let mut ov = Overlay::default();
+            ov.set(SiteDecision::new(SITE, Decision::Coalesce { batch }));
+            s = s.with_overlay(ov);
+        }
+        let me = s.rank() as f64;
+        let total = case.total();
+        let send: Vec<[f64; 2]> = (0..total).map(|k| [me, k as f64]).collect();
+        let mut recv = vec![[-1.0; 2]; if case.shared_rbuf { 1 } else { total }];
+        let slot = |k: usize| if case.shared_rbuf { 0 } else { k };
+        let params = case.params();
+        let result = if loop_form {
+            s.region_loop(&params, &case.space(), |ix, it| {
+                let k = case.number(ix);
+                it.p2p()
+                    .site(SITE)
+                    .sbuf(Prim::new("send", &send[k]))
+                    .rbuf(PrimMut::new("recv", &mut recv[slot(k)]))
+                    .run()
+            })
+        } else {
+            s.region(&params, |reg| {
+                for k in 0..total {
+                    let ix = case.index(k);
+                    reg.set_var("src", case.src.at(&ix));
+                    reg.set_var("dst", case.dst.at(&ix));
+                    reg.p2p()
                         .site(SITE)
                         .sbuf(Prim::new("send", &send[k]))
                         .rbuf(PrimMut::new("recv", &mut recv[slot(k)]))
-                        .run()
-                })
-            } else {
-                s.region(&params, |reg| {
-                    for k in 0..total {
-                        let ix = case.index(k);
-                        reg.set_var("src", case.src.at(&ix));
-                        reg.set_var("dst", case.dst.at(&ix));
-                        reg.p2p()
-                            .site(SITE)
-                            .sbuf(Prim::new("send", &send[k]))
-                            .rbuf(PrimMut::new("recv", &mut recv[slot(k)]))
-                            .run()?;
-                    }
-                    Ok(())
-                })
-                .and_then(|r| r)
-            };
-            let ir = s.finish();
-            outcome(ctx, ir, result, recv)
-        })
-        .per_rank
+                        .run()?;
+                }
+                Ok(())
+            })
+            .and_then(|r| r)
+        };
+        let ir = s.finish();
+        outcome(ctx, ir, result, recv)
     })
+    .per_rank
 }
 
 #[test]
@@ -442,9 +419,10 @@ fn loop_form_matches_per_instance_loop() {
     let (mut solved, mut failed) = (0, 0);
     for n in 0..cases() {
         let case = Case::generate(&mut rng);
-        let reference = run_case(&case, false, ExecPolicy::threads());
+        let per_rank = ExecPolicy::bounded(case.nranks);
+        let reference = run_case(&case, false, per_rank);
         for (engine, exec) in [
-            ("threads", ExecPolicy::threads()),
+            ("bounded(nranks)", per_rank),
             ("bounded(2)", ExecPolicy::bounded(2)),
         ] {
             let got = run_case(&case, true, exec);
@@ -570,36 +548,33 @@ fn spin_run(
     loop_form: bool,
     exec: ExecPolicy,
 ) -> Vec<(Outcome, [f64; 3])> {
-    let topo = topo.clone();
-    within_a_minute(move || {
-        run(SimConfig::new(topo.total_ranks()).with_exec(exec), |ctx| {
-            let comm = Comm::world(ctx);
-            let mut s = CommSession::new(ctx, comm);
-            if coalesce {
-                let mut ov = Overlay::default();
-                for site in [11, 12] {
-                    ov.set(SiteDecision::new(site, Decision::Coalesce { batch: 4 }));
-                }
-                s = s.with_overlay(ov);
+    run(SimConfig::new(topo.total_ranks()).with_exec(exec), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm);
+        if coalesce {
+            let mut ov = Overlay::default();
+            for site in [11, 12] {
+                ov.set(SiteDecision::new(site, Decision::Coalesce { batch: 4 }));
             }
-            let mut state = SpinState::new(&topo, s.rank());
-            let mut result = Ok(());
-            for step in 0..2 {
-                if s.rank() == topo.wl_rank() {
-                    state.ev = generate_spins(step, topo.instances * topo.ranks_per_lsms);
-                }
-                result = if loop_form {
-                    set_evec_directive(&mut s, &topo, &mut state, target, None).map(|_| ())
-                } else {
-                    set_evec_per_instance(&mut s, &topo, &mut state, target)
-                };
-                s.flush();
+            s = s.with_overlay(ov);
+        }
+        let mut state = SpinState::new(topo, s.rank());
+        let mut result = Ok(());
+        for step in 0..2 {
+            if s.rank() == topo.wl_rank() {
+                state.ev = generate_spins(step, topo.instances * topo.ranks_per_lsms);
             }
-            let ir = s.finish();
-            (outcome(ctx, ir, result, Vec::new()), state.my_spin)
-        })
-        .per_rank
+            result = if loop_form {
+                set_evec_directive(&mut s, topo, &mut state, target, None).map(|_| ())
+            } else {
+                set_evec_per_instance(&mut s, topo, &mut state, target)
+            };
+            s.flush();
+        }
+        let ir = s.finish();
+        (outcome(ctx, ir, result, Vec::new()), state.my_spin)
     })
+    .per_rank
 }
 
 #[test]
@@ -612,14 +587,15 @@ fn spin_loop_regions_match_listing_7() {
         (Target::Shmem, false),
         (Target::Shmem, true),
     ] {
-        let reference = spin_run(&topo, target, coalesce, false, ExecPolicy::threads());
+        let per_rank = ExecPolicy::bounded(topo.total_ranks());
+        let reference = spin_run(&topo, target, coalesce, false, per_rank);
         let expected = generate_spins(1, topo.instances * topo.ranks_per_lsms);
         for (rank, (_, spin)) in reference.iter().enumerate().skip(1) {
             let m = topo.instance_of(rank).expect("LSMS rank");
             let local = rank - topo.privileged_rank(m);
             assert_eq!(*spin, expected[m * topo.ranks_per_lsms + local]);
         }
-        for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+        for exec in [per_rank, ExecPolicy::bounded(2)] {
             let got = spin_run(&topo, target, coalesce, true, exec);
             for (rank, (want, got)) in reference.iter().zip(&got).enumerate() {
                 assert_eq!(

@@ -41,7 +41,7 @@ fn run_with(cfg: SimConfig) -> SimResult<()> {
 #[test]
 fn final_snapshot_is_engine_invariant() {
     let engines = [
-        ExecPolicy::threads(),
+        ExecPolicy::bounded(NRANKS),
         ExecPolicy::bounded(1),
         ExecPolicy::bounded(3),
     ];
@@ -81,7 +81,7 @@ fn progress_off_by_default() {
 
 /// Enabling the watchdog must not perturb any deterministic artifact: the
 /// trace, profile, and final clocks are byte-identical with `--watch` on,
-/// on both engines.
+/// with one carrier per rank and with two.
 #[test]
 fn artifacts_bit_identical_with_watch_on() {
     let observe = |exec: ExecPolicy| {
@@ -101,7 +101,7 @@ fn artifacts_bit_identical_with_watch_on() {
         interval_ms: 60_000,
         stall_ms: 60_000,
     };
-    for base in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+    for base in [ExecPolicy::bounded(NRANKS), ExecPolicy::bounded(2)] {
         let (t0, p0, f0) = observe(base);
         let (t1, p1, f1) = observe(base.with_watch(watch));
         assert_eq!(t0, t1, "trace drifted with --watch on");
@@ -111,8 +111,8 @@ fn artifacts_bit_identical_with_watch_on() {
 }
 
 /// Ledger entries are a pure function of virtual time once the declared
-/// physical fields are pinned: same workload under thread-per-rank and the
-/// bounded engine yields byte-identical JSONL lines.
+/// physical fields are pinned: the same workload with one carrier per rank
+/// and with two yields byte-identical JSONL lines.
 #[test]
 fn ledger_entries_engine_invariant() {
     let report_for = |exec: ExecPolicy| {
@@ -131,8 +131,12 @@ fn ledger_entries_engine_invariant() {
             wall_s: 0.0,
         }
     };
-    let a = bench::ledger::entry_json(&report_for(ExecPolicy::threads()), "pinned", "deadbeef")
-        .render_compact();
+    let a = bench::ledger::entry_json(
+        &report_for(ExecPolicy::bounded(NRANKS)),
+        "pinned",
+        "deadbeef",
+    )
+    .render_compact();
     let b = bench::ledger::entry_json(&report_for(ExecPolicy::bounded(2)), "pinned", "deadbeef")
         .render_compact();
     assert_eq!(a, b, "ledger entries differ beyond the physical fields");

@@ -86,7 +86,7 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
-        let a = profile_of(nranks, &rounds, ExecPolicy::threads(), "prop");
+        let a = profile_of(nranks, &rounds, ExecPolicy::bounded(nranks), "prop");
         let d = diff_profiles(&a, &a).unwrap();
         let problems = validate_diff(&d);
         prop_assert!(problems.is_empty(), "self-diff invalid: {:?}", problems);
@@ -110,8 +110,8 @@ proptest! {
         rounds_a in proptest::collection::vec(round_strategy(), 1..5),
         rounds_b in proptest::collection::vec(round_strategy(), 1..5),
     ) {
-        let a = profile_of(nranks, &rounds_a, ExecPolicy::threads(), "base");
-        let b = profile_of(nranks, &rounds_b, ExecPolicy::threads(), "cand");
+        let a = profile_of(nranks, &rounds_a, ExecPolicy::default(), "base");
+        let b = profile_of(nranks, &rounds_b, ExecPolicy::default(), "cand");
         let d = diff_profiles(&a, &b).unwrap();
         let problems = validate_diff(&d);
         prop_assert!(problems.is_empty(), "diff invalid: {:?}", problems);

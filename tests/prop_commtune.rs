@@ -142,12 +142,11 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..5),
     ) {
-        let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        let reference = run_script(nranks, &rounds, ExecPolicy::threads(), None);
+        let reference = run_script(nranks, &rounds, ExecPolicy::bounded(nranks), None);
         let keep = overlay_for(&rounds, false);
-        for workers in [0usize, 1, ncpu] {
-            let exec = if workers == 0 { ExecPolicy::threads() } else { ExecPolicy::bounded(workers) };
-            let got = run_script(nranks, &rounds, exec, Some(keep.clone()));
+        // One carrier per rank, one, and auto.
+        for workers in [nranks, 1, 0] {
+            let got = run_script(nranks, &rounds, ExecPolicy::bounded(workers), Some(keep.clone()));
             prop_assert_eq!(
                 &reference, &got,
                 "all-keep overlay diverged (workers={}) on {:?}", workers, rounds
@@ -162,15 +161,15 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..5),
     ) {
-        let baseline = run_script(nranks, &rounds, ExecPolicy::threads(), None);
+        let per_rank = ExecPolicy::bounded(nranks);
+        let baseline = run_script(nranks, &rounds, per_rank, None);
         let ov = overlay_for(&rounds, true);
-        let tuned = run_script(nranks, &rounds, ExecPolicy::threads(), Some(ov.clone()));
+        let tuned = run_script(nranks, &rounds, per_rank, Some(ov.clone()));
         for (r, (b, t)) in baseline.iter().zip(&tuned).enumerate() {
             prop_assert_eq!(b.0, t.0, "rank {} delivered bytes changed on {:?}", r, rounds);
             prop_assert_eq!(b.1, t.1, "rank {} payload content changed on {:?}", r, rounds);
         }
-        let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        for workers in [1usize, ncpu] {
+        for workers in [1usize, 0] {
             let got = run_script(nranks, &rounds, ExecPolicy::bounded(workers), Some(ov.clone()));
             prop_assert_eq!(
                 &tuned, &got,

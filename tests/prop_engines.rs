@@ -1,7 +1,7 @@
 //! Property tests: randomized mixed workloads (two-sided p2p, collectives,
-//! one-sided signalled puts) produce identical virtual results under the
-//! thread-per-rank engine and the bounded scheduler at every worker count.
-//! This is the bounded engine's core contract: scheduling order may change
+//! one-sided signalled puts) produce identical virtual results at every
+//! carrier count: one carrier per rank (the reference), one, two and auto.
+//! This is the engine's core contract: scheduling order may change
 //! wall-clock execution, never the simulation.
 
 use netsim::{run, CounterKind, ExecPolicy, RankStats, SimConfig, SrcSel, TagSel};
@@ -120,13 +120,12 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
-        let ncpu = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-        let reference = run_script(nranks, &rounds, ExecPolicy::threads());
-        for workers in [1usize, 2, ncpu] {
+        let reference = run_script(nranks, &rounds, ExecPolicy::bounded(nranks));
+        for workers in [1usize, 2, 0] {
             let got = run_script(nranks, &rounds, ExecPolicy::bounded(workers));
             prop_assert_eq!(
                 &reference, &got,
-                "bounded({}) diverged from threads on {:?}", workers, rounds
+                "bounded({}) diverged from bounded(nranks) on {:?}", workers, rounds
             );
         }
     }

@@ -186,7 +186,7 @@ proptest! {
         nranks in 2usize..=5,
         rounds in proptest::collection::vec(round_strategy(), 1..6),
     ) {
-        let obs = run_observed(nranks, &rounds, ExecPolicy::threads());
+        let obs = run_observed(nranks, &rounds, ExecPolicy::bounded(nranks));
         let analysis = analyze(&obs.trace, nranks, &obs.finals);
         check_invariants(&analysis, nranks)?;
         check_fold(&obs, &analysis)?;
@@ -202,7 +202,7 @@ proptest! {
 
         // Engine invariance: the whole observability pipeline is a pure
         // function of virtual time, so the rendered profile is identical
-        // under the bounded scheduler at any width.
+        // at any carrier count.
         for workers in [1usize, 3] {
             let o2 = run_observed(nranks, &rounds, ExecPolicy::bounded(workers));
             let a2 = analyze(&o2.trace, nranks, &o2.finals);

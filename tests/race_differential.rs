@@ -1,8 +1,8 @@
 //! Differential testing of the one-sided race analyses: every generated
 //! [`RaceProgram`] is decided twice — statically by `commint::analyze_ops`
 //! and dynamically by `netsim`'s shadow-state sanitizer executing the same
-//! ops — and the verdict code-sets must agree exactly, under both
-//! execution engines.
+//! ops — and the verdict code-sets must agree exactly, with one carrier
+//! per rank and with two.
 //!
 //! The generator stays inside the fragment where the agreement theorem
 //! holds (DESIGN.md §6e): signal waits are all-or-nothing per epoch (a
@@ -24,6 +24,9 @@ const SEG_BYTES: usize = 64;
 const PROGRAMS: usize = 220;
 /// Fixed corpus seed: the sweep is reproducible byte-for-byte.
 const SEED: u64 = 0x1CE_B00DA;
+/// A carrier count the engine clamps to each program's rank count: one
+/// carrier per rank, the differential reference.
+const PER_RANK: usize = usize::MAX;
 
 // -- deterministic RNG (no external deps) -----------------------------------
 
@@ -257,8 +260,8 @@ fn sweep(exec: &ExecPolicy) -> (usize, usize) {
 }
 
 #[test]
-fn corpus_agrees_under_thread_engine() {
-    let (clean, racy) = sweep(&ExecPolicy::threads());
+fn corpus_agrees_with_one_carrier_per_rank() {
+    let (clean, racy) = sweep(&ExecPolicy::bounded(PER_RANK));
     // Both populations must actually be exercised or the test is vacuous.
     assert!(clean >= 20, "only {clean} clean programs in the corpus");
     assert!(racy >= 20, "only {racy} racy programs in the corpus");
@@ -271,7 +274,7 @@ fn corpus_agrees_under_bounded_engine() {
     assert!(racy >= 20, "only {racy} racy programs in the corpus");
 }
 
-/// The two engines see identical sanitizer totals on the same program:
+/// Both carrier counts see identical sanitizer totals on the same program:
 /// race_checks is program-determined and the conflict count is
 /// interleaving-invariant inside the fragment.
 #[test]
@@ -279,7 +282,7 @@ fn engines_agree_on_sanitizer_totals() {
     let mut rng = Rng(SEED ^ 0xDEAD);
     for i in 0..24 {
         let prog = gen_program(&mut rng, i % 2 == 1);
-        let a = sanitize_run(&prog, ExecPolicy::threads());
+        let a = sanitize_run(&prog, ExecPolicy::bounded(PER_RANK));
         let b = sanitize_run(&prog, ExecPolicy::bounded(2));
         assert_eq!(a.race_checks, b.race_checks, "program {i}");
         assert_eq!(a.conflicts_found(), b.conflicts_found(), "program {i}");
@@ -413,7 +416,7 @@ fn anchor_programs_classify_as_expected() {
     for (name, prog, want) in cases {
         let want: BTreeSet<&str> = want.iter().copied().collect();
         assert_eq!(static_codes(prog), want, "{name}: static");
-        for exec in [ExecPolicy::threads(), ExecPolicy::bounded(2)] {
+        for exec in [ExecPolicy::bounded(PER_RANK), ExecPolicy::bounded(2)] {
             let got = sanitize_run(prog, exec).codes();
             assert_eq!(got, want, "{name}: sanitizer");
         }
