@@ -1,8 +1,11 @@
 //! Microbenchmarks of the framework itself: clause-expression evaluation,
 //! pragma parsing, lowering/codegen, derived-datatype gather/scatter, the
 //! tag-matching engine, and the directive engine's cost per `comm_p2p`
-//! instance and per loop-form region. These bound the overhead the
-//! directive abstraction adds over raw library calls.
+//! instance, per loop-form region and per reopened region. These bound the
+//! overhead the directive abstraction adds over raw library calls.
+//!
+//! A name after `--` runs only the cases whose name contains it, e.g.
+//! `cargo bench -p bench --features harness --bench micro -- directive_region`.
 
 use commint::analysis::{classify, resolve_graph};
 use commint::buffer::{gather_described, scatter_described};
@@ -66,6 +69,9 @@ fn micro_expr(c: &mut Criterion) {
             }));
         })
     });
+    if tree.is_empty() {
+        return;
+    }
     tree.sort_by(f64::total_cmp);
     compiled.sort_by(f64::total_cmp);
     println!(
@@ -281,6 +287,9 @@ fn micro_directive(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| per_instance.push(directive_ns_per_instance(target, shape, participate, n)))
         });
+        if per_instance.is_empty() {
+            continue;
+        }
         per_instance.sort_by(f64::total_cmp);
         println!(
             "{:<60} ns/instance median {:.1} min {:.1}",
@@ -366,12 +375,60 @@ fn spin_regions(loop_form: bool) {
     );
 }
 
+/// Host CPU nanoseconds per reopening of Listing 5's three-site region
+/// (`wl_lsms::transfer_atom_directive`, MPI two-sided) on a bystander:
+/// rank 0 sends a full atom to rank 1 `n` times after one warm-up
+/// transfer, and rank 2, which takes part in none of them, is timed on its
+/// own carrier thread. The warm-up compiles the region's clauses and
+/// validates its sites, so neither is timed.
+fn reopen_ns_per_region(n: usize) -> f64 {
+    use commint::CommSession;
+    use netsim::{run, ExecPolicy, SimConfig};
+    use wl_lsms::atom_comm::transfer_atom_directive;
+    use wl_lsms::{AtomData, AtomSizes};
+    let res = run(SimConfig::new(3).with_exec(ExecPolicy::bounded(3)), |ctx| {
+        let comm = mpisim::Comm::world(ctx);
+        let mut session = CommSession::new(ctx, comm).without_ir();
+        let mut atom = match session.rank() {
+            0 => AtomData::synthetic_fe(7, AtomSizes::default()),
+            _ => AtomData::new(AtomSizes::default()),
+        };
+        let mut transfer = |session: &mut CommSession<'_>| {
+            transfer_atom_directive(session, 0, 1, Target::Mpi2Side, &mut atom)
+                .expect("directive transfer")
+        };
+        transfer(&mut session);
+        let start = thread_cpu_ns();
+        for _ in 0..n {
+            transfer(&mut session);
+        }
+        let ns = (thread_cpu_ns() - start) as f64 / n as f64;
+        session.flush();
+        ns
+    });
+    res.per_rank[2]
+}
+
 fn micro_region(c: &mut Criterion) {
     for (name, loop_form) in [
         ("directive_region_spin_loop", true),
         ("directive_region_spin_instances", false),
     ] {
         c.bench_function(name, |b| b.iter(|| spin_regions(loop_form)));
+    }
+    let name = "directive_region_reopen_atom";
+    let mut per_region = Vec::new();
+    c.bench_function(name, |b| {
+        b.iter(|| per_region.push(reopen_ns_per_region(2_000)))
+    });
+    if !per_region.is_empty() {
+        per_region.sort_by(f64::total_cmp);
+        println!(
+            "{:<60} ns/region median {:.1} min {:.1}",
+            name,
+            per_region[per_region.len() / 2],
+            per_region[0]
+        );
     }
 }
 

@@ -30,6 +30,7 @@
 //! `fig_ddt.ab.diff.json`). `--ledger` appends the `--json` report to the
 //! run-history ledger read by `commscope trend`.
 
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bench::{
@@ -134,29 +135,33 @@ struct Site {
 }
 
 unsafe impl Described for Site {
-    fn layout() -> CompositeLayout {
-        CompositeLayout::nested::<Site>(
-            "Site",
-            vec![
-                NestedField::Prim(FieldDef {
-                    name: "tag".into(),
-                    offset: std::mem::offset_of!(Site, tag),
-                    ty: BasicType::I32,
-                    blocklen: 1,
-                }),
-                NestedField::Nested {
-                    name: "moment".into(),
-                    offset: std::mem::offset_of!(Site, moment),
-                    layout: Moment::layout(),
-                },
-                NestedField::Prim(FieldDef {
-                    name: "energy".into(),
-                    offset: std::mem::offset_of!(Site, energy),
-                    ty: BasicType::F64,
-                    blocklen: 1,
-                }),
-            ],
-        )
+    fn layout() -> Arc<CompositeLayout> {
+        static LAYOUT: OnceLock<Arc<CompositeLayout>> = OnceLock::new();
+        let layout = LAYOUT.get_or_init(|| {
+            Arc::new(CompositeLayout::nested::<Site>(
+                "Site",
+                vec![
+                    NestedField::Prim(FieldDef {
+                        name: "tag".into(),
+                        offset: std::mem::offset_of!(Site, tag),
+                        ty: BasicType::I32,
+                        blocklen: 1,
+                    }),
+                    NestedField::Nested {
+                        name: "moment".into(),
+                        offset: std::mem::offset_of!(Site, moment),
+                        layout: Moment::layout(),
+                    },
+                    NestedField::Prim(FieldDef {
+                        name: "energy".into(),
+                        offset: std::mem::offset_of!(Site, energy),
+                        ty: BasicType::F64,
+                        blocklen: 1,
+                    }),
+                ],
+            ))
+        });
+        Arc::clone(layout)
     }
 }
 

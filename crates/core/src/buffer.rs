@@ -14,6 +14,9 @@
 //! runtime prohibition into a compile-time guarantee; nested composites are
 //! likewise rejected because only primitive field specs exist.
 
+use std::mem::MaybeUninit;
+use std::sync::Arc;
+
 use mpisim::dtype::{BasicType, Datatype, StructField};
 use mpisim::pod::{as_bytes, as_bytes_mut, Pod};
 
@@ -101,7 +104,7 @@ pub enum NestedField {
         /// Byte offset of the embedded value within the outer struct.
         offset: usize,
         /// The inner composite's layout.
-        layout: CompositeLayout,
+        layout: Arc<CompositeLayout>,
     },
 }
 
@@ -193,6 +196,11 @@ impl CompositeLayout {
 
 /// A composite type whose layout is declared for communication.
 ///
+/// The layout is a property of the type, so it is built and validated once
+/// and shared: [`comm_datatype!`](crate::comm_datatype) keeps it in a
+/// `OnceLock`, and every buffer, descriptor and gather of the type reads
+/// that one copy (MPI's commit-once, reuse model for derived datatypes).
+///
 /// # Safety
 ///
 /// The layout must describe only initialized, padding-free field ranges of
@@ -200,54 +208,90 @@ impl CompositeLayout {
 /// [`comm_datatype!`](crate::comm_datatype) macro, which derives offsets
 /// with `std::mem::offset_of!` and is always correct.
 pub unsafe trait Described: Copy + Send + Sync + 'static {
-    /// The communication layout of this type.
-    fn layout() -> CompositeLayout;
+    /// The communication layout of this type, shared by every caller.
+    fn layout() -> Arc<CompositeLayout>;
+}
+
+/// The memory of `items`, padding included, as bytes that may be
+/// uninitialized: the type-erased view composite gathers walk.
+fn raw_bytes<T: Described>(items: &[T]) -> &[MaybeUninit<u8>] {
+    // SAFETY: every byte, initialized or not, is a valid `MaybeUninit<u8>`,
+    // and the view covers exactly the memory `items` borrows.
+    unsafe { std::slice::from_raw_parts(items.as_ptr().cast(), std::mem::size_of_val(items)) }
+}
+
+/// The mutable counterpart of [`raw_bytes`]. Only [`scatter_fields`]
+/// writes through it, and only initialized bytes into described fields,
+/// whose primitive types accept every byte pattern.
+fn raw_bytes_mut<T: Described>(items: &mut [T]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: as in `raw_bytes`; the writes keep every `T` valid (above).
+    unsafe {
+        std::slice::from_raw_parts_mut(items.as_mut_ptr().cast(), std::mem::size_of_val(items))
+    }
+}
+
+/// Append the described fields of the first `count` of `len` elements in
+/// `raw` (elements `layout.extent` bytes apart) to `out`, field by field:
+/// padding is never read.
+fn gather_fields(
+    layout: &CompositeLayout,
+    raw: &[MaybeUninit<u8>],
+    len: usize,
+    count: usize,
+    out: &mut Vec<u8>,
+) {
+    assert!(count <= len, "gather count exceeds buffer length");
+    out.reserve(count * layout.packed_size());
+    for e in 0..count {
+        let elem = &raw[e * layout.extent..];
+        for f in &layout.fields {
+            let field = &elem[f.offset..f.offset + f.blocklen * f.ty.size()];
+            // SAFETY: `raw` views elements of a `Described` type, whose
+            // layout contract makes every field range initialized.
+            out.extend_from_slice(unsafe { &*(field as *const [MaybeUninit<u8>] as *const [u8]) });
+        }
+    }
+}
+
+/// Fill the described fields of the first `count` of `len` elements in
+/// `raw` from packed bytes (the inverse of [`gather_fields`]).
+fn scatter_fields(
+    layout: &CompositeLayout,
+    raw: &mut [MaybeUninit<u8>],
+    len: usize,
+    count: usize,
+    packed: &[u8],
+) {
+    assert!(count <= len, "scatter count exceeds buffer length");
+    let need = count * layout.packed_size();
+    assert!(
+        packed.len() >= need,
+        "scatter source too small: {} < {need}",
+        packed.len()
+    );
+    // SAFETY: initialized bytes are valid `MaybeUninit<u8>`s.
+    let packed = unsafe { &*(&packed[..need] as *const [u8] as *const [MaybeUninit<u8>]) };
+    let mut pos = 0usize;
+    for e in 0..count {
+        let elem = &mut raw[e * layout.extent..];
+        for f in &layout.fields {
+            let n = f.blocklen * f.ty.size();
+            elem[f.offset..f.offset + n].copy_from_slice(&packed[pos..pos + n]);
+            pos += n;
+        }
+    }
 }
 
 /// Gather the described fields of `items` into packed bytes (appending to
 /// `out`). Field-wise copies: padding is never read.
 pub fn gather_described<T: Described>(items: &[T], count: usize, out: &mut Vec<u8>) {
-    let layout = T::layout();
-    assert!(count <= items.len(), "gather count exceeds buffer length");
-    out.reserve(count * layout.packed_size());
-    for item in &items[..count] {
-        let base = (item as *const T).cast::<u8>();
-        for f in &layout.fields {
-            let len = f.blocklen * f.ty.size();
-            let start = out.len();
-            out.resize(start + len, 0);
-            // SAFETY: the layout contract guarantees [offset, offset+len)
-            // is an initialized field range of T.
-            unsafe {
-                std::ptr::copy_nonoverlapping(base.add(f.offset), out[start..].as_mut_ptr(), len);
-            }
-        }
-    }
+    gather_fields(&T::layout(), raw_bytes(items), items.len(), count, out);
 }
 
 /// Scatter packed bytes into the described fields of `items`.
 pub fn scatter_described<T: Described>(items: &mut [T], count: usize, packed: &[u8]) {
-    let layout = T::layout();
-    assert!(count <= items.len(), "scatter count exceeds buffer length");
-    assert!(
-        packed.len() >= count * layout.packed_size(),
-        "scatter source too small: {} < {}",
-        packed.len(),
-        count * layout.packed_size()
-    );
-    let mut pos = 0usize;
-    for item in &mut items[..count] {
-        let base = (item as *mut T).cast::<u8>();
-        for f in &layout.fields {
-            let len = f.blocklen * f.ty.size();
-            // SAFETY: layout contract as in `gather_described`; writing
-            // field ranges of a Copy type is always sound.
-            unsafe {
-                std::ptr::copy_nonoverlapping(packed[pos..].as_ptr(), base.add(f.offset), len);
-            }
-            pos += len;
-        }
-    }
+    let len = items.len();
+    scatter_fields(&T::layout(), raw_bytes_mut(items), len, count, packed);
 }
 
 /// One parallel array of a struct-of-arrays group.
@@ -311,8 +355,8 @@ impl SoaLayout {
 pub enum ElemKind {
     /// A primitive element.
     Prim(BasicType),
-    /// A described composite element.
-    Composite(CompositeLayout),
+    /// A described composite element: the type's shared, once-built layout.
+    Composite(Arc<CompositeLayout>),
     /// A strided block of primitives: one "element" is `blocklen`
     /// consecutive values, placed `stride` values apart in memory — the
     /// `MPI_Type_vector` case (e.g. a matrix row in column-major storage).
@@ -556,8 +600,9 @@ pub trait RecvBuf {
 }
 
 /// A send buffer as a `comm_p2p` builder holds it. Every rank builds every
-/// directive instance, participant or not, so the common primitive case is
-/// kept inline as an element-typed byte view instead of a heap box.
+/// directive instance, participant or not, so the common primitive and
+/// composite cases are kept inline as typed byte views instead of a heap
+/// box.
 pub enum SendSlot<'d> {
     /// A primitive slice, viewed as bytes.
     Prim {
@@ -568,8 +613,33 @@ pub enum SendSlot<'d> {
         /// The elements' bytes.
         bytes: &'d [u8],
     },
+    /// A [`Struc`] with its element type erased.
+    Composite(CompositeView<'d, &'d [MaybeUninit<u8>]>),
     /// Any other buffer.
     Boxed(Box<dyn SendBuf + 'd>),
+}
+
+/// A described-composite slice with its element type erased: what a
+/// [`Struc`] or [`StrucMut`] becomes in a `comm_p2p` builder. `raw` is the
+/// elements' memory, padding included, as `&[MaybeUninit<u8>]` or its
+/// `&mut` form; only the layout's field ranges are read or written. The
+/// fields are private and only those two types build one, so `raw` always
+/// holds `len` elements of the type `layout` describes.
+pub struct CompositeView<'d, R> {
+    name: &'d str,
+    layout: Arc<CompositeLayout>,
+    len: usize,
+    raw: R,
+}
+
+impl<R: std::ops::Deref<Target = [MaybeUninit<u8>]>> CompositeView<'_, R> {
+    fn desc(&self) -> BufDesc {
+        composite_desc(&self.layout, self.len, &self.raw)
+    }
+
+    fn meta(&self) -> BufMeta {
+        with_name(self.name, self.desc())
+    }
 }
 
 /// A receive buffer as a `comm_p2p` builder holds it (see [`SendSlot`]).
@@ -583,6 +653,8 @@ pub enum RecvSlot<'d> {
         /// The elements' bytes.
         bytes: &'d mut [u8],
     },
+    /// A [`StrucMut`] with its element type erased.
+    Composite(CompositeView<'d, &'d mut [MaybeUninit<u8>]>),
     /// Any other buffer.
     Boxed(Box<dyn RecvBuf + 'd>),
 }
@@ -591,6 +663,7 @@ impl SendBuf for SendSlot<'_> {
     fn meta(&self) -> BufMeta {
         match self {
             SendSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            SendSlot::Composite(v) => v.meta(),
             SendSlot::Boxed(b) => b.meta(),
         }
     }
@@ -598,13 +671,14 @@ impl SendBuf for SendSlot<'_> {
     fn desc(&self) -> BufDesc {
         match self {
             SendSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            SendSlot::Composite(v) => v.desc(),
             SendSlot::Boxed(b) => b.desc(),
         }
     }
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         match self {
-            SendSlot::Prim { .. } => None,
+            SendSlot::Prim { .. } | SendSlot::Composite(_) => None,
             SendSlot::Boxed(b) => b.sub_ranges(),
         }
     }
@@ -612,6 +686,7 @@ impl SendBuf for SendSlot<'_> {
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
         match self {
             SendSlot::Prim { ty, bytes, .. } => prim_gather(*ty, bytes, count, out),
+            SendSlot::Composite(v) => gather_fields(&v.layout, v.raw, v.len, count, out),
             SendSlot::Boxed(b) => b.gather(count, out),
         }
     }
@@ -621,6 +696,7 @@ impl RecvBuf for RecvSlot<'_> {
     fn meta(&self) -> BufMeta {
         match self {
             RecvSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            RecvSlot::Composite(v) => v.meta(),
             RecvSlot::Boxed(b) => b.meta(),
         }
     }
@@ -628,13 +704,14 @@ impl RecvBuf for RecvSlot<'_> {
     fn desc(&self) -> BufDesc {
         match self {
             RecvSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            RecvSlot::Composite(v) => v.desc(),
             RecvSlot::Boxed(b) => b.desc(),
         }
     }
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         match self {
-            RecvSlot::Prim { .. } => None,
+            RecvSlot::Prim { .. } | RecvSlot::Composite(_) => None,
             RecvSlot::Boxed(b) => b.sub_ranges(),
         }
     }
@@ -642,19 +719,33 @@ impl RecvBuf for RecvSlot<'_> {
     fn scatter(&mut self, count: usize, packed: &[u8]) {
         match self {
             RecvSlot::Prim { ty, bytes, .. } => prim_scatter(*ty, bytes, count, packed),
+            RecvSlot::Composite(v) => scatter_fields(&v.layout, v.raw, v.len, count, packed),
             RecvSlot::Boxed(b) => b.scatter(count, packed),
         }
     }
 }
 
-fn prim_meta(name: &str, ty: BasicType, bytes: &[u8]) -> BufMeta {
-    let BufDesc { elem, len, addr } = prim_desc(ty, bytes);
+fn with_name(name: &str, desc: BufDesc) -> BufMeta {
+    let BufDesc { elem, len, addr } = desc;
     BufMeta {
         name: name.to_string(),
         elem,
         len,
         addr,
     }
+}
+
+fn composite_desc(layout: &Arc<CompositeLayout>, len: usize, raw: &[MaybeUninit<u8>]) -> BufDesc {
+    let lo = raw.as_ptr() as usize;
+    BufDesc {
+        elem: ElemKind::Composite(Arc::clone(layout)),
+        len,
+        addr: (lo, lo + raw.len()),
+    }
+}
+
+fn prim_meta(name: &str, ty: BasicType, bytes: &[u8]) -> BufMeta {
+    with_name(name, prim_desc(ty, bytes))
 }
 
 fn prim_desc(ty: BasicType, bytes: &[u8]) -> BufDesc {
@@ -779,17 +870,27 @@ impl<'a, T: Described> Struc<'a, T> {
 
 impl<T: Described> SendBuf for Struc<'_, T> {
     fn meta(&self) -> BufMeta {
-        let lo = self.data.as_ptr() as usize;
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Composite(T::layout()),
-            len: self.data.len(),
-            addr: (lo, lo + std::mem::size_of_val(self.data)),
-        }
+        with_name(self.name, self.desc())
+    }
+
+    fn desc(&self) -> BufDesc {
+        composite_desc(&T::layout(), self.data.len(), raw_bytes(self.data))
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
         gather_described(self.data, count, out);
+    }
+
+    fn into_send_slot<'d>(self) -> SendSlot<'d>
+    where
+        Self: 'd,
+    {
+        SendSlot::Composite(CompositeView {
+            name: self.name,
+            layout: T::layout(),
+            len: self.data.len(),
+            raw: raw_bytes(self.data),
+        })
     }
 }
 
@@ -808,17 +909,27 @@ impl<'a, T: Described> StrucMut<'a, T> {
 
 impl<T: Described> RecvBuf for StrucMut<'_, T> {
     fn meta(&self) -> BufMeta {
-        let lo = self.data.as_ptr() as usize;
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Composite(T::layout()),
-            len: self.data.len(),
-            addr: (lo, lo + std::mem::size_of_val(self.data)),
-        }
+        with_name(self.name, self.desc())
+    }
+
+    fn desc(&self) -> BufDesc {
+        composite_desc(&T::layout(), self.data.len(), raw_bytes(self.data))
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
         scatter_described(self.data, count, packed);
+    }
+
+    fn into_recv_slot<'d>(self) -> RecvSlot<'d>
+    where
+        Self: 'd,
+    {
+        RecvSlot::Composite(CompositeView {
+            name: self.name,
+            layout: T::layout(),
+            len: self.data.len(),
+            raw: raw_bytes_mut(self.data),
+        })
     }
 }
 
@@ -1188,18 +1299,23 @@ macro_rules! comm_datatype {
         }
 
         unsafe impl $crate::buffer::Described for $name {
-            fn layout() -> $crate::buffer::CompositeLayout {
-                $crate::buffer::CompositeLayout::new::<$name>(
-                    stringify!($name),
-                    vec![
-                        $( $crate::buffer::FieldDef {
-                            name: stringify!($field).to_string(),
-                            offset: std::mem::offset_of!($name, $field),
-                            ty: <$ty as $crate::buffer::FieldSpec>::TY,
-                            blocklen: <$ty as $crate::buffer::FieldSpec>::BLOCKLEN,
-                        }, )*
-                    ],
-                )
+            fn layout() -> std::sync::Arc<$crate::buffer::CompositeLayout> {
+                static LAYOUT: std::sync::OnceLock<std::sync::Arc<$crate::buffer::CompositeLayout>> =
+                    std::sync::OnceLock::new();
+                let layout = LAYOUT.get_or_init(|| {
+                    std::sync::Arc::new($crate::buffer::CompositeLayout::new::<$name>(
+                        stringify!($name),
+                        vec![
+                            $( $crate::buffer::FieldDef {
+                                name: stringify!($field).to_string(),
+                                offset: std::mem::offset_of!($name, $field),
+                                ty: <$ty as $crate::buffer::FieldSpec>::TY,
+                                blocklen: <$ty as $crate::buffer::FieldSpec>::BLOCKLEN,
+                            }, )*
+                        ],
+                    ))
+                });
+                std::sync::Arc::clone(layout)
             }
         }
     };
@@ -1289,6 +1405,47 @@ mod tests {
         scatter_described(&mut back, 1, &packed);
         assert_eq!(back[0], items[0]);
         assert_eq!(back[1].a, 0);
+    }
+
+    #[test]
+    fn composite_slots_match_described_gather_and_scatter() {
+        let items = [
+            Mixed {
+                a: 5,
+                b: 0.5,
+                tag3: [4, 5, 6],
+                v: [1.5, 2.5],
+            },
+            Mixed {
+                a: -6,
+                b: -0.5,
+                tag3: [7, 8, 9],
+                v: [3.5, 4.5],
+            },
+        ];
+        let sb = Struc::new("items", &items);
+        let want = sb.meta();
+        let slot = sb.into_send_slot();
+        assert_eq!(slot.meta(), want);
+        assert_eq!(BufDesc::from(want), slot.desc());
+        let (mut packed, mut direct) = (Vec::new(), Vec::new());
+        slot.gather(2, &mut packed);
+        gather_described(&items, 2, &mut direct);
+        assert_eq!(packed, direct);
+
+        let mut back = [Mixed {
+            a: 0,
+            b: 0.0,
+            tag3: [0; 3],
+            v: [0.0; 2],
+        }; 2];
+        let mut rslot = StrucMut::new("back", &mut back).into_recv_slot();
+        assert_eq!(rslot.desc().elem, ElemKind::Composite(Mixed::layout()));
+        assert_eq!(rslot.desc().len, 2);
+        rslot.scatter(1, &packed);
+        drop(rslot);
+        assert_eq!(back[0], items[0]);
+        assert_eq!(back[1].a, 0, "only `count` elements are written");
     }
 
     #[test]
@@ -1517,7 +1674,7 @@ mod tests {
                 NestedField::Nested {
                     name: "inner".into(),
                     offset: std::mem::offset_of!(Outer, inner),
-                    layout: inner_layout,
+                    layout: Arc::new(inner_layout),
                 },
                 NestedField::Prim(FieldDef {
                     name: "w".into(),

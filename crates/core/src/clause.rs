@@ -115,8 +115,8 @@ impl fmt::Display for DirectiveKind {
 
 /// The clause payload shared by both directives (plus the two
 /// parameters-only clauses; admissibility is checked by
-/// [`ClauseSet::validate`]).
-#[derive(Clone, Debug, Default)]
+/// [`ClauseSet::validate`]). Equality is structural (see [`RankExpr`]'s).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClauseSet {
     /// `sender(expr)`: rank that sends *to* the evaluating process.
     pub sender: Option<RankExpr>,

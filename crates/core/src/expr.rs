@@ -604,6 +604,49 @@ impl CondExpr {
     }
 }
 
+/// Structural equality: the same tree, with opaque closures equal only to
+/// themselves (the same `Arc` under the same label). A compiled program is
+/// a function of the tree alone, so equal expressions compile to
+/// interchangeable programs against the same [`VarTable`].
+impl PartialEq for RankExpr {
+    fn eq(&self, other: &Self) -> bool {
+        use RankExpr::*;
+        match (self, other) {
+            (Rank, Rank) | (NRanks, NRanks) => true,
+            (Const(a), Const(b)) => a == b,
+            (Var(a), Var(b)) => a == b,
+            (Add(a, b), Add(c, d))
+            | (Sub(a, b), Sub(c, d))
+            | (Mul(a, b), Mul(c, d))
+            | (Div(a, b), Div(c, d))
+            | (Mod(a, b), Mod(c, d)) => a == c && b == d,
+            (Neg(a), Neg(b)) => a == b,
+            (Opaque(f, l), Opaque(g, m)) => Arc::ptr_eq(f, g) && l == m,
+            _ => false,
+        }
+    }
+}
+
+/// Structural equality, as for [`RankExpr`].
+impl PartialEq for CondExpr {
+    fn eq(&self, other: &Self) -> bool {
+        use CondExpr::*;
+        match (self, other) {
+            (True, True) | (False, False) => true,
+            (Eq(a, b), Eq(c, d))
+            | (Ne(a, b), Ne(c, d))
+            | (Lt(a, b), Lt(c, d))
+            | (Le(a, b), Le(c, d))
+            | (Gt(a, b), Gt(c, d))
+            | (Ge(a, b), Ge(c, d)) => a == c && b == d,
+            (And(a, b), And(c, d)) | (Or(a, b), Or(c, d)) => a == c && b == d,
+            (Not(a), Not(b)) => a == b,
+            (Opaque(f, l), Opaque(g, m)) => Arc::ptr_eq(f, g) && l == m,
+            _ => false,
+        }
+    }
+}
+
 impl fmt::Debug for CondExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self}")
@@ -1180,6 +1223,32 @@ mod tests {
         assert_eq!(t.slot("late"), late);
         let listed: Vec<_> = t.iter().collect();
         assert_eq!(listed, vec![("a", 1), ("b", 2), ("late", 3)]);
+    }
+
+    #[test]
+    fn equality_is_structural() {
+        let (rank, lit, var) = (RankExpr::rank, RankExpr::lit, RankExpr::var);
+        let ring = || (rank() + lit(1)) % RankExpr::nranks();
+        assert_eq!(ring(), ring());
+        assert_ne!(ring(), (rank() + lit(2)) % RankExpr::nranks());
+        assert_ne!(ring(), (rank() - lit(1)) % RankExpr::nranks());
+        assert_ne!(var("a"), var("b"));
+        assert_ne!(rank(), RankExpr::nranks());
+        let when = || rank().eq(var("a")).and(RankExpr::nranks().gt(lit(2)));
+        assert_eq!(when(), when());
+        assert_ne!(
+            when(),
+            rank().eq(var("a")).or(RankExpr::nranks().gt(lit(2)))
+        );
+        assert_ne!(rank().eq(var("a")), rank().ne(var("a")));
+        assert_ne!(CondExpr::True, CondExpr::False);
+        // An opaque closure equals only itself, whatever it computes.
+        let f = RankExpr::opaque("f", |env| env.rank);
+        assert_eq!(f, f.clone());
+        assert_ne!(f, RankExpr::opaque("f", |env| env.rank));
+        let p = CondExpr::opaque("p", |_| true);
+        assert_eq!(p, p.clone());
+        assert_ne!(p, CondExpr::opaque("p", |_| true));
     }
 
     #[test]

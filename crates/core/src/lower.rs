@@ -905,7 +905,7 @@ mod tests {
         let mut spec = ring_spec();
         spec.body[0].sbuf = vec![BufMeta {
             name: "atom".to_string(),
-            elem: ElemKind::Composite(layout.clone()),
+            elem: ElemKind::Composite(std::sync::Arc::new(layout)),
             len: 1,
             addr: (0, 24),
         }];
@@ -952,7 +952,7 @@ mod tests {
             blocklen: 1,
             stride: 4,
         };
-        let comp = ElemKind::Composite(CompositeLayout {
+        let comp = ElemKind::Composite(std::sync::Arc::new(CompositeLayout {
             name: "S".into(),
             extent: 24,
             fields: vec![
@@ -969,7 +969,7 @@ mod tests {
                     blocklen: 1,
                 },
             ],
-        });
+        }));
         let soa = soa4_meta("x", 0).elem;
 
         // Contiguous memory is always handed over unchanged.

@@ -16,6 +16,7 @@
 //! the in-flight transfer, exactly like the generated overlap code.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use mpisim::dtype::DtypeCache;
 use mpisim::Comm;
@@ -30,6 +31,11 @@ use crate::overlay::{Decision, Overlay};
 
 mod loop_form;
 pub use loop_form::{CommLoop, LoopIter, LoopP2p};
+
+/// Distinct clause sets whose compiled programs a session keeps; the
+/// oldest is dropped beyond this. Applications reopen a handful of regions,
+/// and the lookup compares clause sets one by one.
+const COMPILED_REGIONS: usize = 16;
 
 /// Base user tag reserved for directive-generated messages.
 const DIR_TAG_BASE: i32 = 1 << 18;
@@ -332,6 +338,14 @@ pub struct CommSession<'a> {
     /// Recorded region IR (first instance per call order), for analysis.
     program: Vec<ParamsSpec>,
     record_ir: bool,
+    /// The compiled programs of each distinct clause set a region has
+    /// opened with, newest last. Programs read variables by `VarTable` slot
+    /// and slots are never removed, so a program compiled for an equal
+    /// clause set in this session is the program compiling would build.
+    compiled: Vec<(ClauseSet, Arc<RegionPrograms>)>,
+    /// A region's working lists, kept between regions so that reopening
+    /// one reuses their capacity.
+    spare: RegionLists,
     /// Installed tuning overlay plus its coalescing state. `None` (the
     /// untuned hot path) costs a single branch per directive instance.
     overlay: Option<Box<OverlayState>>,
@@ -355,6 +369,8 @@ impl<'a> CommSession<'a> {
             recv_horizons: Vec::new(),
             program: Vec::new(),
             record_ir: true,
+            compiled: Vec::new(),
+            spare: RegionLists::default(),
             overlay: None,
             lowering: LoweringPolicy::default(),
         }
@@ -499,6 +515,20 @@ impl<'a> CommSession<'a> {
         result.map(|()| ranks)
     }
 
+    /// The compiled programs of `clauses`: those of an equal clause set
+    /// this session has compiled, else compiled now and kept.
+    fn region_programs(&mut self, clauses: &ClauseSet) -> Arc<RegionPrograms> {
+        if let Some((_, programs)) = self.compiled.iter().find(|(c, _)| c == clauses) {
+            return Arc::clone(programs);
+        }
+        let programs = Arc::new(RegionPrograms::compile(clauses, &mut self.env.vars));
+        if self.compiled.len() == COMPILED_REGIONS {
+            self.compiled.remove(0);
+        }
+        self.compiled.push((clauses.clone(), Arc::clone(&programs)));
+        programs
+    }
+
     /// Execute a `comm_parameters` region: validates the clause list,
     /// applies any synchronization deferred to the region's beginning, runs
     /// `body`, then places this region's synchronization per `place_sync`.
@@ -526,31 +556,31 @@ impl<'a> CommSession<'a> {
             None => None,
         };
 
-        let programs = RegionPrograms::compile(&params.clauses, &mut self.env.vars);
-        let scratch = vec![0; programs.depth()];
+        let programs = self.region_programs(&params.clauses);
+        let mut lists = std::mem::take(&mut self.spare);
+        lists.scratch.resize(programs.depth(), 0);
         let mut region = Region {
             session: self,
+            clauses: &params.clauses,
             programs,
-            scratch,
+            lists,
             pending: PendingSync::default(),
-            spec: ParamsSpec {
-                clauses: params.clauses.clone(),
-                body: Vec::new(),
-                spans: Default::default(),
-            },
-            sites: Vec::new(),
+            body: Vec::new(),
             max_iter,
             error: None,
-            used_bufs: Vec::new(),
             split_syncs: 0,
         };
         let out = body(&mut region);
         let Region {
             mut pending,
-            spec,
+            mut lists,
+            body,
             error,
             ..
         } = region;
+        let placement = placement(&params.clauses, &lists.sites);
+        lists.clear();
+        self.spare = lists;
         if let Some(e) = error {
             // Abandon half-built coalescing batches; the receiver side of
             // this region is aborting too, so nothing will wait for them.
@@ -565,32 +595,26 @@ impl<'a> CommSession<'a> {
                 mpi1_horizon: pending.mpi1_horizon,
                 ..PendingSync::default()
             };
-            self.place_sync(&spec, fence);
+            self.place_sync(placement, fence);
             return Err(e);
         }
 
         // Region-end flush: coalesced batches never outlive their region,
         // keeping the flush rule a pure function of the instance schedule.
         flush_coalesced(self, &mut pending, None);
-        self.place_sync(&spec, pending);
+        self.place_sync(placement, pending);
         if self.record_ir {
-            self.program.push(spec);
+            self.program.push(ParamsSpec {
+                clauses: params.clauses.clone(),
+                body,
+                spans: Default::default(),
+            });
         }
         Ok(out)
     }
 
-    /// Apply or carry a region's `pending` sync where its placement says:
-    /// the written `place_sync`, overridden by the overlay's decision for
-    /// any site the region executed.
-    fn place_sync(&mut self, spec: &ParamsSpec, pending: PendingSync) {
-        let mut placement = spec.place_sync();
-        if let Some(ov) = self.overlay.as_deref() {
-            for p in &spec.body {
-                if let Some(p2) = ov.overlay.place_sync_for(p.site) {
-                    placement = p2;
-                }
-            }
-        }
+    /// Apply or carry a region's `pending` sync at `placement`.
+    fn place_sync(&mut self, placement: PlaceSync, pending: PendingSync) {
         match placement {
             PlaceSync::EndParamRegion => {
                 let adj = std::mem::take(&mut self.carried_adj);
@@ -702,10 +726,24 @@ impl<'a> CommSession<'a> {
     }
 }
 
+/// Where a region's sync goes: the written `place_sync`, overridden by the
+/// overlay's decision for the last site the region executed that has one.
+fn placement(clauses: &ClauseSet, sites: &[SiteRecord]) -> PlaceSync {
+    sites
+        .iter()
+        .rev()
+        .find_map(|s| match s.decision {
+            Some(Decision::PlaceSync(p)) => Some(p),
+            _ => None,
+        })
+        .unwrap_or(clauses.place_sync.unwrap_or_default())
+}
+
 /// A region's inherited `sendwhen`, `receivewhen`, `count`, `sender` and
-/// `receiver`, compiled once when the region opens against the session's
-/// variables. A name the region's body binds later gets an unbound slot
-/// now and is read through it once bound.
+/// `receiver`, compiled against the session's variables the first time a
+/// region with that clause set opens (`CommSession::region_programs`). A
+/// name the region's body binds later gets an unbound slot then and is
+/// read through it once bound.
 struct RegionPrograms {
     sendwhen: Option<CompiledCond>,
     receivewhen: Option<CompiledCond>,
@@ -715,14 +753,14 @@ struct RegionPrograms {
 }
 
 impl RegionPrograms {
-    fn compile(c: &ClauseSet, vars: &mut VarTable) -> Box<Self> {
-        Box::new(RegionPrograms {
+    fn compile(c: &ClauseSet, vars: &mut VarTable) -> Self {
+        RegionPrograms {
             sendwhen: c.sendwhen.as_ref().map(|e| e.compile(vars)),
             receivewhen: c.receivewhen.as_ref().map(|e| e.compile(vars)),
             count: c.count.as_ref().map(|e| e.compile(vars)),
             sender: c.sender.as_ref().map(|e| e.compile(vars)),
             receiver: c.receiver.as_ref().map(|e| e.compile(vars)),
-        })
+        }
     }
 
     /// Operand stack depth the deepest program needs.
@@ -746,25 +784,42 @@ struct SiteRecord {
     decision: Option<Decision>,
 }
 
-/// An open `comm_parameters` region.
-pub struct Region<'s, 'a> {
-    session: &'s mut CommSession<'a>,
-    programs: Box<RegionPrograms>,
-    /// Operand stack shared by `programs`, sized when they are compiled and
-    /// kept here rather than in the frames of every rank's stack.
+/// A region's working lists. The session lends them to each region it
+/// opens and takes them back, emptied, when the region ends.
+#[derive(Default)]
+struct RegionLists {
+    /// Operand stack shared by the region's programs, sized when it opens
+    /// and kept here rather than in the frames of every rank's stack.
     scratch: Vec<i64>,
-    pending: PendingSync,
-    /// The region's IR; its clauses are the ones the region's p2ps inherit.
-    spec: ParamsSpec,
     sites: Vec<SiteRecord>,
-    max_iter: Option<i64>,
-    error: Option<DirectiveError>,
     /// Address ranges touched by pending (unsynced) directives in this
     /// region: `(lo, hi, written)`. A new directive whose buffers conflict
     /// (write-write or read-write overlap) forces an intermediate sync —
     /// the paper consolidates only "adjacent comm_p2p directives with
     /// independent buffers".
     used_bufs: Vec<(usize, usize, bool)>,
+}
+
+impl RegionLists {
+    fn clear(&mut self) {
+        self.scratch.clear();
+        self.sites.clear();
+        self.used_bufs.clear();
+    }
+}
+
+/// An open `comm_parameters` region.
+pub struct Region<'s, 'a> {
+    session: &'s mut CommSession<'a>,
+    /// The clauses the region's p2ps inherit.
+    clauses: &'s ClauseSet,
+    programs: Arc<RegionPrograms>,
+    lists: RegionLists,
+    pending: PendingSync,
+    /// The IR of the region's p2ps, built only when the session records IR.
+    body: Vec<P2pSpec>,
+    max_iter: Option<i64>,
+    error: Option<DirectiveError>,
     /// Number of intermediate syncs forced by buffer dependences.
     pub split_syncs: usize,
 }
@@ -950,30 +1005,30 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
                 // directive instance — no clones on the hot path).
                 let Region {
                     session,
+                    clauses,
                     programs,
-                    scratch,
+                    lists,
                     pending,
-                    spec,
-                    sites,
+                    body: ir,
                     max_iter,
                     error: _,
-                    used_bufs,
                     split_syncs,
                 } = &mut **r;
                 let region = InRegion {
-                    clauses: &spec.clauses,
+                    clauses,
                     programs,
-                    scratch,
+                    scratch: &mut lists.scratch,
                     max_iter: *max_iter,
-                    sites,
-                    used_bufs,
+                    sites: &mut lists.sites,
+                    used_bufs: &mut lists.used_bufs,
                     split_syncs,
                 };
+                let ir = session.record_ir.then_some(ir);
                 execute_p2p(
                     session,
                     pending,
                     Some(region),
-                    Some(&mut spec.body),
+                    ir,
                     own_clauses,
                     self.site,
                     &self.sbufs,
@@ -1000,9 +1055,9 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
 }
 
 /// A standalone p2p: executed, then synchronized immediately, its IR
-/// recorded. Kept out of line (as are the other cold paths below) so the
-/// in-region hot path carries none of its state on the stack of every
-/// rank.
+/// recorded if the session records IR. Kept out of line (as are the other
+/// cold paths below) so the in-region hot path carries none of its state
+/// on the stack of every rank.
 #[inline(never)]
 fn execute_standalone(
     session: &mut CommSession<'_>,
@@ -1014,11 +1069,12 @@ fn execute_standalone(
 ) -> Result<(), DirectiveError> {
     let mut pending = PendingSync::default();
     let mut spec = ParamsSpec::default();
+    let ir = session.record_ir.then_some(&mut spec.body);
     execute_p2p(
         session,
         &mut pending,
         None,
-        Some(&mut spec.body),
+        ir,
         own,
         site,
         sbufs,
@@ -1376,8 +1432,9 @@ fn execute_p2p(
 }
 
 /// First execution of a site in a region: validate the clauses and the
-/// buffer list, and record the site's IR. Cold and out of line (see
-/// `execute_standalone`).
+/// buffer list (allocating only to report a failure), and record the
+/// site's IR into `ir` when the session records IR. Cold and out of line
+/// (see `execute_standalone`).
 #[cold]
 #[inline(never)]
 fn validate_and_record(
@@ -2143,6 +2200,46 @@ mod tests {
             ctx.stats.waitalls
         });
         assert_eq!(res.per_rank, vec![1, 1], "one consolidated sync per rank");
+    }
+
+    #[test]
+    fn reopened_regions_keep_their_own_programs() {
+        // Two clause sets alternate in one session: each reopening must
+        // run its own compiled programs, never the other set's.
+        let one_way = |from: i64| {
+            CommParams::new()
+                .sender(RankExpr::lit(from))
+                .receiver(RankExpr::var("to"))
+                .sendwhen(RankExpr::rank().eq(RankExpr::lit(from)))
+                .receivewhen(RankExpr::rank().eq(RankExpr::var("to")))
+        };
+        let res = run(SimConfig::new(2), move |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm).without_ir();
+            let me = s.rank() as i64;
+            let mut got = Vec::new();
+            for round in 0..3i64 {
+                for (from, to) in [(0, 1), (1, 0)] {
+                    s.set_var("to", to);
+                    let src = [10 * round + me];
+                    let mut dst = [-1i64];
+                    s.region(&one_way(from), |reg| {
+                        reg.p2p()
+                            .site(1)
+                            .sbuf(Prim::new("src", &src))
+                            .rbuf(PrimMut::new("dst", &mut dst))
+                            .run()
+                            .unwrap();
+                    })
+                    .unwrap();
+                    got.push(dst[0]);
+                }
+            }
+            s.flush();
+            (got, s.compiled.len())
+        });
+        assert_eq!(res.per_rank[0], (vec![-1, 1, -1, 11, -1, 21], 2));
+        assert_eq!(res.per_rank[1], (vec![0, -1, 10, -1, 20, -1], 2));
     }
 
     #[test]

@@ -451,7 +451,7 @@ impl<'a> Region<'_, 'a> {
                 }
             }
         }
-        if let Some(rec) = self.sites.first_mut() {
+        if let Some(rec) = self.lists.sites.first_mut() {
             rec.executions = total;
         }
         self.bind(space, &slots, &space.index(total - 1));
@@ -464,7 +464,7 @@ impl<'a> Region<'_, 'a> {
             space,
             env: &self.session.env,
         };
-        let clauses = &self.spec.clauses;
+        let clauses = self.clauses;
         if clauses.count.as_ref().is_some_and(|c| solver.varies(c)) {
             return None;
         }
@@ -496,7 +496,7 @@ impl<'a> Region<'_, 'a> {
     {
         let ix = space.index(k);
         self.bind(space, slots, &ix);
-        if let Some(rec) = self.sites.first_mut() {
+        if let Some(rec) = self.lists.sites.first_mut() {
             rec.executions = k;
         }
         let out = body(&ix[..space.dims], LoopIter { region: self });
@@ -505,7 +505,7 @@ impl<'a> Region<'_, 'a> {
             return Err(e.clone());
         }
         out?;
-        match self.sites[..] {
+        match self.lists.sites[..] {
             [SiteRecord { executions, .. }] if executions == k + 1 => Ok(()),
             _ => Err(self.broken_contract()),
         }

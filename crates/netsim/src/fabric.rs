@@ -299,7 +299,6 @@ fn complete_match(env: Envelope, post_time: Time, slot: &RecvSlot) {
 // Group barriers with clock reconciliation
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
 struct BarrierInner {
     arrived: usize,
     max_entry: Time,
@@ -307,6 +306,10 @@ struct BarrierInner {
     /// Single-wake registrations: ranks parked in this generation, woken
     /// through the scheduler by the last arriver.
     waiters: Vec<crate::sched::Waiter>,
+    /// The previous generation's list, emptied: the last arriver swaps it
+    /// in for the next generation. Both lists hold room for every waiter
+    /// from the start, so no arriver allocates, whichever arrives first.
+    spare: Vec<crate::sched::Waiter>,
 }
 
 /// A reusable barrier over a fixed group size that also reconciles virtual
@@ -318,9 +321,16 @@ pub struct GroupBarrier {
 
 impl GroupBarrier {
     fn new(size: usize) -> Self {
+        let waiters = size.saturating_sub(1);
         GroupBarrier {
             size,
-            inner: Mutex::new(BarrierInner::default()),
+            inner: Mutex::new(BarrierInner {
+                arrived: 0,
+                max_entry: Time::ZERO,
+                exit_time: Time::ZERO,
+                waiters: Vec::with_capacity(waiters),
+                spare: Vec::with_capacity(waiters),
+            }),
         }
     }
 
@@ -344,13 +354,17 @@ impl GroupBarrier {
         g.exit_time = exit;
         g.arrived = 0;
         g.max_entry = Time::ZERO;
-        let waiters = std::mem::take(&mut g.waiters);
+        let spare = std::mem::take(&mut g.spare);
+        let mut waiters = std::mem::replace(&mut g.waiters, spare);
         drop(g);
         // Wake parked ranks through the scheduler: each is queued on its
         // carrier at the reconciled exit clock.
-        for w in waiters {
+        for w in waiters.drain(..) {
             w.wake(exit);
         }
+        // The next generation cannot complete before this rank re-enters,
+        // so the emptied list is back before anyone swaps it in again.
+        self.inner.lock().spare = waiters;
         exit
     }
 }

@@ -87,15 +87,18 @@ impl SymbolTable {
         self
     }
 
-    /// Declare a composite buffer.
+    /// Declare a composite buffer: a [`Described`] type's shared layout
+    /// (`T::layout()`), or a layout built by hand.
+    ///
+    /// [`Described`]: commint::buffer::Described
     pub fn declare_composite(
         &mut self,
         name: &str,
-        layout: commint::buffer::CompositeLayout,
+        layout: impl Into<std::sync::Arc<commint::buffer::CompositeLayout>>,
         len: usize,
     ) -> &mut Self {
         self.entries
-            .insert(name.to_string(), (ElemKind::Composite(layout), len));
+            .insert(name.to_string(), (ElemKind::Composite(layout.into()), len));
         self
     }
 

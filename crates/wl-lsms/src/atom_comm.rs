@@ -137,7 +137,10 @@ pub fn transfer_atom_directive(
         .receiver(RankExpr::var("to_rank"))
         .target(target);
 
-    // The region borrows the atom's pieces disjointly.
+    // The region borrows the atom's pieces disjointly. Its send buffers
+    // alias its receive buffers, so the sender reads a snapshot; every
+    // other rank passes empty arrays (the counts are explicit), as
+    // `set_evec_directive` does.
     let AtomData {
         scalars,
         vr,
@@ -147,13 +150,15 @@ pub fn transfer_atom_directive(
         lc,
         kc,
     } = atom;
+    let sends = session.rank() == from;
+    let (n1, n2) = if sends { (size1, size2) } else { (0, 0) };
     let scalars_src = *scalars;
-    let vr_src = vr.as_slice()[..size1].to_vec();
-    let rhotot_src = rhotot.as_slice()[..size1].to_vec();
-    let ec_src = ec.as_slice()[..size2].to_vec();
-    let nc_src = nc.as_slice()[..size2].to_vec();
-    let lc_src = lc.as_slice()[..size2].to_vec();
-    let kc_src = kc.as_slice()[..size2].to_vec();
+    let vr_src = vr.as_slice()[..n1].to_vec();
+    let rhotot_src = rhotot.as_slice()[..n1].to_vec();
+    let ec_src = ec.as_slice()[..n2].to_vec();
+    let nc_src = nc.as_slice()[..n2].to_vec();
+    let lc_src = lc.as_slice()[..n2].to_vec();
+    let kc_src = kc.as_slice()[..n2].to_vec();
 
     session.region(&params, |reg| {
         // #pragma comm_p2p sbuf(scalaratomdata) rbuf(scalaratomdata) count(1)

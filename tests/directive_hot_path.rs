@@ -591,3 +591,122 @@ fn skipped_loop_iterations_do_not_allocate() {
         );
     }
 }
+
+// -- reopening a region ---------------------------------------------------------
+
+commint::comm_datatype! {
+    /// A small composite for the reopening tests.
+    struct Probe {
+        id: i32,
+        pos: [f64; 3],
+        tag: [u8; 5],
+    }
+}
+
+#[test]
+fn described_layout_is_built_once() {
+    use commint::buffer::Described;
+    let first = Probe::layout();
+    let before = thread_allocs();
+    let second = Probe::layout();
+    assert_eq!(thread_allocs() - before, 0, "a second layout() allocated");
+    assert!(
+        std::sync::Arc::ptr_eq(&first, &second),
+        "one layout per type"
+    );
+}
+
+/// Allocations per rank over `reopenings` reopenings of a two-site region
+/// (a primitive and a composite buffer) with one clause set, in which both
+/// ranks are non-participants. Two warm-up regions come first: the first
+/// compiles the clauses and joins each site's staging allocation.
+fn reopening_allocs(target: Target, reopenings: usize) -> Vec<u64> {
+    let params = pair(5, 6, target, 1);
+    run(two_carriers(), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm).without_ir();
+        let (src, mut dst) = ([1.0f64; 3], [0.0f64; 3]);
+        let probe = Probe {
+            id: 1,
+            pos: [2.0; 3],
+            tag: [3; 5],
+        };
+        let mut got = [probe; 3];
+        let mut open = |s: &mut CommSession<'_>| {
+            s.region(&params, |reg| {
+                reg.p2p()
+                    .site(1)
+                    .sbuf(Prim::new("src", &src))
+                    .rbuf(PrimMut::new("dst", &mut dst))
+                    .run()
+                    .unwrap();
+                reg.p2p()
+                    .site(2)
+                    .sbuf(Struc::new("probe", &[probe; 3]))
+                    .rbuf(StrucMut::new("got", &mut got))
+                    .run()
+                    .unwrap();
+            })
+            .unwrap();
+        };
+        open(&mut s);
+        open(&mut s);
+        let before = thread_allocs();
+        for _ in 0..reopenings {
+            open(&mut s);
+        }
+        thread_allocs() - before
+    })
+    .per_rank
+}
+
+#[test]
+fn non_participant_reopening_an_equal_region_does_not_allocate() {
+    for target in [Target::Mpi2Side, Target::Shmem, Target::Mpi1Side] {
+        let (few, many) = (reopening_allocs(target, 10), reopening_allocs(target, 1000));
+        assert_eq!(
+            few, many,
+            "{target}: allocations over 10 vs 1000 reopenings"
+        );
+        assert_eq!(many, vec![0, 0], "{target}: allocations per rank");
+    }
+}
+
+#[test]
+fn overlay_place_sync_applies_without_ir() {
+    // Site 9's overlay decision defers its region's sync to the next
+    // region; with IR off the region keeps no IR to find the site in.
+    let mut ov = Overlay::default();
+    ov.set(SiteDecision::new(
+        9,
+        Decision::PlaceSync(PlaceSync::BeginNextParamRegion),
+    ));
+    let params = pair(0, 1, Target::Mpi2Side, 1);
+    let res = run(SimConfig::new(2), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm)
+            .without_ir()
+            .with_overlay(ov.clone());
+        let (src, mut dst) = ([1.0f64; 3], [0.0f64; 3]);
+        s.region(&params, |reg| {
+            reg.p2p()
+                .site(9)
+                .sbuf(Prim::new("src", &src))
+                .rbuf(PrimMut::new("dst", &mut dst))
+                .run()
+                .unwrap();
+        })
+        .unwrap();
+        let deferred = s.ctx().stats.waitalls;
+        s.flush();
+        (deferred, s.ctx().stats.waitalls, s.program().len(), dst)
+    });
+    for (rank, &(deferred, flushed, regions, dst)) in res.per_rank.iter().enumerate() {
+        assert_eq!(deferred, 0, "rank {rank}: the overlay deferred the sync");
+        assert_eq!(flushed, 1, "rank {rank}: flush applies the carried sync");
+        assert_eq!(regions, 0, "rank {rank}: no IR recorded");
+        if rank == 1 {
+            assert_eq!(dst, [1.0; 3]);
+        }
+    }
+}
