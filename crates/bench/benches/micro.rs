@@ -432,6 +432,47 @@ fn micro_region(c: &mut Criterion) {
     }
 }
 
+/// Host nanoseconds per world barrier entry (`RankCtx::barrier`) at
+/// `nranks` ranks, all on one carrier so wall time is one thread's CPU:
+/// rank 0 times `rounds` generations between its exits from the first
+/// and the last, and each generation is `nranks` entries and wakes.
+fn barrier_ns_per_entry(nranks: usize, rounds: usize) -> f64 {
+    use netsim::{run, ExecPolicy, SimConfig};
+    let exec = ExecPolicy::bounded(1).with_stack_size(256 << 10);
+    let res = run(SimConfig::new(nranks).with_exec(exec), |ctx| {
+        let m = ctx.machine().mpi;
+        ctx.barrier(&m);
+        let start = std::time::Instant::now();
+        for _ in 0..rounds {
+            ctx.barrier(&m);
+        }
+        start.elapsed().as_nanos() as f64 / (rounds * nranks) as f64
+    });
+    res.per_rank[0]
+}
+
+fn micro_fabric(c: &mut Criterion) {
+    for (name, nranks) in [
+        ("fabric_world_barrier_337", 337),
+        ("fabric_world_barrier_4097", 4097),
+    ] {
+        let mut per_entry = Vec::new();
+        c.bench_function(name, |b| {
+            b.iter(|| per_entry.push(barrier_ns_per_entry(nranks, 20)))
+        });
+        if per_entry.is_empty() {
+            continue;
+        }
+        per_entry.sort_by(f64::total_cmp);
+        println!(
+            "{:<60} ns/entry median {:.1} min {:.1}",
+            name,
+            per_entry[per_entry.len() / 2],
+            per_entry[0]
+        );
+    }
+}
+
 criterion_group!(
     benches,
     micro_expr,
@@ -439,6 +480,7 @@ criterion_group!(
     micro_datatype,
     micro_matching,
     micro_directive,
-    micro_region
+    micro_region,
+    micro_fabric
 );
 criterion_main!(benches);

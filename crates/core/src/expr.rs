@@ -330,20 +330,26 @@ impl RankExpr {
 
     /// Free variable names referenced by the expression.
     pub fn free_vars(&self, out: &mut Vec<String>) {
-        match self {
-            RankExpr::Var(name) if !out.contains(name) => {
-                out.push(name.clone());
+        self.any_var(&mut |name| {
+            if !out.iter().any(|n| n == name) {
+                out.push(name.to_string());
             }
+            false
+        });
+    }
+
+    /// Whether `f` holds for a variable name the expression reads, trying
+    /// them in syntactic order (a name may be tried more than once).
+    pub fn any_var(&self, f: &mut impl FnMut(&str) -> bool) -> bool {
+        match self {
+            RankExpr::Var(name) => f(name),
             RankExpr::Add(a, b)
             | RankExpr::Sub(a, b)
             | RankExpr::Mul(a, b)
             | RankExpr::Div(a, b)
-            | RankExpr::Mod(a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            RankExpr::Neg(a) => a.free_vars(out),
-            _ => {}
+            | RankExpr::Mod(a, b) => a.any_var(f) || b.any_var(f),
+            RankExpr::Neg(a) => a.any_var(f),
+            RankExpr::Rank | RankExpr::NRanks | RankExpr::Const(_) | RankExpr::Opaque(..) => false,
         }
     }
 
@@ -559,22 +565,26 @@ impl CondExpr {
 
     /// Free variable names referenced by the condition.
     pub fn free_vars(&self, out: &mut Vec<String>) {
+        self.any_var(&mut |name| {
+            if !out.iter().any(|n| n == name) {
+                out.push(name.to_string());
+            }
+            false
+        });
+    }
+
+    /// [`RankExpr::any_var`] for a condition.
+    pub fn any_var(&self, f: &mut impl FnMut(&str) -> bool) -> bool {
         match self {
             CondExpr::Eq(a, b)
             | CondExpr::Ne(a, b)
             | CondExpr::Lt(a, b)
             | CondExpr::Le(a, b)
             | CondExpr::Gt(a, b)
-            | CondExpr::Ge(a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            CondExpr::And(a, b) | CondExpr::Or(a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            CondExpr::Not(a) => a.free_vars(out),
-            _ => {}
+            | CondExpr::Ge(a, b) => a.any_var(f) || b.any_var(f),
+            CondExpr::And(a, b) | CondExpr::Or(a, b) => a.any_var(f) || b.any_var(f),
+            CondExpr::Not(a) => a.any_var(f),
+            CondExpr::True | CondExpr::False | CondExpr::Opaque(..) => false,
         }
     }
 

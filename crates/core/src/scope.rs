@@ -695,7 +695,7 @@ impl<'a> CommSession<'a> {
                     horizon,
                 },
             );
-            self.ctx.barrier_group(self.comm.sorted_globals(), &mpi);
+            self.ctx.barrier_group(self.comm.group(), &mpi);
         }
 
         // SHMEM: quiet (sender-side put completion) plus point-wise
@@ -798,6 +798,10 @@ struct RegionLists {
     /// the paper consolidates only "adjacent comm_p2p directives with
     /// independent buffers".
     used_bufs: Vec<(usize, usize, bool)>,
+    /// A loop-form region's variable slots and the iterations this rank
+    /// solved for (`loop_form`).
+    slots: Vec<crate::expr::Slot>,
+    iters: Vec<u64>,
 }
 
 impl RegionLists {
@@ -805,6 +809,8 @@ impl RegionLists {
         self.scratch.clear();
         self.sites.clear();
         self.used_bufs.clear();
+        self.slots.clear();
+        self.iters.clear();
     }
 }
 
@@ -1545,12 +1551,10 @@ fn join_collectives(
     // `max_comm_iter` sizes the in-flight window, as the paper intends
     // ("facilitate code generation for synchronizations").
     let window = (slots * piece_offsets.len()) as u64;
-    let seg = session.ctx.sym_alloc_windowed(
-        session.comm.sorted_globals(),
-        slot_bytes * slots,
-        window,
-        &model,
-    );
+    let seg =
+        session
+            .ctx
+            .sym_alloc_windowed(session.comm.group(), slot_bytes * slots, window, &model);
     session.staging.push(Staging {
         site,
         coalesced,

@@ -191,35 +191,13 @@ impl CommLoop {
     }
 }
 
-/// The iterations of a loop a rank takes part in.
+/// Which iterations of a loop a rank takes part in. `Listed` ones are in
+/// the caller's buffer: the part that [`Solver::iters`] appended,
+/// ascending and without duplicates.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Iters {
     All,
-    /// Iteration numbers, ascending, without duplicates.
-    Only(Vec<u64>),
-}
-
-impl Iters {
-    fn or(self, other: Iters) -> Iters {
-        match (self, other) {
-            (Iters::Only(mut a), Iters::Only(b)) => {
-                a.extend(b);
-                a.sort_unstable();
-                a.dedup();
-                Iters::Only(a)
-            }
-            _ => Iters::All,
-        }
-    }
-
-    fn and(self, other: Iters) -> Iters {
-        match (self, other) {
-            (Iters::Only(mut a), Iters::Only(b)) => {
-                a.retain(|k| b.binary_search(k).is_ok());
-                Iters::Only(a)
-            }
-            (Iters::All, x) | (x, Iters::All) => x,
-        }
-    }
+    Listed,
 }
 
 /// Reduces a region's clauses over a loop for one rank. `None` from any
@@ -231,19 +209,19 @@ struct Solver<'c> {
 }
 
 impl Solver<'_> {
+    fn bound(&self, name: &str) -> bool {
+        self.space.binding(name).is_some()
+    }
+
     /// Whether `e` can change between iterations: it reads a bound name,
     /// or runs an opaque closure, which might.
     fn varies(&self, e: &RankExpr) -> bool {
-        let mut names = Vec::new();
-        e.free_vars(&mut names);
-        e.has_opaque() || names.iter().any(|n| self.space.binding(n).is_some())
+        e.has_opaque() || e.any_var(&mut |n| self.bound(n))
     }
 
     /// [`Solver::varies`] for a condition.
     fn cond_varies(&self, c: &CondExpr) -> bool {
-        let mut names = Vec::new();
-        c.free_vars(&mut names);
-        c.has_opaque() || names.iter().any(|n| self.space.binding(n).is_some())
+        c.has_opaque() || c.any_var(&mut |n| self.bound(n))
     }
 
     /// `e` as an affine form whose value, at every point of the space, is
@@ -272,69 +250,194 @@ impl Solver<'_> {
         a.bounded(self.space).then_some(a)
     }
 
-    /// The iterations in which `c` holds for this rank.
-    fn iters(&self, c: &CondExpr) -> Option<Iters> {
+    /// The iterations in which `c` holds for this rank. Listed iterations
+    /// are appended to `out`; `&&` and `||` combine their operands' lists
+    /// in place there, so one buffer serves the whole condition.
+    fn iters(&self, c: &CondExpr, out: &mut Vec<u64>) -> Option<Iters> {
         if !self.cond_varies(c) {
-            let holds = c.eval(self.env).ok()?;
-            return Some(if holds {
+            return Some(if c.eval(self.env).ok()? {
                 Iters::All
             } else {
-                Iters::Only(Vec::new())
+                Iters::Listed
             });
         }
+        let start = out.len();
         match c {
-            CondExpr::And(a, b) => Some(self.iters(a)?.and(self.iters(b)?)),
-            CondExpr::Or(a, b) => Some(self.iters(a)?.or(self.iters(b)?)),
+            CondExpr::And(a, b) => {
+                let x = self.iters(a, out)?;
+                let mid = out.len();
+                match (x, self.iters(b, out)?) {
+                    (Iters::All, y) => Some(y),
+                    (Iters::Listed, Iters::All) => Some(Iters::Listed),
+                    (Iters::Listed, Iters::Listed) => {
+                        intersect(out, start, mid);
+                        Some(Iters::Listed)
+                    }
+                }
+            }
+            CondExpr::Or(a, b) => {
+                let x = self.iters(a, out)?;
+                let y = self.iters(b, out)?;
+                if x == Iters::All || y == Iters::All {
+                    out.truncate(start);
+                    return Some(Iters::All);
+                }
+                out[start..].sort_unstable();
+                dedup_from(out, start);
+                Some(Iters::Listed)
+            }
             CondExpr::Eq(RankExpr::Rank, e) | CondExpr::Eq(e, RankExpr::Rank) => {
-                self.solve(self.affine(e)?)
+                Some(self.solve(self.affine(e)?, out))
             }
             _ => None,
         }
     }
 
-    /// The iterations where `rank == e`. With `j` the innermost index of
-    /// nonzero stride, every other index is enumerated and `i_j` solved by
-    /// exact division plus a range check.
-    fn solve(&self, e: Affine) -> Option<Iters> {
+    /// The iterations where `rank == e`, appended to `out`. With `j` the
+    /// innermost index of nonzero stride, only the nonzero-stride indices
+    /// before `j` are enumerated, each over the part of its range where
+    /// the terms after it can still reach `rank`; `i_j` is then solved by
+    /// exact division. Every index of zero stride takes every value: one
+    /// after `j` makes a block of consecutive iteration numbers. So a rank
+    /// that takes part in no iteration costs O(1) whatever the extents,
+    /// as long as the clipped ranges hold at most a solution or so each.
+    fn solve(&self, e: Affine, out: &mut Vec<u64>) -> Iters {
         let space = self.space;
         let rank = i128::from(self.env.rank);
         let Some(j) = (0..space.dims).rev().find(|&d| e.k[d] != 0) else {
-            return Some(if i128::from(e.c) == rank {
+            return if i128::from(e.c) == rank {
                 Iters::All
             } else {
-                Iters::Only(Vec::new())
-            });
+                Iters::Listed
+            };
         };
-        let (lo, hi) = (i128::from(space.start[j]), i128::from(space.last(j)));
-        let mut ix = space.start;
-        let mut own = Vec::new();
-        loop {
-            ix[j] = 0;
-            // `e` without its `i_j` term: a partial sum of `at`, bounded.
-            let rest = i128::from(e.at(&ix[..space.dims]).ok()?);
-            let (q, r) = (
-                (rank - rest) / i128::from(e.k[j]),
-                (rank - rest) % i128::from(e.k[j]),
+        if space.total == 0 {
+            return Iters::Listed;
+        }
+        // `reach[d]`: the least and greatest sum of the terms of indices
+        // `d..=j`. Terms are monotone, so the extremes are at the ends of
+        // each range; `e` is bounded, so every term fits in `i64`.
+        let mut reach = [(0i128, 0i128); MAX_DIMS + 1];
+        for d in (0..=j).rev() {
+            let ends = (
+                i128::from(e.k[d]) * i128::from(space.start[d]),
+                i128::from(e.k[d]) * i128::from(space.last(d)),
             );
-            if r == 0 && (lo..=hi).contains(&q) {
-                ix[j] = q as i64;
-                own.push(space.number(&ix));
+            reach[d] = (
+                reach[d + 1].0 + ends.0.min(ends.1),
+                reach[d + 1].1 + ends.0.max(ends.1),
+            );
+        }
+        let start = out.len();
+        let mut ix = space.start;
+        self.walk(&e, j, &reach, 0, rank - i128::from(e.c), &mut ix, out);
+        if (0..j).any(|d| e.k[d] == 0) {
+            // A free index before `j` interleaves the blocks.
+            out[start..].sort_unstable();
+        }
+        Iters::Listed
+    }
+
+    /// Fix the nonzero-stride indices `d..=j` so the terms from `d` on
+    /// sum to `rest`, and emit the iterations of each solution.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        e: &Affine,
+        j: usize,
+        reach: &[(i128, i128); MAX_DIMS + 1],
+        d: usize,
+        rest: i128,
+        ix: &mut [i64; MAX_DIMS],
+        out: &mut Vec<u64>,
+    ) {
+        let space = self.space;
+        let k = i128::from(e.k[d]);
+        if k == 0 {
+            return self.walk(e, j, reach, d + 1, rest, ix, out);
+        }
+        let (lo, hi) = (i128::from(space.start[d]), i128::from(space.last(d)));
+        if d == j {
+            if rest % k == 0 && (lo..=hi).contains(&(rest / k)) {
+                ix[j] = (rest / k) as i64;
+                self.emit(e, j, ix, out);
             }
-            // Next tuple of the other indices, the last fastest.
-            let Some(d) = (0..space.dims)
-                .rev()
-                .find(|&d| d != j && ix[d] < space.last(d))
-            else {
+            return;
+        }
+        // `k·i_d` must lie in `rest - reach[d + 1]`.
+        let (a, b) = (rest - reach[d + 1].1, rest - reach[d + 1].0);
+        let (a, b) = if k > 0 { (a, b) } else { (b, a) };
+        let (from, to) = (div_ceil(a, k).max(lo), div_floor(b, k).min(hi));
+        for i in from..=to {
+            ix[d] = i as i64;
+            self.walk(e, j, reach, d + 1, rest - k * i, ix, out);
+        }
+    }
+
+    /// Emit the iterations of a solution `ix` of the nonzero-stride
+    /// indices: every value of each zero-stride index before `j`, each with
+    /// the block of every index after `j` (those of `ix` are at their start).
+    fn emit(&self, e: &Affine, j: usize, ix: &mut [i64; MAX_DIMS], out: &mut Vec<u64>) {
+        let space = self.space;
+        let block: u64 = space.extent[j + 1..space.dims].iter().product();
+        let free = |d: usize| e.k[d] == 0;
+        loop {
+            let first = space.number(ix);
+            out.extend(first..first + block);
+            // Next tuple of the free indices before `j`, the last fastest.
+            let Some(d) = (0..j).rev().find(|&d| free(d) && ix[d] < space.last(d)) else {
                 break;
             };
             ix[d] += 1;
-            ix[d + 1..space.dims].copy_from_slice(&space.start[d + 1..space.dims]);
+            for d in (d + 1..j).filter(|&d| free(d)) {
+                ix[d] = space.start[d];
+            }
         }
-        // `i_j` is fixed by the indices before it, and those after it have
-        // zero stride, so the enumeration order is iteration order.
-        debug_assert!(own.windows(2).all(|w| w[0] < w[1]));
-        Some(Iters::Only(own))
+        for d in (0..j).filter(|&d| free(d)) {
+            ix[d] = space.start[d];
+        }
     }
+}
+
+fn div_floor(a: i128, b: i128) -> i128 {
+    let q = a / b;
+    if a % b != 0 && (a < 0) != (b < 0) {
+        q - 1
+    } else {
+        q
+    }
+}
+
+fn div_ceil(a: i128, b: i128) -> i128 {
+    -div_floor(-a, b)
+}
+
+/// Keep in `out[start..mid]` what is also in `out[mid..]`; both ascending.
+fn intersect(out: &mut Vec<u64>, start: usize, mid: usize) {
+    let (mut w, mut y) = (start, mid);
+    for x in start..mid {
+        let v = out[x];
+        while y < out.len() && out[y] < v {
+            y += 1;
+        }
+        if y < out.len() && out[y] == v {
+            out[w] = v;
+            w += 1;
+        }
+    }
+    out.truncate(w);
+}
+
+/// Drop repeats from the ascending `out[start..]`.
+fn dedup_from(out: &mut Vec<u64>, start: usize) {
+    let mut w = start;
+    for x in start..out.len() {
+        if w == start || out[x] != out[w - 1] {
+            out[w] = out[x];
+            w += 1;
+        }
+    }
+    out.truncate(w);
 }
 
 /// One iteration of a loop-form region: it runs the iteration's single
@@ -423,56 +526,81 @@ impl<'a> Region<'_, 'a> {
     where
         B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
     {
-        let total = space.total;
-        if total == 0 {
+        if space.total == 0 {
             return Ok(());
         }
-        let slots: Vec<Slot> = space
-            .binds
-            .iter()
-            .map(|(name, _)| self.session.env.vars.slot(name))
-            .collect();
-        match self.own_iterations(space) {
-            None => {
-                for k in 0..total {
-                    self.iteration(space, &slots, k, body)?;
-                }
+        // Both lists are lent by the session, like the region's others.
+        let mut slots = std::mem::take(&mut self.lists.slots);
+        let vars = &mut self.session.env.vars;
+        slots.extend(space.binds.iter().map(|(name, _)| vars.slot(name)));
+        let mut own = std::mem::take(&mut self.lists.iters);
+        let out = self.run_iterations(space, &slots, &mut own, body);
+        slots.clear();
+        own.clear();
+        self.lists.slots = slots;
+        self.lists.iters = own;
+        out
+    }
+
+    fn run_iterations<B>(
+        &mut self,
+        space: &CommLoop,
+        slots: &[Slot],
+        own: &mut Vec<u64>,
+        body: &mut B,
+    ) -> Result<(), DirectiveError>
+    where
+        B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
+    {
+        let total = space.total;
+        if self.own_iterations(space, own) {
+            // Iteration `cap` is where every rank exceeds
+            // `max_comm_iter`; it runs (and fails) on every rank.
+            let cap = self.max_iter.map_or(u64::MAX, |b| b.max(0) as u64);
+            self.iteration(space, slots, 0, body)?;
+            for &k in own.iter().filter(|&&k| k > 0).take_while(|&&k| k < cap) {
+                self.iteration(space, slots, k, body)?;
             }
-            Some(own) => {
-                // Iteration `cap` is where every rank exceeds
-                // `max_comm_iter`; it runs (and fails) on every rank.
-                let cap = self.max_iter.map_or(u64::MAX, |b| b.max(0) as u64);
-                self.iteration(space, &slots, 0, body)?;
-                for &k in own.iter().filter(|&&k| k > 0).take_while(|&&k| k < cap) {
-                    self.iteration(space, &slots, k, body)?;
-                }
-                if total > cap {
-                    self.iteration(space, &slots, cap, body)?;
-                }
+            if total > cap {
+                self.iteration(space, slots, cap, body)?;
+            }
+        } else {
+            for k in 0..total {
+                self.iteration(space, slots, k, body)?;
             }
         }
         if let Some(rec) = self.lists.sites.first_mut() {
             rec.executions = total;
         }
-        self.bind(space, &slots, &space.index(total - 1));
+        self.bind(space, slots, &space.index(total - 1));
         Ok(())
     }
 
-    /// This rank's iterations, if the clauses reduce; `None` runs them all.
-    fn own_iterations(&self, space: &CommLoop) -> Option<Vec<u64>> {
+    /// Whether the clauses reduce to a list of this rank's iterations,
+    /// which is then in `own`; otherwise every iteration runs.
+    fn own_iterations(&self, space: &CommLoop, own: &mut Vec<u64>) -> bool {
         let solver = Solver {
             space,
             env: &self.session.env,
         };
         let clauses = self.clauses;
         if clauses.count.as_ref().is_some_and(|c| solver.varies(c)) {
-            return None;
+            return false;
         }
-        let when = |c: &Option<CondExpr>| c.as_ref().map_or(Some(Iters::All), |c| solver.iters(c));
-        match when(&clauses.sendwhen)?.or(when(&clauses.receivewhen)?) {
-            Iters::All => None,
-            Iters::Only(own) => Some(own),
+        // `sendwhen || receivewhen`, each true when absent.
+        let mut when = |c: &Option<CondExpr>| {
+            c.as_ref()
+                .map_or(Some(Iters::All), |c| solver.iters(c, own))
+        };
+        let listed = matches!(
+            (when(&clauses.sendwhen), when(&clauses.receivewhen)),
+            (Some(Iters::Listed), Some(Iters::Listed))
+        );
+        if listed {
+            own.sort_unstable();
+            dedup_from(own, 0);
         }
+        listed
     }
 
     fn bind(&mut self, space: &CommLoop, slots: &[Slot], ix: &[i64; MAX_DIMS]) {
@@ -531,10 +659,15 @@ mod tests {
     /// The iterations `when` selects for `rank`, if the solver reduces it.
     fn solve(space: &CommLoop, when: &CondExpr, rank: usize) -> Option<Vec<u64>> {
         let env = EvalEnv::new(rank, 8).with("x", 3);
-        let iters = Solver { space, env: &env }.iters(when)?;
+        let mut own = vec![u64::MAX];
+        let iters = Solver { space, env: &env }.iters(when, &mut own)?;
+        assert_eq!(own[0], u64::MAX, "the solver keeps what the buffer held");
         Some(match iters {
-            Iters::All => (0..space.total).collect(),
-            Iters::Only(own) => own,
+            Iters::All => {
+                assert_eq!(own.len(), 1, "nothing listed for all iterations");
+                (0..space.total).collect()
+            }
+            Iters::Listed => own.split_off(1),
         })
     }
 
@@ -581,6 +714,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// SplitMix64: a small deterministic generator for the spaces below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..hi`.
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo) as u64) as i64
+        }
+    }
+
+    #[test]
+    fn solver_matches_testing_every_iteration_on_generated_spaces() {
+        // One to three indices over ranges that may be empty, bindings
+        // whose strides are zero a third of the time and otherwise in
+        // -3..=3, and ranks past every value, so clipped ranges are often
+        // empty. `seen` counts the stride shapes the generator produced.
+        let (rank, lit, var) = (RankExpr::rank, RankExpr::lit, RankExpr::var);
+        let whens = [
+            rank().eq(var("a")),
+            var("b").eq(rank()),
+            rank().eq(var("a") + var("b") - var("c")),
+            rank().eq(lit(2) * var("c") + var("x")),
+            rank().eq(var("a")).or(rank().eq(var("b"))),
+            rank().eq(var("b")).and(rank().eq(var("c"))),
+            rank()
+                .eq(var("a"))
+                .or(rank().eq(var("b")).and(rank().eq(var("c")))),
+        ];
+        let mut rng = Rng(0x1f0_2a5e);
+        let mut seen = [0; 5];
+        for _ in 0..300 {
+            let range = |rng: &mut Rng| {
+                let start = rng.range(-3, 3);
+                let extent = if rng.range(0, 8) == 0 {
+                    0
+                } else {
+                    rng.range(1, 5)
+                };
+                start..start + extent
+            };
+            let dims = 1 + (rng.next() % 3) as usize;
+            let mut space = CommLoop::new(range(&mut rng));
+            for _ in 1..dims {
+                space = space.inner(range(&mut rng));
+            }
+            for name in ["a", "b", "c"] {
+                let strides: Vec<i64> = (0..dims)
+                    .map(|_| match rng.range(0, 3) {
+                        0 => 0,
+                        _ => [-3, -2, -1, 1, 2, 3][rng.range(0, 6) as usize],
+                    })
+                    .collect();
+                let nonzero = |d: usize| strides[d] != 0;
+                let j = (0..dims).rev().find(|&d| nonzero(d));
+                seen[0] += usize::from(j.is_some_and(|j| (0..j).any(|d| !nonzero(d))));
+                seen[1] += usize::from(j.is_some_and(|j| j + 1 < dims));
+                seen[2] += usize::from(strides.iter().any(|&k| k < 0));
+                seen[3] += usize::from(strides.iter().any(|&k| k.abs() > 1));
+                seen[4] += usize::from(dims == 3 && (0..dims).all(nonzero));
+                space = space.bind(name, rng.range(-2, 9), &strides);
+            }
+            for when in &whens {
+                for r in 0..12 {
+                    assert_eq!(
+                        solve(&space, when, r),
+                        Some(brute(&space, when, r)),
+                        "{when} at rank {r} over {space:?}"
+                    );
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "stride shapes seen: {seen:?}");
+    }
+
+    #[test]
+    fn a_bystander_solves_a_huge_loop_at_once() {
+        // Spin's region 2 with 2^40 instances: enumerating `m` would take
+        // hours; the solver clips it to the one value that can reach the
+        // rank, or to none.
+        let m = 1i64 << 40;
+        let space = CommLoop::new(0..m)
+            .inner(1..16)
+            .bind("src", 1, &[16])
+            .bind("dst", 1, &[16, 1]);
+        let (rank, var) = (RankExpr::rank, RankExpr::var);
+        let dst = rank().eq(var("dst"));
+        assert_eq!(solve(&space, &dst, 0), Some(vec![]));
+        // 1000 = 1 + 16·62 + 7: iteration 62·15 + (7 - 1).
+        assert_eq!(solve(&space, &dst, 1000), Some(vec![62 * 15 + 6]));
+        assert_eq!(solve(&space, &dst, 1 << 50), Some(vec![]));
+        // A privileged rank sends in a block of 15 consecutive iterations.
+        let src = rank().eq(var("src")).or(dst);
+        assert_eq!(solve(&space, &src, 17), Some((15..30).collect()));
     }
 
     #[test]

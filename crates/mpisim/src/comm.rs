@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use netsim::{CostModel, RankCtx, RecvDone, RecvRequest, SendRequest, SrcSel, TagSel};
+use netsim::{CostModel, Group, RankCtx, RecvDone, RecvRequest, SendRequest, SrcSel, TagSel};
 
 use crate::pod::{as_bytes, copy_from_bytes, Pod};
 
@@ -25,20 +25,21 @@ pub struct Comm {
     /// `ranks[local] = global`; ascending is not required, but ranks must be
     /// distinct.
     ranks: Arc<[usize]>,
-    /// The same ranks, ascending: the group key of barriers and symmetric
-    /// segments, built once rather than on every collective.
-    sorted: Arc<[usize]>,
+    /// The same ranks, ascending, interned on the fabric when the
+    /// communicator is built: its barriers and symmetric segments.
+    group: Group,
     /// Namespace id folded into wire tags. World is 0.
     id: i32,
 }
 
 impl Comm {
-    /// The world communicator over all ranks of the machine.
+    /// The world communicator over all ranks of the machine. It shares
+    /// the fabric's world group, so building it copies nothing.
     pub fn world(ctx: &RankCtx) -> Comm {
-        let ranks: Arc<[usize]> = (0..ctx.nranks()).collect();
+        let group = ctx.fabric().world().clone();
         Comm {
-            sorted: Arc::clone(&ranks),
-            ranks,
+            ranks: group.shared_members(),
+            group,
             id: 0,
         }
     }
@@ -48,16 +49,16 @@ impl Comm {
     /// per live communicator (1..=2047) and is the caller's responsibility —
     /// deterministic SPMD code assigns these statically (e.g. LSMS instance
     /// index + 1).
-    pub fn subset(&self, id: i32, locals: &[usize]) -> Comm {
+    pub fn subset(&self, ctx: &RankCtx, id: i32, locals: &[usize]) -> Comm {
         assert!(id > 0 && id < (1 << 11), "communicator id out of range");
         let globals: Vec<usize> = locals.iter().map(|&l| self.ranks[l]).collect();
-        let mut dedup = globals.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), globals.len(), "duplicate ranks in subset");
+        let mut sorted = globals.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), globals.len(), "duplicate ranks in subset");
         Comm {
             ranks: globals.into(),
-            sorted: dedup.into(),
+            group: ctx.fabric().group(&sorted),
             id,
         }
     }
@@ -83,9 +84,10 @@ impl Comm {
         self.ranks[local]
     }
 
-    /// The member global ranks, ascending (for barriers/segments).
-    pub fn sorted_globals(&self) -> &[usize] {
-        &self.sorted
+    /// The member global ranks as an interned group (for barriers and
+    /// symmetric segments).
+    pub fn group(&self) -> &Group {
+        &self.group
     }
 
     /// Whether the calling context is a member.
@@ -248,7 +250,7 @@ impl Comm {
     /// Barrier over this communicator (`MPI_Barrier`), reconciling clocks.
     pub fn barrier(&self, ctx: &mut RankCtx) {
         let m = self.model(ctx);
-        ctx.barrier_group(&self.sorted, &m);
+        ctx.barrier_group(&self.group, &m);
     }
 
     /// `MPI_Sendrecv`: a combined send/receive with one consolidated
@@ -329,8 +331,8 @@ mod tests {
         run(SimConfig::new(4), |ctx| {
             let w = Comm::world(ctx);
             // Two disjoint sub-communicators with the same user tags.
-            let a = w.subset(1, &[0, 1]);
-            let b = w.subset(2, &[2, 3]);
+            let a = w.subset(ctx, 1, &[0, 1]);
+            let b = w.subset(ctx, 2, &[2, 3]);
             let my = ctx.rank();
             if a.contains(ctx) {
                 let r = a.rank(ctx);

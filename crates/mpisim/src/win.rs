@@ -2,9 +2,7 @@
 //! synchronization — the `TARGET_COMM_MPI_1SIDE` translation target of the
 //! directives.
 
-use std::sync::Arc;
-
-use netsim::{RankCtx, SegId, Time};
+use netsim::{Group, RankCtx, SegId, Time};
 
 use crate::comm::Comm;
 use crate::pod::{as_bytes, as_bytes_mut, Pod};
@@ -13,7 +11,7 @@ use crate::pod::{as_bytes, as_bytes_mut, Pod};
 #[derive(Clone, Debug)]
 pub struct Win {
     seg: SegId,
-    group: Arc<Vec<usize>>,
+    group: Group,
     bytes: usize,
 }
 
@@ -22,13 +20,9 @@ impl Win {
     /// member allocates `bytes` of exposed memory. Synchronizes the group.
     pub fn create(ctx: &mut RankCtx, comm: &Comm, bytes: usize) -> Win {
         let m = ctx.machine().mpi;
-        let group = comm.sorted_globals();
-        let seg = ctx.sym_alloc(group, bytes, &m);
-        Win {
-            seg,
-            group: Arc::new(group.to_vec()),
-            bytes,
-        }
+        let group = comm.group().clone();
+        let seg = ctx.sym_alloc(&group, bytes, &m);
+        Win { seg, group, bytes }
     }
 
     /// Window size per rank in bytes.

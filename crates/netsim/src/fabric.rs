@@ -2,8 +2,10 @@
 //! barriers with clock reconciliation, and the one-sided symmetric segment
 //! store with per-delivery signals.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::borrow::Borrow;
+use std::collections::{HashSet, VecDeque};
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -314,7 +316,7 @@ struct BarrierInner {
 
 /// A reusable barrier over a fixed group size that also reconciles virtual
 /// clocks: every participant leaves with `max(entry clocks) + cost`.
-pub struct GroupBarrier {
+struct GroupBarrier {
     size: usize,
     inner: Mutex<BarrierInner>,
 }
@@ -338,7 +340,7 @@ impl GroupBarrier {
     /// `cost` is charged once on top of the max entry time (the last
     /// arriver's model decides it; all participants pass the same value in
     /// practice since they use the same library for the barrier).
-    pub fn enter(&self, entry: Time, cost: Time) -> Time {
+    fn enter(&self, entry: Time, cost: Time) -> Time {
         let mut g = self.inner.lock();
         g.max_entry = g.max_entry.max(entry);
         g.arrived += 1;
@@ -370,53 +372,81 @@ impl GroupBarrier {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded group-keyed registries
+// Interned groups
 // ---------------------------------------------------------------------------
 
-/// Shard count for group-keyed registry maps (power of two).
-const MAP_SHARDS: usize = 16;
+/// A group of global ranks, ascending, interned by [`Fabric::group`]: equal
+/// member lists on one fabric are one `Group`, so ranks that reach a group
+/// by different routes (a communicator, the world, an ad-hoc team slice)
+/// meet in one barrier and one symmetric-allocation rendezvous. The group
+/// holds both, so entering either is O(1) whatever the group's size; only
+/// interning reads the member list. Cloning is an `Arc` clone.
+#[derive(Clone)]
+pub struct Group(Arc<GroupState>);
 
-/// A group-keyed registry (`group: Vec<usize>` → shared state) split over
-/// fixed shards, so concurrent lookups for unrelated groups — e.g. disjoint
-/// subcommunicator barriers entered from many carriers at once — do not
-/// serialize on one global mutex. Entries are never removed: groups are
-/// stable for a simulation's lifetime.
-struct ShardedMap<V> {
-    shards: Vec<Mutex<HashMap<Vec<usize>, V>>>,
+struct GroupState {
+    members: Arc<[usize]>,
+    barrier: GroupBarrier,
+    alloc: Mutex<AllocRendezvous>,
 }
 
-impl<V> Default for ShardedMap<V> {
-    fn default() -> Self {
-        ShardedMap {
-            shards: (0..MAP_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
+impl Group {
+    fn new(members: &[usize]) -> Group {
+        Group(Arc::new(GroupState {
+            members: members.into(),
+            barrier: GroupBarrier::new(members.len()),
+            alloc: Mutex::default(),
+        }))
+    }
+
+    /// The member global ranks, ascending.
+    pub(crate) fn members(&self) -> &[usize] {
+        &self.0.members
+    }
+
+    /// The member list itself, for a holder that wants it without a copy
+    /// (the world communicator).
+    pub fn shared_members(&self) -> Arc<[usize]> {
+        Arc::clone(&self.0.members)
+    }
+
+    /// Number of members.
+    pub(crate) fn len(&self) -> usize {
+        self.0.members.len()
+    }
+
+    /// Enter the group's barrier with local clock `entry`; every member
+    /// leaves with `max(entry clocks) + cost`.
+    pub(crate) fn barrier(&self, entry: Time, cost: Time) -> Time {
+        self.0.barrier.enter(entry, cost)
     }
 }
 
-impl<V: Clone> ShardedMap<V> {
-    fn shard_of(key: &[usize]) -> usize {
-        // FNV-1a over the group members; cheap and stable.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &k in key {
-            h ^= k as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h as usize) & (MAP_SHARDS - 1)
+// Equality and hashing are the member list's, so the intern table can be
+// probed with a plain slice (`Borrow<[usize]>`).
+impl PartialEq for Group {
+    fn eq(&self, other: &Group) -> bool {
+        self.members() == other.members()
     }
+}
 
-    /// The value under `key`, inserting `make()` first if absent. Every
-    /// barrier and collective allocation looks its group up here, so the
-    /// key is copied only on the first insert.
-    fn get_or_insert_with(&self, key: &[usize], make: impl FnOnce() -> V) -> V {
-        let mut g = self.shards[Self::shard_of(key)].lock();
-        if let Some(v) = g.get(key) {
-            return v.clone();
-        }
-        let v = make();
-        g.insert(key.to_vec(), v.clone());
-        v
+impl Eq for Group {}
+
+impl Hash for Group {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.members().hash(state);
+    }
+}
+
+impl Borrow<[usize]> for Group {
+    fn borrow(&self) -> &[usize] {
+        self.members()
+    }
+}
+
+impl fmt::Debug for Group {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.members().fmt(f)
     }
 }
 
@@ -447,8 +477,8 @@ struct Slot {
 /// A symmetric allocation: `bytes` of memory on each rank of `group`.
 pub struct Segment {
     bytes: usize,
-    /// Participating global ranks, ascending.
-    group: Vec<usize>,
+    /// Participating global ranks.
+    group: Group,
     /// One slot per participating rank, indexed by position in `group`.
     slots: Vec<Mutex<Slot>>,
     /// Flow-control window: a signalled put physically blocks while
@@ -460,6 +490,7 @@ impl Segment {
     fn slot_of(&self, rank: usize) -> &Mutex<Slot> {
         let idx = self
             .group
+            .members()
             .binary_search(&rank)
             .unwrap_or_else(|_| panic!("rank {rank} not in segment group {:?}", self.group));
         &self.slots[idx]
@@ -490,26 +521,21 @@ struct AllocRendezvous {
     waiters: Vec<crate::sched::Waiter>,
 }
 
-/// The one-sided memory store: symmetric segments plus the collective
-/// allocation rendezvous per group.
+/// The one-sided memory store: symmetric segments. The collective
+/// allocation rendezvous of each group lives in its [`Group`].
 #[derive(Default)]
 pub struct SegmentStore {
     segments: RwLock<Vec<Arc<Segment>>>,
-    allocs: ShardedMap<Arc<Mutex<AllocRendezvous>>>,
 }
 
 impl SegmentStore {
-    /// Collective symmetric allocation over `group` (ascending global
-    /// ranks). Every rank in the group must call with identical arguments;
+    /// Collective symmetric allocation over `group`. Every rank in the
+    /// group must call with identical arguments;
     /// all receive the same [`SegId`]. Mirrors `shmalloc` semantics (which
     /// synchronizes all PEs). `window` bounds outstanding signalled
     /// deliveries per destination (use `u64::MAX` for none).
-    pub fn alloc(&self, group: &[usize], bytes: usize, window: u64) -> SegId {
-        debug_assert!(
-            group.windows(2).all(|w| w[0] < w[1]),
-            "group must be sorted"
-        );
-        let state = self.allocs.get_or_insert_with(group, Default::default);
+    pub fn alloc(&self, group: &Group, bytes: usize, window: u64) -> SegId {
+        let state = &group.0.alloc;
         let mut g = state.lock();
         if g.arrived == 0 {
             g.bytes = bytes;
@@ -534,9 +560,10 @@ impl SegmentStore {
         }
         let seg = Arc::new(Segment {
             bytes,
-            group: group.to_vec(),
+            group: group.clone(),
             window,
             slots: group
+                .members()
                 .iter()
                 .map(|_| {
                     Mutex::new(Slot {
@@ -698,20 +725,23 @@ impl SegmentStore {
 /// The shared interconnect + memory fabric of one simulated machine.
 pub struct Fabric {
     nranks: usize,
-    /// Every rank, ascending: the group of a full barrier.
-    world: Box<[usize]>,
+    /// Every rank, ascending: interned once, shared by every rank's world.
+    world: Group,
+    /// The intern table of [`Fabric::group`]. Entries are never removed:
+    /// groups are stable for a simulation's lifetime.
+    groups: Mutex<HashSet<Group>>,
     mailboxes: Vec<Mailbox>,
-    barriers: ShardedMap<Arc<GroupBarrier>>,
     segments: SegmentStore,
 }
 
 impl Fabric {
     pub fn new(nranks: usize) -> Arc<Self> {
+        let world = Group::new(&(0..nranks).collect::<Vec<_>>());
         Arc::new(Fabric {
             nranks,
-            world: (0..nranks).collect(),
+            groups: Mutex::new(HashSet::from([world.clone()])),
+            world,
             mailboxes: (0..nranks).map(|_| Mailbox::new()).collect(),
-            barriers: ShardedMap::default(),
             segments: SegmentStore::default(),
         })
     }
@@ -721,9 +751,26 @@ impl Fabric {
         self.nranks
     }
 
-    /// Every rank of the machine, ascending.
-    pub(crate) fn world(&self) -> &[usize] {
+    /// The group of every rank of the machine.
+    pub fn world(&self) -> &Group {
         &self.world
+    }
+
+    /// The interned group of `members` (ascending global ranks): a
+    /// communicator interns its members once when it is built, and an
+    /// ad-hoc slice is interned where it is used. Hashes the list.
+    pub fn group(&self, members: &[usize]) -> Group {
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "group must be sorted"
+        );
+        let mut groups = self.groups.lock();
+        if let Some(g) = groups.get(members) {
+            return g.clone();
+        }
+        let g = Group::new(members);
+        groups.insert(g.clone());
+        g
     }
 
     /// The one-sided segment store.
@@ -775,18 +822,6 @@ impl Fabric {
             slot,
             posted: post_time,
         }
-    }
-
-    /// Barrier over `group` (ascending global ranks), reconciling clocks.
-    pub fn barrier(&self, group: &[usize], entry: Time, cost: Time) -> Time {
-        debug_assert!(
-            group.windows(2).all(|w| w[0] < w[1]),
-            "group must be sorted"
-        );
-        let b = self
-            .barriers
-            .get_or_insert_with(group, || Arc::new(GroupBarrier::new(group.len())));
-        b.enter(entry, cost)
     }
 }
 
@@ -963,7 +998,8 @@ mod tests {
     #[test]
     fn barrier_reconciles_clocks() {
         for (workers, exits, _) in on_ranks(4, |rank, f| {
-            f.barrier(&[0, 1, 2, 3], Time(100 * (rank as u64 + 1)), Time(50))
+            f.group(&[0, 1, 2, 3])
+                .barrier(Time(100 * (rank as u64 + 1)), Time(50))
         }) {
             // max entry 400 + 50
             assert_eq!(exits, vec![Time(450); 4], "workers={workers}");
@@ -974,7 +1010,10 @@ mod tests {
     fn barrier_reusable_across_generations() {
         for (workers, exits, _) in on_ranks(2, |rank, f| {
             (0..3u64)
-                .map(|round| f.barrier(&[0, 1], Time(round * 10 + 5 * rank as u64), Time(1)))
+                .map(|round| {
+                    f.group(&[0, 1])
+                        .barrier(Time(round * 10 + 5 * rank as u64), Time(1))
+                })
                 .collect::<Vec<_>>()
         }) {
             let want: Vec<_> = (0..3).map(|round| Time(round * 10 + 6)).collect();
@@ -987,7 +1026,8 @@ mod tests {
         for (workers, exits, _) in on_ranks(4, |rank, f| {
             let group = if rank < 2 { [0, 1] } else { [2, 3] };
             let base = if rank < 2 { 10 } else { 100 };
-            f.barrier(&group, Time(base * (rank as u64 % 2 + 1)), Time(1))
+            f.group(&group)
+                .barrier(Time(base * (rank as u64 % 2 + 1)), Time(1))
         }) {
             assert_eq!(
                 exits,
@@ -1000,7 +1040,7 @@ mod tests {
     #[test]
     fn symmetric_alloc_and_put_get() {
         for (workers, ids, _) in on_ranks(2, |rank, f| {
-            let id = f.segments().alloc(&[0, 1], 64, u64::MAX);
+            let id = f.segments().alloc(&f.group(&[0, 1]), 64, u64::MAX);
             if rank == 0 {
                 f.segments().put(id, 1, 8, b"hello", None);
                 let mut out = [0u8; 5];
@@ -1019,7 +1059,7 @@ mod tests {
     #[test]
     fn signalled_puts_wake_waiters_in_order() {
         for (workers, got, _) in on_ranks(2, |rank, f| {
-            let id = f.segments().alloc(&[0, 1], 16, u64::MAX);
+            let id = f.segments().alloc(&f.group(&[0, 1]), 16, u64::MAX);
             if rank == 0 {
                 f.segments().put(id, 1, 0, &[1u8; 4], Some(Time(111)));
                 f.segments().put(id, 1, 4, &[2u8; 4], Some(Time(222)));
@@ -1045,7 +1085,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn put_out_of_bounds_panics() {
         let f = Fabric::new(1);
-        let id = f.segments().alloc(&[0], 4, u64::MAX);
+        let id = f.segments().alloc(&f.group(&[0]), 4, u64::MAX);
         f.segments().put(id, 0, 2, &[0u8; 4], None);
     }
 
@@ -1061,7 +1101,7 @@ mod tests {
             let cfg = SimConfig::new(2).with_exec(ExecPolicy::bounded(workers));
             let res = crate::run(cfg, |ctx| {
                 let f = ctx.fabric();
-                let id = f.segments().alloc(&[0, 1], 8, 2);
+                let id = f.segments().alloc(&f.group(&[0, 1]), 8, 2);
                 if ctx.rank() == 0 {
                     return (0..4u8)
                         .map(|k| {
@@ -1092,7 +1132,7 @@ mod tests {
     #[test]
     fn unsignalled_puts_ignore_flow_control() {
         let f = Fabric::new(1);
-        let id = f.segments().alloc(&[0], 8, 1);
+        let id = f.segments().alloc(&f.group(&[0]), 8, 1);
         // Plain memory writes (no signal) never block.
         for k in 0..10u8 {
             f.segments().put(id, 0, 0, &[k], None);

@@ -57,7 +57,7 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use fabric::{Fabric, SegId};
+pub use fabric::{Fabric, Group, SegId};
 pub use metrics::{Hist, RankMetrics, SchedStats, SiteMetrics};
 pub use model::{CostModel, MachineModel};
 pub use msg::{

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::fabric::{Fabric, SegId};
+use crate::fabric::{Fabric, Group, SegId};
 use crate::metrics::SchedStats;
 use crate::model::{CostModel, MachineModel};
 use crate::msg::{RecvDone, RecvRequest, SendRequest, SrcSel, TagSel, WireCosts};
@@ -600,10 +600,9 @@ impl RankCtx {
 
     // -- one-sided -----------------------------------------------------------
 
-    /// Collective symmetric allocation over `group` (ascending global
-    /// ranks; must include this rank). Synchronizes the group like
-    /// `shmalloc` does.
-    pub fn sym_alloc(&mut self, group: &[usize], bytes: usize, model: &CostModel) -> SegId {
+    /// Collective symmetric allocation over `group` (which must include
+    /// this rank). Synchronizes the group like `shmalloc` does.
+    pub fn sym_alloc(&mut self, group: &Group, bytes: usize, model: &CostModel) -> SegId {
         self.sym_alloc_windowed(group, bytes, u64::MAX, model)
     }
 
@@ -612,7 +611,7 @@ impl RankCtx {
     /// destination (staging-slot reuse safety for layered engines).
     pub fn sym_alloc_windowed(
         &mut self,
-        group: &[usize],
+        group: &Group,
         bytes: usize,
         window: u64,
         model: &CostModel,
@@ -820,13 +819,16 @@ impl RankCtx {
         self.barrier_group(fabric.world(), model);
     }
 
-    /// Barrier over an arbitrary ascending group containing this rank.
-    pub fn barrier_group(&mut self, group: &[usize], model: &CostModel) {
-        debug_assert!(group.contains(&self.rank), "barrier group excludes caller");
+    /// Barrier over a group containing this rank.
+    pub fn barrier_group(&mut self, group: &Group, model: &CostModel) {
+        debug_assert!(
+            group.members().binary_search(&self.rank).is_ok(),
+            "barrier group excludes caller"
+        );
         self.note_block();
         let t0 = self.clock;
         let cost = model.barrier_cost(group.len());
-        let exit = self.fabric.barrier(group, self.clock, cost);
+        let exit = group.barrier(self.clock, cost);
         self.clock = exit;
         if group.len() == self.nranks {
             if let Some(san) = &self.san {
@@ -972,7 +974,8 @@ mod tests {
     fn one_sided_put_and_signal() {
         let res = run(uniform_cfg(2), |ctx| {
             let m = ctx.machine().shmem;
-            let seg = ctx.sym_alloc(&[0, 1], 64, &m);
+            let g = ctx.fabric().group(&[0, 1]);
+            let seg = ctx.sym_alloc(&g, 64, &m);
             if ctx.rank() == 0 {
                 let arrival = ctx.put(seg, 1, 0, &[42u8; 8], &m, true);
                 ctx.quiet(&m);
@@ -996,7 +999,8 @@ mod tests {
             uniform_cfg(2).with_exec(ExecPolicy::bounded(2).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
-                let seg = ctx.sym_alloc(&[0, 1], 64, &m);
+                let g = ctx.fabric().group(&[0, 1]);
+                let seg = ctx.sym_alloc(&g, 64, &m);
                 if ctx.rank() == 0 {
                     ctx.put(seg, 1, 0, &[42u8; 8], &m, true);
                     ctx.quiet(&m);
@@ -1022,7 +1026,8 @@ mod tests {
             uniform_cfg(3).with_exec(ExecPolicy::bounded(3).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
-                let seg = ctx.sym_alloc(&[0, 1, 2], 64, &m);
+                let g = ctx.fabric().group(&[0, 1, 2]);
+                let seg = ctx.sym_alloc(&g, 64, &m);
                 if ctx.rank() < 2 {
                     // Both rank 0 and rank 1 blindly put into rank 2's window.
                     ctx.put(seg, 2, 0, &[ctx.rank() as u8; 8], &m, false);
@@ -1052,7 +1057,8 @@ mod tests {
             uniform_cfg(2).with_exec(ExecPolicy::bounded(2).with_sanitize()),
             |ctx| {
                 let m = ctx.machine().shmem;
-                let seg = ctx.sym_alloc(&[0, 1], 64, &m);
+                let g = ctx.fabric().group(&[0, 1]);
+                let seg = ctx.sym_alloc(&g, 64, &m);
                 if ctx.rank() == 0 {
                     ctx.write_local(seg, 32, &[7u8; 8]);
                     ctx.put_from(seg, 1, 0, 32, 8, &m, true);
@@ -1145,6 +1151,7 @@ mod tests {
             ctx.waitall(&[s], &[r], &m);
             ctx.barrier(&m);
             let group: Vec<usize> = (0..n).collect();
+            let group = ctx.fabric().group(&group);
             let seg = ctx.sym_alloc(&group, 16, &shm);
             ctx.put(seg, right, 0, &[7u8; 16], &shm, true);
             ctx.quiet(&shm);
@@ -1222,7 +1229,8 @@ mod tests {
             if ctx.rank() == 1 {
                 panic!("boom");
             }
-            ctx.barrier_group(&[0, 2, 3], &m);
+            let g = ctx.fabric().group(&[0, 2, 3]);
+            ctx.barrier_group(&g, &m);
         });
     }
 
@@ -1233,7 +1241,8 @@ mod tests {
         // park the sender, or rank 1 never runs.
         let body = |ctx: &mut RankCtx| {
             let m = ctx.machine().shmem;
-            let seg = ctx.sym_alloc_windowed(&[0, 1], 8, 1, &m);
+            let g = ctx.fabric().group(&[0, 1]);
+            let seg = ctx.sym_alloc_windowed(&g, 8, 1, &m);
             let mut got = Vec::new();
             for k in 0..4u8 {
                 if ctx.rank() == 0 {

@@ -13,7 +13,7 @@
 //! compiler decision and is unit-tested against it.
 
 use mpisim::pod::{as_bytes, as_bytes_mut, Pod};
-use netsim::{CostModel, RankCtx, SegId, Time};
+use netsim::{CostModel, Group, RankCtx, SegId, Time};
 
 /// Which `shmem_put` variant a transfer maps to, by element size — the
 /// name-encoded type selection the paper describes for SHMEM.
@@ -97,13 +97,18 @@ pub struct SymSlice<T: Pod> {
 impl<T: Pod> SymSlice<T> {
     /// Collective allocation of `len` elements on every PE of the whole job.
     pub fn new(ctx: &mut RankCtx, len: usize) -> Self {
-        let team: Vec<usize> = (0..ctx.nranks()).collect();
-        Self::new_team(ctx, &team, len)
+        let world = ctx.fabric().world().clone();
+        Self::alloc(ctx, &world, len)
     }
 
     /// Collective allocation over an explicit team (ascending global ranks,
     /// must include the caller). Mirrors SHMEM teams.
     pub fn new_team(ctx: &mut RankCtx, team: &[usize], len: usize) -> Self {
+        let team = ctx.fabric().group(team);
+        Self::alloc(ctx, &team, len)
+    }
+
+    fn alloc(ctx: &mut RankCtx, team: &Group, len: usize) -> Self {
         let m = model(ctx);
         let seg = ctx.sym_alloc(team, len * std::mem::size_of::<T>(), &m);
         SymSlice {
@@ -222,8 +227,9 @@ pub fn barrier_all(ctx: &mut RankCtx) {
 /// Team barrier (quiet + barrier over `team`).
 pub fn barrier_team(ctx: &mut RankCtx, team: &[usize]) {
     let m = model(ctx);
+    let team = ctx.fabric().group(team);
     ctx.quiet(&m);
-    ctx.barrier_group(team, &m);
+    ctx.barrier_group(&team, &m);
 }
 
 /// `shmem_broadcast`-alike: root puts to every other PE of `team`, then a

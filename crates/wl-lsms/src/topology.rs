@@ -91,7 +91,7 @@ impl Topology {
         let lsms = my_instance.map(|i| {
             let members = self.instance_ranks(i);
             // Communicator ids must be unique per instance.
-            world.subset(1 + i as i32, &members)
+            world.subset(ctx, 1 + i as i32, &members)
         });
         Comms {
             world,

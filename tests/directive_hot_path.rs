@@ -5,7 +5,10 @@
 //! the site's attribution, the collective staging allocation and the
 //! one-sided fence of the resolved (overlay-retargeted) target. A region's
 //! clauses are compiled when it opens, so the tests also cover variables
-//! bound only after that, and ones never bound.
+//! bound only after that, and ones never bound. Collectives are entered
+//! through interned groups, so the last tests check that every route to
+//! one member list meets in one barrier and one symmetric allocation, and
+//! that a world barrier entry allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -592,6 +595,52 @@ fn skipped_loop_iterations_do_not_allocate() {
     }
 }
 
+#[test]
+fn bystander_reopening_a_solved_loop_does_not_allocate() {
+    // Spin's region 2 over ranks 5 and up: both ranks solve
+    // `rank == sp_src` and `rank == sp_dst` to no iteration. The loop's
+    // variable slots and the solved lists are lent by the session, and the
+    // solver reads the clauses' names in place, so once the first region
+    // has run a reopening allocates nothing.
+    for target in [Target::Mpi2Side, Target::Shmem, Target::Mpi1Side] {
+        let params = CommParams::new()
+            .sender(RankExpr::var("sp_src"))
+            .receiver(RankExpr::var("sp_dst"))
+            .sendwhen(RankExpr::rank().eq(RankExpr::var("sp_src")))
+            .receivewhen(RankExpr::rank().eq(RankExpr::var("sp_dst")))
+            .count(3)
+            .target(target);
+        let space = CommLoop::new(0..21)
+            .inner(1..16)
+            .bind("sp_src", 5, &[16])
+            .bind("sp_dst", 5, &[16, 1]);
+        let allocs = run(two_carriers(), |ctx| {
+            let comm = Comm::world(ctx);
+            let mut s = CommSession::new(ctx, comm).without_ir();
+            let src = [1.0f64; 3];
+            let mut dst = [0.0f64; 3];
+            let mut run_loop = || {
+                s.region_loop(&params, &space, |_, it| {
+                    it.p2p()
+                        .site(1)
+                        .sbuf(Prim::new("src", &src))
+                        .rbuf(PrimMut::new("dst", &mut dst))
+                        .run()
+                })
+                .unwrap();
+            };
+            run_loop();
+            let before = thread_allocs();
+            for _ in 0..100 {
+                run_loop();
+            }
+            thread_allocs() - before
+        })
+        .per_rank;
+        assert_eq!(allocs, vec![0, 0], "{target}: allocations per rank");
+    }
+}
+
 // -- reopening a region ---------------------------------------------------------
 
 commint::comm_datatype! {
@@ -709,4 +758,65 @@ fn overlay_place_sync_applies_without_ir() {
             assert_eq!(dst, [1.0; 3]);
         }
     }
+}
+
+// -- interned groups -------------------------------------------------------------
+
+#[test]
+fn every_route_to_one_member_list_meets_in_one_group() {
+    // Each rank reaches all four ranks by a different route: the world
+    // communicator, the rank context's full barrier, a communicator
+    // subset of every rank, and an ad-hoc SHMEM team slice. If any route
+    // had a barrier or rendezvous of its own, its rank would wait alone
+    // and the run would end in a deadlock report.
+    let res = run(SimConfig::new(4), |ctx| {
+        let all = [0, 1, 2, 3];
+        let world = Comm::world(ctx);
+        let subset = world.subset(ctx, 1, &all);
+        ctx.compute(Time(100 * (ctx.rank() as u64 + 1)));
+        match ctx.rank() {
+            0 => world.barrier(ctx),
+            1 => {
+                let m = ctx.machine().mpi;
+                ctx.barrier(&m);
+            }
+            2 => subset.barrier(ctx),
+            _ => shmemsim::barrier_team(ctx, &all),
+        }
+        let exit = ctx.now();
+        let seg = match ctx.rank() {
+            0 => mpisim::Win::create(ctx, &world, 8).segment(),
+            1 => shmemsim::SymSlice::<u8>::new(ctx, 8).segment(),
+            2 => mpisim::Win::create(ctx, &subset, 8).segment(),
+            _ => shmemsim::SymSlice::<u8>::new_team(ctx, &all, 8).segment(),
+        };
+        (exit, seg)
+    });
+    let (exits, segs): (Vec<_>, Vec<_>) = res.per_rank.into_iter().unzip();
+    assert!(
+        exits.iter().all(|&t| t == exits[0] && t > Time(400)),
+        "{exits:?}"
+    );
+    assert!(segs.iter().all(|&s| s == segs[0]), "{segs:?}");
+}
+
+#[test]
+fn world_barrier_entries_after_the_first_do_not_allocate() {
+    let entries = |n: usize| {
+        run(two_carriers(), move |ctx| {
+            let m = ctx.machine().mpi;
+            Comm::world(ctx).barrier(ctx);
+            let before = thread_allocs();
+            // Building the world shares the fabric's group: no copy.
+            let world = Comm::world(ctx);
+            for _ in 0..n {
+                world.barrier(ctx);
+                ctx.barrier(&m);
+            }
+            thread_allocs() - before
+        })
+        .per_rank
+    };
+    assert_eq!(entries(10), vec![0, 0]);
+    assert_eq!(entries(1000), vec![0, 0]);
 }

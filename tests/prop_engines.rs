@@ -88,7 +88,7 @@ fn run_script(nranks: usize, rounds: &[Round], exec: ExecPolicy) -> (Vec<u64>, V
                 }
                 Round::Barrier => ctx.barrier(&model),
                 Round::PutRing { len } => {
-                    let group: Vec<usize> = (0..n).collect();
+                    let group = ctx.fabric().world().clone();
                     let seg = ctx.sym_alloc(&group, *len, &model);
                     let payload: Vec<u8> = (0..*len).map(|i| (me * 3 + i + k) as u8).collect();
                     ctx.put(seg, (me + 1) % n, 0, &payload, &model, true);

@@ -175,7 +175,7 @@ fn sanitize_run(prog: &RaceProgram, exec: ExecPolicy) -> SanitizeReport {
         SimConfig::new(nranks).with_exec(exec.with_sanitize()),
         move |ctx| {
             let m = ctx.machine().shmem;
-            let group: Vec<usize> = (0..ctx.nranks()).collect();
+            let group = ctx.fabric().world().clone();
             let seg = ctx.sym_alloc_windowed(&group, SEG_BYTES, window, &m);
             let mut scratch = [0u8; SEG_BYTES];
             let mut consumed = 0u64;
