@@ -2,7 +2,9 @@
 //! pragma parsing, lowering/codegen, derived-datatype gather/scatter, the
 //! tag-matching engine, and the directive engine's cost per `comm_p2p`
 //! instance, per loop-form region and per reopened region. These bound the
-//! overhead the directive abstraction adds over raw library calls.
+//! overhead the directive abstraction adds over raw library calls. One
+//! case times Fig. 3's test data alone (generating and checking an atom),
+//! which is not communication and should stay small beside it.
 //!
 //! A name after `--` runs only the cases whose name contains it, e.g.
 //! `cargo bench -p bench --features harness --bench micro -- directive_region`.
@@ -432,6 +434,39 @@ fn micro_region(c: &mut Criterion) {
     }
 }
 
+/// Host nanoseconds per atom of Fig. 3's test data (default mesh): a
+/// master writes atom `id` into its one send buffer and a receiver checks
+/// that it arrived intact, both through one `SyntheticFe`.
+fn atom_data_ns_per_atom(n: usize) -> f64 {
+    use wl_lsms::{AtomData, AtomSizes, SyntheticFe};
+    let sizes = AtomSizes::default();
+    let fe = SyntheticFe::new(sizes);
+    let mut atom = AtomData::new(sizes);
+    let start = std::time::Instant::now();
+    for id in 0..n {
+        fe.fill(&mut atom, id);
+        assert!(fe.matches(std::hint::black_box(&atom), id), "atom {id}");
+    }
+    start.elapsed().as_nanos() as f64 / n as f64
+}
+
+fn micro_atom_data(c: &mut Criterion) {
+    let name = "atom_data_generate_verify";
+    let mut per_atom = Vec::new();
+    c.bench_function(name, |b| {
+        b.iter(|| per_atom.push(atom_data_ns_per_atom(200)))
+    });
+    if !per_atom.is_empty() {
+        per_atom.sort_by(f64::total_cmp);
+        println!(
+            "{:<60} ns/atom median {:.1} min {:.1}",
+            name,
+            per_atom[per_atom.len() / 2],
+            per_atom[0]
+        );
+    }
+}
+
 /// Host nanoseconds per world barrier entry (`RankCtx::barrier`) at
 /// `nranks` ranks, all on one carrier so wall time is one thread's CPU:
 /// rank 0 times `rounds` generations between its exits from the first
@@ -481,6 +516,7 @@ criterion_group!(
     micro_matching,
     micro_directive,
     micro_region,
+    micro_atom_data,
     micro_fabric
 );
 criterion_main!(benches);

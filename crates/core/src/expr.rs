@@ -29,6 +29,7 @@
 //! `&&`/`||`, and opaque closures called with the live [`EvalEnv`] —
 //! which `tests/prop_exprs.rs` checks on random trees and environments.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -232,8 +233,10 @@ pub enum RankExpr {
     NRanks,
     /// An integer literal.
     Const(i64),
-    /// A named user variable.
-    Var(String),
+    /// A named user variable. A name written in the program is borrowed,
+    /// so building and cloning a clause that names one allocates nothing;
+    /// a parsed name is owned.
+    Var(Cow<'static, str>),
     /// Arithmetic.
     Add(Box<RankExpr>, Box<RankExpr>),
     Sub(Box<RankExpr>, Box<RankExpr>),
@@ -262,9 +265,9 @@ impl RankExpr {
         RankExpr::Const(v)
     }
 
-    /// Shorthand: a named variable.
-    pub fn var(name: &str) -> RankExpr {
-        RankExpr::Var(name.to_string())
+    /// Shorthand: a named variable (a literal name, or a `String`).
+    pub fn var(name: impl Into<Cow<'static, str>>) -> RankExpr {
+        RankExpr::Var(name.into())
     }
 
     /// Wrap a Rust closure with a display label.
@@ -290,7 +293,7 @@ impl RankExpr {
             RankExpr::Var(name) => env
                 .vars
                 .get(name)
-                .ok_or_else(|| ExprError::UnknownVar(name.clone()))?,
+                .ok_or_else(|| ExprError::UnknownVar(name.to_string()))?,
             RankExpr::Add(a, b) => BinOp::Add.apply(a.eval(env)?, b.eval(env)?)?,
             RankExpr::Sub(a, b) => BinOp::Sub.apply(a.eval(env)?, b.eval(env)?)?,
             RankExpr::Mul(a, b) => BinOp::Mul.apply(a.eval(env)?, b.eval(env)?)?,

@@ -333,7 +333,7 @@ pub fn normalize_expr(e: &RankExpr, vars: &VarTable) -> Result<NormExpr, NormErr
         RankExpr::Const(v) => NormExpr::Lin(LinForm::konst(*v)),
         RankExpr::Var(name) => NormExpr::Lin(LinForm::konst(
             vars.get(name)
-                .ok_or_else(|| NormErr::UnboundVar(name.clone()))?,
+                .ok_or_else(|| NormErr::UnboundVar(name.to_string()))?,
         )),
         RankExpr::Add(a, b) => NormExpr::Lin(
             normalize_expr(a, vars)?

@@ -802,6 +802,9 @@ struct RegionLists {
     /// solved for (`loop_form`).
     slots: Vec<crate::expr::Slot>,
     iters: Vec<u64>,
+    /// The box a `comm_p2p`'s clause overrides were built in, emptied and
+    /// kept for the next instance that overrides one.
+    overrides: Option<Box<ClauseSet>>,
 }
 
 impl RegionLists {
@@ -867,19 +870,31 @@ enum RegionRef<'r, 's, 'a> {
     Standalone(&'r mut CommSession<'a>),
 }
 
-/// A buffer list with two inline slots, heap beyond that. A `comm_p2p`
-/// overwhelmingly carries one send and one receive buffer, and the builder
-/// is constructed on every directive instance of every rank — keeping the
-/// common case off the allocator is worth the slightly larger move.
+impl RegionRef<'_, '_, '_> {
+    /// The working lists the instance may borrow from: its region's, or
+    /// the session's own outside a region.
+    fn lists(&mut self) -> &mut RegionLists {
+        match self {
+            RegionRef::InRegion(r) => &mut r.lists,
+            RegionRef::Standalone(s) => &mut s.spare,
+        }
+    }
+}
+
+/// A buffer list with four inline slots, heap beyond that. A `comm_p2p`
+/// overwhelmingly carries one send and one receive buffer, and at most the
+/// four of Listing 5's core-state site; the builder is constructed on every
+/// directive instance of every rank, so keeping those off the allocator is
+/// worth the larger builder.
 pub(crate) struct BufList<T> {
-    inline: [Option<T>; 2],
+    inline: [Option<T>; 4],
     rest: Vec<T>,
 }
 
 impl<T> BufList<T> {
     fn new() -> Self {
         BufList {
-            inline: [None, None],
+            inline: [None, None, None, None],
             rest: Vec::new(),
         }
     }
@@ -921,7 +936,8 @@ impl<T> BufList<T> {
 pub struct P2pCall<'r, 's, 'a, 'data> {
     region: RegionRef<'r, 's, 'a>,
     /// Per-call clause overrides; boxed lazily because the hot path (clauses
-    /// inherited wholesale from the region) never overrides any.
+    /// inherited wholesale from the region) never overrides any. The box is
+    /// borrowed from the working lists and handed back after the instance.
     clauses: Option<Box<ClauseSet>>,
     site: u32,
     sbufs: BufList<SendSlot<'data>>,
@@ -930,7 +946,9 @@ pub struct P2pCall<'r, 's, 'a, 'data> {
 
 impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
     fn clauses_mut(&mut self) -> &mut ClauseSet {
-        self.clauses.get_or_insert_with(Default::default)
+        let region = &mut self.region;
+        self.clauses
+            .get_or_insert_with(|| region.lists().overrides.take().unwrap_or_default())
     }
 
     /// Distinguish lexical `comm_p2p` sites sharing a region (the macro
@@ -1055,6 +1073,10 @@ impl<'r, 's, 'a, 'data> P2pCall<'r, 's, 'a, 'data> {
             if r.error.is_none() {
                 r.error = Some(region_error(e));
             }
+        }
+        if let Some(mut own) = self.clauses.take() {
+            *own = ClauseSet::default();
+            self.region.lists().overrides = Some(own);
         }
         result
     }

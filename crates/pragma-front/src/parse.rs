@@ -628,7 +628,7 @@ impl Parser<'_> {
                 Ok(match name.as_str() {
                     "rank" => RankExpr::Rank,
                     "nprocs" | "nranks" => RankExpr::NRanks,
-                    _ => RankExpr::Var(name),
+                    _ => RankExpr::var(name),
                 })
             }
             Tok::LParen => {

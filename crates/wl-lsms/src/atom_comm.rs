@@ -12,12 +12,14 @@
 //!   `rhotot` grouped; `ec`+`nc`+`lc`+`kc` grouped), automatic datatype
 //!   handling, and one consolidated synchronization.
 
+use std::sync::LazyLock;
+
 use commint::buffer::{Prim, PrimMut, Soa, SoaMut, Struc, StrucMut};
 use commint::{CommParams, CommSession, DirectiveError, RankExpr, Target};
 use mpisim::{Comm, PackBuf};
 use netsim::RankCtx;
 
-use crate::atom::AtomData;
+use crate::atom::{AtomData, AtomScalars};
 
 /// Tag used by the original pack/send path.
 const ATOM_TAG: i32 = 40;
@@ -111,10 +113,32 @@ pub fn transfer_atom_original(
     }
 }
 
+/// Listing 5's `comm_parameters` clauses for `target`: `from_rank` sends
+/// to `to_rank`. They are constants of the code, as the pragma text is, so
+/// each target's list is built once per process.
+fn listing5_params(target: Target) -> &'static CommParams {
+    static PARAMS: LazyLock<[CommParams; 3]> = LazyLock::new(|| {
+        Target::ALL.map(|target| {
+            CommParams::new()
+                .sendwhen(RankExpr::rank().eq(RankExpr::var("from_rank")))
+                .receivewhen(RankExpr::rank().eq(RankExpr::var("to_rank")))
+                .sender(RankExpr::var("from_rank"))
+                .receiver(RankExpr::var("to_rank"))
+                .target(target)
+        })
+    });
+    let i = Target::ALL.iter().position(|&t| t == target);
+    &PARAMS[i.expect("Target::ALL lists every target")]
+}
+
 /// Listing 5: the same transfer through the directives. Every rank of the
 /// communicator executes this (SPMD); the `sendwhen`/`receivewhen` clauses
 /// select the participants. Three `comm_p2p` instances share one region and
 /// one consolidated synchronization.
+///
+/// # Panics
+///
+/// If `from == to`: the sender reads the arrays the receiver writes.
 pub fn transfer_atom_directive(
     session: &mut CommSession<'_>,
     from: usize,
@@ -130,74 +154,92 @@ pub fn transfer_atom_directive(
     session.set_var("size1", size1 as i64);
     session.set_var("size2", size2 as i64);
 
-    let params = CommParams::new()
-        .sendwhen(RankExpr::rank().eq(RankExpr::var("from_rank")))
-        .receivewhen(RankExpr::rank().eq(RankExpr::var("to_rank")))
-        .sender(RankExpr::var("from_rank"))
-        .receiver(RankExpr::var("to_rank"))
-        .target(target);
-
-    // The region borrows the atom's pieces disjointly. Its send buffers
-    // alias its receive buffers, so the sender reads a snapshot; every
-    // other rank passes empty arrays (the counts are explicit), as
-    // `set_evec_directive` does.
-    let AtomData {
-        scalars,
-        vr,
-        rhotot,
-        ec,
-        nc,
-        lc,
-        kc,
-    } = atom;
-    let sends = session.rank() == from;
-    let (n1, n2) = if sends { (size1, size2) } else { (0, 0) };
-    let scalars_src = *scalars;
-    let vr_src = vr.as_slice()[..n1].to_vec();
-    let rhotot_src = rhotot.as_slice()[..n1].to_vec();
-    let ec_src = ec.as_slice()[..n2].to_vec();
-    let nc_src = nc.as_slice()[..n2].to_vec();
-    let lc_src = lc.as_slice()[..n2].to_vec();
-    let kc_src = kc.as_slice()[..n2].to_vec();
-
-    session.region(&params, |reg| {
+    let v = AtomViews::new(atom, session.rank(), from, to);
+    session.region(listing5_params(target), |reg| {
         // #pragma comm_p2p sbuf(scalaratomdata) rbuf(scalaratomdata) count(1)
         reg.p2p()
             .site(1)
             .count(1)
-            .sbuf(Struc::new(
-                "scalaratomdata",
-                std::slice::from_ref(&scalars_src),
-            ))
-            .rbuf(StrucMut::new(
-                "scalaratomdata",
-                std::slice::from_mut(scalars),
-            ))
+            .sbuf(Struc::new("scalaratomdata", v.scalars.send))
+            .rbuf(StrucMut::new("scalaratomdata", v.scalars.recv))
             .run()?;
         // #pragma comm_p2p sbuf(vr,rhotot) rbuf(vr,rhotot) count(size1)
         reg.p2p()
             .site(2)
             .count(RankExpr::var("size1"))
-            .sbuf(Prim::new("vr", &vr_src))
-            .sbuf(Prim::new("rhotot", &rhotot_src))
-            .rbuf(PrimMut::new("vr", &mut vr.as_mut_slice()[..size1]))
-            .rbuf(PrimMut::new("rhotot", &mut rhotot.as_mut_slice()[..size1]))
+            .sbuf(Prim::new("vr", v.vr.send))
+            .sbuf(Prim::new("rhotot", v.rhotot.send))
+            .rbuf(PrimMut::new("vr", v.vr.recv))
+            .rbuf(PrimMut::new("rhotot", v.rhotot.recv))
             .run()?;
         // #pragma comm_p2p sbuf(ec,nc,lc,kc) rbuf(ec,nc,lc,kc) count(size2)
         reg.p2p()
             .site(3)
             .count(RankExpr::var("size2"))
-            .sbuf(Prim::new("ec", &ec_src))
-            .sbuf(Prim::new("nc", &nc_src))
-            .sbuf(Prim::new("lc", &lc_src))
-            .sbuf(Prim::new("kc", &kc_src))
-            .rbuf(PrimMut::new("ec", &mut ec.as_mut_slice()[..size2]))
-            .rbuf(PrimMut::new("nc", &mut nc.as_mut_slice()[..size2]))
-            .rbuf(PrimMut::new("lc", &mut lc.as_mut_slice()[..size2]))
-            .rbuf(PrimMut::new("kc", &mut kc.as_mut_slice()[..size2]))
+            .sbuf(Prim::new("ec", v.ec.send))
+            .sbuf(Prim::new("nc", v.nc.send))
+            .sbuf(Prim::new("lc", v.lc.send))
+            .sbuf(Prim::new("kc", v.kc.send))
+            .rbuf(PrimMut::new("ec", v.ec.recv))
+            .rbuf(PrimMut::new("nc", v.nc.recv))
+            .rbuf(PrimMut::new("lc", v.lc.recv))
+            .rbuf(PrimMut::new("kc", v.kc.recv))
             .run()?;
         Ok(())
     })?
+}
+
+/// One array of an atom split by role for a transfer: what this rank
+/// receives into and what it sends from.
+struct RoleSplit<'d, T> {
+    recv: &'d mut [T],
+    send: &'d [T],
+}
+
+impl<'d, T> RoleSplit<'d, T> {
+    /// A receive prefix of `n` elements if `recvs`, then a send view of the
+    /// next `n` if `sends`; each empty otherwise.
+    fn new(data: &'d mut [T], n: usize, sends: bool, recvs: bool) -> Self {
+        let (recv, rest) = data.split_at_mut(usize::from(recvs) * n);
+        let send = &rest[..usize::from(sends) * n];
+        RoleSplit { recv, send }
+    }
+}
+
+/// An atom's storage split by role for one transfer from `from` to `to`.
+/// A site's send buffers name the same arrays as its receive buffers, and
+/// a rank is never both sender and receiver, so the sender borrows its
+/// arrays, the receiver writes in place, and every other rank passes empty
+/// views: no staging copies anywhere. The views stay empty-but-typed so
+/// that the collective staging allocation and the lowering decision, which
+/// read the element descriptor on every rank, agree everywhere; the
+/// counts are explicit.
+struct AtomViews<'d> {
+    scalars: RoleSplit<'d, AtomScalars>,
+    vr: RoleSplit<'d, f64>,
+    rhotot: RoleSplit<'d, f64>,
+    ec: RoleSplit<'d, f64>,
+    nc: RoleSplit<'d, i32>,
+    lc: RoleSplit<'d, i32>,
+    kc: RoleSplit<'d, i32>,
+}
+
+impl<'d> AtomViews<'d> {
+    fn new(atom: &'d mut AtomData, me: usize, from: usize, to: usize) -> Self {
+        assert_ne!(from, to, "an atom transfer moves data between two ranks");
+        let (s, r) = (me == from, me == to);
+        // The first two columns of each matrix, as Listing 4 packs them.
+        let (n1, n2) = (2 * atom.vr.n_row(), 2 * atom.ec.n_row());
+        AtomViews {
+            scalars: RoleSplit::new(std::slice::from_mut(&mut atom.scalars), 1, s, r),
+            vr: RoleSplit::new(atom.vr.as_mut_slice(), n1, s, r),
+            rhotot: RoleSplit::new(atom.rhotot.as_mut_slice(), n1, s, r),
+            ec: RoleSplit::new(atom.ec.as_mut_slice(), n2, s, r),
+            nc: RoleSplit::new(atom.nc.as_mut_slice(), n2, s, r),
+            lc: RoleSplit::new(atom.lc.as_mut_slice(), n2, s, r),
+            kc: RoleSplit::new(atom.kc.as_mut_slice(), n2, s, r),
+        }
+    }
 }
 
 /// The layout-engine shape of the same transfer: **one** `comm_p2p`
@@ -213,6 +255,10 @@ pub fn transfer_atom_directive(
 /// placeholder views that still carry the full layout descriptors — the
 /// collective staging allocation and the (SPMD-uniform) lowering decision
 /// need the descriptor on every rank, but no payload.
+///
+/// # Panics
+///
+/// If `from == to`, as [`transfer_atom_directive`].
 pub fn transfer_atom_composite(
     session: &mut CommSession<'_>,
     from: usize,
@@ -226,46 +272,8 @@ pub fn transfer_atom_composite(
     let size1 = 2 * atom.vr.n_row();
     let size2 = 2 * atom.ec.n_row();
 
-    let params = CommParams::new()
-        .sendwhen(RankExpr::rank().eq(RankExpr::var("from_rank")))
-        .receivewhen(RankExpr::rank().eq(RankExpr::var("to_rank")))
-        .sender(RankExpr::var("from_rank"))
-        .receiver(RankExpr::var("to_rank"))
-        .target(target);
-
-    let me = session.rank();
-    let sends = usize::from(me == from);
-    let recvs = usize::from(me == to);
-
-    let AtomData {
-        scalars,
-        vr,
-        rhotot,
-        ec,
-        nc,
-        lc,
-        kc,
-    } = atom;
-
-    // Role-dependent split of each storage into a receive prefix and a
-    // send view. A rank is never both sender and receiver here, so one
-    // side of every split is an empty placeholder.
-    let (sc_recv, sc_rest) = std::slice::from_mut(scalars).split_at_mut(recvs);
-    let sc_send = &sc_rest[..sends.min(sc_rest.len())];
-    let (vr_recv, vr_rest) = vr.as_mut_slice().split_at_mut(recvs * size1);
-    let vr_send = &vr_rest[..sends * size1];
-    let (rho_recv, rho_rest) = rhotot.as_mut_slice().split_at_mut(recvs * size1);
-    let rho_send = &rho_rest[..sends * size1];
-    let (ec_recv, ec_rest) = ec.as_mut_slice().split_at_mut(recvs * size2);
-    let ec_send = &ec_rest[..sends * size2];
-    let (nc_recv, nc_rest) = nc.as_mut_slice().split_at_mut(recvs * size2);
-    let nc_send = &nc_rest[..sends * size2];
-    let (lc_recv, lc_rest) = lc.as_mut_slice().split_at_mut(recvs * size2);
-    let lc_send = &lc_rest[..sends * size2];
-    let (kc_recv, kc_rest) = kc.as_mut_slice().split_at_mut(recvs * size2);
-    let kc_send = &kc_rest[..sends * size2];
-
-    session.region(&params, |reg| {
+    let v = AtomViews::new(atom, session.rank(), from, to);
+    session.region(listing5_params(target), |reg| {
         // #pragma comm_p2p count(1)
         //   sbuf(scalaratomdata, potential, corestate)
         //   rbuf(scalaratomdata, potential, corestate)
@@ -273,31 +281,31 @@ pub fn transfer_atom_composite(
         reg.p2p()
             .site(1)
             .count(1)
-            .sbuf(Struc::new("scalaratomdata", sc_send))
+            .sbuf(Struc::new("scalaratomdata", v.scalars.send))
             .sbuf(
                 Soa::new("potential")
-                    .field_blocks("vr", vr_send, size1)
-                    .field_blocks("rhotot", rho_send, size1),
+                    .field_blocks("vr", v.vr.send, size1)
+                    .field_blocks("rhotot", v.rhotot.send, size1),
             )
             .sbuf(
                 Soa::new("corestate")
-                    .field_blocks("ec", ec_send, size2)
-                    .field_blocks("nc", nc_send, size2)
-                    .field_blocks("lc", lc_send, size2)
-                    .field_blocks("kc", kc_send, size2),
+                    .field_blocks("ec", v.ec.send, size2)
+                    .field_blocks("nc", v.nc.send, size2)
+                    .field_blocks("lc", v.lc.send, size2)
+                    .field_blocks("kc", v.kc.send, size2),
             )
-            .rbuf(StrucMut::new("scalaratomdata", sc_recv))
+            .rbuf(StrucMut::new("scalaratomdata", v.scalars.recv))
             .rbuf(
                 SoaMut::new("potential")
-                    .field_blocks("vr", vr_recv, size1)
-                    .field_blocks("rhotot", rho_recv, size1),
+                    .field_blocks("vr", v.vr.recv, size1)
+                    .field_blocks("rhotot", v.rhotot.recv, size1),
             )
             .rbuf(
                 SoaMut::new("corestate")
-                    .field_blocks("ec", ec_recv, size2)
-                    .field_blocks("nc", nc_recv, size2)
-                    .field_blocks("lc", lc_recv, size2)
-                    .field_blocks("kc", kc_recv, size2),
+                    .field_blocks("ec", v.ec.recv, size2)
+                    .field_blocks("nc", v.nc.recv, size2)
+                    .field_blocks("lc", v.lc.recv, size2)
+                    .field_blocks("kc", v.kc.recv, size2),
             )
             .run()?;
         Ok(())

@@ -22,7 +22,7 @@ use commint::{CommSession, Overlay, Target};
 use netsim::trace::TraceEvent;
 use netsim::{run, ExecPolicy, RankMetrics, RankStats, SimConfig, SimResult, Time};
 
-use crate::atom::{AtomData, AtomSizes};
+use crate::atom::{AtomData, AtomSizes, SyntheticFe};
 use crate::atom_comm::{transfer_atom_directive, transfer_atom_original};
 use crate::core_states::{calculate_core_states, CoreStateParams};
 use crate::spin::{
@@ -147,6 +147,9 @@ fn fig3_single_atom_run(
     if observe {
         cfg = cfg.with_trace();
     }
+    // The atoms' data is test input: every rank reads the one generator,
+    // the master to fill what it sends, the others to check what arrived.
+    let fe = &SyntheticFe::new(sizes);
     let res = run(cfg, move |ctx| {
         let comms = t.build_comms(ctx);
         let n = t.ranks_per_lsms;
@@ -154,13 +157,15 @@ fn fig3_single_atom_run(
 
         // Stage A (identical in every variant): the WL master holds all
         // atoms (loaded from disk in the real app) and pack/sends each
-        // instance's set to its privileged rank.
+        // instance's set to its privileged rank, one at a time from one
+        // buffer.
         let mut received: Vec<AtomData> = Vec::new();
         if me == t.wl_rank() {
+            let mut atom = AtomData::new(sizes);
             for inst in 0..t.instances {
                 let dest = t.privileged_rank(inst);
                 for a in 0..n {
-                    let mut atom = AtomData::synthetic_fe(inst * n + a, sizes);
+                    fe.fill(&mut atom, inst * n + a);
                     transfer_atom_original(ctx, &comms.world, 0, dest, &mut atom);
                 }
             }
@@ -185,7 +190,7 @@ fn fig3_single_atom_run(
                     } else {
                         let mut atom = AtomData::new(sizes);
                         transfer_atom_original(ctx, &lsms, 0, local, &mut atom);
-                        correct = atom == AtomData::synthetic_fe(inst * n + local, sizes);
+                        correct = fe.matches(&atom, inst * n + local);
                     }
                 }
                 AtomCommVariant::DirectiveMpi2 | AtomCommVariant::DirectiveShmem => {
@@ -211,13 +216,13 @@ fn fig3_single_atom_run(
                     }
                     session.flush();
                     if local != 0 {
-                        correct = my_atom == AtomData::synthetic_fe(inst * n + local, sizes);
+                        correct = fe.matches(&my_atom, inst * n + local);
                     }
                 }
             }
             if local == 0 {
                 // Privileged keeps atom 0 and verifies it.
-                correct &= received[0] == AtomData::synthetic_fe(inst * n, sizes);
+                correct &= fe.matches(&received[0], inst * n);
             }
         }
         (ctx.now(), correct)
@@ -454,6 +459,7 @@ fn fig5_overlap_run(
     if observe {
         cfg = cfg.with_trace();
     }
+    let fe = &SyntheticFe::new(sizes);
     let res = run(cfg, move |ctx| {
         let comms = t.build_comms(ctx);
         let mut state = SpinState::new(&t, ctx.rank());
@@ -461,7 +467,7 @@ fn fig5_overlap_run(
         let my_atom_id = t
             .instance_of(ctx.rank())
             .map(|m| m * t.ranks_per_lsms + (ctx.rank() - t.privileged_rank(m)));
-        let atom = my_atom_id.map(|id| AtomData::synthetic_fe(id, sizes));
+        let atom = my_atom_id.map(|id| fe.atom(id));
 
         if directive {
             let mut session = CommSession::new(ctx, comms.world.clone()).without_ir();
@@ -521,6 +527,7 @@ pub fn run_full_app(
     steps: usize,
 ) -> AppResult {
     let t = topo.clone();
+    let fe = &SyntheticFe::new(sizes);
     let res = run(SimConfig::new(t.total_ranks()), move |ctx| {
         let comms = t.build_comms(ctx);
         let n = t.ranks_per_lsms;
@@ -532,10 +539,11 @@ pub fn run_full_app(
         let mut my_atom = AtomData::new(sizes);
         let mut staged_atoms: Vec<AtomData> = Vec::new();
         if me == t.wl_rank() {
+            let mut atom = AtomData::new(sizes);
             for inst in 0..t.instances {
                 let dest = t.privileged_rank(inst);
                 for a in 0..n {
-                    let mut atom = AtomData::synthetic_fe(inst * n + a, sizes);
+                    fe.fill(&mut atom, inst * n + a);
                     transfer_atom_original(ctx, &comms.world, 0, dest, &mut atom);
                 }
             }

@@ -30,7 +30,7 @@ pub mod spin;
 pub mod topology;
 pub mod wang_landau;
 
-pub use atom::{AtomData, AtomScalars, AtomSizes};
+pub use atom::{AtomData, AtomScalars, AtomSizes, SyntheticFe};
 pub use core_states::CoreStateParams;
 pub use experiments::{
     fig3_single_atom, fig3_single_atom_exec, fig3_single_atom_observed, fig4_spin, fig4_spin_exec,

@@ -8,7 +8,8 @@
 //! bound only after that, and ones never bound. Collectives are entered
 //! through interned groups, so the last tests check that every route to
 //! one member list meets in one barrier and one symmetric allocation, and
-//! that a world barrier entry allocates nothing.
+//! that a world barrier entry allocates nothing. Fig. 3's Listing 5 transfer
+//! allocates nothing on a bystander, nor does checking a received atom.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -819,4 +820,61 @@ fn world_barrier_entries_after_the_first_do_not_allocate() {
     };
     assert_eq!(entries(10), vec![0, 0]);
     assert_eq!(entries(1000), vec![0, 0]);
+}
+
+/// Fig. 3's directive transfer (Listing 5) of one small atom from rank 0
+/// to rank 1, `transfers` times after two warm-ups, with rank 2 a
+/// bystander of every one; each rank on a carrier of its own. Returns per
+/// rank the allocations over the timed transfers and, after them, over
+/// checking what the rank holds against the generator (ranks 0 and 1 hold
+/// the atom; rank 0 first refills it).
+fn atom_transfer_allocs(target: Target, transfers: usize) -> Vec<(u64, u64)> {
+    use wl_lsms::atom_comm::transfer_atom_directive;
+    use wl_lsms::{AtomData, AtomSizes, SyntheticFe};
+    let fe = &SyntheticFe::new(AtomSizes { jmt: 40, numc: 6 });
+    let cfg = SimConfig::new(3).with_exec(ExecPolicy::bounded(3));
+    run(cfg, move |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm).without_ir();
+        let mut atom = match s.rank() {
+            0 => fe.atom(7),
+            _ => AtomData::new(fe.sizes()),
+        };
+        let mut transfer = |s: &mut CommSession<'_>| {
+            transfer_atom_directive(s, 0, 1, target, &mut atom).expect("directive transfer")
+        };
+        transfer(&mut s);
+        transfer(&mut s);
+        let before = thread_allocs();
+        for _ in 0..transfers {
+            transfer(&mut s);
+        }
+        let during = thread_allocs() - before;
+        s.flush();
+        let before = thread_allocs();
+        if s.rank() == 0 {
+            // As Fig. 3's master refills its one send buffer.
+            fe.fill(&mut atom, 7);
+        }
+        let holds = fe.matches(&atom, 7);
+        let checking = thread_allocs() - before;
+        assert_eq!(holds, s.rank() != 2, "rank {}", s.rank());
+        (during, checking)
+    })
+    .per_rank
+}
+
+#[test]
+fn bystander_atom_transfers_do_not_allocate() {
+    for target in [Target::Mpi2Side, Target::Shmem] {
+        let (few, many) = (
+            atom_transfer_allocs(target, 10),
+            atom_transfer_allocs(target, 1000),
+        );
+        assert_eq!(few[2], many[2], "{target}: bystander over 10 vs 1000");
+        assert_eq!(many[2].0, 0, "{target}: bystander allocations");
+        for (rank, &(_, checking)) in many.iter().enumerate() {
+            assert_eq!(checking, 0, "{target}: rank {rank} filling or checking");
+        }
+    }
 }
