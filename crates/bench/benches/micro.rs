@@ -4,7 +4,10 @@
 //! instance, per loop-form region and per reopened region. These bound the
 //! overhead the directive abstraction adds over raw library calls. One
 //! case times Fig. 3's test data alone (generating and checking an atom),
-//! which is not communication and should stay small beside it.
+//! which is not communication and should stay small beside it. The
+//! `sched_handoffs` cases count how often a simulation unparks an idle
+//! carrier: a 337-rank Fig. 3 or Fig. 4 simulation on two carriers, and
+//! commbench's `engine_probe` shape on one carrier and on two.
 //!
 //! A name after `--` runs only the cases whose name contains it, e.g.
 //! `cargo bench -p bench --features harness --bench micro -- directive_region`.
@@ -508,6 +511,136 @@ fn micro_fabric(c: &mut Criterion) {
     }
 }
 
+/// Carrier handoffs per 337-rank simulation on two carriers (the engine
+/// commbench runs): wakes that unparked an idle carrier, each a futex wake
+/// of another thread. Printed with the resumptions (`grants`) they are a
+/// share of.
+fn micro_sched(c: &mut Criterion) {
+    use netsim::ExecPolicy;
+    use wl_lsms::{
+        fig3_single_atom_exec, fig4_spin_exec, AtomCommVariant, AtomSizes, Measurement,
+        SpinVariant, Topology,
+    };
+    let topo = Topology::paper(21);
+    let exec = ExecPolicy::bounded(2);
+    let mut sims: Vec<(String, Box<dyn Fn() -> Measurement>)> = Vec::new();
+    for v in [
+        AtomCommVariant::Original,
+        AtomCommVariant::DirectiveMpi2,
+        AtomCommVariant::DirectiveShmem,
+    ] {
+        let topo = topo.clone();
+        sims.push((
+            format!("sched_handoffs_337_atom_{v:?}"),
+            Box::new(move || fig3_single_atom_exec(&topo, v, AtomSizes::default(), exec)),
+        ));
+    }
+    for v in [
+        SpinVariant::Original,
+        SpinVariant::OriginalWaitall,
+        SpinVariant::DirectiveMpi2,
+        SpinVariant::DirectiveShmem,
+    ] {
+        let topo = topo.clone();
+        sims.push((
+            format!("sched_handoffs_337_spin_{v:?}"),
+            Box::new(move || fig4_spin_exec(&topo, v, 4, exec)),
+        ));
+    }
+    for (name, sim) in &sims {
+        let mut counts = Vec::new();
+        c.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                let meas = sim();
+                assert!(meas.correct, "{name}");
+                counts.push((meas.sched.handoffs, meas.sched.grants));
+            })
+        });
+        if counts.is_empty() {
+            continue;
+        }
+        counts.sort_unstable();
+        let (handoffs, grants) = counts[counts.len() / 2];
+        println!(
+            "{:<60} handoffs median {} min {} max {} (of {} grants)",
+            name,
+            handoffs,
+            counts[0].0,
+            counts[counts.len() - 1].0,
+            grants
+        );
+    }
+    for (label, target) in [("mpi2", Target::Mpi2Side), ("shmem", Target::Shmem)] {
+        for workers in [1, 2] {
+            let name = format!("sched_handoffs_engine_probe_{label}_w{workers}");
+            let mut calls = Vec::new();
+            c.bench_function(name.as_str(), |b| {
+                b.iter(|| calls.push(engine_probe_shape(target, workers)))
+            });
+            if calls.is_empty() {
+                continue;
+            }
+            calls.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let (ns, handoffs) = calls[calls.len() / 2];
+            println!(
+                "{:<60} ns/call median {:.0} min {:.0}, handoffs/call {:.2}",
+                name, ns, calls[0].0, handoffs
+            );
+        }
+    }
+}
+
+/// Commbench's `engine_probe` shape: 500 one-instance regions, each moving
+/// 3 doubles from rank 0 to rank 1 of 2, on `workers` carriers. Returns
+/// rank 0's wall ns per `comm_p2p` and the run's handoffs per call.
+fn engine_probe_shape(target: Target, workers: usize) -> (f64, f64) {
+    use commint::{CommParams, CommSession, DirectiveError, Prim, PrimMut};
+    use netsim::{run, ExecPolicy, SimConfig};
+    const K: usize = 500;
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::lit(1))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(0)))
+        .receivewhen(RankExpr::rank().eq(RankExpr::lit(1)))
+        .count(3)
+        .target(target);
+    let res = run(
+        SimConfig::new(2).with_exec(ExecPolicy::bounded(workers)),
+        |ctx| {
+            let me = ctx.rank();
+            let src = [1.0f64; 3];
+            let mut dst = [0.0f64; 3];
+            let comm = mpisim::Comm::world(ctx);
+            let mut session = CommSession::new(ctx, comm).without_ir();
+            let mut spent = std::time::Duration::ZERO;
+            for _ in 0..K {
+                session
+                    .region(&params, |reg| {
+                        let s: &[f64] = if me == 0 { &src } else { &[] };
+                        let d: &mut [f64] = if me == 1 { &mut dst } else { &mut [] };
+                        let t0 = std::time::Instant::now();
+                        reg.p2p()
+                            .site(1)
+                            .sbuf(Prim::new("a", s))
+                            .rbuf(PrimMut::new("b", d))
+                            .run()?;
+                        spent += t0.elapsed();
+                        Ok::<(), DirectiveError>(())
+                    })
+                    .unwrap()
+                    .unwrap();
+            }
+            session.flush();
+            spent
+        },
+    );
+    let handoffs = res.sched.expect("every run reports").handoffs;
+    (
+        res.per_rank[0].as_nanos() as f64 / K as f64,
+        handoffs as f64 / K as f64,
+    )
+}
+
 criterion_group!(
     benches,
     micro_expr,
@@ -517,6 +650,7 @@ criterion_group!(
     micro_directive,
     micro_region,
     micro_atom_data,
-    micro_fabric
+    micro_fabric,
+    micro_sched
 );
 criterion_main!(benches);

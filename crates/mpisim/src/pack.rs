@@ -6,34 +6,55 @@
 //! the virtual-time difference between "pack everything then send" and
 //! "send through a committed MPI struct" is measurable.
 
+use bytes::Bytes;
 use netsim::{CostModel, RankCtx};
 
 use crate::pod::{as_bytes, as_bytes_mut, Pod};
 
 /// A pack buffer with an explicit position cursor, mirroring
-/// `MPI_Pack(..., buf, size, &pos, comm)`.
+/// `MPI_Pack(..., buf, size, &pos, comm)`. The sender packs into it and
+/// hands the bytes to the send by ownership ([`PackBuf::into_bytes`]); the
+/// receiver unpacks straight from the received payload
+/// ([`PackBuf::received`]). Neither side copies the bytes beyond the
+/// charged pack and unpack.
 #[derive(Debug)]
 pub struct PackBuf {
-    buf: Vec<u8>,
+    data: Data,
     pos: usize,
 }
 
+#[derive(Debug)]
+enum Data {
+    /// Being packed: the `pos` bytes packed so far, at most `size`.
+    Packing { buf: Vec<u8>, size: usize },
+    /// A received message, unpacked from `pos` on.
+    Received(Bytes),
+}
+
 impl PackBuf {
-    /// Allocate a pack buffer of `size` bytes (like the `s`-sized staging
-    /// buffer in the original code).
+    /// A pack buffer of `size` bytes (like the `s`-sized staging buffer in
+    /// the original code). The space is reserved, not zero-filled.
     pub fn with_capacity(size: usize) -> Self {
         PackBuf {
-            buf: vec![0u8; size],
+            data: Data::Packing {
+                buf: Vec::with_capacity(size),
+                size,
+            },
             pos: 0,
         }
     }
 
-    /// Wrap received bytes for unpacking.
-    pub fn from_bytes(data: &[u8]) -> Self {
+    /// Unpack a received payload in place.
+    pub fn received(data: Bytes) -> Self {
         PackBuf {
-            buf: data.to_vec(),
+            data: Data::Received(data),
             pos: 0,
         }
+    }
+
+    /// Wrap a copy of `data` for unpacking.
+    pub fn from_bytes(data: &[u8]) -> Self {
+        Self::received(Bytes::copy_from_slice(data))
     }
 
     /// Current cursor position.
@@ -43,25 +64,49 @@ impl PackBuf {
 
     /// Reset the cursor (reuse the buffer).
     pub fn reset(&mut self) {
+        if let Data::Packing { buf, .. } = &mut self.data {
+            buf.clear();
+        }
         self.pos = 0;
+    }
+
+    /// The buffer's bytes: those packed so far, or the whole message.
+    fn bytes(&self) -> &[u8] {
+        match &self.data {
+            Data::Packing { buf, .. } => buf,
+            Data::Received(data) => data,
+        }
     }
 
     /// The packed bytes so far.
     pub fn packed(&self) -> &[u8] {
-        &self.buf[..self.pos]
+        &self.bytes()[..self.pos]
+    }
+
+    /// The packed bytes, by ownership: what `MPI_Send` of `MPI_PACKED`
+    /// ships, without a copy.
+    pub fn into_bytes(self) -> Bytes {
+        match self.data {
+            Data::Packing { buf, .. } => Bytes::from(buf),
+            Data::Received(data) => Bytes::copy_from_slice(&data[..self.pos]),
+        }
     }
 
     /// `MPI_Pack`: append `count` elements from `src`, charging the copy.
+    /// Panics on a received buffer.
     pub fn pack<T: Pod>(&mut self, ctx: &mut RankCtx, src: &[T], model: &CostModel) {
         let bytes = as_bytes(src);
+        let Data::Packing { buf, size } = &mut self.data else {
+            panic!("pack into a received buffer");
+        };
         assert!(
-            self.pos + bytes.len() <= self.buf.len(),
+            self.pos + bytes.len() <= *size,
             "pack overflow: {} + {} > {}",
             self.pos,
             bytes.len(),
-            self.buf.len()
+            size
         );
-        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        buf.extend_from_slice(bytes);
         self.pos += bytes.len();
         ctx.charge_pack(bytes.len(), model);
     }
@@ -74,14 +119,15 @@ impl PackBuf {
     /// `MPI_Unpack`: extract `out.len()` elements, charging the copy.
     pub fn unpack<T: Pod>(&mut self, ctx: &mut RankCtx, out: &mut [T], model: &CostModel) {
         let dst = as_bytes_mut(out);
+        let src = self.bytes();
         assert!(
-            self.pos + dst.len() <= self.buf.len(),
+            self.pos + dst.len() <= src.len(),
             "unpack underflow: {} + {} > {}",
             self.pos,
             dst.len(),
-            self.buf.len()
+            src.len()
         );
-        dst.copy_from_slice(&self.buf[self.pos..self.pos + dst.len()]);
+        dst.copy_from_slice(&src[self.pos..self.pos + dst.len()]);
         self.pos += dst.len();
         ctx.charge_pack(dst.len(), model);
     }
@@ -130,7 +176,7 @@ pub fn peel_piece<'a>(payload: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{run, SimConfig};
+    use netsim::{run, SimConfig, SrcSel, TagSel};
 
     #[test]
     fn frame_and_peel_roundtrip() {
@@ -193,6 +239,49 @@ mod tests {
             assert_eq!(pb.position(), 8);
             let mut rb = PackBuf::from_bytes(pb.packed());
             assert_eq!(rb.unpack_one::<u64>(ctx, &m), 2);
+        });
+    }
+
+    #[test]
+    fn sent_bytes_unpack_in_place() {
+        // Rank 0 packs and sends by ownership; rank 1 unpacks the received
+        // payload where it landed.
+        let res = run(SimConfig::new(2), |ctx| {
+            let m = ctx.machine().mpi;
+            if ctx.rank() == 0 {
+                let mut pb = PackBuf::with_capacity(32);
+                pb.pack_one(ctx, &7i32, &m);
+                pb.pack(ctx, &[0.25f64, -4.0], &m);
+                let data = pb.into_bytes();
+                assert_eq!(data.len(), 20);
+                let s = ctx.isend_bytes(1, 0, data, &m);
+                ctx.wait_send(&s, &m);
+                None
+            } else {
+                let r = ctx.irecv(SrcSel::Exact(0), TagSel::Exact(0), &m);
+                let payload = ctx.wait_recv(&r, &m).payload;
+                let at = payload.as_ptr();
+                let mut rb = PackBuf::received(payload);
+                assert_eq!(rb.packed().as_ptr(), at);
+                let i: i32 = rb.unpack_one(ctx, &m);
+                let mut d = [0f64; 2];
+                rb.unpack(ctx, &mut d, &m);
+                assert_eq!(rb.position(), 20);
+                Some((i, d))
+            }
+        });
+        assert_eq!(res.per_rank[1], Some((7, [0.25, -4.0])));
+        assert_eq!(res.stats[0].packed_bytes, 20);
+        assert_eq!(res.stats[1].packed_bytes, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "unpack underflow")]
+    fn underflow_panics() {
+        run(SimConfig::new(1), |ctx| {
+            let m = ctx.machine().mpi;
+            let mut rb = PackBuf::received(Bytes::from(vec![0u8; 4]));
+            rb.unpack_one::<u64>(ctx, &m);
         });
     }
 

@@ -266,6 +266,10 @@ pub struct SchedStats {
     pub grants: u64,
     /// Times a rank was queued behind its busy carrier.
     pub parks: u64,
+    /// Wakes that unparked an idle carrier: each a futex wake of another
+    /// thread, which runs once the OS schedules it, where a wake within a
+    /// busy carrier only queues the rank for a coroutine switch.
+    pub handoffs: u64,
 }
 
 #[cfg(test)]

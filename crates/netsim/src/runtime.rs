@@ -1359,6 +1359,29 @@ mod tests {
         assert!(res.sched.expect("every run reports").grants > 64 * 8);
     }
 
+    // Under the baton fallback every rank has a thread of its own, so
+    // thread ids cannot name its carrier there.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(netsim_baton)))]
+    #[test]
+    fn bounded_carriers_run_contiguous_rank_blocks() {
+        // 7 ranks on 3 carriers: blocks of 3, 2 and 2 neighbouring ranks,
+        // one thread each.
+        let res = run(uniform_cfg(7).with_exec(ExecPolicy::bounded(3)), |_| {
+            std::thread::current().id()
+        });
+        let ids = &res.per_rank;
+        for block in [0..3, 3..5, 5..7] {
+            let first = ids[block.start];
+            assert!(
+                ids[block.clone()].iter().all(|&id| id == first),
+                "{block:?}"
+            );
+        }
+        assert_ne!(ids[0], ids[3]);
+        assert_ne!(ids[0], ids[5]);
+        assert_ne!(ids[3], ids[5]);
+    }
+
     /// Recurse `depth` frames of about 1 KiB each.
     fn deep(depth: usize) -> usize {
         let frame = std::hint::black_box([depth as u8; 1024]);

@@ -1,12 +1,17 @@
 //! The execution engine: rank bodies run as stackful coroutines (`coro`)
 //! on `w` carrier threads, and switch in user space.
 //!
-//! Rank `r` lives on carrier `r % w` for its whole life: each carrier
-//! keeps a ready queue and resumes the ready rank with the lowest
-//! `(virtual clock, rank)` — the conservative-PDES order, since the rank
-//! whose clock is furthest behind is the one most likely to unblock others.
-//! A rank never migrates, so thread-locals it touches (its own, and std's
-//! panic count and `thread::current`) always see one thread. With
+//! Ranks live on carriers in contiguous blocks whose sizes differ by at
+//! most one ([`carrier_of`]): rank `r` of `n` runs on carrier
+//! `r·w / n` for its whole life. A communicator is usually a contiguous
+//! block of ranks, so neighbours that exchange messages share a carrier,
+//! and waking a neighbour is a coroutine switch rather than a futex wake
+//! of another thread. Each carrier keeps a ready queue and resumes the
+//! ready rank with the lowest `(virtual clock, rank)` — the
+//! conservative-PDES order, since the rank whose clock is furthest behind
+//! is the one most likely to unblock others. A rank never migrates, so
+//! thread-locals it touches (its own, and std's panic count and
+//! `thread::current`) always see one thread. With
 //! `w = nranks` every rank has a carrier of its own and the OS schedules
 //! them all at once: the engine differentials use that as their reference.
 //!
@@ -59,6 +64,8 @@ struct SchedInner {
     grants: u64,
     /// Times a rank was queued behind its busy carrier.
     parks: u64,
+    /// Wakes that unparked an idle carrier (one per idle spell).
+    handoffs: u64,
 }
 
 /// The engine's carriers and ready queues.
@@ -89,10 +96,13 @@ impl Scheduler {
     /// queued at virtual time zero.
     pub fn new(nranks: usize, workers: usize) -> Arc<Self> {
         let carriers = workers.clamp(1, nranks.max(1));
-        let mut ready: Vec<_> = (0..carriers).map(|_| BinaryHeap::new()).collect();
-        for rank in 0..nranks {
-            ready[rank % carriers].push(Reverse((Time::ZERO, rank)));
-        }
+        let ready = (0..carriers)
+            .map(|c| {
+                (first_rank(c, carriers, nranks)..first_rank(c + 1, carriers, nranks))
+                    .map(|rank| Reverse((Time::ZERO, rank)))
+                    .collect()
+            })
+            .collect();
         Arc::new(Scheduler {
             inner: Mutex::new(SchedInner {
                 ready,
@@ -103,6 +113,7 @@ impl Scheduler {
                 grants: 0,
                 // Every rank beyond its carrier's first waits for a turn.
                 parks: nranks.saturating_sub(carriers) as u64,
+                handoffs: 0,
             }),
             wakeup: (0..carriers).map(|_| Condvar::new()).collect(),
             carriers,
@@ -126,6 +137,7 @@ impl Scheduler {
             max_occupied: g.max_occupied,
             grants: g.grants,
             parks: g.parks,
+            handoffs: g.handoffs,
         }
     }
 
@@ -190,8 +202,9 @@ impl Scheduler {
         stack_size: usize,
         body: &'a (dyn Fn(usize) -> R + Sync),
     ) -> Vec<(usize, Outcome<R>)> {
-        let mut coros: Vec<Option<Coroutine<'a, R>>> = (c..self.nranks)
-            .step_by(self.carriers)
+        let first = first_rank(c, self.carriers, self.nranks);
+        let mut coros: Vec<Option<Coroutine<'a, R>>> = (first
+            ..first_rank(c + 1, self.carriers, self.nranks))
             .map(|rank| {
                 let local = Current {
                     sched: Arc::clone(self),
@@ -203,7 +216,7 @@ impl Scheduler {
         let mut outcomes = Vec::with_capacity(coros.len());
         let mut switched_out = false;
         while let Some(rank) = self.next(c, switched_out) {
-            let slot = &mut coros[rank / self.carriers];
+            let slot = &mut coros[rank - first];
             let co = slot.as_mut().expect("a finished rank is never queued");
             if let Some(res) = co.resume() {
                 *slot = None;
@@ -220,7 +233,7 @@ impl Scheduler {
                     matches!(&res, Some(Err(p)) if p.is::<Deadlocked>()),
                     "a deadlocked rank unwinds in one resumption"
                 );
-                outcomes.push((c + i * self.carriers, Outcome::Cancelled));
+                outcomes.push((first + i, Outcome::Cancelled));
             }
         }
         outcomes
@@ -261,16 +274,33 @@ impl Scheduler {
     /// unpark the carrier if it is idle. Called by the completing rank;
     /// never blocks beyond the queue lock, and safe with fabric locks held.
     fn make_ready(&self, rank: usize, clock: Time) {
-        let c = rank % self.carriers;
+        let c = carrier_of(rank, self.carriers, self.nranks);
         let mut g = self.inner.lock();
         g.runnable += 1;
         g.ready[c].push(Reverse((clock, rank)));
         if g.idle[c] {
+            // One unpark per idle spell: until the carrier resumes, later
+            // wakes only queue.
+            g.idle[c] = false;
+            g.handoffs += 1;
             self.wakeup[c].notify_one();
         } else {
             g.parks += 1;
         }
     }
+}
+
+/// The carrier `rank` lives on, of `carriers` over `nranks` ranks: the ranks
+/// are dealt out in contiguous blocks whose sizes differ by at most one.
+fn carrier_of(rank: usize, carriers: usize, nranks: usize) -> usize {
+    rank * carriers / nranks
+}
+
+/// The lowest rank on carrier `c` (`nranks` for `c == carriers`), so carrier
+/// `c` runs ranks `first_rank(c)..first_rank(c + 1)`: the inverse of
+/// [`carrier_of`].
+fn first_rank(c: usize, carriers: usize, nranks: usize) -> usize {
+    (c * nranks).div_ceil(carriers)
 }
 
 /// The failure report of a rank that panicked with payload `p`.
@@ -353,6 +383,28 @@ mod tests {
     }
 
     #[test]
+    fn blocks_partition_the_ranks_evenly() {
+        for nranks in 1..40 {
+            for carriers in 1..=nranks {
+                let sizes: Vec<usize> = (0..carriers)
+                    .map(|c| {
+                        let block =
+                            first_rank(c, carriers, nranks)..first_rank(c + 1, carriers, nranks);
+                        assert!(block.clone().all(|r| carrier_of(r, carriers, nranks) == c));
+                        block.len()
+                    })
+                    .collect();
+                assert_eq!(sizes.iter().sum::<usize>(), nranks);
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(
+                    *lo >= 1 && hi - lo <= 1,
+                    "{nranks} on {carriers}: {sizes:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn slots_bound_concurrency() {
         // Eight ranks on two carriers: at most two bodies ever run at once,
         // even while each holds its carrier through a wall-clock sleep.
@@ -369,6 +421,57 @@ mod tests {
             .unwrap();
         assert!(peak.load(Ordering::SeqCst) <= 2);
         assert!(sched.stats().max_occupied <= 2);
+    }
+
+    /// Handoffs of a ping-pong between ranks `a` and `b` of 4 on 2
+    /// carriers (ranks {0, 1} and {2, 3}): `rounds` times each passes the
+    /// turn to the other, which waits for it parked. A rank whose partner
+    /// lives on the other carrier passes only once that carrier idles, so
+    /// every wake there finds it idle.
+    fn ping_pong_handoffs(a: usize, b: usize, rounds: usize) -> u64 {
+        let sched = Scheduler::new(4, 2);
+        let carrier = |rank| carrier_of(rank, 2, 4);
+        // Whose turn it is, and the other rank's handle while it waits.
+        let turn = Mutex::new((a, None::<Waiter>));
+        sched
+            .run(1 << 16, &|rank| {
+                if rank != a && rank != b {
+                    return;
+                }
+                let peer = a + b - rank;
+                for _ in 0..rounds {
+                    loop {
+                        let mut g = turn.lock();
+                        if g.0 == rank {
+                            break;
+                        }
+                        g.1 = Some(yield_slot());
+                        drop(g);
+                        park_self();
+                    }
+                    if carrier(peer) != carrier(rank) {
+                        while !sched.inner.lock().idle[carrier(peer)] {
+                            thread::yield_now();
+                        }
+                    }
+                    let mut g = turn.lock();
+                    g.0 = peer;
+                    if let Some(w) = g.1.take() {
+                        w.wake(Time::ZERO);
+                    }
+                }
+            })
+            .unwrap();
+        sched.stats().handoffs
+    }
+
+    #[test]
+    fn only_wakes_into_an_idle_carrier_are_handoffs() {
+        // Ranks 0 and 1 share a carrier: every wake is a coroutine switch.
+        assert_eq!(ping_pong_handoffs(0, 1, 16), 0);
+        // Ranks 0 and 3 do not: each pass wakes a parked partner on an
+        // idle carrier, except the last, whose partner has finished.
+        assert_eq!(ping_pong_handoffs(0, 3, 16), 2 * 16 - 1);
     }
 
     #[test]

@@ -68,12 +68,13 @@ pub fn transfer_atom_original(
         buf.pack(ctx, atom.lc.prefix(2 * t as usize), &m);
         buf.pack(ctx, atom.kc.prefix(2 * t as usize), &m);
 
-        comm.send(ctx, to, ATOM_TAG, buf.packed());
+        let req = comm.isend_bytes(ctx, to, ATOM_TAG, buf.into_bytes());
+        comm.wait_send(ctx, &req);
     }
     if me == to {
         // if(comm.rank==to) { MPI_Recv; MPI_Unpack * 20 with resizes }
         let out = comm.recv(ctx, Some(from), Some(ATOM_TAG));
-        let mut buf = PackBuf::from_bytes(&out.data);
+        let mut buf = PackBuf::received(out.data);
         let a = &mut atom.scalars;
         a.local_id = buf.unpack_one(ctx, &m);
         a.jmt = buf.unpack_one(ctx, &m);

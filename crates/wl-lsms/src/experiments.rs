@@ -20,7 +20,7 @@
 
 use commint::{CommSession, Overlay, Target};
 use netsim::trace::TraceEvent;
-use netsim::{run, ExecPolicy, RankMetrics, RankStats, SimConfig, SimResult, Time};
+use netsim::{run, ExecPolicy, RankMetrics, RankStats, SchedStats, SimConfig, SimResult, Time};
 
 use crate::atom::{AtomData, AtomSizes, SyntheticFe};
 use crate::atom_comm::{transfer_atom_directive, transfer_atom_original};
@@ -65,6 +65,9 @@ pub struct Measurement {
     pub correct: bool,
     /// Whole-job operation counters.
     pub stats: RankStats,
+    /// The engine's occupancy and handoff counters: physical, so they vary
+    /// with the carrier count and the wall-clock interleaving.
+    pub sched: SchedStats,
 }
 
 /// Full observability capture of one experiment run: the event trace, the
@@ -232,6 +235,7 @@ fn fig3_single_atom_run(
         time: res.makespan(),
         correct: res.per_rank.iter().all(|&(_, ok)| ok),
         stats: res.total_stats(),
+        sched: res.sched.unwrap_or_default(),
     };
     let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
@@ -379,6 +383,7 @@ fn fig4_spin_run(
         time: Time::from_nanos(phase.as_nanos() / steps as u64),
         correct: res.per_rank.iter().all(|&(_, ok)| ok),
         stats: res.total_stats(),
+        sched: res.sched.unwrap_or_default(),
     };
     let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
@@ -499,6 +504,7 @@ fn fig5_overlap_run(
         time: Time::from_nanos(res.makespan().as_nanos() / steps as u64),
         correct: true,
         stats: res.total_stats(),
+        sched: res.sched.unwrap_or_default(),
     };
     let observed = observe.then(|| Observed::new(measurement, res));
     (measurement, observed)
