@@ -515,13 +515,6 @@ pub struct BufMeta {
     pub addr: (usize, usize),
 }
 
-impl BufMeta {
-    /// Whether two buffers' memory ranges overlap.
-    pub fn overlaps(&self, other: &BufMeta) -> bool {
-        self.addr.0 < other.addr.1 && other.addr.0 < self.addr.1
-    }
-}
-
 /// Name-free buffer descriptor for the directive execution hot path:
 /// everything `comm_p2p` needs per instance. The display name stays out so
 /// the common case allocates nothing (the engine evaluates every directive
@@ -1538,18 +1531,6 @@ mod tests {
     fn stride_smaller_than_blocklen_rejected() {
         let data = [0f32; 8];
         let _ = PrimStrided::new("bad", &data, 3, 2);
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let buf = [0u8; 16];
-        let a = Prim::new("a", &buf[0..8]).meta();
-        let b = Prim::new("b", &buf[8..16]).meta();
-        let c = Prim::new("c", &buf[4..12]).meta();
-        assert!(!a.overlaps(&b));
-        assert!(a.overlaps(&c));
-        assert!(c.overlaps(&b));
-        assert!(a.overlaps(&a));
     }
 
     #[test]

@@ -737,7 +737,7 @@ fn unknown_var(vars: &VarTable, slot: Slot) -> ExprError {
 
 /// `-a` in C arithmetic: `-i64::MIN` is [`ExprError::Overflow`].
 #[inline(always)]
-pub(crate) fn neg(a: i64) -> Result<i64, ExprError> {
+fn neg(a: i64) -> Result<i64, ExprError> {
     a.checked_neg().ok_or(ExprError::Overflow)
 }
 
@@ -761,8 +761,8 @@ impl BinOp {
     /// `a op b` in C arithmetic, with the behaviour C leaves undefined
     /// (a result outside `i64`, `i64::MIN / -1`, `i64::MIN % -1`)
     /// reported as [`ExprError::Overflow`]; for `Div`/`Rem` the caller has
-    /// already rejected `b == 0`. Both evaluators, and the loop solver's
-    /// affine forms, do their arithmetic here.
+    /// already rejected `b == 0`. Both evaluators, and the affine forms of
+    /// [`crate::nf`], do their arithmetic here.
     #[inline(always)]
     pub(crate) fn apply(self, a: i64, b: i64) -> Result<i64, ExprError> {
         let v = match self {

@@ -4,9 +4,10 @@
 //! linker-assigned address space recorded in [`crate::buffer::BufMeta`]:
 //! intra-directive `sbuf`/`rbuf` aliasing (CI003), cross-directive
 //! consolidation safety (CI006), and the one-sided race lints
-//! (CI009–CI012, [`crate::race`]). They used to carry three private copies
-//! of the same overlap arithmetic; this module is the single tested code
-//! path they all call.
+//! (CI009–CI012, [`crate::race`]). They, and the directive engine's
+//! buffer-independence guard, which splits a consolidated sync where a
+//! directive touches memory a pending one did, call this module as the
+//! single tested code path for the rule.
 //!
 //! The conflict rule is the classical data-race condition restricted to
 //! static intervals: two accesses conflict iff their byte spans intersect

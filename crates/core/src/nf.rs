@@ -2,20 +2,29 @@
 //!
 //! The paper's clause expressions are overwhelmingly *affine-plus-modular*
 //! in `rank` and `nprocs`: `sender(rank-1)`, `receiver((rank+1)%nprocs)`,
-//! `sendwhen(rank%2==0)`. This module normalizes [`RankExpr`] /
+//! `sendwhen(rank%2==0)`. This module lowers [`RankExpr`] /
 //! [`CondExpr`] trees into a closed normal form —
 //!
 //! ```text
-//! NormExpr ::= a·rank + n·nprocs + c                  (Lin)
-//!            | (a·rank + n·nprocs + c) mod m          (Mod), m = k or nprocs+k
-//!            | (a·rank + n·nprocs + c) div k          (Div), constant k
+//! LinForm  ::= c + a·rank + n·nprocs + Σ k_d·i_d      (loop indices i_0..i_2)
+//! NormExpr ::= LinForm                                (Lin)
+//!            | LinForm mod m                          (Mod), m = k or nprocs+k
+//!            | LinForm div k                          (Div), constant k
 //! NormCond ::= true | false | NormExpr ⋈ NormExpr | ∧ | ∨ | ¬
 //! ```
 //!
 //! — or reports *why* an expression falls outside the class
 //! ([`NormErr`]: opaque host code, unbound variables, non-affine shapes).
 //! Arithmetic uses C semantics throughout (`%` keeps the dividend's sign,
-//! `/` truncates toward zero), matching [`RankExpr::eval`] exactly.
+//! `/` truncates toward zero, a result outside `i64` is an overflow): every
+//! operation goes through the same [`BinOp::apply`] as [`RankExpr::eval`].
+//!
+//! One lowering ([`normalize_expr`]) serves two callers, which differ only
+//! in their [`Leaves`]: the prover keeps `rank` and `nprocs` symbolic and
+//! reads variables from a [`VarTable`], so its forms have no index terms;
+//! the loop solver (`scope::loop_form`) fixes `rank` and `nprocs` to the
+//! rank's own values and reads loop-bound variables as forms in the
+//! indices.
 //!
 //! From a normal form, [`ClassParams`] extracts the two numbers the
 //! parametric verifier (`commprove`) case-splits on: the **period**
@@ -27,9 +36,12 @@
 
 use std::fmt;
 
-use crate::expr::{CondExpr, RankExpr, VarTable};
+use crate::expr::{BinOp, CondExpr, ExprError, RankExpr, VarTable};
 
-/// `a·rank + n·nprocs + c`.
+/// Most loop indices a form ranges over.
+pub const MAX_DIMS: usize = 3;
+
+/// `c + a·rank + n·nprocs + Σ k[d]·i_d`, the one affine form.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinForm {
     /// Coefficient of `rank`.
@@ -38,58 +50,73 @@ pub struct LinForm {
     pub n: i64,
     /// Constant term (bound variables are substituted into it).
     pub c: i64,
+    /// Coefficients of the loop indices, `i_0` outermost.
+    pub k: [i64; MAX_DIMS],
 }
 
 impl LinForm {
+    /// `rank`.
+    const RANK: LinForm = LinForm {
+        a: 1,
+        ..LinForm::konst(0)
+    };
+
+    /// `nprocs`.
+    const NPROCS: LinForm = LinForm {
+        n: 1,
+        ..LinForm::konst(0)
+    };
+
     /// A constant.
     pub const fn konst(c: i64) -> LinForm {
-        LinForm { a: 0, n: 0, c }
+        LinForm {
+            a: 0,
+            n: 0,
+            c,
+            k: [0; MAX_DIMS],
+        }
     }
 
-    /// Whether the form is a constant (no `rank` / `nprocs` dependence).
+    /// Whether the form is a constant (no `rank`, `nprocs` or index term).
     pub fn is_const(&self) -> bool {
-        self.a == 0 && self.n == 0
+        *self == LinForm::konst(self.c)
     }
 
-    fn add(self, o: LinForm) -> Result<LinForm, NormErr> {
+    /// Term-wise `self op o` in C arithmetic.
+    fn zip(self, o: LinForm, op: BinOp) -> Result<LinForm, NormErr> {
+        let mut k = [0; MAX_DIMS];
+        for (d, k) in k.iter_mut().enumerate() {
+            *k = op.apply(self.k[d], o.k[d])?;
+        }
         Ok(LinForm {
-            a: self.a.checked_add(o.a).ok_or(NormErr::Overflow)?,
-            n: self.n.checked_add(o.n).ok_or(NormErr::Overflow)?,
-            c: self.c.checked_add(o.c).ok_or(NormErr::Overflow)?,
+            a: op.apply(self.a, o.a)?,
+            n: op.apply(self.n, o.n)?,
+            c: op.apply(self.c, o.c)?,
+            k,
         })
     }
 
-    fn neg(self) -> Result<LinForm, NormErr> {
-        Ok(LinForm {
-            a: self.a.checked_neg().ok_or(NormErr::Overflow)?,
-            n: self.n.checked_neg().ok_or(NormErr::Overflow)?,
-            c: self.c.checked_neg().ok_or(NormErr::Overflow)?,
-        })
+    /// Every term times the constant `s`.
+    fn times(self, s: i64) -> Result<LinForm, NormErr> {
+        let all = LinForm {
+            a: s,
+            n: s,
+            c: s,
+            k: [s; MAX_DIMS],
+        };
+        self.zip(all, BinOp::Mul)
     }
 
-    fn scale(self, k: i64) -> Result<LinForm, NormErr> {
-        Ok(LinForm {
-            a: self.a.checked_mul(k).ok_or(NormErr::Overflow)?,
-            n: self.n.checked_mul(k).ok_or(NormErr::Overflow)?,
-            c: self.c.checked_mul(k).ok_or(NormErr::Overflow)?,
-        })
-    }
-
-    /// Multiply by a constant (extent arithmetic: an element count scaled
-    /// by the element size gives the byte extent of a remote access
-    /// interval `[base, base + count·elem)`). `None` on coefficient
-    /// overflow.
-    pub fn scaled(self, k: i64) -> Option<LinForm> {
-        self.scale(k).ok()
-    }
-
-    /// Evaluate at a concrete `(rank, nprocs)` in checked arithmetic, like
-    /// [`RankExpr::eval`]; `None` if a term or the sum leaves `i64`.
-    pub fn eval(&self, rank: i64, nranks: i64) -> Option<i64> {
-        self.a
-            .checked_mul(rank)?
-            .checked_add(self.n.checked_mul(nranks)?)?
-            .checked_add(self.c)
+    /// The value at `(rank, nprocs)` and loop indices `ix` (a missing index
+    /// term is dropped), summed left to right from `c` in C arithmetic.
+    pub fn at(&self, rank: i64, nprocs: i64, ix: &[i64]) -> Result<i64, ExprError> {
+        let ix = self.k.iter().zip(ix).map(|(&k, &i)| (k, i));
+        [(self.a, rank), (self.n, nprocs)]
+            .into_iter()
+            .chain(ix)
+            .try_fold(self.c, |v, (k, x)| {
+                BinOp::Add.apply(v, BinOp::Mul.apply(k, x)?)
+            })
     }
 }
 
@@ -100,30 +127,24 @@ impl fmt::Display for LinForm {
             if coef == 0 {
                 return Ok(());
             }
-            if first {
-                first = false;
-                if coef == -1 {
-                    write!(f, "-{name}")?;
-                } else if coef == 1 {
-                    write!(f, "{name}")?;
-                } else {
-                    write!(f, "{coef}*{name}")?;
-                }
-            } else if coef < 0 {
-                if coef == -1 {
-                    write!(f, "-{name}")?;
-                } else {
-                    write!(f, "{}*{name}", coef)?;
-                }
-            } else if coef == 1 {
-                write!(f, "+{name}")?;
+            let sign = if coef < 0 {
+                "-"
+            } else if first {
+                ""
             } else {
-                write!(f, "+{coef}*{name}")?;
+                "+"
+            };
+            first = false;
+            match coef.unsigned_abs() {
+                1 => write!(f, "{sign}{name}"),
+                mag => write!(f, "{sign}{mag}*{name}"),
             }
-            Ok(())
         };
         term(f, self.a, "rank")?;
         term(f, self.n, "nprocs")?;
+        for (k, name) in self.k.iter().zip(["i0", "i1", "i2"]) {
+            term(f, *k, name)?;
+        }
         if self.c != 0 || first {
             if first || self.c < 0 {
                 write!(f, "{}", self.c)?;
@@ -159,30 +180,34 @@ impl fmt::Display for ModForm {
 /// An integer clause expression in affine-congruence normal form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NormExpr {
-    /// `a·rank + n·nprocs + c`.
+    /// An affine form.
     Lin(LinForm),
-    /// `(a·rank + n·nprocs + c) % m`, C remainder semantics.
+    /// `form % m`, C remainder semantics.
     Mod(LinForm, ModForm),
-    /// `(a·rank + n·nprocs + c) / k`, C truncation, constant `k != 0`.
+    /// `form / k`, C truncation, constant `k != 0`.
     Div(LinForm, i64),
 }
 
 impl NormExpr {
-    /// Evaluate at a concrete `(rank, nprocs)` in checked arithmetic.
-    /// `None` when the modulus or divisor evaluates to zero (matching
-    /// [`crate::expr::ExprError::DivByZero`]) or a value leaves `i64`
-    /// ([`crate::expr::ExprError::Overflow`]).
+    /// Evaluate at a concrete `(rank, nprocs)`, with every index term
+    /// dropped. `None` when the modulus or divisor evaluates to zero
+    /// (matching [`ExprError::DivByZero`]) or a value leaves `i64`
+    /// ([`ExprError::Overflow`]).
     pub fn eval(&self, rank: i64, nranks: i64) -> Option<i64> {
+        let at = |l: &LinForm| l.at(rank, nranks, &[]).ok();
         match self {
-            NormExpr::Lin(l) => l.eval(rank, nranks),
+            NormExpr::Lin(l) => at(l),
             NormExpr::Mod(l, m) => {
                 let m = match m {
                     ModForm::Const(k) => *k,
-                    ModForm::NProcs(k) => nranks.checked_add(*k)?,
+                    ModForm::NProcs(k) => BinOp::Add.apply(nranks, *k).ok()?,
                 };
-                l.eval(rank, nranks)?.checked_rem(m)
+                if m == 0 {
+                    return None;
+                }
+                BinOp::Rem.apply(at(l)?, m).ok()
             }
-            NormExpr::Div(l, k) => l.eval(rank, nranks)?.checked_div(*k),
+            NormExpr::Div(l, k) => BinOp::Div.apply(at(l)?, *k).ok(),
         }
     }
 
@@ -190,7 +215,7 @@ impl NormExpr {
         match self {
             NormExpr::Lin(l) => Ok(*l),
             _ => Err(NormErr::NonAffine(
-                "mod/div term used inside further arithmetic".into(),
+                "mod/div term used inside further arithmetic",
             )),
         }
     }
@@ -201,7 +226,7 @@ impl NormExpr {
     /// turn an element-count normal form into a byte-extent normal form.
     pub fn scaled(&self, k: i64) -> Option<NormExpr> {
         match self {
-            NormExpr::Lin(l) => l.scaled(k).map(NormExpr::Lin),
+            NormExpr::Lin(l) => l.times(k).ok().map(NormExpr::Lin),
             NormExpr::Mod(..) | NormExpr::Div(..) => None,
         }
     }
@@ -303,7 +328,7 @@ pub enum NormErr {
     UnboundVar(String),
     /// A shape the normal form cannot express (nonlinear products, nested
     /// mod/div, non-constant divisors, ...).
-    NonAffine(String),
+    NonAffine(&'static str),
     /// A constant zero modulus or divisor (always a runtime error).
     ZeroDivisor,
     /// Coefficient arithmetic overflowed i64.
@@ -324,103 +349,122 @@ impl fmt::Display for NormErr {
 
 impl std::error::Error for NormErr {}
 
-/// Normalize an integer clause expression, substituting `vars` as
-/// constants.
-pub fn normalize_expr(e: &RankExpr, vars: &VarTable) -> Result<NormExpr, NormErr> {
-    Ok(match e {
-        RankExpr::Rank => NormExpr::Lin(LinForm { a: 1, n: 0, c: 0 }),
-        RankExpr::NRanks => NormExpr::Lin(LinForm { a: 0, n: 1, c: 0 }),
-        RankExpr::Const(v) => NormExpr::Lin(LinForm::konst(*v)),
-        RankExpr::Var(name) => NormExpr::Lin(LinForm::konst(
-            vars.get(name)
-                .ok_or_else(|| NormErr::UnboundVar(name.to_string()))?,
-        )),
-        RankExpr::Add(a, b) => NormExpr::Lin(
-            normalize_expr(a, vars)?
-                .lin()?
-                .add(normalize_expr(b, vars)?.lin()?)?,
-        ),
-        RankExpr::Sub(a, b) => NormExpr::Lin(
-            normalize_expr(a, vars)?
-                .lin()?
-                .add(normalize_expr(b, vars)?.lin()?.neg()?)?,
-        ),
-        RankExpr::Neg(a) => NormExpr::Lin(normalize_expr(a, vars)?.lin()?.neg()?),
-        RankExpr::Mul(a, b) => {
-            let (a, b) = (
-                normalize_expr(a, vars)?.lin()?,
-                normalize_expr(b, vars)?.lin()?,
-            );
-            if a.is_const() {
-                NormExpr::Lin(b.scale(a.c)?)
-            } else if b.is_const() {
-                NormExpr::Lin(a.scale(b.c)?)
-            } else {
-                return Err(NormErr::NonAffine("product of two non-constants".into()));
-            }
+impl From<ExprError> for NormErr {
+    fn from(e: ExprError) -> NormErr {
+        match e {
+            ExprError::UnknownVar(v) => NormErr::UnboundVar(v),
+            ExprError::DivByZero => NormErr::ZeroDivisor,
+            ExprError::Overflow => NormErr::Overflow,
         }
+    }
+}
+
+/// Where [`normalize_expr`] takes an expression's leaves from, and which
+/// affine forms it lets a node take.
+pub trait Leaves {
+    /// The form of `rank`.
+    fn rank(&self) -> LinForm;
+    /// The form of `nprocs`.
+    fn nprocs(&self) -> LinForm;
+    /// The form of the variable `name`.
+    fn var(&self, name: &str) -> Result<LinForm, NormErr>;
+    /// Whether a node may take the affine form `form`; every one may unless
+    /// the caller restricts it.
+    fn accept(&self, _form: &LinForm) -> Result<(), NormErr> {
+        Ok(())
+    }
+}
+
+/// The prover's leaves: `rank` and `nprocs` stay symbolic, and variables
+/// are the table's constants.
+impl Leaves for VarTable {
+    fn rank(&self) -> LinForm {
+        LinForm::RANK
+    }
+
+    fn nprocs(&self) -> LinForm {
+        LinForm::NPROCS
+    }
+
+    fn var(&self, name: &str) -> Result<LinForm, NormErr> {
+        self.get(name)
+            .map(LinForm::konst)
+            .ok_or_else(|| NormErr::UnboundVar(name.to_string()))
+    }
+}
+
+/// Lower an integer clause expression to its normal form, taking the
+/// leaves from `leaves`.
+pub fn normalize_expr(e: &RankExpr, leaves: &impl Leaves) -> Result<NormExpr, NormErr> {
+    let lin = |e: &RankExpr| normalize_expr(e, leaves)?.lin();
+    let form = match e {
+        RankExpr::Rank => leaves.rank(),
+        RankExpr::NRanks => leaves.nprocs(),
+        RankExpr::Const(v) => LinForm::konst(*v),
+        RankExpr::Var(name) => leaves.var(name)?,
+        RankExpr::Add(a, b) => lin(a)?.zip(lin(b)?, BinOp::Add)?,
+        RankExpr::Sub(a, b) => lin(a)?.zip(lin(b)?, BinOp::Sub)?,
+        RankExpr::Neg(a) => LinForm::default().zip(lin(a)?, BinOp::Sub)?,
+        RankExpr::Mul(a, b) => match (lin(a)?, lin(b)?) {
+            (a, b) if a.is_const() => b.times(a.c)?,
+            (a, b) if b.is_const() => a.times(b.c)?,
+            _ => return Err(NormErr::NonAffine("product of two non-constants")),
+        },
         RankExpr::Div(a, b) => {
-            let num = normalize_expr(a, vars)?.lin()?;
-            let den = normalize_expr(b, vars)?.lin()?;
+            let (num, den) = (lin(a)?, lin(b)?);
             if !den.is_const() {
-                return Err(NormErr::NonAffine("non-constant divisor".into()));
+                return Err(NormErr::NonAffine("non-constant divisor"));
             }
             if den.c == 0 {
                 return Err(NormErr::ZeroDivisor);
             }
-            if num.is_const() {
-                NormExpr::Lin(LinForm::konst(
-                    num.c.checked_div(den.c).ok_or(NormErr::Overflow)?,
-                ))
-            } else {
-                NormExpr::Div(num, den.c)
+            if !num.is_const() {
+                return Ok(NormExpr::Div(num, den.c));
             }
+            LinForm::konst(BinOp::Div.apply(num.c, den.c)?)
         }
         RankExpr::Mod(a, b) => {
-            let num = normalize_expr(a, vars)?.lin()?;
-            let den = normalize_expr(b, vars)?.lin()?;
+            let (num, den) = (lin(a)?, lin(b)?);
             let m = if den.is_const() {
                 if den.c == 0 {
                     return Err(NormErr::ZeroDivisor);
                 }
                 ModForm::Const(den.c)
-            } else if den.a == 0 && den.n == 1 {
+            } else if (LinForm { c: 0, ..den }) == LinForm::NPROCS {
                 // The middle-breakpoint class `(a·rank) mod nprocs` with
                 // |a| > 1 wraps at rank ≈ N/a — a cut that *moves* with N
                 // and defeats the boundary-anchoring argument. Only unit
                 // rank coefficients are admitted under a size-linear
                 // modulus.
-                if num.a.abs() > 1 {
+                if num.a.unsigned_abs() > 1 {
                     return Err(NormErr::NonAffine(
-                        "rank coefficient with |a| > 1 under a nprocs-linear modulus".into(),
+                        "rank coefficient with |a| > 1 under a nprocs-linear modulus",
                     ));
                 }
                 ModForm::NProcs(den.c)
             } else {
                 return Err(NormErr::NonAffine(
-                    "modulus neither constant nor nprocs-linear".into(),
+                    "modulus neither constant nor nprocs-linear",
                 ));
             };
-            if num.is_const() {
-                if let ModForm::Const(k) = m {
-                    return Ok(NormExpr::Lin(LinForm::konst(
-                        num.c.checked_rem(k).ok_or(NormErr::Overflow)?,
-                    )));
-                }
+            match m {
+                ModForm::Const(k) if num.is_const() => LinForm::konst(BinOp::Rem.apply(num.c, k)?),
+                _ => return Ok(NormExpr::Mod(num, m)),
             }
-            NormExpr::Mod(num, m)
         }
         RankExpr::Opaque(_, label) => return Err(NormErr::Opaque(label)),
-    })
+    };
+    leaves.accept(&form)?;
+    Ok(NormExpr::Lin(form))
 }
 
-/// Normalize a boolean clause expression, substituting `vars`.
-pub fn normalize_cond(c: &CondExpr, vars: &VarTable) -> Result<NormCond, NormErr> {
+/// Normalize a boolean clause expression, taking the leaves from `leaves`.
+pub fn normalize_cond(c: &CondExpr, leaves: &impl Leaves) -> Result<NormCond, NormErr> {
     let cmp = |op: CmpOp, a: &RankExpr, b: &RankExpr| -> Result<NormCond, NormErr> {
         Ok(NormCond::Cmp(
             op,
-            normalize_expr(a, vars)?,
-            normalize_expr(b, vars)?,
+            normalize_expr(a, leaves)?,
+            normalize_expr(b, leaves)?,
         ))
     };
     Ok(match c {
@@ -433,14 +477,14 @@ pub fn normalize_cond(c: &CondExpr, vars: &VarTable) -> Result<NormCond, NormErr
         CondExpr::Gt(a, b) => cmp(CmpOp::Gt, a, b)?,
         CondExpr::Ge(a, b) => cmp(CmpOp::Ge, a, b)?,
         CondExpr::And(a, b) => NormCond::And(
-            Box::new(normalize_cond(a, vars)?),
-            Box::new(normalize_cond(b, vars)?),
+            Box::new(normalize_cond(a, leaves)?),
+            Box::new(normalize_cond(b, leaves)?),
         ),
         CondExpr::Or(a, b) => NormCond::Or(
-            Box::new(normalize_cond(a, vars)?),
-            Box::new(normalize_cond(b, vars)?),
+            Box::new(normalize_cond(a, leaves)?),
+            Box::new(normalize_cond(b, leaves)?),
         ),
-        CondExpr::Not(a) => NormCond::Not(Box::new(normalize_cond(a, vars)?)),
+        CondExpr::Not(a) => NormCond::Not(Box::new(normalize_cond(a, leaves)?)),
         CondExpr::Opaque(_, label) => return Err(NormErr::Opaque(label)),
     })
 }
@@ -571,7 +615,13 @@ mod tests {
         let count = RankExpr::lit(2) * RankExpr::rank() + RankExpr::lit(4);
         let nf = normalize_expr(&count, &vt()).unwrap();
         let bytes = nf.scaled(8).expect("affine form scales");
-        assert_eq!(bytes, NormExpr::Lin(LinForm { a: 16, n: 0, c: 32 }));
+        assert_eq!(
+            bytes,
+            NormExpr::Lin(LinForm {
+                a: 16,
+                ..LinForm::konst(32)
+            })
+        );
         for rank in 0..6 {
             assert_eq!(bytes.eval(rank, 6), nf.eval(rank, 6).map(|c| c * 8));
         }
@@ -579,7 +629,7 @@ mod tests {
         let modular = normalize_expr(&(RankExpr::rank() % RankExpr::lit(3)), &vt()).unwrap();
         assert_eq!(modular.scaled(8), None);
         // Coefficient overflow is surfaced, not wrapped.
-        assert_eq!(LinForm::konst(i64::MAX).scaled(2), None);
+        assert_eq!(NormExpr::Lin(LinForm::konst(i64::MAX)).scaled(2), None);
     }
 
     #[test]
@@ -589,9 +639,22 @@ mod tests {
         let nf = normalize_expr(&prev, &vt()).unwrap();
         assert_eq!(
             nf,
-            NormExpr::Mod(LinForm { a: 1, n: 1, c: -1 }, ModForm::NProcs(0))
+            NormExpr::Mod(
+                LinForm {
+                    a: 1,
+                    n: 1,
+                    ..LinForm::konst(-1)
+                },
+                ModForm::NProcs(0)
+            )
         );
         assert_eq!(nf.to_string(), "(rank+nprocs-1) mod nprocs");
+        let indexed = LinForm {
+            a: -3,
+            k: [0, 2, -1],
+            ..LinForm::konst(-4)
+        };
+        assert_eq!(indexed.to_string(), "-3*rank+2*i1-i2-4");
         let p = ClassParams::of_expr(&nf);
         assert_eq!(p.lcm, 1);
         assert!(p.eligible());
@@ -602,7 +665,10 @@ mod tests {
         let e = RankExpr::rank() + RankExpr::var("k");
         assert_eq!(
             normalize_expr(&e, &vt()).unwrap(),
-            NormExpr::Lin(LinForm { a: 1, n: 0, c: 3 })
+            NormExpr::Lin(LinForm {
+                a: 1,
+                ..LinForm::konst(3)
+            })
         );
         let e = RankExpr::rank() + RankExpr::var("mystery");
         assert_eq!(
@@ -627,11 +693,13 @@ mod tests {
         assert_eq!(normalize_expr(&zero, &vt()), Err(NormErr::ZeroDivisor));
         let opaque = RankExpr::opaque("f", |e| e.rank);
         assert_eq!(normalize_expr(&opaque, &vt()), Err(NormErr::Opaque("f")));
-        let strided = (RankExpr::lit(2) * RankExpr::rank()) % RankExpr::nranks();
-        assert!(matches!(
-            normalize_expr(&strided, &vt()),
-            Err(NormErr::NonAffine(_))
-        ));
+        for k in [2, i64::MIN] {
+            let strided = (RankExpr::lit(k) * RankExpr::rank()) % RankExpr::nranks();
+            assert!(matches!(
+                normalize_expr(&strided, &vt()),
+                Err(NormErr::NonAffine(_))
+            ));
+        }
     }
 
     #[test]

@@ -91,22 +91,6 @@ impl Overlay {
         self.decisions.iter().find(|d| d.site == site)
     }
 
-    /// Target override for a site, if any.
-    pub fn retarget_for(&self, site: u32) -> Option<Target> {
-        match self.decision_for(site)?.decision {
-            Decision::Retarget(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Sync-placement override for a site, if any.
-    pub fn place_sync_for(&self, site: u32) -> Option<PlaceSync> {
-        match self.decision_for(site)?.decision {
-            Decision::PlaceSync(p) => Some(p),
-            _ => None,
-        }
-    }
-
     /// Coalescing batch for a site (≥ 2), if any.
     pub fn coalesce_batch_for(&self, site: u32) -> Option<usize> {
         match self.decision_for(site)?.decision {
@@ -149,7 +133,10 @@ mod tests {
         assert!(!ov.is_noop());
         ov.set(SiteDecision::new(11, Decision::Retarget(Target::Shmem)));
         assert_eq!(ov.decisions.len(), 2);
-        assert_eq!(ov.retarget_for(11), Some(Target::Shmem));
+        assert_eq!(
+            ov.decision_for(11).map(|d| d.decision),
+            Some(Decision::Retarget(Target::Shmem))
+        );
         assert_eq!(ov.coalesce_batch_for(11), None);
         assert_eq!(
             Overlay {
@@ -159,8 +146,9 @@ mod tests {
                 )],
                 ..Overlay::default()
             }
-            .place_sync_for(3),
-            Some(PlaceSync::EndParamRegion)
+            .decision_for(3)
+            .map(|d| d.decision),
+            Some(Decision::PlaceSync(PlaceSync::EndParamRegion))
         );
     }
 

@@ -44,7 +44,7 @@ use crate::diag::{Diag, LintCode, RankWitness, SrcSpan};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::{EvalEnv, RankExpr, VarTable};
 use crate::interval::ByteSpan;
-use crate::nf::normalize_expr;
+use crate::nf::{normalize_expr, NormExpr};
 
 /// Whether a merged target lowers to one-sided transfers.
 fn one_sided(target: Target) -> bool {
@@ -83,15 +83,11 @@ fn interval_text(
 ) -> String {
     let elem = buf.elem.packed_size() as i64;
     let symbolic = merged.count.as_ref().and_then(|c: &RankExpr| {
-        let mut table = VarTable::default();
-        for (k, v) in vars {
-            table.set(k, *v);
-        }
-        let nf = normalize_expr(c, &table).ok()?;
-        match nf.scaled(elem)? {
+        let table: VarTable = vars.into();
+        match normalize_expr(c, &table).ok()?.scaled(elem)? {
             // Only a genuinely parametric extent earns the symbolic form;
             // a constant one reads better as concrete bytes.
-            crate::nf::NormExpr::Lin(l) if l.a != 0 || l.n != 0 => {
+            NormExpr::Lin(l) if !l.is_const() => {
                 Some(format!("[{}, {}+{})", buf.addr.0, buf.addr.0, l))
             }
             _ => None,

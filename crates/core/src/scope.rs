@@ -26,6 +26,7 @@ use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::{CompiledCond, CompiledExpr, CondExpr, EvalEnv, ExprError, RankExpr, VarTable};
+use crate::interval::{Access, AccessKind, ByteSpan};
 use crate::lower::{Lowering, LoweringPolicy};
 use crate::overlay::{Decision, Overlay};
 
@@ -793,11 +794,11 @@ struct RegionLists {
     scratch: Vec<i64>,
     sites: Vec<SiteRecord>,
     /// Address ranges touched by pending (unsynced) directives in this
-    /// region: `(lo, hi, written)`. A new directive whose buffers conflict
+    /// region, each read or written. A new directive whose buffers conflict
     /// (write-write or read-write overlap) forces an intermediate sync —
     /// the paper consolidates only "adjacent comm_p2p directives with
     /// independent buffers".
-    used_bufs: Vec<(usize, usize, bool)>,
+    used_bufs: Vec<Access>,
     /// A loop-form region's variable slots and the iterations this rank
     /// solved for (`loop_form`).
     slots: Vec<crate::expr::Slot>,
@@ -1135,9 +1136,9 @@ struct InRegion<'r> {
     scratch: &'r mut [i64],
     max_iter: Option<i64>,
     sites: &'r mut Vec<SiteRecord>,
-    /// Buffer-dependence tracking: the `(lo, hi, written)` address ranges
-    /// touched by pending directives, and the split-sync counter.
-    used_bufs: &'r mut Vec<(usize, usize, bool)>,
+    /// Buffer-dependence tracking: the address ranges touched by pending
+    /// directives, and the split-sync counter.
+    used_bufs: &'r mut Vec<Access>,
     split_syncs: &'r mut usize,
 }
 
@@ -1213,14 +1214,17 @@ fn peer_rank(
 /// between the member arrays, and a guard decision based on it would be
 /// allocator-dependent.
 fn push_touched(
-    used: &mut Vec<(usize, usize, bool)>,
+    used: &mut Vec<Access>,
     sub: Option<&[(usize, usize)]>,
     addr: impl FnOnce() -> (usize, usize),
-    written: bool,
+    kind: AccessKind,
 ) {
     let mut push = |(lo, hi): (usize, usize)| {
         if lo < hi {
-            used.push((lo, hi, written));
+            used.push(Access {
+                span: ByteSpan::new(lo, hi),
+                kind,
+            });
         }
     };
     match sub {
@@ -1389,20 +1393,18 @@ fn execute_p2p(
             let prior = used.len();
             if is_sender {
                 for b in sbufs.iter() {
-                    push_touched(used, b.sub_ranges(), || b.desc().addr, false);
+                    push_touched(used, b.sub_ranges(), || b.desc().addr, AccessKind::Read);
                 }
             }
             if is_receiver {
                 for b in rbufs.iter() {
-                    push_touched(used, b.sub_ranges(), || b.desc().addr, true);
+                    push_touched(used, b.sub_ranges(), || b.desc().addr, AccessKind::Write);
                 }
             }
             let (pending_ranges, current) = used.split_at(prior);
-            let conflict = current.iter().any(|&(lo, hi, w)| {
-                pending_ranges
-                    .iter()
-                    .any(|&(ulo, uhi, uw)| ulo < hi && lo < uhi && (w || uw))
-            });
+            let conflict = current
+                .iter()
+                .any(|a| pending_ranges.iter().any(|u| a.conflicts(u)));
             if conflict {
                 let mut p = std::mem::take(pending);
                 // A forced split is a flush point: in-flight coalesced batches

@@ -18,83 +18,8 @@ use std::ops::Range;
 use super::{CommParams, CommSession, DirectiveError, P2pCall, Region, SiteRecord};
 use crate::buffer::{RecvBuf, SendBuf};
 use crate::clause::Diagnostic;
-use crate::expr::{neg, BinOp, CondExpr, EvalEnv, ExprError, RankExpr, Slot};
-
-/// Most indices a loop form nests.
-const MAX_DIMS: usize = 3;
-
-/// `c + Σ k[d]·i_d` over the loop indices.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Affine {
-    c: i64,
-    k: [i64; MAX_DIMS],
-}
-
-impl Affine {
-    fn konst(c: i64) -> Affine {
-        Affine {
-            c,
-            k: [0; MAX_DIMS],
-        }
-    }
-
-    fn is_const(&self) -> bool {
-        self.k == [0; MAX_DIMS]
-    }
-
-    /// Term-wise `self op o` (`Add` or `Sub`).
-    fn zip(self, o: Affine, op: BinOp) -> Result<Affine, ExprError> {
-        let mut k = [0; MAX_DIMS];
-        for (d, k) in k.iter_mut().enumerate() {
-            *k = op.apply(self.k[d], o.k[d])?;
-        }
-        Ok(Affine {
-            c: op.apply(self.c, o.c)?,
-            k,
-        })
-    }
-
-    fn scale(self, s: i64) -> Result<Affine, ExprError> {
-        let mut k = self.k;
-        for k in &mut k {
-            *k = BinOp::Mul.apply(*k, s)?;
-        }
-        Ok(Affine {
-            c: BinOp::Mul.apply(self.c, s)?,
-            k,
-        })
-    }
-
-    fn neg(self) -> Result<Affine, ExprError> {
-        let mut k = self.k;
-        for k in &mut k {
-            *k = neg(*k)?;
-        }
-        Ok(Affine { c: neg(self.c)?, k })
-    }
-
-    /// The value at index tuple `ix`, summed left to right.
-    fn at(&self, ix: &[i64]) -> Result<i64, ExprError> {
-        self.k.iter().zip(ix).try_fold(self.c, |v, (&k, &i)| {
-            BinOp::Add.apply(v, BinOp::Mul.apply(k, i)?)
-        })
-    }
-
-    /// Whether [`Affine::at`] succeeds everywhere in the non-empty `space`.
-    /// Each term is monotone in its index, so at every point each partial
-    /// sum of `at` lies between the partial sums of the smallest and of
-    /// the largest terms; if those two sums never overflow, no point's does.
-    fn bounded(&self, space: &CommLoop) -> bool {
-        let extreme = |largest: bool| -> Result<i64, ExprError> {
-            (0..space.dims).try_fold(self.c, |v, d| {
-                let lo = BinOp::Mul.apply(self.k[d], space.start[d])?;
-                let hi = BinOp::Mul.apply(self.k[d], space.last(d))?;
-                BinOp::Add.apply(v, if largest { lo.max(hi) } else { lo.min(hi) })
-            })
-        };
-        extreme(false).is_ok() && extreme(true).is_ok()
-    }
-}
+use crate::expr::{BinOp, CondExpr, EvalEnv, ExprError, RankExpr, Slot};
+use crate::nf::{normalize_expr, Leaves, LinForm, NormErr, NormExpr, MAX_DIMS};
 
 /// The iteration space and clause-variable bindings of a loop-form region
 /// ([`CommSession::region_loop`]): one to three nested indices, each over
@@ -109,7 +34,7 @@ pub struct CommLoop {
     start: [i64; MAX_DIMS],
     extent: [u64; MAX_DIMS],
     total: u64,
-    binds: Vec<(String, Affine)>,
+    binds: Vec<(String, LinForm)>,
 }
 
 impl CommLoop {
@@ -157,7 +82,7 @@ impl CommLoop {
             strides.len(),
             self.dims
         );
-        let mut a = Affine::konst(base);
+        let mut a = LinForm::konst(base);
         a.k[..strides.len()].copy_from_slice(strides);
         self.binds.retain(|(n, _)| n != name);
         self.binds.push((name.to_string(), a));
@@ -169,8 +94,25 @@ impl CommLoop {
         (i128::from(self.start[d]) + i128::from(self.extent[d]) - 1) as i64
     }
 
-    fn binding(&self, name: &str) -> Option<Affine> {
+    fn binding(&self, name: &str) -> Option<LinForm> {
         self.binds.iter().find(|(n, _)| n == name).map(|&(_, a)| a)
+    }
+
+    /// Whether `f`, a form with no `rank` or `nprocs` term, evaluates
+    /// without overflow everywhere in the space (when it is non-empty).
+    /// Each term is monotone in its index, so at every point each partial
+    /// sum of [`LinForm::at`] lies between the partial sums of the smallest
+    /// and of the largest terms; if those two sums never overflow, no
+    /// point's does.
+    fn bounded(&self, f: &LinForm) -> bool {
+        let extreme = |largest: bool| -> Result<i64, ExprError> {
+            (0..self.dims).try_fold(f.c, |v, d| {
+                let lo = BinOp::Mul.apply(f.k[d], self.start[d])?;
+                let hi = BinOp::Mul.apply(f.k[d], self.last(d))?;
+                BinOp::Add.apply(v, if largest { lo.max(hi) } else { lo.min(hi) })
+            })
+        };
+        extreme(false).is_ok() && extreme(true).is_ok()
     }
 
     /// The index tuple of iteration `k < total`.
@@ -224,32 +166,6 @@ impl Solver<'_> {
         c.has_opaque() || c.any_var(&mut |n| self.bound(n))
     }
 
-    /// `e` as an affine form whose value, at every point of the space, is
-    /// what evaluating `e` there returns, without error. A part that does
-    /// not vary is evaluated once; a part that does must stay affine, and
-    /// every value it takes must fit in `i64`.
-    fn affine(&self, e: &RankExpr) -> Option<Affine> {
-        if !self.varies(e) {
-            return e.eval(self.env).ok().map(Affine::konst);
-        }
-        let a = match e {
-            RankExpr::Var(name) => self.space.binding(name)?,
-            RankExpr::Add(a, b) => self.affine(a)?.zip(self.affine(b)?, BinOp::Add).ok()?,
-            RankExpr::Sub(a, b) => self.affine(a)?.zip(self.affine(b)?, BinOp::Sub).ok()?,
-            RankExpr::Neg(a) => self.affine(a)?.neg().ok()?,
-            RankExpr::Mul(a, b) => {
-                let (x, y) = (self.affine(a)?, self.affine(b)?);
-                match (x.is_const(), y.is_const()) {
-                    (true, _) => y.scale(x.c).ok()?,
-                    (_, true) => x.scale(y.c).ok()?,
-                    _ => return None,
-                }
-            }
-            _ => return None,
-        };
-        a.bounded(self.space).then_some(a)
-    }
-
     /// The iterations in which `c` holds for this rank. Listed iterations
     /// are appended to `out`; `&&` and `||` combine their operands' lists
     /// in place there, so one buffer serves the whole condition.
@@ -287,7 +203,10 @@ impl Solver<'_> {
                 Some(Iters::Listed)
             }
             CondExpr::Eq(RankExpr::Rank, e) | CondExpr::Eq(e, RankExpr::Rank) => {
-                Some(self.solve(self.affine(e)?, out))
+                match normalize_expr(e, self) {
+                    Ok(NormExpr::Lin(e)) => Some(self.solve(e, out)),
+                    _ => None,
+                }
             }
             _ => None,
         }
@@ -301,7 +220,7 @@ impl Solver<'_> {
     /// after `j` makes a block of consecutive iteration numbers. So a rank
     /// that takes part in no iteration costs O(1) whatever the extents,
     /// as long as the clipped ranges hold at most a solution or so each.
-    fn solve(&self, e: Affine, out: &mut Vec<u64>) -> Iters {
+    fn solve(&self, e: LinForm, out: &mut Vec<u64>) -> Iters {
         let space = self.space;
         let rank = i128::from(self.env.rank);
         let Some(j) = (0..space.dims).rev().find(|&d| e.k[d] != 0) else {
@@ -343,7 +262,7 @@ impl Solver<'_> {
     #[allow(clippy::too_many_arguments)]
     fn walk(
         &self,
-        e: &Affine,
+        e: &LinForm,
         j: usize,
         reach: &[(i128, i128); MAX_DIMS + 1],
         d: usize,
@@ -377,7 +296,7 @@ impl Solver<'_> {
     /// Emit the iterations of a solution `ix` of the nonzero-stride
     /// indices: every value of each zero-stride index before `j`, each with
     /// the block of every index after `j` (those of `ix` are at their start).
-    fn emit(&self, e: &Affine, j: usize, ix: &mut [i64; MAX_DIMS], out: &mut Vec<u64>) {
+    fn emit(&self, e: &LinForm, j: usize, ix: &mut [i64; MAX_DIMS], out: &mut Vec<u64>) {
         let space = self.space;
         let block: u64 = space.extent[j + 1..space.dims].iter().product();
         let free = |d: usize| e.k[d] == 0;
@@ -395,6 +314,35 @@ impl Solver<'_> {
         }
         for d in (0..j).filter(|&d| free(d)) {
             ix[d] = space.start[d];
+        }
+    }
+}
+
+/// The solver's leaves: `rank` and `nprocs` are this rank's, a loop-bound
+/// variable is its binding, and any other variable its value when the
+/// region opens. Every node must stay bounded over the space, so the atom's
+/// form evaluates without error at every point.
+impl Leaves for Solver<'_> {
+    fn rank(&self) -> LinForm {
+        LinForm::konst(self.env.rank)
+    }
+
+    fn nprocs(&self) -> LinForm {
+        LinForm::konst(self.env.nranks)
+    }
+
+    fn var(&self, name: &str) -> Result<LinForm, NormErr> {
+        match self.space.binding(name) {
+            Some(b) => Ok(b),
+            None => self.env.vars.var(name),
+        }
+    }
+
+    fn accept(&self, form: &LinForm) -> Result<(), NormErr> {
+        if self.space.bounded(form) {
+            Ok(())
+        } else {
+            Err(NormErr::Overflow)
         }
     }
 }
@@ -514,7 +462,7 @@ impl<'a> CommSession<'a> {
     where
         B: for<'r, 's> FnMut(&[i64], LoopIter<'r, 's, 'a>) -> Result<(), DirectiveError>,
     {
-        if space.total > 0 && !space.binds.iter().all(|(_, b)| b.bounded(space)) {
+        if space.total > 0 && !space.binds.iter().all(|(_, b)| space.bounded(b)) {
             return Err(DirectiveError::Expr(ExprError::Overflow));
         }
         self.region(params, |reg| reg.run_loop(space, &mut body))?
@@ -604,8 +552,9 @@ impl<'a> Region<'_, 'a> {
     }
 
     fn bind(&mut self, space: &CommLoop, slots: &[Slot], ix: &[i64; MAX_DIMS]) {
+        // A binding has no `rank` or `nprocs` term.
         for ((_, b), &slot) in space.binds.iter().zip(slots) {
-            let v = b.at(&ix[..space.dims]).expect("bindings are bounded");
+            let v = b.at(0, 0, &ix[..space.dims]).expect("bindings are bounded");
             self.session.env.vars.set_slot(slot, v);
         }
     }
@@ -678,7 +627,7 @@ mod tests {
             .filter(|&k| {
                 let ix = space.index(k);
                 for (name, b) in &space.binds {
-                    env.set(name, b.at(&ix[..space.dims]).unwrap());
+                    env.set(name, b.at(0, 0, &ix[..space.dims]).unwrap());
                 }
                 when.eval(&env).unwrap()
             })
@@ -740,7 +689,10 @@ mod tests {
         // whose strides are zero a third of the time and otherwise in
         // -3..=3, and ranks past every value, so clipped ranges are often
         // empty. `seen` counts the stride shapes the generator produced.
+        // The last atoms mix bound variables with `rank`, `nprocs` and
+        // `%` or `/` subterms that do not vary, which the solver folds.
         let (rank, lit, var) = (RankExpr::rank, RankExpr::lit, RankExpr::var);
+        let nprocs = RankExpr::nranks;
         let whens = [
             rank().eq(var("a")),
             var("b").eq(rank()),
@@ -751,6 +703,11 @@ mod tests {
             rank()
                 .eq(var("a"))
                 .or(rank().eq(var("b")).and(rank().eq(var("c")))),
+            rank().eq(var("a") + rank() / lit(2) - nprocs() % lit(3)),
+            (var("c") - (rank() + var("x")) % lit(4) + nprocs() / lit(3)).eq(rank()),
+            rank()
+                .eq(var("b") * ((nprocs() - rank()) / lit(5)) + rank() % nprocs())
+                .or(rank().eq(-var("a") + (lit(2) * nprocs() - var("x")) / lit(-3))),
         ];
         let mut rng = Rng(0x1f0_2a5e);
         let mut seen = [0; 5];

@@ -230,11 +230,6 @@ impl Datatype {
         }
     }
 
-    /// Whether the packed representation equals the memory representation.
-    pub fn is_contiguous(&self) -> bool {
-        self.packed_size() == self.extent()
-    }
-
     /// Gather (pack) `count` elements starting at `src` (raw memory image,
     /// at least `count * extent` bytes) into `out`.
     pub fn gather(&self, src: &[u8], count: usize, out: &mut Vec<u8>) {
@@ -445,7 +440,6 @@ mod tests {
         };
         assert_eq!(c.packed_size(), 20);
         assert_eq!(c.extent(), 20);
-        assert!(c.is_contiguous());
     }
 
     #[test]
@@ -459,7 +453,6 @@ mod tests {
         };
         assert_eq!(v.packed_size(), 24);
         assert_eq!(v.extent(), 40);
-        assert!(!v.is_contiguous());
 
         let src: Vec<f32> = (0..10).map(|i| i as f32).collect();
         let raw = crate::pod::as_bytes(&src);

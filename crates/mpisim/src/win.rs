@@ -48,22 +48,6 @@ impl Win {
         ctx.put(self.seg, target, disp, data, &m, true)
     }
 
-    /// Typed `MPI_Put` of a `Pod` slice.
-    pub fn put_slice<T: Pod>(
-        &self,
-        ctx: &mut RankCtx,
-        target: usize,
-        elem_disp: usize,
-        data: &[T],
-    ) -> Time {
-        self.put(
-            ctx,
-            target,
-            elem_disp * std::mem::size_of::<T>(),
-            as_bytes(data),
-        )
-    }
-
     /// `MPI_Get` of raw bytes from `target` at byte offset `disp`
     /// (blocking round trip in this simulator).
     pub fn get(&self, ctx: &mut RankCtx, target: usize, disp: usize, out: &mut [u8]) {
@@ -116,7 +100,7 @@ mod tests {
             let w = Comm::world(ctx);
             let win = Win::create(ctx, &w, 64);
             if w.rank(ctx) == 0 {
-                win.put_slice(ctx, 1, 2, &[3.5f64, 4.5]);
+                win.put(ctx, 1, 2 * 8, as_bytes(&[3.5f64, 4.5]));
             }
             win.fence(ctx);
             if w.rank(ctx) == 1 {

@@ -43,13 +43,6 @@ impl Time {
         Time(ms * 1_000_000)
     }
 
-    /// Construct from a floating-point number of seconds (rounded to ns).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "negative virtual time");
-        Time((s * 1e9).round() as u64)
-    }
-
     /// Construct from a floating-point number of nanoseconds (rounded).
     #[inline]
     pub fn from_nanos_f64(ns: f64) -> Self {
@@ -165,7 +158,6 @@ mod tests {
     fn constructors_agree() {
         assert_eq!(Time::from_micros(3), Time::from_nanos(3_000));
         assert_eq!(Time::from_millis(2), Time::from_nanos(2_000_000));
-        assert_eq!(Time::from_secs_f64(1.5), Time::from_nanos(1_500_000_000));
         assert_eq!(Time::from_nanos_f64(2.6), Time::from_nanos(3));
     }
 
@@ -196,13 +188,13 @@ mod tests {
         assert_eq!(format!("{}", Time::from_nanos(999)), "999ns");
         assert_eq!(format!("{}", Time::from_nanos(1500)), "1.500us");
         assert_eq!(format!("{}", Time::from_millis(12)), "12.000ms");
-        assert_eq!(format!("{}", Time::from_secs_f64(2.0)), "2.000s");
+        assert_eq!(format!("{}", Time::from_millis(2_000)), "2.000s");
     }
 
     #[test]
     fn conversions_roundtrip() {
         let t = Time::from_nanos(1_234_567_890);
         assert!((t.as_secs_f64() - 1.23456789).abs() < 1e-12);
-        assert_eq!(Time::from_secs_f64(t.as_secs_f64()), t);
+        assert_eq!(Time::from_nanos_f64(t.as_secs_f64() * 1e9), t);
     }
 }

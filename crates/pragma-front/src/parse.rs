@@ -87,21 +87,6 @@ impl SymbolTable {
         self
     }
 
-    /// Declare a composite buffer: a [`Described`] type's shared layout
-    /// (`T::layout()`), or a layout built by hand.
-    ///
-    /// [`Described`]: commint::buffer::Described
-    pub fn declare_composite(
-        &mut self,
-        name: &str,
-        layout: impl Into<std::sync::Arc<commint::buffer::CompositeLayout>>,
-        len: usize,
-    ) -> &mut Self {
-        self.entries
-            .insert(name.to_string(), (ElemKind::Composite(layout.into()), len));
-        self
-    }
-
     fn lookup(&self, name: &str) -> Option<&(ElemKind, usize)> {
         self.entries.get(name)
     }

@@ -133,11 +133,6 @@ impl<T: Pod> SymSlice<T> {
         self.seg
     }
 
-    /// The typed put variant transfers from this slice use.
-    pub fn put_variant(&self) -> TypedPut {
-        TypedPut::for_elem_size(std::mem::size_of::<T>())
-    }
-
     /// `shmem_putN`: deposit `data` into `target`'s copy at element offset
     /// `dst_off`. Completion is deferred to `quiet`/`barrier_all`. Returns
     /// the virtual arrival time. The delivery is signalled so a receiver can
@@ -274,7 +269,6 @@ mod tests {
     fn put_barrier_read() {
         run(SimConfig::new(3), |ctx| {
             let sym = SymSlice::<f64>::new(ctx, 4);
-            assert_eq!(sym.put_variant(), TypedPut::Put64);
             if my_pe(ctx) == 0 {
                 for pe in 1..n_pes(ctx) {
                     sym.put(ctx, pe, 1, &[pe as f64 * 10.0]);

@@ -6,6 +6,9 @@
 //! the findings `lint_region_at` actually fires, at every N in the base
 //! sweep AND at adversarial counts straddling the case-split threshold,
 //! the checked window's edges, and far beyond it.
+//!
+//! The test runs `PROPTEST_CASES` cases when it is set (CI runs it with
+//! 1024), else 48.
 
 use std::collections::HashMap;
 
@@ -210,8 +213,15 @@ fn concrete_at(spec: &ParamsSpec, n: usize, vars: &HashMap<String, i64>) -> Vec<
     fired
 }
 
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn predictions_match_concrete_sweep(spec in region_strategy()) {

@@ -5,12 +5,15 @@
 //! tree walk returns (the same value or the same error), including on
 //! zero divisors, never-bound names, overflow, opaque closures and
 //! short-circuited errors. Arithmetic follows C: a value outside `i64` is
-//! `ExprError::Overflow`, as an exact `i128` evaluation confirms.
+//! `ExprError::Overflow`, as an exact `i128` evaluation confirms. Where an
+//! expression lowers to the affine-congruence normal form, the form takes
+//! the tree walk's value at every rank of every communicator size up to 16.
 //!
 //! The differential tests run `PROPTEST_CASES` cases when it is set
 //! (CI runs this file with 4096), else 256.
 
 use commint::expr::{CondExpr, EvalEnv, ExprError, RankExpr, VarTable};
+use commint::nf::normalize_expr;
 use mpisim::dtype::BasicType;
 use pragma_front::{parse, Item, SymbolTable};
 use proptest::prelude::*;
@@ -362,6 +365,26 @@ proptest! {
             }
             let lenv = compiled_env(&env, late);
             prop_assert_eq!(program.eval(&lenv, &mut scratch), want);
+        }
+    }
+
+    /// Small constants only: near the ends of `i64` the form may overflow
+    /// where the tree walk does not (`(r·K₁ + c) + r·K₂` against
+    /// `(K₁+K₂)·r`), and the prover replays every verdict concretely.
+    #[test]
+    fn normal_form_matches_tree_walk(e in expr_strategy()) {
+        let mut env = EvalEnv::new(0, 1).with("n", 7).with("root", 2);
+        let Ok(nf) = normalize_expr(&e, &env.vars) else {
+            return Ok(());
+        };
+        for nranks in 1..=16 {
+            for rank in 0..nranks {
+                (env.rank, env.nranks) = (rank, nranks);
+                prop_assert_eq!(
+                    nf.eval(rank, nranks), e.eval(&env).ok(),
+                    "`{}` as `{}` at rank {}/{}", &e, &nf, rank, nranks
+                );
+            }
         }
     }
 
