@@ -7,17 +7,23 @@
 //! inference from "the size of the smallest array"), and the address range
 //! (→ buffer-independence analysis for synchronization consolidation).
 //!
-//! Composite element access is field-wise through the declared layout, so
-//! padding bytes are never read — the same discipline the generated
-//! MPI-struct code follows. Pointers inside composites are unrepresentable
-//! (the [`FieldSpec`] trait has no pointer impl), turning the paper's
-//! runtime prohibition into a compile-time guarantee; nested composites are
-//! likewise rejected because only primitive field specs exist.
+//! Every gather and scatter here is a walk of an `mpisim` [`Datatype`]:
+//! basic for primitive slices and struct-of-arrays members, vector for
+//! strided views, and a composite's own struct type, built once with its
+//! layout. A composite's memory is read through `MaybeUninit<u8>` and only
+//! its field blocks are touched, so padding bytes are never read — the
+//! same discipline the generated MPI-struct code follows. Pointers inside
+//! composites are unrepresentable (the [`FieldSpec`] trait has no pointer
+//! impl), turning the paper's runtime prohibition into a compile-time
+//! guarantee; nested composites are likewise rejected because only
+//! primitive field specs exist.
 
+use std::borrow::Cow;
 use std::mem::MaybeUninit;
+use std::ops::Deref;
 use std::sync::Arc;
 
-use mpisim::dtype::{BasicType, Datatype, StructField};
+use mpisim::dtype::{BasicType, Datatype, FieldKind};
 use mpisim::pod::{as_bytes, as_bytes_mut, Pod};
 
 /// A primitive element type admissible in buffers.
@@ -75,15 +81,13 @@ pub struct FieldDef {
     pub blocklen: usize,
 }
 
-/// The declared layout of a composite element type.
+/// The declared layout of a composite element type, with the MPI struct
+/// datatype built and validated from it once, at construction.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompositeLayout {
-    /// Type name (diagnostics, codegen).
-    pub name: String,
-    /// Memory extent of one element (`size_of::<T>()`).
-    pub extent: usize,
-    /// Field blocks, in declaration order.
-    pub fields: Vec<FieldDef>,
+    name: String,
+    fields: Vec<FieldDef>,
+    datatype: Datatype,
 }
 
 /// One member of a one-level-nested composite declaration: either a plain
@@ -109,21 +113,29 @@ pub enum NestedField {
 }
 
 impl CompositeLayout {
-    /// Build and validate a layout for `T`. Panics on layout violations
-    /// (overlaps, blocks past the extent) — these are programming errors in
-    /// the type description, equivalent to compiler bugs in the paper's
-    /// setting.
+    /// Build and validate a layout for `T`, and its struct datatype. Panics
+    /// on layout violations (overlaps, blocks past the extent) — these are
+    /// programming errors in the type description, equivalent to compiler
+    /// bugs in the paper's setting.
     pub fn new<T>(name: &str, fields: Vec<FieldDef>) -> CompositeLayout {
-        let extent = std::mem::size_of::<T>();
-        let layout = CompositeLayout {
-            name: name.to_string(),
-            extent,
-            fields,
-        };
-        layout
-            .to_datatype_checked()
+        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
+            .iter()
+            .map(|f| {
+                (
+                    f.name.as_str(),
+                    f.offset,
+                    f.blocklen,
+                    FieldKind::Basic(f.ty),
+                )
+            })
+            .collect();
+        let datatype = Datatype::try_struct(&descr, std::mem::size_of::<T>())
             .unwrap_or_else(|e| panic!("invalid composite layout for {name}: {e}"));
-        layout
+        CompositeLayout {
+            name: name.to_string(),
+            fields,
+            datatype,
+        }
     }
 
     /// Build a layout for `T` from members that may embed one level of
@@ -156,41 +168,29 @@ impl CompositeLayout {
         CompositeLayout::new::<T>(name, fields)
     }
 
+    /// Type name (diagnostics, codegen).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Field blocks, in declaration order.
+    pub fn fields(&self) -> &[FieldDef] {
+        &self.fields
+    }
+
+    /// Memory extent of one element (`size_of::<T>()`).
+    pub fn extent(&self) -> usize {
+        self.datatype.extent()
+    }
+
     /// Bytes of payload one element contributes (sum of field blocks).
     pub fn packed_size(&self) -> usize {
-        self.fields.iter().map(|f| f.blocklen * f.ty.size()).sum()
+        self.datatype.packed_size()
     }
 
-    /// The equivalent MPI struct datatype.
-    pub fn to_datatype(&self) -> Datatype {
-        Datatype::Struct {
-            fields: self
-                .fields
-                .iter()
-                .map(|f| StructField {
-                    offset: f.offset,
-                    blocklen: f.blocklen,
-                    ty: f.ty,
-                })
-                .collect(),
-            extent: self.extent,
-        }
-    }
-
-    fn to_datatype_checked(&self) -> Result<Datatype, mpisim::dtype::DtypeError> {
-        let descr: Vec<(&str, usize, usize, mpisim::dtype::FieldKind)> = self
-            .fields
-            .iter()
-            .map(|f| {
-                (
-                    f.name.as_str(),
-                    f.offset,
-                    f.blocklen,
-                    mpisim::dtype::FieldKind::Basic(f.ty),
-                )
-            })
-            .collect();
-        Datatype::try_struct(&descr, self.extent)
+    /// The equivalent MPI struct datatype, built when the layout was.
+    pub fn datatype(&self) -> &Datatype {
+        &self.datatype
     }
 }
 
@@ -212,86 +212,15 @@ pub unsafe trait Described: Copy + Send + Sync + 'static {
     fn layout() -> Arc<CompositeLayout>;
 }
 
-/// The memory of `items`, padding included, as bytes that may be
-/// uninitialized: the type-erased view composite gathers walk.
-fn raw_bytes<T: Described>(items: &[T]) -> &[MaybeUninit<u8>] {
-    // SAFETY: every byte, initialized or not, is a valid `MaybeUninit<u8>`,
-    // and the view covers exactly the memory `items` borrows.
-    unsafe { std::slice::from_raw_parts(items.as_ptr().cast(), std::mem::size_of_val(items)) }
-}
-
-/// The mutable counterpart of [`raw_bytes`]. Only [`scatter_fields`]
-/// writes through it, and only initialized bytes into described fields,
-/// whose primitive types accept every byte pattern.
-fn raw_bytes_mut<T: Described>(items: &mut [T]) -> &mut [MaybeUninit<u8>] {
-    // SAFETY: as in `raw_bytes`; the writes keep every `T` valid (above).
-    unsafe {
-        std::slice::from_raw_parts_mut(items.as_mut_ptr().cast(), std::mem::size_of_val(items))
-    }
-}
-
-/// Append the described fields of the first `count` of `len` elements in
-/// `raw` (elements `layout.extent` bytes apart) to `out`, field by field:
-/// padding is never read.
-fn gather_fields(
-    layout: &CompositeLayout,
-    raw: &[MaybeUninit<u8>],
-    len: usize,
-    count: usize,
-    out: &mut Vec<u8>,
-) {
-    assert!(count <= len, "gather count exceeds buffer length");
-    out.reserve(count * layout.packed_size());
-    for e in 0..count {
-        let elem = &raw[e * layout.extent..];
-        for f in &layout.fields {
-            let field = &elem[f.offset..f.offset + f.blocklen * f.ty.size()];
-            // SAFETY: `raw` views elements of a `Described` type, whose
-            // layout contract makes every field range initialized.
-            out.extend_from_slice(unsafe { &*(field as *const [MaybeUninit<u8>] as *const [u8]) });
-        }
-    }
-}
-
-/// Fill the described fields of the first `count` of `len` elements in
-/// `raw` from packed bytes (the inverse of [`gather_fields`]).
-fn scatter_fields(
-    layout: &CompositeLayout,
-    raw: &mut [MaybeUninit<u8>],
-    len: usize,
-    count: usize,
-    packed: &[u8],
-) {
-    assert!(count <= len, "scatter count exceeds buffer length");
-    let need = count * layout.packed_size();
-    assert!(
-        packed.len() >= need,
-        "scatter source too small: {} < {need}",
-        packed.len()
-    );
-    // SAFETY: initialized bytes are valid `MaybeUninit<u8>`s.
-    let packed = unsafe { &*(&packed[..need] as *const [u8] as *const [MaybeUninit<u8>]) };
-    let mut pos = 0usize;
-    for e in 0..count {
-        let elem = &mut raw[e * layout.extent..];
-        for f in &layout.fields {
-            let n = f.blocklen * f.ty.size();
-            elem[f.offset..f.offset + n].copy_from_slice(&packed[pos..pos + n]);
-            pos += n;
-        }
-    }
-}
-
 /// Gather the described fields of `items` into packed bytes (appending to
-/// `out`). Field-wise copies: padding is never read.
+/// `out`). Padding is never read.
 pub fn gather_described<T: Described>(items: &[T], count: usize, out: &mut Vec<u8>) {
-    gather_fields(&T::layout(), raw_bytes(items), items.len(), count, out);
+    Struc::new("", items).gather(count, out);
 }
 
 /// Scatter packed bytes into the described fields of `items`.
 pub fn scatter_described<T: Described>(items: &mut [T], count: usize, packed: &[u8]) {
-    let len = items.len();
-    scatter_fields(&T::layout(), raw_bytes_mut(items), len, count, packed);
+    StrucMut::new("", items).scatter(count, packed);
 }
 
 /// One parallel array of a struct-of-arrays group.
@@ -330,23 +259,16 @@ impl SoaLayout {
     /// `MPI_Type_create_struct` over the arrays commits to.
     pub fn to_datatype(&self) -> Datatype {
         let mut off = 0usize;
-        let fields = self
+        let descr: Vec<(&str, usize, usize, FieldKind)> = self
             .fields
             .iter()
             .map(|f| {
-                let sf = StructField {
-                    offset: off,
-                    blocklen: f.blocklen,
-                    ty: f.ty,
-                };
+                let at = off;
                 off += f.blocklen * f.ty.size();
-                sf
+                (f.name.as_str(), at, f.blocklen, FieldKind::Basic(f.ty))
             })
             .collect();
-        Datatype::Struct {
-            fields,
-            extent: self.packed_size(),
-        }
+        Datatype::try_struct(&descr, off).expect("sequential blocks fit their sum")
     }
 }
 
@@ -390,7 +312,7 @@ impl ElemKind {
     pub fn extent(&self) -> usize {
         match self {
             ElemKind::Prim(t) => t.size(),
-            ElemKind::Composite(l) => l.extent,
+            ElemKind::Composite(l) => l.extent(),
             ElemKind::Strided { ty, stride, .. } => stride * ty.size(),
             ElemKind::Soa(l) => l.packed_size(),
         }
@@ -423,28 +345,29 @@ impl ElemKind {
     pub fn field_count(&self) -> usize {
         match self {
             ElemKind::Prim(_) | ElemKind::Strided { .. } => 1,
-            ElemKind::Composite(l) => l.fields.len().max(1),
+            ElemKind::Composite(l) => l.fields().len().max(1),
             ElemKind::Soa(l) => l.fields.len().max(1),
         }
     }
 
     /// The MPI datatype equivalent (basic, struct or vector; the vector
-    /// type is per-element: one block).
-    pub fn to_datatype(&self) -> Datatype {
+    /// type is per-element: one block). A composite lends the struct type
+    /// its layout built once.
+    pub fn datatype(&self) -> Cow<'_, Datatype> {
         match self {
-            ElemKind::Prim(t) => Datatype::Basic(*t),
-            ElemKind::Composite(l) => l.to_datatype(),
+            ElemKind::Prim(t) => Cow::Owned(Datatype::Basic(*t)),
+            ElemKind::Composite(l) => Cow::Borrowed(l.datatype()),
             ElemKind::Strided {
                 ty,
                 blocklen,
                 stride,
-            } => Datatype::Vector {
+            } => Cow::Owned(Datatype::Vector {
                 count: 1,
                 blocklen: *blocklen,
                 stride: *stride,
                 elem: *ty,
-            },
-            ElemKind::Soa(l) => l.to_datatype(),
+            }),
+            ElemKind::Soa(l) => Cow::Owned(l.to_datatype()),
         }
     }
 
@@ -559,7 +482,7 @@ pub trait SendBuf {
     /// Append `count` elements' packed bytes to `out`.
     fn gather(&self, count: usize, out: &mut Vec<u8>);
     /// The form a `comm_p2p` builder stores this buffer in. The default
-    /// boxes it; primitive buffers override this to stay off the heap.
+    /// boxes it; primitive and composite buffers stay off the heap.
     fn into_send_slot<'d>(self) -> SendSlot<'d>
     where
         Self: Sized + 'd,
@@ -594,60 +517,22 @@ pub trait RecvBuf {
 
 /// A send buffer as a `comm_p2p` builder holds it. Every rank builds every
 /// directive instance, participant or not, so the common primitive and
-/// composite cases are kept inline as typed byte views instead of a heap
-/// box.
+/// composite cases are kept inline as byte views instead of a heap box.
 pub enum SendSlot<'d> {
-    /// A primitive slice, viewed as bytes.
-    Prim {
-        /// Display name.
-        name: &'d str,
-        /// Element type.
-        ty: BasicType,
-        /// The elements' bytes.
-        bytes: &'d [u8],
-    },
-    /// A [`Struc`] with its element type erased.
-    Composite(CompositeView<'d, &'d [MaybeUninit<u8>]>),
+    /// A primitive slice.
+    Prim(Prim<'d>),
+    /// A described-composite slice.
+    Composite(Struc<'d>),
     /// Any other buffer.
     Boxed(Box<dyn SendBuf + 'd>),
 }
 
-/// A described-composite slice with its element type erased: what a
-/// [`Struc`] or [`StrucMut`] becomes in a `comm_p2p` builder. `raw` is the
-/// elements' memory, padding included, as `&[MaybeUninit<u8>]` or its
-/// `&mut` form; only the layout's field ranges are read or written. The
-/// fields are private and only those two types build one, so `raw` always
-/// holds `len` elements of the type `layout` describes.
-pub struct CompositeView<'d, R> {
-    name: &'d str,
-    layout: Arc<CompositeLayout>,
-    len: usize,
-    raw: R,
-}
-
-impl<R: std::ops::Deref<Target = [MaybeUninit<u8>]>> CompositeView<'_, R> {
-    fn desc(&self) -> BufDesc {
-        composite_desc(&self.layout, self.len, &self.raw)
-    }
-
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.desc())
-    }
-}
-
 /// A receive buffer as a `comm_p2p` builder holds it (see [`SendSlot`]).
 pub enum RecvSlot<'d> {
-    /// A primitive slice, viewed as bytes.
-    Prim {
-        /// Display name.
-        name: &'d str,
-        /// Element type.
-        ty: BasicType,
-        /// The elements' bytes.
-        bytes: &'d mut [u8],
-    },
-    /// A [`StrucMut`] with its element type erased.
-    Composite(CompositeView<'d, &'d mut [MaybeUninit<u8>]>),
+    /// A primitive slice.
+    Prim(PrimMut<'d>),
+    /// A described-composite slice.
+    Composite(StrucMut<'d>),
     /// Any other buffer.
     Boxed(Box<dyn RecvBuf + 'd>),
 }
@@ -655,7 +540,7 @@ pub enum RecvSlot<'d> {
 impl SendBuf for SendSlot<'_> {
     fn meta(&self) -> BufMeta {
         match self {
-            SendSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            SendSlot::Prim(v) => v.meta(),
             SendSlot::Composite(v) => v.meta(),
             SendSlot::Boxed(b) => b.meta(),
         }
@@ -663,7 +548,7 @@ impl SendBuf for SendSlot<'_> {
 
     fn desc(&self) -> BufDesc {
         match self {
-            SendSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            SendSlot::Prim(v) => v.desc(),
             SendSlot::Composite(v) => v.desc(),
             SendSlot::Boxed(b) => b.desc(),
         }
@@ -671,15 +556,15 @@ impl SendBuf for SendSlot<'_> {
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         match self {
-            SendSlot::Prim { .. } | SendSlot::Composite(_) => None,
+            SendSlot::Prim(_) | SendSlot::Composite(_) => None,
             SendSlot::Boxed(b) => b.sub_ranges(),
         }
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
         match self {
-            SendSlot::Prim { ty, bytes, .. } => prim_gather(*ty, bytes, count, out),
-            SendSlot::Composite(v) => gather_fields(&v.layout, v.raw, v.len, count, out),
+            SendSlot::Prim(v) => v.gather(count, out),
+            SendSlot::Composite(v) => v.gather(count, out),
             SendSlot::Boxed(b) => b.gather(count, out),
         }
     }
@@ -688,7 +573,7 @@ impl SendBuf for SendSlot<'_> {
 impl RecvBuf for RecvSlot<'_> {
     fn meta(&self) -> BufMeta {
         match self {
-            RecvSlot::Prim { name, ty, bytes } => prim_meta(name, *ty, bytes),
+            RecvSlot::Prim(v) => v.meta(),
             RecvSlot::Composite(v) => v.meta(),
             RecvSlot::Boxed(b) => b.meta(),
         }
@@ -696,7 +581,7 @@ impl RecvBuf for RecvSlot<'_> {
 
     fn desc(&self) -> BufDesc {
         match self {
-            RecvSlot::Prim { ty, bytes, .. } => prim_desc(*ty, bytes),
+            RecvSlot::Prim(v) => v.desc(),
             RecvSlot::Composite(v) => v.desc(),
             RecvSlot::Boxed(b) => b.desc(),
         }
@@ -704,15 +589,15 @@ impl RecvBuf for RecvSlot<'_> {
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         match self {
-            RecvSlot::Prim { .. } | RecvSlot::Composite(_) => None,
+            RecvSlot::Prim(_) | RecvSlot::Composite(_) => None,
             RecvSlot::Boxed(b) => b.sub_ranges(),
         }
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
         match self {
-            RecvSlot::Prim { ty, bytes, .. } => prim_scatter(*ty, bytes, count, packed),
-            RecvSlot::Composite(v) => scatter_fields(&v.layout, v.raw, v.len, count, packed),
+            RecvSlot::Prim(v) => v.scatter(count, packed),
+            RecvSlot::Composite(v) => v.scatter(count, packed),
             RecvSlot::Boxed(b) => b.scatter(count, packed),
         }
     }
@@ -728,376 +613,376 @@ fn with_name(name: &str, desc: BufDesc) -> BufMeta {
     }
 }
 
-fn composite_desc(layout: &Arc<CompositeLayout>, len: usize, raw: &[MaybeUninit<u8>]) -> BufDesc {
-    let lo = raw.as_ptr() as usize;
-    BufDesc {
-        elem: ElemKind::Composite(Arc::clone(layout)),
-        len,
-        addr: (lo, lo + raw.len()),
-    }
-}
-
-fn prim_meta(name: &str, ty: BasicType, bytes: &[u8]) -> BufMeta {
-    with_name(name, prim_desc(ty, bytes))
-}
-
-fn prim_desc(ty: BasicType, bytes: &[u8]) -> BufDesc {
+/// The address range of `bytes`.
+fn addr_of<T>(bytes: &[T]) -> (usize, usize) {
     let lo = bytes.as_ptr() as usize;
-    BufDesc {
-        elem: ElemKind::Prim(ty),
-        len: bytes.len() / ty.size(),
-        addr: (lo, lo + bytes.len()),
-    }
+    (lo, lo + std::mem::size_of_val(bytes))
 }
 
-fn prim_gather(ty: BasicType, bytes: &[u8], count: usize, out: &mut Vec<u8>) {
-    assert!(
-        count <= bytes.len() / ty.size(),
-        "gather count exceeds buffer length"
-    );
-    out.extend_from_slice(&bytes[..count * ty.size()]);
-}
-
-fn prim_scatter(ty: BasicType, bytes: &mut [u8], count: usize, packed: &[u8]) {
-    assert!(
-        count <= bytes.len() / ty.size(),
-        "scatter count exceeds buffer length"
-    );
-    let n = count * ty.size();
-    bytes[..n].copy_from_slice(&packed[..n]);
+/// A named primitive slice viewed as bytes: `B` is `&[u8]` for a send
+/// buffer ([`Prim`]) and `&mut [u8]` for a receive buffer ([`PrimMut`]).
+pub struct PrimView<'a, B> {
+    name: &'a str,
+    ty: BasicType,
+    bytes: B,
 }
 
 /// A named primitive send buffer.
-pub struct Prim<'a, T: PrimElem> {
-    name: &'a str,
-    data: &'a [T],
-}
+pub type Prim<'a> = PrimView<'a, &'a [u8]>;
 
-impl<'a, T: PrimElem> Prim<'a, T> {
+/// A named primitive receive buffer.
+pub type PrimMut<'a> = PrimView<'a, &'a mut [u8]>;
+
+impl<'a> Prim<'a> {
     /// Wrap a primitive slice with a display name.
-    pub fn new(name: &'a str, data: &'a [T]) -> Self {
-        Prim { name, data }
+    pub fn new<T: PrimElem>(name: &'a str, data: &'a [T]) -> Self {
+        let bytes = as_bytes(data);
+        PrimView {
+            name,
+            ty: T::BASIC,
+            bytes,
+        }
     }
 }
 
-impl<T: PrimElem> SendBuf for Prim<'_, T> {
+impl<'a> PrimMut<'a> {
+    /// Wrap a mutable primitive slice with a display name.
+    pub fn new<T: PrimElem>(name: &'a str, data: &'a mut [T]) -> Self {
+        let bytes = as_bytes_mut(data);
+        PrimView {
+            name,
+            ty: T::BASIC,
+            bytes,
+        }
+    }
+}
+
+impl<B: Deref<Target = [u8]>> PrimView<'_, B> {
+    fn describe(&self) -> BufDesc {
+        BufDesc {
+            elem: ElemKind::Prim(self.ty),
+            len: self.bytes.len() / self.ty.size(),
+            addr: addr_of(&self.bytes),
+        }
+    }
+}
+
+impl SendBuf for Prim<'_> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, T::BASIC, as_bytes(self.data))
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(T::BASIC, as_bytes(self.data))
+        self.describe()
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        prim_gather(T::BASIC, as_bytes(self.data), count, out);
+        Datatype::Basic(self.ty).gather(self.bytes, count, out);
     }
 
     fn into_send_slot<'d>(self) -> SendSlot<'d>
     where
         Self: 'd,
     {
-        SendSlot::Prim {
-            name: self.name,
-            ty: T::BASIC,
-            bytes: as_bytes(self.data),
-        }
+        SendSlot::Prim(self)
     }
 }
 
-/// A named primitive receive buffer.
-pub struct PrimMut<'a, T: PrimElem> {
-    name: &'a str,
-    data: &'a mut [T],
-}
-
-impl<'a, T: PrimElem> PrimMut<'a, T> {
-    /// Wrap a mutable primitive slice with a display name.
-    pub fn new(name: &'a str, data: &'a mut [T]) -> Self {
-        PrimMut { name, data }
-    }
-}
-
-impl<T: PrimElem> RecvBuf for PrimMut<'_, T> {
+impl RecvBuf for PrimMut<'_> {
     fn meta(&self) -> BufMeta {
-        prim_meta(self.name, T::BASIC, as_bytes(self.data))
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        prim_desc(T::BASIC, as_bytes(self.data))
+        self.describe()
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        prim_scatter(T::BASIC, as_bytes_mut(self.data), count, packed);
+        Datatype::Basic(self.ty).scatter(packed, count, self.bytes);
     }
 
     fn into_recv_slot<'d>(self) -> RecvSlot<'d>
     where
         Self: 'd,
     {
-        RecvSlot::Prim {
-            name: self.name,
-            ty: T::BASIC,
-            bytes: as_bytes_mut(self.data),
-        }
+        RecvSlot::Prim(self)
     }
 }
 
-fn copy_exact<T: PrimElem>(dst: &mut [T], packed: &[u8]) {
-    let bytes = as_bytes_mut(dst);
-    bytes.copy_from_slice(&packed[..bytes.len()]);
+/// A named described-composite slice with its element type erased. `raw`
+/// is the elements' memory, padding included, as `&[MaybeUninit<u8>]` for
+/// a send buffer ([`Struc`]) or its `&mut` form for a receive buffer
+/// ([`StrucMut`]); only the blocks of the layout's datatype are read or
+/// written. The fields are private and only the two `new`s build one, so
+/// `raw` always holds `len` elements of the type `layout` describes.
+pub struct CompositeView<'a, R> {
+    name: &'a str,
+    layout: Arc<CompositeLayout>,
+    len: usize,
+    raw: R,
 }
 
 /// A named composite send buffer.
-pub struct Struc<'a, T: Described> {
-    name: &'a str,
-    data: &'a [T],
-}
+pub type Struc<'a> = CompositeView<'a, &'a [MaybeUninit<u8>]>;
 
-impl<'a, T: Described> Struc<'a, T> {
+/// A named composite receive buffer.
+pub type StrucMut<'a> = CompositeView<'a, &'a mut [MaybeUninit<u8>]>;
+
+impl<'a> Struc<'a> {
     /// Wrap a described-composite slice with a display name.
-    pub fn new(name: &'a str, data: &'a [T]) -> Self {
-        Struc { name, data }
+    pub fn new<T: Described>(name: &'a str, data: &'a [T]) -> Self {
+        // SAFETY: every byte, initialized or not, is a valid
+        // `MaybeUninit<u8>`, and the view covers exactly the memory `data`
+        // borrows.
+        let raw = unsafe {
+            std::slice::from_raw_parts(data.as_ptr().cast(), std::mem::size_of_val(data))
+        };
+        CompositeView {
+            name,
+            layout: T::layout(),
+            len: data.len(),
+            raw,
+        }
     }
 }
 
-impl<T: Described> SendBuf for Struc<'_, T> {
+impl<'a> StrucMut<'a> {
+    /// Wrap a mutable described-composite slice with a display name. Only
+    /// `scatter` writes through it, and only initialized bytes into
+    /// described fields, whose primitive types accept every byte pattern.
+    pub fn new<T: Described>(name: &'a str, data: &'a mut [T]) -> Self {
+        let len = data.len();
+        // SAFETY: as in `Struc::new`; the writes keep every `T` valid
+        // (above).
+        let raw = unsafe {
+            std::slice::from_raw_parts_mut(data.as_mut_ptr().cast(), std::mem::size_of_val(data))
+        };
+        CompositeView {
+            name,
+            layout: T::layout(),
+            len,
+            raw,
+        }
+    }
+}
+
+impl<R: Deref<Target = [MaybeUninit<u8>]>> CompositeView<'_, R> {
+    fn describe(&self) -> BufDesc {
+        BufDesc {
+            elem: ElemKind::Composite(Arc::clone(&self.layout)),
+            len: self.len,
+            addr: addr_of(&self.raw),
+        }
+    }
+}
+
+impl SendBuf for Struc<'_> {
     fn meta(&self) -> BufMeta {
-        with_name(self.name, self.desc())
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        composite_desc(&T::layout(), self.data.len(), raw_bytes(self.data))
+        self.describe()
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        gather_described(self.data, count, out);
+        assert!(count <= self.len, "gather count exceeds buffer length");
+        // SAFETY: `raw` holds elements of a `Described` type, whose layout
+        // contract makes every block of its datatype an initialized field.
+        unsafe { self.layout.datatype.gather_uninit(self.raw, count, out) }
     }
 
     fn into_send_slot<'d>(self) -> SendSlot<'d>
     where
         Self: 'd,
     {
-        SendSlot::Composite(CompositeView {
-            name: self.name,
-            layout: T::layout(),
-            len: self.data.len(),
-            raw: raw_bytes(self.data),
-        })
+        SendSlot::Composite(self)
     }
 }
 
-/// A named composite receive buffer.
-pub struct StrucMut<'a, T: Described> {
-    name: &'a str,
-    data: &'a mut [T],
-}
-
-impl<'a, T: Described> StrucMut<'a, T> {
-    /// Wrap a mutable described-composite slice with a display name.
-    pub fn new(name: &'a str, data: &'a mut [T]) -> Self {
-        StrucMut { name, data }
-    }
-}
-
-impl<T: Described> RecvBuf for StrucMut<'_, T> {
+impl RecvBuf for StrucMut<'_> {
     fn meta(&self) -> BufMeta {
-        with_name(self.name, self.desc())
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        composite_desc(&T::layout(), self.data.len(), raw_bytes(self.data))
+        self.describe()
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        scatter_described(self.data, count, packed);
+        assert!(count <= self.len, "scatter count exceeds buffer length");
+        self.layout.datatype.scatter_uninit(packed, count, self.raw);
     }
 
     fn into_recv_slot<'d>(self) -> RecvSlot<'d>
     where
         Self: 'd,
     {
-        RecvSlot::Composite(CompositeView {
-            name: self.name,
-            layout: T::layout(),
-            len: self.data.len(),
-            raw: raw_bytes_mut(self.data),
-        })
+        RecvSlot::Composite(self)
     }
 }
 
-/// A strided send view: `count` blocks of `blocklen` values, block starts
-/// `stride` values apart — ships a matrix row/column without copying it
-/// contiguous first (the directive's automatic `MPI_Type_vector` handling).
-pub struct PrimStrided<'a, T: PrimElem> {
+/// A named strided view over bytes `B` (`&[u8]` to send, `&mut [u8]` to
+/// receive): blocks of `blocklen` values whose starts are `stride` values
+/// apart. It ships a matrix row/column without copying it contiguous first
+/// (the directive's automatic `MPI_Type_vector` handling).
+pub struct StridedView<'a, B> {
     name: &'a str,
-    data: &'a [T],
+    ty: BasicType,
     blocklen: usize,
     stride: usize,
+    bytes: B,
 }
 
-impl<'a, T: PrimElem> PrimStrided<'a, T> {
+/// A strided send view.
+pub type PrimStrided<'a> = StridedView<'a, &'a [u8]>;
+
+/// A strided receive view.
+pub type PrimStridedMut<'a> = StridedView<'a, &'a mut [u8]>;
+
+impl<'a> PrimStrided<'a> {
     /// Wrap a strided view. `data` must cover every addressed block;
     /// `stride >= blocklen >= 1`.
-    pub fn new(name: &'a str, data: &'a [T], blocklen: usize, stride: usize) -> Self {
+    pub fn new<T: PrimElem>(name: &'a str, data: &'a [T], blocklen: usize, stride: usize) -> Self {
+        StridedView::with(name, T::BASIC, blocklen, stride, as_bytes(data))
+    }
+}
+
+impl<'a> PrimStridedMut<'a> {
+    /// Wrap a mutable strided view.
+    pub fn new<T: PrimElem>(
+        name: &'a str,
+        data: &'a mut [T],
+        blocklen: usize,
+        stride: usize,
+    ) -> Self {
+        StridedView::with(name, T::BASIC, blocklen, stride, as_bytes_mut(data))
+    }
+}
+
+impl<'a, B: Deref<Target = [u8]>> StridedView<'a, B> {
+    fn with(name: &'a str, ty: BasicType, blocklen: usize, stride: usize, bytes: B) -> Self {
         assert!(blocklen >= 1 && stride >= blocklen, "invalid stride layout");
-        PrimStrided {
+        StridedView {
             name,
-            data,
+            ty,
             blocklen,
             stride,
+            bytes,
         }
     }
 
+    /// Whole blocks that start and end inside the view.
     fn n_blocks(&self) -> usize {
-        if self.data.len() < self.blocklen {
+        let values = self.bytes.len() / self.ty.size();
+        if values < self.blocklen {
             0
         } else {
-            (self.data.len() - self.blocklen) / self.stride + 1
+            (values - self.blocklen) / self.stride + 1
         }
     }
 
-    fn meta_impl(&self) -> BufMeta {
-        let lo = self.data.as_ptr() as usize;
-        BufMeta {
-            name: self.name.to_string(),
+    fn describe(&self) -> BufDesc {
+        BufDesc {
             elem: ElemKind::Strided {
-                ty: T::BASIC,
+                ty: self.ty,
                 blocklen: self.blocklen,
                 stride: self.stride,
             },
             len: self.n_blocks(),
-            addr: (lo, lo + std::mem::size_of_val(self.data)),
+            addr: addr_of(&self.bytes),
+        }
+    }
+
+    /// The first `count` blocks as one vector datatype, after checking that
+    /// the view holds them (`what` names the direction).
+    fn vector(&self, count: usize, what: &str) -> Datatype {
+        assert!(count <= self.n_blocks(), "{what} count exceeds block count");
+        Datatype::Vector {
+            count,
+            blocklen: self.blocklen,
+            stride: self.stride,
+            elem: self.ty,
         }
     }
 }
 
-impl<T: PrimElem> SendBuf for PrimStrided<'_, T> {
+impl SendBuf for PrimStrided<'_> {
     fn meta(&self) -> BufMeta {
-        self.meta_impl()
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        BufDesc {
-            elem: ElemKind::Strided {
-                ty: T::BASIC,
-                blocklen: self.blocklen,
-                stride: self.stride,
-            },
-            len: self.n_blocks(),
-            addr: {
-                let lo = self.data.as_ptr() as usize;
-                (lo, lo + std::mem::size_of_val(self.data))
-            },
-        }
+        self.describe()
     }
 
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        assert!(count <= self.n_blocks(), "gather count exceeds block count");
-        for b in 0..count {
-            let start = b * self.stride;
-            out.extend_from_slice(as_bytes(&self.data[start..start + self.blocklen]));
-        }
+        self.vector(count, "gather").gather(self.bytes, 1, out);
     }
 }
 
-/// A strided receive view (see [`PrimStrided`]).
-pub struct PrimStridedMut<'a, T: PrimElem> {
-    name: &'a str,
-    data: &'a mut [T],
-    blocklen: usize,
-    stride: usize,
-}
-
-impl<'a, T: PrimElem> PrimStridedMut<'a, T> {
-    /// Wrap a mutable strided view.
-    pub fn new(name: &'a str, data: &'a mut [T], blocklen: usize, stride: usize) -> Self {
-        assert!(blocklen >= 1 && stride >= blocklen, "invalid stride layout");
-        PrimStridedMut {
-            name,
-            data,
-            blocklen,
-            stride,
-        }
-    }
-
-    fn n_blocks(&self) -> usize {
-        if self.data.len() < self.blocklen {
-            0
-        } else {
-            (self.data.len() - self.blocklen) / self.stride + 1
-        }
-    }
-}
-
-impl<T: PrimElem> RecvBuf for PrimStridedMut<'_, T> {
+impl RecvBuf for PrimStridedMut<'_> {
     fn meta(&self) -> BufMeta {
-        let lo = self.data.as_ptr() as usize;
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Strided {
-                ty: T::BASIC,
-                blocklen: self.blocklen,
-                stride: self.stride,
-            },
-            len: self.n_blocks(),
-            addr: (lo, lo + std::mem::size_of_val(self.data)),
-        }
+        with_name(self.name, self.describe())
     }
 
     fn desc(&self) -> BufDesc {
-        BufDesc {
-            elem: ElemKind::Strided {
-                ty: T::BASIC,
-                blocklen: self.blocklen,
-                stride: self.stride,
-            },
-            len: self.n_blocks(),
-            addr: {
-                let lo = self.data.as_ptr() as usize;
-                (lo, lo + std::mem::size_of_val(self.data))
-            },
-        }
+        self.describe()
     }
 
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        assert!(
-            count <= self.n_blocks(),
-            "scatter count exceeds block count"
-        );
-        let block_bytes = self.blocklen * std::mem::size_of::<T>();
-        for b in 0..count {
-            let start = b * self.stride;
-            copy_exact(
-                &mut self.data[start..start + self.blocklen],
-                &packed[b * block_bytes..(b + 1) * block_bytes],
-            );
-        }
+        let vector = self.vector(count, "scatter");
+        vector.scatter(packed, 1, self.bytes);
     }
 }
 
-fn soa_hull(ranges: &[(usize, usize)]) -> (usize, usize) {
-    let lo = ranges.iter().map(|r| r.0).min().unwrap_or(0);
-    let hi = ranges.iter().map(|r| r.1).max().unwrap_or(0);
-    (lo, hi.max(lo))
-}
-
-/// A struct-of-arrays send view over parallel arrays: one logical record is
+/// A named struct-of-arrays view over parallel arrays held as byte slices
+/// `B` (`&[u8]` to send, `&mut [u8]` to receive): one logical record is
 /// `blocklen` values in each declared array (the wl-lsms core-state shape).
-/// Build with the chainable [`Soa::field`]/[`Soa::field_blocks`]; the
-/// record count is the smallest per-array record count, so a set of empty
-/// slices is a valid zero-length placeholder on non-participating ranks.
-pub struct Soa<'a> {
+/// Build with the chainable `field`/`field_blocks`; the record count is
+/// the smallest per-array record count, so a set of empty slices is a
+/// valid zero-length placeholder on non-participating ranks.
+pub struct SoaView<'a, B> {
     name: &'a str,
     fields: Vec<SoaField>,
-    bytes: Vec<&'a [u8]>,
+    bytes: Vec<B>,
     ranges: Vec<(usize, usize)>,
 }
 
+/// A struct-of-arrays send view.
+pub type Soa<'a> = SoaView<'a, &'a [u8]>;
+
+/// A struct-of-arrays receive view.
+pub type SoaMut<'a> = SoaView<'a, &'a mut [u8]>;
+
 impl<'a> Soa<'a> {
+    /// Add a parallel array contributing one value per record.
+    pub fn field<T: PrimElem>(self, name: &str, data: &'a [T]) -> Self {
+        self.field_blocks(name, data, 1)
+    }
+
+    /// Add a parallel array contributing `blocklen` values per record.
+    pub fn field_blocks<T: PrimElem>(self, name: &str, data: &'a [T], blocklen: usize) -> Self {
+        self.push(name, T::BASIC, blocklen, as_bytes(data))
+    }
+}
+
+impl<'a> SoaMut<'a> {
+    /// Add a parallel array receiving one value per record.
+    pub fn field<T: PrimElem>(self, name: &str, data: &'a mut [T]) -> Self {
+        self.field_blocks(name, data, 1)
+    }
+
+    /// Add a parallel array receiving `blocklen` values per record.
+    pub fn field_blocks<T: PrimElem>(self, name: &str, data: &'a mut [T], blocklen: usize) -> Self {
+        self.push(name, T::BASIC, blocklen, as_bytes_mut(data))
+    }
+}
+
+impl<'a, B: Deref<Target = [u8]>> SoaView<'a, B> {
     /// Start an empty group with a display name.
     pub fn new(name: &'a str) -> Self {
-        Soa {
+        SoaView {
             name,
             fields: Vec::new(),
             bytes: Vec::new(),
@@ -1105,26 +990,19 @@ impl<'a> Soa<'a> {
         }
     }
 
-    /// Add a parallel array contributing one value per record.
-    pub fn field<T: PrimElem>(self, name: &str, data: &'a [T]) -> Self {
-        self.field_blocks(name, data, 1)
-    }
-
-    /// Add a parallel array contributing `blocklen` values per record.
-    pub fn field_blocks<T: PrimElem>(mut self, name: &str, data: &'a [T], blocklen: usize) -> Self {
+    fn push(mut self, name: &str, ty: BasicType, blocklen: usize, bytes: B) -> Self {
         assert!(blocklen >= 1, "soa blocklen must be at least 1");
-        let raw = as_bytes(data);
-        let lo = raw.as_ptr() as usize;
         self.fields.push(SoaField {
             name: name.to_string(),
-            ty: T::BASIC,
+            ty,
             blocklen,
         });
-        self.ranges.push((lo, lo + raw.len()));
-        self.bytes.push(raw);
+        self.ranges.push(addr_of(&bytes));
+        self.bytes.push(bytes);
         self
     }
 
+    /// Whole records: the smallest per-array record count.
     fn records(&self) -> usize {
         self.fields
             .iter()
@@ -1134,23 +1012,24 @@ impl<'a> Soa<'a> {
             .unwrap_or(0)
     }
 
-    fn layout(&self) -> SoaLayout {
-        SoaLayout {
+    fn view_meta(&self) -> BufMeta {
+        let lo = self.ranges.iter().map(|r| r.0).min().unwrap_or(0);
+        let hi = self.ranges.iter().map(|r| r.1).max().unwrap_or(0);
+        BufMeta {
             name: self.name.to_string(),
-            fields: self.fields.clone(),
+            elem: ElemKind::Soa(SoaLayout {
+                name: self.name.to_string(),
+                fields: self.fields.clone(),
+            }),
+            len: self.records(),
+            addr: (lo, hi.max(lo)),
         }
     }
 }
 
 impl SendBuf for Soa<'_> {
     fn meta(&self) -> BufMeta {
-        let (lo, hi) = soa_hull(&self.ranges);
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Soa(self.layout()),
-            len: self.records(),
-            addr: (lo, hi),
-        }
+        self.view_meta()
     }
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
@@ -1162,81 +1041,14 @@ impl SendBuf for Soa<'_> {
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
         assert!(count <= self.records(), "gather count exceeds record count");
         for (f, b) in self.fields.iter().zip(&self.bytes) {
-            out.extend_from_slice(&b[..count * f.blocklen * f.ty.size()]);
-        }
-    }
-}
-
-/// A struct-of-arrays receive view (see [`Soa`]).
-pub struct SoaMut<'a> {
-    name: &'a str,
-    fields: Vec<SoaField>,
-    bytes: Vec<&'a mut [u8]>,
-    ranges: Vec<(usize, usize)>,
-}
-
-impl<'a> SoaMut<'a> {
-    /// Start an empty group with a display name.
-    pub fn new(name: &'a str) -> Self {
-        SoaMut {
-            name,
-            fields: Vec::new(),
-            bytes: Vec::new(),
-            ranges: Vec::new(),
-        }
-    }
-
-    /// Add a parallel array receiving one value per record.
-    pub fn field<T: PrimElem>(self, name: &str, data: &'a mut [T]) -> Self {
-        self.field_blocks(name, data, 1)
-    }
-
-    /// Add a parallel array receiving `blocklen` values per record.
-    pub fn field_blocks<T: PrimElem>(
-        mut self,
-        name: &str,
-        data: &'a mut [T],
-        blocklen: usize,
-    ) -> Self {
-        assert!(blocklen >= 1, "soa blocklen must be at least 1");
-        let raw = as_bytes_mut(data);
-        let lo = raw.as_ptr() as usize;
-        self.fields.push(SoaField {
-            name: name.to_string(),
-            ty: T::BASIC,
-            blocklen,
-        });
-        self.ranges.push((lo, lo + raw.len()));
-        self.bytes.push(raw);
-        self
-    }
-
-    fn records(&self) -> usize {
-        self.fields
-            .iter()
-            .zip(&self.bytes)
-            .map(|(f, b)| b.len() / (f.blocklen * f.ty.size()))
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn layout(&self) -> SoaLayout {
-        SoaLayout {
-            name: self.name.to_string(),
-            fields: self.fields.clone(),
+            Datatype::Basic(f.ty).gather(b, count * f.blocklen, out);
         }
     }
 }
 
 impl RecvBuf for SoaMut<'_> {
     fn meta(&self) -> BufMeta {
-        let (lo, hi) = soa_hull(&self.ranges);
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Soa(self.layout()),
-            len: self.records(),
-            addr: (lo, hi),
-        }
+        self.view_meta()
     }
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
@@ -1250,9 +1062,8 @@ impl RecvBuf for SoaMut<'_> {
         );
         let mut pos = 0usize;
         for (f, b) in self.fields.iter().zip(&mut self.bytes) {
-            let len = count * f.blocklen * f.ty.size();
-            b[..len].copy_from_slice(&packed[pos..pos + len]);
-            pos += len;
+            Datatype::Basic(f.ty).scatter(&packed[pos..], count * f.blocklen, b);
+            pos += count * f.blocklen * f.ty.size();
         }
     }
 }
@@ -1274,7 +1085,7 @@ impl RecvBuf for SoaMut<'_> {
 ///     }
 /// }
 /// let layout = <Particle as commint::buffer::Described>::layout();
-/// assert_eq!(layout.fields.len(), 3);
+/// assert_eq!(layout.fields().len(), 3);
 /// ```
 #[macro_export]
 macro_rules! comm_datatype {
@@ -1331,7 +1142,7 @@ mod tests {
     fn macro_layout_offsets_correct() {
         let layout = Mixed::layout();
         assert_eq!(layout.name, "Mixed");
-        assert_eq!(layout.extent, std::mem::size_of::<Mixed>());
+        assert_eq!(layout.extent(), std::mem::size_of::<Mixed>());
         assert_eq!(layout.fields.len(), 4);
         assert_eq!(layout.fields[0].offset, std::mem::offset_of!(Mixed, a));
         assert_eq!(layout.fields[1].offset, std::mem::offset_of!(Mixed, b));
@@ -1674,13 +1485,10 @@ mod tests {
         assert_eq!(outer.fields[2].name, "inner.n");
         assert_eq!(outer.packed_size(), 4 + 8 + 8 + 8);
         // The flattened result is an ordinary valid struct datatype.
-        match outer.to_datatype() {
-            Datatype::Struct { fields, extent } => {
-                assert_eq!(fields.len(), 4);
-                assert_eq!(extent, std::mem::size_of::<Outer>());
-            }
-            other => panic!("expected struct datatype, got {other:?}"),
-        }
+        assert_eq!(outer.datatype().packed_size(), outer.packed_size());
+        assert_eq!(outer.datatype().extent(), std::mem::size_of::<Outer>());
+        let calls = outer.datatype().describe_mpi_calls("outer_t");
+        assert!(calls.contains(&"int outer_t_blocklens[4] = {1, 1, 2, 1};".to_string()));
     }
 
     #[test]
@@ -1700,15 +1508,14 @@ mod tests {
     #[test]
     fn elem_datatype_mapping() {
         assert_eq!(
-            ElemKind::Prim(BasicType::I32).to_datatype(),
+            *ElemKind::Prim(BasicType::I32).datatype(),
             Datatype::Basic(BasicType::I32)
         );
-        match ElemKind::Composite(Mixed::layout()).to_datatype() {
-            Datatype::Struct { fields, extent } => {
-                assert_eq!(fields.len(), 4);
-                assert_eq!(extent, std::mem::size_of::<Mixed>());
-            }
-            other => panic!("expected struct datatype, got {other:?}"),
+        let layout = Mixed::layout();
+        match ElemKind::Composite(Arc::clone(&layout)).datatype() {
+            Cow::Borrowed(dt) => assert!(std::ptr::eq(dt, layout.datatype())),
+            Cow::Owned(dt) => panic!("composite datatype rebuilt: {dt:?}"),
         }
+        assert_eq!(layout.datatype().extent(), std::mem::size_of::<Mixed>());
     }
 }

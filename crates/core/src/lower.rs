@@ -56,7 +56,7 @@ fn c_type(b: BasicType) -> &'static str {
 fn mpi_type_expr(elem: &ElemKind, var_hint: &str) -> String {
     match elem {
         ElemKind::Prim(b) => b.mpi_name().to_string(),
-        ElemKind::Composite(layout) => format!("{}_{}_mpitype", var_hint, layout.name),
+        ElemKind::Composite(layout) => format!("{}_{}_mpitype", var_hint, layout.name()),
         ElemKind::Strided { .. } => format!("{var_hint}_vec_mpitype"),
         // Struct-of-arrays never lowers through a reusable relative
         // datatype (the arrays' base addresses are unrelated); the hint
@@ -291,34 +291,17 @@ pub fn lower_with_model(
         let scount = static_count(p2p, spec);
         for b in p2p.sbuf.iter().chain(&p2p.rbuf) {
             match choose_lowering(&b.elem, scount, target, &model) {
-                Lowering::Datatype => match &b.elem {
-                    ElemKind::Composite(layout) => {
-                        let var = format!("{}_{}_mpitype", b.name, layout.name);
+                Lowering::Datatype => {
+                    if let ElemKind::Composite(_) | ElemKind::Strided { .. } = b.elem {
+                        let var = mpi_type_expr(&b.elem, &b.name);
                         if !datatypes_emitted.contains(&var) {
-                            datatypes_emitted.push(var.clone());
                             code.prologue.push(format!("MPI_Datatype {var};"));
                             code.prologue
-                                .extend(layout.to_datatype().describe_mpi_calls(&var));
+                                .extend(b.elem.datatype().describe_mpi_calls(&var));
+                            datatypes_emitted.push(var);
                         }
                     }
-                    ElemKind::Strided {
-                        ty,
-                        blocklen,
-                        stride,
-                    } => {
-                        let var = format!("{}_vec_mpitype", b.name);
-                        if !datatypes_emitted.contains(&var) {
-                            datatypes_emitted.push(var.clone());
-                            code.prologue.push(format!("MPI_Datatype {var};"));
-                            code.prologue.push(format!(
-                                "MPI_Type_vector(1, {blocklen}, {stride}, {}, &{var});",
-                                ty.mpi_name()
-                            ));
-                            code.prologue.push(format!("MPI_Type_commit(&{var});"));
-                        }
-                    }
-                    _ => {}
-                },
+                }
                 Lowering::Pack => {
                     let var = format!("{}_pack", b.name);
                     if !packs_emitted.contains(&var) {
@@ -600,11 +583,11 @@ pub fn lower_with_model(
                                 "  /* {}: one strided put per field walks the structs in place */",
                                 b.name
                             ));
-                            for f in &lay.fields {
+                            for f in lay.fields() {
                                 let es = f.ty.size();
                                 let tp = shmemsim::TypedPut::for_elem_size(es);
-                                if f.blocklen == 1 && lay.extent % es == 0 {
-                                    let stride = lay.extent / es;
+                                if f.blocklen == 1 && lay.extent() % es == 0 {
+                                    let stride = lay.extent() / es;
                                     code.body.push(format!(
                                         "  {call}({buf}_{fname}_sym, &{buf}[0].{fname}, {stride}, {stride}, {cnt}, {receiver});",
                                         call = tp.iput_name(),
@@ -696,7 +679,7 @@ pub fn lower_with_model(
 fn elem_c_size_hint(elem: &ElemKind) -> String {
     match elem {
         ElemKind::Prim(b) | ElemKind::Strided { ty: b, .. } => c_type(*b).to_string(),
-        ElemKind::Composite(l) => l.name.clone(),
+        ElemKind::Composite(l) => l.name().to_string(),
         ElemKind::Soa(l) => l.name.clone(),
     }
 }
@@ -822,7 +805,7 @@ pub fn lower_coll(spec: &crate::dir::CollSpec, target: Target) -> GeneratedCode 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{BufMeta, CompositeLayout, FieldDef};
+    use crate::buffer::{BufMeta, Described};
     use crate::clause::ClauseSet;
     use crate::expr::RankExpr;
 
@@ -882,32 +865,28 @@ mod tests {
         assert!(text.contains("shmem_barrier_all();"));
     }
 
+    crate::comm_datatype! {
+        struct AtomScalars {
+            jmt: i32,
+            xstart: f64,
+        }
+    }
+
+    crate::comm_datatype! {
+        struct S {
+            a: i32,
+            b: f64,
+        }
+    }
+
     #[test]
     fn composite_gets_datatype_prologue_for_mpi_only() {
-        let layout = CompositeLayout {
-            name: "AtomScalars".to_string(),
-            extent: 24,
-            fields: vec![
-                FieldDef {
-                    name: "jmt".to_string(),
-                    offset: 0,
-                    ty: BasicType::I32,
-                    blocklen: 1,
-                },
-                FieldDef {
-                    name: "xstart".to_string(),
-                    offset: 8,
-                    ty: BasicType::F64,
-                    blocklen: 1,
-                },
-            ],
-        };
         let mut spec = ring_spec();
         spec.body[0].sbuf = vec![BufMeta {
             name: "atom".to_string(),
-            elem: ElemKind::Composite(std::sync::Arc::new(layout)),
+            elem: ElemKind::Composite(AtomScalars::layout()),
             len: 1,
-            addr: (0, 24),
+            addr: (0, 16),
         }];
         spec.body[0].rbuf = spec.body[0].sbuf.clone();
         spec.body[0].clauses.count = Some(RankExpr::lit(1));
@@ -952,24 +931,7 @@ mod tests {
             blocklen: 1,
             stride: 4,
         };
-        let comp = ElemKind::Composite(std::sync::Arc::new(CompositeLayout {
-            name: "S".into(),
-            extent: 24,
-            fields: vec![
-                FieldDef {
-                    name: "a".into(),
-                    offset: 0,
-                    ty: BasicType::I32,
-                    blocklen: 1,
-                },
-                FieldDef {
-                    name: "b".into(),
-                    offset: 8,
-                    ty: BasicType::F64,
-                    blocklen: 1,
-                },
-            ],
-        }));
+        let comp = ElemKind::Composite(S::layout());
         let soa = soa4_meta("x", 0).elem;
 
         // Contiguous memory is always handed over unchanged.

@@ -1601,10 +1601,11 @@ fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot
 
 /// The derived-datatype path for `bytes` of `elem`: a one-time commit per
 /// layout, then a cheap per-byte gather or scatter (instead of an explicit
-/// `MPI_Pack` copy).
+/// `MPI_Pack` copy). A composite's struct type is its layout's, built once.
 fn charge_datatype(session: &mut CommSession<'_>, elem: &ElemKind, bytes: usize, mpi: &CostModel) {
-    let dt = elem.to_datatype();
-    session.dtype_cache.ensure_committed(session.ctx, &dt, mpi);
+    session
+        .dtype_cache
+        .ensure_committed(session.ctx, &elem.datatype(), mpi);
     session
         .ctx
         .charge(mpi.byte_cost(mpi.datatype_per_byte, bytes));

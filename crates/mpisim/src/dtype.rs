@@ -9,13 +9,18 @@
 //! composite type are prohibited as well as recursively nested composite
 //! types. This new MPI data type is reused within the function scope."
 //!
-//! This module implements exactly that: [`Datatype`] with basic, contiguous,
-//! vector and struct constructors; the pointer / nested-composite
-//! prohibitions as typed errors; gather/scatter through the datatype; and a
-//! per-scope [`DtypeCache`] so the commit cost is charged once per layout.
+//! This module implements exactly that: [`Datatype`] with basic, vector and
+//! struct constructors; the pointer / nested-composite prohibitions as typed
+//! errors; and a per-scope [`DtypeCache`] so the commit cost is charged once
+//! per layout. It is also the one place that turns a layout into byte
+//! ranges: [`Datatype::walk`] visits a type's memory blocks in wire order,
+//! merging blocks adjacent in both wire and memory order into one copy (the
+//! dataloop idea), and every gather and scatter of a layout drives it.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 use netsim::{CostModel, RankCtx};
 
@@ -120,8 +125,6 @@ impl std::error::Error for DtypeError {}
 pub enum Datatype {
     /// One basic element.
     Basic(BasicType),
-    /// `count` consecutive basic elements (`MPI_Type_contiguous`).
-    Contiguous { count: usize, elem: BasicType },
     /// `count` blocks of `blocklen` elements, block starts `stride` elements
     /// apart (`MPI_Type_vector`). Strided matrix rows/columns.
     Vector {
@@ -130,12 +133,40 @@ pub enum Datatype {
         stride: usize,
         elem: BasicType,
     },
-    /// An MPI struct: displacement/blocklength/type triples over a memory
-    /// extent of `extent` bytes (`MPI_Type_create_struct`).
-    Struct {
-        fields: Vec<StructField>,
-        extent: usize,
-    },
+    /// An MPI struct (`MPI_Type_create_struct`), built and validated by
+    /// [`Datatype::try_struct`].
+    Struct(StructType),
+}
+
+/// A validated MPI struct: displacement/blocklength/type triples over a
+/// memory extent, plus what the walk copies, derived once from them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StructType {
+    /// The field blocks, in declaration (wire) order.
+    fields: Vec<StructField>,
+    /// Bytes from the start of one element to the start of the next.
+    extent: usize,
+    /// One element's `(offset, length)` byte runs in wire order: the field
+    /// blocks with wire-order neighbours adjacent in memory merged.
+    runs: Vec<(usize, usize)>,
+    /// The commit-cache key: a hash of the unmerged fields and the extent,
+    /// so two layouts that merge to the same runs but split their fields
+    /// differently commit separately.
+    key: u64,
+}
+
+impl Hash for StructType {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Everything else is derived from what `key` hashes.
+        state.write_u64(self.key);
+    }
+}
+
+/// `bytes` as bytes that may be uninitialized (they are not).
+fn uninit(bytes: &[u8]) -> &[MaybeUninit<u8>] {
+    // SAFETY: `MaybeUninit<u8>` has the layout of `u8`, and every `u8` is
+    // a valid `MaybeUninit<u8>`.
+    unsafe { &*(bytes as *const [u8] as *const [MaybeUninit<u8>]) }
 }
 
 impl Datatype {
@@ -185,26 +216,37 @@ impl Datatype {
                 });
             }
         }
-        Ok(Datatype::Struct {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (&out, extent).hash(&mut h);
+        // One field per run, merged by walking one element.
+        let mut dt = Datatype::Struct(StructType {
+            runs: out
+                .iter()
+                .map(|f| (f.offset, f.blocklen * f.ty.size()))
+                .collect(),
             fields: out,
             extent,
-        })
+            key: h.finish(),
+        });
+        let mut runs = Vec::new();
+        dt.walk(1, |r| runs.push((r.start, r.len())));
+        if let Datatype::Struct(st) = &mut dt {
+            st.runs = runs;
+        }
+        Ok(dt)
     }
 
     /// Number of payload bytes one element of this datatype contributes.
     pub fn packed_size(&self) -> usize {
         match self {
             Datatype::Basic(t) => t.size(),
-            Datatype::Contiguous { count, elem } => count * elem.size(),
             Datatype::Vector {
                 count,
                 blocklen,
                 elem,
                 ..
             } => count * blocklen * elem.size(),
-            Datatype::Struct { fields, .. } => {
-                fields.iter().map(|f| f.blocklen * f.ty.size()).sum()
-            }
+            Datatype::Struct(s) => s.runs.iter().map(|r| r.1).sum(),
         }
     }
 
@@ -213,7 +255,6 @@ impl Datatype {
     pub fn extent(&self) -> usize {
         match self {
             Datatype::Basic(t) => t.size(),
-            Datatype::Contiguous { count, elem } => count * elem.size(),
             Datatype::Vector {
                 count,
                 blocklen,
@@ -226,106 +267,121 @@ impl Datatype {
                     ((count - 1) * stride + blocklen) * elem.size()
                 }
             }
-            Datatype::Struct { extent, .. } => *extent,
+            Datatype::Struct(s) => s.extent,
+        }
+    }
+
+    /// The one layout walk: visit the memory byte ranges of `count`
+    /// consecutive elements (element `e` at byte `e * extent`) in wire
+    /// order. Blocks adjacent in both wire order and memory order arrive as
+    /// one range, also across elements, so a dense layout is one copy.
+    pub fn walk(&self, count: usize, mut visit: impl FnMut(Range<usize>)) {
+        let extent = self.extent();
+        let mut run = 0..0;
+        let mut push = |start: usize, len: usize| {
+            if start != run.end && len > 0 {
+                if !run.is_empty() {
+                    visit(run.clone());
+                }
+                run = start..start;
+            }
+            run.end += len;
+        };
+        match self {
+            Datatype::Basic(t) => push(0, count * t.size()),
+            Datatype::Vector {
+                count: blocks,
+                blocklen,
+                stride,
+                elem,
+            } => {
+                let es = elem.size();
+                for e in 0..count {
+                    for b in 0..*blocks {
+                        push(e * extent + b * stride * es, blocklen * es);
+                    }
+                }
+            }
+            Datatype::Struct(s) => {
+                for e in 0..count {
+                    for &(off, len) in &s.runs {
+                        push(e * extent + off, len);
+                    }
+                }
+            }
+        }
+        if !run.is_empty() {
+            visit(run);
         }
     }
 
     /// Gather (pack) `count` elements starting at `src` (raw memory image,
     /// at least `count * extent` bytes) into `out`.
     pub fn gather(&self, src: &[u8], count: usize, out: &mut Vec<u8>) {
-        let extent = self.extent();
+        // SAFETY: every byte of `src` is initialized.
+        unsafe { self.gather_uninit(uninit(src), count, out) }
+    }
+
+    /// [`Datatype::gather`] from memory whose bytes outside the type's
+    /// blocks may be uninitialized (a composite's padding): only the walked
+    /// blocks are read.
+    ///
+    /// # Safety
+    ///
+    /// Every byte of the blocks [`Datatype::walk`] visits for `count`
+    /// elements must be initialized.
+    pub unsafe fn gather_uninit(&self, src: &[MaybeUninit<u8>], count: usize, out: &mut Vec<u8>) {
+        let need = count * self.extent();
         assert!(
-            src.len() >= count * extent,
-            "gather source too small: {} < {}",
-            src.len(),
-            count * extent
+            src.len() >= need,
+            "gather source too small: {} < {need}",
+            src.len()
         );
-        match self {
-            Datatype::Basic(_) | Datatype::Contiguous { .. } => {
-                out.extend_from_slice(&src[..count * extent]);
-            }
-            Datatype::Vector {
-                count: vcount,
-                blocklen,
-                stride,
-                elem,
-            } => {
-                let es = elem.size();
-                for e in 0..count {
-                    let base = e * extent;
-                    for b in 0..*vcount {
-                        let start = base + b * stride * es;
-                        out.extend_from_slice(&src[start..start + blocklen * es]);
-                    }
-                }
-            }
-            Datatype::Struct { fields, extent } => {
-                for e in 0..count {
-                    let base = e * extent;
-                    for f in fields {
-                        let start = base + f.offset;
-                        let len = f.blocklen * f.ty.size();
-                        out.extend_from_slice(&src[start..start + len]);
-                    }
-                }
-            }
-        }
+        out.reserve(count * self.packed_size());
+        self.walk(count, |r| {
+            let block = &src[r];
+            // SAFETY: the caller vouches that walked blocks are initialized.
+            out.extend_from_slice(unsafe { &*(block as *const [MaybeUninit<u8>] as *const [u8]) });
+        });
     }
 
     /// Scatter (unpack) packed bytes into `count` elements at `dst` (raw
     /// memory image, at least `count * extent` bytes).
     pub fn scatter(&self, packed: &[u8], count: usize, dst: &mut [u8]) {
-        let extent = self.extent();
+        // SAFETY: `scatter_uninit` writes only initialized bytes, so `dst`
+        // stays initialized.
+        let dst = unsafe { &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>]) };
+        self.scatter_uninit(packed, count, dst);
+    }
+
+    /// [`Datatype::scatter`] into memory whose bytes outside the type's
+    /// blocks may be uninitialized: only the walked blocks are written.
+    pub fn scatter_uninit(&self, packed: &[u8], count: usize, dst: &mut [MaybeUninit<u8>]) {
+        let need = count * self.extent();
         assert!(
-            dst.len() >= count * extent,
-            "scatter destination too small: {} < {}",
-            dst.len(),
-            count * extent
+            dst.len() >= need,
+            "scatter destination too small: {} < {need}",
+            dst.len()
         );
+        let packed = uninit(packed);
+        let need = count * self.packed_size();
         assert!(
-            packed.len() >= count * self.packed_size(),
-            "scatter source too small: {} < {}",
-            packed.len(),
-            count * self.packed_size()
+            packed.len() >= need,
+            "scatter source too small: {} < {need}",
+            packed.len()
         );
         let mut pos = 0usize;
-        match self {
-            Datatype::Basic(_) | Datatype::Contiguous { .. } => {
-                dst[..count * extent].copy_from_slice(&packed[..count * extent]);
-            }
-            Datatype::Vector {
-                count: vcount,
-                blocklen,
-                stride,
-                elem,
-            } => {
-                let es = elem.size();
-                for e in 0..count {
-                    let base = e * extent;
-                    for b in 0..*vcount {
-                        let start = base + b * stride * es;
-                        let len = blocklen * es;
-                        dst[start..start + len].copy_from_slice(&packed[pos..pos + len]);
-                        pos += len;
-                    }
-                }
-            }
-            Datatype::Struct { fields, extent } => {
-                for e in 0..count {
-                    let base = e * extent;
-                    for f in fields {
-                        let start = base + f.offset;
-                        let len = f.blocklen * f.ty.size();
-                        dst[start..start + len].copy_from_slice(&packed[pos..pos + len]);
-                        pos += len;
-                    }
-                }
-            }
-        }
+        self.walk(count, |r| {
+            let n = r.len();
+            dst[r].copy_from_slice(&packed[pos..pos + n]);
+            pos += n;
+        });
     }
 
     /// A stable hash identifying this layout, used as the cache key for
-    /// commit-once-per-scope reuse.
+    /// commit-once-per-scope reuse. A struct's key is the hash of its
+    /// declaration-order field triples and extent, taken once when it is
+    /// built.
     pub fn layout_key(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.hash(&mut h);
@@ -337,20 +393,19 @@ impl Datatype {
     pub fn describe_mpi_calls(&self, var: &str) -> Vec<String> {
         match self {
             Datatype::Basic(t) => vec![format!("/* {var}: basic {} */", t.mpi_name())],
-            Datatype::Contiguous { count, elem } => vec![format!(
-                "MPI_Type_contiguous({count}, {}, &{var});",
-                elem.mpi_name()
-            )],
             Datatype::Vector {
                 count,
                 blocklen,
                 stride,
                 elem,
-            } => vec![format!(
-                "MPI_Type_vector({count}, {blocklen}, {stride}, {}, &{var});",
-                elem.mpi_name()
-            )],
-            Datatype::Struct { fields, .. } => {
+            } => vec![
+                format!(
+                    "MPI_Type_vector({count}, {blocklen}, {stride}, {}, &{var});",
+                    elem.mpi_name()
+                ),
+                format!("MPI_Type_commit(&{var});"),
+            ],
+            Datatype::Struct(StructType { fields, .. }) => {
                 let mut lines = Vec::new();
                 let n = fields.len();
                 let blocklens: Vec<String> =
@@ -431,15 +486,64 @@ impl DtypeCache {
 mod tests {
     use super::*;
 
+    fn basic_struct(fields: &[(usize, usize, BasicType)], extent: usize) -> Datatype {
+        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
+            .iter()
+            .map(|&(off, bl, ty)| ("f", off, bl, FieldKind::Basic(ty)))
+            .collect();
+        Datatype::try_struct(&descr, extent).unwrap()
+    }
+
+    /// The ranges one walk over `count` elements visits.
+    fn walked(dt: &Datatype, count: usize) -> Vec<std::ops::Range<usize>> {
+        let mut out = Vec::new();
+        dt.walk(count, |r| out.push(r));
+        out
+    }
+
     #[test]
     fn sizes() {
         assert_eq!(Datatype::Basic(BasicType::F64).packed_size(), 8);
-        let c = Datatype::Contiguous {
+        let v = Datatype::Vector {
             count: 5,
+            blocklen: 1,
+            stride: 1,
             elem: BasicType::I32,
         };
-        assert_eq!(c.packed_size(), 20);
-        assert_eq!(c.extent(), 20);
+        assert_eq!(v.packed_size(), 20);
+        assert_eq!(v.extent(), 20);
+        let s = basic_struct(&[(0, 2, BasicType::I32), (8, 1, BasicType::F64)], 24);
+        assert_eq!(s.packed_size(), 16);
+        assert_eq!(s.extent(), 24);
+    }
+
+    #[test]
+    fn walk_merges_blocks_adjacent_in_wire_and_memory_order() {
+        // Two i32 (an empty block declared between them breaks nothing),
+        // padding and an f64: two runs, and the second element's first run
+        // joins the first element's last one.
+        let fields = [
+            (0, 1, BasicType::I32),
+            (12, 0, BasicType::U8),
+            (4, 1, BasicType::I32),
+            (16, 1, BasicType::F64),
+        ];
+        let s = basic_struct(&fields, 24);
+        assert_eq!(walked(&s, 1), vec![0..8, 16..24]);
+        assert_eq!(walked(&s, 2), vec![0..8, 16..32, 40..48]);
+        assert!(walked(&s, 0).is_empty());
+        // Declared against memory order, neighbours do not merge.
+        let swapped = basic_struct(&[(8, 1, BasicType::F64), (0, 1, BasicType::F64)], 16);
+        assert_eq!(walked(&swapped, 1), vec![8..16, 0..8]);
+        // A dense vector, and any count of a basic type, is one copy.
+        let dense = Datatype::Vector {
+            count: 3,
+            blocklen: 2,
+            stride: 2,
+            elem: BasicType::F32,
+        };
+        assert_eq!(walked(&dense, 2), vec![0..48]);
+        assert_eq!(walked(&Datatype::Basic(BasicType::I64), 4), vec![0..32]);
     }
 
     #[test]
@@ -545,20 +649,25 @@ mod tests {
 
     #[test]
     fn layout_key_stable_and_discriminating() {
-        let a = Datatype::Contiguous {
-            count: 3,
+        let vector = |count| Datatype::Vector {
+            count,
+            blocklen: 1,
+            stride: 2,
             elem: BasicType::F64,
         };
-        let b = Datatype::Contiguous {
-            count: 3,
-            elem: BasicType::F64,
-        };
-        let c = Datatype::Contiguous {
-            count: 4,
-            elem: BasicType::F64,
-        };
+        assert_eq!(vector(3).layout_key(), vector(3).layout_key());
+        assert_ne!(vector(3).layout_key(), vector(4).layout_key());
+        let a = basic_struct(&[(0, 1, BasicType::I32), (8, 1, BasicType::F64)], 16);
+        let b = basic_struct(&[(0, 1, BasicType::I32), (8, 1, BasicType::F64)], 16);
+        let wider = basic_struct(&[(0, 1, BasicType::I32), (8, 1, BasicType::F64)], 24);
         assert_eq!(a.layout_key(), b.layout_key());
-        assert_ne!(a.layout_key(), c.layout_key());
+        assert_ne!(a.layout_key(), wider.layout_key());
+        // One run of 16 bytes either way, split into fields differently:
+        // the key is the declared fields', so each commits on its own.
+        let two = basic_struct(&[(0, 1, BasicType::F64), (8, 1, BasicType::F64)], 16);
+        let one = basic_struct(&[(0, 2, BasicType::F64)], 16);
+        assert_eq!(walked(&two, 1), walked(&one, 1));
+        assert_ne!(two.layout_key(), one.layout_key());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   per-request `wait` (expensive) and consolidated `waitall` (amortized);
 //! * explicit [`pack::PackBuf`] marshalling (`MPI_Pack`/`MPI_Unpack`), the
 //!   original WL-LSMS style;
-//! * derived [`dtype::Datatype`]s — contiguous, vector and struct — with the
-//!   paper's pointer / nested-composite prohibitions and a per-scope commit
-//!   cache ([`dtype::DtypeCache`]);
+//! * derived [`dtype::Datatype`]s — vector and struct — with the paper's
+//!   pointer / nested-composite prohibitions, the one layout walk every
+//!   gather and scatter drives, and a per-scope commit cache
+//!   ([`dtype::DtypeCache`]);
 //! * one-sided [`win::Win`] windows with `put` and fence synchronization
 //!   (the `TARGET_COMM_MPI_1SIDE` target);
 //! * tree-based [`coll`] collectives for app scaffolding.
@@ -31,150 +32,3 @@ pub use dtype::{BasicType, Datatype, DtypeCache, DtypeError, FieldKind, StructFi
 pub use pack::PackBuf;
 pub use pod::{as_bytes, as_bytes_mut, copy_from_bytes, vec_from_bytes, Pod};
 pub use win::Win;
-
-use netsim::{RankCtx, SendRequest};
-
-/// Send `count` elements of raw memory through a (possibly derived)
-/// datatype: gathers the payload per the datatype's layout, charges the
-/// datatype per-byte cost (cheaper than an explicit pack) and the one-time
-/// commit via `cache`, then posts a non-blocking send.
-///
-/// This is the call sequence the directive translator generates for
-/// composite buffers instead of the original `MPI_Pack` chain.
-#[allow(clippy::too_many_arguments)] // mirrors the generated MPI call sequence
-pub fn isend_typed(
-    ctx: &mut RankCtx,
-    comm: &Comm,
-    dst: usize,
-    tag: i32,
-    raw: &[u8],
-    count: usize,
-    dt: &Datatype,
-    cache: &mut DtypeCache,
-) -> SendRequest {
-    let m = comm.model(ctx);
-    cache.ensure_committed(ctx, dt, &m);
-    let mut payload = Vec::with_capacity(count * dt.packed_size());
-    dt.gather(raw, count, &mut payload);
-    ctx.charge(m.byte_cost(m.datatype_per_byte, payload.len()));
-    comm.isend_bytes(ctx, dst, tag, bytes::Bytes::from(payload))
-}
-
-/// Receive into raw memory through a datatype: posts a blocking receive,
-/// scatters the payload per the layout, charging the datatype per-byte cost.
-#[allow(clippy::too_many_arguments)] // mirrors the generated MPI call sequence
-pub fn recv_typed(
-    ctx: &mut RankCtx,
-    comm: &Comm,
-    src: Option<usize>,
-    tag: Option<i32>,
-    raw: &mut [u8],
-    count: usize,
-    dt: &Datatype,
-    cache: &mut DtypeCache,
-) -> RecvOut {
-    let m = comm.model(ctx);
-    cache.ensure_committed(ctx, dt, &m);
-    let out = comm.recv(ctx, src, tag);
-    dt.scatter(&out.data, count, raw);
-    ctx.charge(m.byte_cost(m.datatype_per_byte, out.data.len()));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::{run, SimConfig};
-
-    #[test]
-    fn typed_struct_send_recv() {
-        // Mimic sending two "atoms" of {i32 id; f64 x; f64 y;} (with padding)
-        // through a derived struct type.
-        #[repr(C)]
-        #[derive(Clone, Copy, PartialEq, Debug)]
-        struct P {
-            id: i32,
-            // 4 bytes padding
-            x: f64,
-            y: f64,
-        }
-        let dt = Datatype::try_struct(
-            &[
-                ("id", 0, 1, FieldKind::Basic(BasicType::I32)),
-                ("x", 8, 1, FieldKind::Basic(BasicType::F64)),
-                ("y", 16, 1, FieldKind::Basic(BasicType::F64)),
-            ],
-            std::mem::size_of::<P>(),
-        )
-        .unwrap();
-        assert_eq!(dt.extent(), 24);
-
-        let res = run(SimConfig::new(2), move |ctx| {
-            let w = Comm::world(ctx);
-            let mut cache = DtypeCache::new();
-            if w.rank(ctx) == 0 {
-                let atoms = [
-                    P {
-                        id: 1,
-                        x: 1.0,
-                        y: 2.0,
-                    },
-                    P {
-                        id: 2,
-                        x: 3.0,
-                        y: 4.0,
-                    },
-                ];
-                // SAFETY: we only *read* field ranges described by the
-                // datatype, all of which are initialized.
-                let raw = unsafe {
-                    std::slice::from_raw_parts(
-                        atoms.as_ptr().cast::<u8>(),
-                        std::mem::size_of_val(&atoms),
-                    )
-                };
-                let raw = raw.to_vec();
-                let req = isend_typed(ctx, &w, 1, 0, &raw, 2, &dt, &mut cache);
-                w.wait_send(ctx, &req);
-                // Reuse: second send with the same layout must not re-commit.
-                let req = isend_typed(ctx, &w, 1, 1, &raw, 2, &dt, &mut cache);
-                w.wait_send(ctx, &req);
-                ctx.stats.datatype_commits
-            } else {
-                let mut atoms = [P {
-                    id: 0,
-                    x: 0.0,
-                    y: 0.0,
-                }; 2];
-                for tag in [0, 1] {
-                    let raw = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            atoms.as_mut_ptr().cast::<u8>(),
-                            std::mem::size_of_val(&atoms),
-                        )
-                    };
-                    recv_typed(ctx, &w, Some(0), Some(tag), raw, 2, &dt, &mut cache);
-                }
-                assert_eq!(
-                    atoms[0],
-                    P {
-                        id: 1,
-                        x: 1.0,
-                        y: 2.0
-                    }
-                );
-                assert_eq!(
-                    atoms[1],
-                    P {
-                        id: 2,
-                        x: 3.0,
-                        y: 4.0
-                    }
-                );
-                ctx.stats.datatype_commits
-            }
-        });
-        // Each side committed the struct type exactly once.
-        assert_eq!(res.per_rank, vec![1, 1]);
-    }
-}

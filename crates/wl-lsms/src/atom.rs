@@ -296,8 +296,8 @@ mod tests {
     fn scalar_layout_matches_listing4() {
         let layout = AtomScalars::layout();
         // 14 packed items in Listing 4 (local_id..numc).
-        assert_eq!(layout.fields.len(), 14);
-        let names: Vec<&str> = layout.fields.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(layout.fields().len(), 14);
+        let names: Vec<&str> = layout.fields().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
             vec![
@@ -306,10 +306,15 @@ mod tests {
             ]
         );
         // header is an 80-char block, evec three doubles.
-        assert_eq!(layout.fields[5].blocklen, 80);
-        assert_eq!(layout.fields[11].blocklen, 3);
+        assert_eq!(layout.fields()[5].blocklen, 80);
+        assert_eq!(layout.fields()[11].blocklen, 3);
         // Packed size: 5 ints + 7 doubles + 80 chars + 3 doubles.
         assert_eq!(layout.packed_size(), 5 * 4 + 7 * 8 + 80 + 3 * 8);
+        // The padding after `jws` is the only break: the derived datatype
+        // copies the fourteen fields as two runs.
+        let mut runs = Vec::new();
+        layout.datatype().walk(1, |r| runs.push(r));
+        assert_eq!(runs, vec![0..12, 16..184]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! through interned groups, so the last tests check that every route to
 //! one member list meets in one barrier and one symmetric allocation, and
 //! that a world barrier entry allocates nothing. Fig. 3's Listing 5 transfer
-//! allocates nothing on a bystander, nor does checking a received atom.
+//! allocates nothing on a bystander, nor does checking a received atom. A
+//! participating composite transfer under derived datatypes allocates no
+//! more than a primitive transfer of the same bytes, on either side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -875,6 +877,74 @@ fn bystander_atom_transfers_do_not_allocate() {
         assert_eq!(many[2].0, 0, "{target}: bystander allocations");
         for (rank, &(_, checking)) in many.iter().enumerate() {
             assert_eq!(checking, 0, "{target}: rank {rank} filling or checking");
+        }
+    }
+}
+
+// -- a participating composite transfer -------------------------------------
+
+/// Allocations per rank over `transfers` directive-MPI transfers of two
+/// `AtomScalars` from rank 0 to rank 1 under `AlwaysDatatype`, after two
+/// warm-ups. With `composite` false the same payload bytes travel as a
+/// `u8` slice instead.
+fn participant_allocs(composite: bool, transfers: usize) -> Vec<u64> {
+    use commint::buffer::Described;
+    use wl_lsms::AtomScalars;
+    let params = CommParams::new()
+        .sender(RankExpr::lit(0))
+        .receiver(RankExpr::lit(1))
+        .sendwhen(RankExpr::rank().eq(RankExpr::lit(0)))
+        .receivewhen(RankExpr::rank().eq(RankExpr::lit(1)))
+        .target(Target::Mpi2Side);
+    run(two_carriers(), |ctx| {
+        let comm = Comm::world(ctx);
+        let mut s = CommSession::new(ctx, comm)
+            .without_ir()
+            .with_lowering(LoweringPolicy::AlwaysDatatype);
+        let (src, mut dst) = ([AtomScalars::default(); 2], [AtomScalars::default(); 2]);
+        let bytes = 2 * AtomScalars::layout().packed_size();
+        let (raw, mut raw_dst) = (vec![7u8; bytes], vec![0u8; bytes]);
+        let mut transfer = |s: &mut CommSession<'_>| {
+            s.region(&params, |reg| {
+                let p2p = reg.p2p().site(1);
+                let p2p = if composite {
+                    p2p.sbuf(Struc::new("src", &src))
+                        .rbuf(StrucMut::new("dst", &mut dst))
+                } else {
+                    p2p.sbuf(Prim::new("src", &raw))
+                        .rbuf(PrimMut::new("dst", &mut raw_dst))
+                };
+                p2p.run().unwrap();
+            })
+            .unwrap();
+        };
+        transfer(&mut s);
+        transfer(&mut s);
+        let before = thread_allocs();
+        for _ in 0..transfers {
+            transfer(&mut s);
+        }
+        thread_allocs() - before
+    })
+    .per_rank
+}
+
+#[test]
+fn participating_composite_transfer_allocates_no_more_than_primitive() {
+    // The two carriers interleave differently run to run, which moves a
+    // few queue reallocations either way; an allocation per transfer on
+    // either side would add 990 between 10 and 1000 transfers.
+    const SLACK: u64 = 16;
+    for transfers in [10, 1000] {
+        let composite = participant_allocs(true, transfers);
+        let primitive = participant_allocs(false, transfers);
+        for (rank, side) in ["sender", "receiver"].iter().enumerate() {
+            assert!(
+                composite[rank] <= primitive[rank] + SLACK,
+                "{side} over {transfers} transfers: composite {} vs primitive {}",
+                composite[rank],
+                primitive[rank]
+            );
         }
     }
 }

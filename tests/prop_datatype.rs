@@ -1,11 +1,32 @@
-//! Property tests: datatype machinery — struct gather/scatter roundtrips,
-//! pack/unpack identity, vector-type strides — over randomized layouts and
-//! contents.
+//! Property tests: datatype machinery — struct gather/scatter, pack/unpack
+//! identity, vector-type strides — over randomized layouts and contents.
+//! The one layout walk (`Datatype::walk`, which merges blocks adjacent in
+//! wire and memory order) is checked against field-by-field and
+//! block-by-block references kept in this file: through
+//! `Datatype::gather`/`scatter`, through `gather_described`/
+//! `scatter_described` on a padded composite whose fields are declared out
+//! of memory order, and through strided views.
+//!
+//! The tests outside `lowering_differential` run `PROPTEST_CASES` cases
+//! when it is set (CI also runs this file with 1024), else 64.
 
+use std::sync::{Arc, OnceLock};
+
+use commint::buffer::{
+    gather_described, scatter_described, CompositeLayout, Described, FieldDef, NestedField,
+    PrimStrided, PrimStridedMut, RecvBuf, SendBuf,
+};
 use integration::with_ranks;
 use mpisim::dtype::{BasicType, Datatype, FieldKind};
 use mpisim::PackBuf;
 use proptest::prelude::*;
+
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
 
 fn basic_type() -> impl Strategy<Value = BasicType> {
     prop_oneof![
@@ -17,73 +38,226 @@ fn basic_type() -> impl Strategy<Value = BasicType> {
     ]
 }
 
-/// A random valid (non-overlapping, in-bounds) struct layout and its extent.
-fn layout_strategy() -> impl Strategy<Value = (Vec<(usize, usize, BasicType)>, usize)> {
-    proptest::collection::vec((basic_type(), 1usize..5), 1..6).prop_map(|fields| {
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        for (ty, blocklen) in fields {
-            // Align the block to the element size.
-            let align = ty.size();
-            off = off.div_ceil(align) * align;
-            out.push((off, blocklen, ty));
-            off += blocklen * ty.size();
+/// A struct layout as `(offset, blocklen, type)` triples in declaration
+/// order.
+type Fields = Vec<(usize, usize, BasicType)>;
+
+/// `n` pseudo-random bytes from `seed`.
+fn noise(seed: u64, n: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// A random valid struct layout and its extent. Fields are placed in memory
+/// order, each aligned to its element size after a gap of 0, 1 or 2
+/// alignment units (a 0 gap makes neighbours adjacent, so the walk merges
+/// them), then 0–2 words of trailing padding. An odd `shuffle` declares
+/// the fields in a shuffled order, where memory neighbours are mostly not
+/// wire neighbours and must not merge.
+fn layout_strategy() -> impl Strategy<Value = (Fields, usize)> {
+    (
+        proptest::collection::vec((basic_type(), 1usize..5, 0usize..3), 1..8),
+        0usize..3,
+        any::<u64>(),
+    )
+        .prop_map(|(blocks, trailing, shuffle)| {
+            let mut fields = Vec::new();
+            let mut off = 0usize;
+            for (ty, blocklen, gap) in blocks {
+                let align = ty.size();
+                off = off.div_ceil(align) * align + gap * align;
+                fields.push((off, blocklen, ty));
+                off += blocklen * ty.size();
+            }
+            if shuffle % 2 == 1 {
+                let picks = noise(shuffle, fields.len());
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, picks[i] as usize % (i + 1));
+                }
+            }
+            (fields, off.div_ceil(8) * 8 + trailing * 8)
+        })
+}
+
+fn struct_type(fields: &Fields, extent: usize) -> Datatype {
+    let descr: Vec<(&str, usize, usize, FieldKind)> = fields
+        .iter()
+        .map(|&(off, bl, ty)| ("f", off, bl, FieldKind::Basic(ty)))
+        .collect();
+    Datatype::try_struct(&descr, extent).unwrap()
+}
+
+/// The reference gather: every field of every element, one at a time, in
+/// declaration order.
+fn gather_fieldwise(fields: &Fields, extent: usize, raw: &[u8], count: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for e in 0..count {
+        for &(off, bl, ty) in fields {
+            let lo = e * extent + off;
+            out.extend_from_slice(&raw[lo..lo + bl * ty.size()]);
         }
-        // Trailing padding.
-        let extent = off.div_ceil(8) * 8 + 8;
-        (out, extent)
+    }
+    out
+}
+
+/// The reference scatter, the inverse of [`gather_fieldwise`].
+fn scatter_fieldwise(fields: &Fields, extent: usize, packed: &[u8], count: usize, dst: &mut [u8]) {
+    let mut pos = 0;
+    for e in 0..count {
+        for &(off, bl, ty) in fields {
+            let (lo, n) = (e * extent + off, bl * ty.size());
+            dst[lo..lo + n].copy_from_slice(&packed[pos..pos + n]);
+            pos += n;
+        }
+    }
+}
+
+commint::comm_datatype! {
+    /// The composite [`Site`] embeds.
+    struct Moment {
+        m: [f64; 2],
+        weight: f64,
+    }
+}
+
+/// A padded composite (4 bytes after `tag`, 7 after `flag`) whose
+/// hand-written layout declares its fields out of memory order: `energy`,
+/// the nested `moment`, `tag`, `flag`. Only `moment.m` and `moment.weight`
+/// are neighbours in both orders; `moment` ends where `energy` starts and
+/// `energy` ends where `flag` starts, but neither pair is in wire order.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Site {
+    tag: i32,
+    moment: Moment,
+    energy: f64,
+    flag: u8,
+}
+
+// SAFETY: every declared field is an initialized primitive block of `Site`
+// at its `offset_of!` offset.
+unsafe impl Described for Site {
+    fn layout() -> Arc<CompositeLayout> {
+        static LAYOUT: OnceLock<Arc<CompositeLayout>> = OnceLock::new();
+        let prim = |name: &str, offset, ty| {
+            let name = name.into();
+            NestedField::Prim(FieldDef {
+                name,
+                offset,
+                ty,
+                blocklen: 1,
+            })
+        };
+        let layout = LAYOUT.get_or_init(|| {
+            Arc::new(CompositeLayout::nested::<Site>(
+                "Site",
+                vec![
+                    prim("energy", std::mem::offset_of!(Site, energy), BasicType::F64),
+                    NestedField::Nested {
+                        name: "moment".into(),
+                        offset: std::mem::offset_of!(Site, moment),
+                        layout: Moment::layout(),
+                    },
+                    prim("tag", std::mem::offset_of!(Site, tag), BasicType::I32),
+                    prim("flag", std::mem::offset_of!(Site, flag), BasicType::U8),
+                ],
+            ))
+        });
+        Arc::clone(layout)
+    }
+}
+
+/// Random sites. Floats are small integers, so every value is exact and
+/// never NaN.
+fn sites() -> impl Strategy<Value = Vec<Site>> {
+    let site = (
+        any::<i32>(),
+        any::<i16>(),
+        any::<i16>(),
+        any::<i16>(),
+        any::<u8>(),
+    );
+    proptest::collection::vec(site, 0..5).prop_map(|v| {
+        v.into_iter()
+            .map(|(tag, a, b, c, flag)| Site {
+                tag,
+                moment: Moment {
+                    m: [a as f64, b as f64],
+                    weight: c as f64,
+                },
+                energy: (a ^ b) as f64,
+                flag,
+            })
+            .collect()
     })
 }
 
+/// The reference wire bytes of `sites`, field by field.
+fn sites_wire(sites: &[Site]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for s in sites {
+        for v in [s.energy, s.moment.m[0], s.moment.m[1], s.moment.weight] {
+            out.extend_from_slice(&v.to_ne_bytes());
+        }
+        out.extend_from_slice(&s.tag.to_ne_bytes());
+        out.push(s.flag);
+    }
+    out
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn struct_gather_scatter_roundtrip(
         (fields, extent) in layout_strategy(),
-        count in 1usize..5,
+        len in 0usize..5,
+        count_pick in any::<usize>(),
         seed in any::<u64>(),
     ) {
-        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
-            .iter()
-            .map(|&(off, bl, ty)| ("f", off, bl, FieldKind::Basic(ty)))
-            .collect();
-        let dt = Datatype::try_struct(&descr, extent).unwrap();
+        let dt = struct_type(&fields, extent);
+        let count = count_pick % (len + 1);
+        let raw = noise(seed, len * extent);
 
-        // Random raw image.
-        let mut raw = vec![0u8; count * extent];
-        let mut x = seed | 1;
-        for b in raw.iter_mut() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (x >> 56) as u8;
+        // The walk covers exactly the payload, in maximal runs: no visited
+        // range starts where the one before it ended.
+        let mut ranges = Vec::new();
+        dt.walk(count, |r| ranges.push(r));
+        let walked: usize = ranges.iter().map(|r| r.len()).sum();
+        prop_assert_eq!(walked, count * dt.packed_size());
+        for w in ranges.windows(2) {
+            prop_assert!(w[0].end != w[1].start, "unmerged neighbours {:?}", w);
         }
 
-        let mut packed = Vec::new();
-        dt.gather(&raw, count, &mut packed);
-        prop_assert_eq!(packed.len(), count * dt.packed_size());
+        // Gather appends the reference bytes after what `out` held.
+        let mut got = vec![0xEE; 3];
+        dt.gather(&raw, count, &mut got);
+        let mut want = vec![0xEE; 3];
+        want.extend(gather_fieldwise(&fields, extent, &raw, count));
+        prop_assert_eq!(&got, &want);
 
-        let mut back = vec![0u8; count * extent];
-        dt.scatter(&packed, count, &mut back);
-
-        // Every described byte roundtrips; padding stays zero.
-        for e in 0..count {
-            for &(off, bl, ty) in &fields {
-                let lo = e * extent + off;
-                let hi = lo + bl * ty.size();
-                prop_assert_eq!(&back[lo..hi], &raw[lo..hi]);
-            }
-        }
+        // Scatter writes exactly the reference bytes: padding and the
+        // elements past `count` keep what they held.
+        let packed = noise(seed ^ 0x5A5A, count * dt.packed_size());
+        let mut got = noise(seed ^ 0xA5A5, len * extent);
+        let mut want = got.clone();
+        dt.scatter(&packed, count, &mut got);
+        scatter_fieldwise(&fields, extent, &packed, count, &mut want);
+        prop_assert_eq!(got, want);
     }
 
     #[test]
     fn gather_then_scatter_is_idempotent(
         (fields, extent) in layout_strategy(),
     ) {
-        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
-            .iter()
-            .map(|&(off, bl, ty)| ("f", off, bl, FieldKind::Basic(ty)))
-            .collect();
-        let dt = Datatype::try_struct(&descr, extent).unwrap();
+        let dt = struct_type(&fields, extent);
         let raw = vec![0xABu8; extent];
         let mut p1 = Vec::new();
         dt.gather(&raw, 1, &mut p1);
@@ -131,6 +305,7 @@ proptest! {
         count in 1usize..6,
         blocklen in 1usize..4,
         extra_stride in 0usize..4,
+        picks in (any::<usize>(), any::<usize>()),
         vals in proptest::collection::vec(any::<i64>(), 64),
     ) {
         let stride = blocklen + extra_stride;
@@ -155,18 +330,48 @@ proptest! {
                 prop_assert_eq!(img[b * stride + k], vals[b * stride + k]);
             }
         }
+
+        // A strided view over those blocks, plus a tail too short for
+        // another, moves its first `prefix` blocks as the reference does.
+        let (prefix, len) = (picks.0 % (count + 1), needed + picks.1 % stride);
+        let view = PrimStrided::new("s", &vals[..len], blocklen, stride);
+        prop_assert_eq!(view.meta().len, count);
+        let mut got = Vec::new();
+        view.gather(prefix, &mut got);
+        prop_assert_eq!(&got[..], mpisim::as_bytes(&expected[..prefix * blocklen]));
+        let mut img = vec![0i64; len];
+        PrimStridedMut::new("d", &mut img, blocklen, stride).scatter(prefix, &got);
+        for (i, v) in img.iter().enumerate() {
+            let moved = i % stride < blocklen && i / stride < prefix;
+            prop_assert_eq!(*v, if moved { vals[i] } else { 0 });
+        }
     }
 
     #[test]
     fn packed_size_never_exceeds_extent_for_structs(
         (fields, extent) in layout_strategy(),
     ) {
-        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
-            .iter()
-            .map(|&(off, bl, ty)| ("f", off, bl, FieldKind::Basic(ty)))
-            .collect();
-        let dt = Datatype::try_struct(&descr, extent).unwrap();
+        let dt = struct_type(&fields, extent);
         prop_assert!(dt.packed_size() <= dt.extent());
+    }
+
+    #[test]
+    fn described_gather_scatter_match_fieldwise_reference(
+        items in sites(),
+        incoming in sites(),
+        count_pick in any::<usize>(),
+    ) {
+        let count = count_pick % (items.len().min(incoming.len()) + 1);
+        let mut got = Vec::new();
+        gather_described(&items, count, &mut got);
+        prop_assert_eq!(got, sites_wire(&items[..count]));
+
+        // The first `count` sites become the incoming ones; the rest keep
+        // theirs.
+        let mut back = items.clone();
+        scatter_described(&mut back, count, &sites_wire(&incoming[..count]));
+        prop_assert_eq!(&back[..count], &incoming[..count]);
+        prop_assert_eq!(&back[count..], &items[count..]);
     }
 }
 
