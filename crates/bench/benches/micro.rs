@@ -7,7 +7,10 @@
 //! which is not communication and should stay small beside it. The
 //! `sched_handoffs` cases count how often a simulation unparks an idle
 //! carrier: a 337-rank Fig. 3 or Fig. 4 simulation on two carriers, and
-//! commbench's `engine_probe` shape on one carrier and on two.
+//! commbench's `engine_probe` shape on one carrier and on two. The
+//! `intd_edit_exchange`, `json_escape_cert` and `lint_sweep_region` cases
+//! split the analysis service's cost of one edit: the whole exchange, the
+//! frame's escaping, and the one-region lint sweep.
 //!
 //! A name after `--` runs only the cases whose name contains it, e.g.
 //! `cargo bench -p bench --features harness --bench micro -- directive_region`.
@@ -109,7 +112,7 @@ fn micro_parse(c: &mut Criterion) {
     c.bench_function("resolve_and_classify_256", |b| {
         b.iter(|| {
             let g = resolve_graph(&spec.body[0], Some(&spec.clauses), 256, &vars);
-            classify(&g, 256)
+            classify(&g.matching(), 256)
         })
     });
 }
@@ -641,6 +644,96 @@ fn engine_probe_shape(target: Target, workers: usize) -> (f64, f64) {
     )
 }
 
+/// The shipped spec the analysis-service cases edit: Listing 7's two
+/// regions, swept over 9..=49 ranks.
+const SPIN_SPEC: &str = include_str!("../../wl-lsms/pragmas/spin_exchange.comm");
+/// A one-region count edit of [`SPIN_SPEC`] (its second region).
+const SPIN_EDIT: (&str, &str) = ("count(3) max_comm_iter(45)", "count(4) max_comm_iter(45)");
+
+/// Median of `samples` after sorting.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The analysis service's costs on one edit: the daemon's `analyze` plus
+/// `prove` exchange after a one-region count edit (each iteration toggles
+/// the edit, so the edited region is rebuilt every time, as in commbench's
+/// `edit` workload), escaping a certificate into a frame, and the lint
+/// sweep of the edited region alone.
+fn micro_service(c: &mut Criterion) {
+    use commintd::proto::{handle, request_json};
+    use commintd::Engine;
+    use commlint::{apply_decls, region_view, scan_annotations, sweep_region, LintOptions};
+    use netsim::json::Json;
+
+    let file = "spin_exchange.comm";
+    let edited = SPIN_SPEC.replace(SPIN_EDIT.0, SPIN_EDIT.1);
+    let frames = [SPIN_SPEC, edited.as_str()].map(|src| {
+        [
+            request_json("analyze", 1, file, src),
+            request_json("prove", 2, file, src),
+        ]
+    });
+    let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+    for f in frames.iter().flatten() {
+        handle(&engine, f.as_bytes());
+    }
+    let mut toggle = 0;
+    c.bench_function("intd_edit_exchange", |b| {
+        b.iter(|| {
+            toggle ^= 1;
+            let [a, p] = &frames[toggle];
+            handle(&engine, a.as_bytes()).len() + handle(&engine, p.as_bytes()).len()
+        })
+    });
+
+    let cert = commprove::prove_source(
+        file,
+        SPIN_SPEC,
+        &SymbolTable::new(),
+        &LintOptions::default(),
+    )
+    .expect("the shipped spec proves")
+    .certificate
+    .to_json();
+    let doc = Json::Str(cert.clone().into());
+    const BATCH: u32 = 200;
+    let mut per_byte = Vec::new();
+    c.bench_function("json_escape_cert", |b| {
+        b.iter(|| {
+            let start = std::time::Instant::now();
+            for _ in 0..BATCH {
+                std::hint::black_box(std::hint::black_box(&doc).render_line());
+            }
+            per_byte.push(start.elapsed().as_nanos() as f64 / f64::from(BATCH) / cert.len() as f64);
+        })
+    });
+    if !per_byte.is_empty() {
+        println!(
+            "{:<60} ns/byte median {:.3} ({} bytes of certificate)",
+            "json_escape_cert",
+            median(per_byte),
+            cert.len()
+        );
+    }
+
+    let ann = scan_annotations(&edited);
+    let mut symbols = SymbolTable::new();
+    apply_decls(&mut symbols, &ann);
+    let parsed = parse(&edited, &symbols).expect("the shipped spec parses");
+    let region = parsed
+        .items
+        .iter()
+        .filter_map(region_view)
+        .nth(1)
+        .expect("two regions");
+    let ranks = ann.ranks.expect("the spec names its rank range");
+    c.bench_function("lint_sweep_region", |b| {
+        b.iter(|| sweep_region(1, std::hint::black_box(&region), ranks, &ann.vars))
+    });
+}
+
 criterion_group!(
     benches,
     micro_expr,
@@ -651,6 +744,7 @@ criterion_group!(
     micro_region,
     micro_atom_data,
     micro_fabric,
-    micro_sched
+    micro_sched,
+    micro_service
 );
 criterion_main!(benches);

@@ -48,6 +48,11 @@
 //! certificate store is still reconciled on every cached `prove` hit,
 //! so external tampering is detected (and healed) even on the fast
 //! path.
+//!
+//! Below the response cache, the engine keeps the one most recently
+//! prepared source (annotations, parse, region split, structural hashes)
+//! and hands it to the next request for the same text, whatever the
+//! verb: after an edit, the editor's `prove` reuses its `analyze`'s parse.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -353,7 +358,7 @@ struct FileCtx {
 /// fallback when the splitter and parser disagree about region structure
 /// (the batch path is always correct; the cache is an optimization).
 enum Prep {
-    Cached(FileCtx),
+    Cached(Arc<FileCtx>),
     Direct {
         ranks: RankRange,
         vars: HashMap<String, i64>,
@@ -368,6 +373,15 @@ pub struct Engine {
     cert_dir: Option<PathBuf>,
     store: Store<Artifact>,
     files: Mutex<HashMap<String, FileState>>,
+    /// The last source text that prepared onto the incremental path, with
+    /// its context. An editor sends `analyze` then `prove` for one buffer;
+    /// the second request reuses the first's parse. One entry, matched on
+    /// the full text; it sits beside the store, so it moves none of the
+    /// store's counters.
+    prepared: Mutex<Option<(String, Arc<FileCtx>)>>,
+    /// Sources actually prepared (lexed, parsed, split and hashed).
+    #[cfg(test)]
+    prepares: std::sync::atomic::AtomicUsize,
 }
 
 impl Engine {
@@ -381,6 +395,9 @@ impl Engine {
             cert_dir,
             store: Store::new(),
             files: Mutex::new(HashMap::new()),
+            prepared: Mutex::new(None),
+            #[cfg(test)]
+            prepares: Default::default(),
         }
     }
 
@@ -399,7 +416,17 @@ impl Engine {
         self.files.lock().unwrap().len()
     }
 
+    /// Prepare `src`, or share the context of the previous request for
+    /// the same text. Parse errors and the direct fallback are never kept.
     fn prepare(&self, src: &str) -> Result<Prep, pragma_front::ParseError> {
+        if let Some((text, ctx)) = &*self.prepared.lock().expect("no request panics holding it") {
+            if text == src {
+                return Ok(Prep::Cached(Arc::clone(ctx)));
+            }
+        }
+        #[cfg(test)]
+        self.prepares
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let ann = scan_annotations(src);
         let mut symbols = self.symbols.clone();
         apply_decls(&mut symbols, &ann);
@@ -435,14 +462,17 @@ impl Engine {
                 parsed,
             });
         }
-        Ok(Prep::Cached(FileCtx {
+        let ctx = Arc::new(FileCtx {
             ranks,
             vars,
             parsed,
             regions,
             site_spans,
             chunks,
-        }))
+        });
+        *self.prepared.lock().expect("no request panics holding it") =
+            Some((src.to_string(), Arc::clone(&ctx)));
+        Ok(Prep::Cached(ctx))
     }
 
     /// Diff the file's region hashes against the previous request,
@@ -1108,5 +1138,83 @@ mod tests {
         assert_eq!(healed.disk_cert, "healed");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), healed.cert_json);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn prepares(engine: &Engine) -> usize {
+        engine.prepares.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn analyze_then_prove_of_the_same_bytes_prepares_once() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let edited = SRC.replace("count(8)", "count(4)");
+        for src in [SRC, edited.as_str()] {
+            let before = prepares(&engine);
+            let a = engine.analyze("t.comm", src).unwrap();
+            let p = engine.prove("t.comm", src).unwrap();
+            engine.diag("t.comm", src).unwrap();
+            assert_eq!(prepares(&engine) - before, 1);
+            assert_eq!(a.report_json, batch_lint_json("t.comm", src));
+            assert_eq!((p.report_json, p.cert_json), batch_prove("t.comm", src));
+        }
+    }
+
+    #[test]
+    fn interleaved_files_stay_byte_identical() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let a = SRC;
+        let b = SRC.replace("count(16)", "count(12)");
+        let a2 = SRC.replace("count(8)", "count(4)");
+        for (file, src) in [("a.comm", a), ("b.comm", &b), ("a.comm", &a2)] {
+            let got = engine.analyze(file, src).unwrap();
+            assert_eq!(got.report_json, batch_lint_json(file, src));
+        }
+        for (file, src) in [("a.comm", &a2), ("b.comm", &b)] {
+            let got = engine.prove(file, src).unwrap();
+            assert_eq!((got.report_json, got.cert_json), batch_prove(file, src));
+        }
+    }
+
+    #[test]
+    fn a_parse_error_is_not_kept() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let broken = "#pragma comm_p2p sender(";
+        assert!(engine.analyze("t.comm", broken).is_err());
+        assert!(engine.prove("t.comm", broken).is_err());
+        assert_eq!(
+            prepares(&engine),
+            2,
+            "a failed parse is retried, never shared"
+        );
+        let a = engine.analyze("t.comm", SRC).unwrap();
+        assert_eq!(a.report_json, batch_lint_json("t.comm", SRC));
+        assert_eq!(prepares(&engine), 3);
+    }
+
+    /// The shared parse sits beside the store: a fixed request script
+    /// leaves the store counters where they were before it existed.
+    #[test]
+    fn store_counters_do_not_see_the_shared_parse() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let b = SRC.replace("count(16)", "count(12)");
+        let edited = SRC.replace("count(8)", "count(4)");
+        engine.analyze("a.comm", SRC).unwrap();
+        engine.prove("a.comm", SRC).unwrap();
+        engine.analyze("b.comm", &b).unwrap();
+        engine.analyze("a.comm", &edited).unwrap();
+        engine.prove("a.comm", &edited).unwrap();
+        engine.prove("b.comm", &b).unwrap();
+        engine.diag("a.comm", &edited).unwrap();
+        assert!(engine
+            .analyze("a.comm", "#pragma comm_p2p sender(")
+            .is_err());
+        engine.analyze("a.comm", SRC).unwrap();
+        engine.prove("a.comm", SRC).unwrap();
+        let s = engine.stats();
+        assert_eq!(
+            (s.entries, s.hits, s.misses, s.waits, s.invalidations),
+            (61, 76, 97, 0, 36),
+            "{s:?}"
+        );
     }
 }

@@ -15,7 +15,7 @@
 //! * and estimate the synchronization savings of consolidation
 //!   ([`sync_report`]), the effect Figure 4 measures.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::clause::ClauseSet;
 use crate::dir::{P2pSpec, ParamsSpec};
@@ -51,47 +51,79 @@ pub struct CommGraph {
     pub when_unknown: bool,
 }
 
-impl CommGraph {
-    /// Send edges that no receiver declares.
-    pub fn unmatched_sends(&self) -> Vec<Edge> {
-        let recvs: HashSet<&Edge> = self.recvs.iter().collect();
-        self.sends
-            .iter()
-            .filter(|e| !recvs.contains(e))
-            .copied()
-            .collect()
-    }
+/// The matching of one graph's declared sends against its declared
+/// receives. Computed once per graph ([`CommGraph::matching`]: one sort
+/// per side and one merge) and read by every analysis of that graph.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Matching {
+    /// Edges declared by both a sender and a receiver: sorted,
+    /// deduplicated.
+    pub matched: Vec<Edge>,
+    /// Send edges that no receiver declares, in declaration order, with
+    /// multiplicity.
+    pub unmatched_sends: Vec<Edge>,
+    /// Receive edges that no sender declares, in declaration order, with
+    /// multiplicity.
+    pub unmatched_recvs: Vec<Edge>,
+    /// Whether every rank's clauses resolved.
+    pub resolved: bool,
+}
 
-    /// Receive edges that no sender declares.
-    pub fn unmatched_recvs(&self) -> Vec<Edge> {
-        let sends: HashSet<&Edge> = self.sends.iter().collect();
-        self.recvs
-            .iter()
-            .filter(|e| !sends.contains(e))
-            .copied()
-            .collect()
-    }
-
+impl Matching {
     /// Whether every declared send has a matching declared receive and vice
     /// versa (and everything resolved).
     pub fn fully_matched(&self) -> bool {
-        self.unresolved.is_empty()
-            && self.unmatched_sends().is_empty()
-            && self.unmatched_recvs().is_empty()
+        self.resolved && self.unmatched_sends.is_empty() && self.unmatched_recvs.is_empty()
     }
+}
 
-    /// The matched edges (intersection of send and receive declarations).
-    pub fn matched(&self) -> Vec<Edge> {
-        let recvs: HashSet<&Edge> = self.recvs.iter().collect();
-        let mut out: Vec<Edge> = self
-            .sends
-            .iter()
-            .filter(|e| recvs.contains(e))
-            .copied()
-            .collect();
-        out.sort();
-        out.dedup();
-        out
+impl CommGraph {
+    /// Match the declared sends against the declared receives: sort each
+    /// side once (with its declaration index), and one merge marks every
+    /// edge the other side also declares.
+    pub fn matching(&self) -> Matching {
+        fn sorted(edges: &[Edge]) -> Vec<(Edge, usize)> {
+            let mut v: Vec<(Edge, usize)> = edges.iter().copied().zip(0..).collect();
+            v.sort_unstable();
+            v
+        }
+        fn unmatched(edges: &[Edge], hit: &[bool]) -> Vec<Edge> {
+            edges
+                .iter()
+                .zip(hit)
+                .filter(|(_, &h)| !h)
+                .map(|(e, _)| *e)
+                .collect()
+        }
+        let (sends, recvs) = (sorted(&self.sends), sorted(&self.recvs));
+        let mut send_hit = vec![false; sends.len()];
+        let mut recv_hit = vec![false; recvs.len()];
+        let mut matched = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < sends.len() && j < recvs.len() {
+            let e = sends[i].0;
+            match e.cmp(&recvs[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    matched.push(e);
+                    while sends.get(i).is_some_and(|s| s.0 == e) {
+                        send_hit[sends[i].1] = true;
+                        i += 1;
+                    }
+                    while recvs.get(j).is_some_and(|r| r.0 == e) {
+                        recv_hit[recvs[j].1] = true;
+                        j += 1;
+                    }
+                }
+            }
+        }
+        Matching {
+            matched,
+            unmatched_sends: unmatched(&self.sends, &send_hit),
+            unmatched_recvs: unmatched(&self.recvs, &recv_hit),
+            resolved: self.unresolved.is_empty(),
+        }
     }
 }
 
@@ -195,68 +227,67 @@ pub enum Pattern {
 }
 
 /// Classify the *matched* edges of a graph over `nranks` ranks.
-pub fn classify(graph: &CommGraph, nranks: usize) -> Pattern {
-    let edges = graph.matched();
+pub fn classify(m: &Matching, nranks: usize) -> Pattern {
+    // Sorted by (src, dst) and deduplicated, so `srcs` comes out sorted.
+    let edges = &m.matched;
     if edges.is_empty() {
         return Pattern::Empty;
     }
     let n = nranks;
+    let mut srcs: Vec<usize> = edges.iter().map(|e| e.src).collect();
+    srcs.dedup();
+    let mut dsts: Vec<usize> = edges.iter().map(|e| e.dst).collect();
+    dsts.sort_unstable();
+    dsts.dedup();
 
     // Cyclic shift: all ranks send, dst = (src + k) mod n for one k.
     if edges.len() == n {
         let k0 = (edges[0].dst + n - edges[0].src) % n;
-        if k0 != 0
-            && edges.iter().all(|e| (e.dst + n - e.src) % n == k0)
-            && edges.iter().map(|e| e.src).collect::<HashSet<_>>().len() == n
-        {
+        if k0 != 0 && edges.iter().all(|e| (e.dst + n - e.src) % n == k0) && srcs.len() == n {
             return Pattern::CyclicShift { k: k0 };
         }
     }
 
     // Linear shift: srcs are 0..n-k, dst = src + k.
-    if let Some(first) = edges.first() {
-        if first.dst > first.src {
-            let k = first.dst - first.src;
-            let expected: Vec<Edge> = (0..n.saturating_sub(k))
-                .map(|s| Edge { src: s, dst: s + k })
-                .collect();
-            let mut sorted = edges.clone();
-            sorted.sort();
-            if sorted == expected {
-                return Pattern::LinearShift { k };
-            }
+    let first = edges[0];
+    if first.dst > first.src {
+        let k = first.dst - first.src;
+        if edges.len() == n.saturating_sub(k)
+            && edges
+                .iter()
+                .enumerate()
+                .all(|(s, e)| e.src == s && e.dst == s + k)
+        {
+            return Pattern::LinearShift { k };
         }
     }
 
-    let srcs: HashSet<usize> = edges.iter().map(|e| e.src).collect();
-    let dsts: HashSet<usize> = edges.iter().map(|e| e.dst).collect();
-
     // Fan-out / fan-in.
     if srcs.len() == 1 && edges.len() > 1 {
-        return Pattern::FanOut {
-            root: *srcs.iter().next().expect("nonempty"),
-        };
+        return Pattern::FanOut { root: srcs[0] };
     }
     if dsts.len() == 1 && edges.len() > 1 {
-        return Pattern::FanIn {
-            root: *dsts.iter().next().expect("nonempty"),
-        };
+        return Pattern::FanIn { root: dsts[0] };
     }
 
     // Exchange: edge set symmetric under reversal, on disjoint pairs.
-    let set: HashSet<Edge> = edges.iter().copied().collect();
     if edges.iter().all(|e| {
-        set.contains(&Edge {
-            src: e.dst,
-            dst: e.src,
-        })
-    }) && edges.iter().all(|e| e.src != e.dst)
-    {
+        e.src != e.dst
+            && edges
+                .binary_search(&Edge {
+                    src: e.dst,
+                    dst: e.src,
+                })
+                .is_ok()
+    }) {
         return Pattern::Exchange;
     }
 
     // Disjoint pairs: senders and receivers disjoint, each appears once.
-    if srcs.is_disjoint(&dsts) && srcs.len() == edges.len() && dsts.len() == edges.len() {
+    if srcs.len() == edges.len()
+        && dsts.len() == edges.len()
+        && srcs.iter().all(|s| dsts.binary_search(s).is_err())
+    {
         return Pattern::DisjointPairs;
     }
 
@@ -386,54 +417,62 @@ pub struct DeadlockReport {
 /// overflow the call stack. Deterministic: neighbours are visited in sorted
 /// order from the smallest root.
 pub fn find_cycle(edges: &[Edge]) -> Option<Vec<usize>> {
-    let mut adj: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for e in edges {
-        adj.entry(e.src).or_default().push(e.dst);
+    // Sorted adjacency: the deduplicated edges in (src, dst) order, cut
+    // into one run per source. A node without out-edges is never on a
+    // cycle and is not a node here.
+    let mut sorted = edges.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut nodes: Vec<usize> = Vec::new();
+    let mut starts: Vec<usize> = Vec::new();
+    for (i, e) in sorted.iter().enumerate() {
+        if nodes.last() != Some(&e.src) {
+            nodes.push(e.src);
+            starts.push(i);
+        }
     }
-    for next in adj.values_mut() {
-        next.sort_unstable();
-        next.dedup();
-    }
+    starts.push(sorted.len());
+    let node = |rank: usize| nodes.binary_search(&rank).ok();
+
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
-    let mut color: HashMap<usize, u8> = HashMap::new();
-    let roots: Vec<usize> = adj.keys().copied().collect();
-    for root in roots {
-        if color.get(&root).copied().unwrap_or(WHITE) != WHITE {
+    let mut color = vec![WHITE; nodes.len()];
+    for root in 0..nodes.len() {
+        if color[root] != WHITE {
             continue;
         }
-        // Explicit DFS stack of (node, next-neighbour index); `path` mirrors
-        // the stack's nodes so a back edge can be cut into a cycle.
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        let mut path: Vec<usize> = vec![root];
-        color.insert(root, GRAY);
+        // Explicit DFS stack of (node, next edge index); `path` mirrors
+        // the stack's ranks so a back edge can be cut into a cycle.
+        let mut stack: Vec<(usize, usize)> = vec![(root, starts[root])];
+        let mut path: Vec<usize> = vec![nodes[root]];
+        color[root] = GRAY;
         while let Some(frame) = stack.last_mut() {
             let u = frame.0;
-            let next = adj.get(&u).and_then(|ns| ns.get(frame.1)).copied();
+            if frame.1 == starts[u + 1] {
+                color[u] = BLACK;
+                stack.pop();
+                path.pop();
+                continue;
+            }
+            let v = sorted[frame.1].dst;
             frame.1 += 1;
-            match next {
-                Some(v) => match color.get(&v).copied().unwrap_or(WHITE) {
-                    WHITE => {
-                        color.insert(v, GRAY);
-                        stack.push((v, 0));
-                        path.push(v);
-                    }
-                    GRAY => {
-                        // Back edge: every GRAY node is on `path`.
-                        let start = path
-                            .iter()
-                            .position(|&p| p == v)
-                            .expect("gray node is on the active path");
-                        return Some(path[start..].to_vec());
-                    }
-                    _ => {}
-                },
-                None => {
-                    color.insert(u, BLACK);
-                    stack.pop();
-                    path.pop();
+            let Some(vi) = node(v) else { continue };
+            match color[vi] {
+                WHITE => {
+                    color[vi] = GRAY;
+                    stack.push((vi, starts[vi]));
+                    path.push(v);
                 }
+                GRAY => {
+                    // Back edge: every GRAY node is on `path`.
+                    let start = path
+                        .iter()
+                        .position(|&p| p == v)
+                        .expect("gray node is on the active path");
+                    return Some(path[start..].to_vec());
+                }
+                _ => {}
             }
         }
     }
@@ -441,10 +480,10 @@ pub fn find_cycle(edges: &[Edge]) -> Option<Vec<usize>> {
 }
 
 /// Analyze deadlock freedom of one `comm_p2p`'s matched graph.
-pub fn deadlock_report(graph: &CommGraph) -> DeadlockReport {
-    let cycle = find_cycle(&graph.matched());
+pub fn deadlock_report(m: &Matching) -> DeadlockReport {
+    let cycle = find_cycle(&m.matched);
     DeadlockReport {
-        nonblocking_safe: graph.fully_matched(),
+        nonblocking_safe: m.fully_matched(),
         blocking_would_deadlock: cycle.is_some(),
         cycle: cycle.unwrap_or_default(),
     }
@@ -488,9 +527,9 @@ mod tests {
     #[test]
     fn ring_resolves_and_classifies() {
         let g = resolve_graph(&p2p(ring_clauses()), None, 5, &HashMap::new());
-        assert!(g.fully_matched());
-        assert_eq!(g.matched().len(), 5);
-        assert_eq!(classify(&g, 5), Pattern::CyclicShift { k: 1 });
+        assert!(g.matching().fully_matched());
+        assert_eq!(g.matching().matched.len(), 5);
+        assert_eq!(classify(&g.matching(), 5), Pattern::CyclicShift { k: 1 });
     }
 
     #[test]
@@ -504,12 +543,12 @@ mod tests {
         };
         let g = resolve_graph(&p2p(clauses), None, 8, &HashMap::new());
         assert!(
-            g.fully_matched(),
+            g.matching().fully_matched(),
             "unmatched: {:?}/{:?}",
-            g.unmatched_sends(),
-            g.unmatched_recvs()
+            g.matching().unmatched_sends,
+            g.matching().unmatched_recvs
         );
-        assert_eq!(classify(&g, 8), Pattern::DisjointPairs);
+        assert_eq!(classify(&g.matching(), 8), Pattern::DisjointPairs);
     }
 
     #[test]
@@ -537,8 +576,8 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        assert!(g.fully_matched());
-        assert_eq!(classify(&g, 6), Pattern::FanOut { root: 0 });
+        assert!(g.matching().fully_matched());
+        assert_eq!(classify(&g.matching(), 6), Pattern::FanOut { root: 0 });
     }
 
     #[test]
@@ -549,7 +588,7 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        assert_eq!(classify(&g, 5), Pattern::FanIn { root: 0 });
+        assert_eq!(classify(&g.matching(), 5), Pattern::FanIn { root: 0 });
     }
 
     #[test]
@@ -564,7 +603,7 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        assert_eq!(classify(&g, 4), Pattern::Exchange);
+        assert_eq!(classify(&g.matching(), 4), Pattern::Exchange);
     }
 
     #[test]
@@ -576,13 +615,13 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        assert_eq!(classify(&g, 8), Pattern::LinearShift { k: 2 });
+        assert_eq!(classify(&g.matching(), 8), Pattern::LinearShift { k: 2 });
     }
 
     #[test]
     fn empty_and_irregular() {
         let g = CommGraph::default();
-        assert_eq!(classify(&g, 4), Pattern::Empty);
+        assert_eq!(classify(&g.matching(), 4), Pattern::Empty);
         let g = CommGraph {
             sends: vec![
                 Edge { src: 0, dst: 1 },
@@ -597,7 +636,7 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        assert_eq!(classify(&g, 3), Pattern::Irregular);
+        assert_eq!(classify(&g.matching(), 3), Pattern::Irregular);
     }
 
     #[test]
@@ -611,8 +650,8 @@ mod tests {
             ..ClauseSet::default()
         };
         let g = resolve_graph(&p2p(clauses), None, 4, &HashMap::new());
-        assert!(!g.fully_matched());
-        assert_eq!(g.unmatched_sends(), vec![Edge { src: 0, dst: 1 }]);
+        assert!(!g.matching().fully_matched());
+        assert_eq!(g.matching().unmatched_sends, vec![Edge { src: 0, dst: 1 }]);
         // Rank 1 expects from rank -1... no: 1-2 = -1 -> unresolved rank 1.
         assert!(g.unresolved.contains(&1));
     }
@@ -626,7 +665,7 @@ mod tests {
         };
         let g = resolve_graph(&p2p(clauses), None, 3, &HashMap::new());
         assert_eq!(g.unresolved.len(), 3);
-        assert!(!g.fully_matched());
+        assert!(!g.matching().fully_matched());
     }
 
     #[test]
@@ -642,8 +681,8 @@ mod tests {
             ..ClauseSet::default()
         };
         let g = resolve_graph(&p2p(clauses), None, 4, &HashMap::new());
-        assert!(g.fully_matched());
-        assert_eq!(classify(&g, 4), Pattern::CyclicShift { k: 1 });
+        assert!(g.matching().fully_matched());
+        assert_eq!(classify(&g.matching(), 4), Pattern::CyclicShift { k: 1 });
     }
 
     #[test]
@@ -746,7 +785,7 @@ mod tests {
     #[test]
     fn deadlock_reporting() {
         let ring = resolve_graph(&p2p(ring_clauses()), None, 4, &HashMap::new());
-        let rep = deadlock_report(&ring);
+        let rep = deadlock_report(&ring.matching());
         assert!(rep.nonblocking_safe);
         assert!(
             rep.blocking_would_deadlock,
@@ -765,7 +804,7 @@ mod tests {
             unresolved: vec![],
             ..CommGraph::default()
         };
-        let rep = deadlock_report(&chain);
+        let rep = deadlock_report(&chain.matching());
         assert!(rep.nonblocking_safe);
         assert!(!rep.blocking_would_deadlock);
         assert!(rep.cycle.is_empty());

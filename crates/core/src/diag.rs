@@ -402,6 +402,7 @@ pub fn lint_region_at(
     for (idx, p2p) in spec.body.iter().enumerate() {
         let merged = p2p.clauses.merged_with(&spec.clauses);
         let g = resolve_graph(p2p, Some(&spec.clauses), nranks, vars);
+        let m = g.matching();
         let site = Some(p2p.site);
 
         // -- CI008: opaque host code in clauses -----------------------------
@@ -467,9 +468,7 @@ pub fn lint_region_at(
         }
 
         // -- CI001: matching completeness ----------------------------------
-        let unmatched_sends = g.unmatched_sends();
-        if !unmatched_sends.is_empty() {
-            let first = unmatched_sends[0];
+        if let Some(&first) = m.unmatched_sends.first() {
             out.push(Diag {
                 code: LintCode::UnmatchedSend,
                 severity: Severity::Error,
@@ -482,13 +481,11 @@ pub fn lint_region_at(
                 region,
                 site,
                 key: format!("p{idx}:sends"),
-                witness: witness(nranks, unmatched_sends.iter().map(|e| e.src).collect()),
+                witness: witness(nranks, m.unmatched_sends.iter().map(|e| e.src).collect()),
                 verification: None,
             });
         }
-        let unmatched_recvs = g.unmatched_recvs();
-        if !unmatched_recvs.is_empty() {
-            let first = unmatched_recvs[0];
+        if let Some(&first) = m.unmatched_recvs.first() {
             out.push(Diag {
                 code: LintCode::UnmatchedSend,
                 severity: Severity::Error,
@@ -501,13 +498,13 @@ pub fn lint_region_at(
                 region,
                 site,
                 key: format!("p{idx}:recvs"),
-                witness: witness(nranks, unmatched_recvs.iter().map(|e| e.dst).collect()),
+                witness: witness(nranks, m.unmatched_recvs.iter().map(|e| e.dst).collect()),
                 verification: None,
             });
         }
 
         // -- CI002 (per instance): blocking wait-for cycle -----------------
-        let dl = deadlock_report(&g);
+        let dl = deadlock_report(&m);
         if dl.blocking_would_deadlock {
             any_single_cycle = true;
             let severity = if dl.nonblocking_safe {
@@ -536,10 +533,10 @@ pub fn lint_region_at(
                 verification: None,
             });
         }
-        if !g.fully_matched() {
+        if !m.fully_matched() {
             all_matched = false;
         }
-        union_edges.extend(g.matched());
+        union_edges.extend_from_slice(&m.matched);
 
         // -- CI003: intra-directive sbuf/rbuf aliasing ----------------------
         let senders: Vec<usize> = g.sends.iter().map(|e| e.src).collect();
@@ -615,7 +612,7 @@ pub fn lint_region_at(
             });
         }
         'pairs: for (k, (sb, rb)) in p2p.sbuf.iter().zip(&p2p.rbuf).enumerate() {
-            for e in g.matched() {
+            for &e in &m.matched {
                 let (Some(cs), Some(cr)) = (count_at(e.src), count_at(e.dst)) else {
                     continue;
                 };

@@ -585,7 +585,7 @@ mod tests {
                 n,
                 &std::collections::HashMap::new(),
             );
-            classify(&g, n)
+            classify(&g.matching(), n)
         });
         assert!(reports.iter().all(|p| *p == Pattern::CyclicShift { k: 1 }));
     }

@@ -91,12 +91,6 @@ pub fn reduce<T: Pod>(
     }
 }
 
-/// Reduce-to-root followed by broadcast: every rank ends with the result.
-pub fn allreduce<T: Pod>(ctx: &mut RankCtx, comm: &Comm, buf: &mut [T], op: impl FnMut(T, T) -> T) {
-    reduce(ctx, comm, 0, buf, op);
-    bcast(ctx, comm, 0, buf);
-}
-
 /// Linear gather of equal-size contributions to local rank `root`.
 /// On the root, `recv` must have `comm.size() * send.len()` elements.
 pub fn gather<T: Pod>(ctx: &mut RankCtx, comm: &Comm, root: usize, send: &[T], recv: &mut [T]) {
@@ -183,17 +177,6 @@ mod tests {
             let expect_sum = (0..n).sum::<usize>() as f64;
             assert_eq!(res.per_rank[0], [expect_sum, n as f64]);
         }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let res = run(SimConfig::new(6), |ctx| {
-            let w = Comm::world(ctx);
-            let mut v = [(w.rank(ctx) * 7 % 5) as i32];
-            allreduce(ctx, &w, &mut v, |a, b| a.max(b));
-            v[0]
-        });
-        assert!(res.per_rank.iter().all(|&v| v == 4));
     }
 
     #[test]

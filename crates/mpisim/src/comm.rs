@@ -252,25 +252,6 @@ impl Comm {
         let m = self.model(ctx);
         ctx.barrier_group(&self.group, &m);
     }
-
-    /// `MPI_Sendrecv`: a combined send/receive with one consolidated
-    /// completion — the deadlock-free shift primitive.
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI_Sendrecv signature
-    pub fn sendrecv<T: Pod>(
-        &self,
-        ctx: &mut RankCtx,
-        dst: usize,
-        send_tag: i32,
-        send: &[T],
-        src: usize,
-        recv_tag: i32,
-        recv: &mut [T],
-    ) {
-        let sreq = self.isend(ctx, dst, send_tag, as_bytes(send));
-        let rreq = self.irecv(ctx, Some(src), Some(recv_tag));
-        let outs = self.waitall(ctx, &[sreq], std::slice::from_ref(&rreq));
-        copy_from_bytes(recv, &outs[0].data);
-    }
 }
 
 /// Result of a completed receive, in communicator-local terms.
@@ -394,22 +375,6 @@ mod tests {
         });
         for (r, &got) in res.per_rank.iter().enumerate() {
             assert_eq!(got as usize, (r + n - 1) % n);
-        }
-    }
-
-    #[test]
-    fn sendrecv_ring_no_deadlock() {
-        let n = 6;
-        let res = run(SimConfig::new(n), move |ctx| {
-            let w = Comm::world(ctx);
-            let me = w.rank(ctx);
-            let send = [me as i64; 3];
-            let mut recv = [0i64; 3];
-            w.sendrecv(ctx, (me + 1) % n, 4, &send, (me + n - 1) % n, 4, &mut recv);
-            recv[0]
-        });
-        for (r, &v) in res.per_rank.iter().enumerate() {
-            assert_eq!(v as usize, (r + n - 1) % n);
         }
     }
 

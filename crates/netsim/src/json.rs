@@ -18,7 +18,8 @@
 //! - [`Json::render_compact`]: no whitespace at all (ledger lines).
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// The text of a string value or an object key: a literal the program
 /// names is borrowed, never copied; parsed text is owned.
@@ -110,35 +111,57 @@ impl Json {
     /// Serialize pretty-printed like [`Json::render`], writing the nodes
     /// `layout` names in the one-line form.
     pub fn render_with(&self, layout: &Layout) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, 0, layout, false);
-        out
+        into_string(out)
     }
 
     /// Serialize in the spaced one-line form, `{ "k": v }` and `[a, b]`:
     /// a daemon frame, or a node a [`Layout`] puts on one line.
     pub fn render_line(&self) -> String {
-        let mut out = String::new();
-        self.write_line(&mut out, SPACED);
-        out
+        self.render_one_line(SPACED)
     }
 
     /// Serialize on a single line with no whitespace — the JSONL form used
     /// by the run-history ledger, where one record must stay one line.
     pub fn render_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_line(&mut out, COMPACT);
-        out
+        self.render_one_line(COMPACT)
     }
 
-    fn write_line(&self, out: &mut String, seps: Seps) {
-        let [comma, colon, open, close] = seps;
+    /// A one-line form, into a buffer sized from the document's text: a
+    /// frame that embeds a 70 KB certificate is allocated once. (A
+    /// pretty-printed document is all small nodes; sizing it costs more
+    /// than growing it.)
+    fn render_one_line(&self, seps: Seps) -> String {
+        let mut out = Vec::with_capacity(self.size_hint() + ESCAPE_SLACK);
+        self.write_line(&mut out, seps);
+        into_string(out)
+    }
+
+    /// Bytes the one-line form takes, give or take escapes and number
+    /// widths.
+    fn size_hint(&self) -> usize {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Str(s) => escaped_capacity(s.len()),
+            Json::Arr(items) => 2 + items.iter().map(|i| i.size_hint() + 2).sum::<usize>(),
+            Json::Obj(fields) => {
+                4 + fields
+                    .iter()
+                    .map(|(k, v)| escaped_capacity(k.len()) + v.size_hint() + 4)
+                    .sum::<usize>()
+            }
+            _ => 8,
+        }
+    }
+
+    fn write_line(&self, out: &mut Vec<u8>, seps: Seps) {
+        let [comma, colon, open, close] = seps.map(str::as_bytes);
+        match self {
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Int(i) => {
                 if *i < 0 {
-                    out.push('-');
+                    out.push(b'-');
                 }
                 push_uint(out, i.unsigned_abs());
             }
@@ -152,34 +175,34 @@ impl Json {
             }
             Json::Str(s) => push_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(comma);
+                        out.extend_from_slice(comma);
                     }
                     item.write_line(out, seps);
                 }
-                out.push(']');
+                out.push(b']');
             }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
+            Json::Obj(fields) if fields.is_empty() => out.extend_from_slice(b"{}"),
             Json::Obj(fields) => {
-                out.push_str(open);
+                out.extend_from_slice(open);
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(comma);
+                        out.extend_from_slice(comma);
                     }
                     push_str(out, k);
-                    out.push_str(colon);
+                    out.extend_from_slice(colon);
                     v.write_line(out, seps);
                 }
-                out.push_str(close);
+                out.extend_from_slice(close);
             }
         }
     }
 
     /// Pretty-print at `indent`; `line_items` writes each element of this
     /// array in the one-line form.
-    fn write(&self, out: &mut String, indent: usize, layout: &Layout, line_items: bool) {
+    fn write(&self, out: &mut Vec<u8>, indent: usize, layout: &Layout, line_items: bool) {
         match self {
             Json::Arr(items)
                 if !items.is_empty()
@@ -188,10 +211,10 @@ impl Json {
                             .iter()
                             .any(|i| matches!(i, Json::Arr(_) | Json::Obj(_)))) =>
             {
-                out.push_str("[\n");
+                out.extend_from_slice(b"[\n");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     pad(out, indent + 1);
                     if line_items {
@@ -200,19 +223,19 @@ impl Json {
                         item.write(out, indent + 1, layout, false);
                     }
                 }
-                out.push('\n');
+                out.push(b'\n');
                 pad(out, indent);
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) if !fields.is_empty() => {
-                out.push_str("{\n");
+                out.extend_from_slice(b"{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(",\n");
+                        out.extend_from_slice(b",\n");
                     }
                     pad(out, indent + 1);
                     push_str(out, k);
-                    out.push_str(": ");
+                    out.extend_from_slice(b": ");
                     let key: &str = k;
                     if layout.line_values.contains(&key) {
                         v.write_line(out, SPACED);
@@ -221,9 +244,9 @@ impl Json {
                         v.write(out, indent + 1, layout, items);
                     }
                 }
-                out.push('\n');
+                out.push(b'\n');
                 pad(out, indent);
-                out.push('}');
+                out.push(b'}');
             }
             // Scalars, empty containers and scalar-only arrays read the
             // same on one line.
@@ -284,68 +307,115 @@ type Seps = [&'static str; 4];
 const SPACED: Seps = [", ", ": ", "{ ", " }"];
 const COMPACT: Seps = [",", ":", "{", "}"];
 
+/// The writer's bytes as text: it copies input strings whole, so they
+/// stay UTF-8, and writes nothing else but ASCII.
+fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("the writer emits UTF-8")
+}
+
 /// Digits without `fmt`: documents are mostly small integers.
-fn push_uint(out: &mut String, n: u64) {
+fn push_uint(out: &mut Vec<u8>, n: u64) {
     if n >= 10 {
         push_uint(out, n / 10);
     }
-    out.push(char::from(b'0' + (n % 10) as u8));
+    out.push(b'0' + (n % 10) as u8);
 }
 
-/// A quoted, escaped string; escape-free text (the common case) is
-/// copied whole.
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        let _ = escape_to(out, s);
-    } else {
-        out.push_str(s);
-    }
-    out.push('"');
+/// A quoted, escaped string.
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    escape_into(out, s);
+    out.push(b'"');
 }
 
-fn pad(out: &mut String, indent: usize) {
+fn pad(out: &mut Vec<u8>, indent: usize) {
     for _ in 0..indent {
-        out.push_str("  ");
+        out.extend_from_slice(b"  ");
     }
 }
 
 /// Displays a string with JSON escapes applied (quote, backslash, control
-/// characters), without the surrounding quotes: the writer's slow path,
-/// and the escaper of `commscope::chrome`'s streamed trace lines.
+/// characters), without the surrounding quotes: the escaper of
+/// `commscope::chrome`'s streamed trace lines.
 pub struct Escaped<'a>(pub &'a str);
 
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        escape_to(f, self.0)
+        let mut out = Vec::new();
+        escape_into(&mut out, self.0);
+        f.write_str(std::str::from_utf8(&out).expect("escaping keeps UTF-8"))
     }
 }
 
-/// Write `s` with JSON escapes applied. Generic so the writer's `String`
-/// sink copies runs without going through a `Formatter`.
-fn escape_to(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
-    // Every byte that needs escaping is ASCII and never part of a
-    // multi-byte UTF-8 sequence, so slicing at it keeps runs valid.
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let esc = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x00..=0x1f => "",
-            _ => continue,
+/// Room for `len` bytes of string text once escaped, at a certificate's
+/// density of short escapes (one in every ~6 bytes), quotes included.
+fn escaped_capacity(len: usize) -> usize {
+    len + len / 4 + 2
+}
+
+/// Input bytes [`escape_into`] escapes per step.
+const CHUNK: usize = 128;
+
+/// How far past its output [`escape_into`] may write while escaping one
+/// step: every byte of it a six-byte escape, and the last one's 8-byte
+/// store.
+const ESCAPE_SLACK: usize = 6 * CHUNK + 2;
+
+/// Every byte's escaped text, padded to 8 bytes, and its length: itself,
+/// a two-byte escape (quote, backslash, `\n`, `\r`, `\t`) or a
+/// `\u00XX` escape (every other control character). Bytes of multi-byte
+/// UTF-8 sequences stand for themselves.
+const ESCAPES: [([u8; 8], usize); 256] = {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [([0u8; 8], 1); 256];
+    let mut b = 0;
+    while b < 256 {
+        let short = match b as u8 {
+            b'"' => b'"',
+            b'\\' => b'\\',
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            _ => 0,
         };
-        out.write_str(&s[run..i])?;
-        if esc.is_empty() {
-            write!(out, "\\u{b:04x}")?;
+        table[b] = if short != 0 {
+            ([b'\\', short, 0, 0, 0, 0, 0, 0], 2)
+        } else if b < 0x20 {
+            ([b'\\', b'u', b'0', b'0', HEX[b >> 4], HEX[b & 15], 0, 0], 6)
         } else {
-            out.write_str(esc)?;
-        }
-        run = i + 1;
+            ([b as u8, 0, 0, 0, 0, 0, 0, 0], 1)
+        };
+        b += 1;
     }
-    out.write_str(&s[run..])
+    table
+};
+
+/// Append `s` with JSON escapes applied, in one pass. The escape-free
+/// prefix (all of a key or a name) is copied whole; from the first escape
+/// on, every input byte stores its 8-byte table entry and advances the
+/// output by the entry's length, so the loop never branches on the text
+/// and clean runs cost what escapes cost. Each step of [`CHUNK`] bytes
+/// first makes room for its worst case.
+fn escape_into(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    let clean = bytes
+        .iter()
+        .position(|&b| ESCAPES[usize::from(b)].1 != 1)
+        .unwrap_or(bytes.len());
+    out.extend_from_slice(&bytes[..clean]);
+    let mut at = out.len();
+    for chunk in bytes[clean..].chunks(CHUNK) {
+        let need = at + 6 * chunk.len() + 2;
+        if out.len() < need {
+            out.resize(need, 0);
+        }
+        for &b in chunk {
+            let (text, len) = &ESCAPES[usize::from(b)];
+            out[at..at + 8].copy_from_slice(text);
+            at += len;
+        }
+    }
+    out.truncate(at);
 }
 
 /// A parse error with the byte position it was detected at.

@@ -28,9 +28,7 @@ pub mod parse;
 
 use std::collections::HashMap;
 
-use commint::analysis::{
-    buffer_independence, classify, deadlock_report, resolve_graph, sync_report, Pattern,
-};
+use commint::analysis::{buffer_independence, classify, resolve_graph, sync_report, Pattern};
 use commint::clause::{Diagnostic, Target};
 use commint::dir::ParamsSpec;
 use commint::lower::lower;
@@ -241,14 +239,14 @@ pub fn analyze_with_vars(
         let mut p2ps = Vec::new();
         for p in &spec.body {
             let g = resolve_graph(p, Some(&spec.clauses), nranks, vars);
-            let dl = deadlock_report(&g);
+            let m = g.matching();
             p2ps.push(P2pReport {
                 site: p.site,
-                pattern: classify(&g, nranks),
-                unmatched_sends: g.unmatched_sends().len(),
-                unmatched_recvs: g.unmatched_recvs().len(),
+                pattern: classify(&m, nranks),
+                unmatched_sends: m.unmatched_sends.len(),
+                unmatched_recvs: m.unmatched_recvs.len(),
                 unresolved_ranks: g.unresolved.len(),
-                nonblocking_safe: dl.nonblocking_safe,
+                nonblocking_safe: m.fully_matched(),
             });
         }
         regions.push(RegionReport {

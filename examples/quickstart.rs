@@ -56,8 +56,9 @@ fn main() {
     let p2p = &program[0].body[0];
     let graph = resolve_graph(p2p, Some(&program[0].clauses), nranks, &Default::default());
     println!("\n== compiler-style analysis ==");
-    println!("pattern        : {:?}", classify(&graph, nranks));
-    println!("fully matched  : {}", graph.fully_matched());
-    println!("deadlock report: {:?}", deadlock_report(&graph));
+    let matching = graph.matching();
+    println!("pattern        : {:?}", classify(&matching, nranks));
+    println!("fully matched  : {}", matching.fully_matched());
+    println!("deadlock report: {:?}", deadlock_report(&matching));
     println!("\nvirtual makespan: {}", res.makespan());
 }

@@ -74,8 +74,9 @@ fn parsed_even_odd_executes_and_matches_prediction() {
 
     // Static prediction.
     let g = resolve_graph(spec, None, n, &Default::default());
-    assert_eq!(classify(&g, n), Pattern::DisjointPairs);
-    let receivers: Vec<usize> = g.matched().iter().map(|e| e.dst).collect();
+    let m = g.matching();
+    assert_eq!(classify(&m, n), Pattern::DisjointPairs);
+    let receivers: Vec<usize> = m.matched.iter().map(|e| e.dst).collect();
 
     // Dynamic behaviour agrees.
     let data = execute_parsed(spec.clauses.clone(), n);

@@ -3,6 +3,9 @@
 //! batch CLIs, touching one region must never invalidate disjoint
 //! regions, and concurrent clients sharing one engine must all receive
 //! the same artifacts.
+//!
+//! Each property runs `PROPTEST_CASES` cases when it is set (CI runs
+//! 128), and 16 otherwise.
 
 use std::sync::Arc;
 
@@ -77,8 +80,15 @@ fn edits(regions: usize) -> impl Strategy<Value = Vec<Edit>> {
     )
 }
 
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(16)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// After every step of a random edit sequence, warm daemon output ==
     /// cold batch output, for both verbs, byte for byte.

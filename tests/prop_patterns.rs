@@ -46,8 +46,9 @@ proptest! {
             n,
             &Default::default(),
         );
-        prop_assert!(g.fully_matched());
-        prop_assert_eq!(classify(&g, n), Pattern::CyclicShift { k: (k as usize) % n });
+        let m = g.matching();
+        prop_assert!(m.fully_matched());
+        prop_assert_eq!(classify(&m, n), Pattern::CyclicShift { k: (k as usize) % n });
     }
 
     #[test]
