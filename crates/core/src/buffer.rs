@@ -7,6 +7,11 @@
 //! inference from "the size of the smallest array"), and the address range
 //! (→ buffer-independence analysis for synchronization consolidation).
 //!
+//! A view holds its name and one [`BufDesc`], built with the view; its
+//! [`BufMeta`], lowering, gather and scatter all derive from that one
+//! descriptor. Primitive, composite and strided slices are one
+//! [`SliceView`]; a struct-of-arrays group is a [`SoaView`].
+//!
 //! Every gather and scatter here is a walk of an `mpisim` [`Datatype`]:
 //! basic for primitive slices and struct-of-arrays members, vector for
 //! strided views, and a composite's own struct type, built once with its
@@ -20,10 +25,10 @@
 
 use std::borrow::Cow;
 use std::mem::MaybeUninit;
-use std::ops::Deref;
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
-use mpisim::dtype::{BasicType, Datatype, FieldKind};
+use mpisim::dtype::{BasicType, Datatype, DtypeError, FieldKind};
 use mpisim::pod::{as_bytes, as_bytes_mut, Pod};
 
 /// A primitive element type admissible in buffers.
@@ -118,18 +123,10 @@ impl CompositeLayout {
     /// programming errors in the type description, equivalent to compiler
     /// bugs in the paper's setting.
     pub fn new<T>(name: &str, fields: Vec<FieldDef>) -> CompositeLayout {
-        let descr: Vec<(&str, usize, usize, FieldKind)> = fields
+        let blocks = fields
             .iter()
-            .map(|f| {
-                (
-                    f.name.as_str(),
-                    f.offset,
-                    f.blocklen,
-                    FieldKind::Basic(f.ty),
-                )
-            })
-            .collect();
-        let datatype = Datatype::try_struct(&descr, std::mem::size_of::<T>())
+            .map(|f| (&*f.name, f.offset, f.blocklen, f.ty));
+        let datatype = struct_datatype(blocks, std::mem::size_of::<T>())
             .unwrap_or_else(|e| panic!("invalid composite layout for {name}: {e}"));
         CompositeLayout {
             name: name.to_string(),
@@ -194,6 +191,18 @@ impl CompositeLayout {
     }
 }
 
+/// The MPI struct datatype of `(name, offset, blocklen, type)` field
+/// blocks over `extent` bytes, validated.
+fn struct_datatype<'f>(
+    blocks: impl Iterator<Item = (&'f str, usize, usize, BasicType)>,
+    extent: usize,
+) -> Result<Datatype, DtypeError> {
+    let descr: Vec<_> = blocks
+        .map(|(name, offset, blocklen, ty)| (name, offset, blocklen, FieldKind::Basic(ty)))
+        .collect();
+    Datatype::try_struct(&descr, extent)
+}
+
 /// A composite type whose layout is declared for communication.
 ///
 /// The layout is a property of the type, so it is built and validated once
@@ -240,15 +249,34 @@ pub struct SoaField {
 /// format is field-major — all records of the first array, then all of the
 /// second — so a per-array transfer is a plain split of the packed stream
 /// and each array ships as one contiguous block, copy-free.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct SoaLayout {
-    /// Group name (diagnostics, codegen).
-    pub name: String,
-    /// Parallel arrays, in declaration order.
-    pub fields: Vec<SoaField>,
+    name: String,
+    fields: Vec<SoaField>,
+    /// The packed-equivalent struct datatype, built on first use.
+    datatype: OnceLock<Datatype>,
 }
 
 impl SoaLayout {
+    /// A layout of `fields`, in declaration order.
+    pub fn new(name: &str, fields: Vec<SoaField>) -> SoaLayout {
+        SoaLayout {
+            name: name.to_string(),
+            fields,
+            datatype: OnceLock::new(),
+        }
+    }
+
+    /// Group name (diagnostics, codegen).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Parallel arrays, in declaration order.
+    pub fn fields(&self) -> &[SoaField] {
+        &self.fields
+    }
+
     /// Bytes of payload one record contributes (sum over arrays).
     pub fn packed_size(&self) -> usize {
         self.fields.iter().map(|f| f.blocklen * f.ty.size()).sum()
@@ -256,19 +284,25 @@ impl SoaLayout {
 
     /// The packed-equivalent MPI struct datatype (sequential offsets): the
     /// layout key for commit caching, and what an absolute-addressed
-    /// `MPI_Type_create_struct` over the arrays commits to.
-    pub fn to_datatype(&self) -> Datatype {
-        let mut off = 0usize;
-        let descr: Vec<(&str, usize, usize, FieldKind)> = self
-            .fields
-            .iter()
-            .map(|f| {
+    /// `MPI_Type_create_struct` over the arrays commits to. Built once,
+    /// on first use.
+    pub fn datatype(&self) -> &Datatype {
+        self.datatype.get_or_init(|| {
+            let mut off = 0;
+            let blocks = self.fields.iter().map(|f| {
                 let at = off;
                 off += f.blocklen * f.ty.size();
-                (f.name.as_str(), at, f.blocklen, FieldKind::Basic(f.ty))
-            })
-            .collect();
-        Datatype::try_struct(&descr, off).expect("sequential blocks fit their sum")
+                (&*f.name, at, f.blocklen, f.ty)
+            });
+            struct_datatype(blocks, self.packed_size()).expect("sequential blocks fit their sum")
+        })
+    }
+}
+
+// The datatype derives from the fields, whether built yet or not.
+impl PartialEq for SoaLayout {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.fields == other.fields
     }
 }
 
@@ -291,24 +325,19 @@ pub enum ElemKind {
         stride: usize,
     },
     /// A struct-of-arrays record spread over parallel arrays.
-    Soa(SoaLayout),
+    Soa(Arc<SoaLayout>),
 }
 
 impl ElemKind {
-    /// Payload bytes per element.
+    /// Payload bytes per element: the sum of its blocks.
     pub fn packed_size(&self) -> usize {
-        match self {
-            ElemKind::Prim(t) => t.size(),
-            ElemKind::Composite(l) => l.packed_size(),
-            ElemKind::Strided { ty, blocklen, .. } => blocklen * ty.size(),
-            ElemKind::Soa(l) => l.packed_size(),
-        }
+        self.blocks().map(|(ty, n)| n * ty.size()).sum()
     }
 
     /// Memory extent per element. For struct-of-arrays the records live in
     /// disjoint arrays with no shared stride, so the payload size stands in;
     /// exact per-array address ranges come from the buffer's
-    /// [`SendBuf::sub_ranges`]/[`RecvBuf::sub_ranges`].
+    /// [`Buf::sub_ranges`].
     pub fn extent(&self) -> usize {
         match self {
             ElemKind::Prim(t) => t.size(),
@@ -322,19 +351,29 @@ impl ElemKind {
     /// wire): the footprint the receiving allocation must cover. For a
     /// strided view the final block does not extend to a full stride.
     pub fn span_bytes(&self, count: usize) -> usize {
-        match self {
+        let (datatype, n) = self.walked(count);
+        n * datatype.extent()
+    }
+
+    /// The datatype whose walk of `n` elements visits `count` elements of
+    /// this kind, as `(datatype, n)`. Strided blocks sit a stride apart,
+    /// not a block's extent, so `count` of them walk as one vector.
+    fn walked(&self, count: usize) -> (Cow<'_, Datatype>, usize) {
+        match *self {
             ElemKind::Strided {
                 ty,
                 blocklen,
                 stride,
             } => {
-                if count == 0 {
-                    0
-                } else {
-                    ((count - 1) * stride + blocklen) * ty.size()
-                }
+                let vector = Datatype::Vector {
+                    count,
+                    blocklen,
+                    stride,
+                    elem: ty,
+                };
+                (Cow::Owned(vector), 1)
             }
-            _ => count * self.extent(),
+            ref elem => (elem.datatype(), count),
         }
     }
 
@@ -343,16 +382,12 @@ impl ElemKind {
     /// (1 for primitives and strided views — an `iput` ships all blocks in
     /// one call — the field count for composites and struct-of-arrays).
     pub fn field_count(&self) -> usize {
-        match self {
-            ElemKind::Prim(_) | ElemKind::Strided { .. } => 1,
-            ElemKind::Composite(l) => l.fields().len().max(1),
-            ElemKind::Soa(l) => l.fields.len().max(1),
-        }
+        self.blocks().count().max(1)
     }
 
     /// The MPI datatype equivalent (basic, struct or vector; the vector
-    /// type is per-element: one block). A composite lends the struct type
-    /// its layout built once.
+    /// type is per-element: one block). Composite and struct-of-arrays
+    /// layouts lend the struct type they built once; no kind allocates.
     pub fn datatype(&self) -> Cow<'_, Datatype> {
         match self {
             ElemKind::Prim(t) => Cow::Owned(Datatype::Basic(*t)),
@@ -367,60 +402,35 @@ impl ElemKind {
                 stride: *stride,
                 elem: *ty,
             }),
-            ElemKind::Soa(l) => Cow::Owned(l.to_datatype()),
+            ElemKind::Soa(l) => Cow::Borrowed(l.datatype()),
         }
     }
 
+    /// One element's `(type, blocklen)` blocks in wire order.
+    fn blocks(&self) -> impl Iterator<Item = (BasicType, usize)> + '_ {
+        let (block, fields, arrays): (_, &[FieldDef], &[SoaField]) = match self {
+            ElemKind::Prim(t) => (Some((*t, 1)), &[], &[]),
+            ElemKind::Strided { ty, blocklen, .. } => (Some((*ty, *blocklen)), &[], &[]),
+            ElemKind::Composite(l) => (None, l.fields(), &[]),
+            ElemKind::Soa(l) => (None, &[], l.fields()),
+        };
+        let fields = fields.iter().map(|f| (f.ty, f.blocklen));
+        let arrays = arrays.iter().map(|f| (f.ty, f.blocklen));
+        block.into_iter().chain(fields).chain(arrays)
+    }
+
     /// Whether two buffers can be paired in one transfer (identical wire
-    /// representation). Strided and contiguous layouts are interchangeable
-    /// when the block payloads agree — the wire format is packed either
-    /// way (this is how a column scatters into a contiguous halo buffer).
+    /// representation): the same positional `(type, blocklen)` blocks, so
+    /// names, offsets and strides are irrelevant. A strided view pairs with
+    /// a contiguous slice (how a column scatters into a halo buffer); a
+    /// composite or a struct-of-arrays only with its own kind.
     pub fn compatible(&self, other: &ElemKind) -> bool {
-        match (self, other) {
-            (ElemKind::Prim(a), ElemKind::Prim(b)) => a == b,
-            (ElemKind::Composite(a), ElemKind::Composite(b)) => {
-                a.packed_size() == b.packed_size()
-                    && a.fields.len() == b.fields.len()
-                    && a.fields
-                        .iter()
-                        .zip(&b.fields)
-                        .all(|(x, y)| x.ty == y.ty && x.blocklen == y.blocklen)
-            }
-            (
-                ElemKind::Strided {
-                    ty: a,
-                    blocklen: la,
-                    ..
-                },
-                ElemKind::Strided {
-                    ty: b,
-                    blocklen: lb,
-                    ..
-                },
-            ) => a == b && la == lb,
-            (
-                ElemKind::Strided {
-                    ty: a, blocklen, ..
-                },
-                ElemKind::Prim(b),
-            )
-            | (
-                ElemKind::Prim(b),
-                ElemKind::Strided {
-                    ty: a, blocklen, ..
-                },
-            ) => a == b && *blocklen == 1,
-            // Struct-of-arrays pairs only with the same field sequence: the
-            // field-major wire format is positional per array.
-            (ElemKind::Soa(a), ElemKind::Soa(b)) => {
-                a.fields.len() == b.fields.len()
-                    && a.fields
-                        .iter()
-                        .zip(&b.fields)
-                        .all(|(x, y)| x.ty == y.ty && x.blocklen == y.blocklen)
-            }
-            _ => false,
-        }
+        let family = |k: &ElemKind| match k {
+            ElemKind::Prim(_) | ElemKind::Strided { .. } => 0,
+            ElemKind::Composite(_) => 1,
+            ElemKind::Soa(_) => 2,
+        };
+        family(self) == family(other) && self.blocks().eq(other.blocks())
     }
 }
 
@@ -438,11 +448,10 @@ pub struct BufMeta {
     pub addr: (usize, usize),
 }
 
-/// Name-free buffer descriptor for the directive execution hot path:
-/// everything `comm_p2p` needs per instance. The display name stays out so
-/// the common case allocates nothing (the engine evaluates every directive
-/// on every rank of every loop iteration); diagnostics and IR recording
-/// fetch the full [`BufMeta`] on their cold paths.
+/// Name-free buffer descriptor: everything `comm_p2p` needs per instance
+/// (every rank evaluates every directive of every loop iteration). A view
+/// builds it once, with the view, and lends it; diagnostics and IR
+/// recording fetch the named [`BufMeta`] on their cold paths.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BufDesc {
     /// Element kind.
@@ -453,23 +462,21 @@ pub struct BufDesc {
     pub addr: (usize, usize),
 }
 
-impl From<BufMeta> for BufDesc {
-    fn from(m: BufMeta) -> Self {
-        BufDesc {
-            elem: m.elem,
-            len: m.len,
-            addr: m.addr,
+/// A named buffer: its descriptor, built with it, and its metadata.
+pub trait Buf {
+    /// Display name.
+    fn name(&self) -> &str;
+    /// Hot-path descriptor.
+    fn desc(&self) -> &BufDesc;
+    /// Buffer metadata: the name plus the descriptor.
+    fn meta(&self) -> BufMeta {
+        let desc = self.desc();
+        BufMeta {
+            name: self.name().to_string(),
+            elem: desc.elem.clone(),
+            len: desc.len,
+            addr: desc.addr,
         }
-    }
-}
-
-/// A send-side buffer: read access plus metadata.
-pub trait SendBuf {
-    /// Buffer metadata.
-    fn meta(&self) -> BufMeta;
-    /// Hot-path descriptor; implementations override to skip the name.
-    fn desc(&self) -> BufDesc {
-        BufDesc::from(self.meta())
     }
     /// Exact per-array address ranges for views spanning multiple disjoint
     /// allocations (struct-of-arrays). `None` means the single `addr` range
@@ -479,30 +486,24 @@ pub trait SendBuf {
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         None
     }
+}
+
+/// A send-side buffer: read access.
+pub trait SendBuf: Buf {
     /// Append `count` elements' packed bytes to `out`.
     fn gather(&self, count: usize, out: &mut Vec<u8>);
     /// The form a `comm_p2p` builder stores this buffer in. The default
-    /// boxes it; primitive and composite buffers stay off the heap.
+    /// boxes it; a single-slice view stays off the heap.
     fn into_send_slot<'d>(self) -> SendSlot<'d>
     where
         Self: Sized + 'd,
     {
-        SendSlot::Boxed(Box::new(self))
+        Slot::Boxed(Box::new(self))
     }
 }
 
-/// A receive-side buffer: write access plus metadata.
-pub trait RecvBuf {
-    /// Buffer metadata.
-    fn meta(&self) -> BufMeta;
-    /// Hot-path descriptor; implementations override to skip the name.
-    fn desc(&self) -> BufDesc {
-        BufDesc::from(self.meta())
-    }
-    /// Exact per-array address ranges (see [`SendBuf::sub_ranges`]).
-    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
-        None
-    }
+/// A receive-side buffer: write access.
+pub trait RecvBuf: Buf {
     /// Fill `count` elements from packed bytes.
     fn scatter(&mut self, count: usize, packed: &[u8]);
     /// The form a `comm_p2p` builder stores this buffer in (see
@@ -511,105 +512,57 @@ pub trait RecvBuf {
     where
         Self: Sized + 'd,
     {
-        RecvSlot::Boxed(Box::new(self))
+        Slot::Boxed(Box::new(self))
     }
 }
 
-/// A send buffer as a `comm_p2p` builder holds it. Every rank builds every
-/// directive instance, participant or not, so the common primitive and
-/// composite cases are kept inline as byte views instead of a heap box.
-pub enum SendSlot<'d> {
-    /// A primitive slice.
-    Prim(Prim<'d>),
-    /// A described-composite slice.
-    Composite(Struc<'d>),
+/// A buffer as a `comm_p2p` builder holds it. Every rank builds every
+/// directive instance, participant or not, so a single-slice view (a
+/// primitive, composite or strided slice) is kept inline; any other buffer
+/// (a struct-of-arrays view) is boxed.
+pub enum Slot<V, B: ?Sized> {
+    /// A single-slice view.
+    View(V),
     /// Any other buffer.
-    Boxed(Box<dyn SendBuf + 'd>),
+    Boxed(Box<B>),
 }
 
-/// A receive buffer as a `comm_p2p` builder holds it (see [`SendSlot`]).
-pub enum RecvSlot<'d> {
-    /// A primitive slice.
-    Prim(PrimMut<'d>),
-    /// A described-composite slice.
-    Composite(StrucMut<'d>),
-    /// Any other buffer.
-    Boxed(Box<dyn RecvBuf + 'd>),
-}
+/// A send buffer as a `comm_p2p` builder holds it.
+pub type SendSlot<'d> = Slot<SendView<'d>, dyn SendBuf + 'd>;
 
-impl SendBuf for SendSlot<'_> {
-    fn meta(&self) -> BufMeta {
-        match self {
-            SendSlot::Prim(v) => v.meta(),
-            SendSlot::Composite(v) => v.meta(),
-            SendSlot::Boxed(b) => b.meta(),
-        }
-    }
+/// A receive buffer as a `comm_p2p` builder holds it.
+pub type RecvSlot<'d> = Slot<RecvView<'d>, dyn RecvBuf + 'd>;
 
-    fn desc(&self) -> BufDesc {
-        match self {
-            SendSlot::Prim(v) => v.desc(),
-            SendSlot::Composite(v) => v.desc(),
-            SendSlot::Boxed(b) => b.desc(),
-        }
-    }
+// A slot lends the buffer it holds, so the engine reads and fills either
+// kind through the one trait.
+impl<'d> Deref for SendSlot<'d> {
+    type Target = dyn SendBuf + 'd;
 
-    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
+    fn deref(&self) -> &Self::Target {
         match self {
-            SendSlot::Prim(_) | SendSlot::Composite(_) => None,
-            SendSlot::Boxed(b) => b.sub_ranges(),
-        }
-    }
-
-    fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        match self {
-            SendSlot::Prim(v) => v.gather(count, out),
-            SendSlot::Composite(v) => v.gather(count, out),
-            SendSlot::Boxed(b) => b.gather(count, out),
+            Slot::View(v) => v,
+            Slot::Boxed(b) => &**b,
         }
     }
 }
 
-impl RecvBuf for RecvSlot<'_> {
-    fn meta(&self) -> BufMeta {
-        match self {
-            RecvSlot::Prim(v) => v.meta(),
-            RecvSlot::Composite(v) => v.meta(),
-            RecvSlot::Boxed(b) => b.meta(),
-        }
-    }
+impl<'d> Deref for RecvSlot<'d> {
+    type Target = dyn RecvBuf + 'd;
 
-    fn desc(&self) -> BufDesc {
+    fn deref(&self) -> &Self::Target {
         match self {
-            RecvSlot::Prim(v) => v.desc(),
-            RecvSlot::Composite(v) => v.desc(),
-            RecvSlot::Boxed(b) => b.desc(),
-        }
-    }
-
-    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
-        match self {
-            RecvSlot::Prim(_) | RecvSlot::Composite(_) => None,
-            RecvSlot::Boxed(b) => b.sub_ranges(),
-        }
-    }
-
-    fn scatter(&mut self, count: usize, packed: &[u8]) {
-        match self {
-            RecvSlot::Prim(v) => v.scatter(count, packed),
-            RecvSlot::Composite(v) => v.scatter(count, packed),
-            RecvSlot::Boxed(b) => b.scatter(count, packed),
+            Slot::View(v) => v,
+            Slot::Boxed(b) => &**b,
         }
     }
 }
 
-fn with_name(name: &str, desc: BufDesc) -> BufMeta {
-    let BufDesc { elem, len, addr } = desc;
-    BufMeta {
-        name: name.to_string(),
-        elem,
-        len,
-        addr,
+impl DerefMut for RecvSlot<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Slot::View(v) => v,
+            Slot::Boxed(b) => &mut **b,
+        }
     }
 }
 
@@ -619,332 +572,213 @@ fn addr_of<T>(bytes: &[T]) -> (usize, usize) {
     (lo, lo + std::mem::size_of_val(bytes))
 }
 
-/// A named primitive slice viewed as bytes: `B` is `&[u8]` for a send
-/// buffer ([`Prim`]) and `&mut [u8]` for a receive buffer ([`PrimMut`]).
-pub struct PrimView<'a, B> {
+/// The memory of `data`, padding included, as bytes that may be
+/// uninitialized.
+fn raw<T: Copy>(data: &[T]) -> &[MaybeUninit<u8>] {
+    // SAFETY: every byte, initialized or not, is a valid `MaybeUninit<u8>`,
+    // and the result covers exactly the memory `data` borrows.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast(), std::mem::size_of_val(data)) }
+}
+
+/// [`raw`] for writing.
+///
+/// # Safety
+///
+/// The caller writes through the result only initialized bytes that keep
+/// every `T` valid.
+unsafe fn raw_mut<T: Copy>(data: &mut [T]) -> &mut [MaybeUninit<u8>] {
+    // SAFETY: as in `raw`; the caller keeps every `T` valid.
+    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast(), std::mem::size_of_val(data)) }
+}
+
+/// A named buffer over one slice: its descriptor and the elements' memory,
+/// padding included, as `&[MaybeUninit<u8>]` to send ([`SendView`]) or its
+/// `&mut` form to receive ([`RecvView`]). Primitive, composite and strided
+/// slices differ only in the element kind; [`Prim`], [`Struc`],
+/// [`PrimStrided`] and their `Mut` forms build one. Gather and scatter walk
+/// the kind's datatype, whose blocks only those constructors decide: each
+/// is initialized and accepts every byte pattern, and padding is untouched.
+pub struct SliceView<'a, R> {
     name: &'a str,
-    ty: BasicType,
-    bytes: B,
-}
-
-/// A named primitive send buffer.
-pub type Prim<'a> = PrimView<'a, &'a [u8]>;
-
-/// A named primitive receive buffer.
-pub type PrimMut<'a> = PrimView<'a, &'a mut [u8]>;
-
-impl<'a> Prim<'a> {
-    /// Wrap a primitive slice with a display name.
-    pub fn new<T: PrimElem>(name: &'a str, data: &'a [T]) -> Self {
-        let bytes = as_bytes(data);
-        PrimView {
-            name,
-            ty: T::BASIC,
-            bytes,
-        }
-    }
-}
-
-impl<'a> PrimMut<'a> {
-    /// Wrap a mutable primitive slice with a display name.
-    pub fn new<T: PrimElem>(name: &'a str, data: &'a mut [T]) -> Self {
-        let bytes = as_bytes_mut(data);
-        PrimView {
-            name,
-            ty: T::BASIC,
-            bytes,
-        }
-    }
-}
-
-impl<B: Deref<Target = [u8]>> PrimView<'_, B> {
-    fn describe(&self) -> BufDesc {
-        BufDesc {
-            elem: ElemKind::Prim(self.ty),
-            len: self.bytes.len() / self.ty.size(),
-            addr: addr_of(&self.bytes),
-        }
-    }
-}
-
-impl SendBuf for Prim<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
-    fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        Datatype::Basic(self.ty).gather(self.bytes, count, out);
-    }
-
-    fn into_send_slot<'d>(self) -> SendSlot<'d>
-    where
-        Self: 'd,
-    {
-        SendSlot::Prim(self)
-    }
-}
-
-impl RecvBuf for PrimMut<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
-    fn scatter(&mut self, count: usize, packed: &[u8]) {
-        Datatype::Basic(self.ty).scatter(packed, count, self.bytes);
-    }
-
-    fn into_recv_slot<'d>(self) -> RecvSlot<'d>
-    where
-        Self: 'd,
-    {
-        RecvSlot::Prim(self)
-    }
-}
-
-/// A named described-composite slice with its element type erased. `raw`
-/// is the elements' memory, padding included, as `&[MaybeUninit<u8>]` for
-/// a send buffer ([`Struc`]) or its `&mut` form for a receive buffer
-/// ([`StrucMut`]); only the blocks of the layout's datatype are read or
-/// written. The fields are private and only the two `new`s build one, so
-/// `raw` always holds `len` elements of the type `layout` describes.
-pub struct CompositeView<'a, R> {
-    name: &'a str,
-    layout: Arc<CompositeLayout>,
-    len: usize,
+    desc: BufDesc,
     raw: R,
 }
 
-/// A named composite send buffer.
-pub type Struc<'a> = CompositeView<'a, &'a [MaybeUninit<u8>]>;
+/// A single-slice send buffer.
+pub type SendView<'a> = SliceView<'a, &'a [MaybeUninit<u8>]>;
 
-/// A named composite receive buffer.
-pub type StrucMut<'a> = CompositeView<'a, &'a mut [MaybeUninit<u8>]>;
+/// A single-slice receive buffer.
+pub type RecvView<'a> = SliceView<'a, &'a mut [MaybeUninit<u8>]>;
 
-impl<'a> Struc<'a> {
-    /// Wrap a described-composite slice with a display name.
-    pub fn new<T: Described>(name: &'a str, data: &'a [T]) -> Self {
-        // SAFETY: every byte, initialized or not, is a valid
-        // `MaybeUninit<u8>`, and the view covers exactly the memory `data`
-        // borrows.
-        let raw = unsafe {
-            std::slice::from_raw_parts(data.as_ptr().cast(), std::mem::size_of_val(data))
-        };
-        CompositeView {
+impl<'a, R: Deref<Target = [MaybeUninit<u8>]>> SliceView<'a, R> {
+    fn with(name: &'a str, elem: ElemKind, len: usize, raw: R) -> Self {
+        let addr = addr_of(&raw);
+        SliceView {
             name,
-            layout: T::layout(),
-            len: data.len(),
+            desc: BufDesc { elem, len, addr },
             raw,
         }
     }
-}
 
-impl<'a> StrucMut<'a> {
-    /// Wrap a mutable described-composite slice with a display name. Only
-    /// `scatter` writes through it, and only initialized bytes into
-    /// described fields, whose primitive types accept every byte pattern.
-    pub fn new<T: Described>(name: &'a str, data: &'a mut [T]) -> Self {
-        let len = data.len();
-        // SAFETY: as in `Struc::new`; the writes keep every `T` valid
-        // (above).
-        let raw = unsafe {
-            std::slice::from_raw_parts_mut(data.as_mut_ptr().cast(), std::mem::size_of_val(data))
+    /// A strided view of `v` values of `T`: the `(v - blocklen) / stride + 1`
+    /// blocks that start and end inside it, or none when `v < blocklen`.
+    fn strided<T: PrimElem>(name: &'a str, raw: R, blocklen: usize, stride: usize) -> Self {
+        assert!(blocklen >= 1 && stride >= blocklen, "invalid stride layout");
+        let len = (raw.len() / size_of::<T>() + stride - blocklen) / stride;
+        let elem = ElemKind::Strided {
+            ty: T::BASIC,
+            blocklen,
+            stride,
         };
-        CompositeView {
-            name,
-            layout: T::layout(),
-            len,
-            raw,
-        }
+        SliceView::with(name, elem, len, raw)
     }
 }
 
-impl<R: Deref<Target = [MaybeUninit<u8>]>> CompositeView<'_, R> {
-    fn describe(&self) -> BufDesc {
-        BufDesc {
-            elem: ElemKind::Composite(Arc::clone(&self.layout)),
-            len: self.len,
-            addr: addr_of(&self.raw),
-        }
+impl<R> Buf for SliceView<'_, R> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn desc(&self) -> &BufDesc {
+        &self.desc
     }
 }
 
-impl SendBuf for Struc<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
+impl SendBuf for SendView<'_> {
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        assert!(count <= self.len, "gather count exceeds buffer length");
-        // SAFETY: `raw` holds elements of a `Described` type, whose layout
-        // contract makes every block of its datatype an initialized field.
-        unsafe { self.layout.datatype.gather_uninit(self.raw, count, out) }
+        let (datatype, n) = self.desc.elem.walked(count);
+        // SAFETY: a view's walked blocks are initialized (see `SliceView`).
+        unsafe { datatype.gather_uninit(self.raw, n, out) }
     }
 
     fn into_send_slot<'d>(self) -> SendSlot<'d>
     where
         Self: 'd,
     {
-        SendSlot::Composite(self)
+        Slot::View(self)
     }
 }
 
-impl RecvBuf for StrucMut<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
+impl RecvBuf for RecvView<'_> {
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        assert!(count <= self.len, "scatter count exceeds buffer length");
-        self.layout.datatype.scatter_uninit(packed, count, self.raw);
+        let (datatype, n) = self.desc.elem.walked(count);
+        datatype.scatter_uninit(packed, n, self.raw);
     }
 
     fn into_recv_slot<'d>(self) -> RecvSlot<'d>
     where
         Self: 'd,
     {
-        RecvSlot::Composite(self)
+        Slot::View(self)
     }
 }
 
-/// A named strided view over bytes `B` (`&[u8]` to send, `&mut [u8]` to
-/// receive): blocks of `blocklen` values whose starts are `stride` values
-/// apart. It ships a matrix row/column without copying it contiguous first
-/// (the directive's automatic `MPI_Type_vector` handling).
-pub struct StridedView<'a, B> {
-    name: &'a str,
-    ty: BasicType,
-    blocklen: usize,
-    stride: usize,
-    bytes: B,
+/// Builds primitive send views ([`Prim::new`]).
+pub enum Prim {}
+
+impl Prim {
+    /// Wrap a primitive slice with a display name.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: PrimElem>(name: &'a str, data: &'a [T]) -> SendView<'a> {
+        SliceView::with(name, ElemKind::Prim(T::BASIC), data.len(), raw(data))
+    }
 }
 
-/// A strided send view.
-pub type PrimStrided<'a> = StridedView<'a, &'a [u8]>;
+/// Builds primitive receive views ([`PrimMut::new`]).
+pub enum PrimMut {}
 
-/// A strided receive view.
-pub type PrimStridedMut<'a> = StridedView<'a, &'a mut [u8]>;
+impl PrimMut {
+    /// Wrap a mutable primitive slice with a display name.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: PrimElem>(name: &'a str, data: &'a mut [T]) -> RecvView<'a> {
+        let len = data.len();
+        // SAFETY: a scatter writes initialized bytes, and a primitive
+        // accepts every byte pattern.
+        SliceView::with(name, ElemKind::Prim(T::BASIC), len, unsafe {
+            raw_mut(data)
+        })
+    }
+}
 
-impl<'a> PrimStrided<'a> {
+/// Builds described-composite send views ([`Struc::new`]).
+pub enum Struc {}
+
+impl Struc {
+    /// Wrap a described-composite slice with a display name.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: Described>(name: &'a str, data: &'a [T]) -> SendView<'a> {
+        SliceView::with(
+            name,
+            ElemKind::Composite(T::layout()),
+            data.len(),
+            raw(data),
+        )
+    }
+}
+
+/// Builds described-composite receive views ([`StrucMut::new`]).
+pub enum StrucMut {}
+
+impl StrucMut {
+    /// Wrap a mutable described-composite slice with a display name.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: Described>(name: &'a str, data: &'a mut [T]) -> RecvView<'a> {
+        let len = data.len();
+        // SAFETY: a scatter writes initialized bytes only into the
+        // described fields, whose primitive types accept every byte pattern.
+        SliceView::with(name, ElemKind::Composite(T::layout()), len, unsafe {
+            raw_mut(data)
+        })
+    }
+}
+
+/// Builds strided send views ([`PrimStrided::new`]): blocks of `blocklen`
+/// values whose starts are `stride` values apart. One ships a matrix
+/// row/column without copying it contiguous first (the directive's
+/// automatic `MPI_Type_vector` handling).
+pub enum PrimStrided {}
+
+impl PrimStrided {
     /// Wrap a strided view. `data` must cover every addressed block;
     /// `stride >= blocklen >= 1`.
-    pub fn new<T: PrimElem>(name: &'a str, data: &'a [T], blocklen: usize, stride: usize) -> Self {
-        StridedView::with(name, T::BASIC, blocklen, stride, as_bytes(data))
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: PrimElem>(
+        name: &'a str,
+        data: &'a [T],
+        blocklen: usize,
+        stride: usize,
+    ) -> SendView<'a> {
+        SliceView::strided::<T>(name, raw(data), blocklen, stride)
     }
 }
 
-impl<'a> PrimStridedMut<'a> {
+/// Builds strided receive views ([`PrimStridedMut::new`]).
+pub enum PrimStridedMut {}
+
+impl PrimStridedMut {
     /// Wrap a mutable strided view.
-    pub fn new<T: PrimElem>(
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a, T: PrimElem>(
         name: &'a str,
         data: &'a mut [T],
         blocklen: usize,
         stride: usize,
-    ) -> Self {
-        StridedView::with(name, T::BASIC, blocklen, stride, as_bytes_mut(data))
-    }
-}
-
-impl<'a, B: Deref<Target = [u8]>> StridedView<'a, B> {
-    fn with(name: &'a str, ty: BasicType, blocklen: usize, stride: usize, bytes: B) -> Self {
-        assert!(blocklen >= 1 && stride >= blocklen, "invalid stride layout");
-        StridedView {
-            name,
-            ty,
-            blocklen,
-            stride,
-            bytes,
-        }
-    }
-
-    /// Whole blocks that start and end inside the view.
-    fn n_blocks(&self) -> usize {
-        let values = self.bytes.len() / self.ty.size();
-        if values < self.blocklen {
-            0
-        } else {
-            (values - self.blocklen) / self.stride + 1
-        }
-    }
-
-    fn describe(&self) -> BufDesc {
-        BufDesc {
-            elem: ElemKind::Strided {
-                ty: self.ty,
-                blocklen: self.blocklen,
-                stride: self.stride,
-            },
-            len: self.n_blocks(),
-            addr: addr_of(&self.bytes),
-        }
-    }
-
-    /// The first `count` blocks as one vector datatype, after checking that
-    /// the view holds them (`what` names the direction).
-    fn vector(&self, count: usize, what: &str) -> Datatype {
-        assert!(count <= self.n_blocks(), "{what} count exceeds block count");
-        Datatype::Vector {
-            count,
-            blocklen: self.blocklen,
-            stride: self.stride,
-            elem: self.ty,
-        }
-    }
-}
-
-impl SendBuf for PrimStrided<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
-    fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        self.vector(count, "gather").gather(self.bytes, 1, out);
-    }
-}
-
-impl RecvBuf for PrimStridedMut<'_> {
-    fn meta(&self) -> BufMeta {
-        with_name(self.name, self.describe())
-    }
-
-    fn desc(&self) -> BufDesc {
-        self.describe()
-    }
-
-    fn scatter(&mut self, count: usize, packed: &[u8]) {
-        let vector = self.vector(count, "scatter");
-        vector.scatter(packed, 1, self.bytes);
+    ) -> RecvView<'a> {
+        // SAFETY: as in `PrimMut::new`.
+        SliceView::strided::<T>(name, unsafe { raw_mut(data) }, blocklen, stride)
     }
 }
 
 /// A named struct-of-arrays view over parallel arrays held as byte slices
 /// `B` (`&[u8]` to send, `&mut [u8]` to receive): one logical record is
 /// `blocklen` values in each declared array (the wl-lsms core-state shape).
-/// Build with the chainable `field`/`field_blocks`; the record count is
-/// the smallest per-array record count, so a set of empty slices is a
-/// valid zero-length placeholder on non-participating ranks.
+/// Build with the chainable `field`/`field_blocks`, each of which extends
+/// the view's one descriptor and shared layout; the record count is the
+/// smallest per-array record count, so a set of empty slices is a valid
+/// zero-length placeholder on non-participating ranks.
 pub struct SoaView<'a, B> {
     name: &'a str,
-    fields: Vec<SoaField>,
+    desc: BufDesc,
     bytes: Vec<B>,
     ranges: Vec<(usize, usize)>,
 }
@@ -984,7 +818,11 @@ impl<'a, B: Deref<Target = [u8]>> SoaView<'a, B> {
     pub fn new(name: &'a str) -> Self {
         SoaView {
             name,
-            fields: Vec::new(),
+            desc: BufDesc {
+                elem: ElemKind::Soa(Arc::new(SoaLayout::new(name, Vec::new()))),
+                len: 0,
+                addr: (0, 0),
+            },
             bytes: Vec::new(),
             ranges: Vec::new(),
         }
@@ -992,78 +830,62 @@ impl<'a, B: Deref<Target = [u8]>> SoaView<'a, B> {
 
     fn push(mut self, name: &str, ty: BasicType, blocklen: usize, bytes: B) -> Self {
         assert!(blocklen >= 1, "soa blocklen must be at least 1");
-        self.fields.push(SoaField {
+        let ElemKind::Soa(layout) = &mut self.desc.elem else {
+            unreachable!("a struct-of-arrays view has a struct-of-arrays layout")
+        };
+        let layout = Arc::make_mut(layout);
+        layout.datatype = OnceLock::new();
+        layout.fields.push(SoaField {
             name: name.to_string(),
             ty,
             blocklen,
         });
-        self.ranges.push(addr_of(&bytes));
+        let records = bytes.len() / (blocklen * ty.size());
+        let (lo, hi) = addr_of(&bytes);
+        let d = &mut self.desc;
+        (d.len, d.addr) = if self.bytes.is_empty() {
+            (records, (lo, hi))
+        } else {
+            (d.len.min(records), (d.addr.0.min(lo), d.addr.1.max(hi)))
+        };
+        self.ranges.push((lo, hi));
         self.bytes.push(bytes);
         self
     }
-
-    /// Whole records: the smallest per-array record count.
-    fn records(&self) -> usize {
-        self.fields
-            .iter()
-            .zip(&self.bytes)
-            .map(|(f, b)| b.len() / (f.blocklen * f.ty.size()))
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn view_meta(&self) -> BufMeta {
-        let lo = self.ranges.iter().map(|r| r.0).min().unwrap_or(0);
-        let hi = self.ranges.iter().map(|r| r.1).max().unwrap_or(0);
-        BufMeta {
-            name: self.name.to_string(),
-            elem: ElemKind::Soa(SoaLayout {
-                name: self.name.to_string(),
-                fields: self.fields.clone(),
-            }),
-            len: self.records(),
-            addr: (lo, hi.max(lo)),
-        }
-    }
 }
 
-impl SendBuf for Soa<'_> {
-    fn meta(&self) -> BufMeta {
-        self.view_meta()
+impl<B> Buf for SoaView<'_, B> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn desc(&self) -> &BufDesc {
+        &self.desc
     }
 
     fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
         Some(&self.ranges)
     }
+}
 
+impl SendBuf for Soa<'_> {
     // Field-major wire format: all records of the first array, then all of
     // the second — each array contributes one contiguous copy-free block.
     fn gather(&self, count: usize, out: &mut Vec<u8>) {
-        assert!(count <= self.records(), "gather count exceeds record count");
-        for (f, b) in self.fields.iter().zip(&self.bytes) {
-            Datatype::Basic(f.ty).gather(b, count * f.blocklen, out);
+        assert!(count <= self.desc.len, "gather count exceeds record count");
+        for ((ty, blocklen), b) in self.desc.elem.blocks().zip(&self.bytes) {
+            Datatype::Basic(ty).gather(b, count * blocklen, out);
         }
     }
 }
 
 impl RecvBuf for SoaMut<'_> {
-    fn meta(&self) -> BufMeta {
-        self.view_meta()
-    }
-
-    fn sub_ranges(&self) -> Option<&[(usize, usize)]> {
-        Some(&self.ranges)
-    }
-
     fn scatter(&mut self, count: usize, packed: &[u8]) {
-        assert!(
-            count <= self.records(),
-            "scatter count exceeds record count"
-        );
+        assert!(count <= self.desc.len, "scatter count exceeds record count");
         let mut pos = 0usize;
-        for (f, b) in self.fields.iter().zip(&mut self.bytes) {
-            Datatype::Basic(f.ty).scatter(&packed[pos..], count * f.blocklen, b);
-            pos += count * f.blocklen * f.ty.size();
+        for ((ty, blocklen), b) in self.desc.elem.blocks().zip(&mut self.bytes) {
+            Datatype::Basic(ty).scatter(&packed[pos..], count * blocklen, b);
+            pos += count * blocklen * ty.size();
         }
     }
 }
@@ -1228,10 +1050,14 @@ mod tests {
             },
         ];
         let sb = Struc::new("items", &items);
-        let want = sb.meta();
+        let (want, desc) = (sb.meta(), sb.desc().clone());
         let slot = sb.into_send_slot();
+        assert!(
+            matches!(slot, Slot::View(_)),
+            "a composite slice stays inline"
+        );
         assert_eq!(slot.meta(), want);
-        assert_eq!(BufDesc::from(want), slot.desc());
+        assert_eq!(slot.desc(), &desc);
         let (mut packed, mut direct) = (Vec::new(), Vec::new());
         slot.gather(2, &mut packed);
         gather_described(&items, 2, &mut direct);
@@ -1389,7 +1215,7 @@ mod tests {
         let a = [0f64; 4];
         let b = [0i32; 4];
         let sb = Soa::new("g").field("a", &a).field("b", &b);
-        let subs = SendBuf::sub_ranges(&sb).unwrap();
+        let subs = sb.sub_ranges().unwrap();
         assert_eq!(subs.len(), 2);
         assert_eq!(subs[0], (a.as_ptr() as usize, a.as_ptr() as usize + 32));
         assert_eq!(subs[1], (b.as_ptr() as usize, b.as_ptr() as usize + 16));

@@ -69,7 +69,9 @@ pub mod patterns;
 pub mod race;
 pub mod scope;
 
-pub use buffer::{Prim, PrimMut, PrimStrided, PrimStridedMut, RecvBuf, SendBuf, Struc, StrucMut};
+pub use buffer::{
+    Buf, Prim, PrimMut, PrimStrided, PrimStridedMut, RecvBuf, SendBuf, Struc, StrucMut,
+};
 pub use clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Severity, Target};
 pub use coll::{CollKind, ReduceOp};
 pub use diag::{Diag, DirSpans, LintCode, RankWitness, SrcSpan, Verification};

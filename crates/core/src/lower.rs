@@ -365,7 +365,7 @@ pub fn lower_with_model(
                                 "  /* soa {}: one direct send per array (zero-copy) */",
                                 b.name
                             ));
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  MPI_Isend({fname}, {fc}, {ty}, {receiver}, {tag}, comm, &req[{r}]);",
                                     fname = f.name,
@@ -377,7 +377,7 @@ pub fn lower_with_model(
                             }
                         }
                         (ElemKind::Soa(l), _) => {
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  MPI_Pack({fname}, {fc}, {ty}, {buf}_pack, sizeof {buf}_pack, &{buf}_pack_pos, comm);",
                                     fname = f.name,
@@ -422,7 +422,7 @@ pub fn lower_with_model(
                     let low = choose_lowering(&b.elem, scount, target, &model);
                     match (&b.elem, low) {
                         (ElemKind::Soa(l), Lowering::Split { .. }) => {
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  MPI_Irecv({fname}, {fc}, {ty}, {sender}, {tag}, comm, &req[{r}]);",
                                     fname = f.name,
@@ -442,7 +442,7 @@ pub fn lower_with_model(
                             ));
                             req_count += 1;
                             let mut cum = 0usize;
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 deferred_unpacks.push(format!(
                                     "memcpy({fname}, {buf}_pack + ({cnt})*{cum}, ({fc})*{es}); /* unpack */",
                                     fname = f.name,
@@ -489,7 +489,7 @@ pub fn lower_with_model(
                                 "  /* soa {}: one put per array (zero-copy) */",
                                 b.name
                             ));
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  MPI_Put({fname}, {fc}, {ty}, {receiver}, {fname}_disp, {fc}, {ty}, win);",
                                     fname = f.name,
@@ -499,7 +499,7 @@ pub fn lower_with_model(
                             }
                         }
                         (ElemKind::Soa(l), _) => {
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  MPI_Pack({fname}, {fc}, {ty}, {buf}_pack, sizeof {buf}_pack, &{buf}_pack_pos, comm);",
                                     fname = f.name,
@@ -568,7 +568,7 @@ pub fn lower_with_model(
                                 "  /* soa {}: one typed put per array (zero-copy) */",
                                 b.name
                             ));
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 let tp = shmemsim::TypedPut::for_elem_size(f.ty.size());
                                 code.body.push(format!(
                                     "  {call}({fname}_sym, {fname}, {fc}, {receiver});",
@@ -606,7 +606,7 @@ pub fn lower_with_model(
                             }
                         }
                         (ElemKind::Soa(l), _) => {
-                            for f in &l.fields {
+                            for f in l.fields() {
                                 code.body.push(format!(
                                     "  pack_bytes({buf}_pack, &{buf}_pack_pos, {fname}, ({fc})*{es});",
                                     buf = b.name,
@@ -680,7 +680,7 @@ fn elem_c_size_hint(elem: &ElemKind) -> String {
     match elem {
         ElemKind::Prim(b) | ElemKind::Strided { ty: b, .. } => c_type(*b).to_string(),
         ElemKind::Composite(l) => l.name().to_string(),
-        ElemKind::Soa(l) => l.name.clone(),
+        ElemKind::Soa(l) => l.name().to_string(),
     }
 }
 
@@ -913,10 +913,10 @@ mod tests {
             .collect();
         BufMeta {
             name: name.to_string(),
-            elem: ElemKind::Soa(SoaLayout {
-                name: format!("{name}Soa"),
+            elem: ElemKind::Soa(std::sync::Arc::new(SoaLayout::new(
+                &format!("{name}Soa"),
                 fields,
-            }),
+            ))),
             len,
             addr: (0, len * 32),
         }

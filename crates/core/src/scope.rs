@@ -1699,7 +1699,7 @@ fn exec_mpi2(
             // trace still carries a site-attributed RecvDone (the virtual
             // charge lands later, in the consolidated region sync).
             session.ctx.note_recv_completion(&req, &done);
-            session.push_recv_horizon(rb.sub_ranges(), meta.addr, done.completion);
+            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, done.completion);
             pending.recv_completions.push(done.completion);
         }
     }
@@ -1944,7 +1944,7 @@ fn exec_coalesced(
                 session.ctx.charge_pack(piece.len(), &mpi);
             }
             rb.scatter(n, &piece);
-            session.push_recv_horizon(rb.sub_ranges(), meta.addr, completion);
+            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, completion);
         }
     }
     Ok(())
@@ -2062,7 +2062,7 @@ fn exec_onesided(
             // now reusable by flow-controlled senders.
             session.ctx.charge_memcpy(bytes, &model);
             session.ctx.mark_consumed(slot.seg, 1);
-            session.push_recv_horizon(rb.sub_ranges(), meta.addr, arrival);
+            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, arrival);
             pending.note_arrival(target, arrival);
         }
     }

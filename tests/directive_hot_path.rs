@@ -881,13 +881,27 @@ fn bystander_atom_transfers_do_not_allocate() {
     }
 }
 
-// -- a participating composite transfer -------------------------------------
+// -- a participating transfer of each buffer shape ---------------------------
 
-/// Allocations per rank over `transfers` directive-MPI transfers of two
-/// `AtomScalars` from rank 0 to rank 1 under `AlwaysDatatype`, after two
-/// warm-ups. With `composite` false the same payload bytes travel as a
-/// `u8` slice instead.
-fn participant_allocs(composite: bool, transfers: usize) -> Vec<u64> {
+/// The buffer shape a participating transfer moves.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// A `u8` slice of the payload bytes.
+    Primitive,
+    /// Two `AtomScalars` through their described layout.
+    Composite,
+    /// Every other `u8` of a slice twice the payload: blocks of one value,
+    /// two apart.
+    Strided,
+    /// Two parallel arrays, eight `f64` and eight `i32` records.
+    Soa,
+}
+
+/// Allocations per rank over `transfers` directive-MPI transfers of one
+/// buffer of `shape` from rank 0 to rank 1 under `policy`, after two
+/// warm-ups. The primitive, composite and strided shapes carry the same
+/// payload bytes.
+fn participant_allocs(shape: Shape, policy: LoweringPolicy, transfers: usize) -> Vec<u64> {
     use commint::buffer::Described;
     use wl_lsms::AtomScalars;
     let params = CommParams::new()
@@ -900,19 +914,32 @@ fn participant_allocs(composite: bool, transfers: usize) -> Vec<u64> {
         let comm = Comm::world(ctx);
         let mut s = CommSession::new(ctx, comm)
             .without_ir()
-            .with_lowering(LoweringPolicy::AlwaysDatatype);
+            .with_lowering(policy);
         let (src, mut dst) = ([AtomScalars::default(); 2], [AtomScalars::default(); 2]);
         let bytes = 2 * AtomScalars::layout().packed_size();
-        let (raw, mut raw_dst) = (vec![7u8; bytes], vec![0u8; bytes]);
+        let (raw, mut raw_dst) = (vec![7u8; 2 * bytes], vec![0u8; 2 * bytes]);
+        let (ec, mut ec_dst) = ([1.5f64; 8], [0f64; 8]);
+        let (nc, mut nc_dst) = ([3i32; 8], [0i32; 8]);
         let mut transfer = |s: &mut CommSession<'_>| {
             s.region(&params, |reg| {
                 let p2p = reg.p2p().site(1);
-                let p2p = if composite {
-                    p2p.sbuf(Struc::new("src", &src))
-                        .rbuf(StrucMut::new("dst", &mut dst))
-                } else {
-                    p2p.sbuf(Prim::new("src", &raw))
-                        .rbuf(PrimMut::new("dst", &mut raw_dst))
+                let p2p = match shape {
+                    Shape::Primitive => p2p
+                        .sbuf(Prim::new("src", &raw[..bytes]))
+                        .rbuf(PrimMut::new("dst", &mut raw_dst[..bytes])),
+                    Shape::Composite => p2p
+                        .sbuf(Struc::new("src", &src))
+                        .rbuf(StrucMut::new("dst", &mut dst)),
+                    Shape::Strided => p2p
+                        .sbuf(PrimStrided::new("src", &raw, 1, 2))
+                        .rbuf(PrimStridedMut::new("dst", &mut raw_dst, 1, 2)),
+                    Shape::Soa => p2p
+                        .sbuf(Soa::new("src").field("ec", &ec).field("nc", &nc))
+                        .rbuf(
+                            SoaMut::new("dst")
+                                .field("ec", &mut ec_dst)
+                                .field("nc", &mut nc_dst),
+                        ),
                 };
                 p2p.run().unwrap();
             })
@@ -935,16 +962,67 @@ fn participating_composite_transfer_allocates_no_more_than_primitive() {
     // few queue reallocations either way; an allocation per transfer on
     // either side would add 990 between 10 and 1000 transfers.
     const SLACK: u64 = 16;
+    let policy = LoweringPolicy::AlwaysDatatype;
     for transfers in [10, 1000] {
-        let composite = participant_allocs(true, transfers);
-        let primitive = participant_allocs(false, transfers);
+        let primitive = participant_allocs(Shape::Primitive, policy, transfers);
+        for shape in [Shape::Composite, Shape::Strided] {
+            let allocs = participant_allocs(shape, policy, transfers);
+            for (rank, side) in ["sender", "receiver"].iter().enumerate() {
+                assert!(
+                    allocs[rank] <= primitive[rank] + SLACK,
+                    "{side} over {transfers} transfers: {shape:?} {} vs primitive {}",
+                    allocs[rank],
+                    primitive[rank]
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn soa_transfer_allocations_stay_under_their_ceiling() {
+    // Per transfer, (sender, receiver). Every rank builds both views, and
+    // each view is 8 allocations: its layout (`Arc`, group name, field
+    // list), one name per array, its two per-array lists and its box. The
+    // rest is a primitive transfer's own 5 and 2; under derived datatypes
+    // the participating view also builds its struct type once (5 more).
+    const CEILING: [(LoweringPolicy, [u64; 2]); 2] = [
+        (LoweringPolicy::AlwaysDatatype, [26, 23]),
+        (LoweringPolicy::Auto, [21, 18]),
+    ];
+    const SLACK: u64 = 16;
+    const TRANSFERS: u64 = 1000;
+    for (policy, ceiling) in CEILING {
+        let allocs = participant_allocs(Shape::Soa, policy, TRANSFERS as usize);
         for (rank, side) in ["sender", "receiver"].iter().enumerate() {
             assert!(
-                composite[rank] <= primitive[rank] + SLACK,
-                "{side} over {transfers} transfers: composite {} vs primitive {}",
-                composite[rank],
-                primitive[rank]
+                allocs[rank] <= TRANSFERS * ceiling[rank] + SLACK,
+                "{policy:?} {side}: {} allocations over {TRANSFERS} transfers, ceiling {} each",
+                allocs[rank],
+                ceiling[rank]
             );
         }
     }
+}
+
+#[test]
+fn buffer_descriptors_are_lent_without_allocating() {
+    use commint::buffer::Buf;
+    let (mut prim, mut comp) = ([1.0f64; 8], [wl_lsms::AtomScalars::default(); 2]);
+    let (mut ec, mut nc) = ([1.5f64; 8], [3i32; 8]);
+    let lent = |view: &dyn Buf| {
+        let before = thread_allocs();
+        let len = std::hint::black_box(view.desc()).len;
+        (thread_allocs() - before, len)
+    };
+    assert_eq!(lent(&Prim::new("p", &prim)), (0, 8));
+    assert_eq!(lent(&Struc::new("c", &comp)), (0, 2));
+    assert_eq!(lent(&PrimStrided::new("s", &prim, 1, 2)), (0, 4));
+    let soa = Soa::new("a").field("ec", &ec).field("nc", &nc);
+    assert_eq!(lent(&soa), (0, 8));
+    assert_eq!(lent(&PrimMut::new("p", &mut prim)), (0, 8));
+    assert_eq!(lent(&StrucMut::new("c", &mut comp)), (0, 2));
+    assert_eq!(lent(&PrimStridedMut::new("s", &mut prim, 1, 2)), (0, 4));
+    let soa = SoaMut::new("a").field("ec", &mut ec).field("nc", &mut nc);
+    assert_eq!(lent(&soa), (0, 8));
 }

@@ -13,7 +13,7 @@
 use std::sync::{Arc, OnceLock};
 
 use commint::buffer::{
-    gather_described, scatter_described, CompositeLayout, Described, FieldDef, NestedField,
+    gather_described, scatter_described, Buf, CompositeLayout, Described, FieldDef, NestedField,
     PrimStrided, PrimStridedMut, RecvBuf, SendBuf,
 };
 use integration::with_ranks;
