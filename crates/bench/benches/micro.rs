@@ -204,8 +204,16 @@ enum Shape {
 /// site and joins its staging allocation, so neither is timed. With
 /// `participate` off neither rank's `sendwhen`/`receivewhen` holds, so
 /// every instance is the non-participant path; with it on, rank 0 sends 3
-/// doubles to rank 1 on every instance.
-fn directive_ns_per_instance(target: Target, shape: Shape, participate: bool, n: usize) -> f64 {
+/// doubles to rank 1 on every instance, in batches of `coalesce` instances
+/// when that is set (a tuning overlay's `Coalesce` decision).
+fn directive_ns_per_instance(
+    target: Target,
+    shape: Shape,
+    participate: bool,
+    coalesce: Option<usize>,
+    n: usize,
+) -> f64 {
+    use commint::overlay::{Decision, Overlay, SiteDecision};
     use commint::{CommParams, CommSession, DirectiveError, Prim, PrimMut};
     use netsim::{run, ExecPolicy, SimConfig};
     let (s, r) = if participate { (0, 1) } else { (2, 2) };
@@ -227,6 +235,11 @@ fn directive_ns_per_instance(target: Target, shape: Shape, participate: bool, n:
     let res = run(SimConfig::new(2).with_exec(ExecPolicy::bounded(2)), |ctx| {
         let comm = mpisim::Comm::world(ctx);
         let mut session = CommSession::new(ctx, comm).without_ir();
+        if let Some(batch) = coalesce {
+            let mut overlay = Overlay::default();
+            overlay.set(SiteDecision::new(1, Decision::Coalesce { batch }));
+            session = session.with_overlay(overlay);
+        }
         let src = [1.0f64; 3];
         let mut dst = [0.0f64; 3];
         let mut region = |session: &mut CommSession<'_>, instances: usize| {
@@ -266,6 +279,7 @@ fn micro_directive(c: &mut Criterion) {
             Target::Mpi2Side,
             Shape::Literal,
             false,
+            None,
             100_000,
         ),
         (
@@ -273,6 +287,7 @@ fn micro_directive(c: &mut Criterion) {
             Target::Shmem,
             Shape::Literal,
             false,
+            None,
             100_000,
         ),
         (
@@ -280,6 +295,7 @@ fn micro_directive(c: &mut Criterion) {
             Target::Mpi2Side,
             Shape::Vars,
             false,
+            None,
             100_000,
         ),
         (
@@ -287,13 +303,38 @@ fn micro_directive(c: &mut Criterion) {
             Target::Mpi2Side,
             Shape::Literal,
             true,
+            None,
+            20_000,
+        ),
+        (
+            "directive_participant_shmem",
+            Target::Shmem,
+            Shape::Literal,
+            true,
+            None,
+            20_000,
+        ),
+        (
+            "directive_participant_coalesced",
+            Target::Mpi2Side,
+            Shape::Literal,
+            true,
+            Some(8),
             20_000,
         ),
     ];
-    for (name, target, shape, participate, n) in cases {
+    for (name, target, shape, participate, coalesce, n) in cases {
         let mut per_instance = Vec::new();
         c.bench_function(name, |b| {
-            b.iter(|| per_instance.push(directive_ns_per_instance(target, shape, participate, n)))
+            b.iter(|| {
+                per_instance.push(directive_ns_per_instance(
+                    target,
+                    shape,
+                    participate,
+                    coalesce,
+                    n,
+                ))
+            })
         });
         if per_instance.is_empty() {
             continue;

@@ -143,7 +143,6 @@ pub fn kind_label(kind: &EventKind) -> &'static str {
         EventKind::Compute { .. } => "compute",
         EventKind::Pack { .. } => "pack",
         EventKind::DatatypeCommit => "datatype_commit",
-        EventKind::Marker(_) => "marker",
     }
 }
 

@@ -13,7 +13,6 @@
 
 use std::fmt::Write as _;
 
-use netsim::json::Escaped;
 use netsim::trace::{EventKind, TraceEvent};
 use netsim::Time;
 
@@ -143,7 +142,7 @@ pub fn chrome_trace(events: &[TraceEvent], nranks: usize) -> String {
             }
             EventKind::Compute { ns } => args.push(("ns", *ns as i64)),
             EventKind::Pack { bytes } => args.push(("bytes", *bytes as i64)),
-            EventKind::DatatypeCommit | EventKind::Marker(_) => {}
+            EventKind::DatatypeCommit => {}
         }
 
         // RecvDone spans duplicate the wait span they complete inside, so
@@ -154,14 +153,6 @@ pub fn chrome_trace(events: &[TraceEvent], nranks: usize) -> String {
                 let mut line = String::new();
                 push_common(&mut line, "i", ev.rank, *completion);
                 let _ = write!(line, ", \"s\": \"t\", \"name\": \"{name}\"");
-                push_args(&mut line, &args);
-                line.push('}');
-                line
-            }
-            EventKind::Marker(text) => {
-                let mut line = String::new();
-                push_common(&mut line, "i", ev.rank, ev.time);
-                let _ = write!(line, ", \"s\": \"t\", \"name\": \"{}\"", Escaped(text));
                 push_args(&mut line, &args);
                 line.push('}');
                 line

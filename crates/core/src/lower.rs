@@ -229,7 +229,8 @@ fn split_or_pack(
     }
 }
 
-fn model_for(target: Target, machine: &MachineModel) -> CostModel {
+/// The cost model of `target`'s library.
+pub(crate) fn model_for(target: Target, machine: &MachineModel) -> CostModel {
     match target {
         Target::Shmem => machine.shmem,
         Target::Mpi2Side | Target::Mpi1Side => machine.mpi,

@@ -20,14 +20,14 @@ use std::sync::Arc;
 
 use mpisim::dtype::DtypeCache;
 use mpisim::Comm;
-use netsim::{CostModel, RankCtx, SegId, SendRequest, Time};
+use netsim::{RankCtx, SegId, SendRequest, Time};
 
 use crate::buffer::{BufMeta, ElemKind, RecvBuf, RecvSlot, SendBuf, SendSlot};
 use crate::clause::{ClauseSet, Diagnostic, DirectiveKind, PlaceSync, Target};
 use crate::dir::{P2pSpec, ParamsSpec};
 use crate::expr::{CompiledCond, CompiledExpr, CondExpr, EvalEnv, ExprError, RankExpr, VarTable};
 use crate::interval::{Access, AccessKind, ByteSpan};
-use crate::lower::{Lowering, LoweringPolicy};
+use crate::lower::{model_for, Lowering, LoweringPolicy};
 use crate::overlay::{Decision, Overlay};
 
 mod loop_form;
@@ -201,12 +201,14 @@ impl PendingSync {
         self.used_shmem |= other.used_shmem;
     }
 
-    /// Fold a put's arrival into the horizon of its one-sided `target`.
+    /// Fold a put's arrival into the horizon of its one-sided `target`,
+    /// whose region-end quiet or fence then waits for it.
     fn note_arrival(&mut self, target: Target, arrival: Time) {
-        let horizon = match target {
-            Target::Mpi1Side => &mut self.mpi1_horizon,
-            _ => &mut self.shmem_horizon,
+        let (used, horizon) = match target {
+            Target::Mpi1Side => (&mut self.used_mpi1, &mut self.mpi1_horizon),
+            _ => (&mut self.used_shmem, &mut self.shmem_horizon),
         };
+        *used = true;
         *horizon = (*horizon).max(arrival);
     }
 }
@@ -602,7 +604,7 @@ impl<'a> CommSession<'a> {
 
         // Region-end flush: coalesced batches never outlive their region,
         // keeping the flush rule a pure function of the instance schedule.
-        flush_coalesced(self, &mut pending, None);
+        flush_batches(self, &mut pending, None);
         self.place_sync(placement, pending);
         if self.record_ir {
             self.program.push(ParamsSpec {
@@ -650,7 +652,7 @@ impl<'a> CommSession<'a> {
         // Coalesced leftovers exist only if a region was abandoned without
         // its end-of-region flush; drain them so no packed send is lost.
         let mut extra = PendingSync::default();
-        flush_coalesced(self, &mut extra, None);
+        flush_batches(self, &mut extra, None);
         self.apply_sync(extra);
         let next = std::mem::take(&mut self.carried_next);
         self.apply_sync(next);
@@ -1409,7 +1411,7 @@ fn execute_p2p(
                 let mut p = std::mem::take(pending);
                 // A forced split is a flush point: in-flight coalesced batches
                 // belong to the synchronization that the dependence demands.
-                flush_coalesced(session, &mut p, None);
+                flush_batches(session, &mut p, None);
                 session.apply_sync(p);
                 used.drain(..prior);
                 *splits += 1;
@@ -1438,17 +1440,9 @@ fn execute_p2p(
     let dispatched = match ends {
         Ok((dest, src)) if participant => {
             let count = count_clause.unwrap_or_else(|| p2p_specless_inferred_count(sbufs, rbufs));
-            match (target, coalesce) {
-                (_, Some(batch)) => exec_coalesced(
-                    session, pending, site, sbufs, rbufs, count, dest, src, target, batch,
-                ),
-                (Target::Mpi2Side, None) => {
-                    exec_mpi2(session, pending, site, sbufs, rbufs, count, dest, src)
-                }
-                (Target::Mpi1Side | Target::Shmem, None) => exec_onesided(
-                    session, pending, site, sbufs, rbufs, count, dest, src, target,
-                ),
-            }
+            transfer(
+                session, pending, site, target, coalesce, sbufs, rbufs, count, dest, src,
+            )
         }
         ends => ends.map(|_| ()),
     };
@@ -1599,135 +1593,414 @@ fn p2p_specless_inferred_count(sb: &BufList<SendSlot<'_>>, rb: &BufList<RecvSlot
         .unwrap_or(0)
 }
 
-/// The derived-datatype path for `bytes` of `elem`: a one-time commit per
-/// layout, then a cheap per-byte gather or scatter (instead of an explicit
-/// `MPI_Pack` copy). A composite's struct type is its layout's, built once.
-fn charge_datatype(session: &mut CommSession<'_>, elem: &ElemKind, bytes: usize, mpi: &CostModel) {
-    session
-        .dtype_cache
-        .ensure_committed(session.ctx, &elem.datatype(), mpi);
-    session
-        .ctx
-        .charge(mpi.byte_cost(mpi.datatype_per_byte, bytes));
+/// How one instance's buffers travel.
+#[derive(Clone, Copy)]
+enum Transport {
+    /// MPI two-sided: one message per buffer on `DIR_TAG_BASE + site`.
+    Message,
+    /// MPI one-sided or SHMEM: one signalled put per buffer into a slot of
+    /// the site's staging, `CommSession::staging[st]`.
+    Staged { st: usize },
+    /// Coalescing: one length-framed piece per buffer in the (site, peer)
+    /// batch, which [`flush_batches`] sends `batch` instances at a time.
+    Batch { batch: usize },
 }
 
-/// MPI two-sided lowering: non-blocking Isend/Irecv through automatic
-/// datatypes; completion deferred to the region sync.
+/// One instance's transfer: its site, resolved target and transport, and
+/// the SPMD-uniform element count its lowering is chosen for.
+#[derive(Clone, Copy)]
+struct Route {
+    site: u32,
+    target: Target,
+    transport: Transport,
+    count: usize,
+}
+
+/// The end of a transfer a marshalling charge is for.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Send,
+    Recv,
+}
+
+/// The marshalling charge table (DESIGN §9): what moving `bytes` of `elem`
+/// costs this rank on `side`, keyed by the [`Lowering`] and the target. A
+/// per-instance transfer takes the site's lowering from the layout engine,
+/// on SPMD-uniform inputs, so both ends agree without negotiation. A
+/// batched piece frames a primitive as it is and sends a composite through
+/// the target's gather: a datatype on MPI, a pack loop on SHMEM, whose
+/// bytes the flush's one pack of the batch counts.
+fn charge_marshalling(
+    session: &mut CommSession<'_>,
+    route: Route,
+    side: Side,
+    elem: &ElemKind,
+    bytes: usize,
+) {
+    let target = route.target;
+    let two_sided = target == Target::Mpi2Side;
+    // A one-sided receiver's staging drain is its unpack under every
+    // lowering ([`take_staged`]).
+    if side == Side::Recv && !two_sided {
+        return;
+    }
+    let model = model_for(target, session.ctx.machine());
+    let batched = matches!(route.transport, Transport::Batch { .. });
+    let lowering = match (batched, elem, target) {
+        (false, ..) => session.lowering.resolve(elem, route.count, target, &model),
+        (true, ElemKind::Prim(_), _) => Lowering::Direct,
+        (true, _, Target::Shmem) => Lowering::Pack,
+        (true, ..) => Lowering::Datatype,
+    };
+    let ctx = &mut *session.ctx;
+    match (side, lowering) {
+        // The transfer engine reads or writes the user buffer in place.
+        (_, Lowering::Direct) => {}
+        // A split's extra messages or puts pay their software overheads.
+        (Side::Send, Lowering::Split { n }) => {
+            let per = if two_sided { model.o_send } else { model.o_put };
+            ctx.charge(Time::from_nanos(n.saturating_sub(1) as u64 * per));
+        }
+        (Side::Recv, Lowering::Split { n }) => ctx.charge(Time::from_nanos(
+            n.saturating_sub(1) as u64 * (model.o_recv + model.o_req_poll),
+        )),
+        // A one-time commit per layout, then the library walks it.
+        (_, Lowering::Datatype) => {
+            session
+                .dtype_cache
+                .ensure_committed(ctx, &elem.datatype(), &model);
+            ctx.charge(model.byte_cost(model.datatype_per_byte, bytes));
+        }
+        (Side::Send, Lowering::Pack) if batched => {
+            ctx.charge(model.byte_cost(model.pack_per_byte, bytes))
+        }
+        // Listing-4 shape: an explicit pack (or unpack) copy of every byte.
+        (_, Lowering::Pack) => ctx.charge_pack(bytes, &model),
+    }
+    // A two-sided batch piece is unpacked out of the packed wire buffer.
+    if batched && side == Side::Recv && two_sided {
+        ctx.charge_pack(bytes, &model);
+    }
+}
+
+/// Move one instance's buffers over the transport of its target, or of its
+/// coalescing decision: this rank's sends, then its receives. Completion
+/// is deferred to the region sync.
 #[allow(clippy::too_many_arguments)]
-fn exec_mpi2(
+fn transfer(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     site: u32,
+    target: Target,
+    coalesce: Option<usize>,
     sbufs: &BufList<SendSlot<'_>>,
     rbufs: &mut BufList<RecvSlot<'_>>,
     count: usize,
     dest: Option<usize>,
     src: Option<usize>,
 ) -> Result<(), DirectiveError> {
-    let tag = DIR_TAG_BASE + site as i32;
-    if let Some(dest) = dest {
-        let mpi = session.ctx.machine().mpi;
-        for sb in sbufs.iter() {
-            let meta = sb.desc();
-            let n = count.min(meta.len);
-            // Causality under deferred sync: reading a buffer that was
-            // filled by an unsynced receive fences the departure to the
-            // data's arrival (no software overhead charged — this is the
-            // data dependency, not a wait call).
-            if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
-                session.ctx.advance_to(h);
+    let transport = match (coalesce, target) {
+        (Some(batch), _) => Transport::Batch { batch },
+        (None, Target::Mpi2Side) => Transport::Message,
+        (None, Target::Mpi1Side | Target::Shmem) => {
+            // Joined before dispatch, and stays put while this instance runs.
+            let st = session
+                .staging_index(site, false)
+                .expect("staging joined before dispatch");
+            // The slot layout is fixed by the site's first execution. A
+            // later call reusing the site id with another buffer list has
+            // the same shape on every rank, so both ends refuse it rather
+            // than miscount signals.
+            let pieces = session.staging[st].signals_per_slot();
+            if sbufs.len() != pieces {
+                return Err(DirectiveError::Invalid(vec![Diagnostic::error(format!(
+                    "comm_p2p site {site}: {} buffers, but its staging holds {pieces} per slot",
+                    sbufs.len()
+                ))]));
             }
-            let mut payload = Vec::with_capacity(n * meta.elem.packed_size());
-            sb.gather(n, &mut payload);
-            // The layout engine's per-site decision (chooser under `Auto`,
-            // fixed strategy otherwise; SPMD-uniform inputs, so both ends
-            // agree without negotiation).
-            match session
-                .lowering
-                .resolve(&meta.elem, count, Target::Mpi2Side, &mpi)
-            {
-                // Contiguous memory (or a constituent split): the transfer
-                // engine reads the user buffer in place, no marshalling
-                // charge. A split of n constituents pays the (n-1) extra
-                // per-message send overheads its generated code issues.
-                Lowering::Direct => {}
-                Lowering::Split { n: parts } => {
-                    session.ctx.charge(Time::from_nanos(
-                        parts.saturating_sub(1) as u64 * mpi.o_send,
-                    ));
-                }
-                // Derived-datatype path (struct or vector).
-                Lowering::Datatype => charge_datatype(session, &meta.elem, payload.len(), &mpi),
-                // Listing-4 shape: an explicit pack copy of every byte.
-                Lowering::Pack => session.ctx.charge_pack(payload.len(), &mpi),
-            }
-            let req = session
-                .comm
-                .isend_bytes(session.ctx, dest, tag, bytes::Bytes::from(payload));
-            pending.send_reqs.push(req);
+            Transport::Staged { st }
         }
+    };
+    let route = Route {
+        site,
+        target,
+        transport,
+        count,
+    };
+    if let Some(dest) = dest {
+        send_loop(session, pending, route, sbufs, dest)?;
     }
     if let Some(src) = src {
-        let mpi = session.ctx.machine().mpi;
-        for rb in rbufs.iter_mut() {
-            let meta = rb.desc();
-            let n = count.min(meta.len);
-            let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
-            // Physically complete now (data lands in the user buffer); the
-            // virtual wait cost is deferred to the region sync point.
-            let done = req.wait_raw();
-            match session
-                .lowering
-                .resolve(&meta.elem, count, Target::Mpi2Side, &mpi)
-            {
-                Lowering::Direct => {}
-                // The split's extra messages cost receive-side software
-                // overhead too (one post + one completion poll each).
-                Lowering::Split { n: parts } => {
-                    session.ctx.charge(Time::from_nanos(
-                        parts.saturating_sub(1) as u64 * (mpi.o_recv + mpi.o_req_poll),
-                    ));
-                }
-                Lowering::Datatype => {
-                    charge_datatype(session, &meta.elem, done.payload.len(), &mpi)
-                }
-                // The receiver of a packed message pays the unpack copy.
-                Lowering::Pack => session.ctx.charge_pack(done.payload.len(), &mpi),
+        recv_loop(session, pending, route, rbufs, src);
+    }
+    // The engine tracks put arrivals itself; drain the ctx list so a later
+    // unrelated `quiet` doesn't double-count.
+    session.ctx.take_outstanding_puts();
+    Ok(())
+}
+
+/// The send loop: each buffer is fenced on its data horizon, gathered,
+/// charged its marshalling and handed to the transport.
+fn send_loop(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    route: Route,
+    sbufs: &BufList<SendSlot<'_>>,
+    dest: usize,
+) -> Result<(), DirectiveError> {
+    let (site, target, transport) = (route.site, route.target, route.transport);
+    let slot = match transport {
+        Transport::Staged { st } => Some(session.staging[st].send_slot(dest)),
+        _ => None,
+    };
+    let (mut payload, mut need, mut framed) = (Vec::new(), 0, Vec::new());
+    let mut horizon = Time::ZERO;
+    for (i, sb) in sbufs.iter().enumerate() {
+        let desc = sb.desc();
+        let n = route.count.min(desc.len);
+        // Causality under deferred sync: reading a buffer filled by an
+        // unsynced receive fences the departure to the data's arrival (a
+        // data dependency, not a wait call: no overhead charged). A batch
+        // departs at its flush, carrying its newest piece's fence.
+        if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), desc.addr) {
+            match transport {
+                Transport::Batch { .. } => horizon = horizon.max(h),
+                _ => session.ctx.advance_to(h),
             }
-            rb.scatter(n, &done.payload);
-            // The physical wait happened above; record the completion so the
-            // trace still carries a site-attributed RecvDone (the virtual
-            // charge lands later, in the consolidated region sync).
-            session.ctx.note_recv_completion(&req, &done);
-            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, done.completion);
-            pending.recv_completions.push(done.completion);
         }
+        payload.reserve(n * desc.elem.packed_size());
+        sb.gather(n, &mut payload);
+        charge_marshalling(session, route, Side::Send, &desc.elem, payload.len());
+        match transport {
+            Transport::Message => {
+                let tag = DIR_TAG_BASE + site as i32;
+                let bytes = bytes::Bytes::from(std::mem::take(&mut payload));
+                let req = session.comm.isend_bytes(session.ctx, dest, tag, bytes);
+                pending.send_reqs.push(req);
+            }
+            Transport::Staged { st } => {
+                let slot = slot.expect("a staged transfer takes its slot first");
+                let have = session.staging[st].slot_bytes;
+                need += payload.len();
+                if need > have {
+                    return Err(DirectiveError::StagingOverflow { site, need, have });
+                }
+                let (offset, _) = session.staging[st].piece(slot, i);
+                put_piece(session, pending, target, slot.seg, offset, dest, &payload);
+            }
+            Transport::Batch { .. } => mpisim::pack::frame_piece(&mut framed, &payload),
+        }
+        payload.clear();
+    }
+    let Transport::Batch { batch } = transport else {
+        return Ok(());
+    };
+    // Append the framed pieces to the (site, dest) batch, which must fit
+    // the staging slot where the target has one.
+    let capacity = session
+        .staging_index(site, true)
+        .map(|i| session.staging[i].slot_bytes);
+    let ov = session
+        .overlay
+        .as_deref_mut()
+        .expect("coalescing implies an installed overlay");
+    let acc = match ov.out.iter().position(|a| a.site == site && a.dest == dest) {
+        Some(i) => &mut ov.out[i],
+        None => {
+            ov.out.push(CoalesceOut {
+                site,
+                dest,
+                target,
+                ..Default::default()
+            });
+            ov.out.last_mut().expect("just pushed")
+        }
+    };
+    let need = 4 + acc.buf.len() + framed.len();
+    if let Some(have) = capacity.filter(|&have| need > have) {
+        return Err(DirectiveError::StagingOverflow { site, need, have });
+    }
+    acc.buf.append(&mut framed);
+    acc.horizon = acc.horizon.max(horizon);
+    acc.instances += 1;
+    if acc.instances >= batch {
+        flush_batches(session, pending, Some((site, dest)));
     }
     Ok(())
 }
 
-/// Peel the next piece for (site, src) out of the receive-side buffer.
-/// `None` means the buffered packed message (if any) is exhausted and a new
-/// one must be received.
-fn coalesce_next_piece(ov: &mut OverlayState, site: u32, src: usize) -> Option<(Vec<u8>, Time)> {
-    let entry = ov
-        .inbox
-        .iter_mut()
-        .find(|e| e.site == site && e.src == src)?;
-    let mut pos = entry.pos;
-    let piece = mpisim::pack::peel_piece(&entry.payload, &mut pos)?.to_vec();
-    entry.pos = pos;
-    Some((piece, entry.completion))
+/// The receive loop: each buffer's bytes are taken from the transport,
+/// charged their unmarshalling and scattered, and their arrival becomes the
+/// buffer's data horizon.
+fn recv_loop(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    route: Route,
+    rbufs: &mut BufList<RecvSlot<'_>>,
+    src: usize,
+) {
+    let (site, target, transport) = (route.site, route.target, route.transport);
+    let slot = match transport {
+        Transport::Staged { st } => Some(session.staging[st].recv_slot()),
+        _ => None,
+    };
+    // A staged or batched piece is copied out into `taken`; a message is
+    // scattered from its own bytes.
+    let mut taken = Vec::new();
+    for (i, rb) in rbufs.iter_mut().enumerate() {
+        let desc = rb.desc();
+        let n = route.count.min(desc.len);
+        let (message, arrival) = match transport {
+            Transport::Message => {
+                let tag = DIR_TAG_BASE + site as i32;
+                let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
+                // Physically complete now; the virtual wait cost is deferred
+                // to the region sync point.
+                let done = req.wait_raw();
+                let completion = done.completion;
+                (Some((req, done)), completion)
+            }
+            Transport::Staged { st } => {
+                let slot = slot.expect("a staged transfer takes its slot first");
+                let piece = session.staging[st].piece(slot, i);
+                let len = Some(n * desc.elem.packed_size());
+                let t = take_staged(session, pending, target, slot.seg, piece, len, &mut taken);
+                (None, t)
+            }
+            Transport::Batch { .. } => (None, next_piece(session, pending, route, src, &mut taken)),
+        };
+        let bytes = message
+            .as_ref()
+            .map_or(&taken[..], |(_, done)| &done.payload[..]);
+        charge_marshalling(session, route, Side::Recv, &desc.elem, bytes.len());
+        rb.scatter(n, bytes);
+        if let Some((req, done)) = message {
+            // The trace still carries a site-attributed RecvDone; the
+            // virtual charge lands in the consolidated region sync.
+            session.ctx.note_recv_completion(&req, &done);
+            pending.recv_completions.push(done.completion);
+        }
+        session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, arrival);
+    }
 }
 
-/// Flush coalesced accumulators into `pending` as packed sends. `which` of
-/// `None` flushes everything — the region-end rule, a dependence-forced
-/// sync, or a receiver about to physically block (so a rank can never wait
-/// on a peer whose pieces it is itself still holding); `Some((site, dest))`
-/// flushes one full batch. Every flush point is a pure function of the
-/// per-rank instance schedule, never of engine interleaving, which is what
-/// keeps coalesced runs bit-identical across execution engines.
-fn flush_coalesced(
+/// The staged-put step: put `bytes` at `offset` of `dest`'s copy of
+/// staging segment `seg`, signalled, and fold in its arrival.
+fn put_piece(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    target: Target,
+    seg: SegId,
+    offset: usize,
+    dest: usize,
+    bytes: &[u8],
+) {
+    let model = model_for(target, session.ctx.machine());
+    let dest = session.comm.global(dest);
+    let arrival = session.ctx.put(seg, dest, offset, bytes, &model, true);
+    pending.note_arrival(target, arrival);
+}
+
+/// The staged-take step: wait (physically) for the `(offset, signals)`
+/// piece of segment `seg`, copy it into `out` at memcpy rate and free the
+/// slot for flow-controlled senders. `len` of `None` reads a batch flush's
+/// `u32` length header first. Returns the piece's arrival.
+fn take_staged(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    target: Target,
+    seg: SegId,
+    (offset, signals): (usize, usize),
+    len: Option<usize>,
+    out: &mut Vec<u8>,
+) -> Time {
+    let model = model_for(target, session.ctx.machine());
+    let arrival = session.ctx.wait_signals_raw(seg, signals);
+    let (offset, len) = match len {
+        Some(len) => (offset, len),
+        None => {
+            let mut hdr = [0u8; 4];
+            session.ctx.read_local(seg, offset, &mut hdr);
+            (offset + 4, u32::from_le_bytes(hdr) as usize)
+        }
+    };
+    out.clear();
+    out.resize(len, 0);
+    session.ctx.read_local(seg, offset, out);
+    session.ctx.charge_memcpy(len, &model);
+    session.ctx.mark_consumed(seg, 1);
+    pending.note_arrival(target, arrival);
+    arrival
+}
+
+/// Copy the next piece of `src`'s batches at the route's site into `out`,
+/// receiving the next batch once the buffered one is used up; returns the
+/// arrival of the batch that carried it.
+fn next_piece(
+    session: &mut CommSession<'_>,
+    pending: &mut PendingSync,
+    route: Route,
+    src: usize,
+    out: &mut Vec<u8>,
+) -> Time {
+    let (site, target) = (route.site, route.target);
+    loop {
+        let ov = session.overlay.as_deref_mut().expect("overlay installed");
+        if let Some(e) = ov.inbox.iter_mut().find(|e| e.site == site && e.src == src) {
+            if let Some(piece) = mpisim::pack::peel_piece(&e.payload, &mut e.pos) {
+                out.clear();
+                out.extend_from_slice(piece);
+                return e.completion;
+            }
+        }
+        // About to physically block for the next batch: flush our own
+        // batches first, so a rank never waits on a peer while holding
+        // pieces that peer (or a cycle through it) needs.
+        flush_batches(session, pending, None);
+        let (payload, completion) = match target {
+            Target::Mpi2Side => {
+                let tag = COAL_TAG_BASE + site as i32;
+                let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
+                let done = req.wait_raw();
+                session.ctx.note_recv_completion(&req, &done);
+                // One deferred completion per batch: the receiver's share
+                // of the Waitall shrinks with the batch factor.
+                pending.recv_completions.push(done.completion);
+                (done.payload, done.completion)
+            }
+            Target::Mpi1Side | Target::Shmem => {
+                let st = session
+                    .staging_index(site, true)
+                    .expect("staging joined before dispatch");
+                let slot = session.staging[st].recv_slot();
+                let piece = session.staging[st].piece(slot, 0);
+                let t = take_staged(session, pending, target, slot.seg, piece, None, out);
+                (bytes::Bytes::from(std::mem::take(out)), t)
+            }
+        };
+        let ov = session.overlay.as_deref_mut().expect("overlay installed");
+        ov.inbox.retain(|e| e.site != site || e.src != src);
+        ov.inbox.push(CoalesceIn {
+            site,
+            src,
+            payload,
+            pos: 0,
+            completion,
+        });
+    }
+}
+
+/// Send the coalesced batches into `pending`. `which` of `None` flushes
+/// everything — the region-end rule, a dependence-forced sync, or a
+/// receiver about to physically block (so a rank can never wait on a peer
+/// whose pieces it is itself still holding); `Some((site, dest))` flushes
+/// one full batch. Every flush point is a pure function of the per-rank
+/// instance schedule, never of engine interleaving, which is what keeps
+/// coalesced runs bit-identical across execution engines. A batch departs
+/// no earlier than its newest piece's data, pays one pack of the whole
+/// batch, and travels as one message on `COAL_TAG_BASE + site` or as one
+/// length-prefixed staged put into the site's coalesced staging.
+fn flush_batches(
     session: &mut CommSession<'_>,
     pending: &mut PendingSync,
     which: Option<(u32, usize)>,
@@ -1744,329 +2017,30 @@ fn flush_coalesced(
         }
     }
     for (site, dest, target, (payload, horizon)) in work {
-        // The packed message departs no earlier than its newest piece's
-        // data (the same causality fence the per-instance path applies).
         session.ctx.advance_to(horizon);
         match target {
             Target::Mpi2Side => {
                 let tag = COAL_TAG_BASE + site as i32;
-                let req =
-                    session
-                        .comm
-                        .isend_packed(session.ctx, dest, tag, bytes::Bytes::from(payload));
+                let bytes = bytes::Bytes::from(payload);
+                let req = session.comm.isend_packed(session.ctx, dest, tag, bytes);
                 pending.send_reqs.push(req);
             }
-            Target::Shmem => {
-                let model = session.ctx.machine().shmem;
-                let st_idx = session
+            Target::Mpi1Side | Target::Shmem => {
+                let st = session
                     .staging_index(site, true)
                     .expect("staging created at first coalesced execution");
-                let st = &mut session.staging[st_idx];
-                let slot = st.send_slot(dest);
-                let (offset, _) = st.piece(slot, 0);
+                let slot = session.staging[st].send_slot(dest);
+                let (offset, _) = session.staging[st].piece(slot, 0);
                 let mut wire = Vec::with_capacity(4 + payload.len());
                 wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
                 wire.extend_from_slice(&payload);
-                let global_dest = session.comm.global(dest);
-                // Pack charge + one signalled putmem of the whole batch
-                // (shmemsim's `put_packed`, inlined over the raw context
-                // because the engine talks to `netsim` directly).
+                let model = model_for(target, session.ctx.machine());
                 session.ctx.charge_pack(wire.len(), &model);
-                let arrival = session
-                    .ctx
-                    .put(slot.seg, global_dest, offset, &wire, &model, true);
-                pending.note_arrival(target, arrival);
-                pending.used_shmem = true;
-                session.ctx.take_outstanding_puts();
+                put_piece(session, pending, target, slot.seg, offset, dest, &wire);
             }
-            Target::Mpi1Side => unreachable!("coalescing never targets MPI one-sided"),
         }
     }
-}
-
-/// Receive the next packed message for (site, src) — one packed Irecv, or
-/// the next flush out of the site's coalesced staging — and defer its
-/// completion to the region sync. Mirrors the send side of
-/// [`flush_coalesced`].
-fn receive_packed(
-    session: &mut CommSession<'_>,
-    pending: &mut PendingSync,
-    site: u32,
-    src: usize,
-    target: Target,
-) -> (bytes::Bytes, Time) {
-    match target {
-        Target::Mpi2Side => {
-            let tag = COAL_TAG_BASE + site as i32;
-            let req = session.comm.irecv(session.ctx, Some(src), Some(tag));
-            let done = req.wait_raw();
-            session.ctx.note_recv_completion(&req, &done);
-            // One deferred completion per packed message — the receiver's
-            // share of the Waitall shrinks with the batch factor.
-            pending.recv_completions.push(done.completion);
-            (done.payload, done.completion)
-        }
-        Target::Shmem => {
-            let model = session.ctx.machine().shmem;
-            let st_idx = session
-                .staging_index(site, true)
-                .expect("staging joined before dispatch");
-            let st = &mut session.staging[st_idx];
-            let slot = st.recv_slot();
-            let (offset, signals) = st.piece(slot, 0);
-            let arrival = session.ctx.wait_signals_raw(slot.seg, signals);
-            let mut hdr = [0u8; 4];
-            session.ctx.read_local(slot.seg, offset, &mut hdr);
-            let total = u32::from_le_bytes(hdr) as usize;
-            let mut payload = vec![0u8; total];
-            session.ctx.read_local(slot.seg, offset + 4, &mut payload);
-            // Bounce the whole flush out of the symmetric slot at memcpy
-            // rate and free it for flow-controlled senders.
-            session.ctx.charge_memcpy(total, &model);
-            session.ctx.mark_consumed(slot.seg, 1);
-            pending.note_arrival(target, arrival);
-            (bytes::Bytes::from(payload), arrival)
-        }
-        Target::Mpi1Side => unreachable!("coalescing never targets MPI one-sided"),
-    }
-}
-
-/// Coalesced lowering: each instance's payload is gathered and
-/// length-framed into a per-(site, destination) batch, and one packed
-/// transfer per flush replaces `batch` per-piece ones — a packed Isend, or
-/// one signalled `shmem_putmem` into the site's coalesced staging slot. The
-/// receiver takes one packed message per flush and peels pieces back out:
-/// fewer software overheads on both sides and a smaller consolidated sync.
-#[allow(clippy::too_many_arguments)]
-fn exec_coalesced(
-    session: &mut CommSession<'_>,
-    pending: &mut PendingSync,
-    site: u32,
-    sbufs: &BufList<SendSlot<'_>>,
-    rbufs: &mut BufList<RecvSlot<'_>>,
-    count: usize,
-    dest: Option<usize>,
-    src: Option<usize>,
-    target: Target,
-    batch: usize,
-) -> Result<(), DirectiveError> {
-    let mpi = session.ctx.machine().mpi;
-    let shmem = session.ctx.machine().shmem;
-    if let Some(dest) = dest {
-        let mut framed = Vec::new();
-        let mut horizon = Time::ZERO;
-        for sb in sbufs.iter() {
-            let meta = sb.desc();
-            let n = count.min(meta.len);
-            if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
-                horizon = horizon.max(h);
-            }
-            let mut piece = Vec::with_capacity(n * meta.elem.packed_size());
-            sb.gather(n, &mut piece);
-            if !matches!(meta.elem, ElemKind::Prim(_)) {
-                if target == Target::Mpi2Side {
-                    charge_datatype(session, &meta.elem, piece.len(), &mpi);
-                } else {
-                    // SHMEM has no datatype engine: generated code packs
-                    // composites.
-                    session
-                        .ctx
-                        .charge(shmem.byte_cost(shmem.pack_per_byte, piece.len()));
-                }
-            }
-            mpisim::pack::frame_piece(&mut framed, &piece);
-        }
-        // A flush must fit the staging slot where the target has one.
-        let capacity = session
-            .staging_index(site, true)
-            .map(|i| session.staging[i].slot_bytes);
-        let ov = session
-            .overlay
-            .as_deref_mut()
-            .expect("coalescing implies an installed overlay");
-        let acc = match ov.out.iter().position(|a| a.site == site && a.dest == dest) {
-            Some(i) => &mut ov.out[i],
-            None => {
-                ov.out.push(CoalesceOut {
-                    site,
-                    dest,
-                    target,
-                    ..Default::default()
-                });
-                ov.out.last_mut().expect("just pushed")
-            }
-        };
-        let need = 4 + acc.buf.len() + framed.len();
-        if let Some(have) = capacity.filter(|&have| need > have) {
-            return Err(DirectiveError::StagingOverflow { site, need, have });
-        }
-        acc.buf.append(&mut framed);
-        acc.horizon = acc.horizon.max(horizon);
-        acc.instances += 1;
-        if acc.instances >= batch {
-            flush_coalesced(session, pending, Some((site, dest)));
-        }
-    }
-    if let Some(src) = src {
-        for rb in rbufs.iter_mut() {
-            let meta = rb.desc();
-            let n = count.min(meta.len);
-            let ov = session.overlay.as_deref_mut().expect("overlay installed");
-            let (piece, completion) = match coalesce_next_piece(ov, site, src) {
-                Some(p) => p,
-                None => {
-                    // About to physically block for the next packed
-                    // message: flush our own batches first, so a rank
-                    // never waits on a peer while holding pieces that
-                    // peer (or a cycle through it) needs.
-                    flush_coalesced(session, pending, None);
-                    let (payload, completion) = receive_packed(session, pending, site, src, target);
-                    let ov = session.overlay.as_deref_mut().expect("overlay installed");
-                    ov.inbox.retain(|e| e.site != site || e.src != src);
-                    let pos = 0;
-                    ov.inbox.push(CoalesceIn {
-                        site,
-                        src,
-                        payload,
-                        pos,
-                        completion,
-                    });
-                    coalesce_next_piece(ov, site, src)
-                        .expect("freshly received packed message has a piece")
-                }
-            };
-            if target == Target::Mpi2Side {
-                if !matches!(meta.elem, ElemKind::Prim(_)) {
-                    charge_datatype(session, &meta.elem, piece.len(), &mpi);
-                }
-                // MPI_Unpack out of the packed wire buffer into the user
-                // buffer.
-                session.ctx.charge_pack(piece.len(), &mpi);
-            }
-            rb.scatter(n, &piece);
-            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, completion);
-        }
-    }
-    Ok(())
-}
-
-/// One-sided lowering (MPI_Put or shmem_put): symmetric staging slots sized
-/// by `max_comm_iter`, signalled deliveries, sync deferred to the region
-/// fence/barrier.
-#[allow(clippy::too_many_arguments)]
-fn exec_onesided(
-    session: &mut CommSession<'_>,
-    pending: &mut PendingSync,
-    site: u32,
-    sbufs: &BufList<SendSlot<'_>>,
-    rbufs: &mut BufList<RecvSlot<'_>>,
-    count: usize,
-    dest: Option<usize>,
-    src: Option<usize>,
-    target: Target,
-) -> Result<(), DirectiveError> {
-    let model = match target {
-        Target::Mpi1Side => session.ctx.machine().mpi,
-        _ => session.ctx.machine().shmem,
-    };
-    // The staging (joined before dispatch) stays put while this instance
-    // runs, so its index is stable.
-    let st_idx = session
-        .staging_index(site, false)
-        .expect("staging joined before dispatch");
-    // The slot layout is fixed by the site's first execution. A later call
-    // reusing the site id with another buffer list has the same shape on
-    // every rank, so both ends refuse it rather than miscount signals.
-    let pieces = session.staging[st_idx].signals_per_slot();
-    if sbufs.len() != pieces {
-        return Err(DirectiveError::Invalid(vec![Diagnostic::error(format!(
-            "comm_p2p site {site}: {} buffers, but its staging holds {pieces} per slot",
-            sbufs.len()
-        ))]));
-    }
-
-    // Sender: put each buffer's packed payload into the destination's slot.
-    if let Some(dest) = dest {
-        let global_dest = session.comm.global(dest);
-        let slot = session.staging[st_idx].send_slot(dest);
-        let slot_bytes = session.staging[st_idx].slot_bytes;
-        let mut payload = Vec::new();
-        let mut used = 0usize;
-        for (i, sb) in sbufs.iter().enumerate() {
-            let meta = sb.desc();
-            let n = count.min(meta.len);
-            // Data-dependency fence (see the two-sided path).
-            if let Some(h) = session.buf_data_horizon(sb.sub_ranges(), meta.addr) {
-                session.ctx.advance_to(h);
-            }
-            payload.clear();
-            sb.gather(n, &mut payload);
-            used += payload.len();
-            if used > slot_bytes {
-                return Err(DirectiveError::StagingOverflow {
-                    site,
-                    need: used,
-                    have: slot_bytes,
-                });
-            }
-            match session.lowering.resolve(&meta.elem, count, target, &model) {
-                // Zero-copy put straight out of the user buffer. A split
-                // of n constituents (per-array or strided typed puts in
-                // the generated code) pays its (n-1) extra put overheads;
-                // the payload bytes move copy-free either way.
-                Lowering::Direct => {}
-                Lowering::Split { n: parts } => {
-                    session.ctx.charge(Time::from_nanos(
-                        parts.saturating_sub(1) as u64 * model.o_put,
-                    ));
-                }
-                // MPI_Put through a derived datatype: the library's gather
-                // engine walks the layout (never reached on SHMEM, which
-                // has no datatype engine — the policy degrades to Pack).
-                Lowering::Datatype => session
-                    .ctx
-                    .charge(model.byte_cost(model.datatype_per_byte, payload.len())),
-                // Generated code packs into a contiguous bounce buffer
-                // before the put; the receiver's staging drain below is the
-                // unpack under every strategy, so only the sender side
-                // pays here.
-                Lowering::Pack => session.ctx.charge_pack(payload.len(), &model),
-            }
-            let (offset, _) = session.staging[st_idx].piece(slot, i);
-            let arrival = session
-                .ctx
-                .put(slot.seg, global_dest, offset, &payload, &model, true);
-            pending.note_arrival(target, arrival);
-        }
-        // The engine tracks arrivals itself; drain the ctx list so a later
-        // unrelated `quiet` doesn't double-count.
-        session.ctx.take_outstanding_puts();
-    }
-
-    // Receiver: wait (physically) for this execution's deliveries, copy the
-    // staged bytes into the user buffers, record the arrival horizon.
-    if src.is_some() {
-        let slot = session.staging[st_idx].recv_slot();
-        let mut staged = Vec::new();
-        for (i, rb) in rbufs.iter_mut().enumerate() {
-            let meta = rb.desc();
-            let n = count.min(meta.len);
-            let bytes = n * meta.elem.packed_size();
-            let (offset, signals) = session.staging[st_idx].piece(slot, i);
-            let arrival = session.ctx.wait_signals_raw(slot.seg, signals);
-            staged.clear();
-            staged.resize(bytes, 0);
-            session.ctx.read_local(slot.seg, offset, &mut staged);
-            rb.scatter(n, &staged);
-            // Bounce copy out of the symmetric staging buffer; the slot is
-            // now reusable by flow-controlled senders.
-            session.ctx.charge_memcpy(bytes, &model);
-            session.ctx.mark_consumed(slot.seg, 1);
-            session.push_recv_horizon(rb.sub_ranges(), rb.desc().addr, arrival);
-            pending.note_arrival(target, arrival);
-        }
-    }
-    Ok(())
+    session.ctx.take_outstanding_puts();
 }
 
 #[cfg(test)]

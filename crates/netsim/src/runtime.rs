@@ -389,11 +389,6 @@ impl RankCtx {
         }
     }
 
-    /// Emit a free-form trace marker at the current clock.
-    pub fn marker(&self, label: impl Into<String>) {
-        self.trace(self.clock, EventKind::Marker(label.into()));
-    }
-
     // -- observability --------------------------------------------------------
 
     /// Attribute subsequent operations to the directive call site `site`

@@ -62,8 +62,6 @@ pub enum EventKind {
     Pack { bytes: usize },
     /// Derived datatype committed.
     DatatypeCommit,
-    /// Free-form marker emitted by upper layers.
-    Marker(String),
 }
 
 /// One trace record.
