@@ -19,6 +19,15 @@
 //! cohort through the dependency edges. Hashes that persist keep every
 //! artifact — including across files that happen to share a region.
 //!
+//! The `cert:h` artifact also keeps its region's rendered certificate
+//! fragment (the region's element of the document's `"regions"` array)
+//! with the `(line, col)` of each site span it embeds. Those spans are the
+//! only part of a fragment a hash-preserving edit can move, so a `prove`
+//! reuses the kept bytes while they match and renders the fragment again
+//! when one moved; `commprove::cert::render_certificate` splices the
+//! fragments under the document's header. The fragment lives and dies
+//! with its artifact, and filling it moves no store counter.
+//!
 //! ## Relocatable diagnostics
 //!
 //! Cached artifacts must survive formatting-only edits (same hash,
@@ -53,6 +62,10 @@
 //! prepared source (annotations, parse, region split, structural hashes)
 //! and hands it to the next request for the same text, whatever the
 //! verb: after an edit, the editor's `prove` reuses its `analyze`'s parse.
+//! A `prove` that misses the response cache still renders only the
+//! certificate fragments of regions that changed or moved (see the
+//! artifact graph above); the two lint reports are rendered whole, once
+//! per request of their verb.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -68,7 +81,7 @@ use commlint::{
     apply_decls, assemble_lint_report, lint_parsed, parse_diags, region_view, scan_annotations,
     LintOptions, LintReport, RankRange,
 };
-use commprove::cert::{forms_json, Certificate, RegionCert, CERT_SCHEMA};
+use commprove::cert::{forms_json, render_certificate, RegionCert, CERT_SCHEMA};
 use commprove::check::check_cert_bytes;
 use commprove::{prove_parsed, prove_region_with, region_forms};
 use netsim::json::Json;
@@ -212,8 +225,23 @@ impl Anchor {
 struct CertArt {
     diags: Vec<RelDiag>,
     cert: RegionCert,
-    /// `(site, rel span)` pairs to re-inject into `cert.sites`.
-    spans: Vec<(u32, RelSpan)>,
+    /// Each site's span, in `cert.sites` order, to re-inject.
+    spans: Vec<RelSpan>,
+    /// The certificate's rendered fragment, kept with the artifact so it
+    /// is evicted with its cohort; mutating it moves no store counter.
+    fragment: Mutex<Option<Fragment>>,
+}
+
+/// A region's certificate fragment and the `(line, col)` of each site
+/// span it embeds, in `cert.sites` order: the only part of the fragment
+/// that a formatting edit can move.
+struct Fragment {
+    at: Vec<Option<(usize, usize)>>,
+    text: Arc<str>,
+}
+
+fn line_col(span: Option<SrcSpan>) -> Option<(usize, usize)> {
+    span.map(|sp| (sp.line, sp.col))
 }
 
 /// Cached clause normal forms and class parameters for the `diag` verb.
@@ -382,6 +410,13 @@ pub struct Engine {
     /// Sources actually prepared (lexed, parsed, split and hashed).
     #[cfg(test)]
     prepares: std::sync::atomic::AtomicUsize,
+    /// Certificate fragments actually rendered.
+    #[cfg(test)]
+    renders: std::sync::atomic::AtomicUsize,
+    /// Take the direct fallback for every source (no parsed source
+    /// reaches it otherwise).
+    #[cfg(test)]
+    force_direct: std::sync::atomic::AtomicBool,
 }
 
 impl Engine {
@@ -398,6 +433,10 @@ impl Engine {
             prepared: Mutex::new(None),
             #[cfg(test)]
             prepares: Default::default(),
+            #[cfg(test)]
+            renders: Default::default(),
+            #[cfg(test)]
+            force_direct: Default::default(),
         }
     }
 
@@ -453,7 +492,10 @@ impl Engine {
                 region_index += 1;
             }
         }
-        if chunks.len() != regions.len() {
+        let diverged = chunks.len() != regions.len();
+        #[cfg(test)]
+        let diverged = diverged || self.force_direct.load(std::sync::atomic::Ordering::Relaxed);
+        if diverged {
             // The splitter sees a different region structure than the
             // parser. Analyze directly — same bytes, no cache.
             return Ok(Prep::Direct {
@@ -597,22 +639,43 @@ impl Engine {
                 prove_region_with(region, spec, site_spans, ranks, vars, &lint_at);
             let spans = rc
                 .sites
-                .iter()
-                .map(|s| (s.site, anchor.rel(s.span)))
+                .iter_mut()
+                .map(|s| anchor.rel(s.span.take()))
                 .collect();
-            for s in &mut rc.sites {
-                s.span = None;
-            }
             Artifact::Cert(Arc::new(CertArt {
                 diags: diags.iter().map(|d| anchor.rel_diag(d)).collect(),
                 cert: rc,
                 spans,
+                fragment: Mutex::new(None),
             }))
         });
         match art {
             Artifact::Cert(v) => v,
             _ => unreachable!("cert key holds a cert"),
         }
+    }
+
+    /// The region's certificate fragment with its site spans anchored in
+    /// the current source: the kept text when every embedded span sits
+    /// where it did, else rendered from the artifact and kept.
+    fn cert_fragment(&self, art: &CertArt, anchor: &Anchor) -> Arc<str> {
+        let mut memo = art.fragment.lock().expect("no request panics holding it");
+        if let Some(f) = &*memo {
+            let at = art.spans.iter().map(|r| line_col(anchor.abs(r)));
+            if at.eq(f.at.iter().copied()) {
+                return Arc::clone(&f.text);
+            }
+        }
+        #[cfg(test)]
+        self.renders
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let spans: Vec<Option<SrcSpan>> = art.spans.iter().map(|r| anchor.abs(r)).collect();
+        let text: Arc<str> = art.cert.fragment(&spans).into();
+        *memo = Some(Fragment {
+            at: spans.into_iter().map(line_col).collect(),
+            text: Arc::clone(&text),
+        });
+        text
     }
 
     fn forms(&self, h: u64, spec: &ParamsSpec, vars: &HashMap<String, i64>) -> Arc<FormsArt> {
@@ -788,7 +851,7 @@ impl Engine {
             });
         }
         let report;
-        let certificate;
+        let cert_json;
         let regions;
         let (dirty, reused, evicted);
         let mut cacheable = false;
@@ -809,7 +872,7 @@ impl Engine {
                         diags.push(d);
                     }
                 }
-                let mut certs = Vec::new();
+                let mut fragments = Vec::with_capacity(ctx.chunks.len());
                 for (i, (_, h, toks)) in ctx.chunks.iter().enumerate() {
                     self.ensure_anchor(*h);
                     let anchor = Anchor::of_tokens(toks);
@@ -823,28 +886,15 @@ impl Engine {
                         &anchor,
                     );
                     diags.extend(art.diags.iter().map(|d| anchor.abs_diag(d)));
-                    let mut rc = art.cert.clone();
-                    for s in &mut rc.sites {
-                        s.span = art
-                            .spans
-                            .iter()
-                            .find(|(site, _)| *site == s.site)
-                            .and_then(|(_, r)| anchor.abs(r));
-                    }
-                    certs.push(rc);
+                    fragments.push(self.cert_fragment(&art, &anchor));
                 }
                 sort_report_diags(&mut diags);
-                regions = certs.len();
+                regions = fragments.len();
                 report = LintReport {
                     ranks: ctx.ranks,
                     diags,
                 };
-                certificate = Certificate {
-                    schema: CERT_SCHEMA,
-                    file: file.to_string(),
-                    ranks: ctx.ranks,
-                    regions: certs,
-                };
+                cert_json = render_certificate(CERT_SCHEMA, file, ctx.ranks, &fragments);
             }
             Prep::Direct {
                 ranks,
@@ -855,10 +905,9 @@ impl Engine {
                 regions = rep.certificate.regions.len();
                 (dirty, reused, evicted) = ((0..regions).collect(), 0, 0);
                 report = rep.report;
-                certificate = rep.certificate;
+                cert_json = rep.certificate.to_json();
             }
         }
-        let cert_json = certificate.to_json();
         let disk_cert = self.sync_disk_cert(file, src, &cert_json);
         let gate_fails = report.gate_fails();
         let report_json = render_json(&[(file.to_string(), report)]);
@@ -1216,5 +1265,95 @@ mod tests {
             (61, 76, 97, 0, 36),
             "{s:?}"
         );
+    }
+
+    fn renders(engine: &Engine) -> usize {
+        engine.renders.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// Prove `src` and compare both documents with the batch CLI's;
+    /// returns the certificate fragments the request rendered.
+    fn prove_renders(engine: &Engine, file: &str, src: &str) -> usize {
+        let before = renders(engine);
+        let p = engine.prove(file, src).unwrap();
+        assert_eq!(
+            (p.report_json, p.cert_json),
+            batch_prove(file, src),
+            "{src}"
+        );
+        renders(engine) - before
+    }
+
+    /// A fragment is rendered once per region version and site position:
+    /// an edit renders the regions it changed or moved, a replay none.
+    #[test]
+    fn a_prove_renders_only_the_fragments_that_changed() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        assert_eq!(prove_renders(&engine, "t.comm", SRC), 2);
+        assert_eq!(prove_renders(&engine, "t.comm", SRC), 0, "exact replay");
+        let count = SRC.replace("count(8)", "count(4)");
+        assert_eq!(prove_renders(&engine, "t.comm", &count), 1, "count edit");
+        // A comment line between the regions moves region 1's site only.
+        let between = count.replace("}\n#pragma", "}\n// between\n#pragma");
+        assert_eq!(prove_renders(&engine, "t.comm", &between), 1, "line shift");
+        // Back to the count edit's text: region 1's kept fragment is the
+        // shifted one, so it is rendered again; region 0 never moved.
+        assert_eq!(prove_renders(&engine, "t.comm", &count), 1);
+        let top = format!("// top\n{count}");
+        assert_eq!(prove_renders(&engine, "t.comm", &top), 2, "both shift");
+    }
+
+    /// The spliced certificate is byte-identical to a fresh
+    /// `Certificate::to_json` of the batch prover, whatever moved.
+    #[test]
+    fn spliced_certificate_is_byte_identical_to_a_fresh_render() {
+        let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
+        let nine = SRC.replace("count(16)", "count(9)");
+        prove_renders(&engine, "t.comm", &nine);
+        // 9 -> 10: region 1's offsets move, its line and column do not.
+        let ten = SRC.replace("count(16)", "count(10)");
+        assert_eq!(prove_renders(&engine, "t.comm", &ten), 1, "digit count");
+        // Indentation only: site 2's column moves, every hash survives.
+        let indented = ten.replace(
+            "  #pragma comm_p2p sbuf(buf2)",
+            "      #pragma comm_p2p sbuf(buf2)",
+        );
+        assert!(engine.prove("t.comm", &indented).unwrap().dirty.is_empty());
+        prove_renders(&engine, "u.comm", &ten);
+        assert_eq!(prove_renders(&engine, "u.comm", &indented), 1, "column");
+        let third = "#pragma comm_parameters sender(rank) receiver(rank)\n{\n  \
+                     #pragma comm_p2p sbuf(buf1) rbuf(buf1) count(2)\n  { }\n}\n";
+        let (head, regions) = SRC.split_at(SRC.find("#pragma").unwrap());
+        let (first, second) = regions.split_at(regions.rfind("#pragma comm_parameters").unwrap());
+        for src in [
+            format!("{SRC}{third}"),
+            format!("{head}{third}{regions}"),
+            format!("{head}{first}"),
+            format!("{head}{second}"),
+            format!("{head}{second}{first}"),
+            head.to_string(),
+            SRC.replace("@ranks 2..=12", "@ranks 3..=9"),
+            SRC.to_string(),
+        ] {
+            prove_renders(&engine, "t.comm", &src);
+        }
+        // Two files share region 0 at different spans; each prove finds
+        // the other's kept fragment and renders its own.
+        let shifted = format!("// pad\n{SRC}");
+        prove_renders(&engine, "a.comm", SRC);
+        prove_renders(&engine, "b.comm", &shifted);
+        let edited = SRC.replace("count(8)", "count(4)");
+        assert_eq!(prove_renders(&engine, "a.comm", &edited), 2);
+        assert_eq!(
+            prove_renders(&engine, "b.comm", &shifted.replace("count(8)", "count(4)")),
+            2
+        );
+        // The direct fallback writes through the same writer.
+        engine
+            .force_direct
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        for src in [SRC, edited.as_str(), head] {
+            assert_eq!(prove_renders(&engine, "d.comm", src), 0);
+        }
     }
 }

@@ -291,22 +291,27 @@ pub fn forms_json(forms: &[(String, String)]) -> Json {
         .collect()
 }
 
-impl From<&RegionCert> for Json {
-    fn from(r: &RegionCert) -> Json {
-        let sites = r.sites.iter().map(|s| {
+/// Depth of a region's object in the certificate document: inside the
+/// document object and its `"regions"` array.
+const REGION_DEPTH: usize = 2;
+
+impl RegionCert {
+    /// The region as a JSON value, with site `i` at `spans[i]`.
+    fn json_at(&self, spans: &[Option<SrcSpan>]) -> Json {
+        let sites = self.sites.iter().zip(spans).map(|(s, span)| {
             Json::obj([
                 ("site", s.site.into()),
-                ("span", s.span.as_ref().map(commlint::json::span).into()),
+                ("span", span.as_ref().map(commlint::json::span).into()),
                 ("forms", forms_json(&s.forms)),
             ])
         });
-        let outcomes = r.outcomes.iter().map(|o| {
+        let outcomes = self.outcomes.iter().map(|o| {
             Json::obj([
                 ("nranks", o.nranks.into()),
                 ("fired", o.fired.iter().map(Json::from).collect()),
             ])
         });
-        let claims = r.claims.iter().map(|c| {
+        let claims = self.claims.iter().map(|c| {
             Json::obj([
                 ("code", c.code.code().into()),
                 ("site", c.site.into()),
@@ -316,35 +321,79 @@ impl From<&RegionCert> for Json {
             ])
         });
         Json::obj([
-            ("region", r.region.into()),
-            ("eligible", r.eligible.into()),
-            ("reason", r.reason.clone().into()),
-            ("lcm", r.lcm.into()),
-            ("boundary", r.boundary.into()),
-            ("threshold", r.threshold.into()),
-            ("base_min", r.base_min.into()),
-            ("checked_max", r.checked_max.into()),
+            ("region", self.region.into()),
+            ("eligible", self.eligible.into()),
+            ("reason", self.reason.clone().into()),
+            ("lcm", self.lcm.into()),
+            ("boundary", self.boundary.into()),
+            ("threshold", self.threshold.into()),
+            ("base_min", self.base_min.into()),
+            ("checked_max", self.checked_max.into()),
             ("sites", sites.collect()),
             ("outcomes", outcomes.collect()),
             ("claims", claims.collect()),
         ])
     }
+
+    /// This region's element of the document's `"regions"` array, as
+    /// [`render_certificate`] splices it: [`CERT_LAYOUT`] at the region's
+    /// depth, first line unindented, with site `i` at `spans[i]` (the
+    /// daemon's kept regions carry no spans of their own).
+    pub fn fragment(&self, spans: &[Option<SrcSpan>]) -> String {
+        self.json_at(spans).render_at(&CERT_LAYOUT, REGION_DEPTH)
+    }
+}
+
+/// The one certificate writer: the header (`schema`, `file`, `ranks`) and
+/// then each region's [`RegionCert::fragment`], in order, as the elements
+/// of `"regions"`. [`Certificate::to_json`] renders every fragment and
+/// calls it; the daemon calls it with fragments it rendered earlier.
+pub fn render_certificate<S: AsRef<str>>(
+    schema: u32,
+    file: &str,
+    ranks: RankRange,
+    regions: &[S],
+) -> String {
+    let head = Json::obj([
+        ("schema", schema.into()),
+        ("file", file.to_string().into()),
+        ("ranks", ranks.into()),
+    ])
+    .render_with(&CERT_LAYOUT);
+    let head = head
+        .strip_suffix("\n}")
+        .expect("a non-empty object closes on a line of its own");
+    let body: usize = regions.iter().map(|r| r.as_ref().len() + 6).sum();
+    let mut out = String::with_capacity(head.len() + body + 24);
+    out.push_str(head);
+    out.push_str(",\n  \"regions\": ");
+    if regions.is_empty() {
+        out.push_str("[]");
+    } else {
+        for (i, r) in regions.iter().enumerate() {
+            out.push_str(if i == 0 { "[\n    " } else { ",\n    " });
+            out.push_str(r.as_ref());
+        }
+        out.push_str("\n  ]");
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 impl Certificate {
     /// Render as a stable, pretty-printed JSON document (trailing newline,
     /// two-space indent, [`CERT_LAYOUT`]) suitable for golden-file byte
-    /// diffs.
+    /// diffs, through [`render_certificate`].
     pub fn to_json(&self) -> String {
-        let doc = Json::obj([
-            ("schema", self.schema.into()),
-            ("file", self.file.clone().into()),
-            ("ranks", self.ranks.into()),
-            ("regions", self.regions.iter().map(Json::from).collect()),
-        ]);
-        let mut out = doc.render_with(&CERT_LAYOUT);
-        out.push('\n');
-        out
+        let regions: Vec<String> = self
+            .regions
+            .iter()
+            .map(|r| {
+                let spans: Vec<Option<SrcSpan>> = r.sites.iter().map(|s| s.span).collect();
+                r.fragment(&spans)
+            })
+            .collect();
+        render_certificate(self.schema, &self.file, self.ranks, &regions)
     }
 }
 
@@ -376,7 +425,11 @@ mod tests {
             checked_max: 14,
             sites: vec![SiteCert {
                 site: 1,
-                span: None,
+                span: Some(SrcSpan {
+                    offset: 40,
+                    line: 3,
+                    col: 5,
+                }),
                 forms: vec![("sender".into(), "rank-1".into())],
             }],
             outcomes: vec![Outcome {
@@ -428,5 +481,33 @@ mod tests {
         assert!(doc.contains("\"schema\": 2"), "{doc}");
         assert!(doc.contains("\"kind\": \"present-congruent\""), "{doc}");
         assert!(doc.ends_with("}\n"), "{doc}");
+    }
+
+    /// The spliced document is the one a single render of the whole value
+    /// lays out, with zero, one and two regions.
+    #[test]
+    fn spliced_fragments_read_as_one_rendered_document() {
+        for n in 0..3 {
+            let cert = Certificate {
+                schema: CERT_SCHEMA,
+                file: "a \"quoted\" path.comm".into(),
+                ranks: RankRange { min: 2, max: 16 },
+                regions: vec![region(); n],
+            };
+            let whole = Json::obj([
+                ("schema", cert.schema.into()),
+                ("file", cert.file.clone().into()),
+                ("ranks", cert.ranks.into()),
+                (
+                    "regions",
+                    cert.regions
+                        .iter()
+                        .map(|r| r.json_at(&[r.sites[0].span]))
+                        .collect(),
+                ),
+            ])
+            .render_with(&CERT_LAYOUT);
+            assert_eq!(cert.to_json(), whole + "\n");
+        }
     }
 }

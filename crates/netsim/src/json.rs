@@ -13,6 +13,8 @@
 //! - [`Json::render_with`]: the same, with a document's [`Layout`]
 //!   naming the nodes that go on one line (the commlint report puts its
 //!   `"span"`s there, the certificate each of its `"claims"`);
+//! - [`Json::render_at`]: a node of such a document, rendered at its
+//!   depth on its own (the certificate's per-region fragments);
 //! - [`Json::render_line`]: the spaced one-line form, `{ "k": v }` and
 //!   `[a, b]`, nested as `[{ … }, { … }]` (daemon frames);
 //! - [`Json::render_compact`]: no whitespace at all (ledger lines).
@@ -111,8 +113,16 @@ impl Json {
     /// Serialize pretty-printed like [`Json::render`], writing the nodes
     /// `layout` names in the one-line form.
     pub fn render_with(&self, layout: &Layout) -> String {
+        self.render_at(layout, 0)
+    }
+
+    /// Serialize like [`Json::render_with`], as the value sits `depth`
+    /// levels into a document: its inner lines are indented for that
+    /// depth and its first line not at all, so a document writer can
+    /// splice pieces rendered once into one text.
+    pub fn render_at(&self, layout: &Layout, depth: usize) -> String {
         let mut out = Vec::new();
-        self.write(&mut out, 0, layout, false);
+        self.write(&mut out, depth, layout, false);
         into_string(out)
     }
 
@@ -826,6 +836,12 @@ mod tests {
         for text in [j.render_with(&LAYOUT), j.render_line()] {
             assert_eq!(parse(&text).unwrap(), j);
         }
+        // A node rendered at its depth is the document's text for it.
+        let deep = j.get("deep").unwrap().render_at(&LAYOUT, 1);
+        assert_eq!(deep, "{\n    \"span\": null,\n    \"x\": \"a\\\"b\"\n  }");
+        assert!(j
+            .render_with(&LAYOUT)
+            .contains(&format!("\"deep\": {deep},")));
         for i in [0, -7, 42, i64::MAX, i64::MIN] {
             assert_eq!(Json::Int(i).render(), i.to_string());
         }

@@ -23,7 +23,9 @@ const BUFS: usize = 4;
 /// structurally distinct from every other region regardless of the count
 /// values (different shift, different buffer pairing), so two regions
 /// never collide on a structural hash and `dirty` assertions are exact.
-fn spec_src(counts: &[u32], fmt_lines: usize) -> String {
+/// Region `i`'s `comm_p2p` is indented by `indents[i]` extra spaces (none
+/// past the slice's end), which moves its column and no hash.
+fn spec_src(counts: &[u32], indents: &[usize], fmt_lines: usize) -> String {
     let mut src = String::new();
     for _ in 0..fmt_lines {
         src.push_str("// formatting-only touch\n");
@@ -36,9 +38,10 @@ fn spec_src(counts: &[u32], fmt_lines: usize) -> String {
         let shift = i + 1;
         let sbuf = i % BUFS;
         let rbuf = (i + 1) % BUFS;
+        let pad = " ".repeat(2 + indents.get(i).copied().unwrap_or(0));
         src.push_str(&format!(
             "#pragma comm_parameters sender((rank-{shift}+nprocs)%nprocs) \
-             receiver((rank+{shift})%nprocs)\n{{\n  #pragma comm_p2p \
+             receiver((rank+{shift})%nprocs)\n{{\n{pad}#pragma comm_p2p \
              sbuf(b{sbuf}) rbuf(b{rbuf}) count({c})\n  {{ }}\n}}\n"
         ));
     }
@@ -66,6 +69,9 @@ enum Edit {
     Count(usize, u32),
     /// Prepend a comment line (formatting-only; every hash survives).
     Fmt,
+    /// Indent region `k`'s `comm_p2p` one more space: only that site's
+    /// column moves, so only its certificate fragment is rendered again.
+    Indent(usize),
 }
 
 fn edits(regions: usize) -> impl Strategy<Value = Vec<Edit>> {
@@ -75,6 +81,7 @@ fn edits(regions: usize) -> impl Strategy<Value = Vec<Edit>> {
             (0..regions, 1u32..=64).prop_map(|(k, c)| Edit::Count(k, c)),
             (0..regions, 1u32..=64).prop_map(|(k, c)| Edit::Count(k, c)),
             Just(Edit::Fmt),
+            (0..regions).prop_map(Edit::Indent),
         ],
         1..=5,
     )
@@ -99,8 +106,9 @@ proptest! {
     ) {
         let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
         let mut fmt_lines = 0usize;
-        let check = |counts: &[u32], fmt_lines: usize| {
-            let src = spec_src(counts, fmt_lines);
+        let mut indents = vec![0usize; counts.len()];
+        let check = |counts: &[u32], indents: &[usize], fmt_lines: usize| {
+            let src = spec_src(counts, indents, fmt_lines);
             let a = engine.analyze("p.comm", &src).unwrap();
             prop_assert_eq!(&a.report_json, &batch_lint_json("p.comm", &src));
             let p = engine.prove("p.comm", &src).unwrap();
@@ -109,7 +117,7 @@ proptest! {
             prop_assert_eq!(&p.cert_json, &want_cert);
             Ok(())
         };
-        check(&counts, fmt_lines)?;
+        check(&counts, &indents, fmt_lines)?;
         for e in seq {
             match e {
                 Edit::Count(k, c) => {
@@ -117,8 +125,9 @@ proptest! {
                     counts[k] = c;
                 }
                 Edit::Fmt => fmt_lines += 1,
+                Edit::Indent(k) => indents[k % counts.len()] += 1,
             }
-            check(&counts, fmt_lines)?;
+            check(&counts, &indents, fmt_lines)?;
         }
     }
 
@@ -132,19 +141,19 @@ proptest! {
     ) {
         let k = k % counts.len();
         let engine = Engine::new(SymbolTable::new(), LintOptions::default(), None);
-        engine.analyze("p.comm", &spec_src(&counts, 0)).unwrap();
+        engine.analyze("p.comm", &spec_src(&counts, &[], 0)).unwrap();
         // Force a real change: a replay of identical bytes dirties nothing.
         counts[k] = if new_count == counts[k] {
             (new_count % 64) + 1
         } else {
             new_count
         };
-        let warm = engine.analyze("p.comm", &spec_src(&counts, 0)).unwrap();
+        let warm = engine.analyze("p.comm", &spec_src(&counts, &[], 0)).unwrap();
         prop_assert_eq!(&warm.dirty, &vec![k]);
         prop_assert_eq!(warm.reused, counts.len() - 1);
         prop_assert!(warm.evicted > 0, "the superseded cohort must be evicted");
         // And a formatting-only touch after the edit dirties nothing at all.
-        let touched = engine.analyze("p.comm", &spec_src(&counts, 1)).unwrap();
+        let touched = engine.analyze("p.comm", &spec_src(&counts, &[], 1)).unwrap();
         prop_assert!(touched.dirty.is_empty());
         prop_assert_eq!(touched.reused, counts.len());
     }
@@ -156,7 +165,7 @@ proptest! {
     fn concurrent_clients_get_identical_artifacts(
         counts in proptest::collection::vec(1u32..=64, 2..=3),
     ) {
-        let src = spec_src(&counts, 0);
+        let src = spec_src(&counts, &[], 0);
         let want_lint = batch_lint_json("p.comm", &src);
         let (want_report, want_cert) = batch_prove("p.comm", &src);
         let engine = Arc::new(Engine::new(
